@@ -6,7 +6,9 @@ monomial basis is enumerated per degree (odd generators square to zero) and
 the differential is extended as a degree +1 derivation.  A table
 presentation takes explicit per-degree dimensions, structure constants and
 differential matrices, and is validated against the graded axioms on
-construction.
+construction.  The degree-2 extension of a valid base, and its embedding
+and retraction, are valid by construction and are not checked again;
+validate_algebra and validate_morphism remain as their test oracles.
 
 Every algebra carries an explicit degree cap.  Products or differentials
 that would land above the cap raise DegreeCapError; nothing is ever
@@ -98,7 +100,12 @@ def parse_polynomial(text: str) -> PolyTerms:
         while True:
             kind, val, col = peek()
             if kind == "num":
-                coeff *= Fraction(val)
+                try:
+                    coeff *= Fraction(val)
+                except ZeroDivisionError:
+                    raise ParseError(
+                        f"zero denominator in {val!r} at column {col + 1}"
+                    ) from None
             elif kind == "name":
                 factors.append(val)
             elif kind is None:
@@ -720,7 +727,6 @@ def build_table_algebra(
     products: Mapping[tuple[int, int, int, int], Iterable[tuple[int, object]]],
     differentials: Optional[Mapping[tuple[int, int], Iterable[tuple[int, object]]]] = None,
     names: Optional[Sequence[Sequence[str]]] = None,
-    validate: bool = True,
 ) -> CochainAlgebra:
     """Algebra from explicit per-degree dimensions and structure constants.
 
@@ -728,10 +734,10 @@ def build_table_algebra(
     ``products[(n1,i1,n2,i2)]`` lists ``(k, coefficient)`` pairs giving the
     product of basis vectors in degree n1+n2; missing keys mean zero.
     ``differentials[(n,i)]`` likewise gives d of a basis vector.  A
-    two-sided unit must exist in degree 0 and, when ``validate`` is on,
-    associativity, graded commutativity, the Leibniz rule and d*d = 0 are
-    checked on all basis tuples within the cap; the first violation is
-    reported with the offending labels.
+    two-sided unit must exist in degree 0, and associativity, graded
+    commutativity, the Leibniz rule and d*d = 0 are checked on all basis
+    tuples within the cap; the first violation raises
+    AlgebraValidationError naming the offending labels.
     """
     if not dims:
         raise AlgebraValidationError("dims must cover at least degree 0")
@@ -808,10 +814,9 @@ def build_table_algebra(
     algebra = CochainAlgebra(
         cap, "table", names_per_degree, mul, diff, unit_coords, name_map
     )
-    if validate:
-        problems = validate_algebra(algebra, limit=1)
-        if problems:
-            raise AlgebraValidationError(problems[0])
+    problems = validate_algebra(algebra, limit=1)
+    if problems:
+        raise AlgebraValidationError(problems[0])
     return algebra
 
 
@@ -947,7 +952,6 @@ def tensor_polynomial_generator(
     a: CochainAlgebra,
     name: str = "h",
     cap: Optional[int] = None,
-    validate: bool = True,
 ) -> CochainAlgebra:
     """Adjoin a central polynomial generator of degree 2 with d = 0.
 
@@ -956,7 +960,8 @@ def tensor_polynomial_generator(
     parts and add h exponents, and the differential acts on the base part
     alone.  Free bases are re-enumerated up to the new cap; table bases
     are taken as literally zero above their own cap, which keeps every
-    axiom intact because all extra degrees are zero spaces.
+    axiom intact because all extra degrees are zero spaces.  The result
+    of a valid base is therefore valid and is not scanned again.
     """
     if cap is None:
         cap = a.cap
@@ -1059,7 +1064,7 @@ def tensor_polynomial_generator(
         hcoords[hblock[2] + i] = c
     names[name] = (2, vector(hcoords))
 
-    result = CochainAlgebra(
+    return CochainAlgebra(
         cap,
         "table",
         labels,
@@ -1069,13 +1074,6 @@ def tensor_polynomial_generator(
         names,
         tensor_info=info,
     )
-    if validate:
-        problems = validate_algebra(result, limit=1)
-        if problems:
-            raise AlgebraValidationError(
-                f"extension by {name!r} failed validation: {problems[0]}"
-            )
-    return result
 
 
 # --------------------------------------------------------------------------
@@ -1088,9 +1086,9 @@ class AlgebraMorphism:
 
     ``matrices[n]`` maps coordinates in source degree n to target degree n,
     for n up to the trust cap (the smaller of the two caps, or less when a
-    retraction forgets high degrees).  Multiplicativity, unit preservation
-    and commutation with the differentials are what build_morphism
-    verifies; this class only stores and applies the data.
+    retraction forgets high degrees).  This class only stores and applies
+    the data; build_morphism checks that it is a morphism, while
+    identity_morphism and the tensor maps are morphisms by construction.
     """
 
     def __init__(
@@ -1185,7 +1183,6 @@ def build_morphism(
     target: CochainAlgebra,
     images: Optional[Mapping[str, Element]] = None,
     matrices: Optional[Sequence[Matrix]] = None,
-    validate: bool = True,
 ) -> AlgebraMorphism:
     """Construct and verify a morphism of cochain algebras.
 
@@ -1226,10 +1223,10 @@ def build_morphism(
                 cols.append(out.coords)
             mats.append(Matrix.from_columns(cols, target.dim(n)))
         f = AlgebraMorphism(source, target, mats)
-        problems = validate_morphism(f, on_generators=True) if validate else []
+        problems = validate_morphism(f, on_generators=True)
     elif matrices is not None:
         f = AlgebraMorphism(source, target, matrices)
-        problems = validate_morphism(f) if validate else []
+        problems = validate_morphism(f)
     else:
         raise ValueError("pass either generator images or matrices")
     if problems:
@@ -1242,7 +1239,10 @@ def identity_morphism(a: CochainAlgebra) -> AlgebraMorphism:
 
 
 def tensor_embedding(a: CochainAlgebra, ext: CochainAlgebra) -> AlgebraMorphism:
-    """The inclusion of the base into ``base (x) Q[h]`` (h power zero)."""
+    """The inclusion of the base into ``base (x) Q[h]`` (h power zero).
+
+    A morphism by construction when ``a`` is the base of ``ext``.
+    """
     info = ext.tensor_info
     if info is None:
         raise AlgebraValidationError("target is not a polynomial-generator extension")
@@ -1260,15 +1260,14 @@ def tensor_embedding(a: CochainAlgebra, ext: CochainAlgebra) -> AlgebraMorphism:
             col[block[2] + i] = Fraction(1)
             cols.append(tuple(col))
         mats.append(Matrix.from_columns(cols, ext.dim(n)))
-    f = AlgebraMorphism(a, ext, mats)
-    problems = validate_morphism(f)
-    if problems:
-        raise AlgebraValidationError(problems[0])
-    return f
+    return AlgebraMorphism(a, ext, mats)
 
 
 def tensor_retraction(ext: CochainAlgebra, a: CochainAlgebra) -> AlgebraMorphism:
-    """Set h to zero: the left inverse of tensor_embedding on the base."""
+    """Set h to zero: the left inverse of tensor_embedding on the base.
+
+    A morphism by construction when ``a`` is the base of ``ext``.
+    """
     info = ext.tensor_info
     if info is None:
         raise AlgebraValidationError("source is not a polynomial-generator extension")
@@ -1286,8 +1285,4 @@ def tensor_retraction(ext: CochainAlgebra, a: CochainAlgebra) -> AlgebraMorphism
             row[block[2] + i] = Fraction(1)
             rows.append(row)
         mats.append(Matrix(rows, cols=ext.dim(n)))
-    f = AlgebraMorphism(ext, a, mats)
-    problems = validate_morphism(f)
-    if problems:
-        raise AlgebraValidationError(problems[0])
-    return f
+    return AlgebraMorphism(ext, a, mats)

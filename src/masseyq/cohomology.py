@@ -505,7 +505,7 @@ def check_scaling_law(
 
 
 class InducedMap:
-    """The map on cohomology induced by a validated algebra morphism."""
+    """The map on cohomology induced by an algebra morphism."""
 
     def __init__(
         self,

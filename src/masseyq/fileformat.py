@@ -239,8 +239,8 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
 
     try:
         return build_table_algebra(dims, products, differentials, names_per_degree)
-    except AlgebraError as exc:
-        raise ParseError(str(exc), line=first)
+    except AlgebraValidationError as exc:
+        raise AlgebraValidationError(f"line {first}: {exc}") from None
 
 
 def _parse_bundle(line: str, lineno: int) -> WeightedLineBundle:

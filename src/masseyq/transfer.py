@@ -58,13 +58,6 @@ ClassInput = Union[str, list, CohomologyClass]
 # --------------------------------------------------------------------------
 
 
-def cartan_model_trivial(
-    base: CochainAlgebra, hname: str = "h", cap: Optional[int] = None
-) -> CochainAlgebra:
-    """The equivariant model of a trivial circle action on the base."""
-    return tensor_polynomial_generator(base, hname, cap=cap)
-
-
 @dataclass
 class EquivariantSetup:
     """A base algebra, its degree-2 extension, and the maps between them."""
@@ -84,7 +77,8 @@ class EquivariantSetup:
 def build_setup(
     base: CochainAlgebra, cap: Optional[int] = None, hname: str = "h"
 ) -> EquivariantSetup:
-    ext = cartan_model_trivial(base, hname, cap)
+    """The equivariant model of a trivial circle action on the base."""
+    ext = tensor_polynomial_generator(base, hname, cap=cap)
     inner = ext.tensor_info.base
     base_ring = CohomologyRing(inner)
     ext_ring = CohomologyRing(ext)
@@ -761,13 +755,13 @@ class HamiltonianTransferDatum:
 def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     """All structural findings against a transfer datum, empty when valid.
 
-    Checks, in order: the fixed model is a polynomial-generator extension
-    and the Euler data has the right shape; the restriction is a ring map
-    commuting with the differentials and injective on cohomology degree
-    by degree; the projection formula restrict(push(e)) = chi * e holds
-    on a class basis; the Euler class is not a zero divisor; the
-    pushforward has full column rank, any kernel being traced back to the
-    zero-divisor property through the projection formula.
+    Checks, in order: the fixed model is a polynomial-generator extension and
+    the Euler data has the right shape; the restriction is a ring map
+    commuting with the differentials (not scanned when it is the identity) and
+    injective on cohomology degree by degree; the projection formula
+    restrict(push(e)) = chi * e holds on a class basis; the Euler class is not
+    a zero divisor; the pushforward has full column rank, any kernel being
+    traced back to the zero-divisor property through the projection formula.
     """
     findings: list[str] = []
     if datum.m < 1:
@@ -800,8 +794,11 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
             f"rank {datum.m} normal bundle"
         )
 
-    for msg in validate_morphism(datum.restrict):
-        findings.append(f"restriction: {msg}")
+    # The identity of one algebra is a morphism by definition.
+    identity = identity_morphism(datum.ambient).matrices
+    if datum.fixed is not datum.ambient or datum.restrict.matrices != identity:
+        for msg in validate_morphism(datum.restrict):
+            findings.append(f"restriction: {msg}")
     if findings:
         return findings
 

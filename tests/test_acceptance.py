@@ -13,7 +13,14 @@ import random
 import time
 from fractions import Fraction
 
-from masseyq.cdga import build_free_cdga, identity_morphism, validate_algebra
+from masseyq.cdga import (
+    build_free_cdga,
+    identity_morphism,
+    tensor_embedding,
+    tensor_retraction,
+    validate_algebra,
+    validate_morphism,
+)
 from masseyq.cli import main
 from masseyq.cohomology import (
     CohomologyRing,
@@ -387,6 +394,11 @@ def test_criterion_09_structural_scans(capsys):
         ok = ok and validate_algebra(model) == []
         ext = tensor_polynomial_generator(model, "h", cap=model.cap + 5)
         inner = ext.tensor_info.base
+        # The extension and its maps are trusted by construction; these
+        # scans are the oracle behind that trust.
+        ok = ok and validate_algebra(ext) == []
+        ok = ok and validate_morphism(tensor_embedding(inner, ext)) == []
+        ok = ok and validate_morphism(tensor_retraction(ext, inner)) == []
         for n in range(ext.cap + 1):
             want = sum(
                 inner.dim(n - 2 * j) if n - 2 * j <= inner.cap else 0
@@ -407,9 +419,9 @@ def test_criterion_09_structural_scans(capsys):
     _verdict(
         capsys, 9,
         ok,
-        f"graded axioms hold on all bundled models and {random_count} "
-        "random free presentations; extension dimensions match the "
-        "convolution formula",
+        f"graded axioms hold on all bundled models, their h-extensions "
+        f"with embedding and retraction, and {random_count} random free "
+        "presentations; extension dimensions match the convolution formula",
     )
 
 

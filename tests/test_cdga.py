@@ -84,6 +84,8 @@ def test_parse_rejects_garbage():
         parse_polynomial("x^2")
     with pytest.raises(ParseError):
         parse_polynomial("")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_polynomial("1/0*x")
 
 
 # -- free algebras -----------------------------------------------------------
@@ -267,6 +269,20 @@ def test_table_rejects_nonassociative():
                 (0, 0, 4, 0): [(0, 1)],
                 (4, 0, 0, 0): [(0, 2)],
             },
+        )
+
+
+def test_table_rejects_nonzero_d_squared():
+    # d(p) = q and d(q) = r, so d*d(p) = r
+    unit_rows = {}
+    for n in range(1, 4):
+        unit_rows[(0, 0, n, 0)] = [(0, 1)]
+        unit_rows[(n, 0, 0, 0)] = [(0, 1)]
+    with pytest.raises(AlgebraValidationError, match=r"d\*d != 0"):
+        build_table_algebra(
+            dims=[1, 1, 1, 1],
+            products={(0, 0, 0, 0): [(0, 1)], **unit_rows},
+            differentials={(1, 0): [(0, 1)], (2, 0): [(0, 1)]},
         )
 
 
@@ -490,6 +506,40 @@ def test_random_free_algebras_validate():
         gens, diffs, cap = random_free_cdga(rng)
         a = build_free_cdga(gens, diffs, cap)
         assert validate_algebra(a) == []
+
+
+def test_random_extensions_and_maps_pass_the_oracle():
+    # The extension, its embedding and its retraction are not scanned when
+    # built; the scans here back that trust.  The associativity scan is
+    # cubic in the basis, so presentations whose extension has more than
+    # 60 basis elements are drawn again.
+    rng = random.Random(5)
+    checked = 0
+    while checked < 25:
+        gens, diffs, cap = random_free_cdga(rng)
+        a = build_free_cdga(gens, diffs, cap)
+        ext = tensor_polynomial_generator(a, "h", cap=cap + 2 + checked % 5)
+        if sum(ext.dims) > 60:
+            continue
+        inner = ext.tensor_info.base
+        assert validate_algebra(ext) == []
+        assert validate_morphism(tensor_embedding(inner, ext)) == []
+        assert validate_morphism(tensor_retraction(ext, inner)) == []
+        checked += 1
+
+
+def test_trusted_constructions_run_no_scans(monkeypatch):
+    import masseyq.cdga as cdga
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trusted construction ran a structural scan")
+
+    monkeypatch.setattr(cdga, "validate_algebra", forbidden)
+    monkeypatch.setattr(cdga, "validate_morphism", forbidden)
+    hb = heisenberg(4)
+    ext = tensor_polynomial_generator(hb, "h", cap=8)
+    tensor_embedding(ext.tensor_info.base, ext)
+    tensor_retraction(ext, ext.tensor_info.base)
 
 
 def test_random_elements_satisfy_leibniz():

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 from masseyq.cli import main
 from masseyq.report import report_from_json
@@ -72,6 +76,42 @@ def test_cohomology_parse_error_has_line(capsys, tmp_path):
     assert "line 3" in doc["payload"]["error"]
 
 
+def _unit_rows(*names):
+    rows = "".join(f"mul e * {b} = {b}\nmul {b} * e = {b}\n" for b in names)
+    return "mul e * e = e\n" + rows
+
+
+# (a*a)*b = 0 but a*(a*b) = a*c = w
+NON_ASSOCIATIVE_ALG = (
+    "basis 0 : e\nbasis 2 : a b\nbasis 4 : c\nbasis 6 : w\n"
+    + _unit_rows("a", "b", "c", "w")
+    + "mul a * b = c\nmul b * a = c\nmul a * c = w\nmul c * a = w\n"
+)
+# d(p) = q and d(q) = r, so d*d(p) = r
+NONZERO_D_SQUARED_ALG = (
+    "basis 0 : e\nbasis 1 : p\nbasis 2 : q\nbasis 3 : r\n"
+    + _unit_rows("p", "q", "r")
+    + "diff p = q\ndiff q = r\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        (NON_ASSOCIATIVE_ALG, "associativity fails on ('a', 'a', 'b')"),
+        (NONZERO_D_SQUARED_ALG, "d*d != 0 on basis vector 'p' (degree 1)"),
+    ],
+    ids=["non-associative", "nonzero-d-squared"],
+)
+def test_corrupted_table_file_is_invalid_input(capsys, tmp_path, text, fragment):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text)
+    code, doc = run_json(capsys, "cohomology", str(bad))
+    assert code == 3
+    assert doc["status"] == "invalid-input"
+    assert doc["payload"]["error"] == f"line 1: {fragment}"
+
+
 def test_massey_nonvanishing(capsys):
     code, doc = run_json(capsys, "massey", "builtin:heisenberg", "x", "x", "y")
     assert code == 0
@@ -98,6 +138,12 @@ def test_massey_non_cocycle_input_is_undefined(capsys):
     code, doc = run_json(capsys, "massey", "builtin:heisenberg", "x", "z", "y")
     assert code == 11
     assert "not a cocycle" in doc["payload"]["obstruction"]
+
+
+def test_massey_zero_denominator_is_a_parse_error(capsys):
+    code, doc = run_json(capsys, "massey", "builtin:heisenberg", "1/0*x", "x", "y")
+    assert code == 2
+    assert doc["payload"]["error"] == "zero denominator in '1/0' at column 1"
 
 
 def test_massey_degree_zero_rejected(capsys):
@@ -344,3 +390,20 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "masseyq", "cohomology", "builtin:heisenberg",
+         "--format", "structured"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["payload"]["betti"] == [1, 2, 2, 1]

@@ -369,6 +369,42 @@ def test_non_injective_restriction_is_rejected():
     assert any("restriction" in f for f in findings)
 
 
+def test_identity_restriction_is_not_rescanned(monkeypatch):
+    import masseyq.transfer as transfer
+
+    def forbidden(f, on_generators=False):
+        raise AssertionError("the identity restriction was scanned")
+
+    datum = tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=8)
+    monkeypatch.setattr(transfer, "validate_morphism", forbidden)
+    assert validate_transfer_datum(datum) == []
+
+
+def test_non_identity_endomorphism_restriction_is_scanned():
+    # Doubling degree 1 keeps source == target but breaks both d-commutation
+    # (d z = x*y) and multiplicativity, so the full scan must report it.
+    good = tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=8)
+    mats = list(good.restrict.matrices)
+    n1 = mats[1].cols
+    mats[1] = Matrix(
+        [[2 if i == j else 0 for j in range(n1)] for i in range(n1)], cols=n1
+    )
+    bad = HamiltonianTransferDatum(
+        name="doubled",
+        ambient=good.ambient,
+        fixed=good.fixed,
+        restrict=AlgebraMorphism(good.ambient, good.fixed, mats),
+        push_matrices=good.push_matrices,
+        chi_polynomial=good.chi_polynomial,
+        m=good.m,
+    )
+    findings = validate_transfer_datum(bad)
+    assert any(f.startswith("restriction: morphism does not commute with d")
+               for f in findings)
+    assert any(f.startswith("restriction: morphism is not multiplicative")
+               for f in findings)
+
+
 def test_wrong_push_shape_is_rejected():
     good = rotation_datum()
     push = list(good.push_matrices)
