@@ -24,7 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import AlgebraValidationError, DegreeCapError, ParseError
+from .errors import (
+    AlgebraValidationError,
+    DegreeCapError,
+    DifferentialSquareError,
+    ParseError,
+)
 from .linalg import (
     Matrix,
     Vector,
@@ -518,21 +523,6 @@ def _enumerate_monomials(gens: Sequence[GeneratorDecl], cap: int):
     return by_degree
 
 
-def _koszul_sign(
-    gens: Sequence[GeneratorDecl], e: tuple[int, ...], f: tuple[int, ...]
-) -> int:
-    """Sign of merging the word of f into the word of e, or 0 on odd squares."""
-    crossings = 0
-    odd_tail = 0
-    for j in range(len(gens) - 1, -1, -1):
-        if gens[j].degree % 2 == 1:
-            if e[j] and f[j]:
-                return 0
-            crossings += f[j] * odd_tail
-            odd_tail += e[j]
-    return -1 if crossings % 2 else 1
-
-
 def _monomial_label(gens: Sequence[GeneratorDecl], exps: tuple[int, ...]) -> str:
     parts = []
     for g, e in zip(gens, exps):
@@ -582,43 +572,66 @@ def build_free_cdga(
             )
 
     by_degree = _enumerate_monomials(gens, cap)
-    index: dict[tuple[int, ...], tuple[int, int]] = {}
+    # Exponent tuples are packed into integers in base cap+1.  No exponent
+    # of a monomial within the cap exceeds the cap, so the key of a product
+    # is the sum of the keys of its factors.
+    weights = [(cap + 1) ** j for j in range(len(gens))]
+    odd = [g.degree % 2 == 1 for g in gens]
+    index: dict[int, tuple[int, int]] = {}
     labels = []
+    # Per degree: (key, odd mask, crossing mask) of each basis monomial.  Bit
+    # j of the odd mask is set when the monomial contains the odd generator
+    # j; bit j of the crossing mask is the parity of the odd generators
+    # after j that it contains.
+    shapes: list[list[tuple[int, int, int]]] = []
     for n in range(cap + 1):
         labels.append([_monomial_label(gens, m) for m in by_degree[n]])
+        row = []
         for i, m in enumerate(by_degree[n]):
-            index[m] = (n, i)
+            key = sum(e * w for e, w in zip(m, weights))
+            index[key] = (n, i)
+            odd_mask = crossing = 0
+            after = 0
+            for j in range(len(gens) - 1, -1, -1):
+                if after:
+                    crossing |= 1 << j
+                if odd[j] and m[j]:
+                    odd_mask |= 1 << j
+                    after ^= 1
+            row.append((key, odd_mask, crossing))
+        shapes.append(row)
 
+    # A product of monomials is one signed monomial, or zero when an odd
+    # generator repeats.  Its Koszul sign counts the odd letters of the
+    # right factor that move left past odd letters of the left factor.
+    one, minus_one = Fraction(1), Fraction(-1)
     mul: dict[tuple[int, int, int, int], tuple[tuple[int, Fraction], ...]] = {}
     for n1 in range(cap + 1):
         for n2 in range(cap + 1 - n1):
-            for i1, e in enumerate(by_degree[n1]):
-                for i2, f in enumerate(by_degree[n2]):
-                    sign = _koszul_sign(gens, e, f)
-                    if sign == 0:
+            for i1, (key1, odd1, crossing1) in enumerate(shapes[n1]):
+                for i2, (key2, odd2, _) in enumerate(shapes[n2]):
+                    if odd1 & odd2:
                         continue
-                    merged = tuple(a + b for a, b in zip(e, f))
-                    _, k = index[merged]
-                    mul[(n1, i1, n2, i2)] = ((k, Fraction(sign)),)
+                    sign = minus_one if (odd2 & crossing1).bit_count() & 1 else one
+                    mul[(n1, i1, n2, i2)] = ((index[key1 + key2][1], sign),)
 
     unit_coords = vector([1] + [0] * (len(by_degree[0]) - 1))
     names = {}
-    for g in gens:
-        exps = tuple(1 if h.name == g.name else 0 for h in gens)
-        n, i = index[exps]
+    for gi, g in enumerate(gens):
+        n, i = index[weights[gi]]
         coords = [Fraction(0)] * len(by_degree[n])
         coords[i] = Fraction(1)
         names[g.name] = (n, vector(coords))
 
-    # A differential-free shell is enough to evaluate the generator images
-    # and run the derivation products.
+    # A differential-free shell is enough to evaluate the generator images.
     shell = CochainAlgebra(
         cap, "free", labels, mul, {}, unit_coords, names, generators=gens
     )
 
-    d_of_gen: dict[str, Element] = {}
+    # d(g) as its nonzero (index, coefficient) terms, by generator position.
+    d_terms: dict[int, list[tuple[int, Fraction]]] = {}
     normalized: dict[str, PolyTerms] = {}
-    for g in gens:
+    for gi, g in enumerate(gens):
         poly = differentials.get(g.name)
         if poly is None:
             continue
@@ -643,7 +656,7 @@ def build_free_cdga(
                 required_cap=exc.required_cap,
             ) from exc
         if not el.is_zero():
-            d_of_gen[g.name] = el
+            d_terms[gi] = [(k, c) for k, c in enumerate(el.coords) if c != 0]
             normalized[g.name] = [
                 (c, f)
                 for c, f in (
@@ -651,29 +664,43 @@ def build_free_cdga(
                 )
             ]
 
+    # Leibniz rule on the word of each monomial: the letter g at a position
+    # contributes (-1)^|prefix| * prefix * d(g) * suffix, and both products
+    # are single signed entries of the mul table.
     diff: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
     for n in range(cap):
         for i, exps in enumerate(by_degree[n]):
-            word = []
-            for gi, e in enumerate(exps):
-                word.extend([gi] * e)
-            total = shell.zero(n + 1)
+            key = shapes[n][i][0]
+            acc: dict[int, Fraction] = {}
+            prefix_key = 0
             prefix_deg = 0
-            for pos, gi in enumerate(word):
-                gname = gens[gi].name
-                dg = d_of_gen.get(gname)
-                if dg is not None:
-                    prefix = _word_element(shell, gens, index, word[:pos])
-                    suffix = _word_element(shell, gens, index, word[pos + 1 :])
-                    term = shell.multiply(shell.multiply(prefix, dg), suffix)
-                    if prefix_deg % 2 == 1:
-                        term = -term
-                    total = total + term
-                prefix_deg += gens[gi].degree
-            if not total.is_zero():
-                diff[(n, i)] = tuple(
-                    (j, c) for j, c in enumerate(total.coords) if c != 0
-                )
+            for gi, e in enumerate(exps):
+                g = gens[gi]
+                terms = d_terms.get(gi)
+                if terms is None:
+                    prefix_key += e * weights[gi]
+                    prefix_deg += e * g.degree
+                    continue
+                dn = g.degree + 1
+                for _ in range(e):
+                    pn, pi = index[prefix_key]
+                    sn, si = index[key - prefix_key - weights[gi]]
+                    for k, c in terms:
+                        left = mul.get((pn, pi, dn, k))
+                        if left is None:
+                            continue
+                        k1, s1 = left[0]
+                        right = mul.get((pn + dn, k1, sn, si))
+                        if right is None:
+                            continue
+                        k2, s2 = right[0]
+                        t = c * s1 * s2
+                        acc[k2] = acc.get(k2, 0) + (-t if prefix_deg % 2 else t)
+                    prefix_key += weights[gi]
+                    prefix_deg += g.degree
+            entries = tuple((j, c) for j, c in sorted(acc.items()) if c != 0)
+            if entries:
+                diff[(n, i)] = entries
 
     algebra = CochainAlgebra(
         cap,
@@ -693,20 +720,10 @@ def build_free_cdga(
                 algebra.differential(algebra.named_element(g.name))
             )
             if not residue.is_zero():
-                raise AlgebraValidationError(
+                raise DifferentialSquareError(
                     f"d*d is nonzero on generator {g.name!r}: residue {residue}"
                 )
     return algebra
-
-
-def _word_element(shell, gens, index, word: list[int]) -> Element:
-    exps = [0] * len(gens)
-    for gi in word:
-        exps[gi] += 1
-    n, i = index[tuple(exps)]
-    coords = [Fraction(0)] * shell.dim(n)
-    coords[i] = Fraction(1)
-    return Element(shell, n, coords)
 
 
 def recap(a: CochainAlgebra, new_cap: int) -> CochainAlgebra:

@@ -11,6 +11,10 @@ class AlgebraValidationError(AlgebraError):
     """An algebra, morphism or transfer datum violates a structural axiom."""
 
 
+class DifferentialSquareError(AlgebraValidationError):
+    """A free presentation is well formed but its d*d is nonzero."""
+
+
 class DegreeCapError(AlgebraError):
     """An operation would need degrees above the declared cap.
 

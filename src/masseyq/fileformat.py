@@ -43,7 +43,13 @@ from .cdga import (
     tensor_polynomial_generator,
 )
 from .cohomology import CohomologyRing
-from .errors import AlgebraError, AlgebraValidationError, DegreeCapError, ParseError
+from .errors import (
+    AlgebraError,
+    AlgebraValidationError,
+    DegreeCapError,
+    DifferentialSquareError,
+    ParseError,
+)
 from .linalg import Matrix
 from .models import builtin_datum, builtin_model
 from .transfer import (
@@ -99,6 +105,13 @@ def _parse_fraction(text: str, lineno: int) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a rational number: {text!r}", line=lineno)
+
+
+def _parse_int(key: str, value: str, lineno: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{key} must be an integer, got {value!r}", line=lineno)
 
 
 def _parse_combination(
@@ -171,10 +184,7 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
         if mo and mo.group(1) == "cap":
             if cap is not None:
                 raise ParseError("cap given twice", line=lineno)
-            try:
-                cap = int(mo.group(2))
-            except ValueError:
-                raise ParseError(f"cap must be an integer, got {mo.group(2)!r}", line=lineno)
+            cap = _parse_int("cap", mo.group(2), lineno)
             continue
         raise ParseError(f"unrecognized algebra line {line!r}", line=lineno)
 
@@ -191,6 +201,9 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
             raise ParseError("a free presentation needs a cap", line=first)
         try:
             return build_free_cdga(gens, gen_diffs, cap)
+        except DifferentialSquareError as exc:
+            # Parsed but invalid, like a table that fails its axiom scan.
+            raise AlgebraValidationError(f"line {first}: {exc}") from None
         except AlgebraError as exc:
             raise ParseError(str(exc), line=first)
     if not tabular:
@@ -350,11 +363,11 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
             raise ParseError(f"unrecognized datum line {line!r}", line=lineno)
         key, value = mo.group(1), mo.group(2)
         if key == "m":
-            m = int(value)
+            m = _parse_int(key, value, lineno)
         elif key == "chi":
             chi = value
         elif key == "fixed-cap":
-            ext_cap = int(value)
+            ext_cap = _parse_int(key, value, lineno)
         elif key == "h":
             hname = value
         elif key == "name":
@@ -450,6 +463,8 @@ def load_datum(path: str) -> HamiltonianTransferDatum:
 def resolve_model_spec(spec: str, base_dir: str = ".") -> CochainAlgebra:
     """A model named `builtin:<name>` or given as a file path."""
     spec = spec.strip()
+    if not spec:
+        raise ParseError("empty model spec")
     if spec.startswith("builtin:"):
         try:
             return builtin_model(spec[len("builtin:") :])
@@ -466,6 +481,8 @@ def resolve_model_spec(spec: str, base_dir: str = ".") -> CochainAlgebra:
 
 def resolve_datum_spec(spec: str, base_dir: str = ".") -> HamiltonianTransferDatum:
     spec = spec.strip()
+    if not spec:
+        raise ParseError("empty datum spec")
     if spec.startswith("builtin:"):
         try:
             return builtin_datum(spec[len("builtin:") :])
@@ -531,6 +548,8 @@ def _parse_config(section: _Section, base_dir: str, position: int) -> ScanConfig
         key, value = mo.group(1), mo.group(2)
         if key == "name":
             name = value
+        elif key in ("model", "datum") and not value:
+            raise ParseError(f"{key} needs a builtin name or a file path", line=lineno)
         elif key == "model":
             model_spec = value
         elif key == "datum":
@@ -545,9 +564,9 @@ def _parse_config(section: _Section, base_dir: str, position: int) -> ScanConfig
         elif key == "chi":
             chi = value
         elif key == "m":
-            m = int(value)
+            m = _parse_int(key, value, lineno)
         elif key == "min-cap":
-            min_cap = int(value)
+            min_cap = _parse_int(key, value, lineno)
         elif key == "expect":
             expect = value
         else:

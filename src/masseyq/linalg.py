@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` values: always in lowest terms, always
 with a positive denominator, so equality is literal equality and printing
 is canonical (``p/q`` or ``p``).  Vectors are tuples of fractions and
-matrices are immutable row-major grids.  Elimination picks the leftmost
-nonzero pivot and nothing else, which makes every reduced form, particular
+matrices are immutable row-major grids, stored dense.  Elimination is
+Gauss-Jordan that skips zero entries, so its cost follows the nonzeros of
+the sparse matrices the algebras produce.  It picks the leftmost nonzero
+pivot and nothing else, which makes every reduced form, particular
 solution and kernel basis canonical: the same input yields identical
 output on every run.
 """
@@ -15,6 +17,9 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def fr(value) -> Fraction:
@@ -60,8 +65,9 @@ def vec_is_zero(v: Vector) -> bool:
 
 
 class Matrix:
-    """Immutable dense rational matrix.
+    """Immutable rational matrix, stored dense and row-major.
 
+    Elimination (rref, Subspace.reduce) skips its zero entries.
     ``entries`` is a sequence of rows.  Empty shapes are legal but the
     column count must then be passed explicitly, since it cannot be
     inferred from zero rows.
@@ -164,6 +170,10 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     first nonzero entry in the leftmost unfinished column; pivots are
     scaled to 1 and cleared above and below.  Deterministic by
     construction, with no magnitude heuristics.
+
+    Elimination touches nonzero entries only: the pivot row is zero left
+    of its pivot, so each update subtracts its nonzero entries to the
+    right of the pivot from the rows that are nonzero in the pivot column.
     """
     work = [list(r) for r in m.entries]
     pivots: list[int] = []
@@ -177,12 +187,20 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c]
-        work[r] = [e / inv for e in work[r]]
+        prow = work[r]
+        inv = prow[c]
+        prow[c] = _ONE
+        tail = [j for j in range(c + 1, m.cols) if prow[j] != 0]
+        if inv != 1:
+            for j in tail:
+                prow[j] /= inv
         for i in range(m.rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            row = work[i]
+            f = row[c]
+            if i != r and f != 0:
+                row[c] = _ZERO
+                for j in tail:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == m.rows:
@@ -220,12 +238,13 @@ class Subspace:
     they describe the same subspace.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_nonzero")
 
     def __init__(self, ambient_dim: int, basis: Sequence[Vector], pivots: Sequence[int]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(tuple(v) for v in basis))
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_nonzero", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -257,11 +276,25 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError("reduce length mismatch")
         out = list(v)
-        for row, p in zip(self.basis, self.pivots):
+        for p, row, nonzero in zip(self.pivots, self.basis, self._nonzero_columns()):
             c = out[p]
             if c != 0:
-                out = [a - c * b for a, b in zip(out, row)]
+                for j in nonzero:
+                    out[j] -= c * row[j]
         return tuple(out)
+
+    def _nonzero_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Nonzero column indices of each basis row, computed once."""
+        if self._nonzero is None:
+            object.__setattr__(
+                self,
+                "_nonzero",
+                tuple(
+                    tuple(j for j, b in enumerate(row) if b != 0)
+                    for row in self.basis
+                ),
+            )
+        return self._nonzero
 
     def contains(self, v: Vector) -> bool:
         return vec_is_zero(self.reduce(v))

@@ -272,3 +272,120 @@ def random_free_cdga(rng):
         if terms:
             diffs[nm] = terms
     return gens, diffs, cap
+
+
+# -- free graded-commutative algebras from the definitions --------------------
+
+# A polynomial maps exponent tuples (one exponent per generator, in
+# declaration order) to nonzero Fractions.  A monomial is written as the
+# word of its letters in declaration order.
+
+
+class FreeCdgaOracle:
+    """A free graded-commutative algebra with differential, by hand.
+
+    Products concatenate words and sort them letter by letter, flipping
+    the sign whenever two odd letters pass each other; a repeated odd
+    letter kills the product.  The differential applies d to each letter
+    of a word in turn (Leibniz rule).  ``gens`` is a list of (name,
+    degree) and ``diffs`` maps names to (coefficient, name word) terms.
+    """
+
+    def __init__(self, gens, diffs):
+        self.names = [name for name, _ in gens]
+        self.degrees = [degree for _, degree in gens]
+        self.d_gen = {}
+        for name, terms in diffs.items():
+            poly = {}
+            for coeff, word in terms:
+                term = {self.exponents(""): Fraction(coeff)}
+                for letter in word:
+                    term = self.multiply(term, {self.exponents(letter): Fraction(1)})
+                poly = _poly_add(poly, term)
+            self.d_gen[self.names.index(name)] = poly
+
+    def exponents(self, label):
+        """Exponent tuple of a monomial label such as ``a*a*b`` (``1`` or ``""`` for one)."""
+        exps = [0] * len(self.names)
+        for letter in label.split("*"):
+            if letter not in ("", "1"):
+                exps[self.names.index(letter)] += 1
+        return tuple(exps)
+
+    def degree(self, exps):
+        return sum(e * d for e, d in zip(exps, self.degrees))
+
+    def monomials(self, n):
+        """Every monomial of total degree n, odd letters at most once."""
+        found = []
+
+        def extend(g, exps, degree):
+            if g == len(self.names):
+                if degree == n:
+                    found.append(tuple(exps))
+                return
+            top = 1 if self.degrees[g] % 2 else n // self.degrees[g]
+            for e in range(top + 1):
+                if degree + e * self.degrees[g] <= n:
+                    extend(g + 1, exps + [e], degree + e * self.degrees[g])
+
+        extend(0, [], 0)
+        return found
+
+    def _word(self, exps):
+        return [g for g, e in enumerate(exps) for _ in range(e)]
+
+    def _exps(self, word):
+        return tuple(word.count(g) for g in range(len(self.names)))
+
+    def monomial_product(self, left, right):
+        """(sign, exponents) of left*right; sign 0 when an odd letter repeats."""
+        word = self._word(left) + self._word(right)
+        sign = 1
+        for end in range(len(word) - 1, 0, -1):
+            for j in range(end):
+                if word[j] > word[j + 1]:
+                    if self.degrees[word[j]] % 2 and self.degrees[word[j + 1]] % 2:
+                        sign = -sign
+                    word[j], word[j + 1] = word[j + 1], word[j]
+        for j in range(len(word) - 1):
+            if word[j] == word[j + 1] and self.degrees[word[j]] % 2:
+                return 0, None
+        return sign, self._exps(word)
+
+    def multiply(self, p, q):
+        out = {}
+        for e, a in p.items():
+            for f, b in q.items():
+                sign, exps = self.monomial_product(e, f)
+                if sign:
+                    out = _poly_add(out, {exps: sign * a * b})
+        return out
+
+    def differential(self, p):
+        out = {}
+        for exps, coeff in p.items():
+            word = self._word(exps)
+            for pos, g in enumerate(word):
+                if g not in self.d_gen:
+                    continue
+                prefix = self._exps(word[:pos])
+                suffix = self._exps(word[pos + 1 :])
+                sign = -1 if self.degree(prefix) % 2 else 1
+                term = self.multiply(
+                    self.multiply({prefix: Fraction(sign) * coeff}, self.d_gen[g]),
+                    {suffix: Fraction(1)},
+                )
+                out = _poly_add(out, term)
+        return out
+
+
+def _poly_add(p, q):
+    out = dict(p)
+    for exps, c in q.items():
+        total = out.get(exps, Fraction(0)) + c
+        if total == 0:
+            out.pop(exps, None)
+        else:
+            out[exps] = total
+    return out

@@ -24,7 +24,8 @@ from masseyq.errors import (
     DegreeCapError,
     ParseError,
 )
-from oracles import random_free_cdga
+from masseyq.linalg import Matrix
+from oracles import FreeCdgaOracle, random_free_cdga
 
 
 def torus(cap=2):
@@ -464,8 +465,6 @@ def test_morphism_degree_mismatch_rejected():
 
 def test_matrix_morphism_multiplicativity_checked():
     p = build_free_cdga([("u", 2)], {}, 4)
-    from masseyq.linalg import Matrix
-
     mats = [
         Matrix.identity(1),
         Matrix.zero(0, 0),
@@ -553,3 +552,60 @@ def test_random_elements_satisfy_leibniz():
         lhs = (a * b).d()
         rhs = a.d() * b + (a * b.d() if n1 % 2 == 0 else -(a * b.d()))
         assert lhs == rhs
+
+
+def _filiform_presentation(n):
+    gens = [(f"x{i}", 1) for i in range(1, n + 1)]
+    diffs = {f"x{i}": [(1, ("x1", f"x{i - 1}"))] for i in range(3, n + 1)}
+    return gens, diffs, n
+
+
+def test_free_structure_constants_match_the_definition():
+    # The builder derives d and the product signs from packed exponent keys
+    # and odd-letter bitmasks; the oracle sorts words letter by letter.
+    rng = random.Random(41)
+    cases = [random_free_cdga(rng) for _ in range(20)]
+    cases += [_filiform_presentation(n) for n in (5, 6, 7)]
+    cases.append(
+        (
+            [("a", 1), ("b", 1), ("c", 1), ("u", 2), ("v", 3)],
+            {"c": [(1, ("a", "b"))], "v": [(1, ("u", "u")), (Fraction(-1, 2), ("b", "a", "u"))]},
+            9,
+        )
+    )
+    even_powers = 0
+    for gens, diffs, cap in cases:
+        a = build_free_cdga(gens, diffs, cap)
+        oracle = FreeCdgaOracle(gens, diffs)
+        basis = [[oracle.exponents(l) for l in a.basis_labels(n)] for n in range(cap + 1)]
+        for n in range(cap + 1):
+            assert sorted(basis[n]) == sorted(oracle.monomials(n))
+            even_powers += sum(
+                1
+                for exps in basis[n]
+                for e, (_, deg) in zip(exps, gens)
+                if deg % 2 == 0 and e > 1
+            )
+
+        def coords(poly, n):
+            position = {exps: i for i, exps in enumerate(basis[n])}
+            out = [Fraction(0)] * len(basis[n])
+            for exps, c in poly.items():
+                out[position[exps]] = c
+            return tuple(out)
+
+        for n in range(cap):
+            want = [
+                coords(oracle.differential({exps: Fraction(1)}), n + 1)
+                for exps in basis[n]
+            ]
+            assert a.diff_matrix(n) == Matrix.from_columns(want, a.dim(n + 1))
+        for n1 in range(cap + 1):
+            for n2 in range(cap + 1 - n1):
+                for i1, e in enumerate(basis[n1]):
+                    for i2, f in enumerate(basis[n2]):
+                        got = a.multiply(a.basis_element(n1, i1), a.basis_element(n2, i2))
+                        sign, exps = oracle.monomial_product(e, f)
+                        want = {exps: Fraction(sign)} if sign else {}
+                        assert got.coords == coords(want, n1 + n2)
+    assert even_powers > 0

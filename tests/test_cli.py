@@ -93,6 +93,8 @@ NONZERO_D_SQUARED_ALG = (
     + _unit_rows("p", "q", "r")
     + "diff p = q\ndiff q = r\n"
 )
+# d(a) = b and d(b) = a*b, so d*d(a) = a*b
+FREE_NONZERO_D_SQUARED_ALG = "cap = 4\ngen a : 1\ngen b : 2\nd a = b\nd b = a*b\n"
 
 
 @pytest.mark.parametrize(
@@ -100,8 +102,9 @@ NONZERO_D_SQUARED_ALG = (
     [
         (NON_ASSOCIATIVE_ALG, "associativity fails on ('a', 'a', 'b')"),
         (NONZERO_D_SQUARED_ALG, "d*d != 0 on basis vector 'p' (degree 1)"),
+        (FREE_NONZERO_D_SQUARED_ALG, "d*d is nonzero on generator 'a': residue a*b"),
     ],
-    ids=["non-associative", "nonzero-d-squared"],
+    ids=["non-associative", "nonzero-d-squared", "free-nonzero-d-squared"],
 )
 def test_corrupted_table_file_is_invalid_input(capsys, tmp_path, text, fragment):
     bad = tmp_path / "bad.alg"
@@ -359,6 +362,29 @@ def test_scan_expectation_mismatch_exits_13(capsys, tmp_path):
     assert code == 13
     assert len(doc["payload"]["findings"]) == 1
     assert "wrong-expect" in doc["payload"]["findings"][0]
+
+
+@pytest.mark.parametrize("key", ["model", "datum"])
+def test_scan_empty_spec_is_a_parse_error(capsys, tmp_path, key):
+    family = tmp_path / "empty.family"
+    family.write_text(
+        "[config]\n"
+        "triple = x | x | y\n"
+        f"{key} =\n"
+        "chi = h\n"
+        "m = 1\n"
+    )
+    code, doc = run_json(capsys, "scan", str(family))
+    assert code == 2
+    assert doc["payload"]["error"] == (
+        f"line 3: {key} needs a builtin name or a file path"
+    )
+
+
+def test_empty_model_spec_on_the_command_line(capsys):
+    code, doc = run_json(capsys, "cohomology", "")
+    assert code == 2
+    assert doc["payload"]["error"] == "empty model spec"
 
 
 def test_scan_unknown_family(capsys):

@@ -110,6 +110,9 @@ def test_parse_error_carries_line_number():
         ("cap = 0\nbasis 0 : e\ndiff e = e", "above cap"),
         ("cap = 2\nbasis 0 : e\nbasis 2 : f\nmul f * f = f", "above cap"),
         ("cap = 2\nbasis 0 : e\nbasis 2 : f\nmul e * e = f", "degree"),
+        ("cap = 3\ngen a : 1\nd c = a", "line 1: differential given for unknown generator 'c'"),
+        ("cap = 3\ngen a : 1\ngen b : 1\nd b = a", "line 1: differential of 'b' is ill-graded"),
+        ("cap = 1\ngen a : 1\ngen b : 1\nd b = a*a*a", "line 1: differential of 'b' does not fit"),
     ],
 )
 def test_algebra_rejections(text, fragment):
@@ -173,6 +176,13 @@ def test_minimal_datum_parses():
         (lambda t: t.replace("push[0] = 1", "push[0] = x"), "not a rational"),
         (lambda t: t + "wobble = 3\n", "unrecognized datum key"),
         (lambda t: t + "[extra]\n", "unexpected section"),
+        (lambda t: t.replace("m = 1\n", "m =\n"), "line 16: m must be an integer, got ''"),
+        (lambda t: t.replace("m = 1\n", "m = one\n"), "line 16: m must be an integer"),
+        (
+            lambda t: t.replace("fixed-cap = 4", "fixed-cap ="),
+            "line 18: fixed-cap must be an integer, got ''",
+        ),
+        (lambda t: t.replace("fixed-cap = 4", "fixed-cap = 4.5"), "line 18: fixed-cap must"),
     ],
 )
 def test_datum_rejections(mangle, fragment):
@@ -256,6 +266,10 @@ def test_family_tautological_datum():
         ("[config]\ntriple = x | x | y\nwhimsy = 4", "unrecognized config key"),
         ("[family]\nother = 1\n[config]\ntriple = x | x | y", "unrecognized family line"),
         ("[oops]\nname = 1", "unexpected section"),
+        (FAMILY_TEXT.replace("m = 1", "m ="), "line 7: m must be an integer, got ''"),
+        (FAMILY_TEXT.replace("m = 1", "m = x"), "line 7: m must be an integer"),
+        (FAMILY_TEXT + "min-cap =\n", "line 8: min-cap must be an integer, got ''"),
+        (FAMILY_TEXT + "min-cap = ten\n", "line 8: min-cap must be an integer"),
     ],
 )
 def test_family_rejections(text, fragment):

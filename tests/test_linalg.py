@@ -93,8 +93,66 @@ def test_kernel_dimension_plus_rank_is_cols():
             assert vec_is_zero(m.matvec(v))
 
 
+def _sparse_matrix(rng, rows, cols, density):
+    """A sparse rational matrix with some all-zero rows and columns."""
+    dead_rows = set(rng.sample(range(rows), rows // 5))
+    dead_cols = set(rng.sample(range(cols), cols // 5))
+    entries = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            if i in dead_rows or j in dead_cols or rng.random() >= density:
+                row.append(Fraction(0))
+            else:
+                row.append(
+                    Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 7]))
+                )
+        entries.append(row)
+    # Repeat a few rows, scaled, so the rank drops below the row count.
+    for _ in range(rows // 8):
+        src, dst = rng.randrange(rows), rng.randrange(rows)
+        entries[dst] = [Fraction(-2, 3) * x for x in entries[src]]
+    return entries
+
+
+def _sparse_cases():
+    """Matrices up to 40x60 at about 10% density, as the algebras produce."""
+    rng = random.Random(31)
+    shapes = [(40, 60), (60, 40), (25, 25), (12, 50), (40, 60), (1, 30), (30, 1)]
+    return [(_sparse_matrix(rng, rows, cols, 0.1), cols) for rows, cols in shapes]
+
+
+def _dense_reduce(basis, pivots, v):
+    out = list(v)
+    for row, p in zip(basis, pivots):
+        c = out[p]
+        if c != 0:
+            out = [a - c * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def test_sparse_kernel_and_reduce_match_dense_references():
+    rng = random.Random(37)
+    for entries, cols in _sparse_cases():
+        m = Matrix(entries, cols=cols)
+        kernel = kernel_basis(m)
+        assert kernel.dim == cols - rank(m)
+        for v in kernel.basis:
+            assert vec_is_zero(m.matvec(v))
+
+        row_space = Subspace.span(cols, entries)
+        for _ in range(5):
+            v = vector(_sparse_matrix(rng, 1, cols, 0.3)[0])
+            assert row_space.reduce(v) == _dense_reduce(
+                row_space.basis, row_space.pivots, v
+            )
+        for row in entries:
+            assert vec_is_zero(row_space.reduce(vector(row)))
+
+
 def test_rref_matches_fraction_free_oracle():
     rng = random.Random(23)
+    cases = []
     for _ in range(60):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
@@ -102,6 +160,9 @@ def test_rref_matches_fraction_free_oracle():
             [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(cols)]
             for _ in range(rows)
         ]
+        cases.append((entries, cols))
+    cases += _sparse_cases()
+    for entries, cols in cases:
         ours, our_pivots = rref(Matrix(entries, cols=cols))
         theirs, their_pivots = ff_rref(entries, cols)
         assert our_pivots == their_pivots
