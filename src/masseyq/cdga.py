@@ -198,6 +198,23 @@ class Element:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _trusted(
+        cls, algebra: "CochainAlgebra", degree: int, coords: Vector
+    ) -> "Element":
+        """Wrap coordinates that masseyq computed itself, without coercion.
+
+        ``coords`` must be a tuple of Fractions of length
+        ``algebra.dim(degree)``; nothing is checked.  Input from outside
+        goes through the public constructor, which coerces and rejects
+        floats.
+        """
+        el = object.__new__(cls)
+        object.__setattr__(el, "algebra", algebra)
+        object.__setattr__(el, "degree", degree)
+        object.__setattr__(el, "coords", coords)
+        return el
+
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
 
@@ -206,7 +223,7 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check_compatible(other)
-        return Element(
+        return Element._trusted(
             self.algebra,
             self.degree,
             tuple(a + b for a, b in zip(self.coords, other.coords)),
@@ -214,7 +231,7 @@ class Element:
 
     def __sub__(self, other: "Element") -> "Element":
         self._check_compatible(other)
-        return Element(
+        return Element._trusted(
             self.algebra,
             self.degree,
             tuple(a - b for a, b in zip(self.coords, other.coords)),
@@ -225,7 +242,9 @@ class Element:
 
     def scale(self, c) -> "Element":
         c = fr(c)
-        return Element(self.algebra, self.degree, tuple(c * a for a in self.coords))
+        return Element._trusted(
+            self.algebra, self.degree, tuple(c * a for a in self.coords)
+        )
 
     def bar(self) -> "Element":
         """Sign twist: ``(-1)^degree`` times the element."""
@@ -396,16 +415,16 @@ class CochainAlgebra:
             raise DegreeCapError(
                 f"product degree {n} exceeds cap {self.cap}", required_cap=n
             )
+        p, q, mul = a.degree, b.degree, self._mul
+        right = [(i2, c2) for i2, c2 in enumerate(b.coords) if c2]
         out = [Fraction(0)] * self.dim(n)
         for i1, c1 in enumerate(a.coords):
-            if c1 == 0:
-                continue
-            for i2, c2 in enumerate(b.coords):
-                if c2 == 0:
-                    continue
-                for k, s in self._mul.get((a.degree, i1, b.degree, i2), ()):
-                    out[k] += c1 * c2 * s
-        return Element(self, n, out)
+            if c1:
+                for i2, c2 in right:
+                    c = c1 * c2
+                    for k, s in mul.get((p, i1, q, i2), ()):
+                        out[k] += c * s
+        return Element._trusted(self, n, tuple(out))
 
     def differential(self, a: Element) -> Element:
         if a.algebra is not self:
@@ -422,7 +441,7 @@ class CochainAlgebra:
                 continue
             for j, s in self._diff.get((a.degree, i), ()):
                 out[j] += c * s
-        return Element(self, n, out)
+        return Element._trusted(self, n, tuple(out))
 
     def diff_matrix(self, n: int) -> Matrix:
         """Matrix of d: degree n -> n+1, shape dim(n+1) x dim(n)."""

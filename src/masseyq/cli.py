@@ -422,10 +422,14 @@ def _cmd_theorem11(args) -> Report:
 
 def _cmd_scan(args) -> Report:
     spec = args.family.strip()
+    if not spec:
+        raise ParseError("empty family spec")
     if spec.startswith("builtin:"):
         configs = builtin_family(spec[len("builtin:") :])
     else:
         path = spec if os.path.isabs(spec) else os.path.join(os.getcwd(), spec)
+        if os.path.isdir(path):
+            raise ParseError(f"family spec {spec!r} is a directory")
         if os.path.exists(path):
             configs = load_family(path)
         else:

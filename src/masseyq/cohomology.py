@@ -7,6 +7,13 @@ to class coordinates and lifting back to cocycles are exact inverse
 operations on representatives, so every computation downstream has a
 checkable witness in the cochain algebra.
 
+The cup product is read from the ring's structure constants: the class
+coordinates of each product of two basis classes, computed once as the
+projection of the product of their representatives and cached on the
+ring.  By bilinearity of projection, a product of classes is the same
+combination of these constants that projecting the product of lifts
+would give.
+
 Because the differential out of the top degree is not part of the data,
 cohomology is only available in degrees up to cap-1; asking higher raises
 DegreeCapError with the cap that would suffice.
@@ -29,6 +36,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    fr,
     kernel_basis,
     member,
     solve,
@@ -60,6 +68,22 @@ class CohomologyClass:
                 f"dim H^{degree} = {ring.class_dim(degree)}"
             )
 
+    @classmethod
+    def _trusted(
+        cls, ring: "CohomologyRing", degree: int, coords: Vector
+    ) -> "CohomologyClass":
+        """Wrap class coordinates that masseyq computed itself.
+
+        ``coords`` must be a tuple of Fractions of length
+        ``ring.class_dim(degree)``; nothing is coerced or checked.  Input
+        from outside goes through the public constructor.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ring", ring)
+        object.__setattr__(obj, "degree", degree)
+        object.__setattr__(obj, "coords", coords)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("CohomologyClass is immutable")
 
@@ -71,7 +95,7 @@ class CohomologyClass:
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         self._check(other)
-        return CohomologyClass(
+        return CohomologyClass._trusted(
             self.ring,
             self.degree,
             tuple(a + b for a, b in zip(self.coords, other.coords)),
@@ -79,15 +103,15 @@ class CohomologyClass:
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
         self._check(other)
-        return CohomologyClass(
+        return CohomologyClass._trusted(
             self.ring,
             self.degree,
             tuple(a - b for a, b in zip(self.coords, other.coords)),
         )
 
     def scale(self, c) -> "CohomologyClass":
-        c = Fraction(c)
-        return CohomologyClass(
+        c = fr(c)
+        return CohomologyClass._trusted(
             self.ring, self.degree, tuple(c * a for a in self.coords)
         )
 
@@ -130,11 +154,20 @@ class CohomologyRing:
     All per-degree data is computed on first use and cached.  The class
     basis in each degree is canonical for the algebra's basis order, so
     coordinates are reproducible across runs.
+
+    The ring also caches its structure constants, one basis pair at a
+    time: the entry for ``(p, i, q, j)`` holds the class coordinates of
+    e_i * e_j, where e_i and e_j are the basis classes of H^p and H^q.
+    An entry is filled on first use by projecting the product of the two
+    representatives, so the cocycle check of ``project`` runs on every
+    product that enters the cache.  Only the pairs some product needs are
+    filled, and the cache lives exactly as long as the ring.
     """
 
     def __init__(self, algebra: CochainAlgebra):
         self.algebra = algebra
         self._data: dict[int, _DegreeData] = {}
+        self._products: dict[tuple[int, int, int, int], Vector] = {}
 
     @property
     def top(self) -> int:
@@ -208,7 +241,7 @@ class CohomologyRing:
             )
         reduced = data.coboundaries.reduce(el.coords)
         coords = tuple(reduced[p] for p in data.class_pivots)
-        return CohomologyClass(self, el.degree, coords)
+        return CohomologyClass._trusted(self, el.degree, coords)
 
     def lift(self, cls: CohomologyClass) -> Element:
         """The canonical harmonic representative of a class."""
@@ -219,8 +252,28 @@ class CohomologyRing:
         for c, rep in zip(cls.coords, data.representatives):
             if c != 0:
                 for k, v in enumerate(rep):
-                    out[k] += c * v
-        return self.algebra.element(cls.degree, out)
+                    if v:
+                        out[k] += c * v
+        return Element._trusted(self.algebra, cls.degree, tuple(out))
+
+    def _product(self, p: int, i: int, q: int, j: int) -> Vector:
+        """Class coordinates of e_i * e_j for basis classes e_i of H^p, e_j of H^q.
+
+        Computed on first use as the projection of the product of the two
+        harmonic representatives, then cached for the life of the ring.
+        """
+        key = (p, i, q, j)
+        entry = self._products.get(key)
+        if entry is None:
+            left = Element._trusted(
+                self.algebra, p, self._degree(p).representatives[i]
+            )
+            right = Element._trusted(
+                self.algebra, q, self._degree(q).representatives[j]
+            )
+            entry = self.project(left * right).coords
+            self._products[key] = entry
+        return entry
 
     def zero_class(self, n: int) -> CohomologyClass:
         return CohomologyClass(self, n, zero_vector(self.class_dim(n)))
@@ -251,17 +304,33 @@ class CohomologyRing:
 
 
 def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    """Product of classes via representatives."""
+    """Product of classes, read bilinearly from the ring's structure constants.
+
+    Only pairs of nonzero coordinates are looked up, and each pair's
+    product of basis classes is computed once per ring (see
+    CohomologyRing).  The result equals the projection of the product of
+    the two canonical representatives.
+    """
     if a.ring is not b.ring:
         raise ValueError("classes live in different rings")
     ring = a.ring
-    n = a.degree + b.degree
+    p, q = a.degree, b.degree
+    n = p + q
     if n > ring.top:
         raise DegreeCapError(
             f"cup product in degree {n} needs cap at least {n + 1}",
             required_cap=n + 1,
         )
-    return ring.project(ring.lift(a) * ring.lift(b))
+    out = list(zero_vector(ring.class_dim(n)))
+    right = [(j, cb) for j, cb in enumerate(b.coords) if cb]
+    for i, ca in enumerate(a.coords):
+        if ca:
+            for j, cb in right:
+                c = ca * cb
+                for k, v in enumerate(ring._product(p, i, q, j)):
+                    if v:
+                        out[k] += c * v
+    return CohomologyClass._trusted(ring, n, tuple(out))
 
 
 def cup_matrix(ring: CohomologyRing, xi: CohomologyClass, n: int) -> Matrix:
@@ -459,17 +528,15 @@ class ContainmentReport:
 
 
 def check_scaling_law(
-    xi: CohomologyClass,
-    a1: CohomologyClass,
-    a2: CohomologyClass,
-    a3: CohomologyClass,
-    slot: int,
+    xi: CohomologyClass, base: MasseyResult, slot: int
 ) -> tuple[ContainmentReport, MasseyResult, MasseyResult]:
     """Verify xi * <a1,a2,a3> lies inside the product with xi in one slot.
 
-    ``slot`` is 1, 2 or 3 and names the input that absorbs xi.  The class
-    xi must have even degree so that the scaled product is again defined.
-    Returns the containment report together with both product results.
+    ``base`` is the already computed product <a1,a2,a3>; its inputs are
+    read from ``base.inputs``.  ``slot`` is 1, 2 or 3 and names the input
+    that absorbs xi.  The class xi must have even degree so that the
+    scaled product is again defined.  Returns the containment report
+    together with both product results.
     """
     if slot not in (1, 2, 3):
         raise ValueError("slot must be 1, 2 or 3")
@@ -477,13 +544,12 @@ def check_scaling_law(
         raise AlgebraValidationError(
             f"scaling class must have even degree, got {xi.degree}"
         )
-    ring = a1.ring
-    base = triple_massey(a1, a2, a3)
     if not base.defined:
         raise AlgebraValidationError(
             f"base triple product is not defined: {base.reason}"
         )
-    scaled_inputs = [a1, a2, a3]
+    ring = base.inputs[0].ring
+    scaled_inputs = list(base.inputs)
     scaled_inputs[slot - 1] = cup(xi, scaled_inputs[slot - 1])
     scaled = triple_massey(*scaled_inputs)
     if not scaled.defined:

@@ -476,6 +476,8 @@ def resolve_model_spec(spec: str, base_dir: str = ".") -> CochainAlgebra:
             return builtin_model(spec)
         except KeyError:
             raise ParseError(f"no such model file or builtin: {spec!r}")
+    if os.path.isdir(path):
+        raise ParseError(f"model spec {spec!r} is a directory")
     return load_algebra_document(path).algebra
 
 
@@ -494,6 +496,8 @@ def resolve_datum_spec(spec: str, base_dir: str = ".") -> HamiltonianTransferDat
             return builtin_datum(spec)
         except KeyError:
             raise ParseError(f"no such datum file or builtin: {spec!r}")
+    if os.path.isdir(path):
+        raise ParseError(f"datum spec {spec!r} is a directory")
     return load_datum(path)
 
 

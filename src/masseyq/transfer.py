@@ -585,12 +585,10 @@ def check_euler_scaled_massey(
             "extension's product"
         )
 
-    chain1, _, _ = check_scaling_law(chi.cls, U, V, W, 1)
-    chi_u = cup(chi.cls, U)
-    chain2, _, _ = check_scaling_law(chi.cls, chi_u, V, W, 2)
-    chi_v = cup(chi.cls, V)
-    chain3, _, scaled_result = check_scaling_law(chi.cls, chi_u, chi_v, W, 3)
-    chi_w = cup(chi.cls, W)
+    chain1, _, scaled1 = check_scaling_law(chi.cls, embedded_result, 1)
+    chain2, _, scaled2 = check_scaling_law(chi.cls, scaled1, 2)
+    chain3, _, scaled_result = check_scaling_law(chi.cls, scaled2, 3)
+    chi_u, _, chi_w = scaled_result.inputs
     for step, report in enumerate((chain1, chain2, chain3), start=1):
         if not report.holds:
             raise ConsistencyError(

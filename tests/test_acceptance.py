@@ -208,7 +208,7 @@ def test_criterion_04_scaling_containments(capsys):
         h_cls = ring.class_from_polynomial(setup.hname)
         for a, b, c, res in triples:
             for slot in (1, 2, 3):
-                report, inner, outer = check_scaling_law(unit, a, b, c, slot)
+                report, inner, outer = check_scaling_law(unit, res, slot)
                 _record(inner)
                 _record(outer)
                 checked_unit += 1
@@ -219,7 +219,7 @@ def test_criterion_04_scaling_containments(capsys):
                     degrees[0] + degrees[1], degrees[1] + degrees[2]
                 ) > ring.top:
                     continue
-                report, inner, outer = check_scaling_law(h_cls, a, b, c, slot)
+                report, inner, outer = check_scaling_law(h_cls, res, slot)
                 _record(inner)
                 _record(outer)
                 checked_h += 1

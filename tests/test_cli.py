@@ -387,6 +387,46 @@ def test_empty_model_spec_on_the_command_line(capsys):
     assert doc["payload"]["error"] == "empty model spec"
 
 
+def test_empty_family_spec_on_the_command_line(capsys):
+    code, doc = run_json(capsys, "scan", "")
+    assert code == 2
+    assert doc["payload"]["error"] == "empty family spec"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("cohomology", "data"), "model spec 'data' is a directory"),
+        (("transfer", "data", "eN", "eS", "eN"), "datum spec 'data' is a directory"),
+        (("scan", "data"), "family spec 'data' is a directory"),
+    ],
+    ids=["model", "datum", "family"],
+)
+def test_directory_spec_is_a_parse_error(capsys, tmp_path, monkeypatch, argv, error):
+    (tmp_path / "data").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["payload"]["error"] == error
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("model = .\nchi = h\nm = 1", "model spec '.' is a directory"),
+        ("datum = data", "datum spec 'data' is a directory"),
+    ],
+    ids=["model", "datum"],
+)
+def test_scan_directory_spec_is_a_parse_error(capsys, tmp_path, line, error):
+    (tmp_path / "data").mkdir()
+    family = tmp_path / "dir.family"
+    family.write_text(f"[config]\ntriple = x | x | y\n{line}\n")
+    code, doc = run_json(capsys, "scan", str(family))
+    assert code == 2
+    assert doc["payload"]["error"] == error
+
+
 def test_scan_unknown_family(capsys):
     code, doc = run_json(capsys, "scan", "no-such-family")
     assert code == 2

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masseyq.cdga import (
     build_free_cdga,
@@ -13,6 +15,7 @@ from masseyq.cdga import (
     tensor_retraction,
 )
 from masseyq.cohomology import (
+    CohomologyClass,
     CohomologyRing,
     InducedMap,
     check_functoriality,
@@ -361,8 +364,9 @@ def test_scaling_law_on_extended_heisenberg_all_slots():
     x = ring.class_from_polynomial("x")
     y = ring.class_from_polynomial("y")
     xi = ring.class_from_polynomial("h")
+    product = triple_massey(x, x, y)
     for slot in (1, 2, 3):
-        report, base, scaled = check_scaling_law(xi, x, x, y, slot)
+        report, base, scaled = check_scaling_law(xi, product, slot)
         assert report.holds, f"slot {slot}"
         assert base.defined and scaled.defined
 
@@ -371,7 +375,7 @@ def test_scaling_law_rejects_odd_scalar():
     _, ring = heisenberg_ring()
     x, y = ring.basis_classes(1)
     with pytest.raises(AlgebraValidationError, match="even degree"):
-        check_scaling_law(x, x, x, y, 1)
+        check_scaling_law(x, triple_massey(x, x, y), 1)
 
 
 def test_scaling_law_rejects_bad_slot():
@@ -379,7 +383,7 @@ def test_scaling_law_rejects_bad_slot():
     x, y = ring.basis_classes(1)
     xi = ring.unit_class()
     with pytest.raises(ValueError, match="slot"):
-        check_scaling_law(xi, x, x, y, 4)
+        check_scaling_law(xi, triple_massey(x, x, y), 4)
 
 
 def test_scaling_law_requires_defined_base():
@@ -388,7 +392,7 @@ def test_scaling_law_requires_defined_base():
     xi = ring.project(a.unit())
     # unit has degree 0 and is even; base product undefined since [x][y] != 0
     with pytest.raises(AlgebraValidationError, match="not defined"):
-        check_scaling_law(xi, x, y, x, 1)
+        check_scaling_law(xi, triple_massey(x, y, x), 1)
 
 
 # -- randomized agreement ---------------------------------------------------------
@@ -419,3 +423,115 @@ def test_random_cocycles_project_consistently():
             )
             rep = rep + noise.d()
         assert ring.project(rep) == cls
+
+
+# -- structure constants ---------------------------------------------------------
+
+_COEFFS = [Fraction(c) for c in (-2, -1, 0, 0, 1, 2)] + [Fraction(1, 2)]
+
+
+@st.composite
+def _rings_with_classes(draw):
+    """A random free presentation or its h-extension, its ring, and classes.
+
+    Two classes are drawn in every degree with nonzero cohomology up to
+    the top, so one ring is asked for products across many degree pairs.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    gens, diffs, cap = random_free_cdga(rng)
+    algebra = build_free_cdga(gens, diffs, cap)
+    if draw(st.booleans()):
+        algebra = tensor_polynomial_generator(
+            algebra, "h", cap=cap + draw(st.integers(1, 3))
+        )
+    ring = CohomologyRing(algebra)
+    classes = []
+    for n in range(ring.top + 1):
+        dim = ring.class_dim(n)
+        for _ in range(2 if dim else 0):
+            coords = draw(
+                st.lists(st.sampled_from(_COEFFS), min_size=dim, max_size=dim)
+            )
+            classes.append(CohomologyClass(ring, n, coords))
+    pairs = [
+        (a, b) for a in classes for b in classes if a.degree + b.degree <= ring.top
+    ]
+    return ring, classes, draw(st.permutations(pairs))
+
+
+def _reference_product(fresh, a, b):
+    """[lift a * lift b] computed on ``fresh``, a ring whose cache is unused."""
+    left = fresh.lift(CohomologyClass(fresh, a.degree, a.coords))
+    right = fresh.lift(CohomologyClass(fresh, b.degree, b.coords))
+    return fresh.project(left * right).coords
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_rings_with_classes())
+def test_cup_matches_the_projected_product_of_lifts(drawn):
+    ring, classes, pairs = drawn
+    fresh = CohomologyRing(ring.algebra)
+    for a, b in pairs:
+        assert cup(a, b).coords == _reference_product(fresh, a, b)
+    for a in classes:
+        for n in range(ring.top - a.degree + 1):
+            columns = cup_matrix(ring, a, n).columns()
+            assert columns == [
+                _reference_product(fresh, a, e) for e in ring.basis_classes(n)
+            ]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(_rings_with_classes())
+def test_structure_constants_do_not_depend_on_fill_order(drawn):
+    ring, _, _ = drawn
+    basis = [e for n in range(ring.top + 1) for e in ring.basis_classes(n)]
+    pairs = [(a, b) for a in basis for b in basis if a.degree + b.degree <= ring.top]
+    forward = [cup(a, b).coords for a, b in pairs]
+    other = CohomologyRing(ring.algebra)
+    backward = [
+        cup(
+            CohomologyClass(other, a.degree, a.coords),
+            CohomologyClass(other, b.degree, b.coords),
+        ).coords
+        for a, b in reversed(pairs)
+    ]
+    assert forward == backward[::-1]
+
+
+# -- coercion at the boundary ----------------------------------------------------
+
+
+def test_outside_coordinates_are_coerced_and_internal_results_are_fractions():
+    a, ring = heisenberg_ring()
+    with pytest.raises(TypeError, match="floats"):
+        a.element(1, [0.5, 0, 0])
+    with pytest.raises(TypeError, match="floats"):
+        CohomologyClass(ring, 1, [0.5, 0])
+    x, y = ring.basis_classes(1)
+    with pytest.raises(TypeError, match="floats"):
+        x.scale(0.5)
+    half = a.element(1, ["1/2", 0, 0])
+    assert half.coords == (Fraction(1, 2), Fraction(0), Fraction(0))
+
+    X, Y = ring.lift(x), ring.lift(y)
+    z = a.named_element("z")
+    outputs = [
+        X * Y,
+        a.multiply(X, z),
+        z.d(),
+        a.differential(X),
+        X + Y,
+        X - Y,
+        X.scale(3),
+        ring.lift(x.scale(2) + y),
+        ring.project(X * z),
+        cup(x, y),
+        cup(x, ring.project(X * z)),
+        cup(ring.zero_class(1), y),
+        x + y,
+        x - y,
+        x.scale(2),
+    ]
+    for out in outputs:
+        assert all(type(c) is Fraction for c in out.coords), out

@@ -321,7 +321,7 @@ def test_unit_scaling_keeps_the_coset():
     ring = setup.ext_ring
     a = ring.class_from_polynomial("x")
     report, base_result, scaled_result = check_scaling_law(
-        ring.unit_class(), a, a, a, 1
+        ring.unit_class(), triple_massey(a, a, a), 1
     )
     assert report.holds
     assert base_result.defined and scaled_result.defined
