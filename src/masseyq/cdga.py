@@ -10,6 +10,14 @@ construction.  The degree-2 extension of a valid base, and its embedding
 and retraction, are valid by construction and are not checked again;
 validate_algebra and validate_morphism remain as their test oracles.
 
+Every algebra reads its structure constants through one lookup, called by
+``multiply`` for each product of two basis vectors it needs.  Only a table
+presentation stores them.  A free algebra computes the product of two
+monomials when asked (one signed monomial, or zero), and the extension
+computes a product from the base lookup shifted into the right power of
+h; neither tabulates its products.  Differentials are tabulated for every
+presentation, since the cohomology needs all of them.
+
 Every algebra carries an explicit degree cap.  Products or differentials
 that would land above the cap raise DegreeCapError; nothing is ever
 silently truncated.  The basis order is fixed (degree first, then
@@ -22,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     AlgebraValidationError,
@@ -309,8 +317,12 @@ def bar(a: Element) -> Element:
     return a.bar()
 
 
-MulTable = Mapping[tuple[int, int, int, int], tuple[tuple[int, Fraction], ...]]
-DiffTable = Mapping[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+Terms = tuple[tuple[int, Fraction], ...]
+# (p, i, q, j) -> nonzero (k, coefficient) terms of e_i * e_j in degree p+q,
+# where e_i and e_j are basis vectors of degrees p and q; () means zero.
+ProductLookup = Callable[[int, int, int, int], Terms]
+MulTable = Mapping[tuple[int, int, int, int], Terms]
+DiffTable = Mapping[tuple[int, int], Terms]
 
 
 class CochainAlgebra:
@@ -318,6 +330,12 @@ class CochainAlgebra:
 
     Instances come from build_free_cdga, build_table_algebra or
     tensor_polynomial_generator; the constructor itself is internal.
+    Structure constants are read through ``product``, a lookup
+    ``(p, i, q, j) -> ((k, c), ...)`` that ``multiply`` calls for each
+    pair of nonzero coordinates, so a presentation decides whether it
+    stores its products (tables) or computes them on demand (free
+    algebras and the h-extension).
+
     Degrees run 0..cap.  The differential maps degree n to n+1 and is
     stored for n < cap only, so cocycles in degree cap cannot be verified;
     consumers treating cohomology must stop at cap-1.
@@ -328,7 +346,7 @@ class CochainAlgebra:
         cap: int,
         kind: str,
         labels: Sequence[Sequence[str]],
-        mul: MulTable,
+        product: ProductLookup,
         diff: DiffTable,
         unit_coords: Vector,
         names: Mapping[str, tuple[int, Vector]],
@@ -339,7 +357,7 @@ class CochainAlgebra:
         self.cap = cap
         self.kind = kind
         self._labels = tuple(tuple(l) for l in labels)
-        self._mul = dict(mul)
+        self._product = product
         self._diff = dict(diff)
         self._unit_coords = unit_coords
         self._names = dict(names)
@@ -415,14 +433,14 @@ class CochainAlgebra:
             raise DegreeCapError(
                 f"product degree {n} exceeds cap {self.cap}", required_cap=n
             )
-        p, q, mul = a.degree, b.degree, self._mul
+        p, q, product = a.degree, b.degree, self._product
         right = [(i2, c2) for i2, c2 in enumerate(b.coords) if c2]
         out = [Fraction(0)] * self.dim(n)
         for i1, c1 in enumerate(a.coords):
             if c1:
                 for i2, c2 in right:
                     c = c1 * c2
-                    for k, s in mul.get((p, i1, q, i2), ()):
+                    for k, s in product(p, i1, q, i2):
                         out[k] += c * s
         return Element._trusted(self, n, tuple(out))
 
@@ -456,8 +474,8 @@ class CochainAlgebra:
                 col = [Fraction(0)] * self.dim(n + 1)
                 for j, s in self._diff.get((n, i), ()):
                     col[j] = s
-                cols.append(tuple(col))
-            self._diff_matrices[n] = Matrix.from_columns(cols, self.dim(n + 1))
+                cols.append(col)
+            self._diff_matrices[n] = Matrix._trusted_columns(cols, self.dim(n + 1))
         return self._diff_matrices[n]
 
     # -- polynomial input ----------------------------------------------------
@@ -543,9 +561,7 @@ def _enumerate_monomials(gens: Sequence[GeneratorDecl], cap: int):
 
 
 def _monomial_label(gens: Sequence[GeneratorDecl], exps: tuple[int, ...]) -> str:
-    parts = []
-    for g, e in zip(gens, exps):
-        parts.extend([g.name] * e)
+    parts = [g.name for g, e in zip(gens, exps) for _ in range(e)]
     return "*".join(parts) if parts else "1"
 
 
@@ -561,6 +577,10 @@ def build_free_cdga(
     zero.  The differential is extended as a derivation and d(d(g)) = 0 is
     verified for every generator whose image stays within the cap; a
     violation reports the generator and the residue.
+
+    The product of two basis monomials is computed when ``multiply`` asks
+    for it, from the packed exponent keys and odd-letter bitmasks built
+    here; no multiplication table is stored.
     """
     gens = tuple(
         g if isinstance(g, GeneratorDecl) else GeneratorDecl(g[0], g[1])
@@ -607,16 +627,16 @@ def build_free_cdga(
         labels.append([_monomial_label(gens, m) for m in by_degree[n]])
         row = []
         for i, m in enumerate(by_degree[n]):
-            key = sum(e * w for e, w in zip(m, weights))
-            index[key] = (n, i)
-            odd_mask = crossing = 0
-            after = 0
+            key = odd_mask = crossing = after = 0
             for j in range(len(gens) - 1, -1, -1):
                 if after:
                     crossing |= 1 << j
-                if odd[j] and m[j]:
-                    odd_mask |= 1 << j
-                    after ^= 1
+                if m[j]:
+                    key += m[j] * weights[j]
+                    if odd[j]:
+                        odd_mask |= 1 << j
+                        after ^= 1
+            index[key] = (n, i)
             row.append((key, odd_mask, crossing))
         shapes.append(row)
 
@@ -624,15 +644,14 @@ def build_free_cdga(
     # generator repeats.  Its Koszul sign counts the odd letters of the
     # right factor that move left past odd letters of the left factor.
     one, minus_one = Fraction(1), Fraction(-1)
-    mul: dict[tuple[int, int, int, int], tuple[tuple[int, Fraction], ...]] = {}
-    for n1 in range(cap + 1):
-        for n2 in range(cap + 1 - n1):
-            for i1, (key1, odd1, crossing1) in enumerate(shapes[n1]):
-                for i2, (key2, odd2, _) in enumerate(shapes[n2]):
-                    if odd1 & odd2:
-                        continue
-                    sign = minus_one if (odd2 & crossing1).bit_count() & 1 else one
-                    mul[(n1, i1, n2, i2)] = ((index[key1 + key2][1], sign),)
+
+    def product(n1: int, i1: int, n2: int, i2: int) -> Terms:
+        key1, odd1, crossing1 = shapes[n1][i1]
+        key2, odd2, _ = shapes[n2][i2]
+        if odd1 & odd2:
+            return ()
+        sign = minus_one if (odd2 & crossing1).bit_count() & 1 else one
+        return ((index[key1 + key2][1], sign),)
 
     unit_coords = vector([1] + [0] * (len(by_degree[0]) - 1))
     names = {}
@@ -644,7 +663,7 @@ def build_free_cdga(
 
     # A differential-free shell is enough to evaluate the generator images.
     shell = CochainAlgebra(
-        cap, "free", labels, mul, {}, unit_coords, names, generators=gens
+        cap, "free", labels, product, {}, unit_coords, names, generators=gens
     )
 
     # d(g) as its nonzero (index, coefficient) terms, by generator position.
@@ -675,7 +694,7 @@ def build_free_cdga(
                 required_cap=exc.required_cap,
             ) from exc
         if not el.is_zero():
-            d_terms[gi] = [(k, c) for k, c in enumerate(el.coords) if c != 0]
+            d_terms[gi] = [(k, c, -c) for k, c in enumerate(el.coords) if c]
             normalized[g.name] = [
                 (c, f)
                 for c, f in (
@@ -685,7 +704,8 @@ def build_free_cdga(
 
     # Leibniz rule on the word of each monomial: the letter g at a position
     # contributes (-1)^|prefix| * prefix * d(g) * suffix, and both products
-    # are single signed entries of the mul table.
+    # are single monomials signed by the constants one or minus_one, so
+    # each term is +c or -c.
     diff: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
     for n in range(cap):
         for i, exps in enumerate(by_degree[n]):
@@ -704,20 +724,22 @@ def build_free_cdga(
                 for _ in range(e):
                     pn, pi = index[prefix_key]
                     sn, si = index[key - prefix_key - weights[gi]]
-                    for k, c in terms:
-                        left = mul.get((pn, pi, dn, k))
-                        if left is None:
+                    for k, c, minus_c in terms:
+                        left = product(pn, pi, dn, k)
+                        if not left:
                             continue
                         k1, s1 = left[0]
-                        right = mul.get((pn + dn, k1, sn, si))
-                        if right is None:
+                        right = product(pn + dn, k1, sn, si)
+                        if not right:
                             continue
                         k2, s2 = right[0]
-                        t = c * s1 * s2
-                        acc[k2] = acc.get(k2, 0) + (-t if prefix_deg % 2 else t)
+                        negate = (s1 is minus_one) ^ (s2 is minus_one)
+                        t = minus_c if negate ^ (prefix_deg & 1) else c
+                        prev = acc.get(k2)
+                        acc[k2] = t if prev is None else prev + t
                     prefix_key += weights[gi]
                     prefix_deg += g.degree
-            entries = tuple((j, c) for j, c in sorted(acc.items()) if c != 0)
+            entries = tuple((j, c) for j, c in sorted(acc.items()) if c)
             if entries:
                 diff[(n, i)] = entries
 
@@ -725,7 +747,7 @@ def build_free_cdga(
         cap,
         "free",
         labels,
-        mul,
+        product,
         diff,
         unit_coords,
         names,
@@ -848,12 +870,28 @@ def build_table_algebra(
 
     unit_coords = _solve_unit(dims, mul, cap)
     algebra = CochainAlgebra(
-        cap, "table", names_per_degree, mul, diff, unit_coords, name_map
+        cap,
+        "table",
+        names_per_degree,
+        _table_lookup(mul),
+        diff,
+        unit_coords,
+        name_map,
     )
     problems = validate_algebra(algebra, limit=1)
     if problems:
         raise AlgebraValidationError(problems[0])
     return algebra
+
+
+def _table_lookup(mul: MulTable) -> ProductLookup:
+    """The product lookup of a validated structure-constant table."""
+    get = mul.get
+
+    def product(n1: int, i1: int, n2: int, i2: int) -> Terms:
+        return get((n1, i1, n2, i2), ())
+
+    return product
 
 
 def _solve_unit(dims, mul, cap) -> Vector:
@@ -994,10 +1032,13 @@ def tensor_polynomial_generator(
     The degree-n basis of the result is the concatenation over j >= 0 of
     the base bases in degree n-2j, tagged with h^j; products multiply base
     parts and add h exponents, and the differential acts on the base part
-    alone.  Free bases are re-enumerated up to the new cap; table bases
-    are taken as literally zero above their own cap, which keeps every
-    axiom intact because all extra degrees are zero spaces.  The result
-    of a valid base is therefore valid and is not scanned again.
+    alone.  A product is looked up in the base when ``multiply`` asks for
+    it and shifted into the block of its power of h; the result stores no
+    multiplication table.  Free bases are re-enumerated up to the new
+    cap; table bases are taken as literally zero above their own cap,
+    which keeps every axiom intact because all extra degrees are zero
+    spaces.  The result of a valid base is therefore valid and is not
+    scanned again.
     """
     if cap is None:
         cap = a.cap
@@ -1042,30 +1083,22 @@ def tensor_polynomial_generator(
         labels.append(row)
 
     info = TensorInfo(base=base, hname=name, blocks=tuple(blocks))
+    base_product = base._product
 
-    mul: dict[tuple[int, int, int, int], tuple[tuple[int, Fraction], ...]] = {}
-    for n1 in range(cap + 1):
-        for n2 in range(cap + 1 - n1):
-            n = n1 + n2
-            for j1, b1, off1, size1 in blocks[n1]:
-                for j2, b2, off2, size2 in blocks[n2]:
-                    if size1 == 0 or size2 == 0:
-                        continue
-                    target = info.block(n, j1 + j2)
-                    if target is None or target[3] == 0:
-                        continue
-                    toff = target[2]
-                    for i1 in range(size1):
-                        for i2 in range(size2):
-                            entries = (
-                                base._mul.get((b1, i1, b2, i2), ())
-                                if b1 + b2 <= base.cap
-                                else ()
-                            )
-                            if entries:
-                                mul[(n1, off1 + i1, n2, off2 + i2)] = tuple(
-                                    (toff + k, c) for k, c in entries
-                                )
+    # (h^j1 (x) e)(h^j2 (x) f) = h^(j1+j2) (x) e*f: the base product, shifted
+    # into the block of h^(j1+j2).  A base that is not recapped is zero
+    # above its cap, and its own lookup only covers degrees within it.
+    def product(n1: int, i1: int, n2: int, i2: int) -> Terms:
+        j1, k1 = info.split_index(n1, i1)
+        j2, k2 = info.split_index(n2, i2)
+        b1, b2 = n1 - 2 * j1, n2 - 2 * j2
+        if b1 + b2 > base.cap:
+            return ()
+        entries = base_product(b1, k1, b2, k2)
+        if not entries:
+            return ()
+        toff = info.block(n1 + n2, j1 + j2)[2]
+        return tuple((toff + k, c) for k, c in entries)
 
     diff: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
     for n in range(cap):
@@ -1104,7 +1137,7 @@ def tensor_polynomial_generator(
         cap,
         "table",
         labels,
-        mul,
+        product,
         diff,
         vector(unit_coords),
         names,
@@ -1257,7 +1290,7 @@ def build_morphism(
                     for nm in mono.split("*"):
                         out = target.multiply(out, images[nm])
                 cols.append(out.coords)
-            mats.append(Matrix.from_columns(cols, target.dim(n)))
+            mats.append(Matrix._trusted_columns(cols, target.dim(n)))
         f = AlgebraMorphism(source, target, mats)
         problems = validate_morphism(f, on_generators=True)
     elif matrices is not None:
@@ -1294,8 +1327,8 @@ def tensor_embedding(a: CochainAlgebra, ext: CochainAlgebra) -> AlgebraMorphism:
         for i in range(a.dim(n)):
             col = [Fraction(0)] * ext.dim(n)
             col[block[2] + i] = Fraction(1)
-            cols.append(tuple(col))
-        mats.append(Matrix.from_columns(cols, ext.dim(n)))
+            cols.append(col)
+        mats.append(Matrix._trusted_columns(cols, ext.dim(n)))
     return AlgebraMorphism(a, ext, mats)
 
 
@@ -1319,6 +1352,6 @@ def tensor_retraction(ext: CochainAlgebra, a: CochainAlgebra) -> AlgebraMorphism
         for i in range(a.dim(n)):
             row = [Fraction(0)] * ext.dim(n)
             row[block[2] + i] = Fraction(1)
-            rows.append(row)
-        mats.append(Matrix(rows, cols=ext.dim(n)))
+            rows.append(tuple(row))
+        mats.append(Matrix._trusted(tuple(rows), ext.dim(n)))
     return AlgebraMorphism(ext, a, mats)

@@ -56,6 +56,7 @@ from .report import (
     EXIT_VANISHES,
     Report,
     STATUS_CAP,
+    STATUS_INTERNAL,
     STATUS_INVALID,
     STATUS_OK,
     STATUS_PREMISE,
@@ -829,8 +830,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload["required-cap"] = exc.required_cap
         report = Report(command, STATUS_CAP, EXIT_CAP, payload)
     except ConsistencyError as exc:
-        sys.stderr.write(f"internal consistency failure: {exc}\n")
-        return EXIT_INTERNAL
+        report = Report(command, STATUS_INTERNAL, EXIT_INTERNAL, {"error": str(exc)})
     except (AlgebraError, ValueError, OSError) as exc:
         report = Report(command, STATUS_INVALID, EXIT_INVALID, {"error": str(exc)})
     _emit(report, args.format)

@@ -187,7 +187,7 @@ class CohomologyRing:
             if n == 0:
                 coboundaries = Subspace.zero(a.dim(0))
             else:
-                coboundaries = Subspace.span(
+                coboundaries = Subspace._trusted_span(
                     a.dim(n), a.diff_matrix(n - 1).columns()
                 )
             if not cocycles.contains_subspace(coboundaries):
@@ -336,7 +336,7 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
 def cup_matrix(ring: CohomologyRing, xi: CohomologyClass, n: int) -> Matrix:
     """Matrix of multiplication by xi from H^n to H^{n + deg xi}."""
     cols = [cup(xi, e).coords for e in ring.basis_classes(n)]
-    return Matrix.from_columns(cols, ring.class_dim(n + xi.degree))
+    return Matrix._trusted_columns(cols, ring.class_dim(n + xi.degree))
 
 
 def ideal_degree_piece(
@@ -357,7 +357,7 @@ def ideal_degree_piece(
             continue
         for e in ring.basis_classes(rest):
             vectors.append(cup(g, e).coords)
-    return Subspace.span(ring.class_dim(n), vectors)
+    return Subspace._trusted_span(ring.class_dim(n), vectors)
 
 
 @dataclass(frozen=True)
@@ -470,7 +470,7 @@ def triple_massey(
         indeterminacy_vectors.append(cup(a, e).coords)
     for e in ring.basis_classes(p + q - 1):
         indeterminacy_vectors.append(cup(e, c).coords)
-    indeterminacy = Subspace.span(ring.class_dim(n), indeterminacy_vectors)
+    indeterminacy = Subspace._trusted_span(ring.class_dim(n), indeterminacy_vectors)
 
     coset = AffineCoset(rep_class.coords, indeterminacy)
     vanishes = coset.contains_zero()
@@ -510,7 +510,7 @@ def scale_coset(
     """The image of a coset of H^n under multiplication by xi."""
     m = cup_matrix(ring, xi, n)
     point = m.matvec(coset.point)
-    direction = Subspace.span(
+    direction = Subspace._trusted_span(
         ring.class_dim(n + xi.degree), [m.matvec(v) for v in coset.direction.basis]
     )
     return AffineCoset(point, direction)
@@ -600,7 +600,7 @@ class InducedMap:
             for e in self.source.basis_classes(n):
                 image = self.morphism.apply(self.source.lift(e))
                 cols.append(self.target.project(image).coords)
-            self._matrices[n] = Matrix.from_columns(
+            self._matrices[n] = Matrix._trusted_columns(
                 cols, self.target.class_dim(n)
             )
         return self._matrices[n]
@@ -616,7 +616,7 @@ class InducedMap:
         m = self.matrix(n)
         return AffineCoset(
             m.matvec(coset.point),
-            Subspace.span(
+            Subspace._trusted_span(
                 self.target.class_dim(n),
                 [m.matvec(v) for v in coset.direction.basis],
             ),

@@ -256,7 +256,7 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
         raise AlgebraValidationError(f"line {first}: {exc}") from None
 
 
-def _parse_bundle(line: str, lineno: int) -> WeightedLineBundle:
+def _parse_bundle(line: str, lineno: Optional[int]) -> WeightedLineBundle:
     mo = _BUNDLE_RE.match(line)
     if not mo:
         raise ParseError(
@@ -269,7 +269,8 @@ def _parse_bundle(line: str, lineno: int) -> WeightedLineBundle:
     return WeightedLineBundle(c1 if c1 else None, weight)
 
 
-def parse_bundle_line(line: str, lineno: int = 0) -> WeightedLineBundle:
+def parse_bundle_line(line: str, lineno: Optional[int] = None) -> WeightedLineBundle:
+    """One bundle line; errors carry ``line N:`` only when ``lineno`` is given."""
     return _parse_bundle(line.split("#", 1)[0].strip(), lineno)
 
 

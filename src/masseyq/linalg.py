@@ -3,12 +3,19 @@
 Scalars are ``fractions.Fraction`` values: always in lowest terms, always
 with a positive denominator, so equality is literal equality and printing
 is canonical (``p/q`` or ``p``).  Vectors are tuples of fractions and
-matrices are immutable row-major grids, stored dense.  Elimination is
-Gauss-Jordan that skips zero entries, so its cost follows the nonzeros of
-the sparse matrices the algebras produce.  It picks the leftmost nonzero
-pivot and nothing else, which makes every reduced form, particular
-solution and kernel basis canonical: the same input yields identical
-output on every run.
+matrices are immutable row-major grids, stored dense.
+
+Coercion to Fraction, and the refusal of floats, happens at the public
+constructors only: ``Matrix(...)``, ``Matrix.from_columns``,
+``Subspace.span``, ``AffineCoset`` and the right-hand side of ``solve``.
+Matrices that masseyq computes itself, such as the output of ``rref``,
+skip it.
+
+Elimination is Gauss-Jordan that skips zero entries, so its cost follows
+the nonzeros of the sparse matrices the algebras produce.  It picks the
+leftmost nonzero pivot and nothing else, which makes every reduced form,
+particular solution and kernel basis canonical: the same input yields
+identical output on every run.
 """
 
 from __future__ import annotations
@@ -43,34 +50,23 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"vector length mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise ValueError(f"vector length mismatch: {len(u)} vs {len(v)}")
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, v: Vector) -> Vector:
-    c = fr(c)
-    return tuple(c * a for a in v)
-
-
 def vec_is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 class Matrix:
     """Immutable rational matrix, stored dense and row-major.
 
-    Elimination (rref, Subspace.reduce) skips its zero entries.
-    ``entries`` is a sequence of rows.  Empty shapes are legal but the
-    column count must then be passed explicitly, since it cannot be
-    inferred from zero rows.
+    Elimination (rref, Subspace.reduce) and ``matvec`` skip zero entries.
+    ``entries`` is a sequence of rows, each entry coerced by ``fr``.
+    Empty shapes are legal but the column count must then be passed
+    explicitly, since it cannot be inferred from zero rows.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -90,16 +86,36 @@ class Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(rows))
 
+    @classmethod
+    def _trusted(cls, entries: tuple[Vector, ...], cols: int) -> "Matrix":
+        """Wrap rows that masseyq computed itself, without coercion.
+
+        ``entries`` must be a tuple of equally long tuples of Fractions,
+        ``cols`` long each; nothing is checked.  Input from outside goes
+        through the public constructor, which coerces and rejects floats.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
+    def _trusted_columns(cls, columns: Sequence[Vector], rows: int) -> "Matrix":
+        """``from_columns`` for columns of Fractions masseyq computed itself."""
+        entries = tuple(zip(*columns)) if columns else ((),) * rows
+        return cls._trusted(entries, len(columns))
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([zero_vector(cols) for _ in range(rows)], cols=cols)
+        return cls._trusted((zero_vector(cols),) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([unit_vector(n, i) for i in range(n)], cols=n)
+        return cls._trusted(tuple(unit_vector(n, i) for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], rows: int) -> "Matrix":
@@ -122,27 +138,22 @@ class Matrix:
     def matvec(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"matvec shape mismatch: {self.cols} cols vs {len(v)}")
-        return tuple(
-            sum((r[j] * v[j] for j in range(self.cols)), Fraction(0))
-            for r in self.entries
-        )
+        nonzero = [(j, c) for j, c in enumerate(v) if c]
+        return tuple(sum((r[j] * c for j, c in nonzero), _ZERO) for r in self.entries)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("matmul shape mismatch")
-        return Matrix.from_columns(
+        return Matrix._trusted_columns(
             [self.matvec(other.column(j)) for j in range(other.cols)], self.rows
         )
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.columns(), cols=self.rows)
 
     def augment(self, v: Vector) -> "Matrix":
         if len(v) != self.rows:
             raise ValueError("augment length mismatch")
-        return Matrix(
-            [tuple(r) + (v[i],) for i, r in enumerate(self.entries)],
-            cols=self.cols + 1,
+        return Matrix._trusted(
+            tuple(r + (fr(v[i]),) for i, r in enumerate(self.entries)),
+            self.cols + 1,
         )
 
     def is_zero(self) -> bool:
@@ -181,7 +192,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     for c in range(m.cols):
         pivot_row = None
         for i in range(r, m.rows):
-            if work[i][c] != 0:
+            if work[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -190,14 +201,14 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         prow = work[r]
         inv = prow[c]
         prow[c] = _ONE
-        tail = [j for j in range(c + 1, m.cols) if prow[j] != 0]
+        tail = [j for j in range(c + 1, m.cols) if prow[j]]
         if inv != 1:
             for j in tail:
                 prow[j] /= inv
         for i in range(m.rows):
             row = work[i]
             f = row[c]
-            if i != r and f != 0:
+            if f and i != r:
                 row[c] = _ZERO
                 for j in tail:
                     row[j] -= f * prow[j]
@@ -205,7 +216,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         r += 1
         if r == m.rows:
             break
-    return Matrix(work, cols=m.cols), tuple(pivots)
+    return Matrix._trusted(tuple(map(tuple, work)), m.cols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -257,11 +268,19 @@ class Subspace:
                 raise ValueError(
                     f"vector length {len(v)} != ambient dim {ambient_dim}"
                 )
-        if not vecs:
+        return cls._trusted_span(ambient_dim, vecs)
+
+    @classmethod
+    def _trusted_span(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
+        """``span`` of vectors of Fractions that masseyq computed itself.
+
+        Every vector must have length ``ambient_dim``; nothing is coerced
+        or checked.
+        """
+        if not vectors:
             return cls(ambient_dim, [], [])
-        reduced, pivots = rref(Matrix(vecs, cols=ambient_dim))
-        rows = [reduced.row(i) for i in range(len(pivots))]
-        return cls(ambient_dim, rows, pivots)
+        reduced, pivots = rref(Matrix._trusted(tuple(vectors), ambient_dim))
+        return cls(ambient_dim, reduced.entries[: len(pivots)], pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -278,7 +297,7 @@ class Subspace:
         out = list(v)
         for p, row, nonzero in zip(self.pivots, self.basis, self._nonzero_columns()):
             c = out[p]
-            if c != 0:
+            if c:
                 for j in nonzero:
                     out[j] -= c * row[j]
         return tuple(out)
@@ -290,7 +309,7 @@ class Subspace:
                 self,
                 "_nonzero",
                 tuple(
-                    tuple(j for j, b in enumerate(row) if b != 0)
+                    tuple(j for j, b in enumerate(row) if b)
                     for row in self.basis
                 ),
             )
@@ -307,7 +326,7 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.span(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace._trusted_span(self.ambient_dim, self.basis + other.basis)
 
     def __eq__(self, other):
         return (
@@ -335,7 +354,7 @@ def kernel_basis(a: Matrix) -> Subspace:
         for k, p in enumerate(pivots):
             v[p] = -reduced.entries[k][f]
         gens.append(tuple(v))
-    return Subspace.span(a.cols, gens)
+    return Subspace._trusted_span(a.cols, gens)
 
 
 def member(v: Vector, s: Subspace) -> bool:
@@ -372,10 +391,6 @@ class AffineCoset:
     def contains_zero(self) -> bool:
         return vec_is_zero(self.point)
 
-    def meets(self, s: Subspace) -> bool:
-        """Does the coset intersect the subspace s?"""
-        return (self.direction + s).contains(self.point)
-
     def contained_in(self, other: "AffineCoset") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -395,7 +410,3 @@ class AffineCoset:
 
     def __repr__(self):
         return f"AffineCoset(dim={self.direction.dim}, ambient={self.ambient_dim})"
-
-
-def coset_meets(c: AffineCoset, s: Subspace) -> bool:
-    return c.meets(s)

@@ -30,8 +30,9 @@ STATUS_OK = "ok"
 STATUS_PREMISE = "premise-failed"
 STATUS_INVALID = "invalid-input"
 STATUS_CAP = "cap-too-small"
+STATUS_INTERNAL = "internal"
 
-_STATUSES = (STATUS_OK, STATUS_PREMISE, STATUS_INVALID, STATUS_CAP)
+_STATUSES = (STATUS_OK, STATUS_PREMISE, STATUS_INVALID, STATUS_CAP, STATUS_INTERNAL)
 
 
 def frac_str(x) -> str:

@@ -354,8 +354,8 @@ def h_comparison_check(
     db = nz - chi_w.degree
     mat_a = cup_matrix(ring, chi_u, da)
     mat_b = cup_matrix(ring, chi_w, db)
-    combined = Matrix.from_columns(
-        list(mat_a.columns()) + list(mat_b.columns()), ring.class_dim(nz)
+    combined = Matrix._trusted_columns(
+        mat_a.columns() + mat_b.columns(), ring.class_dim(nz)
     )
     sol = solve(combined, z.coords)
     if sol is None:

@@ -25,6 +25,7 @@ from masseyq.errors import (
     ParseError,
 )
 from masseyq.linalg import Matrix
+from masseyq.models import two_points
 from oracles import FreeCdgaOracle, random_free_cdga
 
 
@@ -525,6 +526,90 @@ def test_random_extensions_and_maps_pass_the_oracle():
         assert validate_morphism(tensor_embedding(inner, ext)) == []
         assert validate_morphism(tensor_retraction(ext, inner)) == []
         checked += 1
+
+
+def _h_split(label, hname):
+    """(h power, base label) of an extension basis label such as ``x*z*h*h``."""
+    parts = label.split("*")
+    j = 0
+    while parts and parts[-1] == hname:
+        parts.pop()
+        j += 1
+    return j, "*".join(parts) or "1"
+
+
+def _h_shift(label, j, hname):
+    parts = ([] if label == "1" else [label]) + [hname] * j
+    return "*".join(parts) or "1"
+
+
+def _check_extension_products(a, ext):
+    """(h^p e)(h^q f) == h^(p+q) (e f) on every pair of extension basis vectors.
+
+    Both factors are read off their labels, e*f is computed in the base and
+    carried into the extension by tensor_embedding, and h^(p+q) is placed
+    by label, so the check shares no index arithmetic with the extension.
+    """
+    hname = ext.tensor_info.hname
+    embed = tensor_embedding(a, ext)
+    where = [
+        {label: i for i, label in enumerate(ext.basis_labels(n))}
+        for n in range(ext.cap + 1)
+    ]
+    factors = [
+        [_h_split(label, hname) for label in ext.basis_labels(n)]
+        for n in range(ext.cap + 1)
+    ]
+    checked = 0
+    for n1 in range(ext.cap + 1):
+        for n2 in range(ext.cap + 1 - n1):
+            n = n1 + n2
+            for i1, (j1, label1) in enumerate(factors[n1]):
+                b1 = n1 - 2 * j1
+                e = a.basis_element(b1, a.basis_labels(b1).index(label1))
+                for i2, (j2, label2) in enumerate(factors[n2]):
+                    b2 = n2 - 2 * j2
+                    f = a.basis_element(b2, a.basis_labels(b2).index(label2))
+                    want = [Fraction(0)] * ext.dim(n)
+                    if b1 + b2 <= a.cap:
+                        ef = embed.apply(a.multiply(e, f))
+                        for k, c in enumerate(ef.coords):
+                            if c:
+                                label = ext.basis_label(ef.degree, k)
+                                want[where[n][_h_shift(label, j1 + j2, hname)]] = c
+                    got = ext.multiply(
+                        ext.basis_element(n1, i1), ext.basis_element(n2, i2)
+                    )
+                    assert got.coords == tuple(want), (
+                        ext.basis_label(n1, i1),
+                        ext.basis_label(n2, i2),
+                    )
+                    checked += 1
+    return checked
+
+
+def test_extension_products_are_shifted_base_products():
+    # The extension computes its products from the base lookup on demand;
+    # an associative but wrongly shifted product would pass the axiom scan,
+    # so this checks every product against its definition.
+    rng = random.Random(17)
+    for t in range(20):
+        gens, diffs, cap = random_free_cdga(rng)
+        ext = tensor_polynomial_generator(
+            build_free_cdga(gens, diffs, cap), "h", cap=cap + 2 + t % 3
+        )
+        assert _check_extension_products(ext.tensor_info.base, ext) > 0
+    # A table base is zero above its own cap inside the extension.
+    pts = two_points()
+    for ext_cap in (2, 5, 8):
+        ext = tensor_polynomial_generator(pts, "h", cap=ext_cap)
+        assert ext.tensor_info.base is pts
+        assert _check_extension_products(pts, ext) > 0
+    # So is an extension used as a base, whose lookup is computed too.
+    inner = tensor_polynomial_generator(heisenberg(4), "h", cap=5)
+    ext = tensor_polynomial_generator(inner, "k", cap=8)
+    assert ext.tensor_info.base is inner
+    assert _check_extension_products(inner, ext) > 0
 
 
 def test_trusted_constructions_run_no_scans(monkeypatch):

@@ -191,6 +191,36 @@ def test_euler_requires_data(capsys):
     assert code == 2
 
 
+def test_command_line_bundle_error_has_no_line_prefix(capsys):
+    code, doc = run_json(capsys, "euler", "builtin:heisenberg", "--bundle", "weight=")
+    assert code == 2
+    assert doc["payload"]["error"].startswith("bundle lines read `bundle c1 =")
+    code, out = run(capsys, "euler", "builtin:heisenberg", "--bundle", "weight=")
+    assert code == 2
+    assert "error: bundle lines read" in out
+    assert "line " not in out
+
+
+@pytest.mark.parametrize("fmt", ["structured", "human"])
+def test_consistency_failure_gives_an_internal_report(capsys, monkeypatch, fmt):
+    # Make the coboundary-in-cocycle check of the cohomology layer trip.
+    from masseyq.linalg import Subspace
+
+    monkeypatch.setattr(Subspace, "contains_subspace", lambda self, other: False)
+    code = main(["cohomology", "builtin:heisenberg", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    if fmt == "structured":
+        rep = report_from_json(captured.out)
+        assert (rep.command, rep.status, rep.exit_code) == ("cohomology", "internal", 1)
+        assert rep.payload["error"].startswith("coboundaries are not cocycles")
+    else:
+        lines = captured.out.splitlines()
+        assert lines[0] == "cohomology: internal"
+        assert lines[1].startswith("error: coboundaries are not cocycles in degree")
+
+
 def test_lemma32_full_witness_chain(capsys):
     code, doc = run_json(
         capsys, "lemma32", "builtin:heisenberg", "x", "x", "y",

@@ -11,6 +11,7 @@ from masseyq.fileformat import (
     load_datum,
     load_family,
     parse_algebra_document,
+    parse_bundle_line,
     parse_datum_document,
     parse_family_document,
     resolve_model_spec,
@@ -80,6 +81,16 @@ def test_bundles_section():
     assert doc.bundles[0].weight == 2
     assert doc.bundles[0].c1 == "x*z"
     assert doc.bundles[1].c1 is None
+
+
+def test_bundle_errors_carry_the_file_line_only():
+    text = HEISENBERG_TEXT + "\n[bundles]\nbundle weight = 1\nbundle weight =\n"
+    bad_line = text.splitlines().index("bundle weight =") + 1
+    with pytest.raises(ParseError, match=rf"^line {bad_line}: bundle lines read"):
+        parse_algebra_document(text)
+    with pytest.raises(ParseError, match=r"^bundle lines read") as info:
+        parse_bundle_line("bundle weight =")
+    assert info.value.line is None
 
 
 def test_load_bundled_files():

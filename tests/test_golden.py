@@ -1,0 +1,87 @@
+"""Golden structured outputs: each case must reproduce its file byte for byte.
+
+The files under ``tests/golden/`` pin what masseyq reports on the bundled
+workloads, so a change that is meant to alter no behaviour can prove it.
+Commands run with ``tests/golden/`` as the working directory, so model
+files there are named by a relative path that the output repeats.
+
+To re-pin after a deliberate output change, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from masseyq.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# (name, argv, exit code)
+CASES = [
+    ("cohomology-heisenberg", ["cohomology", "builtin:heisenberg"], 0),
+    ("massey-heisenberg-xxy", ["massey", "builtin:heisenberg", "x", "x", "y"], 0),
+    (
+        "lemma32-heisenberg-cap12",
+        ["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1", "--cap", "12"],
+        0,
+    ),
+    (
+        "lemma32-heisenberg-cap16",
+        ["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1", "--cap", "16"],
+        0,
+    ),
+    (
+        "theorem11-heisenberg",
+        ["theorem11", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1"],
+        0,
+    ),
+    (
+        "theorem11-rotation",
+        ["theorem11", "eN", "eS", "eN", "--datum", "builtin:rotation"],
+        12,
+    ),
+    ("scan-default", ["scan", "builtin:default"], 0),
+    ("cohomology-filiform-8", ["cohomology", "filiform-8.alg"], 0),
+    ("massey-filiform-8-x1x2x2", ["massey", "filiform-8.alg", "x1", "x2", "x2"], 0),
+]
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--format", "structured"])
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
+def _path(name: str) -> str:
+    return os.path.join(GOLDEN, f"{name}.json")
+
+
+@pytest.mark.parametrize("name, argv, exit_code", CASES, ids=[c[0] for c in CASES])
+def test_structured_output_is_unchanged(name, argv, exit_code):
+    code, out = _run(argv)
+    with open(_path(name), encoding="utf-8", newline="") as fh:
+        want = fh.read()
+    assert code == exit_code
+    assert out == want
+
+
+if __name__ == "__main__":
+    for name, argv, exit_code in CASES:
+        code, out = _run(argv)
+        if code != exit_code:
+            sys.exit(f"{name}: exit {code}, expected {exit_code}")
+        with open(_path(name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(out)
+        print(f"{name}: {len(out)} bytes")
