@@ -22,6 +22,7 @@ check tripped.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -214,6 +215,8 @@ def _gysin_payload(rep: GysinReport) -> dict:
 
 
 def _cmd_cohomology(args) -> Report:
+    if args.max_degree is not None and args.max_degree < 0:
+        raise ValueError("--max-degree must be nonnegative")
     model = _resolve_model(args.model, args.cap)
     ring = CohomologyRing(model)
     top = ring.top
@@ -722,7 +725,12 @@ def _add_euler_flags(sub) -> None:
     sub.add_argument("--m", type=int, help="half the degree of chi")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after.
+
+    ``parse_args`` leaves a parser unchanged, so one serves every call.
+    """
     parser = argparse.ArgumentParser(
         prog="masseyq",
         description="Triple products, Euler scaling and fixed-point "

@@ -15,7 +15,9 @@ Elimination is Gauss-Jordan that skips zero entries, so its cost follows
 the nonzeros of the sparse matrices the algebras produce.  It picks the
 leftmost nonzero pivot and nothing else, which makes every reduced form,
 particular solution and kernel basis canonical: the same input yields
-identical output on every run.
+identical output on every run.  ``kernel_basis`` needs one elimination:
+on the column-reversed matrix the null vectors, read back in the
+original order, already form the reduced-echelon basis.
 """
 
 from __future__ import annotations
@@ -343,18 +345,31 @@ class Subspace:
 
 
 def kernel_basis(a: Matrix) -> Subspace:
-    """Null space of ``a`` as a canonical Subspace of Q^cols."""
-    reduced, pivots = rref(a)
+    """Null space of ``a`` as a canonical Subspace of Q^cols, by one ``rref``.
+
+    Eliminate ``a`` with its columns reversed.  The null vector of a
+    free column f has a 1 at f, 0 at every other free column, and
+    nonzeros only at pivot columns left of f (a pivot row is zero left
+    of its pivot).  Mapped back to the original column order, each
+    vector leads with its 1 and is 0 at the other leading columns: taken
+    right to left, that is the reduced-echelon basis itself.
+    """
+    n = a.cols
+    reduced, pivots = rref(Matrix._trusted(tuple(r[::-1] for r in a.entries), n))
     pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
-    gens = []
-    for f in free:
-        v = [Fraction(0)] * a.cols
-        v[f] = Fraction(1)
+    basis, leads = [], []
+    for f in reversed(range(n)):
+        if f in pivot_set:
+            continue
+        v = [_ZERO] * n
+        v[n - 1 - f] = _ONE
         for k, p in enumerate(pivots):
-            v[p] = -reduced.entries[k][f]
-        gens.append(tuple(v))
-    return Subspace._trusted_span(a.cols, gens)
+            if p > f:
+                break
+            v[n - 1 - p] = -reduced.entries[k][f]
+        basis.append(tuple(v))
+        leads.append(n - 1 - f)
+    return Subspace(n, basis, leads)
 
 
 def member(v: Vector, s: Subspace) -> bool:

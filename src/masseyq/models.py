@@ -16,7 +16,6 @@ from .cdga import (
     CochainAlgebra,
     build_free_cdga,
     build_table_algebra,
-    validate_morphism,
 )
 from .errors import AlgebraValidationError
 from .linalg import Matrix, fr
@@ -146,7 +145,8 @@ def rotation_datum(fixed_cap: int = 8, ambient_cap: int = 9) -> HamiltonianTrans
     of the normal bundle is eN*h - eS*h.  Restriction evaluates an
     ambient pair at the poles; the pushforward is the unique map
     satisfying restrict(push(c)) = chi*c, namely eN h^k -> A(k+1) and
-    eS h^k -> A(k+1) - H(k+1).
+    eS h^k -> A(k+1) - H(k+1).  Nothing is validated here:
+    ``validate_transfer_datum`` checks the datum wherever one enters.
     """
     if fixed_cap < 5 or ambient_cap < fixed_cap:
         raise AlgebraValidationError(
@@ -173,15 +173,11 @@ def rotation_datum(fixed_cap: int = 8, ambient_cap: int = 9) -> HamiltonianTrans
         else:
             push.append(Matrix.zero(0, 0))
 
-    rmap = AlgebraMorphism(ambient, fixed, restrict)
-    problems = validate_morphism(rmap)
-    if problems:
-        raise AlgebraValidationError(problems[0])
     return HamiltonianTransferDatum(
         name="rotation",
         ambient=ambient,
         fixed=fixed,
-        restrict=rmap,
+        restrict=AlgebraMorphism(ambient, fixed, restrict),
         push_matrices=push,
         chi_polynomial="eN*h - eS*h",
         m=1,

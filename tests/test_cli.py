@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from masseyq import cli
 from masseyq.cli import main
 from masseyq.report import report_from_json
 
@@ -44,6 +45,20 @@ def test_cohomology_max_degree_beyond_cap(capsys):
     assert code == 4
     assert doc["status"] == "cap-too-small"
     assert doc["payload"]["required-cap"] == 10
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_cohomology_negative_max_degree_is_invalid_input(capsys, fmt):
+    code = main(["cohomology", "builtin:heisenberg", "--max-degree", "-1", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 3
+    if fmt == "structured":
+        rep = report_from_json(out)
+        assert (rep.status, rep.payload) == (
+            "invalid-input", {"error": "--max-degree must be nonnegative"}
+        )
+    else:
+        assert out == "cohomology: invalid-input\nerror: --max-degree must be nonnegative\n"
 
 
 def test_cohomology_recap_free_model(capsys):
@@ -276,6 +291,25 @@ def test_transfer_rotation_inconclusive(capsys):
     assert doc["payload"]["containment-holds"] is True
 
 
+def test_transfer_request_validates_the_rotation_restriction_once(capsys, monkeypatch):
+    import masseyq.cdga as cdga
+    import masseyq.models as models
+    import masseyq.transfer as transfer
+
+    original = cdga.validate_morphism
+    calls = []
+
+    def counting(f, on_generators=False):
+        calls.append(f)
+        return original(f, on_generators)
+
+    for module in (cdga, models, transfer):
+        monkeypatch.setattr(module, "validate_morphism", counting, raising=False)
+    code, doc = run_json(capsys, "transfer", "builtin:rotation", "eN", "eS", "eN")
+    assert code == 12
+    assert len(calls) == 1
+
+
 def test_transfer_datum_file_path(capsys):
     code, doc = run_json(
         capsys, "transfer", os.path.join(DATA, "rotation.datum"), "eN", "eS", "eN"
@@ -486,6 +520,42 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+_PARSER_CASES = [
+    ["cohomology", "builtin:heisenberg"],
+    ["massey", "builtin:heisenberg", "x", "x", "y", "--format", "structured"],
+    ["euler", "builtin:torus", "--chi", "x*y + h", "--m", "1"],
+    ["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1"],
+    ["transfer", "builtin:rotation", "eN", "eS", "eN", "--format", "structured"],
+    ["theorem11", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1"],
+    ["scan", "builtin:default", "--budget", "2"],
+    ["massey", "builtin:heisenberg", "x", "x"],
+    ["cohomology", "builtin:torus", "--format", "xml"],
+    ["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "x"],
+    [],
+    ["scan", "--help"],
+]
+
+
+def _outcome(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call(capsys):
+    fresh = []
+    for argv in _PARSER_CASES:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert {code for code, _, _ in fresh} == {0, 2, 12}
+
+    cli._build_parser.cache_clear()
+    order = list(range(len(_PARSER_CASES)))
+    for i in order + order[::-1]:
+        assert _outcome(capsys, _PARSER_CASES[i]) == fresh[i], _PARSER_CASES[i]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_python_dash_m_runs_the_cli():

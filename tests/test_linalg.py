@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from masseyq.linalg import (
     AffineCoset,
@@ -167,6 +169,62 @@ def test_sparse_kernel_and_reduce_match_dense_references():
             )
         for row in entries:
             assert vec_is_zero(row_space.reduce(vector(row)))
+
+
+_ENTRIES = [Fraction(c) for c in (-2, -1, 0, 0, 0, 1, 3)] + [Fraction(1, 2), Fraction(-5, 3)]
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Up to 6x6, zero-heavy, sometimes with a whole row or column zeroed."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = draw(
+        st.lists(
+            st.lists(st.sampled_from(_ENTRIES), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    if rows and draw(st.booleans()):
+        entries[draw(st.integers(0, rows - 1))] = [Fraction(0)] * cols
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in entries:
+            row[j] = Fraction(0)
+    return entries, cols
+
+
+def _two_elimination_kernel(entries, cols):
+    """Null vectors from ff_rref of the matrix, then ff_rref of those."""
+    reduced, pivots = ff_rref(entries, cols)
+    gens = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for k, p in enumerate(pivots):
+            v[p] = -reduced[k][f]
+        gens.append(v)
+    basis, leads = ff_rref(gens, cols)
+    return basis[: len(leads)], leads
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_rational_matrices())
+@example(([], 3))  # no rows at all
+@example(([[0, 0, 0], [0, 0, 0]], 3))  # rank 0
+@example(([[1, 2], [0, 1], [3, 0]], 2))  # full column rank
+@example(([[0, 1, 0], [0, 0, 0], [0, 2, 0]], 3))  # zero rows and columns
+def test_kernel_basis_is_canonical_in_one_elimination(case):
+    entries, cols = case
+    kernel = kernel_basis(Matrix(entries, cols=cols))
+    respan = Subspace.span(cols, kernel.basis)
+    assert (respan.basis, respan.pivots) == (kernel.basis, kernel.pivots)
+    for v in kernel.basis:
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in entries)
+    assert kernel.dim == cols - len(ff_rref(entries, cols)[1])
+    assert (kernel.basis, kernel.pivots) == _two_elimination_kernel(entries, cols)
 
 
 def test_rref_matches_fraction_free_oracle():
