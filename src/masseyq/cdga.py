@@ -7,8 +7,9 @@ the differential is extended as a degree +1 derivation.  A table
 presentation takes explicit per-degree dimensions, structure constants and
 differential matrices, and is validated against the graded axioms on
 construction.  The degree-2 extension of a valid base, and its embedding
-and retraction, are valid by construction and are not checked again;
-validate_algebra and validate_morphism remain as their test oracles.
+and retraction, are valid by construction and are not checked again.
+validate_algebra and validate_morphism scan tables and user-supplied
+maps once, where they enter, reading the structure constants directly.
 
 Every algebra reads its structure constants through one lookup, called by
 ``multiply`` for each product of two basis vectors it needs.  Only a table
@@ -790,8 +791,10 @@ def build_table_algebra(
 
     ``dims[n]`` is the dimension in degree n; the cap is ``len(dims)-1``.
     ``products[(n1,i1,n2,i2)]`` lists ``(k, coefficient)`` pairs giving the
-    product of basis vectors in degree n1+n2; missing keys mean zero.
-    ``differentials[(n,i)]`` likewise gives d of a basis vector.  A
+    product of basis vectors in degree n1+n2; missing keys mean zero and
+    pairs with the same index add up.  ``differentials[(n,i)]`` likewise
+    gives d of a basis vector.  Both are stored sparse, one sorted term
+    per nonzero coordinate, so the lookups and ``diff_matrix`` agree.  A
     two-sided unit must exist in degree 0, and associativity, graded
     commutativity, the Leibniz rule and d*d = 0 are checked on all basis
     tuples within the cap; the first violation raises
@@ -831,17 +834,17 @@ def build_table_algebra(
             raise AlgebraValidationError(
                 f"product key ({n1},{i1},{n2},{i2}) indexes a missing basis vector"
             )
-        cleaned = []
+        terms = []
         for k, c in entries:
             c = fr(c)
             if not (0 <= k < dims[n1 + n2]):
                 raise AlgebraValidationError(
                     f"product ({n1},{i1},{n2},{i2}) targets invalid index {k}"
                 )
-            if c != 0:
-                cleaned.append((k, c))
+            terms.append((k, c))
+        cleaned = _sparse(terms)
         if cleaned:
-            mul[(n1, i1, n2, i2)] = tuple(cleaned)
+            mul[(n1, i1, n2, i2)] = tuple(sorted(cleaned.items()))
 
     diff: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
     for (n, i), entries in (differentials or {}).items():
@@ -849,17 +852,17 @@ def build_table_algebra(
             raise AlgebraValidationError(
                 f"differential key ({n},{i}) out of range (d must land within cap)"
             )
-        cleaned = []
+        terms = []
         for j, c in entries:
             c = fr(c)
             if not (0 <= j < dims[n + 1]):
                 raise AlgebraValidationError(
                     f"differential of ({n},{i}) targets invalid index {j}"
                 )
-            if c != 0:
-                cleaned.append((j, c))
+            terms.append((j, c))
+        cleaned = _sparse(terms)
         if cleaned:
-            diff[(n, i)] = tuple(cleaned)
+            diff[(n, i)] = tuple(sorted(cleaned.items()))
 
     name_map = {}
     for n, ns in enumerate(names_per_degree):
@@ -929,12 +932,23 @@ def _solve_unit(dims, mul, cap) -> Vector:
 # --------------------------------------------------------------------------
 
 
+def _sparse(terms: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
+    """The nonzero coordinates of a sum of ``(index, coefficient)`` terms."""
+    out: dict[int, Fraction] = {}
+    for k, c in terms:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
+
+
 def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str]:
     """Scan the graded axioms on all basis tuples within the cap.
 
     Checks d*d = 0, graded commutativity, associativity, the Leibniz rule
-    and neutrality of the unit.  Returns human-readable problem strings,
-    empty when the algebra is sound; stops early after ``limit`` findings.
+    and neutrality of the unit.  Each side of each identity is summed
+    straight from the product lookup and the differential table, as
+    sparse ``(index, coefficient)`` terms; no Element is built.  Returns
+    human-readable problem strings, empty when the algebra is sound;
+    stops early after ``limit`` findings.
     """
     problems: list[str] = []
 
@@ -942,77 +956,99 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
         problems.append(msg)
         return limit is not None and len(problems) >= limit
 
-    cap = a.cap
+    cap, dims, label = a.cap, a.dims, a.basis_label
+    product, d = a._product, a._diff.get
+
     for n in range(cap - 1):
-        m = a.diff_matrix(n + 1).matmul(a.diff_matrix(n))
-        if not m.is_zero():
-            for i in range(a.dim(n)):
-                if not vec_is_zero(m.column(i)):
-                    if report(
-                        f"d*d != 0 on basis vector {a.basis_label(n, i)!r} "
-                        f"(degree {n})"
-                    ):
-                        return problems
-                    break
+        for i in range(dims[n]):
+            if _sparse(
+                (k, c * s) for j, c in d((n, i), ()) for k, s in d((n + 1, j), ())
+            ):
+                if report(
+                    f"d*d != 0 on basis vector {label(n, i)!r} (degree {n})"
+                ):
+                    return problems
+                break
 
     for n1 in range(cap + 1):
         for n2 in range(n1, cap + 1 - n1):
             sign = -1 if (n1 % 2 and n2 % 2) else 1
-            for i1 in range(a.dim(n1)):
-                for i2 in range(a.dim(n2)):
-                    ab = a.multiply(a.basis_element(n1, i1), a.basis_element(n2, i2))
-                    ba = a.multiply(a.basis_element(n2, i2), a.basis_element(n1, i1))
-                    if ab != ba.scale(sign):
+            for i1 in range(dims[n1]):
+                for i2 in range(dims[n2]):
+                    ab = product(n1, i1, n2, i2)
+                    ba = product(n2, i2, n1, i1)
+                    if (ab or ba) and _sparse(ab) != _sparse(
+                        (k, sign * c) for k, c in ba
+                    ):
                         if report(
                             "graded commutativity fails on "
-                            f"({a.basis_label(n1, i1)!r}, {a.basis_label(n2, i2)!r})"
+                            f"({label(n1, i1)!r}, {label(n2, i2)!r})"
                         ):
                             return problems
 
     for n1 in range(cap + 1):
         for n2 in range(cap + 1 - n1):
-            for n3 in range(cap + 1 - n1 - n2):
-                for i1 in range(a.dim(n1)):
-                    e1 = a.basis_element(n1, i1)
-                    for i2 in range(a.dim(n2)):
-                        e2 = a.basis_element(n2, i2)
-                        e12 = a.multiply(e1, e2)
-                        for i3 in range(a.dim(n3)):
-                            e3 = a.basis_element(n3, i3)
-                            lhs = a.multiply(e12, e3)
-                            rhs = a.multiply(e1, a.multiply(e2, e3))
-                            if lhs != rhs:
+            n12 = n1 + n2
+            for n3 in range(cap + 1 - n12):
+                n23 = n2 + n3
+                for i1 in range(dims[n1]):
+                    for i2 in range(dims[n2]):
+                        e12 = product(n1, i1, n2, i2)
+                        for i3 in range(dims[n3]):
+                            lhs = [
+                                (t, c * s)
+                                for k, c in e12
+                                for t, s in product(n12, k, n3, i3)
+                            ]
+                            rhs = [
+                                (t, c * s)
+                                for k, c in product(n2, i2, n3, i3)
+                                for t, s in product(n1, i1, n23, k)
+                            ]
+                            if (lhs or rhs) and _sparse(lhs) != _sparse(rhs):
                                 if report(
                                     "associativity fails on ("
-                                    f"{a.basis_label(n1, i1)!r}, "
-                                    f"{a.basis_label(n2, i2)!r}, "
-                                    f"{a.basis_label(n3, i3)!r})"
+                                    f"{label(n1, i1)!r}, "
+                                    f"{label(n2, i2)!r}, "
+                                    f"{label(n3, i3)!r})"
                                 ):
                                     return problems
 
     for n1 in range(cap + 1):
         for n2 in range(cap - n1):
-            for i1 in range(a.dim(n1)):
-                e1 = a.basis_element(n1, i1)
-                for i2 in range(a.dim(n2)):
-                    e2 = a.basis_element(n2, i2)
-                    lhs = a.differential(a.multiply(e1, e2))
-                    rhs = a.multiply(a.differential(e1), e2)
-                    term = a.multiply(e1, a.differential(e2))
-                    rhs = rhs + (term.scale(-1) if n1 % 2 else term)
-                    if lhs != rhs:
+            n12 = n1 + n2
+            for i1 in range(dims[n1]):
+                d1 = d((n1, i1), ())
+                for i2 in range(dims[n2]):
+                    lhs = [
+                        (t, c * s)
+                        for k, c in product(n1, i1, n2, i2)
+                        for t, s in d((n12, k), ())
+                    ]
+                    rhs = [
+                        (t, c * s)
+                        for j, c in d1
+                        for t, s in product(n1 + 1, j, n2, i2)
+                    ]
+                    rhs += [
+                        (t, -c * s if n1 % 2 else c * s)
+                        for j, c in d((n2, i2), ())
+                        for t, s in product(n1, i1, n2 + 1, j)
+                    ]
+                    if (lhs or rhs) and _sparse(lhs) != _sparse(rhs):
                         if report(
                             "Leibniz rule fails on "
-                            f"({a.basis_label(n1, i1)!r}, {a.basis_label(n2, i2)!r})"
+                            f"({label(n1, i1)!r}, {label(n2, i2)!r})"
                         ):
                             return problems
 
-    one = a.unit()
+    unit = [(i0, u) for i0, u in enumerate(a._unit_coords) if u]
     for n in range(cap + 1):
-        for i in range(a.dim(n)):
-            e = a.basis_element(n, i)
-            if a.multiply(one, e) != e or a.multiply(e, one) != e:
-                if report(f"unit is not neutral on {a.basis_label(n, i)!r}"):
+        for i in range(dims[n]):
+            left = [(t, u * s) for i0, u in unit for t, s in product(0, i0, n, i)]
+            right = [(t, u * s) for i0, u in unit for t, s in product(n, i, 0, i0)]
+            if _sparse(left) != {i: 1} or _sparse(right) != {i: 1}:
+                if report(f"unit is not neutral on {label(n, i)!r}"):
                     return problems
     return problems
 
@@ -1201,11 +1237,16 @@ class AlgebraMorphism:
 
 
 def validate_morphism(f: AlgebraMorphism, on_generators: bool = False) -> list[str]:
-    """Check unit, multiplicativity and d-commutation within the trust cap."""
+    """Check unit, multiplicativity and d-commutation within the trust cap.
+
+    The unit and multiplicativity checks read the structure constants of
+    both algebras and the columns of the matrices directly, like
+    ``validate_algebra``; d-commutation compares matrix products.
+    """
     problems = []
     src, tgt = f.source, f.target
     trust = f.trust_cap
-    if f.apply(src.unit()) != tgt.unit():
+    if f.matrix(0).matvec(src._unit_coords) != tgt._unit_coords:
         problems.append("morphism does not preserve the unit")
 
     if on_generators and src.generators is not None:
@@ -1229,16 +1270,30 @@ def validate_morphism(f: AlgebraMorphism, on_generators: bool = False) -> list[s
                         )
                         break
 
+    # columns[n][i]: the nonzero coordinates of f(e_i) in degree n.
+    columns = [
+        [[(k, c) for k, c in enumerate(col) if c] for col in f.matrix(n).columns()]
+        for n in range(trust + 1)
+    ]
+    src_product, tgt_product = src._product, tgt._product
     for n1 in range(trust + 1):
         for n2 in range(trust + 1 - n1):
+            image = columns[n1 + n2]
             for i1 in range(src.dim(n1)):
-                e1 = src.basis_element(n1, i1)
-                fe1 = f.apply(e1)
+                fe1 = columns[n1][i1]
                 for i2 in range(src.dim(n2)):
-                    e2 = src.basis_element(n2, i2)
-                    if f.apply(src.multiply(e1, e2)) != tgt.multiply(
-                        fe1, f.apply(e2)
-                    ):
+                    lhs = [
+                        (t, c * s)
+                        for k, c in src_product(n1, i1, n2, i2)
+                        for t, s in image[k]
+                    ]
+                    rhs = [
+                        (t, c1 * c2 * s)
+                        for k1, c1 in fe1
+                        for k2, c2 in columns[n2][i2]
+                        for t, s in tgt_product(n1, k1, n2, k2)
+                    ]
+                    if (lhs or rhs) and _sparse(lhs) != _sparse(rhs):
                         problems.append(
                             "morphism is not multiplicative on "
                             f"({src.basis_label(n1, i1)!r}, "

@@ -66,6 +66,7 @@ from .report import (
 from .transfer import (
     EulerScaledReport,
     GysinReport,
+    SetupTable,
     WeightedLineBundle,
     build_setup,
     check_euler_scaled_massey,
@@ -371,6 +372,7 @@ def _cmd_transfer(args) -> Report:
 
 
 def _cmd_theorem11(args) -> Report:
+    setups = SetupTable()
     if args.datum is not None:
         if len(args.args) != 3:
             raise ParseError(
@@ -393,10 +395,13 @@ def _cmd_theorem11(args) -> Report:
         model = _resolve_model(model_spec, None)
         bundles, chi_poly, m, _ = _euler_inputs(args)
         datum = tautological_from_parts(
-            model, (u, v, w), bundles or [], chi_poly, m, args.cap
+            model, (u, v, w), bundles or [], chi_poly, m, args.cap,
+            setups=setups,
         )
         source = f"tautological over {model_spec}"
-    rep = run_transfer_pipeline(None, u, v, w, datum=datum, min_cap=args.cap)
+    rep = run_transfer_pipeline(
+        None, u, v, w, datum=datum, min_cap=args.cap, setups=setups
+    )
     payload: dict = {
         "datum": source,
         "inputs": [u, v, w],
@@ -428,20 +433,21 @@ def _cmd_scan(args) -> Report:
     spec = args.family.strip()
     if not spec:
         raise ParseError("empty family spec")
+    setups = SetupTable()
     if spec.startswith("builtin:"):
-        configs = builtin_family(spec[len("builtin:") :])
+        configs = builtin_family(spec[len("builtin:") :], setups)
     else:
         path = spec if os.path.isabs(spec) else os.path.join(os.getcwd(), spec)
         if os.path.isdir(path):
             raise ParseError(f"family spec {spec!r} is a directory")
         if os.path.exists(path):
-            configs = load_family(path)
+            configs = load_family(path, setups)
         else:
             try:
-                configs = builtin_family(spec)
+                configs = builtin_family(spec, setups)
             except KeyError:
                 raise ParseError(f"no such family file or builtin: {spec!r}")
-    report = scan_families(configs, budget=args.budget)
+    report = scan_families(configs, budget=args.budget, setups=setups)
     payload = {
         "family": args.family,
         "total": report.total,
@@ -825,6 +831,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     command = args.command
     try:
+        if getattr(args, "cap", None) is not None and args.cap < 0:
+            raise ValueError("--cap must be nonnegative")
         report = args.handler(args)
     except ParseError as exc:
         report = Report(command, STATUS_INVALID, EXIT_PARSE, {"error": str(exc)})

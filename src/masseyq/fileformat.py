@@ -28,11 +28,12 @@ outcome; `scan` runs them all.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .cdga import (
     CochainAlgebra,
@@ -55,6 +56,7 @@ from .models import builtin_datum, builtin_model
 from .transfer import (
     HamiltonianTransferDatum,
     ScanConfig,
+    SetupTable,
     WeightedLineBundle,
     required_cap,
     tautological_datum,
@@ -510,6 +512,7 @@ def tautological_from_parts(
     m: Optional[int],
     min_cap: Optional[int],
     hname: str = "h",
+    setups: Optional[SetupTable] = None,
 ) -> HamiltonianTransferDatum:
     """Size and build the ambient-equals-fixed datum for a configuration."""
     mm = len(bundles) if bundles else m
@@ -524,6 +527,7 @@ def tautological_from_parts(
         m=m,
         cap=cap,
         hname=hname,
+        setups=setups,
     )
 
 
@@ -532,7 +536,13 @@ def tautological_from_parts(
 # ---------------------------------------------------------------------------
 
 
-def _parse_config(section: _Section, base_dir: str, position: int) -> ScanConfig:
+def _parse_config(
+    section: _Section,
+    model_of: Callable[[str], CochainAlgebra],
+    datum_of: Callable[[str], HamiltonianTransferDatum],
+    position: int,
+    setups: Optional[SetupTable],
+) -> ScanConfig:
     name = f"config-{position}"
     model_spec: Optional[str] = None
     datum_spec: Optional[str] = None
@@ -586,8 +596,10 @@ def _parse_config(section: _Section, base_dir: str, position: int) -> ScanConfig
             raise ParseError(
                 "the tautological datum needs a model to sit over", line=first
             )
-        base = resolve_model_spec(model_spec, base_dir)
-        datum = tautological_from_parts(base, triple, bundles, chi, m, min_cap)
+        datum = tautological_from_parts(
+            model_of(model_spec), triple, bundles, chi, m, min_cap,
+            setups=setups,
+        )
         return ScanConfig(
             name=name, base=None, u=triple[0], v=triple[1], w=triple[2],
             datum=datum, min_cap=min_cap, expect=expect,
@@ -599,7 +611,7 @@ def _parse_config(section: _Section, base_dir: str, position: int) -> ScanConfig
                 "the model/chi/m/bundle keys",
                 line=first,
             )
-        datum = resolve_datum_spec(datum_spec, base_dir)
+        datum = datum_of(datum_spec)
         return ScanConfig(
             name=name, base=None, u=triple[0], v=triple[1], w=triple[2],
             datum=datum, min_cap=min_cap, expect=expect,
@@ -612,7 +624,7 @@ def _parse_config(section: _Section, base_dir: str, position: int) -> ScanConfig
         raise ParseError("a config needs Euler data: bundles, or chi with m", line=first)
     return ScanConfig(
         name=name,
-        base=resolve_model_spec(model_spec, base_dir),
+        base=model_of(model_spec),
         u=triple[0],
         v=triple[1],
         w=triple[2],
@@ -624,12 +636,25 @@ def _parse_config(section: _Section, base_dir: str, position: int) -> ScanConfig
     )
 
 
-def parse_family_document(text: str, base_dir: str = ".") -> list[ScanConfig]:
+def parse_family_document(
+    text: str, base_dir: str = ".", setups: Optional[SetupTable] = None
+) -> list[ScanConfig]:
+    """The configs of a family document, in order.
+
+    Each distinct model or datum spec is resolved once, so configs that
+    name the same spec share one object.  Tautological data are built
+    through ``setups`` when given; pass the same table to
+    ``scan_families`` so the Euler stage reuses their setups.
+    """
     sections = _split_sections(text)
+    model_of = functools.cache(lambda spec: resolve_model_spec(spec, base_dir))
+    datum_of = functools.cache(lambda spec: resolve_datum_spec(spec, base_dir))
     configs: list[ScanConfig] = []
     for section in sections:
         if section.name == "config":
-            configs.append(_parse_config(section, base_dir, len(configs) + 1))
+            configs.append(
+                _parse_config(section, model_of, datum_of, len(configs) + 1, setups)
+            )
         elif section.name == "family":
             for lineno, line in section.rows:
                 mo = _KV_RE.match(line)
@@ -647,6 +672,10 @@ def parse_family_document(text: str, base_dir: str = ".") -> list[ScanConfig]:
     return configs
 
 
-def load_family(path: str) -> list[ScanConfig]:
+def load_family(
+    path: str, setups: Optional[SetupTable] = None
+) -> list[ScanConfig]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_family_document(fh.read(), base_dir=os.path.dirname(path) or ".")
+        return parse_family_document(
+            fh.read(), base_dir=os.path.dirname(path) or ".", setups=setups
+        )

@@ -9,21 +9,22 @@ its two fixed-point restrictions.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from .cdga import (
     AlgebraMorphism,
     CochainAlgebra,
     build_free_cdga,
     build_table_algebra,
+    tensor_polynomial_generator,
 )
 from .errors import AlgebraValidationError
 from .linalg import Matrix, fr
 from .transfer import (
     HamiltonianTransferDatum,
     ScanConfig,
+    SetupTable,
     WeightedLineBundle,
-    build_setup,
     tautological_datum,
 )
 
@@ -154,8 +155,7 @@ def rotation_datum(fixed_cap: int = 8, ambient_cap: int = 9) -> HamiltonianTrans
             "ambient cap at least as large"
         )
     ambient = rotation_ambient(ambient_cap)
-    setup = build_setup(two_points(), cap=fixed_cap)
-    fixed = setup.ext
+    fixed = tensor_polynomial_generator(two_points(), "h", cap=fixed_cap)
 
     restrict = []
     for n in range(fixed_cap + 1):
@@ -240,17 +240,20 @@ def builtin_datum(name: str) -> HamiltonianTransferDatum:
     return BUILTIN_DATA[key]()
 
 
-def default_scan_configs() -> list[ScanConfig]:
+def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig]:
     """The bundled verification family.
 
     Mixes the non-formal witness in its three Euler-class variants with
     formal controls and both transfer data; each row carries the outcome
-    it must reproduce, so a clean scan really checks something.
+    it must reproduce, so a clean scan really checks something.  Rows on
+    the same model share one instance, and the tautological datum is
+    built through ``setups`` when given.
     """
+    heis, tor = heisenberg(), torus()
     return [
         ScanConfig(
             name="heisenberg-h",
-            base=heisenberg(),
+            base=heis,
             u="x",
             v="x",
             w="y",
@@ -260,7 +263,7 @@ def default_scan_configs() -> list[ScanConfig]:
         ),
         ScanConfig(
             name="heisenberg-twisted-line",
-            base=heisenberg(),
+            base=heis,
             u="x",
             v="x",
             w="y",
@@ -269,7 +272,7 @@ def default_scan_configs() -> list[ScanConfig]:
         ),
         ScanConfig(
             name="heisenberg-two-lines",
-            base=heisenberg(),
+            base=heis,
             u="x",
             v="x",
             w="y",
@@ -282,12 +285,14 @@ def default_scan_configs() -> list[ScanConfig]:
             u="x",
             v="x",
             w="y",
-            datum=tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=9),
+            datum=tautological_datum(
+                heis, chi_polynomial="h", m=1, cap=9, setups=setups
+            ),
             expect="non-vanishing",
         ),
         ScanConfig(
             name="torus-undefined",
-            base=torus(),
+            base=tor,
             u="x",
             v="x",
             w="y",
@@ -297,7 +302,7 @@ def default_scan_configs() -> list[ScanConfig]:
         ),
         ScanConfig(
             name="torus-vanishing",
-            base=torus(),
+            base=tor,
             u="x",
             v="x",
             w="x",
@@ -327,8 +332,11 @@ def default_scan_configs() -> list[ScanConfig]:
     ]
 
 
-def corrupted_scan_configs() -> list[ScanConfig]:
-    """A family whose only datum is broken; the scan must flag the datum."""
+def corrupted_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig]:
+    """A family whose only datum is broken; the scan must flag the datum.
+
+    It has no tautological datum, so ``setups`` goes unused.
+    """
     return [
         ScanConfig(
             name="rotation-broken-push",
@@ -342,15 +350,16 @@ def corrupted_scan_configs() -> list[ScanConfig]:
     ]
 
 
-BUILTIN_FAMILIES: dict[str, Callable[[], list[ScanConfig]]] = {
+BUILTIN_FAMILIES: dict[str, Callable[[Optional[SetupTable]], list[ScanConfig]]] = {
     "default": default_scan_configs,
     "corrupted-demo": corrupted_scan_configs,
 }
 
 
-def builtin_family(name: str) -> list[ScanConfig]:
+def builtin_family(name: str, setups: Optional[SetupTable] = None) -> list[ScanConfig]:
+    """A bundled family; any tautological datum is built through ``setups``."""
     key = name.strip().lower().replace("_", "-")
     if key not in BUILTIN_FAMILIES:
         known = ", ".join(sorted(BUILTIN_FAMILIES))
         raise KeyError(f"unknown family {name!r}; known families: {known}")
-    return BUILTIN_FAMILIES[key]()
+    return BUILTIN_FAMILIES[key](setups)

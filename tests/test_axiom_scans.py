@@ -1,0 +1,219 @@
+"""The structure-constant axiom scans against the Element-level reference.
+
+``validate_algebra`` and ``validate_morphism`` read products and
+differentials straight from the lookups.  ``tests/oracles.py`` keeps the
+same scans written with Element arithmetic; on valid and on deliberately
+broken algebras and maps both must return the same findings, in the same
+order, under every ``limit``.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from masseyq.cdga import (
+    AlgebraMorphism,
+    CochainAlgebra,
+    build_free_cdga,
+    identity_morphism,
+    tensor_embedding,
+    tensor_polynomial_generator,
+    tensor_retraction,
+    validate_algebra,
+    validate_morphism,
+)
+from masseyq.linalg import Matrix
+from masseyq.models import BUILTIN_MODELS, rotation_datum
+from oracles import (
+    random_free_cdga,
+    validate_algebra_reference,
+    validate_morphism_reference,
+)
+
+_COEFFS = (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2))
+_LIMITS = (None, 1, 3)
+
+
+def _tables(a):
+    """The product and differential tables of an algebra, read off its lookups."""
+    mul = {}
+    for n1 in range(a.cap + 1):
+        for n2 in range(a.cap + 1 - n1):
+            for i1 in range(a.dim(n1)):
+                for i2 in range(a.dim(n2)):
+                    terms = a._product(n1, i1, n2, i2)
+                    if terms:
+                        mul[(n1, i1, n2, i2)] = list(terms)
+    return mul, {key: list(terms) for key, terms in a._diff.items()}
+
+
+def _merged(terms):
+    """Sum repeated indices and drop zeros, as ``build_table_algebra`` stores terms."""
+    out = {}
+    for k, c in terms:
+        out[k] = out.get(k, 0) + c
+    return tuple(sorted((k, c) for k, c in out.items() if c))
+
+
+def _assemble(a, mul, diff):
+    """A table algebra over a's basis with the given constants, not scanned."""
+    products = {key: _merged(terms) for key, terms in mul.items()}
+    return CochainAlgebra(
+        a.cap,
+        "table",
+        [a.basis_labels(n) for n in range(a.cap + 1)],
+        lambda n1, i1, n2, i2: products.get((n1, i1, n2, i2), ()),
+        {key: _merged(terms) for key, terms in diff.items() if _merged(terms)},
+        a._unit_coords,
+        a._names,
+    )
+
+
+def _mutant(a, rng, count):
+    """a with ``count`` random edits to its product and differential tables."""
+    mul, diff = _tables(a)
+    dims = a.dims
+    pairs = [
+        (n1, i1, n2, i2)
+        for n1 in range(a.cap + 1)
+        for n2 in range(a.cap + 1 - n1)
+        if dims[n1 + n2]
+        for i1 in range(dims[n1])
+        for i2 in range(dims[n2])
+    ]
+    cells = [(n, i) for n in range(a.cap) if dims[n + 1] for i in range(dims[n])]
+    chains = [n for n in range(a.cap - 1) if dims[n] and dims[n + 1] and dims[n + 2]]
+    for _ in range(count):
+        edit = rng.choice(("add-product", "drop-product", "negate", "add-diff", "chain"))
+        if edit == "add-product" and pairs:
+            key = rng.choice(pairs)
+            target = rng.randrange(dims[key[0] + key[2]])
+            mul.setdefault(key, []).append((target, rng.choice(_COEFFS)))
+        elif edit == "drop-product" and mul:
+            del mul[rng.choice(sorted(mul))]
+        elif edit == "negate" and mul:
+            key = rng.choice(sorted(mul))
+            mul[key] = [(k, -c) for k, c in mul[key]]
+        elif edit == "add-diff" and cells:
+            n, i = rng.choice(cells)
+            diff.setdefault((n, i), []).append(
+                (rng.randrange(dims[n + 1]), rng.choice(_COEFFS))
+            )
+        elif edit == "chain" and chains:
+            # Every vector of degree n hits j, and d(j) != 0: d*d fails
+            # on all of them unless old terms cancel.
+            n = rng.choice(chains)
+            j = rng.randrange(dims[n + 1])
+            for i in range(dims[n]):
+                diff.setdefault((n, i), []).append((j, rng.choice(_COEFFS)))
+            diff.setdefault((n + 1, j), []).append(
+                (rng.randrange(dims[n + 2]), rng.choice(_COEFFS))
+            )
+    return _assemble(a, mul, diff)
+
+
+def _random_extension(rng):
+    gens, diffs, cap = random_free_cdga(rng)
+    base = build_free_cdga(gens, diffs, cap)
+    return tensor_polynomial_generator(base, "h", cap=cap + rng.randint(0, 1))
+
+
+def _bundled(rng):
+    name = rng.choice(sorted(BUILTIN_MODELS))
+    return BUILTIN_MODELS[name]()
+
+
+def _assert_algebra_scans_agree(a):
+    full = validate_algebra_reference(a)
+    assert validate_algebra(a) == full
+    for limit in _LIMITS[1:]:
+        # With no findings at all the reference cannot stop early, so a
+        # limited run of it would return [] again.
+        expected = validate_algebra_reference(a, limit) if full else []
+        assert validate_algebra(a, limit) == expected
+
+
+def _assert_morphism_scans_agree(f):
+    assert validate_morphism(f) == validate_morphism_reference(f)
+    if f.source.generators is not None:
+        assert validate_morphism(f, on_generators=True) == validate_morphism_reference(
+            f, on_generators=True
+        )
+
+
+def test_scans_agree_on_every_bundled_model_and_its_extension():
+    for name, make in sorted(BUILTIN_MODELS.items()):
+        a = make()
+        _assert_algebra_scans_agree(a)
+        assert validate_algebra(a) == [], name
+        if a.cap <= 4:
+            ext = tensor_polynomial_generator(a, "h", cap=a.cap + 2)
+            _assert_algebra_scans_agree(ext)
+            inner = ext.tensor_info.base
+            _assert_morphism_scans_agree(tensor_embedding(inner, ext))
+            _assert_morphism_scans_agree(tensor_retraction(ext, inner))
+    datum = rotation_datum()
+    _assert_algebra_scans_agree(datum.fixed)
+    _assert_morphism_scans_agree(datum.restrict)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans())
+def test_algebra_scan_matches_the_reference_on_mutated_tables(seed, count, extension):
+    rng = random.Random(seed)
+    a = _random_extension(rng) if extension else _bundled(rng)
+    mutant = _mutant(a, rng, count)
+    _assert_algebra_scans_agree(mutant)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_algebra_scan_matches_the_reference_on_random_extensions(seed):
+    _assert_algebra_scans_agree(_random_extension(random.Random(seed)))
+
+
+def _mutated_matrices(f, rng, count):
+    mats = [list(map(list, m.entries)) for m in f.matrices]
+    shaped = [n for n, m in enumerate(mats) if m and m[0]]
+    for _ in range(count):
+        if not shaped:
+            break
+        n = rng.choice(shaped)
+        row = rng.randrange(len(mats[n]))
+        col = rng.randrange(len(mats[n][0]))
+        mats[n][row][col] += rng.choice(_COEFFS)
+    return [
+        Matrix(rows, cols=f.matrices[n].cols) for n, rows in enumerate(mats)
+    ]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("embedding", "retraction", "identity", "rotation")),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_morphism_scan_matches_the_reference(seed, kind, count, break_target):
+    rng = random.Random(seed)
+    if kind == "rotation":
+        f = rotation_datum().restrict
+    else:
+        ext = _random_extension(rng)
+        inner = ext.tensor_info.base
+        if kind == "embedding":
+            f = tensor_embedding(inner, ext)
+        elif kind == "retraction":
+            f = tensor_retraction(ext, inner)
+        else:
+            f = identity_morphism(ext)
+    target = f.target
+    if break_target:
+        target = _mutant(target, rng, 1 + count)
+    source = target if f.source is f.target else f.source
+    broken = AlgebraMorphism(source, target, _mutated_matrices(f, rng, count))
+    _assert_morphism_scans_agree(broken)

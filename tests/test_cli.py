@@ -61,6 +61,51 @@ def test_cohomology_negative_max_degree_is_invalid_input(capsys, fmt):
         assert out == "cohomology: invalid-input\nerror: --max-degree must be nonnegative\n"
 
 
+_NEGATIVE_CAP_ARGV = [
+    ["cohomology", "builtin:heisenberg", "--cap", "-1"],
+    ["massey", "builtin:heisenberg", "x", "x", "y", "--cap", "-1"],
+    ["euler", "builtin:heisenberg", "--chi", "h", "--m", "1", "--cap", "-3"],
+    ["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1", "--cap", "-1"],
+    ["theorem11", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1", "--cap", "-1"],
+    ["theorem11", "eN", "eS", "eN", "--datum", "builtin:rotation", "--cap", "-1"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+@pytest.mark.parametrize("argv", _NEGATIVE_CAP_ARGV, ids=lambda a: f"{a[0]}-{a[-1]}-{len(a)}")
+def test_negative_cap_is_invalid_input_on_every_subcommand(capsys, monkeypatch, argv, fmt):
+    def nothing_is_built(*args, **kwargs):
+        raise AssertionError("a model or datum was resolved before the cap check")
+
+    monkeypatch.setattr(cli, "resolve_model_spec", nothing_is_built)
+    monkeypatch.setattr(cli, "resolve_datum_spec", nothing_is_built)
+    code = main(argv + ["--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 3
+    if fmt == "structured":
+        rep = report_from_json(out)
+        assert (rep.command, rep.status, rep.payload) == (
+            argv[0], "invalid-input", {"error": "--cap must be nonnegative"}
+        )
+    else:
+        assert out == f"{argv[0]}: invalid-input\nerror: --cap must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "builtin:heisenberg", "--cap", "0"],
+        ["massey", "builtin:heisenberg", "x", "x", "y", "--cap", "0"],
+        ["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1", "--cap", "0"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_nonnegative_cap_that_is_too_small_keeps_exit_4(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 4
+    assert doc["status"] == "cap-too-small"
+
+
 def test_cohomology_recap_free_model(capsys):
     code, doc = run_json(
         capsys, "cohomology", "builtin:heisenberg", "--cap", "6", "--max-degree", "5"

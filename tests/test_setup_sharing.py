@@ -1,0 +1,205 @@
+"""One setup per (base, cap, h name) within a scan, and what makes it safe.
+
+A scan resolves each spec once and shares equivariant setups between its
+configs, so every row must equal the row its config gives when scanned
+alone.  The Euler stage over a datum rebuilds the datum's fixed model by
+the construction that made it; the by-construction test below is the
+check that used to run on every pipeline call.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+
+import pytest
+
+import masseyq.transfer as transfer
+from masseyq.cdga import build_free_cdga, build_table_algebra
+from masseyq.cli import main
+from masseyq.fileformat import load_datum, parse_family_document, tautological_from_parts
+from masseyq.models import BUILTIN_MODELS, builtin_family, rotation_datum
+from masseyq.transfer import (
+    SetupTable,
+    build_setup,
+    euler_class_from_polynomial,
+    required_cap,
+    run_transfer_pipeline,
+    scan_families,
+)
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+
+# Bundled configs in the family-file grammar; names are unique.
+CONFIG_BLOCKS = [
+    "name = heisenberg-h\nmodel = builtin:heisenberg\ntriple = x | x | y\nchi = h\nm = 1",
+    "name = heisenberg-2h\nmodel = builtin:heisenberg\ntriple = x | x | y\nchi = 2*h\nm = 1",
+    "name = heisenberg-file\nmodel = heisenberg.alg\ntriple = x | x | y\n"
+    "bundle c1 = x*z weight = 2",
+    "name = heisenberg-two-lines\nmodel = builtin:heisenberg\ntriple = x | x | y\n"
+    "bundle weight = 1\nbundle weight = 1",
+    "name = heisenberg-transfer\nmodel = builtin:heisenberg\ndatum = tautological\n"
+    "triple = x | x | y\nchi = h\nm = 1",
+    "name = heisenberg-transfer-10\nmodel = builtin:heisenberg\ndatum = tautological\n"
+    "triple = x | x | y\nchi = h\nm = 1\nmin-cap = 10",
+    "name = torus-undefined\nmodel = builtin:torus\ntriple = x | x | y\nchi = h\nm = 1",
+    "name = torus-typo\nmodel = builtin:torus\ntriple = x | x | q\nchi = h\nm = 1",
+    "name = even-sphere\nmodel = builtin:even-sphere\ntriple = u | u | u\nchi = h\nm = 1",
+    "name = rotation-builtin\ndatum = builtin:rotation\ntriple = eN | eS | eN",
+    "name = rotation-file\ndatum = rotation.datum\ntriple = eN | eS | eN",
+    "name = rotation-broken\ndatum = builtin:rotation-broken-push\ntriple = eN | eS | eN",
+]
+
+
+def _family(blocks):
+    return "[family]\nname = test\n\n" + "\n\n".join(f"[config]\n{b}" for b in blocks) + "\n"
+
+
+def _scan_text(text, base_dir):
+    setups = SetupTable()
+    return scan_families(parse_family_document(text, base_dir, setups), setups=setups).rows
+
+
+def _rows_alone_from_text(blocks, base_dir):
+    return [_scan_text(_family([b]), base_dir)[0] for b in blocks]
+
+
+@pytest.mark.parametrize("name", ["default", "corrupted-demo"])
+def test_builtin_family_rows_equal_rows_scanned_alone(name):
+    setups = SetupTable()
+    shared = scan_families(builtin_family(name, setups), setups=setups).rows
+    alone = [
+        scan_families([builtin_family(name)[i]]).rows[0] for i in range(len(shared))
+    ]
+    assert shared == alone
+
+
+def test_demo_family_file_rows_equal_rows_scanned_alone():
+    with open(os.path.join(DATA, "demo.family"), encoding="utf-8") as fh:
+        text = fh.read()
+    blocks = [
+        chunk.strip()
+        for chunk in text.split("[config]")[1:]
+    ]
+    assert _scan_text(text, DATA) == _rows_alone_from_text(blocks, DATA)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shuffled_family_rows_equal_rows_scanned_alone(seed):
+    blocks = list(CONFIG_BLOCKS)
+    random.Random(seed).shuffle(blocks)
+    shared = _scan_text(_family(blocks), DATA)
+    assert [row.name for row in shared] == [b.split("\n")[0][len("name = "):] for b in blocks]
+    assert shared == _rows_alone_from_text(blocks, DATA)
+    statuses = {row.status for row in shared}
+    assert {"ok", "premise-failed", "invalid-datum", "error"} <= statuses
+
+
+def _presentation_key(base, cap, hname):
+    """A structural name for build_setup's input: cap, labels, d and products."""
+    labels = tuple(base.basis_labels(n) for n in range(base.cap + 1))
+    products = tuple(
+        base._product(n1, i1, n2, i2)
+        for n1 in range(base.cap + 1)
+        for n2 in range(base.cap + 1 - n1)
+        for i1 in range(base.dim(n1))
+        for i2 in range(base.dim(n2))
+    )
+    return (base.cap, labels, tuple(sorted(base._diff.items())), products, cap, hname)
+
+
+def test_default_scan_builds_one_setup_per_distinct_base_cap_and_h(monkeypatch, capsys):
+    calls = []
+
+    def counting(base, cap=None, hname="h"):
+        calls.append(_presentation_key(base, base.cap if cap is None else cap, hname))
+        return build_setup(base, cap, hname)
+
+    monkeypatch.setattr(transfer, "build_setup", counting)
+    assert main(["scan", "builtin:default"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls))
+    # Heisenberg at caps 9 and 15, the torus at 9, the even sphere at 12
+    # and the two poles at 6; the tautological datum's setup is the
+    # Heisenberg cap-9 one.
+    assert sorted((key[4], key[0]) for key in calls) == [
+        (6, 1), (9, 3), (9, 4), (12, 8), (15, 4)
+    ]
+
+
+def test_the_euler_stage_reuses_the_tautological_datum_setup():
+    setups = SetupTable()
+    base = BUILTIN_MODELS["heisenberg"]()
+    datum = tautological_from_parts(base, ("x", "x", "y"), [], "h", 1, None, setups=setups)
+    report = run_transfer_pipeline(None, "x", "x", "y", datum=datum, setups=setups)
+    assert report.verdict == "non-vanishing"
+    assert report.euler.setup.ext is datum.fixed
+
+
+def test_setup_table_shares_equal_presentations_and_not_unequal_ones():
+    setups = SetupTable()
+    poles = setups.setup(BUILTIN_MODELS["two-points"](), 6)
+    assert setups.setup(load_datum(os.path.join(DATA, "rotation.datum")).fixed.tensor_info.base, 6) is poles
+    assert setups.setup(BUILTIN_MODELS["two-points"](), 7) is not poles
+    assert setups.setup(BUILTIN_MODELS["two-points"](), 6, "k") is not poles
+    assert setups.setup(BUILTIN_MODELS["point"](), 6) is not poles
+    heis = setups.setup(BUILTIN_MODELS["heisenberg"](), 9)
+    assert setups.setup(heis.base, 9) is heis
+    assert setups.setup(BUILTIN_MODELS["torus"](), 9) is not heis
+    closed = build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {}, 4)
+    assert setups.setup(closed, 9) is not heis
+    # Same labels, names, unit and differential; one product differs.
+    squares = [
+        setups.setup(_square_algebra(c), 6) for c in (1, 2, 1)
+    ]
+    assert squares[0] is squares[2] and squares[0] is not squares[1]
+
+
+def _square_algebra(c):
+    unit = {(0, 0, n, 0): [(0, 1)] for n in (0, 2, 4)}
+    unit.update({(n, 0, 0, 0): [(0, 1)] for n in (2, 4)})
+    return build_table_algebra(
+        [1, 0, 1, 0, 1],
+        {**unit, (2, 0, 2, 0): [(0, c)]},
+        names=[["one"], [], ["u"], [], ["v"]],
+    )
+
+
+# ---------------------------------------------------------------------------
+# the Euler stage's rebuild of a datum's fixed model agrees by construction
+# ---------------------------------------------------------------------------
+
+
+def _assert_euler_stage_rebuilds_the_fixed_model(datum, triple, min_cap=None):
+    info = datum.fixed.tensor_info
+    base = info.base
+    cap = max(required_cap(base, *triple, datum.m), min_cap or 0, base.cap)
+    rebuilt = build_setup(base, cap, info.hname)
+    upto = min(datum.fixed.cap, rebuilt.ext.cap)
+    for n in range(upto + 1):
+        assert rebuilt.ext.basis_labels(n) == datum.fixed.basis_labels(n), n
+    assert 2 * datum.m <= upto
+    chi = euler_class_from_polynomial(rebuilt, datum.chi_polynomial, datum.m)
+    assert chi.element.coords == datum.chi_element().coords
+
+
+@pytest.mark.parametrize("source", ["builtin", "file"])
+def test_rotation_fixed_model_is_rebuilt_exactly(source):
+    datum = (
+        rotation_datum()
+        if source == "builtin"
+        else load_datum(os.path.join(DATA, "rotation.datum"))
+    )
+    _assert_euler_stage_rebuilds_the_fixed_model(datum, ("eN", "eS", "eN"))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+@pytest.mark.parametrize(
+    "chi,m,min_cap", [("h", 1, None), ("h", 1, 10), ("h*h", 2, None)]
+)
+def test_tautological_fixed_model_is_rebuilt_exactly(name, chi, m, min_cap):
+    base = BUILTIN_MODELS[name]()
+    first = sorted(base.names())[0]
+    triple = (first, first, first)
+    datum = tautological_from_parts(base, triple, [], chi, m, min_cap)
+    _assert_euler_stage_rebuilds_the_fixed_model(datum, triple, min_cap)
