@@ -49,6 +49,12 @@ CASES = [
     ("scan-default", ["scan", "builtin:default"], 0),
     ("cohomology-filiform-8", ["cohomology", "filiform-8.alg"], 0),
     ("massey-filiform-8-x1x2x2", ["massey", "filiform-8.alg", "x1", "x2", "x2"], 0),
+    (
+        "massey-filiform-8-x1x2x1x4x5x8",
+        ["massey", "filiform-8.alg", "x1", "x2", "x1*x4*x5*x8"],
+        10,
+    ),
+    ("massey-torus-xxy", ["massey", "builtin:torus", "x", "x", "y"], 11),
 ]
 
 
