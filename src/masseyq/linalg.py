@@ -49,7 +49,7 @@ def zero_vector(n: int) -> Vector:
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
@@ -370,11 +370,6 @@ def kernel_basis(a: Matrix) -> Subspace:
         basis.append(tuple(v))
         leads.append(n - 1 - f)
     return Subspace(n, basis, leads)
-
-
-def member(v: Vector, s: Subspace) -> bool:
-    """Is v in the subspace s?"""
-    return s.contains(vector(v))
 
 
 class AffineCoset:

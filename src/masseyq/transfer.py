@@ -6,9 +6,13 @@ an Euler class built from weighted line bundle data, and a transfer datum
 tying an ambient equivariant model to the fixed one through restriction
 and pushforward maps.
 
-Every check computes its conclusion along at least two independent routes
-and raises ConsistencyError if the routes disagree, so a reported verdict
-is always backed by cross-checked witnesses.
+A verdict on ideal membership comes from one solve and is backed by a
+certificate that a check of a different kind verifies: coefficients by
+recomputing them through the cup product, a separating functional by dot
+products.  Where a conclusion also has a genuinely independent route,
+such as non-vanishing of the embedded product through the retraction to
+the base, both are computed and must agree.  A failed certificate or a
+disagreement raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ from .cohomology import (
     ContainmentReport,
     InducedMap,
     MasseyResult,
+    certify_ideal_membership,
     check_scaling_law,
     cup,
     cup_matrix,
-    ideal_degree_piece,
     triple_massey,
 )
 from .errors import (
@@ -48,7 +52,7 @@ from .errors import (
     PremiseError,
     UndefinedProductError,
 )
-from .linalg import Matrix, kernel_basis, member, rank, solve
+from .linalg import Matrix, kernel_basis, rank
 
 ClassInput = Union[str, list, CohomologyClass]
 
@@ -186,11 +190,30 @@ def formal_degree(algebra: CochainAlgebra, poly: PolyInput) -> int:
 
 
 def as_class(ring: CohomologyRing, value: ClassInput) -> CohomologyClass:
-    if isinstance(value, CohomologyClass):
-        if value.ring is not ring:
-            raise ValueError("class belongs to a different ring")
+    """Read a polynomial or a class as a class of ``ring``.
+
+    Polynomials are evaluated in the ring's algebra and classes of the ring
+    pass through.  A class over another algebra is carried over when its
+    degree-n basis labels equal those of the target's h^0 block (the whole
+    degree when the target is not an extension), as for a re-capped copy
+    of a base or the base of an extension: its representative's
+    coordinates are copied into that block.
+    """
+    if not isinstance(value, CohomologyClass):
+        return ring.class_from_polynomial(value)
+    if value.ring is ring:
         return value
-    return ring.class_from_polynomial(value)
+    rep = value.representative()
+    n, target = rep.degree, ring.algebra
+    if n <= target.cap:
+        info = target.tensor_info
+        size = target.dim(n) if info is None else info.block(n, 0)[3]
+        if target.basis_labels(n)[:size] == rep.algebra.basis_labels(n):
+            coords = rep.coords + (Fraction(0),) * (target.dim(n) - size)
+            return ring.project(Element._trusted(target, n, coords))
+    raise AlgebraValidationError(
+        "class cannot be transported between unrelated algebras"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -386,12 +409,13 @@ def verify_not_zero_divisor(
 class HComparisonReport:
     """Outcome of testing the witness against the scaled-generator ideal.
 
-    ``fired`` means the linear system has no solution, certifying that
-    the witness avoids the ideal.  When a solution exists the report
-    carries it together with its consequences: the combination
-    t = chi^2 x - u a - w b is killed by chi and must therefore vanish,
-    and comparing top h coefficients of chi^2 x = u a + w b exhibits the
-    base representative inside the base ideal of u and w.
+    ``fired`` means a checked certificate shows that the witness avoids
+    the ideal.  When the witness is a member the report carries the
+    certified coefficients together with their consequences: the
+    combination t = chi^2 x - u a - w b is killed by chi and must
+    therefore vanish, and comparing top h coefficients of
+    chi^2 x = u a + w b exhibits the base representative inside the base
+    ideal of u and w.
     """
 
     fired: bool
@@ -414,28 +438,17 @@ def h_comparison_check(
 ) -> HComparisonReport:
     """Decide membership of z = chi^3 x in the ideal of chi u and chi w.
 
-    Solves z = (chi u) a + (chi w) b over the extension ring.  No
-    solution certifies non-membership.  A solution is pushed through the
-    comparison argument: chi is not a zero divisor, so chi^2 x = u a + w b
-    on the nose, and reading off the h^(2m) coefficient writes the base
-    class x inside the base ideal (u, w).
+    Certifies z = (chi u) a + (chi w) b over the extension ring, or a
+    functional separating z from the ideal; the latter fires.  A solution
+    is pushed through the comparison argument: chi is not a zero divisor,
+    so chi^2 x = u a + w b on the nose, and reading off the h^(2m)
+    coefficient writes the base class x inside the base ideal (u, w).
     """
     ring = setup.ext_ring
-    nz = z.degree
-    da = nz - chi_u.degree
-    db = nz - chi_w.degree
-    mat_a = cup_matrix(ring, chi_u, da)
-    mat_b = cup_matrix(ring, chi_w, db)
-    combined = Matrix._trusted_columns(
-        mat_a.columns() + mat_b.columns(), ring.class_dim(nz)
-    )
-    sol = solve(combined, z.coords)
-    if sol is None:
+    certificate = certify_ideal_membership(chi_u, chi_w, z)
+    if not certificate.member:
         return HComparisonReport(fired=True)
-
-    dim_a = ring.class_dim(da)
-    a_cls = CohomologyClass(ring, da, sol[:dim_a])
-    b_cls = CohomologyClass(ring, db, sol[dim_a:])
+    a_cls, b_cls = certificate.coefficients
 
     x_ext = setup.embed.apply(x)
     u_ext = setup.embed.apply(u)
@@ -593,9 +606,9 @@ def check_euler_scaled_massey(
             f"{zero_divisor.failed_degree}"
         )
 
-    u_cls = _port_class(setup.base_ring, setup.base, u)
-    v_cls = _port_class(setup.base_ring, setup.base, v)
-    w_cls = _port_class(setup.base_ring, setup.base, w)
+    u_cls = as_class(setup.base_ring, u)
+    v_cls = as_class(setup.base_ring, v)
+    w_cls = as_class(setup.base_ring, w)
 
     try:
         base_result = triple_massey(u_cls, v_cls, w_cls)
@@ -623,16 +636,10 @@ def check_euler_scaled_massey(
     retracted = setup.retract.apply_coset(
         embedded_result.coset, embedded_result.degree
     )
-    point_ok = base_result.coset.contains(retracted.point)
-    direction_ok = base_result.coset.direction.contains_subspace(
-        retracted.direction
-    )
     h0_containment = ContainmentReport(
-        holds=point_ok and direction_ok,
+        holds=retracted.contained_in(base_result.coset),
         scaled=retracted,
         target=base_result.coset,
-        point_in_target=point_ok,
-        direction_in_target=direction_ok,
     )
     via_base = h0_containment.holds and not base_result.vanishes
     if direct_nonvanish != via_base:
@@ -642,16 +649,10 @@ def check_euler_scaled_massey(
         )
 
     pushed = setup.embed.apply_coset(base_result.coset, base_result.degree)
-    embed_point_ok = embedded_result.coset.contains(pushed.point)
-    embed_dir_ok = embedded_result.coset.direction.contains_subspace(
-        pushed.direction
-    )
     embed_functoriality = ContainmentReport(
-        holds=embed_point_ok and embed_dir_ok,
+        holds=pushed.contained_in(embedded_result.coset),
         scaled=pushed,
         target=embedded_result.coset,
-        point_in_target=embed_point_ok,
-        direction_in_target=embed_dir_ok,
     )
     if not embed_functoriality.holds:
         raise ConsistencyError(
@@ -678,21 +679,13 @@ def check_euler_scaled_massey(
             "scaled product"
         )
 
-    piece = ideal_degree_piece(setup.ext_ring, [chi_u, chi_w], z.degree)
-    ideal_member = member(z.coords, piece)
-
     machinery = h_comparison_check(
         setup, chi, z, chi_u, chi_w, u_cls, w_cls, base_result.rep_class
     )
-
-    if machinery.fired == ideal_member:
-        raise ConsistencyError(
-            "membership solve and ideal-piece test disagree about the witness"
-        )
     if machinery.fired != (not scaled_result.vanishes):
         raise ConsistencyError(
             "membership certificate and the scaled product's zero test "
-            "disagree"
+            f"disagree in degree {z.degree}"
         )
 
     verdict = "non-vanishing" if machinery.fired else "vanishes"
@@ -712,31 +705,10 @@ def check_euler_scaled_massey(
         scaled_result=scaled_result,
         witness=z,
         witness_in_scaled=witness_in_scaled,
-        ideal_member=ideal_member,
+        ideal_member=not machinery.fired,
         machinery=machinery,
         verdict=verdict,
     )
-
-
-def _port_class(
-    ring: CohomologyRing, algebra: CochainAlgebra, value: ClassInput
-) -> CohomologyClass:
-    """Read a class into a ring, transporting from a re-capped twin if needed.
-
-    A re-capped copy of an algebra shares basis labels degree by degree,
-    so a cocycle's coordinates carry over verbatim.
-    """
-    if not isinstance(value, CohomologyClass):
-        return ring.class_from_polynomial(value)
-    if value.ring is ring:
-        return value
-    rep = value.representative()
-    n = rep.degree
-    if n > algebra.cap or rep.algebra.basis_labels(n) != algebra.basis_labels(n):
-        raise AlgebraValidationError(
-            "class cannot be transported between unrelated algebras"
-        )
-    return ring.project(algebra.element(n, rep.coords))
 
 
 # --------------------------------------------------------------------------
@@ -1041,7 +1013,7 @@ def check_gysin_transfer(
 ) -> GysinReport:
     """Transfer a non-vanishing scaled product from the fixed locus upstairs.
 
-    u, v and w live over the fixed model.  The product
+    u, v and w are read into the fixed model by ``as_class``.  The product
     <chi u, chi v, chi w> must be defined there (UndefinedProductError
     otherwise).  The ambient inputs are the pushforwards; their
     consecutive products vanish both by restriction and by direct
@@ -1105,16 +1077,10 @@ def check_gysin_transfer(
         )
 
     image = rmap.apply_coset(ambient_result.coset, ambient_result.degree)
-    point_ok = fixed_result.coset.contains(image.point)
-    direction_ok = fixed_result.coset.direction.contains_subspace(
-        image.direction
-    )
     containment = ContainmentReport(
-        holds=point_ok and direction_ok,
+        holds=image.contained_in(fixed_result.coset),
         scaled=image,
         target=fixed_result.coset,
-        point_in_target=point_ok,
-        direction_in_target=direction_ok,
     )
     if not containment.holds:
         raise ConsistencyError(
@@ -1230,12 +1196,7 @@ def run_transfer_pipeline(
     gysin_error: Optional[str] = None
     if datum is not None:
         try:
-            gysin_report = check_gysin_transfer(
-                datum,
-                _fixed_class(datum, u),
-                _fixed_class(datum, v),
-                _fixed_class(datum, w),
-            )
+            gysin_report = check_gysin_transfer(datum, u, v, w)
         except (UndefinedProductError, DegreeCapError) as exc:
             gysin_error = str(exc)
 
@@ -1255,33 +1216,6 @@ def run_transfer_pipeline(
         gysin=gysin_report,
         gysin_error=gysin_error,
     )
-
-
-def _fixed_class(
-    datum: HamiltonianTransferDatum, value: ClassInput
-) -> CohomologyClass:
-    """Read a pipeline input as a class over the datum's fixed model.
-
-    Polynomials are evaluated there directly (base generator names are
-    names of the extension too); classes over a copy of the base are
-    transported through the block-0 inclusion.
-    """
-    fring = datum.fixed_ring
-    if not isinstance(value, CohomologyClass):
-        return fring.class_from_polynomial(value)
-    if value.ring is fring:
-        return value
-    rep = value.representative()
-    info = datum.fixed.tensor_info
-    n = rep.degree
-    blk = info.block(n, 0) if n <= datum.fixed.cap else None
-    if blk is None or blk[3] != len(rep.coords):
-        raise AlgebraValidationError(
-            "class cannot be transported into the fixed model"
-        )
-    coords = [Fraction(0)] * datum.fixed.dim(n)
-    coords[blk[2] : blk[2] + blk[3]] = rep.coords
-    return fring.project(datum.fixed.element(n, coords))
 
 
 # --------------------------------------------------------------------------

@@ -262,23 +262,33 @@ def test_command_line_bundle_error_has_no_line_prefix(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["structured", "human"])
-def test_consistency_failure_gives_an_internal_report(capsys, monkeypatch, fmt):
-    # Make the coboundary-in-cocycle check of the cohomology layer trip.
-    from masseyq.linalg import Subspace
-
-    monkeypatch.setattr(Subspace, "contains_subspace", lambda self, other: False)
-    code = main(["cohomology", "builtin:heisenberg", "--format", fmt])
+def test_consistency_failure_gives_an_internal_report(capsys, corrupt_certificate, fmt):
+    # A wrong solution from the ideal-membership solve fails its cup check.
+    corrupt_certificate("solve")
+    code = main(["massey", "builtin:heisenberg", "x", "x", "y", "--format", fmt])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == ""
     if fmt == "structured":
         rep = report_from_json(captured.out)
-        assert (rep.command, rep.status, rep.exit_code) == ("cohomology", "internal", 1)
-        assert rep.payload["error"].startswith("coboundaries are not cocycles")
+        assert (rep.command, rep.status, rep.exit_code) == ("massey", "internal", 1)
+        assert rep.payload["error"].startswith("ideal membership in degree 2: solve ")
+        assert "\n" not in rep.payload["error"]
     else:
         lines = captured.out.splitlines()
-        assert lines[0] == "cohomology: internal"
-        assert lines[1].startswith("error: coboundaries are not cocycles in degree")
+        assert lines[0] == "massey: internal"
+        assert lines[1].startswith("error: ideal membership in degree 2: solve ")
+        assert "cup" in lines[1]
+
+
+def test_corrupted_functional_gives_an_internal_report(capsys, corrupt_certificate):
+    corrupt_certificate("kernel_basis")
+    code, doc = run_json(capsys, "massey", "builtin:heisenberg", "x", "x", "y")
+    assert code == 1
+    assert (doc["status"], doc["exit_code"]) == ("internal", 1)
+    error = doc["payload"]["error"]
+    assert error.startswith("ideal membership in degree 2: solve ")
+    assert "kernel_basis" in error and "\n" not in error
 
 
 def test_lemma32_full_witness_chain(capsys):

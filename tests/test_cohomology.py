@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from masseyq.cohomology import (
     CohomologyClass,
     CohomologyRing,
     InducedMap,
+    certify_ideal_membership,
     check_functoriality,
     check_scaling_law,
     cup,
@@ -25,9 +27,12 @@ from masseyq.cohomology import (
     ideal_degree_piece,
     triple_massey,
 )
-from masseyq.errors import AlgebraValidationError, DegreeCapError
-from masseyq.linalg import Subspace, member, vector
+from masseyq.errors import AlgebraValidationError, ConsistencyError, DegreeCapError
+from masseyq.fileformat import resolve_model_spec
 from oracles import betti_oracle, heisenberg_massey_oracle, random_free_cdga
+
+
+FILIFORM_8 = os.path.join(os.path.dirname(__file__), "golden", "filiform-8.alg")
 
 
 def torus_ring(cap=3):
@@ -166,7 +171,70 @@ def test_ideal_degree_piece():
     assert ideal_degree_piece(ring, [x, y], 2).dim == 0
     piece3 = ideal_degree_piece(ring, [x, y], 3)
     assert piece3.dim == 1
-    assert member(cup(x, ring.basis_class(2, 1)).coords, piece3)
+    assert piece3.contains(cup(x, ring.basis_class(2, 1)).coords)
+
+
+def _check_certificate(g1, g2, t):
+    """The certificate's verdict and witness, checked from scratch."""
+    ring, n = t.ring, t.degree
+    cert = certify_ideal_membership(g1, g2, t)
+    assert cert.member == ideal_degree_piece(ring, [g1, g2], n).contains(t.coords)
+    if cert.member:
+        alpha, beta = cert.coefficients
+        assert cup(g1, alpha) + cup(g2, beta) == t
+        assert cert.functional is None
+    else:
+        phi = cert.functional
+        dot = lambda v: sum(a * b for a, b in zip(phi, v))
+        for g in (g1, g2):
+            for e in ring.basis_classes(n - g.degree):
+                assert dot(cup(g, e).coords) == 0
+        assert dot(t.coords) != 0
+        assert cert.coefficients is None
+    return cert
+
+
+def test_ideal_certificate_on_heisenberg():
+    _, ring = heisenberg_ring()
+    x, y = ring.basis_classes(1)
+    xz, yz = ring.basis_classes(2)
+    assert not _check_certificate(x, x, xz).member
+    top = ring.basis_class(3, 0)
+    assert _check_certificate(x, y, top).member
+    assert _check_certificate(x, y, ring.zero_class(2)).member
+
+
+def _filiform_triples():
+    ring = CohomologyRing(resolve_model_spec(FILIFORM_8))
+    x1, x2 = (ring.class_from_polynomial(p) for p in ("x1", "x2"))
+    member = triple_massey(x1, x2, ring.class_from_polynomial("x1*x4*x5*x8"))
+    outside = triple_massey(
+        x1, x2, ring.class_from_polynomial("x2*x3*x6 - x2*x4*x5")
+    )
+    assert member.vanishes and member.indeterminacy.dim == 1
+    assert not member.rep_class.is_zero()
+    assert not outside.vanishes and outside.indeterminacy.dim == 1
+    return member.inputs, outside.inputs
+
+
+def test_triple_massey_ideal_verdict_is_certified():
+    for inputs in _filiform_triples():
+        result = triple_massey(*inputs)
+        cert = _check_certificate(inputs[0], inputs[2], result.rep_class)
+        assert result.in_ideal == cert.member == result.vanishes
+
+
+@pytest.mark.parametrize("route", ["solve", "kernel_basis"])
+def test_corrupted_certificate_raises(corrupt_certificate, route):
+    member, outside = _filiform_triples()
+    _, heis = heisenberg_ring()
+    x, y = heis.basis_classes(1)
+    corrupt_certificate(route)
+    # only a non-member's certificate reads a functional
+    cases = [outside, (x, x, y)] + ([member] if route == "solve" else [])
+    for inputs in cases:
+        with pytest.raises(ConsistencyError, match=r"ideal membership in degree \d: solve"):
+            triple_massey(*inputs)
 
 
 # -- triple products -----------------------------------------------------------
@@ -336,7 +404,7 @@ def test_functoriality_along_embedding():
     x, y = hring.basis_classes(1)
     report, source_result, target_result = check_functoriality(f, x, x, y)
     assert report.holds
-    assert report.point_in_target and report.direction_in_target
+    assert report.scaled.contained_in(report.target)
     assert not target_result.vanishes
 
 
@@ -535,3 +603,30 @@ def test_outside_coordinates_are_coerced_and_internal_results_are_fractions():
     ]
     for out in outputs:
         assert all(type(c) is Fraction for c in out.coords), out
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_rings_with_classes())
+def test_differential_squares_to_zero_as_matrices(drawn):
+    # Cohomology trusts d*d = 0, which is checked where algebras enter.
+    algebra = drawn[0].algebra
+    for n in range(1, algebra.cap):
+        product = algebra.diff_matrix(n).matmul(algebra.diff_matrix(n - 1))
+        assert product.is_zero()
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_rings_with_classes(), st.randoms(use_true_random=False))
+def test_ideal_certificate_agrees_with_the_ideal_piece(drawn, rng):
+    ring, classes, _ = drawn
+    for _ in range(8):
+        g1, g2 = rng.choice(classes), rng.choice(classes)
+        targets = [t for t in classes if t.degree >= max(g1.degree, g2.degree)]
+        if not targets:
+            continue
+        t = rng.choice(targets)
+        _check_certificate(g1, g2, t)
+        # a multiple of a generator is always a member
+        rest = t.degree - g1.degree
+        e = rng.choice(ring.basis_classes(rest) or [ring.zero_class(rest)])
+        assert _check_certificate(g1, g2, cup(g1, e)).member

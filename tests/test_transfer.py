@@ -9,6 +9,7 @@ from masseyq.cdga import AlgebraMorphism, build_free_cdga, identity_morphism
 from masseyq.cohomology import CohomologyRing, check_scaling_law, cup, triple_massey
 from masseyq.errors import (
     AlgebraValidationError,
+    ConsistencyError,
     PremiseError,
     UndefinedProductError,
 )
@@ -181,6 +182,19 @@ def test_pure_base_class_is_flagged_as_zero_divisor():
 # ---------------------------------------------------------------------------
 
 
+def _h_comparison_inputs(base, cap, x_poly):
+    setup = build_setup(base, cap=cap)
+    base_ring = setup.base_ring
+    chi = euler_class_from_polynomial(setup, "h", 1)
+    u = base_ring.class_from_polynomial("x")
+    w = base_ring.class_from_polynomial("y")
+    x = base_ring.class_from_polynomial(x_poly)
+    z = cup(chi.cls, cup(chi.cls, cup(chi.cls, setup.embed.apply(x))))
+    chi_u = cup(chi.cls, setup.embed.apply(u))
+    chi_w = cup(chi.cls, setup.embed.apply(w))
+    return setup, chi, z, chi_u, chi_w, u, w, x
+
+
 def test_membership_solver_finds_ideal_witness_and_extracts_x():
     # Control case: [xy] lies in the ideal of [x] and [y], so the solver
     # must find coefficients and recover [xy] from the top h block.
@@ -216,6 +230,21 @@ def test_membership_solver_fires_outside_the_ideal():
     rep = h_comparison_check(setup, chi, z, chi_u, chi_w, u, w, x)
     assert rep.fired
     assert rep.solution_a is None
+
+
+@pytest.mark.parametrize(
+    "route, base, x_poly",
+    [
+        ("solve", torus(), "x*y"),
+        ("solve", heisenberg(), "x*z"),
+        ("kernel_basis", heisenberg(), "x*z"),
+    ],
+)
+def test_corrupted_membership_certificate_raises(corrupt_certificate, route, base, x_poly):
+    inputs = _h_comparison_inputs(base, 10 if x_poly == "x*y" else 9, x_poly)
+    corrupt_certificate(route)
+    with pytest.raises(ConsistencyError, match=r"ideal membership in degree \d+: solve"):
+        h_comparison_check(*inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -680,3 +709,51 @@ def test_witness_perturbations_on_a_vanishing_product():
         rep = _perturbed_representative(result, ring, da, dy)
         assert rep.d().is_zero()
         assert result.coset.contains(ring.project(rep).coords)
+
+
+# ---------------------------------------------------------------------------
+# class inputs carried between algebras
+# ---------------------------------------------------------------------------
+
+
+def _classes(base, polys):
+    ring = CohomologyRing(base)
+    return [ring.class_from_polynomial(p) for p in polys]
+
+
+def test_classes_over_the_base_give_the_polynomial_verdicts():
+    polys = ("x", "x", "y")
+    by_poly = check_euler_scaled_massey(heisenberg(), *polys, chi_polynomial="h", m=1)
+    by_class = check_euler_scaled_massey(
+        heisenberg(), *_classes(heisenberg(), polys), chi_polynomial="h", m=1
+    )
+    assert by_class.verdict == by_poly.verdict == "non-vanishing"
+    assert str(by_class.witness) == str(by_poly.witness)
+
+    for make_datum, polys, gysin in (
+        (
+            lambda: tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=12),
+            polys,
+            "non-vanishing",
+        ),
+        (rotation_datum, ("eN", "eS", "eN"), "inconclusive"),
+    ):
+        base = make_datum().fixed.tensor_info.base
+        by_poly = run_transfer_pipeline(None, *polys, datum=make_datum())
+        by_class = run_transfer_pipeline(
+            None, *_classes(base, polys), datum=make_datum()
+        )
+        assert (by_class.status, by_class.verdict) == (by_poly.status, by_poly.verdict)
+        assert by_class.gysin.status == by_poly.gysin.status == gysin
+        assert [str(c) for c in by_class.gysin.fixed_result.inputs] == [
+            str(c) for c in by_poly.gysin.fixed_result.inputs
+        ]
+
+
+def test_a_class_over_an_unrelated_algebra_is_rejected():
+    classes = _classes(torus(), ("x", "x", "y"))
+    with pytest.raises(AlgebraValidationError, match="unrelated algebras"):
+        check_euler_scaled_massey(heisenberg(), *classes, chi_polynomial="h", m=1)
+    datum = tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=12)
+    with pytest.raises(AlgebraValidationError, match="unrelated algebras"):
+        check_gysin_transfer(datum, *classes)
