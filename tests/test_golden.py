@@ -55,6 +55,13 @@ CASES = [
         10,
     ),
     ("massey-torus-xxy", ["massey", "builtin:torus", "x", "x", "y"], 11),
+    ("cohomology-two-step-7", ["cohomology", "two-step-7.alg"], 0),
+    (
+        "massey-two-step-7-x1x2x3x2",
+        ["massey", "two-step-7.alg", "x1", "x2*x3", "x2"],
+        10,
+    ),
+    ("cohomology-filiform-10", ["cohomology", "filiform-10.alg"], 0),
 ]
 
 
