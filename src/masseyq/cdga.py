@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
+    AlgebraError,
     AlgebraValidationError,
     DegreeCapError,
     DifferentialSquareError,
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    SparseVector,
     Vector,
     fr,
     solve,
@@ -463,12 +465,12 @@ class CochainAlgebra:
         return Element._trusted(self, n, tuple(out))
 
     def diff_matrix(self, n: int) -> Matrix:
-        """Matrix of d: degree n -> n+1, shape dim(n+1) x dim(n)."""
-        if n + 1 > self.cap:
-            raise DegreeCapError(
-                f"no differential out of degree {n} at cap {self.cap}",
-                required_cap=n + 1,
-            )
+        """Matrix of d: degree n -> n+1, shape dim(n+1) x dim(n), dense.
+
+        Elimination reads the sparse ``diff_rows`` and ``diff_columns``
+        instead; the dense matrix serves ``validate_morphism``.
+        """
+        self._check_diff_degree(n)
         if n not in self._diff_matrices:
             cols = []
             for i in range(self.dim(n)):
@@ -478,6 +480,27 @@ class CochainAlgebra:
                 cols.append(col)
             self._diff_matrices[n] = Matrix._trusted_columns(cols, self.dim(n + 1))
         return self._diff_matrices[n]
+
+    def diff_columns(self, n: int) -> list[SparseVector]:
+        """Columns of d: degree n -> n+1 as sparse vectors, read from the table."""
+        self._check_diff_degree(n)
+        return [dict(self._diff.get((n, i), ())) for i in range(self.dim(n))]
+
+    def diff_rows(self, n: int) -> list[SparseVector]:
+        """Rows of d: degree n -> n+1 as sparse vectors, read from the table."""
+        self._check_diff_degree(n)
+        rows: list[SparseVector] = [{} for _ in range(self.dim(n + 1))]
+        for i in range(self.dim(n)):
+            for j, s in self._diff.get((n, i), ()):
+                rows[j][i] = s
+        return rows
+
+    def _check_diff_degree(self, n: int) -> None:
+        if n + 1 > self.cap:
+            raise DegreeCapError(
+                f"no differential out of degree {n} at cap {self.cap}",
+                required_cap=n + 1,
+            )
 
     # -- polynomial input ----------------------------------------------------
 
@@ -582,6 +605,10 @@ def build_free_cdga(
     The product of two basis monomials is computed when ``multiply`` asks
     for it, from the packed exponent keys and odd-letter bitmasks built
     here; no multiplication table is stored.
+
+    An error about one generator's declaration carries
+    ``presentation_row = ("gen", position)``, and one about its
+    differential ``("d", name)``, so a file reader can point at the line.
     """
     gens = tuple(
         g if isinstance(g, GeneratorDecl) else GeneratorDecl(g[0], g[1])
@@ -590,16 +617,17 @@ def build_free_cdga(
     if not gens:
         raise AlgebraValidationError("at least one generator is required")
     seen = set()
-    for g in gens:
+    for gi, g in enumerate(gens):
         if not NAME_RE.fullmatch(g.name):
-            raise AlgebraValidationError(f"invalid generator name {g.name!r}")
-        if g.name in seen:
-            raise AlgebraValidationError(f"duplicate generator name {g.name!r}")
-        seen.add(g.name)
-        if not isinstance(g.degree, int) or g.degree < 1:
-            raise AlgebraValidationError(
-                f"generator {g.name!r} must have integer degree >= 1"
-            )
+            message = f"invalid generator name {g.name!r}"
+        elif g.name in seen:
+            message = f"duplicate generator name {g.name!r}"
+        elif not isinstance(g.degree, int) or g.degree < 1:
+            message = f"generator {g.name!r} must have integer degree >= 1"
+        else:
+            seen.add(g.name)
+            continue
+        raise _at_row(AlgebraValidationError(message), "gen", gi)
     if cap < max(g.degree for g in gens):
         raise DegreeCapError(
             f"cap {cap} is below the top generator degree",
@@ -607,8 +635,12 @@ def build_free_cdga(
         )
     for name in differentials:
         if name not in seen:
-            raise AlgebraValidationError(
-                f"differential given for unknown generator {name!r}"
+            raise _at_row(
+                AlgebraValidationError(
+                    f"differential given for unknown generator {name!r}"
+                ),
+                "d",
+                name,
             )
 
     by_degree = _enumerate_monomials(gens, cap)
@@ -674,26 +706,29 @@ def build_free_cdga(
         poly = differentials.get(g.name)
         if poly is None:
             continue
-        if g.degree + 1 > cap:
-            # d out of the top degree is not stored; only d = 0 fits.
-            terms = parse_polynomial(poly) if isinstance(poly, str) else poly
-            if any(c != 0 for c, _ in terms):
-                raise DegreeCapError(
-                    f"differential of {g.name!r} does not fit under cap {cap}",
-                    required_cap=g.degree + 1,
-                )
-            continue
         try:
-            el = shell.from_polynomial(poly, expected_degree=g.degree + 1)
-        except AlgebraValidationError as exc:
-            raise AlgebraValidationError(
-                f"differential of {g.name!r} is ill-graded: {exc}"
-            ) from exc
-        except DegreeCapError as exc:
-            raise DegreeCapError(
-                f"differential of {g.name!r} does not fit under cap {cap}: {exc}",
-                required_cap=exc.required_cap,
-            ) from exc
+            if g.degree + 1 > cap:
+                # d out of the top degree is not stored; only d = 0 fits.
+                terms = parse_polynomial(poly) if isinstance(poly, str) else poly
+                if any(c != 0 for c, _ in terms):
+                    raise DegreeCapError(
+                        f"differential of {g.name!r} does not fit under cap {cap}",
+                        required_cap=g.degree + 1,
+                    )
+                continue
+            try:
+                el = shell.from_polynomial(poly, expected_degree=g.degree + 1)
+            except AlgebraValidationError as exc:
+                raise AlgebraValidationError(
+                    f"differential of {g.name!r} is ill-graded: {exc}"
+                ) from exc
+            except DegreeCapError as exc:
+                raise DegreeCapError(
+                    f"differential of {g.name!r} does not fit under cap {cap}: {exc}",
+                    required_cap=exc.required_cap,
+                ) from exc
+        except (AlgebraError, ParseError) as exc:
+            raise _at_row(exc, "d", g.name)
         if not el.is_zero():
             d_terms[gi] = [(k, c, -c) for k, c in enumerate(el.coords) if c]
             normalized[g.name] = [
@@ -762,10 +797,20 @@ def build_free_cdga(
                 algebra.differential(algebra.named_element(g.name))
             )
             if not residue.is_zero():
-                raise DifferentialSquareError(
-                    f"d*d is nonzero on generator {g.name!r}: residue {residue}"
+                raise _at_row(
+                    DifferentialSquareError(
+                        f"d*d is nonzero on generator {g.name!r}: residue {residue}"
+                    ),
+                    "d",
+                    g.name,
                 )
     return algebra
+
+
+def _at_row(exc: Exception, kind: str, key) -> Exception:
+    """Tag a presentation error with the ``gen`` or ``d`` row it concerns."""
+    exc.presentation_row = (kind, key)
+    return exc
 
 
 def recap(a: CochainAlgebra, new_cap: int) -> CochainAlgebra:

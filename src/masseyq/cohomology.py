@@ -2,7 +2,10 @@
 
 The quotient H^n = ker(d)/im(d) is realized concretely: a canonical basis
 of harmonic representatives is chosen by row-reducing the cocycle space
-and dropping the pivots that belong to the coboundary space.  Projection
+and dropping the pivots that belong to the coboundary space.  Cocycles,
+coboundaries and the primitives of a triple product are eliminated from
+the sparse rows and columns the algebra reads off its differential
+table; no dense differential matrix is built on the way.  Projection
 to class coordinates and lifting back to cocycles are exact inverse
 operations on representatives, so every computation downstream has a
 checkable witness in the cochain algebra.
@@ -33,11 +36,15 @@ from .errors import (
 from .linalg import (
     AffineCoset,
     Matrix,
+    SparseVector,
     Subspace,
     Vector,
+    densify,
     fr,
     kernel_basis,
+    kernel_rows,
     solve,
+    solve_rows,
     unit_vector,
     vector,
     zero_vector,
@@ -49,7 +56,7 @@ class _DegreeData:
     cocycles: Subspace
     coboundaries: Subspace
     class_pivots: tuple[int, ...]
-    representatives: tuple[Vector, ...]
+    representatives: tuple[SparseVector, ...]
 
 
 class CohomologyClass:
@@ -182,20 +189,20 @@ class CohomologyRing:
             )
         if n not in self._data:
             a = self.algebra
-            cocycles = kernel_basis(a.diff_matrix(n))
+            dim = a.dim(n)
+            cocycles = kernel_rows(a.diff_rows(n), dim)
             if n == 0:
-                coboundaries = Subspace.zero(a.dim(0))
+                coboundaries = Subspace.zero(dim)
             else:
-                coboundaries = Subspace._trusted_span(
-                    a.dim(n), a.diff_matrix(n - 1).columns()
-                )
+                coboundaries = Subspace.span_rows(dim, a.diff_columns(n - 1))
             boundary_pivots = set(coboundaries.pivots)
             class_pivots = []
             reps = []
-            for row, pivot in zip(cocycles.basis, cocycles.pivots):
+            for row, pivot in zip(cocycles.rows, cocycles.pivots):
                 if pivot not in boundary_pivots:
                     class_pivots.append(pivot)
-                    reps.append(coboundaries.reduce(row))
+                    harmonic = coboundaries.reduce(densify(row, dim))
+                    reps.append({k: v for k, v in enumerate(harmonic) if v})
             self._data[n] = _DegreeData(
                 cocycles=cocycles,
                 coboundaries=coboundaries,
@@ -244,10 +251,9 @@ class CohomologyRing:
         data = self._degree(cls.degree)
         out = list(zero_vector(self.algebra.dim(cls.degree)))
         for c, rep in zip(cls.coords, data.representatives):
-            if c != 0:
-                for k, v in enumerate(rep):
-                    if v:
-                        out[k] += c * v
+            if c:
+                for k, v in rep.items():
+                    out[k] += c * v
         return Element._trusted(self.algebra, cls.degree, tuple(out))
 
     def _product(self, p: int, i: int, q: int, j: int) -> Vector:
@@ -259,11 +265,12 @@ class CohomologyRing:
         key = (p, i, q, j)
         entry = self._products.get(key)
         if entry is None:
+            a = self.algebra
             left = Element._trusted(
-                self.algebra, p, self._degree(p).representatives[i]
+                a, p, densify(self._degree(p).representatives[i], a.dim(p))
             )
             right = Element._trusted(
-                self.algebra, q, self._degree(q).representatives[j]
+                a, q, densify(self._degree(q).representatives[j], a.dim(q))
             )
             entry = self.project(left * right).coords
             self._products[key] = entry
@@ -331,14 +338,14 @@ def cup_matrix(ring: CohomologyRing, xi: CohomologyClass, n: int) -> Matrix:
     return Matrix._trusted_columns(cols, ring.class_dim(n + xi.degree))
 
 
-def ideal_degree_piece(
+def ideal_products(
     ring: CohomologyRing, classes: Sequence[CohomologyClass], n: int
-) -> Subspace:
-    """The degree-n piece of the ideal generated by the given classes.
+) -> list[Vector]:
+    """Class coordinates of each generator times each basis class of the
+    complementary degree, generator by generator, in degree n.
 
-    Spanned by products of each generator with a full class basis in the
-    complementary degree; graded commutativity makes one-sided products
-    enough.
+    These products span the degree-n piece of the ideal the classes
+    generate; graded commutativity makes one-sided products enough.
     """
     vectors = []
     for g in classes:
@@ -349,7 +356,14 @@ def ideal_degree_piece(
             continue
         for e in ring.basis_classes(rest):
             vectors.append(cup(g, e).coords)
-    return Subspace._trusted_span(ring.class_dim(n), vectors)
+    return vectors
+
+
+def ideal_degree_piece(
+    ring: CohomologyRing, classes: Sequence[CohomologyClass], n: int
+) -> Subspace:
+    """The degree-n piece of the ideal generated by the given classes."""
+    return Subspace._trusted_span(ring.class_dim(n), ideal_products(ring, classes, n))
 
 
 @dataclass(frozen=True)
@@ -368,12 +382,16 @@ class IdealCertificate:
 
 
 def certify_ideal_membership(
-    g1: CohomologyClass, g2: CohomologyClass, t: CohomologyClass
+    g1: CohomologyClass,
+    g2: CohomologyClass,
+    t: CohomologyClass,
+    columns: Sequence[Vector],
 ) -> IdealCertificate:
     """Decide whether t lies in the ideal of g1 and g2, with a checked certificate.
 
     The columns are the products g1 * e and then g2 * e over the class
-    bases of the complementary degrees, and one ``solve`` of
+    bases of the complementary degrees, as ``ideal_products`` lists them
+    for (g1, g2) in degree t.degree, and one ``solve`` of
     columns * (alpha, beta) = t gives the verdict.  A solution is checked
     by recomputing g1 * alpha + g2 * beta through ``cup``.  Without one,
     ``kernel_basis`` of the transposed system yields the functionals that
@@ -383,11 +401,6 @@ def certify_ideal_membership(
     """
     ring, n = t.ring, t.degree
     dim = ring.class_dim(n)
-    columns = [
-        cup(g, e).coords
-        for g in (g1, g2)
-        for e in ring.basis_classes(n - g.degree)
-    ]
     sol = solve(Matrix._trusted_columns(columns, dim), t.coords)
     if sol is not None:
         split = ring.class_dim(n - g1.degree)
@@ -493,7 +506,7 @@ def triple_massey(
     A, B, C = ring.lift(a), ring.lift(b), ring.lift(c)
 
     ab = A.bar() * B
-    x_coords = solve(alg.diff_matrix(p + q - 1), ab.coords)
+    x_coords = solve_rows(alg.diff_rows(p + q - 1), alg.dim(p + q - 1), ab.coords)
     if x_coords is None:
         raise ConsistencyError(
             "product of representatives is not exact although the classes "
@@ -502,7 +515,7 @@ def triple_massey(
     x = alg.element(p + q - 1, x_coords)
 
     bc = B.bar() * C
-    y_coords = solve(alg.diff_matrix(q + r - 1), bc.coords)
+    y_coords = solve_rows(alg.diff_rows(q + r - 1), alg.dim(q + r - 1), bc.coords)
     if y_coords is None:
         raise ConsistencyError(
             "product of representatives is not exact although the classes "
@@ -517,11 +530,12 @@ def triple_massey(
         )
     rep_class = ring.project(rep)
 
-    indeterminacy = ideal_degree_piece(ring, [a, c], n)
+    products = ideal_products(ring, [a, c], n)
+    indeterminacy = Subspace._trusted_span(ring.class_dim(n), products)
     coset = AffineCoset(rep_class.coords, indeterminacy)
     vanishes = coset.contains_zero()
 
-    certificate = certify_ideal_membership(a, c, rep_class)
+    certificate = certify_ideal_membership(a, c, rep_class, products)
     if certificate.member != vanishes:
         raise ConsistencyError(
             f"the zero test and the ideal certificate of a triple product "

@@ -150,6 +150,8 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
     cap: Optional[int] = None
     gens: list[tuple[str, int]] = []
     gen_diffs: dict[str, str] = {}
+    # Line of each gen row (by position) and d row (by name).
+    row_lines: dict[tuple[str, object], int] = {}
     basis: dict[int, list[str]] = {}
     mul_rows: list[tuple[int, str, str, str]] = []
     diff_rows: list[tuple[int, str, str]] = []
@@ -157,6 +159,7 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
     for lineno, line in section.rows:
         mo = _GEN_RE.match(line)
         if mo:
+            row_lines[("gen", len(gens))] = lineno
             gens.append((mo.group(1), int(mo.group(2))))
             continue
         mo = _D_RE.match(line)
@@ -166,6 +169,7 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
                     f"second differential for {mo.group(1)!r}", line=lineno
                 )
             gen_diffs[mo.group(1)] = mo.group(2)
+            row_lines[("d", mo.group(1))] = lineno
             continue
         mo = _BASIS_RE.match(line)
         if mo:
@@ -203,11 +207,12 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
             raise ParseError("a free presentation needs a cap", line=first)
         try:
             return build_free_cdga(gens, gen_diffs, cap)
-        except DifferentialSquareError as exc:
-            # Parsed but invalid, like a table that fails its axiom scan.
-            raise AlgebraValidationError(f"line {first}: {exc}") from None
-        except AlgebraError as exc:
-            raise ParseError(str(exc), line=first)
+        except (AlgebraError, ParseError) as exc:
+            line = row_lines.get(getattr(exc, "presentation_row", None), first)
+            if isinstance(exc, DifferentialSquareError):
+                # Parsed but invalid, like a table that fails its axiom scan.
+                raise AlgebraValidationError(f"line {line}: {exc}") from None
+            raise ParseError(str(exc), line=line) from None
     if not tabular:
         raise ParseError("empty algebra section", line=first)
 

@@ -2,8 +2,9 @@
 
 Scalars are ``fractions.Fraction`` values: always in lowest terms, always
 with a positive denominator, so equality is literal equality and printing
-is canonical (``p/q`` or ``p``).  Vectors are tuples of fractions and
-matrices are immutable row-major grids, stored dense.
+is canonical (``p/q`` or ``p``).  Vectors are tuples of fractions and a
+``Matrix`` is an immutable row-major grid of them.  A sparse vector is a
+dict from column index to nonzero entry.
 
 Coercion to Fraction, and the refusal of floats, happens at the public
 constructors only: ``Matrix(...)``, ``Matrix.from_columns``,
@@ -11,13 +12,20 @@ constructors only: ``Matrix(...)``, ``Matrix.from_columns``,
 Matrices that masseyq computes itself, such as the output of ``rref``,
 skip it.
 
-Elimination is Gauss-Jordan that skips zero entries, so its cost follows
-the nonzeros of the sparse matrices the algebras produce.  It picks the
-leftmost nonzero pivot and nothing else, which makes every reduced form,
-particular solution and kernel basis canonical: the same input yields
-identical output on every run.  ``kernel_basis`` needs one elimination:
-on the column-reversed matrix the null vectors, read back in the
-original order, already form the reduced-echelon basis.
+Every elimination runs on one core, ``_eliminate``: Gaussian elimination
+and back substitution on sparse rows with a column -> rows index, so
+pivot search and updates visit nonzero entries only and exact
+cancellations are dropped.  ``rref``, ``rank``, ``solve``,
+``kernel_basis`` and ``Subspace`` spans use it; ``solve_rows``,
+``kernel_rows`` and ``Subspace.span_rows`` take sparse rows directly, as
+the cochain algebras hand out their differentials, and dense rows are
+built only when a result leaves as a tuple.  Pivots are taken column by
+column from the left, scaled to 1 and cleared above and below, so every
+reduced form, particular solution and kernel basis is the unique
+reduced-echelon one: the same input yields identical output on every
+run, whichever row serves as pivot.  A kernel needs one elimination: on
+the column-reversed matrix the null vectors, read back in the original
+order, already form the reduced-echelon basis.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
+# Column index -> nonzero entry; a missing index is a zero.
+SparseVector = dict[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -65,7 +75,7 @@ def vec_is_zero(v: Vector) -> bool:
 class Matrix:
     """Immutable rational matrix, stored dense and row-major.
 
-    Elimination (rref, Subspace.reduce) and ``matvec`` skip zero entries.
+    Elimination reads it as sparse rows; ``matvec`` skips zero entries.
     ``entries`` is a sequence of rows, each entry coerced by ``fr``.
     Empty shapes are legal but the column count must then be passed
     explicitly, since it cannot be inferred from zero rows.
@@ -176,70 +186,149 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self.entries]}, cols={self.cols})"
 
 
+def _sparse_rows(m: Matrix) -> list[SparseVector]:
+    return [{j: v for j, v in enumerate(r) if v} for r in m.entries]
+
+
+def densify(row: SparseVector, n: int) -> Vector:
+    """The length-``n`` tuple with the entries of a sparse row."""
+    out = [_ZERO] * n
+    for j, v in row.items():
+        out[j] = v
+    return tuple(out)
+
+
+def _eliminate(
+    rows: Iterable[SparseVector], cols: int
+) -> tuple[list[SparseVector], tuple[int, ...]]:
+    """The nonzero rows of the rref of sparse rows, sorted by pivot, and the pivots.
+
+    The input rows are copied, not changed.  A column index records which
+    rows are nonzero in each column, so finding a pivot and clearing its
+    column visit those rows only, and each update touches the pivot row's
+    nonzeros only.  Entries that cancel to zero are deleted.
+
+    A forward pass takes the columns left to right; among the unfinished
+    rows nonzero in a column the shortest becomes the pivot row, to limit
+    fill-in, and the column is cleared in the other unfinished rows.
+    Which row serves cannot change the result: the reduced row echelon
+    form is unique.  A backward pass then clears each pivot column in the
+    rows above, last pivot first.
+    """
+    work = [dict(r) for r in rows]
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(work):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    finished = [False] * len(work)
+    live = sum(1 for row in work if row)
+    pivots: list[int] = []
+    pivot_rows: list[int] = []
+    for c in range(cols):
+        if len(pivots) == live:
+            break
+        below = [i for i in holders.get(c, ()) if not finished[i]]
+        if not below:
+            continue
+        r = min(below, key=lambda i: (len(work[i]), i))
+        prow = work[r]
+        inv = prow.pop(c)
+        if inv != 1:
+            for j in prow:
+                prow[j] /= inv
+        prow[c] = _ONE
+        _clear_column(work, holders, r, c, below)
+        finished[r] = True
+        pivots.append(c)
+        pivot_rows.append(r)
+    # Last pivot first, so every pivot row used is already reduced.
+    for c, r in zip(reversed(pivots), reversed(pivot_rows)):
+        _clear_column(work, holders, r, c, holders[c])
+    return [work[r] for r in pivot_rows], tuple(pivots)
+
+
+def _clear_column(
+    work: list[SparseVector],
+    holders: dict[int, set[int]],
+    r: int,
+    c: int,
+    targets: Iterable[int],
+) -> None:
+    """Subtract multiples of pivot row r (1 at column c) from the target
+    rows so that they are zero at c, keeping the column index current.
+
+    A target row already zero at c is skipped; updates touch columns
+    other than c only, so ``targets`` may be ``holders[c]`` itself.
+    """
+    tail = [(j, v) for j, v in work[r].items() if j != c]
+    for i in targets:
+        if i == r:
+            continue
+        row = work[i]
+        f = row.pop(c, None)
+        if f is None:
+            continue
+        for j, v in tail:
+            old = row.get(j)
+            if old is None:
+                row[j] = -f * v
+                holders[j].add(i)
+            else:
+                new = old - f * v
+                if new:
+                    row[j] = new
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form.
 
-    Returns ``(reduced, pivot_columns)``.  The pivot in each step is the
-    first nonzero entry in the leftmost unfinished column; pivots are
-    scaled to 1 and cleared above and below.  Deterministic by
-    construction, with no magnitude heuristics.
-
-    Elimination touches nonzero entries only: the pivot row is zero left
-    of its pivot, so each update subtracts its nonzero entries to the
-    right of the pivot from the rows that are nonzero in the pivot column.
+    Returns ``(reduced, pivot_columns)``: the nonzero rows of the reduced
+    form in pivot order, then the zero rows.  Pivots are scaled to 1 and
+    cleared above and below.  The rows are eliminated sparse (see
+    ``_eliminate``) and densified on the way out.
     """
-    work = [list(r) for r in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        prow = work[r]
-        inv = prow[c]
-        prow[c] = _ONE
-        tail = [j for j in range(c + 1, m.cols) if prow[j]]
-        if inv != 1:
-            for j in tail:
-                prow[j] /= inv
-        for i in range(m.rows):
-            row = work[i]
-            f = row[c]
-            if f and i != r:
-                row[c] = _ZERO
-                for j in tail:
-                    row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Matrix._trusted(tuple(map(tuple, work)), m.cols), tuple(pivots)
+    reduced, pivots = _eliminate(_sparse_rows(m), m.cols)
+    rows = [densify(row, m.cols) for row in reduced]
+    rows += [zero_vector(m.cols)] * (m.rows - len(rows))
+    return Matrix._trusted(tuple(rows), m.cols), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(_sparse_rows(m), m.cols)[1])
 
 
 def solve(a: Matrix, b: Vector) -> Optional[Vector]:
     """Canonical particular solution of ``a x = b``, or None if inconsistent.
 
-    The solution sets every free variable to zero, so it is unique and
-    reproducible.  Inconsistency is detected by a pivot appearing in the
-    augmented column.
+    See ``solve_rows``.
     """
     if len(b) != a.rows:
         raise ValueError(f"solve shape mismatch: {a.rows} rows vs rhs {len(b)}")
-    reduced, pivots = rref(a.augment(b))
-    if a.cols in pivots:
+    return solve_rows(_sparse_rows(a), a.cols, vector(b))
+
+
+def solve_rows(rows: Sequence[SparseVector], cols: int, b: Vector) -> Optional[Vector]:
+    """``solve`` for a matrix given as sparse rows with ``cols`` columns.
+
+    The solution sets every free variable to zero, so it is unique and
+    reproducible.  Inconsistency is detected by a pivot appearing in the
+    augmented column.  ``b`` must hold Fractions, one per row.
+    """
+    augmented = []
+    for row, c in zip(rows, b):
+        if c:
+            row = dict(row)
+            row[cols] = c
+        augmented.append(row)
+    reduced, pivots = _eliminate(augmented, cols + 1)
+    if pivots and pivots[-1] == cols:
         return None
-    x = [Fraction(0)] * a.cols
-    for k, p in enumerate(pivots):
-        x[p] = reduced.entries[k][a.cols]
+    x = [_ZERO] * cols
+    for row, p in zip(reduced, pivots):
+        x[p] = row.get(cols, _ZERO)
     return tuple(x)
 
 
@@ -248,16 +337,21 @@ class Subspace:
 
     The stored basis is the canonical one (reduced row echelon form with
     zero rows dropped), so two Subspace objects are equal exactly when
-    they describe the same subspace.
+    they describe the same subspace.  ``rows`` holds it sparse, as the
+    elimination that built it left it; ``basis`` densifies it on first
+    use.  The constructor wraps such rows and their pivots unchecked;
+    ``span`` builds a subspace from arbitrary vectors.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_nonzero")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: Sequence[Vector], pivots: Sequence[int]):
+    def __init__(
+        self, ambient_dim: int, rows: Sequence[SparseVector], pivots: Sequence[int]
+    ):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(v) for v in basis))
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_nonzero", None)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -279,43 +373,45 @@ class Subspace:
         Every vector must have length ``ambient_dim``; nothing is coerced
         or checked.
         """
-        if not vectors:
-            return cls(ambient_dim, [], [])
-        reduced, pivots = rref(Matrix._trusted(tuple(vectors), ambient_dim))
-        return cls(ambient_dim, reduced.entries[: len(pivots)], pivots)
+        return cls.span_rows(
+            ambient_dim, [{j: v for j, v in enumerate(u) if v} for u in vectors]
+        )
+
+    @classmethod
+    def span_rows(cls, ambient_dim: int, rows: Sequence[SparseVector]) -> "Subspace":
+        """The span of sparse vectors of Fractions in Q^ambient_dim, unchecked."""
+        reduced, pivots = _eliminate(rows, ambient_dim)
+        return cls(ambient_dim, reduced, pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [], [])
+        return cls(ambient_dim, (), ())
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        if self._basis is None:
+            object.__setattr__(
+                self,
+                "_basis",
+                tuple(densify(row, self.ambient_dim) for row in self.rows),
+            )
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def reduce(self, v: Vector) -> Vector:
         """Residue of v after eliminating all pivot coordinates."""
         if len(v) != self.ambient_dim:
             raise ValueError("reduce length mismatch")
         out = list(v)
-        for p, row, nonzero in zip(self.pivots, self.basis, self._nonzero_columns()):
+        for p, row in zip(self.pivots, self.rows):
             c = out[p]
             if c:
-                for j in nonzero:
-                    out[j] -= c * row[j]
+                for j, b in row.items():
+                    out[j] -= c * b
         return tuple(out)
-
-    def _nonzero_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Nonzero column indices of each basis row, computed once."""
-        if self._nonzero is None:
-            object.__setattr__(
-                self,
-                "_nonzero",
-                tuple(
-                    tuple(j for j, b in enumerate(row) if b)
-                    for row in self.basis
-                ),
-            )
-        return self._nonzero
 
     def contains(self, v: Vector) -> bool:
         return vec_is_zero(self.reduce(v))
@@ -328,7 +424,7 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace._trusted_span(self.ambient_dim, self.basis + other.basis)
+        return Subspace.span_rows(self.ambient_dim, self.rows + other.rows)
 
     def __eq__(self, other):
         return (
@@ -345,31 +441,40 @@ class Subspace:
 
 
 def kernel_basis(a: Matrix) -> Subspace:
-    """Null space of ``a`` as a canonical Subspace of Q^cols, by one ``rref``.
+    """Null space of ``a`` as a canonical Subspace of Q^cols; see ``kernel_rows``."""
+    return kernel_rows(_sparse_rows(a), a.cols)
 
-    Eliminate ``a`` with its columns reversed.  The null vector of a
+
+def kernel_rows(rows: Sequence[SparseVector], cols: int) -> Subspace:
+    """Null space of a matrix given as sparse rows, by one elimination.
+
+    Eliminate the matrix with its columns reversed.  The null vector of a
     free column f has a 1 at f, 0 at every other free column, and
     nonzeros only at pivot columns left of f (a pivot row is zero left
     of its pivot).  Mapped back to the original column order, each
     vector leads with its 1 and is 0 at the other leading columns: taken
-    right to left, that is the reduced-echelon basis itself.
+    right to left, that is the reduced-echelon basis itself.  Each entry
+    of a reduced row off its pivot is one entry of one null vector, so
+    the basis is read off in one pass over the reduced rows.
     """
-    n = a.cols
-    reduced, pivots = rref(Matrix._trusted(tuple(r[::-1] for r in a.entries), n))
+    last = cols - 1
+    reduced, pivots = _eliminate(
+        [{last - j: v for j, v in row.items()} for row in rows], cols
+    )
+    null: dict[int, SparseVector] = {}
+    for row, p in zip(reduced, pivots):
+        for f, v in row.items():
+            if f != p:
+                null.setdefault(f, {})[last - p] = -v
     pivot_set = set(pivots)
     basis, leads = [], []
-    for f in reversed(range(n)):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * n
-        v[n - 1 - f] = _ONE
-        for k, p in enumerate(pivots):
-            if p > f:
-                break
-            v[n - 1 - p] = -reduced.entries[k][f]
-        basis.append(tuple(v))
-        leads.append(n - 1 - f)
-    return Subspace(n, basis, leads)
+    for f in reversed(range(cols)):
+        if f not in pivot_set:
+            vec = null.get(f, {})
+            vec[last - f] = _ONE
+            basis.append(vec)
+            leads.append(last - f)
+    return Subspace(cols, basis, leads)
 
 
 class AffineCoset:

@@ -43,6 +43,7 @@ from .cohomology import (
     check_scaling_law,
     cup,
     cup_matrix,
+    ideal_products,
     triple_massey,
 )
 from .errors import (
@@ -445,7 +446,9 @@ def h_comparison_check(
     coefficient writes the base class x inside the base ideal (u, w).
     """
     ring = setup.ext_ring
-    certificate = certify_ideal_membership(chi_u, chi_w, z)
+    certificate = certify_ideal_membership(
+        chi_u, chi_w, z, ideal_products(ring, [chi_u, chi_w], z.degree)
+    )
     if not certificate.member:
         return HComparisonReport(fired=True)
     a_cls, b_cls = certificate.coefficients

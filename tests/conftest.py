@@ -35,9 +35,10 @@ def corrupt_certificate(monkeypatch):
                 columns = matrix.columns()
                 x[next((j for j, col in enumerate(columns) if any(col)), 0)] += 1
                 return tuple(x)
+            rows = [{**row, p: row[p] - 1} for row, p in zip(out.rows, out.pivots)]
             return Subspace(
                 out.ambient_dim,
-                [v[:p] + (v[p] - 1,) + v[p + 1 :] for v, p in zip(out.basis, out.pivots)],
+                [{j: v for j, v in row.items() if v} for row in rows],
                 out.pivots,
             )
 

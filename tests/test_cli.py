@@ -160,9 +160,10 @@ FREE_NONZERO_D_SQUARED_ALG = "cap = 4\ngen a : 1\ngen b : 2\nd a = b\nd b = a*b\
 @pytest.mark.parametrize(
     "text,fragment",
     [
-        (NON_ASSOCIATIVE_ALG, "associativity fails on ('a', 'a', 'b')"),
-        (NONZERO_D_SQUARED_ALG, "d*d != 0 on basis vector 'p' (degree 1)"),
-        (FREE_NONZERO_D_SQUARED_ALG, "d*d is nonzero on generator 'a': residue a*b"),
+        (NON_ASSOCIATIVE_ALG, "line 1: associativity fails on ('a', 'a', 'b')"),
+        (NONZERO_D_SQUARED_ALG, "line 1: d*d != 0 on basis vector 'p' (degree 1)"),
+        # A free presentation names the d row of the generator.
+        (FREE_NONZERO_D_SQUARED_ALG, "line 4: d*d is nonzero on generator 'a': residue a*b"),
     ],
     ids=["non-associative", "nonzero-d-squared", "free-nonzero-d-squared"],
 )
@@ -172,7 +173,7 @@ def test_corrupted_table_file_is_invalid_input(capsys, tmp_path, text, fragment)
     code, doc = run_json(capsys, "cohomology", str(bad))
     assert code == 3
     assert doc["status"] == "invalid-input"
-    assert doc["payload"]["error"] == f"line 1: {fragment}"
+    assert doc["payload"]["error"] == fragment
 
 
 def test_massey_nonvanishing(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -25,11 +26,13 @@ from masseyq.cohomology import (
     cup,
     cup_matrix,
     ideal_degree_piece,
+    ideal_products,
     triple_massey,
 )
 from masseyq.errors import AlgebraValidationError, ConsistencyError, DegreeCapError
 from masseyq.fileformat import resolve_model_spec
-from oracles import betti_oracle, heisenberg_massey_oracle, random_free_cdga
+from oracles import betti_oracle, ff_rref, heisenberg_massey_oracle, random_free_cdga
+from test_linalg import _two_elimination_kernel
 
 
 FILIFORM_8 = os.path.join(os.path.dirname(__file__), "golden", "filiform-8.alg")
@@ -177,7 +180,7 @@ def test_ideal_degree_piece():
 def _check_certificate(g1, g2, t):
     """The certificate's verdict and witness, checked from scratch."""
     ring, n = t.ring, t.degree
-    cert = certify_ideal_membership(g1, g2, t)
+    cert = certify_ideal_membership(g1, g2, t, ideal_products(ring, [g1, g2], n))
     assert cert.member == ideal_degree_piece(ring, [g1, g2], n).contains(t.coords)
     if cert.member:
         alpha, beta = cert.coefficients
@@ -613,6 +616,56 @@ def test_differential_squares_to_zero_as_matrices(drawn):
     for n in range(1, algebra.cap):
         product = algebra.diff_matrix(n).matmul(algebra.diff_matrix(n - 1))
         assert product.is_zero()
+
+
+def _ff_solve(matrix, rhs):
+    """Canonical particular solution of matrix * x = rhs, from ``ff_rref``."""
+    rows = [matrix.row(i) + (rhs[i],) for i in range(matrix.rows)]
+    reduced, pivots = ff_rref(rows, matrix.cols + 1)
+    assert matrix.cols not in pivots, "the oracle finds no solution"
+    x = [Fraction(0)] * matrix.cols
+    for k, p in enumerate(pivots):
+        x[p] = reduced[k][matrix.cols]
+    return tuple(x)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_rings_with_classes())
+def test_sparse_fed_eliminations_match_the_fraction_free_oracle(drawn):
+    # Cocycles, coboundaries and the Massey primitives are eliminated from
+    # the sparse differential table; the oracle reads the dense matrices.
+    ring = drawn[0]
+    algebra = ring.algebra
+    for n in range(ring.top + 1):
+        d = algebra.diff_matrix(n)
+        cocycles = ring.cocycles(n)
+        assert (cocycles.basis, cocycles.pivots) == _two_elimination_kernel(
+            [d.row(i) for i in range(d.rows)], d.cols
+        )
+        coboundaries = ring.coboundaries(n)
+        if n == 0:
+            assert coboundaries.dim == 0
+            continue
+        prev = algebra.diff_matrix(n - 1)
+        basis, pivots = ff_rref(prev.columns(), prev.rows)
+        assert (coboundaries.basis, coboundaries.pivots) == (
+            basis[: len(pivots)],
+            pivots,
+        )
+    basis = [e for n in range(1, ring.top + 1) for e in ring.basis_classes(n)]
+    checked = 0
+    for a, b, c in itertools.product(basis, repeat=3):
+        if a.degree + b.degree + c.degree - 1 > ring.top or checked == 12:
+            continue
+        result = triple_massey(a, b, c)
+        if not result.defined:
+            continue
+        A, B, C = ring.lift(a), ring.lift(b), ring.lift(c)
+        x_matrix = algebra.diff_matrix(a.degree + b.degree - 1)
+        y_matrix = algebra.diff_matrix(b.degree + c.degree - 1)
+        assert result.x_witness.coords == _ff_solve(x_matrix, (A.bar() * B).coords)
+        assert result.y_witness.coords == _ff_solve(y_matrix, (B.bar() * C).coords)
+        checked += 1
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
+from masseyq.cli import main
 from masseyq.cohomology import CohomologyRing, triple_massey
 from masseyq.errors import ParseError
 from masseyq.fileformat import (
@@ -121,15 +123,56 @@ def test_parse_error_carries_line_number():
         ("cap = 0\nbasis 0 : e\ndiff e = e", "above cap"),
         ("cap = 2\nbasis 0 : e\nbasis 2 : f\nmul f * f = f", "above cap"),
         ("cap = 2\nbasis 0 : e\nbasis 2 : f\nmul e * e = f", "degree"),
-        ("cap = 3\ngen a : 1\nd c = a", "line 1: differential given for unknown generator 'c'"),
-        ("cap = 3\ngen a : 1\ngen b : 1\nd b = a", "line 1: differential of 'b' is ill-graded"),
-        ("cap = 1\ngen a : 1\ngen b : 1\nd b = a*a*a", "line 1: differential of 'b' does not fit"),
+        ("cap = 3\ngen a : 1\nd c = a", "line 3: differential given for unknown generator 'c'"),
+        ("cap = 3\ngen a : 1\ngen b : 1\nd b = a", "line 4: differential of 'b' is ill-graded"),
+        ("cap = 1\ngen a : 1\ngen b : 1\nd b = a*a*a", "line 4: differential of 'b' does not fit"),
     ],
 )
 def test_algebra_rejections(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_algebra_document(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        (
+            "cap = 3\ngen x : 1\ngen x : 1\n",
+            2,
+            "line 3: duplicate generator name 'x'",
+        ),
+        (
+            "cap = 3\ngen x : 0\n",
+            2,
+            "line 2: generator 'x' must have integer degree >= 1",
+        ),
+        (
+            "cap = 3\ngen x : 1\ngen y : 2\nd y = 2*x*q\n",
+            2,
+            "line 4: unknown name 'q' in this algebra",
+        ),
+        (
+            "cap = 3\ngen x : 1\ngen y : 1\nd y = x\n",
+            2,
+            "line 4: differential of 'y' is ill-graded: polynomial is not "
+            "homogeneous: term of degree 1 next to degree 2",
+        ),
+        (
+            "cap = 4\ngen a : 1\ngen b : 2\nd b = a*b\nd a = b\n",
+            3,
+            "line 5: d*d is nonzero on generator 'a': residue a*b",
+        ),
+    ],
+    ids=["duplicate-gen", "gen-degree", "unknown-name-in-d", "ill-graded-d", "d-squared"],
+)
+def test_free_presentation_errors_name_their_row(tmp_path, capsys, text, code, message):
+    # The builder's error is reported at the gen or d row it concerns,
+    # with the exit code of its kind (2 unparsable, 3 parsed but invalid).
+    path = tmp_path / "bad.alg"
+    path.write_text(text)
+    assert main(["cohomology", str(path), "--format", "structured"]) == code
+    assert json.loads(capsys.readouterr().out)["payload"]["error"] == message
 
 
 def test_datum_file_matches_builtin():

@@ -355,3 +355,36 @@ def test_matmul_agrees_with_matvec_on_columns():
         ab = a.matmul(b)
         for j in range(r):
             assert ab.column(j) == a.matvec(b.column(j))
+
+
+def test_update_that_cancels_to_an_exact_zero():
+    # Row 2 minus row 1 cancels in columns 0 and 1 at once; the cancelled
+    # entries must leave the elimination instead of lingering as zeros.
+    m = Matrix([[1, 1, 0], [1, 1, 1]])
+    reduced, pivots = rref(m)
+    assert reduced == Matrix([[1, 1, 0], [0, 0, 1]])
+    assert pivots == (0, 2)
+    assert kernel_basis(m).basis == (vector([1, -1, 0]),)
+    assert solve(m, vector([2, 3])) == vector([2, 0, 1])
+    span = Subspace.span(3, m.entries)
+    assert span.basis == reduced.entries
+    assert span.rows == ({0: 1, 1: 1}, {2: 1})
+
+
+def test_eliminations_with_no_rows():
+    empty = Matrix([], cols=3)
+    assert rref(empty) == (empty, ())
+    kernel = kernel_basis(empty)
+    assert kernel.basis == tuple(unit_vector(3, i) for i in range(3))
+    assert kernel.pivots == (0, 1, 2)
+    assert solve(empty, vector([])) == zero_vector(3)
+    assert Subspace.span(3, []) == Subspace.zero(3)
+
+
+def test_eliminations_with_no_columns():
+    flat = Matrix([[], []], cols=0)
+    assert rref(flat) == (flat, ())
+    assert kernel_basis(flat).dim == 0
+    assert solve(flat, vector([0, 0])) == ()
+    assert solve(flat, vector([1, 0])) is None
+    assert Subspace.span(0, [(), ()]) == Subspace.zero(0)
