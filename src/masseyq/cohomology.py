@@ -201,8 +201,7 @@ class CohomologyRing:
             for row, pivot in zip(cocycles.rows, cocycles.pivots):
                 if pivot not in boundary_pivots:
                     class_pivots.append(pivot)
-                    harmonic = coboundaries.reduce(densify(row, dim))
-                    reps.append({k: v for k, v in enumerate(harmonic) if v})
+                    reps.append(coboundaries.reduce_row(row))
             self._data[n] = _DegreeData(
                 cocycles=cocycles,
                 coboundaries=coboundaries,

@@ -160,14 +160,6 @@ class Matrix:
             [self.matvec(other.column(j)) for j in range(other.cols)], self.rows
         )
 
-    def augment(self, v: Vector) -> "Matrix":
-        if len(v) != self.rows:
-            raise ValueError("augment length mismatch")
-        return Matrix._trusted(
-            tuple(r + (fr(v[i]),) for i, r in enumerate(self.entries)),
-            self.cols + 1,
-        )
-
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self.entries)
 
@@ -405,13 +397,26 @@ class Subspace:
         """Residue of v after eliminating all pivot coordinates."""
         if len(v) != self.ambient_dim:
             raise ValueError("reduce length mismatch")
-        out = list(v)
-        for p, row in zip(self.pivots, self.rows):
-            c = out[p]
+        residue = self.reduce_row({j: x for j, x in enumerate(v) if x})
+        return densify(residue, self.ambient_dim)
+
+    def reduce_row(self, row: SparseVector) -> SparseVector:
+        """``reduce`` for a sparse vector; the residue is sparse too.
+
+        A basis row is zero at the other pivots, so each pivot
+        coordinate is eliminated once, in any order.
+        """
+        out = dict(row)
+        for p, basis_row in zip(self.pivots, self.rows):
+            c = out.get(p)
             if c:
-                for j, b in row.items():
-                    out[j] -= c * b
-        return tuple(out)
+                for j, b in basis_row.items():
+                    new = out.get(j, _ZERO) - c * b
+                    if new:
+                        out[j] = new
+                    else:
+                        del out[j]
+        return out
 
     def contains(self, v: Vector) -> bool:
         return vec_is_zero(self.reduce(v))
@@ -419,7 +424,7 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains(v) for v in other.basis)
+        return not any(self.reduce_row(row) for row in other.rows)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
