@@ -62,6 +62,28 @@ CASES = [
         10,
     ),
     ("cohomology-filiform-10", ["cohomology", "filiform-10.alg"], 0),
+    (
+        "euler-heisenberg-two-bundles",
+        [
+            "euler",
+            "builtin:heisenberg",
+            "--bundle",
+            "c1 = x*z weight = 3",
+            "--bundle",
+            "weight = -2",
+        ],
+        0,
+    ),
+    (
+        "euler-sphere-cohomology-cap7",
+        ["euler", "builtin:sphere-cohomology", "--chi=2*h", "--m", "1", "--cap", "7"],
+        0,
+    ),
+    (
+        "euler-sphere-cohomology-s-plus-h",
+        ["euler", "builtin:sphere-cohomology", "--chi=s+h", "--m", "1"],
+        4,
+    ),
 ]
 
 
