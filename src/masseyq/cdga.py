@@ -160,27 +160,28 @@ class GeneratorDecl:
 class TensorInfo:
     """Bookkeeping for algebras of the form ``base (x) Q[h]``.
 
-    ``blocks[n]`` lists ``(j, base_degree, offset, size)`` for each power
-    h^j contributing to degree n, in ascending j.  The basis of degree n
-    is the concatenation of the base bases of the listed degrees.
+    ``blocks[n]`` lists ``(j, base_degree, offset, size)`` for every power
+    h^j with 2j <= n, in ascending j, so ``blocks[n][j]`` is the entry of
+    h^j; a size is zero where the base has no basis.  The basis of degree
+    n is the concatenation of the base bases of the listed degrees.
+    ``splits[n][idx]`` is the ``(j, base index)`` of basis index idx.
     """
 
     base: "CochainAlgebra"
     hname: str
     blocks: tuple[tuple[tuple[int, int, int, int], ...], ...]
+    splits: tuple[tuple[tuple[int, int], ...], ...]
 
     def block(self, n: int, j: int) -> Optional[tuple[int, int, int, int]]:
-        for entry in self.blocks[n]:
-            if entry[0] == j:
-                return entry
-        return None
+        row = self.blocks[n]
+        return row[j] if 0 <= j < len(row) else None
 
     def split_index(self, n: int, idx: int) -> tuple[int, int]:
         """Map a degree-n basis index to (h power, base index)."""
-        for j, _bdeg, offset, size in self.blocks[n]:
-            if offset <= idx < offset + size:
-                return j, idx - offset
-        raise IndexError(f"basis index {idx} out of range in degree {n}")
+        row = self.splits[n]
+        if not (0 <= idx < len(row)):
+            raise IndexError(f"basis index {idx} out of range in degree {n}")
+        return row[idx]
 
     def index(self, n: int, j: int, base_index: int) -> int:
         entry = self.block(n, j)
@@ -294,7 +295,7 @@ class Element:
     def __str__(self):
         parts = []
         for i, c in enumerate(self.coords):
-            if c == 0:
+            if not c:
                 continue
             label = self.algebra.basis_label(self.degree, i)
             if label == "1":
@@ -1127,6 +1128,11 @@ def tensor_polynomial_generator(
         raise DegreeCapError(
             f"extension cap {cap} is below the base cap {a.cap}", required_cap=a.cap
         )
+    if cap < 2:
+        raise DegreeCapError(
+            f"extension cap {cap} leaves no room for {name!r} in degree 2",
+            required_cap=2,
+        )
     if not NAME_RE.fullmatch(name):
         raise AlgebraValidationError(f"invalid generator name {name!r}")
     if a.has_name(name):
@@ -1163,22 +1169,26 @@ def tensor_polynomial_generator(
                 row.append("*".join(parts) if parts else "1")
         labels.append(row)
 
-    info = TensorInfo(base=base, hname=name, blocks=tuple(blocks))
+    splits = tuple(
+        tuple((j, i) for j, _bdeg, _off, size in row for i in range(size))
+        for row in blocks
+    )
+    info = TensorInfo(base=base, hname=name, blocks=tuple(blocks), splits=splits)
     base_product = base._product
 
     # (h^j1 (x) e)(h^j2 (x) f) = h^(j1+j2) (x) e*f: the base product, shifted
     # into the block of h^(j1+j2).  A base that is not recapped is zero
     # above its cap, and its own lookup only covers degrees within it.
     def product(n1: int, i1: int, n2: int, i2: int) -> Terms:
-        j1, k1 = info.split_index(n1, i1)
-        j2, k2 = info.split_index(n2, i2)
+        j1, k1 = splits[n1][i1]
+        j2, k2 = splits[n2][i2]
         b1, b2 = n1 - 2 * j1, n2 - 2 * j2
         if b1 + b2 > base.cap:
             return ()
         entries = base_product(b1, k1, b2, k2)
         if not entries:
             return ()
-        toff = info.block(n1 + n2, j1 + j2)[2]
+        toff = blocks[n1 + n2][j1 + j2][2]
         return tuple((toff + k, c) for k, c in entries)
 
     diff: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}

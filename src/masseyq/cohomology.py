@@ -10,12 +10,20 @@ to class coordinates and lifting back to cocycles are exact inverse
 operations on representatives, so every computation downstream has a
 checkable witness in the cochain algebra.
 
+A ring works by h-power blocks.  The differential of an extension
+A (x) Q[h] preserves the power of h, so H(A (x) Q[h]) = H(A) (x) Q[h]
+block by block: each degree is eliminated once in A, by the ring of the
+base, and every degree of the extension is assembled from that data
+shifted to its blocks.  A plain algebra is the one-block case and is
+its own base ring.
+
 The cup product is read from the ring's structure constants: the class
-coordinates of each product of two basis classes, computed once as the
-projection of the product of their representatives and cached on the
-ring.  By bilinearity of projection, a product of classes is the same
-combination of these constants that projecting the product of lifts
-would give.
+coordinates of each product of two basis classes.  The base ring
+computes them once, as the projection of the product of the two base
+representatives, and the extension shifts them into the block of the
+sum of the h powers, since (e h^a)(f h^b) = (e f) h^(a+b).  By
+bilinearity of projection, a product of classes is the same combination
+of these constants that projecting the product of lifts would give.
 
 Because the differential out of the top degree is not part of the data,
 cohomology is only available in degrees up to cap-1; asking higher raises
@@ -25,6 +33,7 @@ DegreeCapError with the cap that would suffice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cdga import AlgebraMorphism, CochainAlgebra, Element
@@ -50,6 +59,9 @@ from .linalg import (
     zero_vector,
 )
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class _DegreeData:
@@ -57,6 +69,38 @@ class _DegreeData:
     coboundaries: Subspace
     class_pivots: tuple[int, ...]
     representatives: tuple[SparseVector, ...]
+
+
+def _direct_sum(dim: int, parts: Sequence[tuple[int, _DegreeData]]) -> _DegreeData:
+    """The data of a direct sum of blocks, each given with its column
+    offset, in ascending order: every row and pivot shifted by it."""
+
+    def shifted(field: str) -> Subspace:
+        rows, pivots = [], []
+        for offset, block in parts:
+            space = getattr(block, field)
+            rows += [{k + offset: v for k, v in row.items()} for row in space.rows]
+            pivots += [p + offset for p in space.pivots]
+        return Subspace(dim, rows, pivots)
+
+    return _DegreeData(
+        cocycles=shifted("cocycles"),
+        coboundaries=shifted("coboundaries"),
+        class_pivots=tuple(
+            p + offset for offset, block in parts for p in block.class_pivots
+        ),
+        representatives=tuple(
+            {k + offset: v for k, v in rep.items()}
+            for offset, block in parts
+            for rep in block.representatives
+        ),
+    )
+
+
+def _class_coords(data: _DegreeData, coords: Vector) -> Vector:
+    """Class coordinates of a cocycle: its residue read at the class pivots."""
+    reduced = data.coboundaries.reduce(coords)
+    return tuple(reduced[p] for p in data.class_pivots)
 
 
 class CohomologyClass:
@@ -155,42 +199,96 @@ class CohomologyClass:
 
 
 class CohomologyRing:
-    """Cohomology of a cochain algebra in degrees 0..cap-1.
+    """Cohomology of a cochain algebra in degrees 0..cap-1, block by block.
 
-    All per-degree data is computed on first use and cached.  The class
-    basis in each degree is canonical for the algebra's basis order, so
-    coordinates are reproducible across runs.
+    ``block_ring`` is the ring of the base when the algebra is an
+    extension base (x) Q[h], and the ring itself otherwise.  Degree n is
+    the direct sum of the blocks ``(j, base degree, offset, size)`` of
+    ``TensorInfo.blocks[n]`` (a plain algebra is the one block j = 0 at
+    offset 0), and d is block diagonal with contiguous column blocks in
+    ascending j.  A reduced row echelon form is unique, so that of d is
+    the blocks' forms side by side: the data of degree n (cocycles,
+    coboundaries, class pivots and representatives) is the block ring's
+    data of each base degree shifted by its offset.  Each base degree is
+    eliminated once, on first use.  The class basis is canonical for the
+    algebra's basis order, so coordinates are reproducible across runs.
 
-    The ring also caches its structure constants, one basis pair at a
-    time: the entry for ``(p, i, q, j)`` holds the class coordinates of
-    e_i * e_j, where e_i and e_j are the basis classes of H^p and H^q.
-    An entry is filled on first use by projecting the product of the two
-    representatives, so the cocycle check of ``project`` runs on every
-    product that enters the cache.  Only the pairs some product needs are
-    filled, and the cache lives exactly as long as the ring.
+    The block ring caches the products of base classes: the class
+    coordinates of e_i * e_j, filled on first use by projecting the
+    product of the two base representatives, cocycle check included.
+    ``_product`` shifts them into the class block of h^(a+b), as
+    (e h^a)(f h^b) = (e f) h^(a+b).  Only the pairs some product needs
+    are filled, and the caches live exactly as long as the rings.
+
+    A table base is not re-capped, and no differential is stored out of
+    its cap, neither in the base nor in the extension.  So the block of
+    base degree cap is all cocycles, its coboundaries are the image of d
+    out of degree cap - 1, a product landing there is reduced without a
+    cocycle check, and products above the base cap are zero.
     """
 
     def __init__(self, algebra: CochainAlgebra):
         self.algebra = algebra
+        info = algebra.tensor_info
+        self.block_ring = self if info is None else CohomologyRing(info.base)
         self._data: dict[int, _DegreeData] = {}
+        # degree -> (h power, base degree, base class index) per class index,
+        # and the offset of each h power's classes among the class coordinates
+        self._class_split: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        self._class_offsets: dict[int, tuple[int, ...]] = {}
         self._products: dict[tuple[int, int, int, int], Vector] = {}
+        # per base degree of this ring's algebra, when it serves as a block ring
+        self._blocks: dict[int, _DegreeData] = {}
+        self._base_products: dict[tuple[int, int, int, int], Vector] = {}
 
     @property
     def top(self) -> int:
         """Highest degree in which cohomology is known: cap - 1."""
         return self.algebra.cap - 1
 
+    def _layout(self, n: int) -> tuple[tuple[int, int, int, int], ...]:
+        info = self.algebra.tensor_info
+        if info is None:
+            return ((0, n, 0, self.algebra.dim(n)),)
+        return info.blocks[n]
+
     def _degree(self, n: int) -> _DegreeData:
-        if not (0 <= n <= self.top):
-            raise DegreeCapError(
-                f"cohomology in degree {n} needs cap at least {n + 1}, "
-                f"have {self.algebra.cap}",
-                required_cap=n + 1,
-            )
-        if n not in self._data:
+        data = self._data.get(n)
+        if data is None:
+            if not (0 <= n <= self.top):
+                raise DegreeCapError(
+                    f"cohomology in degree {n} needs cap at least {n + 1}, "
+                    f"have {self.algebra.cap}",
+                    required_cap=n + 1,
+                )
+            parts = []
+            split: list[tuple[int, int, int]] = []
+            offsets = []
+            for j, bdeg, offset, size in self._layout(n):
+                offsets.append(len(split))
+                if size:
+                    block = self.block_ring._block(bdeg)
+                    parts.append((offset, block))
+                    split.extend((j, bdeg, k) for k in range(len(block.class_pivots)))
+            if len(parts) == 1:
+                data = parts[0][1]
+            else:
+                data = _direct_sum(self.algebra.dim(n), parts)
+            self._data[n] = data
+            self._class_split[n] = tuple(split)
+            self._class_offsets[n] = tuple(offsets)
+        return data
+
+    def _block(self, n: int) -> _DegreeData:
+        """The data of degree n of this ring's algebra as a block, 0 <= n <= cap."""
+        data = self._blocks.get(n)
+        if data is None:
             a = self.algebra
             dim = a.dim(n)
-            cocycles = kernel_rows(a.diff_rows(n), dim)
+            if n < a.cap:
+                cocycles = kernel_rows(a.diff_rows(n), dim)
+            else:
+                cocycles = Subspace(dim, [{i: _ONE} for i in range(dim)], range(dim))
             if n == 0:
                 coboundaries = Subspace.zero(dim)
             else:
@@ -202,13 +300,13 @@ class CohomologyRing:
                 if pivot not in boundary_pivots:
                     class_pivots.append(pivot)
                     reps.append(coboundaries.reduce_row(row))
-            self._data[n] = _DegreeData(
+            data = self._blocks[n] = _DegreeData(
                 cocycles=cocycles,
                 coboundaries=coboundaries,
                 class_pivots=tuple(class_pivots),
                 representatives=tuple(reps),
             )
-        return self._data[n]
+        return data
 
     # -- dimensions ----------------------------------------------------------
 
@@ -239,9 +337,7 @@ class CohomologyRing:
                 f"element {el} of degree {el.degree} is not a cocycle "
                 f"(d gives {el.d()})"
             )
-        reduced = data.coboundaries.reduce(el.coords)
-        coords = tuple(reduced[p] for p in data.class_pivots)
-        return CohomologyClass._trusted(self, el.degree, coords)
+        return CohomologyClass._trusted(self, el.degree, _class_coords(data, el.coords))
 
     def lift(self, cls: CohomologyClass) -> Element:
         """The canonical harmonic representative of a class."""
@@ -258,21 +354,46 @@ class CohomologyRing:
     def _product(self, p: int, i: int, q: int, j: int) -> Vector:
         """Class coordinates of e_i * e_j for basis classes e_i of H^p, e_j of H^q.
 
-        Computed on first use as the projection of the product of the two
-        harmonic representatives, then cached for the life of the ring.
+        The block ring's product of their base classes, shifted into the
+        class block of the sum of their h powers, and cached.
         """
         key = (p, i, q, j)
         entry = self._products.get(key)
         if entry is None:
-            a = self.algebra
-            left = Element._trusted(
-                a, p, densify(self._degree(p).representatives[i], a.dim(p))
-            )
-            right = Element._trusted(
-                a, q, densify(self._degree(q).representatives[j], a.dim(q))
-            )
-            entry = self.project(left * right).coords
+            n = p + q
+            for m in (p, q, n):
+                self._degree(m)  # fills the class tables read below
+            a, bp, bi = self._class_split[p][i]
+            b, bq, bj = self._class_split[q][j]
+            base = self.block_ring._base_product(bp, bi, bq, bj)
+            offset = self._class_offsets[n][a + b]
+            tail = self.class_dim(n) - offset - len(base)
+            entry = (_ZERO,) * offset + base + (_ZERO,) * tail
             self._products[key] = entry
+        return entry
+
+    def _base_product(self, p: int, i: int, q: int, j: int) -> Vector:
+        """``_product`` for the basis classes of the blocks of degrees p and
+        q of this ring's algebra, up to its cap; empty above it."""
+        key = (p, i, q, j)
+        entry = self._base_products.get(key)
+        if entry is None:
+            a, n = self.algebra, p + q
+            if n > a.cap:
+                entry = ()
+            else:
+                left = Element._trusted(
+                    a, p, densify(self._block(p).representatives[i], a.dim(p))
+                )
+                right = Element._trusted(
+                    a, q, densify(self._block(q).representatives[j], a.dim(q))
+                )
+                product = left * right
+                if n < a.cap:
+                    entry = self.project(product).coords
+                else:
+                    entry = _class_coords(self._block(n), product.coords)
+            self._base_products[key] = entry
         return entry
 
     def zero_class(self, n: int) -> CohomologyClass:

@@ -82,11 +82,18 @@ class EquivariantSetup:
 def build_setup(
     base: CochainAlgebra, cap: Optional[int] = None, hname: str = "h"
 ) -> EquivariantSetup:
-    """The equivariant model of a trivial circle action on the base."""
+    """The equivariant model of a trivial circle action on the base.
+
+    The extension ring works block by block through the ring of its own
+    base (the re-capped copy of a free base), so that one ring serves as
+    ``base_ring``: the base cohomology and its structure constants are
+    computed once, for the embedding, the retraction and every h-power
+    block of the extension alike.
+    """
     ext = tensor_polynomial_generator(base, hname, cap=cap)
-    inner = ext.tensor_info.base
-    base_ring = CohomologyRing(inner)
     ext_ring = CohomologyRing(ext)
+    base_ring = ext_ring.block_ring
+    inner = base_ring.algebra
     embed = InducedMap(tensor_embedding(inner, ext), base_ring, ext_ring)
     retract = InducedMap(tensor_retraction(ext, inner), ext_ring, base_ring)
     return EquivariantSetup(
@@ -129,6 +136,10 @@ class SetupTable:
     specs that read the same algebra share a setup.  A new setup is also
     filed under its own base, the re-capped copy of a free base, which is
     where the Euler stage over a datum built from the table looks.
+
+    The table also keeps the findings of ``validate_transfer_datum`` for
+    each datum object it is asked about, so configs that name one datum
+    spec (resolved once into one object) validate it once.
     """
 
     def __init__(self):
@@ -137,6 +148,8 @@ class SetupTable:
         # its id from being reused while the table lives.
         self._bases: dict[int, tuple[CochainAlgebra, int]] = {}
         self._presentations: dict[tuple, int] = {}
+        # id(datum) -> (datum, findings), held the same way
+        self._findings: dict[int, tuple["HamiltonianTransferDatum", tuple[str, ...]]] = {}
 
     def _number(self, base: CochainAlgebra) -> int:
         entry = self._bases.get(id(base))
@@ -158,6 +171,16 @@ class SetupTable:
             found = self._setups[key] = build_setup(base, cap, hname)
             self._setups.setdefault((self._number(found.base), cap, hname), found)
         return found
+
+    def datum_findings(self, datum: "HamiltonianTransferDatum") -> list[str]:
+        """``validate_transfer_datum(datum)``, run once per datum object."""
+        entry = self._findings.get(id(datum))
+        if entry is None:
+            entry = self._findings[id(datum)] = (
+                datum,
+                tuple(validate_transfer_datum(datum)),
+            )
+        return list(entry[1])
 
 
 def _setup(
@@ -1150,14 +1173,19 @@ def run_transfer_pipeline(
     model.  A failed premise skips the scaling stage but still attempts
     the transfer, whose hypothesis is independent of it.
 
-    The Euler stage takes its setup from ``setups`` when given.  Over a
-    datum it rebuilds the extension of the datum's fixed base by the same
+    The Euler stage takes its setup from ``setups`` when given, and the
+    datum's findings come from the table too, so a datum shared by the
+    configs of one request is validated once.  Over a datum the Euler
+    stage rebuilds the extension of the datum's fixed base by the same
     deterministic construction that made the fixed model, so the two
     agree by construction and are not compared; a tautological datum
     built from the same table is that very setup.
     """
     if datum is not None:
-        findings = validate_transfer_datum(datum)
+        if setups is None:
+            findings = validate_transfer_datum(datum)
+        else:
+            findings = setups.datum_findings(datum)
         if findings:
             return PipelineReport(
                 status="invalid-datum",

@@ -1,10 +1,11 @@
 """Independent implementations used to cross-check the package.
 
 Everything here is written from scratch against the definitions, without
-calling into the code under test, so agreement is meaningful.  The one
-exception is the Element-level axiom scans at the end, which take the
-package's Element arithmetic as the reference for its direct
-structure-constant scans.
+calling into the code under test, so agreement is meaningful.  The
+exceptions are the Element-level axiom scans and the projected structure
+constants at the end, which take the package's Element arithmetic (and,
+for the products, the projection of a ring whose degree data a test has
+checked against ``ff_rref``) as the reference for its direct routes.
 """
 
 from __future__ import annotations
@@ -540,3 +541,20 @@ def validate_morphism_reference(f, on_generators=False):
                             f"{src.basis_label(n2, i2)!r})"
                         )
     return problems
+
+
+# -- structure constants by projection ----------------------------------------
+#
+# A cohomology ring reads the product of two basis classes of an extension
+# base (x) Q[h] off the base ring and shifts it into its h-power block.
+# The reference multiplies the two representatives in the ring's own
+# algebra, the extension, and projects the product there, cocycle check
+# included.
+
+
+def projected_product_reference(ring, p, i, q, j):
+    """Class coordinates of e_i * e_j (basis classes of H^p and H^q of
+    ``ring``), as the projection of the product of their representatives."""
+    left = ring.lift(ring.basis_class(p, i))
+    right = ring.lift(ring.basis_class(q, j))
+    return ring.project(left * right).coords

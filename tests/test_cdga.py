@@ -401,6 +401,12 @@ def test_tensor_cap_below_base_rejected():
         tensor_polynomial_generator(heisenberg(4), "h", cap=3)
 
 
+def test_tensor_cap_below_two_rejected():
+    with pytest.raises(DegreeCapError, match="degree 2") as info:
+        tensor_polynomial_generator(two_points(), "h", cap=1)
+    assert info.value.required_cap == 2
+
+
 def test_tensor_block_index_round_trip():
     ext = tensor_polynomial_generator(heisenberg(4), "h", cap=8)
     info = ext.tensor_info

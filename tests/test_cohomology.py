@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from masseyq.cdga import (
@@ -29,9 +29,17 @@ from masseyq.cohomology import (
     ideal_products,
     triple_massey,
 )
+from masseyq.linalg import densify
 from masseyq.errors import AlgebraValidationError, ConsistencyError, DegreeCapError
 from masseyq.fileformat import resolve_model_spec
-from oracles import betti_oracle, ff_rref, heisenberg_massey_oracle, random_free_cdga
+from masseyq.models import builtin_model
+from oracles import (
+    betti_oracle,
+    ff_rref,
+    heisenberg_massey_oracle,
+    projected_product_reference,
+    random_free_cdga,
+)
 from test_linalg import _two_elimination_kernel
 
 
@@ -666,6 +674,86 @@ def test_sparse_fed_eliminations_match_the_fraction_free_oracle(drawn):
         assert result.x_witness.coords == _ff_solve(x_matrix, (A.bar() * B).coords)
         assert result.y_witness.coords == _ff_solve(y_matrix, (B.bar() * C).coords)
         checked += 1
+
+
+_TABLE_MODELS = [
+    "sphere-cohomology",
+    "truncated-polynomial",
+    "two-points",
+    "point",
+    "rotation-ambient",
+]
+
+
+@st.composite
+def _extensions(draw):
+    """A random free presentation or a bundled table model, extended by h
+    at a cap from its own cap (at least 2) to six above it."""
+    if draw(st.booleans()):
+        base = builtin_model(draw(st.sampled_from(_TABLE_MODELS)))
+    else:
+        gens, diffs, cap = random_free_cdga(draw(st.randoms(use_true_random=False)))
+        base = build_free_cdga(gens, diffs, cap)
+    low = max(base.cap, 2)  # h itself lives in degree 2
+    return tensor_polynomial_generator(
+        base, "h", cap=draw(st.integers(low, base.cap + 6))
+    )
+
+
+def _residue(row, basis, pivots):
+    """``row`` minus its pivot entries times the matching reduced basis rows."""
+    out = list(row)
+    for b, p in zip(basis, pivots):
+        c = row[p]
+        if c:
+            out = [x - c * y for x, y in zip(out, b)]
+    return tuple(out)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_extensions())
+@example(tensor_polynomial_generator(builtin_model("sphere-cohomology"), "h", cap=7))
+@example(tensor_polynomial_generator(builtin_model("two-points"), "h", cap=7))
+def test_block_assembly_matches_the_dense_oracle(ext):
+    # Degree data assembled from shifted base blocks equals the direct
+    # computation on the extension's dense differential, block at the base
+    # cap included, and so do the shifted structure constants.
+    ring = CohomologyRing(ext)
+    for n in range(ring.top + 1):
+        d = ext.diff_matrix(n)
+        cocycles, cocycle_pivots = _two_elimination_kernel(
+            [d.row(i) for i in range(d.rows)], d.cols
+        )
+        if n == 0:
+            boundary, boundary_pivots = (), ()
+        else:
+            prev = ext.diff_matrix(n - 1)
+            reduced, boundary_pivots = ff_rref(prev.columns(), prev.rows)
+            boundary = reduced[: len(boundary_pivots)]
+        assert (ring.cocycles(n).basis, ring.cocycles(n).pivots) == (
+            cocycles,
+            cocycle_pivots,
+        )
+        assert (ring.coboundaries(n).basis, ring.coboundaries(n).pivots) == (
+            boundary,
+            boundary_pivots,
+        )
+        classes = [
+            (row, p)
+            for row, p in zip(cocycles, cocycle_pivots)
+            if p not in boundary_pivots
+        ]
+        data = ring._degree(n)
+        assert data.class_pivots == tuple(p for _, p in classes)
+        reps = tuple(_residue(row, boundary, boundary_pivots) for row, _ in classes)
+        assert tuple(densify(r, ext.dim(n)) for r in data.representatives) == reps
+    for p in range(ring.top + 1):
+        for q in range(ring.top + 1 - p):
+            for i in range(ring.class_dim(p)):
+                for j in range(ring.class_dim(q)):
+                    assert ring._product(p, i, q, j) == projected_product_reference(
+                        ring, p, i, q, j
+                    )
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

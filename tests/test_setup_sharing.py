@@ -203,3 +203,21 @@ def test_tautological_fixed_model_is_rebuilt_exactly(name, chi, m, min_cap):
     triple = (first, first, first)
     datum = tautological_from_parts(base, triple, [], chi, m, min_cap)
     _assert_euler_stage_rebuilds_the_fixed_model(datum, triple, min_cap)
+
+
+def test_a_datum_named_by_two_configs_is_validated_once(monkeypatch):
+    blocks = [
+        "name = rotation-a\ndatum = builtin:rotation\ntriple = eN | eS | eN",
+        "name = rotation-b\ndatum = builtin:rotation\ntriple = eS | eN | eS",
+    ]
+    alone = _rows_alone_from_text(blocks, DATA)
+    validated = []
+    real = transfer.validate_transfer_datum
+
+    def counting(datum):
+        validated.append(datum)
+        return real(datum)
+
+    monkeypatch.setattr(transfer, "validate_transfer_datum", counting)
+    assert _scan_text(_family(blocks), DATA) == alone
+    assert len(validated) == 1
