@@ -246,12 +246,6 @@ class CohomologyRing:
         """Highest degree in which cohomology is known: cap - 1."""
         return self.algebra.cap - 1
 
-    def _layout(self, n: int) -> tuple[tuple[int, int, int, int], ...]:
-        info = self.algebra.tensor_info
-        if info is None:
-            return ((0, n, 0, self.algebra.dim(n)),)
-        return info.blocks[n]
-
     def _degree(self, n: int) -> _DegreeData:
         data = self._data.get(n)
         if data is None:
@@ -261,10 +255,15 @@ class CohomologyRing:
                     f"have {self.algebra.cap}",
                     required_cap=n + 1,
                 )
+            info = self.algebra.tensor_info
+            if info is None:
+                layout = ((0, n, 0, self.algebra.dim(n)),)
+            else:
+                layout = info.blocks[n]
             parts = []
             split: list[tuple[int, int, int]] = []
             offsets = []
-            for j, bdeg, offset, size in self._layout(n):
+            for j, bdeg, offset, size in layout:
                 offsets.append(len(split))
                 if size:
                     block = self.block_ring._block(bdeg)

@@ -149,7 +149,7 @@ class SetupTable:
         self._bases: dict[int, tuple[CochainAlgebra, int]] = {}
         self._presentations: dict[tuple, int] = {}
         # id(datum) -> (datum, findings), held the same way
-        self._findings: dict[int, tuple["HamiltonianTransferDatum", tuple[str, ...]]] = {}
+        self._findings: dict[int, tuple[HamiltonianTransferDatum, tuple[str, ...]]] = {}
 
     def _number(self, base: CochainAlgebra) -> int:
         entry = self._bases.get(id(base))
@@ -172,7 +172,7 @@ class SetupTable:
             self._setups.setdefault((self._number(found.base), cap, hname), found)
         return found
 
-    def datum_findings(self, datum: "HamiltonianTransferDatum") -> list[str]:
+    def datum_findings(self, datum: HamiltonianTransferDatum) -> list[str]:
         """``validate_transfer_datum(datum)``, run once per datum object."""
         entry = self._findings.get(id(datum))
         if entry is None:
