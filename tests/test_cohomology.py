@@ -714,6 +714,13 @@ def _residue(row, basis, pivots):
 @given(_extensions())
 @example(tensor_polynomial_generator(builtin_model("sphere-cohomology"), "h", cap=7))
 @example(tensor_polynomial_generator(builtin_model("two-points"), "h", cap=7))
+@example(  # the block ring is itself an extension
+    tensor_polynomial_generator(
+        tensor_polynomial_generator(builtin_model("sphere-cohomology"), "h", cap=4),
+        "k",
+        cap=7,
+    )
+)
 def test_block_assembly_matches_the_dense_oracle(ext):
     # Degree data assembled from shifted base blocks equals the direct
     # computation on the extension's dense differential, block at the base
