@@ -84,6 +84,16 @@ CASES = [
         ["euler", "builtin:sphere-cohomology", "--chi=s+h", "--m", "1"],
         4,
     ),
+    (
+        "lemma32-two-points-zero-divisor",
+        ["lemma32", "builtin:two-points", "eN", "eS", "eN", "--chi", "eN*h", "--m", "1"],
+        1,
+    ),
+    (
+        "theorem11-two-points-zero-divisor",
+        ["theorem11", "builtin:two-points", "eN", "eS", "eN", "--chi", "eN*h", "--m", "1"],
+        3,
+    ),
 ]
 
 
