@@ -10,20 +10,9 @@ to class coordinates and lifting back to cocycles are exact inverse
 operations on representatives, so every computation downstream has a
 checkable witness in the cochain algebra.
 
-A ring works by h-power blocks.  The differential of an extension
-A (x) Q[h] preserves the power of h, so H(A (x) Q[h]) = H(A) (x) Q[h]
-block by block: each degree is eliminated once in A, by the ring of the
-base, and every degree of the extension is assembled from that data
-shifted to its blocks.  A plain algebra is the one-block case and is
-its own base ring.
-
-The cup product is read from the ring's structure constants: the class
-coordinates of each product of two basis classes.  The base ring
-computes them once, as the projection of the product of the two base
-representatives, and the extension shifts them into the block of the
-sum of the h powers, since (e h^a)(f h^b) = (e f) h^(a+b).  By
-bilinearity of projection, a product of classes is the same combination
-of these constants that projecting the product of lifts would give.
+A ring works by h-power blocks, H(A (x) Q[h]) = H(A) (x) Q[h], and
+reads the cup product off structure constants that its base ring
+computes once (see CohomologyRing).
 
 Because the differential out of the top degree is not part of the data,
 cohomology is only available in degrees up to cap-1; asking higher raises
@@ -349,6 +338,13 @@ class CohomologyRing:
                 for k, v in rep.items():
                     out[k] += c * v
         return Element._trusted(self.algebra, cls.degree, tuple(out))
+
+    def h_block(self, cls: CohomologyClass, j: int) -> Vector:
+        """The class coordinates of the h^j coefficient of a class, a class
+        of ``block_ring`` in degree ``cls.degree - 2j``."""
+        self._degree(cls.degree)
+        offsets = self._class_offsets[cls.degree] + (len(cls.coords),)
+        return cls.coords[offsets[j] : offsets[j + 1]]
 
     def _product(self, p: int, i: int, q: int, j: int) -> Vector:
         """Class coordinates of e_i * e_j for basis classes e_i of H^p, e_j of H^q.
@@ -683,12 +679,17 @@ def scale_coset(
     ring: CohomologyRing, xi: CohomologyClass, coset: AffineCoset, n: int
 ) -> AffineCoset:
     """The image of a coset of H^n under multiplication by xi."""
-    m = cup_matrix(ring, xi, n)
-    point = m.matvec(coset.point)
-    direction = Subspace._trusted_span(
-        ring.class_dim(n + xi.degree), [m.matvec(v) for v in coset.direction.basis]
+    return _image_coset(
+        lambda v: cup(xi, CohomologyClass._trusted(ring, n, v)).coords,
+        coset,
+        ring.class_dim(n + xi.degree),
     )
-    return AffineCoset(point, direction)
+
+
+def _image_coset(f, coset: AffineCoset, dim: int) -> AffineCoset:
+    """The image of a coset under a linear map f of coordinate vectors into Q^dim."""
+    direction = Subspace._trusted_span(dim, [f(v) for v in coset.direction.basis])
+    return AffineCoset(f(coset.point), direction)
 
 
 @dataclass(frozen=True)
@@ -780,14 +781,7 @@ class InducedMap:
         )
 
     def apply_coset(self, coset: AffineCoset, n: int) -> AffineCoset:
-        m = self.matrix(n)
-        return AffineCoset(
-            m.matvec(coset.point),
-            Subspace._trusted_span(
-                self.target.class_dim(n),
-                [m.matvec(v) for v in coset.direction.basis],
-            ),
-        )
+        return _image_coset(self.matrix(n).matvec, coset, self.target.class_dim(n))
 
 
 def check_functoriality(

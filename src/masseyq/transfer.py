@@ -18,6 +18,7 @@ disagreement raises ConsistencyError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -53,7 +54,7 @@ from .errors import (
     PremiseError,
     UndefinedProductError,
 )
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import Matrix, kernel_basis, rank, solve
 
 ClassInput = Union[str, list, CohomologyClass]
 
@@ -272,24 +273,25 @@ def class_h_components(
 ) -> dict[int, CohomologyClass]:
     """The nonzero base-class coefficients of an extension class.
 
-    The differential of an extension is block diagonal in the h power, so
-    the harmonic representative splits into base cocycles, each of which
-    is projected in the base ring; vanishing coefficients are omitted.
+    ``base_ring`` must be the extension ring's block ring, whose class
+    coordinates in each h-power block of ``cls`` are those coefficients;
+    vanishing coefficients are omitted.
     """
-    rep = ext_ring.lift(cls)
+    if base_ring is not ext_ring.block_ring:
+        raise ValueError("base ring must be the extension ring's block ring")
     out = {}
-    for j, comp in h_components(rep).items():
-        if comp.degree > base_ring.top:
-            if not comp.is_zero():
-                raise DegreeCapError(
-                    f"h^{j} component lives in base degree {comp.degree}, "
-                    f"above the base ring top {base_ring.top}",
-                    required_cap=comp.degree + 1,
-                )
+    for j in range(cls.degree // 2 + 1):
+        coords = ext_ring.h_block(cls, j)
+        if not any(coords):
             continue
-        projected = base_ring.project(comp)
-        if not projected.is_zero():
-            out[j] = projected
+        degree = cls.degree - 2 * j
+        if degree > base_ring.top:
+            raise DegreeCapError(
+                f"h^{j} component lives in base degree {degree}, "
+                f"above the base ring top {base_ring.top}",
+                required_cap=degree + 1,
+            )
+        out[j] = CohomologyClass._trusted(base_ring, degree, coords)
     return out
 
 
@@ -407,21 +409,47 @@ class ZeroDivisorReport:
 def verify_not_zero_divisor(
     ring: CohomologyRing, chi: EulerClass
 ) -> ZeroDivisorReport:
-    """Check degreewise that multiplication by the Euler class is injective.
+    """Check that multiplication by the Euler class is injective.
 
-    Covers every degree whose product still fits under the cap.  For a
-    genuine Euler class this always holds, so a failure flags corrupted
-    input data.
+    Covers every degree whose product still fits under the cap.  With
+    chi = c h^m + (lower h powers), the top h block of chi x is c times
+    that of x, so chi is injective when c is a unit of H^0 of the base
+    (Allday and Puppe, Cohomological Methods in Transformation Groups,
+    ch. 3).  Otherwise each cup matrix of chi is ranked, since the lower
+    terms can still make chi injective.  For a genuine Euler class c is
+    the product of the weights, so a failure flags corrupted input data.
     """
-    checked = []
-    for n in range(ring.top - 2 * chi.m + 1):
-        mat = cup_matrix(ring, chi.cls, n)
-        checked.append(n)
-        if rank(mat) != ring.class_dim(n):
-            return ZeroDivisorReport(
-                ok=False, degrees_checked=tuple(checked), failed_degree=n
-            )
-    return ZeroDivisorReport(ok=True, degrees_checked=tuple(checked))
+    degrees = range(ring.top - 2 * chi.m + 1)
+    if not _top_is_unit(ring, chi):
+        for n in degrees:
+            if rank(cup_matrix(ring, chi.cls, n)) != ring.class_dim(n):
+                return ZeroDivisorReport(False, tuple(range(n + 1)), failed_degree=n)
+    return ZeroDivisorReport(ok=True, degrees_checked=tuple(degrees))
+
+
+def _top_is_unit(ring: CohomologyRing, chi: EulerClass) -> bool:
+    """Whether the h^m class block c of chi has an inverse u in H^0 of the
+    base: one solve of c u = 1, checked by ``cup``."""
+    base = ring.block_ring
+    c = CohomologyClass._trusted(base, 0, ring.h_block(chi.cls, chi.m))
+    one = base.unit_class()
+    sol = solve(cup_matrix(base, c, 0), one.coords)
+    if sol is not None and cup(c, CohomologyClass._trusted(base, 0, sol)) != one:
+        raise ConsistencyError(
+            "top h coefficient of the Euler class: solve gives an inverse "
+            "but recomputing it through cup does not reproduce the unit"
+        )
+    return sol is not None
+
+
+_ZERO_DIVISOR = (
+    "Euler class is a zero divisor: multiplication fails to be injective "
+    "out of degree {}"
+)
+_KILLED_KERNEL = (
+    "pushforward has a kernel in degree {}; the kernel class is killed by "
+    "the Euler class, contradicting the zero-divisor property"
+)
 
 
 # --------------------------------------------------------------------------
@@ -497,8 +525,7 @@ def h_comparison_check(
     b_comp = class_h_components(ring, base_ring, b_cls).get(two_m)
     lam = class_h_components(ring, base_ring, chi2).get(two_m)
 
-    extracted = None
-    matches = None
+    extracted = matches = None
     scalar = _unit_multiple(base_ring, lam)
     if scalar is not None and scalar != 0:
         rhs = base_ring.zero_class(x.degree)
@@ -627,10 +654,7 @@ def check_euler_scaled_massey(
 
     zero_divisor = verify_not_zero_divisor(setup.ext_ring, chi)
     if not zero_divisor.ok:
-        raise ConsistencyError(
-            "Euler class acts as a zero divisor out of degree "
-            f"{zero_divisor.failed_degree}"
-        )
+        raise AlgebraValidationError(_ZERO_DIVISOR.format(zero_divisor.failed_degree))
 
     u_cls = as_class(setup.base_ring, u)
     v_cls = as_class(setup.base_ring, v)
@@ -769,21 +793,17 @@ class HamiltonianTransferDatum:
         self.push_matrices = tuple(push_matrices)
         self.chi_polynomial = chi_polynomial
         self.m = m
-        self._ambient_ring: Optional[CohomologyRing] = None
-        self._fixed_ring: Optional[CohomologyRing] = None
         self._restrict_map: Optional[InducedMap] = None
+        # set by tautological_datum alone; see validate_transfer_datum
+        self._euler: Optional[EulerClass] = None
 
-    @property
+    @cached_property
     def ambient_ring(self) -> CohomologyRing:
-        if self._ambient_ring is None:
-            self._ambient_ring = CohomologyRing(self.ambient)
-        return self._ambient_ring
+        return CohomologyRing(self.ambient)
 
-    @property
+    @cached_property
     def fixed_ring(self) -> CohomologyRing:
-        if self._fixed_ring is None:
-            self._fixed_ring = CohomologyRing(self.fixed)
-        return self._fixed_ring
+        return CohomologyRing(self.fixed)
 
     @property
     def push_top(self) -> int:
@@ -827,12 +847,23 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
 
     Checks, in order: the fixed model is a polynomial-generator extension and
     the Euler data has the right shape; the restriction is a ring map
-    commuting with the differentials (not scanned when it is the identity) and
-    injective on cohomology degree by degree; the projection formula
-    restrict(push(e)) = chi * e holds on a class basis; the Euler class is not
-    a zero divisor; the pushforward has full column rank, any kernel being
-    traced back to the zero-divisor property through the projection formula.
+    commuting with the differentials and injective on cohomology degree by
+    degree; the projection formula restrict(push(e)) = chi * e holds on a
+    class basis; the Euler class is not a zero divisor; the pushforward has
+    full column rank, any kernel being traced back to the zero-divisor
+    property through the projection formula.
+
+    On a datum made by ``tautological_datum`` (identity restriction, push
+    = cup with chi) only the zero-divisor check can fail; a class chi kills
+    in its failed degree is a kernel class of push, so that is all it runs.
     """
+    chi = datum._euler
+    if chi is not None:
+        zd = verify_not_zero_divisor(datum.fixed_ring, chi)
+        if zd.ok:
+            return []
+        return [f.format(zd.failed_degree) for f in (_ZERO_DIVISOR, _KILLED_KERNEL)]
+
     findings: list[str] = []
     if datum.m < 1:
         findings.append(f"m must be at least 1, got {datum.m}")
@@ -864,11 +895,8 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
             f"rank {datum.m} normal bundle"
         )
 
-    # The identity of one algebra is a morphism by definition.
-    identity = identity_morphism(datum.ambient).matrices
-    if datum.fixed is not datum.ambient or datum.restrict.matrices != identity:
-        for msg in validate_morphism(datum.restrict):
-            findings.append(f"restriction: {msg}")
+    for msg in validate_morphism(datum.restrict):
+        findings.append(f"restriction: {msg}")
     if findings:
         return findings
 
@@ -904,35 +932,24 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
             )
             return findings
 
-    for n in range(datum.push_top + 1):
-        if n + 2 * datum.m > min(datum.fixed_ring.top, rmap.top):
-            break
-        broken = False
-        for e in datum.fixed_ring.basis_classes(n):
-            pushed = datum.push(e)
-            if rmap.apply(pushed) != cup(chi_cls, e):
-                findings.append(
-                    f"projection formula fails in degree {n}: "
-                    "restrict(push(e)) != chi * e on a basis class"
-                )
-                broken = True
-                break
-        if broken:
+    fring = datum.fixed_ring
+    formula_top = min(datum.push_top, min(fring.top, rmap.top) - 2 * datum.m)
+    for n in range(formula_top + 1):
+        if any(
+            rmap.apply(datum.push(e)) != cup(chi_cls, e)
+            for e in fring.basis_classes(n)
+        ):
+            findings.append(
+                f"projection formula fails in degree {n}: "
+                "restrict(push(e)) != chi * e on a basis class"
+            )
             break
 
-    euler = EulerClass(
-        cls=chi_cls,
-        element=chi_el,
-        m=datum.m,
-        weights=None,
-        top_coefficient=chi_cls,
-    )
-    zd = verify_not_zero_divisor(datum.fixed_ring, euler)
+    top_cls = fring.block_ring.project(top)
+    euler = EulerClass(chi_cls, chi_el, datum.m, weights=None, top_coefficient=top_cls)
+    zd = verify_not_zero_divisor(fring, euler)
     if not zd.ok:
-        findings.append(
-            "Euler class is a zero divisor: multiplication fails to be "
-            f"injective out of degree {zd.failed_degree}"
-        )
+        findings.append(_ZERO_DIVISOR.format(zd.failed_degree))
 
     for n in range(datum.push_top + 1):
         mat = datum.push_matrices[n]
@@ -941,11 +958,7 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
         kern = kernel_basis(mat)
         x = CohomologyClass(datum.fixed_ring, n, kern.basis[0])
         if cup(chi_cls, x).is_zero():
-            findings.append(
-                f"pushforward has a kernel in degree {n}; the kernel class "
-                "is killed by the Euler class, contradicting the "
-                "zero-divisor property"
-            )
+            findings.append(_KILLED_KERNEL.format(n))
         else:
             findings.append(
                 f"pushforward has a kernel in degree {n} although the "
@@ -970,9 +983,10 @@ def tautological_datum(
 
     Restriction is the identity, so the projection formula holds by
     construction; useful as a reference datum and for exercising the
-    pipeline end to end without extra geometry.  With ``setups`` the
-    fixed model is the extension of that table's setup, which the Euler
-    stage of ``run_transfer_pipeline`` then finds in the same table.
+    pipeline end to end without extra geometry.  Both sides use the
+    setup's extension ring.  With ``setups`` the fixed model is the
+    extension of that table's setup, which the Euler stage of
+    ``run_transfer_pipeline`` then finds in the same table.
     """
     setup = _setup(setups, base, cap, hname)
     if bundles is not None:
@@ -985,7 +999,7 @@ def tautological_datum(
     push = [
         cup_matrix(ring, chi.cls, n) for n in range(ring.top - 2 * chi.m + 1)
     ]
-    return HamiltonianTransferDatum(
+    datum = HamiltonianTransferDatum(
         name="tautological",
         ambient=setup.ext,
         fixed=setup.ext,
@@ -994,6 +1008,9 @@ def tautological_datum(
         chi_polynomial=chi_poly,
         m=chi.m,
     )
+    datum.ambient_ring = datum.fixed_ring = ring
+    datum._euler = chi
+    return datum
 
 
 def _bundle_polynomial(
@@ -1068,33 +1085,21 @@ def check_gysin_transfer(
     W = datum.push(w_cls)
     rmap = datum.restrict_map()
 
-    uv = cup(U, V)
-    if rmap.apply(uv) != cup(chi_u, chi_v):
-        raise ConsistencyError(
-            "restriction of the pushed product disagrees with the product "
-            "of the scaled classes"
-        )
-    uv_restrict_zero = cup(chi_u, chi_v).is_zero()
-    uv_direct_zero = uv.is_zero()
-    if uv_restrict_zero and not uv_direct_zero:
-        raise ConsistencyError(
-            "pushed product is nonzero although its restriction vanishes "
-            "and the restriction is injective"
-        )
-
-    vw = cup(V, W)
-    if rmap.apply(vw) != cup(chi_v, chi_w):
-        raise ConsistencyError(
-            "restriction of the pushed product disagrees with the product "
-            "of the scaled classes"
-        )
-    vw_restrict_zero = cup(chi_v, chi_w).is_zero()
-    vw_direct_zero = vw.is_zero()
-    if vw_restrict_zero and not vw_direct_zero:
-        raise ConsistencyError(
-            "pushed product is nonzero although its restriction vanishes "
-            "and the restriction is injective"
-        )
+    zeros = []  # (restriction zero, direct zero) for U V and for V W
+    for a, b, chi_a, chi_b in ((U, V, chi_u, chi_v), (V, W, chi_v, chi_w)):
+        pushed, scaled = cup(a, b), cup(chi_a, chi_b)
+        if rmap.apply(pushed) != scaled:
+            raise ConsistencyError(
+                "restriction of the pushed product disagrees with the product "
+                "of the scaled classes"
+            )
+        if scaled.is_zero() and not pushed.is_zero():
+            raise ConsistencyError(
+                "pushed product is nonzero although its restriction vanishes "
+                "and the restriction is injective"
+            )
+        zeros.append((scaled.is_zero(), pushed.is_zero()))
+    (uv_restrict_zero, uv_direct_zero), (vw_restrict_zero, vw_direct_zero) = zeros
 
     ambient_result = triple_massey(U, V, W)
     if not ambient_result.defined:

@@ -5,7 +5,9 @@ calling into the code under test, so agreement is meaningful.  The
 exceptions are the Element-level axiom scans and the projected structure
 constants at the end, which take the package's Element arithmetic (and,
 for the products, the projection of a ring whose degree data a test has
-checked against ``ff_rref``) as the reference for its direct routes.
+checked against ``ff_rref``) as the reference for its direct routes, and
+the transfer-datum routes after them, which run the package's own
+checks where it skips them.
 """
 
 from __future__ import annotations
@@ -558,3 +560,46 @@ def projected_product_reference(ring, p, i, q, j):
     left = ring.lift(ring.basis_class(p, i))
     right = ring.lift(ring.basis_class(q, j))
     return ring.project(left * right).coords
+
+
+# -- the Euler class and the tautological transfer datum -----------------------
+#
+# The package decides that an Euler class is not a zero divisor from the
+# inverse of its top h coefficient, and trusts the tautological datum it
+# builds itself.  These are the routes it no longer takes there.
+
+
+def zero_divisor_rank_scan(ring, chi_cls, m):
+    """``(ok, failed degree)`` of the degreewise rank test of multiplication
+    by chi, a class of degree 2m: products by projection, ranks by
+    ``ff_rref``."""
+    for n in range(ring.top - 2 * m + 1):
+        columns = []
+        for i in range(ring.class_dim(n)):
+            column = [Fraction(0)] * ring.class_dim(n + 2 * m)
+            for k, c in enumerate(chi_cls.coords):
+                if c:
+                    product = projected_product_reference(ring, 2 * m, k, n, i)
+                    column = [x + c * y for x, y in zip(column, product)]
+            columns.append(column)
+        _, pivots = ff_rref(columns, ring.class_dim(n + 2 * m))
+        if len(pivots) != len(columns):
+            return False, n
+    return True, None
+
+
+def full_datum_findings(datum):
+    """``validate_transfer_datum`` on an unmarked copy of a datum, with
+    rings of its own, so every check runs on it."""
+    from masseyq.transfer import HamiltonianTransferDatum, validate_transfer_datum
+
+    copy = HamiltonianTransferDatum(
+        name=datum.name,
+        ambient=datum.ambient,
+        fixed=datum.fixed,
+        restrict=datum.restrict,
+        push_matrices=datum.push_matrices,
+        chi_polynomial=datum.chi_polynomial,
+        m=datum.m,
+    )
+    return validate_transfer_datum(copy)

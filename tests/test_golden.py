@@ -87,7 +87,7 @@ CASES = [
     (
         "lemma32-two-points-zero-divisor",
         ["lemma32", "builtin:two-points", "eN", "eS", "eN", "--chi", "eN*h", "--m", "1"],
-        1,
+        3,
     ),
     (
         "theorem11-two-points-zero-divisor",

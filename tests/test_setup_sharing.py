@@ -17,6 +17,7 @@ import pytest
 import masseyq.transfer as transfer
 from masseyq.cdga import build_free_cdga, build_table_algebra
 from masseyq.cli import main
+from masseyq.cohomology import CohomologyRing
 from masseyq.fileformat import load_datum, parse_family_document, tautological_from_parts
 from masseyq.models import BUILTIN_MODELS, builtin_family, rotation_datum
 from masseyq.transfer import (
@@ -125,6 +126,30 @@ def test_default_scan_builds_one_setup_per_distinct_base_cap_and_h(monkeypatch, 
     assert sorted((key[4], key[0]) for key in calls) == [
         (6, 1), (9, 3), (9, 4), (12, 8), (15, 4)
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, rings",
+    [
+        # one extension ring and its block ring
+        (["theorem11", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1"], 2),
+        # two rings for each of the five setups, and the rotation datum's
+        # ambient ring and fixed ring with its block ring
+        (["scan", "builtin:default"], 13),
+    ],
+)
+def test_tautological_data_build_no_rings_of_their_own(monkeypatch, capsys, argv, rings):
+    built = []
+    real = CohomologyRing.__init__
+
+    def counting(self, algebra):
+        built.append(algebra)
+        real(self, algebra)
+
+    monkeypatch.setattr(CohomologyRing, "__init__", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == rings
 
 
 def test_the_euler_stage_reuses_the_tautological_datum_setup():

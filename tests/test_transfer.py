@@ -4,9 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import masseyq.transfer as transfer
 from masseyq.cdga import AlgebraMorphism, build_free_cdga, identity_morphism
-from masseyq.cohomology import CohomologyRing, check_scaling_law, cup, triple_massey
+from masseyq.cohomology import (
+    CohomologyClass,
+    CohomologyRing,
+    check_scaling_law,
+    cup,
+    triple_massey,
+)
 from masseyq.errors import (
     AlgebraValidationError,
     ConsistencyError,
@@ -17,6 +26,7 @@ from masseyq.linalg import Matrix, solve
 from masseyq.models import (
     BUILTIN_MODELS,
     broken_projection_datum,
+    builtin_model,
     corrupted_scan_configs,
     default_scan_configs,
     heisenberg,
@@ -45,6 +55,7 @@ from masseyq.transfer import (
     validate_transfer_datum,
     verify_not_zero_divisor,
 )
+from oracles import full_datum_findings, random_free_cdga, zero_divisor_rank_scan
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +186,90 @@ def test_pure_base_class_is_flagged_as_zero_divisor():
     report = verify_not_zero_divisor(ring, fake)
     assert not report.ok
     assert report.failed_degree == 1  # [x*z] kills [x] already
+
+
+_TABLE_BASES = [
+    "two-points",  # H^0 = Q + Q, so a top coefficient can be a non-unit
+    "point",
+    "sphere-cohomology",
+    "truncated-polynomial",
+    "rotation-ambient",
+]
+_COEFFS = [Fraction(c) for c in (-2, -1, 0, 0, 1, 2)] + [Fraction(1, 2)]
+
+
+@st.composite
+def _euler_data(draw):
+    """A random free base or a bundled table model, m = 1 or 2, an
+    extension cap with room for chi, and the polynomial of a random class
+    of degree 2m with a nonzero h^m coefficient."""
+    if draw(st.booleans()):
+        base = builtin_model(draw(st.sampled_from(_TABLE_BASES)))
+    else:
+        gens, diffs, cap = random_free_cdga(draw(st.randoms(use_true_random=False)))
+        base = build_free_cdga(gens, diffs, cap)
+    m = draw(st.integers(1, 2))
+    low = max(base.cap, 2 * m + 1)
+    cap = draw(st.integers(low, low + 3))
+    ring = build_setup(base, cap).ext_ring
+    dim = ring.class_dim(2 * m)
+    coords = draw(st.lists(st.sampled_from(_COEFFS), min_size=dim, max_size=dim))
+    cls = CohomologyClass(ring, 2 * m, coords)
+    assume(any(ring.h_block(cls, m)))
+    return base, cap, str(ring.lift(cls)), m
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_euler_data())
+@example((two_points(), 5, "eN*h", 1))
+@example((two_points(), 6, "eN*h*h - 2*eS*h*h", 2))
+def test_unit_certificate_agrees_with_the_rank_scan(drawn):
+    base, cap, chi_poly, m = drawn
+    setup = build_setup(base, cap)
+    chi = euler_class_from_polynomial(setup, chi_poly, m)
+    report = verify_not_zero_divisor(setup.ext_ring, chi)
+    ok, failed = zero_divisor_rank_scan(setup.ext_ring, chi.cls, m)
+    assert (report.ok, report.failed_degree) == (ok, failed)
+    last = setup.ext_ring.top - 2 * m if ok else failed
+    assert report.degrees_checked == tuple(range(last + 1))
+    if transfer._top_is_unit(setup.ext_ring, chi):
+        assert ok
+
+
+@pytest.mark.parametrize("model, chi", [(heisenberg, "2*h"), (two_points, "eN*h + 3*eS*h")])
+def test_a_corrupted_top_inverse_trips_the_cup_check(monkeypatch, model, chi):
+    setup = build_setup(model(), cap=7)
+    euler = euler_class_from_polynomial(setup, chi, 1)
+    assert verify_not_zero_divisor(setup.ext_ring, euler).ok
+    real = transfer.solve
+
+    def corrupted(a, b):
+        sol = real(a, b)
+        return (sol[0] + 1,) + sol[1:]
+
+    monkeypatch.setattr(transfer, "solve", corrupted)
+    with pytest.raises(ConsistencyError):
+        verify_not_zero_divisor(setup.ext_ring, euler)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_euler_data())
+@example((two_points(), 5, "eN*h", 1))
+@example((two_points(), 6, "3*eS*h*h", 2))
+def test_trusted_tautological_datum_matches_the_full_route(drawn):
+    base, cap, chi_poly, m = drawn
+    datum = tautological_datum(base, chi_polynomial=chi_poly, m=m, cap=cap)
+    findings = validate_transfer_datum(datum)
+    assert findings == full_datum_findings(datum)
+    if transfer._top_is_unit(datum.fixed_ring, datum._euler):
+        assert findings == []
+
+
+def test_zero_divisor_euler_class_is_invalid_input():
+    with pytest.raises(AlgebraValidationError, match="zero divisor"):
+        check_euler_scaled_massey(
+            two_points(), "eN", "eS", "eN", chi_polynomial="eN*h", m=1
+        )
 
 
 # ---------------------------------------------------------------------------
