@@ -566,22 +566,17 @@ def _enumerate_monomials(gens: Sequence[GeneratorDecl], cap: int):
     are ordered lexicographically (descending) on their exponent tuples,
     generators in declaration order, so x*y precedes x*z precedes y*z.
     """
+    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for g in gens:
+        partial = [
+            (exps + (e,), degree + e * g.degree)
+            for exps, degree in partial
+            for e in range((1 if g.degree % 2 else (cap - degree) // g.degree) + 1)
+            if degree + e * g.degree <= cap
+        ]
     by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
-
-    def extend(idx: int, exps: tuple[int, ...], degree: int):
-        if degree > cap:
-            return
-        if idx == len(gens):
-            by_degree[degree].append(exps)
-            return
-        g = gens[idx]
-        max_e = 1 if g.degree % 2 == 1 else (cap - degree) // g.degree
-        for e in range(max_e + 1):
-            extend(idx + 1, exps + (e,), degree + e * g.degree)
-
-    extend(0, (), 0)
-    for n in range(cap + 1):
-        by_degree[n].sort(reverse=True)
+    for exps, degree in sorted(partial, reverse=True):
+        by_degree[degree].append(exps)
     return by_degree
 
 

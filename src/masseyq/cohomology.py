@@ -21,11 +21,11 @@ DegreeCapError with the cap that would suffice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cdga import AlgebraMorphism, CochainAlgebra, Element
+from .cdga import AlgebraMorphism, CochainAlgebra, Element, Terms
 from .errors import (
     AlgebraValidationError,
     ConsistencyError,
@@ -39,9 +39,7 @@ from .linalg import (
     Vector,
     densify,
     fr,
-    kernel_basis,
     kernel_rows,
-    solve,
     solve_rows,
     unit_vector,
     vector,
@@ -202,11 +200,11 @@ class CohomologyRing:
     eliminated once, on first use.  The class basis is canonical for the
     algebra's basis order, so coordinates are reproducible across runs.
 
-    The block ring caches the products of base classes: the class
-    coordinates of e_i * e_j, filled on first use by projecting the
-    product of the two base representatives, cocycle check included.
-    ``_product`` shifts them into the class block of h^(a+b), as
-    (e h^a)(f h^b) = (e f) h^(a+b).  Only the pairs some product needs
+    The block ring caches the products of base classes: the nonzero
+    (class index, coefficient) terms of e_i * e_j, filled on first use by
+    projecting the product of the two base representatives, cocycle check
+    included.  ``_product`` shifts them into the class block of h^(a+b),
+    as (e h^a)(f h^b) = (e f) h^(a+b).  Only the pairs some product needs
     are filled, and the caches live exactly as long as the rings.
 
     A table base is not re-capped, and no differential is stored out of
@@ -219,16 +217,22 @@ class CohomologyRing:
     def __init__(self, algebra: CochainAlgebra):
         self.algebra = algebra
         info = algebra.tensor_info
-        self.block_ring = self if info is None else CohomologyRing(info.base)
+        # None for a plain algebra, whose block ring is itself: holding self
+        # would make every ring a reference cycle
+        self._block_ring = None if info is None else CohomologyRing(info.base)
         self._data: dict[int, _DegreeData] = {}
         # degree -> (h power, base degree, base class index) per class index,
         # and the offset of each h power's classes among the class coordinates
         self._class_split: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._class_offsets: dict[int, tuple[int, ...]] = {}
-        self._products: dict[tuple[int, int, int, int], Vector] = {}
+        self._products: dict[tuple[int, int, int, int], Terms] = {}
         # per base degree of this ring's algebra, when it serves as a block ring
         self._blocks: dict[int, _DegreeData] = {}
-        self._base_products: dict[tuple[int, int, int, int], Vector] = {}
+        self._base_products: dict[tuple[int, int, int, int], Terms] = {}
+
+    @property
+    def block_ring(self) -> "CohomologyRing":
+        return self if self._block_ring is None else self._block_ring
 
     @property
     def top(self) -> int:
@@ -346,8 +350,9 @@ class CohomologyRing:
         offsets = self._class_offsets[cls.degree] + (len(cls.coords),)
         return cls.coords[offsets[j] : offsets[j + 1]]
 
-    def _product(self, p: int, i: int, q: int, j: int) -> Vector:
-        """Class coordinates of e_i * e_j for basis classes e_i of H^p, e_j of H^q.
+    def _product(self, p: int, i: int, q: int, j: int) -> Terms:
+        """The nonzero (class index, coefficient) terms of e_i * e_j, for
+        basis classes e_i of H^p and e_j of H^q.
 
         The block ring's product of their base classes, shifted into the
         class block of the sum of their h powers, and cached.
@@ -355,28 +360,26 @@ class CohomologyRing:
         key = (p, i, q, j)
         entry = self._products.get(key)
         if entry is None:
-            n = p + q
-            for m in (p, q, n):
+            for m in (p, q, p + q):
                 self._degree(m)  # fills the class tables read below
             a, bp, bi = self._class_split[p][i]
             b, bq, bj = self._class_split[q][j]
-            base = self.block_ring._base_product(bp, bi, bq, bj)
-            offset = self._class_offsets[n][a + b]
-            tail = self.class_dim(n) - offset - len(base)
-            entry = (_ZERO,) * offset + base + (_ZERO,) * tail
+            entry = self.block_ring._base_product(bp, bi, bq, bj)
+            offset = self._class_offsets[p + q][a + b]
+            if offset:
+                entry = tuple((offset + k, v) for k, v in entry)
             self._products[key] = entry
         return entry
 
-    def _base_product(self, p: int, i: int, q: int, j: int) -> Vector:
+    def _base_product(self, p: int, i: int, q: int, j: int) -> Terms:
         """``_product`` for the basis classes of the blocks of degrees p and
         q of this ring's algebra, up to its cap; empty above it."""
         key = (p, i, q, j)
         entry = self._base_products.get(key)
         if entry is None:
             a, n = self.algebra, p + q
-            if n > a.cap:
-                entry = ()
-            else:
+            entry = ()
+            if n <= a.cap:
                 left = Element._trusted(
                     a, p, densify(self._block(p).representatives[i], a.dim(p))
                 )
@@ -385,9 +388,10 @@ class CohomologyRing:
                 )
                 product = left * right
                 if n < a.cap:
-                    entry = self.project(product).coords
+                    coords = self.project(product).coords
                 else:
-                    entry = _class_coords(self._block(n), product.coords)
+                    coords = _class_coords(self._block(n), product.coords)
+                entry = tuple((k, v) for k, v in enumerate(coords) if v)
             self._base_products[key] = entry
         return entry
 
@@ -441,23 +445,23 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
         if ca:
             for j, cb in right:
                 c = ca * cb
-                for k, v in enumerate(ring._product(p, i, q, j)):
-                    if v:
-                        out[k] += c * v
+                for k, v in ring._product(p, i, q, j):
+                    out[k] += c * v
     return CohomologyClass._trusted(ring, n, tuple(out))
 
 
 def cup_matrix(ring: CohomologyRing, xi: CohomologyClass, n: int) -> Matrix:
     """Matrix of multiplication by xi from H^n to H^{n + deg xi}."""
-    cols = [cup(xi, e).coords for e in ring.basis_classes(n)]
-    return Matrix._trusted_columns(cols, ring.class_dim(n + xi.degree))
+    dim = ring.class_dim(n + xi.degree)
+    cols = [densify(col, dim) for col in ideal_products(ring, [xi], n + xi.degree)]
+    return Matrix._trusted_columns(cols, dim)
 
 
 def ideal_products(
     ring: CohomologyRing, classes: Sequence[CohomologyClass], n: int
-) -> list[Vector]:
-    """Class coordinates of each generator times each basis class of the
-    complementary degree, generator by generator, in degree n.
+) -> list[SparseVector]:
+    """Sparse class coordinates of each generator times each basis class of
+    the complementary degree, generator by generator, in degree n.
 
     These products span the degree-n piece of the ideal the classes
     generate; graded commutativity makes one-sided products enough.
@@ -466,11 +470,16 @@ def ideal_products(
     for g in classes:
         if g.ring is not ring:
             raise ValueError("ideal generators must live in the given ring")
-        rest = n - g.degree
+        p, rest = g.degree, n - g.degree
         if rest < 0:
             continue
-        for e in ring.basis_classes(rest):
-            vectors.append(cup(g, e).coords)
+        terms = [(i, c) for i, c in enumerate(g.coords) if c]
+        for j in range(ring.class_dim(rest)):
+            col: SparseVector = {}
+            for i, c in terms:
+                for k, v in ring._product(p, i, rest, j):
+                    col[k] = col.get(k, _ZERO) + c * v
+            vectors.append({k: v for k, v in col.items() if v})
     return vectors
 
 
@@ -478,7 +487,7 @@ def ideal_degree_piece(
     ring: CohomologyRing, classes: Sequence[CohomologyClass], n: int
 ) -> Subspace:
     """The degree-n piece of the ideal generated by the given classes."""
-    return Subspace._trusted_span(ring.class_dim(n), ideal_products(ring, classes, n))
+    return Subspace.span_rows(ring.class_dim(n), ideal_products(ring, classes, n))
 
 
 @dataclass(frozen=True)
@@ -500,43 +509,50 @@ def certify_ideal_membership(
     g1: CohomologyClass,
     g2: CohomologyClass,
     t: CohomologyClass,
-    columns: Sequence[Vector],
+    columns: Sequence[SparseVector],
+    span: Optional[Subspace] = None,
 ) -> IdealCertificate:
     """Decide whether t lies in the ideal of g1 and g2, with a checked certificate.
 
-    The columns are the products g1 * e and then g2 * e over the class
-    bases of the complementary degrees, as ``ideal_products`` lists them
-    for (g1, g2) in degree t.degree, and one ``solve`` of
-    columns * (alpha, beta) = t gives the verdict.  A solution is checked
-    by recomputing g1 * alpha + g2 * beta through ``cup``.  Without one,
-    ``kernel_basis`` of the transposed system yields the functionals that
-    vanish on the ideal; the first that is nonzero on t is the
-    certificate, checked by dot products against every column.  A failed
-    check raises ConsistencyError.
+    ``columns`` are the products ``ideal_products`` lists for (g1, g2) in
+    degree t.degree and ``span`` their span (a triple product's
+    indeterminacy), eliminated here if not given.  The verdict is whether
+    the span holds t.  A non-member's functional is read off the span's
+    echelon form and checked by dot products against every column and t.
+    A member is solved once, columns * (alpha, beta) = t, and checked by
+    recomputing g1 * alpha + g2 * beta through ``cup``.  A failed check
+    raises ConsistencyError.
     """
     ring, n = t.ring, t.degree
     dim = ring.class_dim(n)
-    sol = solve(Matrix._trusted_columns(columns, dim), t.coords)
+    if span is None:
+        span = Subspace.span_rows(dim, columns)
+    phi = span.separating_functional({k: c for k, c in enumerate(t.coords) if c})
+    if phi is not None:
+        dot = lambda v: sum(phi.get(k, _ZERO) * c for k, c in v)
+        if any(dot(col.items()) for col in columns) or not dot(enumerate(t.coords)):
+            raise ConsistencyError(
+                f"ideal membership in degree {n}: the functional read off the "
+                "indeterminacy's echelon form fails to vanish on the ideal or "
+                "vanishes on the class"
+            )
+        return IdealCertificate(False, functional=densify(phi, dim))
+    rows: list[SparseVector] = [{} for _ in range(dim)]
+    for j, col in enumerate(columns):
+        for k, v in col.items():
+            rows[k][j] = v
+    sol = solve_rows(rows, len(columns), t.coords)
     if sol is not None:
         split = ring.class_dim(n - g1.degree)
         alpha = CohomologyClass._trusted(ring, n - g1.degree, sol[:split])
         beta = CohomologyClass._trusted(ring, n - g2.degree, sol[split:])
-        if cup(g1, alpha) + cup(g2, beta) != t:
-            raise ConsistencyError(
-                f"ideal membership in degree {n}: solve gives coefficients "
-                "but recomputing them through cup does not reproduce the class"
-            )
-        return IdealCertificate(True, coefficients=(alpha, beta))
-    rows = Matrix._trusted(tuple(columns), dim)
-    at_t = Matrix._trusted((t.coords,), dim)
-    phi = next((f for f in kernel_basis(rows).basis if any(at_t.matvec(f))), None)
-    if phi is None or any(rows.matvec(phi)):
+    if sol is None or cup(g1, alpha) + cup(g2, beta) != t:
         raise ConsistencyError(
-            f"ideal membership in degree {n}: solve finds no coefficients "
-            "but kernel_basis gives no functional that vanishes on the "
-            "ideal and not on the class"
+            f"ideal membership in degree {n}: solve gives no coefficients "
+            "that reproduce the class through cup, although the "
+            "indeterminacy contains it"
         )
-    return IdealCertificate(False, functional=phi)
+    return IdealCertificate(True, coefficients=(alpha, beta))
 
 
 @dataclass(frozen=True)
@@ -551,9 +567,8 @@ class MasseyResult:
     ``vanishes`` is the zero test of the coset's reduced point.
     ``in_ideal`` is the certified verdict of ``certify_ideal_membership``
     on whether the representative lies in the ideal of the two outer
-    classes.  For triple products the indeterminacy is that ideal's
-    degree piece, so the two verdicts agree; disagreement raises
-    ConsistencyError instead of returning.
+    classes, whose degree piece is the indeterminacy; ``ideal_columns``
+    are the products that span it, as ``ideal_products`` lists them.
     """
 
     defined: bool
@@ -570,6 +585,9 @@ class MasseyResult:
     coset: Optional[AffineCoset] = None
     vanishes: Optional[bool] = None
     in_ideal: Optional[bool] = None
+    ideal_columns: Optional[list[SparseVector]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def triple_massey(
@@ -600,14 +618,13 @@ def triple_massey(
         )
     inputs = (a, b, c)
 
-    left = cup(a, b)
-    right = cup(b, c)
-    if not left.is_zero() or not right.is_zero():
-        reasons = []
-        if not left.is_zero():
-            reasons.append("the product of the first two classes is nonzero")
-        if not right.is_zero():
-            reasons.append("the product of the last two classes is nonzero")
+    left, right = cup(a, b), cup(b, c)
+    reasons = [
+        f"the product of the {which} two classes is nonzero"
+        for which, product in (("first", left), ("last", right))
+        if not product.is_zero()
+    ]
+    if reasons:
         return MasseyResult(
             defined=False,
             degree=n,
@@ -620,22 +637,18 @@ def triple_massey(
     alg = ring.algebra
     A, B, C = ring.lift(a), ring.lift(b), ring.lift(c)
 
-    ab = A.bar() * B
-    x_coords = solve_rows(alg.diff_rows(p + q - 1), alg.dim(p + q - 1), ab.coords)
-    if x_coords is None:
+    x_coords = solve_rows(
+        alg.diff_rows(p + q - 1), alg.dim(p + q - 1), (A.bar() * B).coords
+    )
+    y_coords = solve_rows(
+        alg.diff_rows(q + r - 1), alg.dim(q + r - 1), (B.bar() * C).coords
+    )
+    if x_coords is None or y_coords is None:
         raise ConsistencyError(
             "product of representatives is not exact although the classes "
             "multiply to zero"
         )
     x = alg.element(p + q - 1, x_coords)
-
-    bc = B.bar() * C
-    y_coords = solve_rows(alg.diff_rows(q + r - 1), alg.dim(q + r - 1), bc.coords)
-    if y_coords is None:
-        raise ConsistencyError(
-            "product of representatives is not exact although the classes "
-            "multiply to zero"
-        )
     y = alg.element(q + r - 1, y_coords)
 
     rep = A.bar() * y + x.bar() * C
@@ -646,17 +659,9 @@ def triple_massey(
     rep_class = ring.project(rep)
 
     products = ideal_products(ring, [a, c], n)
-    indeterminacy = Subspace._trusted_span(ring.class_dim(n), products)
+    indeterminacy = Subspace.span_rows(ring.class_dim(n), products)
     coset = AffineCoset(rep_class.coords, indeterminacy)
-    vanishes = coset.contains_zero()
-
-    certificate = certify_ideal_membership(a, c, rep_class, products)
-    if certificate.member != vanishes:
-        raise ConsistencyError(
-            f"the zero test and the ideal certificate of a triple product "
-            f"disagree in degree {n}; the indeterminacy is the ideal piece, "
-            "so this indicates corrupted data"
-        )
+    certificate = certify_ideal_membership(a, c, rep_class, products, indeterminacy)
 
     return MasseyResult(
         defined=True,
@@ -670,8 +675,9 @@ def triple_massey(
         rep_class=rep_class,
         indeterminacy=indeterminacy,
         coset=coset,
-        vanishes=vanishes,
+        vanishes=coset.contains_zero(),
         in_ideal=certificate.member,
+        ideal_columns=products,
     )
 
 
@@ -699,6 +705,10 @@ class ContainmentReport:
     holds: bool
     scaled: AffineCoset
     target: AffineCoset
+
+    @classmethod
+    def of(cls, scaled: AffineCoset, target: AffineCoset) -> "ContainmentReport":
+        return cls(scaled.contained_in(target), scaled, target)
 
 
 def check_scaling_law(
@@ -732,10 +742,7 @@ def check_scaling_law(
             f"got: {scaled.reason}"
         )
     image = scale_coset(ring, xi, base.coset, base.degree)
-    report = ContainmentReport(
-        holds=image.contained_in(scaled.coset), scaled=image, target=scaled.coset
-    )
-    return report, base, scaled
+    return ContainmentReport.of(image, scaled.coset), base, scaled
 
 
 class InducedMap:
@@ -804,9 +811,5 @@ def check_functoriality(
             f"got: {target_result.reason}"
         )
     image = fmap.apply_coset(source_result.coset, source_result.degree)
-    report = ContainmentReport(
-        holds=image.contained_in(target_result.coset),
-        scaled=image,
-        target=target_result.coset,
-    )
+    report = ContainmentReport.of(image, target_result.coset)
     return report, source_result, target_result

@@ -418,6 +418,22 @@ class Subspace:
                         del out[j]
         return out
 
+    def separating_functional(self, v: SparseVector) -> Optional[SparseVector]:
+        """A functional zero on the subspace and not at v, or None if v lies in it.
+
+        For a free column f, e_f - sum_k R_k[f] e_(p_k) over the rows R_k
+        with pivots p_k is zero on every row, and its value at v is the f
+        entry of v's residue, which is zero at the pivots: the first free
+        column where the residue is nonzero gives the functional.
+        """
+        residue = self.reduce_row(v)
+        if not residue:
+            return None
+        f = min(residue)
+        phi = {p: -row[f] for p, row in zip(self.pivots, self.rows) if f in row}
+        phi[f] = _ONE
+        return phi
+
     def contains(self, v: Vector) -> bool:
         return vec_is_zero(self.reduce(v))
 

@@ -6,10 +6,12 @@ an Euler class built from weighted line bundle data, and a transfer datum
 tying an ambient equivariant model to the fixed one through restriction
 and pushforward maps.
 
-A verdict on ideal membership comes from one solve and is backed by a
-certificate that a check of a different kind verifies: coefficients by
-recomputing them through the cup product, a separating functional by dot
-products.  Where a conclusion also has a genuinely independent route,
+A verdict on ideal membership is whether the ideal's degree piece, the
+indeterminacy a triple product has eliminated, holds the class.  Its
+certificate is verified by a check of a different kind: a non-member's
+separating functional, read off that echelon form, by dot products; a
+member's coefficients, solved once, by recomputing them through the cup
+product.  Where a conclusion also has a genuinely independent route,
 such as non-vanishing of the embedded product through the retraction to
 the base, both are computed and must agree.  A failed certificate or a
 disagreement raises ConsistencyError.
@@ -487,26 +489,28 @@ def h_comparison_check(
     u: CohomologyClass,
     w: CohomologyClass,
     x: CohomologyClass,
+    scaled: Optional[MasseyResult] = None,
 ) -> HComparisonReport:
     """Decide membership of z = chi^3 x in the ideal of chi u and chi w.
 
     Certifies z = (chi u) a + (chi w) b over the extension ring, or a
-    functional separating z from the ideal; the latter fires.  A solution
-    is pushed through the comparison argument: chi is not a zero divisor,
-    so chi^2 x = u a + w b on the nose, and reading off the h^(2m)
-    coefficient writes the base class x inside the base ideal (u, w).
+    functional separating z from the ideal; the latter fires, reusing the
+    ideal columns and indeterminacy of ``scaled`` = <chi u, chi v, chi w>
+    if given.  A solution is pushed through the comparison argument: chi
+    is not a zero divisor, so chi^2 x = u a + w b on the nose, and reading
+    off the h^(2m) coefficient writes x inside the base ideal (u, w).
     """
     ring = setup.ext_ring
-    certificate = certify_ideal_membership(
-        chi_u, chi_w, z, ideal_products(ring, [chi_u, chi_w], z.degree)
-    )
+    if scaled is None:
+        columns, span = ideal_products(ring, [chi_u, chi_w], z.degree), None
+    else:
+        columns, span = scaled.ideal_columns, scaled.indeterminacy
+    certificate = certify_ideal_membership(chi_u, chi_w, z, columns, span)
     if not certificate.member:
         return HComparisonReport(fired=True)
     a_cls, b_cls = certificate.coefficients
 
-    x_ext = setup.embed.apply(x)
-    u_ext = setup.embed.apply(u)
-    w_ext = setup.embed.apply(w)
+    x_ext, u_ext, w_ext = (setup.embed.apply(c) for c in (x, u, w))
     chi2 = cup(chi.cls, chi.cls)
     t = cup(chi2, x_ext) - cup(u_ext, a_cls) - cup(w_ext, b_cls)
     if not cup(chi.cls, t).is_zero():
@@ -529,10 +533,9 @@ def h_comparison_check(
     scalar = _unit_multiple(base_ring, lam)
     if scalar is not None and scalar != 0:
         rhs = base_ring.zero_class(x.degree)
-        if a_comp is not None:
-            rhs = rhs + cup(u, a_comp)
-        if b_comp is not None:
-            rhs = rhs + cup(w, b_comp)
+        for g, comp in ((u, a_comp), (w, b_comp)):
+            if comp is not None:
+                rhs = rhs + cup(g, comp)
         extracted = rhs.scale(Fraction(1) / scalar)
         matches = extracted == x
         if not matches:
@@ -561,9 +564,7 @@ def _unit_multiple(
     if pivot is None:
         return None
     scalar = cls.coords[pivot] / unit.coords[pivot]
-    if cls.coords != unit.scale(scalar).coords:
-        return None
-    return scalar
+    return scalar if cls.coords == unit.scale(scalar).coords else None
 
 
 # --------------------------------------------------------------------------
@@ -656,9 +657,7 @@ def check_euler_scaled_massey(
     if not zero_divisor.ok:
         raise AlgebraValidationError(_ZERO_DIVISOR.format(zero_divisor.failed_degree))
 
-    u_cls = as_class(setup.base_ring, u)
-    v_cls = as_class(setup.base_ring, v)
-    w_cls = as_class(setup.base_ring, w)
+    u_cls, v_cls, w_cls = (as_class(setup.base_ring, c) for c in (u, v, w))
 
     try:
         base_result = triple_massey(u_cls, v_cls, w_cls)
@@ -673,9 +672,7 @@ def check_euler_scaled_massey(
             "the base triple product vanishes; there is nothing to scale"
         )
 
-    U = setup.embed.apply(u_cls)
-    V = setup.embed.apply(v_cls)
-    W = setup.embed.apply(w_cls)
+    U, V, W = (setup.embed.apply(c) for c in (u_cls, v_cls, w_cls))
     embedded_result = triple_massey(U, V, W)
     if not embedded_result.defined:
         raise ConsistencyError(
@@ -686,11 +683,7 @@ def check_euler_scaled_massey(
     retracted = setup.retract.apply_coset(
         embedded_result.coset, embedded_result.degree
     )
-    h0_containment = ContainmentReport(
-        holds=retracted.contained_in(base_result.coset),
-        scaled=retracted,
-        target=base_result.coset,
-    )
+    h0_containment = ContainmentReport.of(retracted, base_result.coset)
     via_base = h0_containment.holds and not base_result.vanishes
     if direct_nonvanish != via_base:
         raise ConsistencyError(
@@ -699,11 +692,7 @@ def check_euler_scaled_massey(
         )
 
     pushed = setup.embed.apply_coset(base_result.coset, base_result.degree)
-    embed_functoriality = ContainmentReport(
-        holds=pushed.contained_in(embedded_result.coset),
-        scaled=pushed,
-        target=embedded_result.coset,
-    )
+    embed_functoriality = ContainmentReport.of(pushed, embedded_result.coset)
     if not embed_functoriality.holds:
         raise ConsistencyError(
             "the embedded image of the base product must land inside the "
@@ -729,14 +718,11 @@ def check_euler_scaled_massey(
             "scaled product"
         )
 
+    # z lies in the coset, so it avoids the indeterminacy exactly when the
+    # product does not vanish: the certificate decides both at once
     machinery = h_comparison_check(
-        setup, chi, z, chi_u, chi_w, u_cls, w_cls, base_result.rep_class
+        setup, chi, z, chi_u, chi_w, u_cls, w_cls, base_result.rep_class, scaled_result
     )
-    if machinery.fired != (not scaled_result.vanishes):
-        raise ConsistencyError(
-            "membership certificate and the scaled product's zero test "
-            f"disagree in degree {z.degree}"
-        )
 
     verdict = "non-vanishing" if machinery.fired else "vanishes"
     return EulerScaledReport(
@@ -782,7 +768,7 @@ class HamiltonianTransferDatum:
         ambient: CochainAlgebra,
         fixed: CochainAlgebra,
         restrict: AlgebraMorphism,
-        push_matrices: Sequence[Matrix],
+        push_matrices: Optional[Sequence[Matrix]],
         chi_polynomial: PolyInput,
         m: int,
     ):
@@ -790,7 +776,7 @@ class HamiltonianTransferDatum:
         self.ambient = ambient
         self.fixed = fixed
         self.restrict = restrict
-        self.push_matrices = tuple(push_matrices)
+        self._push_matrices = None if push_matrices is None else tuple(push_matrices)
         self.chi_polynomial = chi_polynomial
         self.m = m
         self._restrict_map: Optional[InducedMap] = None
@@ -806,7 +792,19 @@ class HamiltonianTransferDatum:
         return CohomologyRing(self.fixed)
 
     @property
+    def push_matrices(self) -> tuple[Matrix, ...]:
+        # a tautological datum pushes by cup and builds these only if read
+        if self._push_matrices is None:
+            self._push_matrices = tuple(
+                cup_matrix(self.fixed_ring, self._euler.cls, n)
+                for n in range(self.push_top + 1)
+            )
+        return self._push_matrices
+
+    @property
     def push_top(self) -> int:
+        if self._euler is not None:
+            return self.fixed_ring.top - 2 * self.m
         return len(self.push_matrices) - 1
 
     def chi_element(self) -> Element:
@@ -825,6 +823,8 @@ class HamiltonianTransferDatum:
             raise DegreeCapError(
                 f"no pushforward matrix in degree {n}", required_cap=n
             )
+        if self._euler is not None:
+            return cup(self._euler.cls, cls)
         return CohomologyClass(
             self.ambient_ring,
             n + 2 * self.m,
@@ -952,10 +952,9 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
         findings.append(_ZERO_DIVISOR.format(zd.failed_degree))
 
     for n in range(datum.push_top + 1):
-        mat = datum.push_matrices[n]
-        if rank(mat) == mat.cols:
+        kern = kernel_basis(datum.push_matrices[n])
+        if not kern.dim:
             continue
-        kern = kernel_basis(mat)
         x = CohomologyClass(datum.fixed_ring, n, kern.basis[0])
         if cup(chi_cls, x).is_zero():
             findings.append(_KILLED_KERNEL.format(n))
@@ -984,7 +983,8 @@ def tautological_datum(
     Restriction is the identity, so the projection formula holds by
     construction; useful as a reference datum and for exercising the
     pipeline end to end without extra geometry.  Both sides use the
-    setup's extension ring.  With ``setups`` the fixed model is the
+    setup's extension ring, and ``push`` cups with chi on demand, up to
+    the top degree minus 2m.  With ``setups`` the fixed model is the
     extension of that table's setup, which the Euler stage of
     ``run_transfer_pipeline`` then finds in the same table.
     """
@@ -995,20 +995,16 @@ def tautological_datum(
     else:
         chi = euler_class_from_polynomial(setup, chi_polynomial, m)
         chi_poly = chi_polynomial
-    ring = setup.ext_ring
-    push = [
-        cup_matrix(ring, chi.cls, n) for n in range(ring.top - 2 * chi.m + 1)
-    ]
     datum = HamiltonianTransferDatum(
         name="tautological",
         ambient=setup.ext,
         fixed=setup.ext,
         restrict=identity_morphism(setup.ext),
-        push_matrices=push,
+        push_matrices=None,
         chi_polynomial=chi_poly,
         m=chi.m,
     )
-    datum.ambient_ring = datum.fixed_ring = ring
+    datum.ambient_ring = datum.fixed_ring = setup.ext_ring
     datum._euler = chi
     return datum
 
@@ -1066,13 +1062,8 @@ def check_gysin_transfer(
     """
     fring = datum.fixed_ring
     chi_cls = datum.chi_class()
-    u_cls = as_class(fring, u)
-    v_cls = as_class(fring, v)
-    w_cls = as_class(fring, w)
-
-    chi_u = cup(chi_cls, u_cls)
-    chi_v = cup(chi_cls, v_cls)
-    chi_w = cup(chi_cls, w_cls)
+    u_cls, v_cls, w_cls = (as_class(fring, c) for c in (u, v, w))
+    chi_u, chi_v, chi_w = (cup(chi_cls, c) for c in (u_cls, v_cls, w_cls))
     fixed_result = triple_massey(chi_u, chi_v, chi_w)
     if not fixed_result.defined:
         raise UndefinedProductError(
@@ -1080,9 +1071,7 @@ def check_gysin_transfer(
             f"{fixed_result.reason}"
         )
 
-    U = datum.push(u_cls)
-    V = datum.push(v_cls)
-    W = datum.push(w_cls)
+    U, V, W = (datum.push(c) for c in (u_cls, v_cls, w_cls))
     rmap = datum.restrict_map()
 
     zeros = []  # (restriction zero, direct zero) for U V and for V W
@@ -1108,11 +1097,7 @@ def check_gysin_transfer(
         )
 
     image = rmap.apply_coset(ambient_result.coset, ambient_result.degree)
-    containment = ContainmentReport(
-        holds=image.contained_in(fixed_result.coset),
-        scaled=image,
-        target=fixed_result.coset,
-    )
+    containment = ContainmentReport.of(image, fixed_result.coset)
     if not containment.holds:
         raise ConsistencyError(
             "restriction does not map the ambient product into the fixed one"

@@ -14,34 +14,39 @@ from masseyq.linalg import Subspace, zero_vector
 def corrupt_certificate(monkeypatch):
     """Corrupt one route of ``certify_ideal_membership`` and nothing else.
 
-    ``corrupt_certificate("solve")`` adds 1 to the coordinate of the
-    first nonzero column in the certificate's solution (the first
-    coordinate if all are zero), reading an inconsistent system's missing
-    solution as zero, so every system gets a wrong solution.
-    ``corrupt_certificate("kernel_basis")`` subtracts 1 from the leading
-    coordinate of every functional it offers.  Every other caller of the
-    two functions gets the true result.
+    ``corrupt_certificate("solve")`` corrupts the member route: it adds 1
+    to the coordinate of the first nonzero column in the solution of
+    ``solve_rows`` (the first coordinate if all are zero), reading an
+    inconsistent system's missing solution as zero, so every system gets
+    a wrong solution.  ``corrupt_certificate("functional")`` corrupts the
+    non-member route: it drops the 1 at the free column from every
+    functional that ``Subspace.separating_functional`` reads off the
+    indeterminacy.  Every other caller of the two gets the true result.
     """
 
     def corrupt(route: str) -> None:
-        real = getattr(cohomology, route)
+        if route == "solve":
+            real = cohomology.solve_rows
 
-        def corrupted(matrix, *args):
-            out = real(matrix, *args)
-            if sys._getframe(1).f_code.co_name != "certify_ideal_membership":
-                return out
-            if route == "solve":
-                x = list(zero_vector(matrix.cols) if out is None else out)
-                columns = matrix.columns()
-                x[next((j for j, col in enumerate(columns) if any(col)), 0)] += 1
+            def corrupted(rows, cols, b):
+                out = real(rows, cols, b)
+                if sys._getframe(1).f_code.co_name != "certify_ideal_membership":
+                    return out
+                x = list(zero_vector(cols) if out is None else out)
+                x[min((j for row in rows for j in row), default=0)] += 1
                 return tuple(x)
-            rows = [{**row, p: row[p] - 1} for row, p in zip(out.rows, out.pivots)]
-            return Subspace(
-                out.ambient_dim,
-                [{j: v for j, v in row.items() if v} for row in rows],
-                out.pivots,
-            )
 
-        monkeypatch.setattr(cohomology, route, corrupted)
+            monkeypatch.setattr(cohomology, "solve_rows", corrupted)
+            return
+        real_functional = Subspace.separating_functional
+
+        def corrupted_functional(span, v):
+            phi = real_functional(span, v)
+            if phi is None or sys._getframe(1).f_code.co_name != "certify_ideal_membership":
+                return phi
+            free = min(span.reduce_row(v))
+            return {k: c for k, c in phi.items() if k != free}
+
+        monkeypatch.setattr(Subspace, "separating_functional", corrupted_functional)
 
     return corrupt

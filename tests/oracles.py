@@ -603,3 +603,120 @@ def full_datum_findings(datum):
         m=datum.m,
     )
     return validate_transfer_datum(copy)
+
+
+# -- triple Massey products from the definition -------------------------------
+#
+# For classes a, b, c of degrees p, q, r with representatives A, B, C, a
+# defining system is a pair X, Y with dX = bar(A) B and dY = bar(B) C, where
+# bar twists by the sign (-1)^degree, and its product is the cocycle
+# bar(A) Y + bar(X) C (the convention stated by ``triple_massey`` and
+# ``cdga.bar``).  With A, B, C fixed, X and Y run over one solution plus all
+# cocycles, so the products run over rep + bar(A) Z^(q+r-1) + bar(Z^(p+q-1)) C,
+# and modulo coboundaries that is the whole Massey set.  Everything below
+# reads the differential and the products of a ``FreeCdgaOracle`` and
+# eliminates with ``ff_rref``.
+
+
+def _bar(poly, degree):
+    return {e: -c for e, c in poly.items()} if degree % 2 else poly
+
+
+def _coords(poly, basis):
+    index = {e: i for i, e in enumerate(basis)}
+    out = [Fraction(0)] * len(basis)
+    for e, c in poly.items():
+        out[index[e]] += c
+    return out
+
+
+def _d_rows(oracle, k):
+    """Rows of the matrix of d from degree k to k + 1, monomial bases."""
+    source, target = oracle.monomials(k), oracle.monomials(k + 1)
+    columns = [_coords(oracle.differential({e: Fraction(1)}), target) for e in source]
+    return [[col[i] for col in columns] for i in range(len(target))]
+
+
+def _null_space(rows, cols):
+    reduced, pivots = ff_rref(rows, cols)
+    basis = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [Fraction(0)] * cols
+            v[f] = Fraction(1)
+            for i, p in enumerate(pivots):
+                v[p] = -reduced[i][f]
+            basis.append(v)
+    return basis
+
+
+def _preimage(rows, cols, rhs):
+    """Some x with rows * x = rhs, or None."""
+    augmented = [list(row) + [c] for row, c in zip(rows, rhs)]
+    reduced, pivots = ff_rref(augmented, cols + 1)
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for i, p in enumerate(pivots):
+        x[p] = reduced[i][cols]
+    return x
+
+
+def _span(vectors, cols):
+    """The nonzero rows of the rref of a list of vectors."""
+    reduced, pivots = ff_rref(vectors, cols)
+    return reduced[: len(pivots)]
+
+
+def massey_coset_oracle(oracle, A, B, C, p, q, r):
+    """The Massey set of the classes of cocycles A, B, C (polynomials of
+    ``oracle`` in degrees p, q, r), from the definition.
+
+    Returns ``{"defined": False}`` when a product of neighbours is not
+    exact.  Otherwise the degree n, its monomial ``basis``, the
+    representative ``rep`` of one defining system, the span of the
+    coboundaries of degree n (``coboundaries``) and of those together
+    with the indeterminacy (``direction``), both as reduced rows, and
+    whether 0 lies in the set (``vanishes``), all in coordinates of the
+    basis.
+    """
+    n = p + q + r - 1
+    basis = oracle.monomials(n)
+
+    def primitive(left, lp, right, rq):
+        k = lp + rq - 1
+        source = oracle.monomials(k)
+        target = _coords(oracle.multiply(_bar(left, lp), right), oracle.monomials(k + 1))
+        x = _preimage(_d_rows(oracle, k), len(source), target)
+        return None if x is None else {e: c for e, c in zip(source, x) if c}
+
+    def cocycles(k):
+        source = oracle.monomials(k)
+        for z in _null_space(_d_rows(oracle, k), len(source)):
+            yield {e: c for e, c in zip(source, z) if c}
+
+    X, Y = primitive(A, p, B, q), primitive(B, q, C, r)
+    if X is None or Y is None:
+        return {"defined": False}
+    rep = _poly_add(
+        oracle.multiply(_bar(A, p), Y), oracle.multiply(_bar(X, p + q - 1), C)
+    )
+    assert oracle.differential(rep) == {}
+    boundary = [
+        _coords(oracle.differential({e: Fraction(1)}), basis)
+        for e in oracle.monomials(n - 1)
+    ]
+    indeterminacy = [oracle.multiply(_bar(A, p), z) for z in cocycles(q + r - 1)]
+    indeterminacy += [oracle.multiply(_bar(z, p + q - 1), C) for z in cocycles(p + q - 1)]
+    vectors = boundary + [_coords(v, basis) for v in indeterminacy]
+    direction = _span(vectors, len(basis))
+    rep_coords = _coords(rep, basis)
+    return {
+        "defined": True,
+        "degree": n,
+        "basis": basis,
+        "rep": rep_coords,
+        "coboundaries": _span(boundary, len(basis)),
+        "direction": direction,
+        "vanishes": len(_span(vectors + [rep_coords], len(basis))) == len(direction),
+    }

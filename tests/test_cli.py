@@ -264,9 +264,10 @@ def test_command_line_bundle_error_has_no_line_prefix(capsys):
 
 @pytest.mark.parametrize("fmt", ["structured", "human"])
 def test_consistency_failure_gives_an_internal_report(capsys, corrupt_certificate, fmt):
-    # A wrong solution from the ideal-membership solve fails its cup check.
+    # A wrong solution from the member's solve fails its cup check; the
+    # product <x, x, x> over the torus vanishes, so its class is a member.
     corrupt_certificate("solve")
-    code = main(["massey", "builtin:heisenberg", "x", "x", "y", "--format", fmt])
+    code = main(["massey", "builtin:torus", "x", "x", "x", "--format", fmt])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == ""
@@ -283,13 +284,13 @@ def test_consistency_failure_gives_an_internal_report(capsys, corrupt_certificat
 
 
 def test_corrupted_functional_gives_an_internal_report(capsys, corrupt_certificate):
-    corrupt_certificate("kernel_basis")
+    corrupt_certificate("functional")
     code, doc = run_json(capsys, "massey", "builtin:heisenberg", "x", "x", "y")
     assert code == 1
     assert (doc["status"], doc["exit_code"]) == ("internal", 1)
     error = doc["payload"]["error"]
-    assert error.startswith("ideal membership in degree 2: solve ")
-    assert "kernel_basis" in error and "\n" not in error
+    assert error.startswith("ideal membership in degree 2: the functional read off ")
+    assert "echelon form" in error and "\n" not in error
 
 
 def test_lemma32_full_witness_chain(capsys):

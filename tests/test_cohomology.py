@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -29,14 +31,17 @@ from masseyq.cohomology import (
     ideal_products,
     triple_massey,
 )
+from masseyq import linalg
 from masseyq.linalg import densify
 from masseyq.errors import AlgebraValidationError, ConsistencyError, DegreeCapError
 from masseyq.fileformat import resolve_model_spec
 from masseyq.models import builtin_model
 from oracles import (
+    FreeCdgaOracle,
     betti_oracle,
     ff_rref,
     heisenberg_massey_oracle,
+    massey_coset_oracle,
     projected_product_reference,
     random_free_cdga,
 )
@@ -235,17 +240,63 @@ def test_triple_massey_ideal_verdict_is_certified():
         assert result.in_ideal == cert.member == result.vanishes
 
 
-@pytest.mark.parametrize("route", ["solve", "kernel_basis"])
+@pytest.mark.parametrize("route", ["solve", "functional"])
 def test_corrupted_certificate_raises(corrupt_certificate, route):
     member, outside = _filiform_triples()
     _, heis = heisenberg_ring()
     x, y = heis.basis_classes(1)
+    _, torus = torus_ring()
+    a, _ = torus.basis_classes(1)
     corrupt_certificate(route)
-    # only a non-member's certificate reads a functional
-    cases = [outside, (x, x, y)] + ([member] if route == "solve" else [])
+    # a member is solved; a non-member reads a functional off the echelon form
+    if route == "solve":
+        cases, message = [member, (a, a, a)], "solve gives no coefficients"
+    else:
+        cases, message = [outside, (x, x, y)], "the functional read off"
     for inputs in cases:
-        with pytest.raises(ConsistencyError, match=r"ideal membership in degree \d: solve"):
+        with pytest.raises(ConsistencyError, match=rf"ideal membership in degree \d: {message}"):
             triple_massey(*inputs)
+
+
+def test_the_certificate_reuses_the_eliminated_indeterminacy(monkeypatch):
+    # Given the span, a non-member's functional is read off its echelon
+    # form with no elimination, and a member costs its one solve.
+    member, outside = _filiform_triples()
+    _, heis = heisenberg_ring()
+    x, y = heis.basis_classes(1)
+    real = linalg._eliminate
+    for inputs, eliminations in ((outside, 0), ((x, x, y), 0), (member, 1)):
+        result = triple_massey(*inputs)
+        calls = []
+        monkeypatch.setattr(
+            linalg, "_eliminate", lambda *args: calls.append(args) or real(*args)
+        )
+        cert = certify_ideal_membership(
+            inputs[0], inputs[2], result.rep_class, result.ideal_columns,
+            result.indeterminacy,
+        )
+        monkeypatch.setattr(linalg, "_eliminate", real)
+        assert cert.member == result.vanishes == (eliminations == 1)
+        assert len(calls) == eliminations
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_a_dropped_ring_is_freed_without_the_cyclic_collector(extended):
+    gc.collect()
+    gc.disable()
+    try:
+        algebra = build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {"z": "x*y"}, 4)
+        if extended:
+            algebra = tensor_polynomial_generator(algebra, "h", cap=6)
+        ring = CohomologyRing(algebra)
+        x, y = (ring.class_from_polynomial(p) for p in ("x", "y"))
+        assert not triple_massey(x, x, y).vanishes
+        refs = [weakref.ref(ring), weakref.ref(ring.block_ring), weakref.ref(algebra)]
+        del algebra, ring, x, y
+        assert [ref() for ref in refs] == [None, None, None]
+        assert gc.collect() == 0  # and nothing else was left in a cycle
+    finally:
+        gc.enable()
 
 
 # -- triple products -----------------------------------------------------------
@@ -676,6 +727,108 @@ def test_sparse_fed_eliminations_match_the_fraction_free_oracle(drawn):
         checked += 1
 
 
+# Non-formal presentations beside the random ones, so that many drawn
+# triple products are defined and do not vanish.
+_NON_FORMAL = [
+    ([("x", 1), ("y", 1), ("z", 1)], {"z": [(1, ("x", "y"))]}, 4),
+    (
+        [(f"x{i}", 1) for i in range(1, 6)],
+        {f"x{i}": [(1, ("x1", f"x{i - 1}"))] for i in (3, 4, 5)},
+        5,
+    ),
+    ([("a", 2), ("b", 2), ("c", 3)], {"c": [(1, ("a", "b"))]}, 7),
+    ([("a", 1), ("b", 2), ("c", 2)], {"c": [(2, ("a", "b"))]}, 6),
+]
+
+
+@st.composite
+def _massey_triples(draw):
+    """A random free presentation (or a non-formal one) or its h-extension,
+    its oracle, and up to eight triples of basis classes and four of random
+    combinations, over the degree triples under the top."""
+    if draw(st.integers(0, 2)):
+        gens, diffs, cap = random_free_cdga(draw(st.randoms(use_true_random=False)))
+    else:
+        gens, diffs, cap = draw(st.sampled_from(_NON_FORMAL))
+    algebra = build_free_cdga(gens, diffs, cap)
+    if draw(st.booleans()):
+        algebra = tensor_polynomial_generator(algebra, "h", cap=cap + draw(st.integers(1, 3)))
+        gens = gens + [("h", 2)]
+    ring = CohomologyRing(algebra)
+    degrees = [n for n in range(1, ring.top + 1) if ring.class_dim(n)]
+    shapes = [
+        (p, q, r)
+        for p, q, r in itertools.product(degrees, repeat=3)
+        if p + q + r - 1 <= ring.top
+    ]
+
+    basis = {n: ring.basis_classes(n) for n in degrees}
+    triples = [
+        triple
+        for p, q, r in shapes
+        for triple in itertools.product(basis[p], basis[q], basis[r])
+    ]
+    draw(st.randoms(use_true_random=False)).shuffle(triples)
+    triples = triples[:8]
+    for shape in draw(st.lists(st.sampled_from(shapes), max_size=4)) if shapes else []:
+        triples.append(
+            tuple(
+                CohomologyClass(ring, n, draw(st.lists(
+                    st.sampled_from(_COEFFS),
+                    min_size=ring.class_dim(n),
+                    max_size=ring.class_dim(n),
+                )))
+                for n in shape
+            )
+        )
+    return ring, FreeCdgaOracle(gens, diffs), triples
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_massey_triples())
+def test_triple_products_match_the_massey_coset_oracle(drawn):
+    ring, oracle, triples = drawn
+    algebra = ring.algebra
+
+    def poly(el):
+        labels = algebra.basis_labels(el.degree)
+        return {oracle.exponents(l): c for l, c in zip(labels, el.coords) if c}
+
+    def span(vectors, cols):
+        reduced, pivots = ff_rref(vectors, cols)
+        return reduced[: len(pivots)]
+
+    for a, b, c in triples:
+        result = triple_massey(a, b, c)
+        want = massey_coset_oracle(
+            oracle, *(poly(ring.lift(x)) for x in (a, b, c)), a.degree, b.degree, c.degree
+        )
+        # defined iff both neighbouring products vanish
+        assert result.defined == want["defined"]
+        assert result.defined == (cup(a, b).is_zero() and cup(b, c).is_zero())
+        if not result.defined:
+            continue
+        n, basis = want["degree"], want["basis"]
+        coords = lambda el: [poly(el).get(e, Fraction(0)) for e in basis]
+        cols = len(basis)
+        # the same direction: lifts of the indeterminacy plus coboundaries
+        lifts = [
+            coords(ring.lift(CohomologyClass(ring, n, v)))
+            for v in result.indeterminacy.basis
+        ]
+        assert span(list(want["coboundaries"]) + lifts, cols) == want["direction"]
+        assert len(want["direction"]) == len(want["coboundaries"]) + result.indeterminacy.dim
+        # the same coset: the two representatives differ by a direction vector
+        diff = [x - y for x, y in zip(coords(result.representative), want["rep"])]
+        assert len(span(list(want["direction"]) + [diff], cols)) == len(want["direction"])
+        point = coords(ring.lift(CohomologyClass(ring, n, result.coset.point)))
+        diff = [x - y for x, y in zip(point, want["rep"])]
+        assert len(span(list(want["direction"]) + [diff], cols)) == len(want["direction"])
+        # vanishes iff 0 lies in the coset, and the ideal verdict agrees
+        assert result.vanishes == want["vanishes"]
+        assert result.in_ideal == result.vanishes
+
+
 _TABLE_MODELS = [
     "sphere-cohomology",
     "truncated-polynomial",
@@ -758,8 +911,10 @@ def test_block_assembly_matches_the_dense_oracle(ext):
         for q in range(ring.top + 1 - p):
             for i in range(ring.class_dim(p)):
                 for j in range(ring.class_dim(q)):
-                    assert ring._product(p, i, q, j) == projected_product_reference(
-                        ring, p, i, q, j
+                    terms = dict(ring._product(p, i, q, j))
+                    assert 0 not in terms.values()
+                    assert densify(terms, ring.class_dim(p + q)) == (
+                        projected_product_reference(ring, p, i, q, j)
                     )
 
 

@@ -331,14 +331,17 @@ def test_membership_solver_fires_outside_the_ideal():
     "route, base, x_poly",
     [
         ("solve", torus(), "x*y"),
-        ("solve", heisenberg(), "x*z"),
-        ("kernel_basis", heisenberg(), "x*z"),
+        ("solve", build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {}, 4), "x*z"),
+        ("functional", heisenberg(), "x*z"),
     ],
 )
 def test_corrupted_membership_certificate_raises(corrupt_certificate, route, base, x_poly):
+    # [x*z] lies in the ideal of [x] and [y] over the exterior algebra, not
+    # over Heisenberg
     inputs = _h_comparison_inputs(base, 10 if x_poly == "x*y" else 9, x_poly)
     corrupt_certificate(route)
-    with pytest.raises(ConsistencyError, match=r"ideal membership in degree \d+: solve"):
+    message = "solve gives no" if route == "solve" else "the functional read off"
+    with pytest.raises(ConsistencyError, match=rf"ideal membership in degree \d+: {message}"):
         h_comparison_check(*inputs)
 
 
