@@ -360,12 +360,13 @@ class CohomologyRing:
         key = (p, i, q, j)
         entry = self._products.get(key)
         if entry is None:
-            for m in (p, q, p + q):
+            n = p + q
+            for m in (p, q, n):
                 self._degree(m)  # fills the class tables read below
             a, bp, bi = self._class_split[p][i]
             b, bq, bj = self._class_split[q][j]
             entry = self.block_ring._base_product(bp, bi, bq, bj)
-            offset = self._class_offsets[p + q][a + b]
+            offset = self._class_offsets[n][a + b]
             if offset:
                 entry = tuple((offset + k, v) for k, v in entry)
             self._products[key] = entry
@@ -378,8 +379,9 @@ class CohomologyRing:
         entry = self._base_products.get(key)
         if entry is None:
             a, n = self.algebra, p + q
-            entry = ()
-            if n <= a.cap:
+            if n > a.cap:
+                entry = ()
+            else:
                 left = Element._trusted(
                     a, p, densify(self._block(p).representatives[i], a.dim(p))
                 )
@@ -510,23 +512,21 @@ def certify_ideal_membership(
     g2: CohomologyClass,
     t: CohomologyClass,
     columns: Sequence[SparseVector],
-    span: Optional[Subspace] = None,
+    span: Subspace,
 ) -> IdealCertificate:
     """Decide whether t lies in the ideal of g1 and g2, with a checked certificate.
 
     ``columns`` are the products ``ideal_products`` lists for (g1, g2) in
-    degree t.degree and ``span`` their span (a triple product's
-    indeterminacy), eliminated here if not given.  The verdict is whether
-    the span holds t.  A non-member's functional is read off the span's
-    echelon form and checked by dot products against every column and t.
-    A member is solved once, columns * (alpha, beta) = t, and checked by
-    recomputing g1 * alpha + g2 * beta through ``cup``.  A failed check
-    raises ConsistencyError.
+    degree t.degree and ``span`` their span, already eliminated: a triple
+    product's indeterminacy.  The verdict is whether the span holds t.  A
+    non-member's functional is read off the span's echelon form and
+    checked by dot products against every column and t.  A member is
+    solved once, columns * (alpha, beta) = t, and checked by recomputing
+    g1 * alpha + g2 * beta through ``cup``.  A failed check raises
+    ConsistencyError.
     """
     ring, n = t.ring, t.degree
     dim = ring.class_dim(n)
-    if span is None:
-        span = Subspace.span_rows(dim, columns)
     phi = span.separating_functional({k: c for k, c in enumerate(t.coords) if c})
     if phi is not None:
         dot = lambda v: sum(phi.get(k, _ZERO) * c for k, c in v)
@@ -618,13 +618,14 @@ def triple_massey(
         )
     inputs = (a, b, c)
 
-    left, right = cup(a, b), cup(b, c)
-    reasons = [
-        f"the product of the {which} two classes is nonzero"
-        for which, product in (("first", left), ("last", right))
-        if not product.is_zero()
-    ]
-    if reasons:
+    left = cup(a, b)
+    right = cup(b, c)
+    if not left.is_zero() or not right.is_zero():
+        reasons = []
+        if not left.is_zero():
+            reasons.append("the product of the first two classes is nonzero")
+        if not right.is_zero():
+            reasons.append("the product of the last two classes is nonzero")
         return MasseyResult(
             defined=False,
             degree=n,
@@ -637,18 +638,22 @@ def triple_massey(
     alg = ring.algebra
     A, B, C = ring.lift(a), ring.lift(b), ring.lift(c)
 
-    x_coords = solve_rows(
-        alg.diff_rows(p + q - 1), alg.dim(p + q - 1), (A.bar() * B).coords
-    )
-    y_coords = solve_rows(
-        alg.diff_rows(q + r - 1), alg.dim(q + r - 1), (B.bar() * C).coords
-    )
-    if x_coords is None or y_coords is None:
+    ab = A.bar() * B
+    x_coords = solve_rows(alg.diff_rows(p + q - 1), alg.dim(p + q - 1), ab.coords)
+    if x_coords is None:
         raise ConsistencyError(
             "product of representatives is not exact although the classes "
             "multiply to zero"
         )
     x = alg.element(p + q - 1, x_coords)
+
+    bc = B.bar() * C
+    y_coords = solve_rows(alg.diff_rows(q + r - 1), alg.dim(q + r - 1), bc.coords)
+    if y_coords is None:
+        raise ConsistencyError(
+            "product of representatives is not exact although the classes "
+            "multiply to zero"
+        )
     y = alg.element(q + r - 1, y_coords)
 
     rep = A.bar() * y + x.bar() * C

@@ -46,7 +46,6 @@ from .cohomology import (
     check_scaling_law,
     cup,
     cup_matrix,
-    ideal_products,
     triple_massey,
 )
 from .errors import (
@@ -484,33 +483,33 @@ def h_comparison_check(
     setup: EquivariantSetup,
     chi: EulerClass,
     z: CohomologyClass,
-    chi_u: CohomologyClass,
-    chi_w: CohomologyClass,
+    scaled: MasseyResult,
     u: CohomologyClass,
     w: CohomologyClass,
     x: CohomologyClass,
-    scaled: Optional[MasseyResult] = None,
 ) -> HComparisonReport:
     """Decide membership of z = chi^3 x in the ideal of chi u and chi w.
 
-    Certifies z = (chi u) a + (chi w) b over the extension ring, or a
-    functional separating z from the ideal; the latter fires, reusing the
-    ideal columns and indeterminacy of ``scaled`` = <chi u, chi v, chi w>
-    if given.  A solution is pushed through the comparison argument: chi
-    is not a zero divisor, so chi^2 x = u a + w b on the nose, and reading
-    off the h^(2m) coefficient writes x inside the base ideal (u, w).
+    ``scaled`` is the defined product <chi u, chi v, chi w> in the degree
+    of z, whose ideal columns and indeterminacy span that ideal's degree
+    piece.  Certifies z = (chi u) a + (chi w) b over the extension ring,
+    or a functional separating z from the ideal; the latter fires.  A
+    solution is pushed through the comparison argument: chi is not a zero
+    divisor, so chi^2 x = u a + w b on the nose, and reading off the
+    h^(2m) coefficient writes the base class x inside the base ideal (u, w).
     """
     ring = setup.ext_ring
-    if scaled is None:
-        columns, span = ideal_products(ring, [chi_u, chi_w], z.degree), None
-    else:
-        columns, span = scaled.ideal_columns, scaled.indeterminacy
-    certificate = certify_ideal_membership(chi_u, chi_w, z, columns, span)
+    chi_u, _, chi_w = scaled.inputs
+    certificate = certify_ideal_membership(
+        chi_u, chi_w, z, scaled.ideal_columns, scaled.indeterminacy
+    )
     if not certificate.member:
         return HComparisonReport(fired=True)
     a_cls, b_cls = certificate.coefficients
 
-    x_ext, u_ext, w_ext = (setup.embed.apply(c) for c in (x, u, w))
+    x_ext = setup.embed.apply(x)
+    u_ext = setup.embed.apply(u)
+    w_ext = setup.embed.apply(w)
     chi2 = cup(chi.cls, chi.cls)
     t = cup(chi2, x_ext) - cup(u_ext, a_cls) - cup(w_ext, b_cls)
     if not cup(chi.cls, t).is_zero():
@@ -533,9 +532,10 @@ def h_comparison_check(
     scalar = _unit_multiple(base_ring, lam)
     if scalar is not None and scalar != 0:
         rhs = base_ring.zero_class(x.degree)
-        for g, comp in ((u, a_comp), (w, b_comp)):
-            if comp is not None:
-                rhs = rhs + cup(g, comp)
+        if a_comp is not None:
+            rhs = rhs + cup(u, a_comp)
+        if b_comp is not None:
+            rhs = rhs + cup(w, b_comp)
         extracted = rhs.scale(Fraction(1) / scalar)
         matches = extracted == x
         if not matches:
@@ -564,7 +564,9 @@ def _unit_multiple(
     if pivot is None:
         return None
     scalar = cls.coords[pivot] / unit.coords[pivot]
-    return scalar if cls.coords == unit.scale(scalar).coords else None
+    if cls.coords != unit.scale(scalar).coords:
+        return None
+    return scalar
 
 
 # --------------------------------------------------------------------------
@@ -657,7 +659,9 @@ def check_euler_scaled_massey(
     if not zero_divisor.ok:
         raise AlgebraValidationError(_ZERO_DIVISOR.format(zero_divisor.failed_degree))
 
-    u_cls, v_cls, w_cls = (as_class(setup.base_ring, c) for c in (u, v, w))
+    u_cls = as_class(setup.base_ring, u)
+    v_cls = as_class(setup.base_ring, v)
+    w_cls = as_class(setup.base_ring, w)
 
     try:
         base_result = triple_massey(u_cls, v_cls, w_cls)
@@ -672,7 +676,9 @@ def check_euler_scaled_massey(
             "the base triple product vanishes; there is nothing to scale"
         )
 
-    U, V, W = (setup.embed.apply(c) for c in (u_cls, v_cls, w_cls))
+    U = setup.embed.apply(u_cls)
+    V = setup.embed.apply(v_cls)
+    W = setup.embed.apply(w_cls)
     embedded_result = triple_massey(U, V, W)
     if not embedded_result.defined:
         raise ConsistencyError(
@@ -702,7 +708,6 @@ def check_euler_scaled_massey(
     chain1, _, scaled1 = check_scaling_law(chi.cls, embedded_result, 1)
     chain2, _, scaled2 = check_scaling_law(chi.cls, scaled1, 2)
     chain3, _, scaled_result = check_scaling_law(chi.cls, scaled2, 3)
-    chi_u, _, chi_w = scaled_result.inputs
     for step, report in enumerate((chain1, chain2, chain3), start=1):
         if not report.holds:
             raise ConsistencyError(
@@ -721,7 +726,7 @@ def check_euler_scaled_massey(
     # z lies in the coset, so it avoids the indeterminacy exactly when the
     # product does not vanish: the certificate decides both at once
     machinery = h_comparison_check(
-        setup, chi, z, chi_u, chi_w, u_cls, w_cls, base_result.rep_class, scaled_result
+        setup, chi, z, scaled_result, u_cls, w_cls, base_result.rep_class
     )
 
     verdict = "non-vanishing" if machinery.fired else "vanishes"
@@ -759,7 +764,8 @@ class HamiltonianTransferDatum:
     ``fixed`` that of a fixed locus (a polynomial-generator extension).
     ``restrict`` is a cochain-level ring map; ``push_matrices[n]`` gives
     the degree n -> n + 2m pushforward on cohomology class coordinates.
-    The defining relation is restrict(push(x)) = chi * x.
+    The defining relation is restrict(push(x)) = chi * x.  A datum made
+    by ``tautological_datum`` holds no matrices and pushes by cup with chi.
     """
 
     def __init__(
@@ -768,7 +774,7 @@ class HamiltonianTransferDatum:
         ambient: CochainAlgebra,
         fixed: CochainAlgebra,
         restrict: AlgebraMorphism,
-        push_matrices: Optional[Sequence[Matrix]],
+        push_matrices: Sequence[Matrix],
         chi_polynomial: PolyInput,
         m: int,
     ):
@@ -776,11 +782,11 @@ class HamiltonianTransferDatum:
         self.ambient = ambient
         self.fixed = fixed
         self.restrict = restrict
-        self._push_matrices = None if push_matrices is None else tuple(push_matrices)
+        self.push_matrices = tuple(push_matrices)
         self.chi_polynomial = chi_polynomial
         self.m = m
         self._restrict_map: Optional[InducedMap] = None
-        # set by tautological_datum alone; see validate_transfer_datum
+        # set by tautological_datum alone; see push and validate_transfer_datum
         self._euler: Optional[EulerClass] = None
 
     @cached_property
@@ -790,16 +796,6 @@ class HamiltonianTransferDatum:
     @cached_property
     def fixed_ring(self) -> CohomologyRing:
         return CohomologyRing(self.fixed)
-
-    @property
-    def push_matrices(self) -> tuple[Matrix, ...]:
-        # a tautological datum pushes by cup and builds these only if read
-        if self._push_matrices is None:
-            self._push_matrices = tuple(
-                cup_matrix(self.fixed_ring, self._euler.cls, n)
-                for n in range(self.push_top + 1)
-            )
-        return self._push_matrices
 
     @property
     def push_top(self) -> int:
@@ -1000,7 +996,7 @@ def tautological_datum(
         ambient=setup.ext,
         fixed=setup.ext,
         restrict=identity_morphism(setup.ext),
-        push_matrices=None,
+        push_matrices=(),
         chi_polynomial=chi_poly,
         m=chi.m,
     )
@@ -1062,8 +1058,13 @@ def check_gysin_transfer(
     """
     fring = datum.fixed_ring
     chi_cls = datum.chi_class()
-    u_cls, v_cls, w_cls = (as_class(fring, c) for c in (u, v, w))
-    chi_u, chi_v, chi_w = (cup(chi_cls, c) for c in (u_cls, v_cls, w_cls))
+    u_cls = as_class(fring, u)
+    v_cls = as_class(fring, v)
+    w_cls = as_class(fring, w)
+
+    chi_u = cup(chi_cls, u_cls)
+    chi_v = cup(chi_cls, v_cls)
+    chi_w = cup(chi_cls, w_cls)
     fixed_result = triple_massey(chi_u, chi_v, chi_w)
     if not fixed_result.defined:
         raise UndefinedProductError(
@@ -1071,7 +1072,9 @@ def check_gysin_transfer(
             f"{fixed_result.reason}"
         )
 
-    U, V, W = (datum.push(c) for c in (u_cls, v_cls, w_cls))
+    U = datum.push(u_cls)
+    V = datum.push(v_cls)
+    W = datum.push(w_cls)
     rmap = datum.restrict_map()
 
     zeros = []  # (restriction zero, direct zero) for U V and for V W

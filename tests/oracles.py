@@ -590,15 +590,23 @@ def zero_divisor_rank_scan(ring, chi_cls, m):
 
 def full_datum_findings(datum):
     """``validate_transfer_datum`` on an unmarked copy of a datum, with
-    rings of its own, so every check runs on it."""
+    rings of its own, so every check runs on it.  A tautological datum
+    holds no push matrices; the copy gets those of cup with chi."""
+    from masseyq.cohomology import cup_matrix
     from masseyq.transfer import HamiltonianTransferDatum, validate_transfer_datum
 
+    push = datum.push_matrices
+    if datum._euler is not None:
+        push = [
+            cup_matrix(datum.fixed_ring, datum._euler.cls, n)
+            for n in range(datum.push_top + 1)
+        ]
     copy = HamiltonianTransferDatum(
         name=datum.name,
         ambient=datum.ambient,
         fixed=datum.fixed,
         restrict=datum.restrict,
-        push_matrices=datum.push_matrices,
+        push_matrices=push,
         chi_polynomial=datum.chi_polynomial,
         m=datum.m,
     )

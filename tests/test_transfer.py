@@ -14,6 +14,7 @@ from masseyq.cohomology import (
     CohomologyRing,
     check_scaling_law,
     cup,
+    cup_matrix,
     triple_massey,
 )
 from masseyq.errors import (
@@ -278,6 +279,8 @@ def test_zero_divisor_euler_class_is_invalid_input():
 
 
 def _h_comparison_inputs(base, cap, x_poly):
+    # <chi u, 0, chi w> is defined, and its ideal columns and indeterminacy
+    # span the ideal of chi u and chi w in the degree of z = chi^3 x
     setup = build_setup(base, cap=cap)
     base_ring = setup.base_ring
     chi = euler_class_from_polynomial(setup, "h", 1)
@@ -287,23 +290,17 @@ def _h_comparison_inputs(base, cap, x_poly):
     z = cup(chi.cls, cup(chi.cls, cup(chi.cls, setup.embed.apply(x))))
     chi_u = cup(chi.cls, setup.embed.apply(u))
     chi_w = cup(chi.cls, setup.embed.apply(w))
-    return setup, chi, z, chi_u, chi_w, u, w, x
+    scaled = triple_massey(chi_u, setup.ext_ring.zero_class(3), chi_w)
+    assert scaled.defined and scaled.degree == z.degree
+    return setup, chi, z, scaled, u, w, x
 
 
 def test_membership_solver_finds_ideal_witness_and_extracts_x():
     # Control case: [xy] lies in the ideal of [x] and [y], so the solver
     # must find coefficients and recover [xy] from the top h block.
-    setup = build_setup(torus(), cap=10)
-    ring, base_ring = setup.ext_ring, setup.base_ring
-    chi = euler_class_from_polynomial(setup, "h", 1)
-    u = base_ring.class_from_polynomial("x")
-    w = base_ring.class_from_polynomial("y")
-    x = base_ring.class_from_polynomial("x*y")
-    x_ext = setup.embed.apply(x)
-    z = cup(chi.cls, cup(chi.cls, cup(chi.cls, x_ext)))
-    chi_u = cup(chi.cls, setup.embed.apply(u))
-    chi_w = cup(chi.cls, setup.embed.apply(w))
-    rep = h_comparison_check(setup, chi, z, chi_u, chi_w, u, w, x)
+    inputs = _h_comparison_inputs(torus(), 10, "x*y")
+    x = inputs[-1]
+    rep = h_comparison_check(*inputs)
     assert not rep.fired
     assert rep.solution_a is not None and rep.solution_b is not None
     assert rep.t_is_zero
@@ -312,17 +309,7 @@ def test_membership_solver_finds_ideal_witness_and_extracts_x():
 
 
 def test_membership_solver_fires_outside_the_ideal():
-    setup = build_setup(heisenberg(), cap=9)
-    ring, base_ring = setup.ext_ring, setup.base_ring
-    chi = euler_class_from_polynomial(setup, "h", 1)
-    u = base_ring.class_from_polynomial("x")
-    w = base_ring.class_from_polynomial("y")
-    x = base_ring.class_from_polynomial("x*z")
-    x_ext = setup.embed.apply(x)
-    z = cup(chi.cls, cup(chi.cls, cup(chi.cls, x_ext)))
-    chi_u = cup(chi.cls, setup.embed.apply(u))
-    chi_w = cup(chi.cls, setup.embed.apply(w))
-    rep = h_comparison_check(setup, chi, z, chi_u, chi_w, u, w, x)
+    rep = h_comparison_check(*_h_comparison_inputs(heisenberg(), 9, "x*z"))
     assert rep.fired
     assert rep.solution_a is None
 
@@ -521,7 +508,10 @@ def test_non_identity_endomorphism_restriction_is_scanned():
         ambient=good.ambient,
         fixed=good.fixed,
         restrict=AlgebraMorphism(good.ambient, good.fixed, mats),
-        push_matrices=good.push_matrices,
+        push_matrices=[
+            cup_matrix(good.fixed_ring, good.chi_class(), n)
+            for n in range(good.push_top + 1)
+        ],
         chi_polynomial=good.chi_polynomial,
         m=good.m,
     )
