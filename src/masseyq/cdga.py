@@ -5,11 +5,12 @@ takes generators with degrees and a differential on the generators; the
 monomial basis is enumerated per degree (odd generators square to zero) and
 the differential is extended as a degree +1 derivation.  A table
 presentation takes explicit per-degree dimensions, structure constants and
-differential matrices, and is validated against the graded axioms on
+differentials, and is validated against the graded axioms on
 construction.  The degree-2 extension of a valid base, and its embedding
 and retraction, are valid by construction and are not checked again.
 validate_algebra and validate_morphism scan tables and user-supplied
 maps once, where they enter, reading the structure constants directly.
+A morphism is held as sparse columns, into which matrix data is read once.
 
 Every algebra reads its structure constants through one lookup, called by
 ``multiply`` for each product of two basis vectors it needs.  Only a table
@@ -44,14 +45,16 @@ from .linalg import (
     Matrix,
     SparseVector,
     Vector,
+    apply_columns,
     fr,
-    solve,
+    solve_rows,
     vec_is_zero,
     vector,
     zero_vector,
 )
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ONE = Fraction(1)
 
 # A parsed polynomial: list of (coefficient, ordered factor names).
 PolyTerms = list[tuple[Fraction, tuple[str, ...]]]
@@ -368,7 +371,6 @@ class CochainAlgebra:
         self.generators = generators
         self._free_recipe = free_recipe
         self.tensor_info = tensor_info
-        self._diff_matrices: dict[int, Matrix] = {}
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -464,23 +466,6 @@ class CochainAlgebra:
             for j, s in self._diff.get((a.degree, i), ()):
                 out[j] += c * s
         return Element._trusted(self, n, tuple(out))
-
-    def diff_matrix(self, n: int) -> Matrix:
-        """Matrix of d: degree n -> n+1, shape dim(n+1) x dim(n), dense.
-
-        Elimination reads the sparse ``diff_rows`` and ``diff_columns``
-        instead; the dense matrix serves ``validate_morphism``.
-        """
-        self._check_diff_degree(n)
-        if n not in self._diff_matrices:
-            cols = []
-            for i in range(self.dim(n)):
-                col = [Fraction(0)] * self.dim(n + 1)
-                for j, s in self._diff.get((n, i), ()):
-                    col[j] = s
-                cols.append(col)
-            self._diff_matrices[n] = Matrix._trusted_columns(cols, self.dim(n + 1))
-        return self._diff_matrices[n]
 
     def diff_columns(self, n: int) -> list[SparseVector]:
         """Columns of d: degree n -> n+1 as sparse vectors, read from the table."""
@@ -835,7 +820,7 @@ def build_table_algebra(
     product of basis vectors in degree n1+n2; missing keys mean zero and
     pairs with the same index add up.  ``differentials[(n,i)]`` likewise
     gives d of a basis vector.  Both are stored sparse, one sorted term
-    per nonzero coordinate, so the lookups and ``diff_matrix`` agree.  A
+    per nonzero coordinate, so the lookups and ``diff_rows`` agree.  A
     two-sided unit must exist in degree 0, and associativity, graded
     commutativity, the Leibniz rule and d*d = 0 are checked on all basis
     tuples within the cap; the first violation raises
@@ -943,26 +928,23 @@ def _solve_unit(dims, mul, cap) -> Vector:
     d0 = dims[0]
     if d0 == 0:
         raise AlgebraValidationError("no degree-0 component, so no unit")
-    rows = []
+    rows: list[SparseVector] = []
     rhs = []
     for n in range(cap + 1):
         for j in range(dims[n]):
+            # k -> the sparse row of the k coordinate of u * e_j (e_j * u)
+            left: dict[int, SparseVector] = {}
+            right: dict[int, SparseVector] = {}
+            for i in range(d0):
+                for k, c in mul.get((0, i, n, j), ()):
+                    left.setdefault(k, {})[i] = c
+                for k, c in mul.get((n, j, 0, i), ()):
+                    right.setdefault(k, {})[i] = c
             for k in range(dims[n]):
-                left = [Fraction(0)] * d0
-                right = [Fraction(0)] * d0
-                for i in range(d0):
-                    for t, c in mul.get((0, i, n, j), ()):
-                        if t == k:
-                            left[i] += c
-                    for t, c in mul.get((n, j, 0, i), ()):
-                        if t == k:
-                            right[i] += c
                 want = Fraction(1 if j == k else 0)
-                rows.append(left)
-                rhs.append(want)
-                rows.append(right)
-                rhs.append(want)
-    u = solve(Matrix(rows, cols=d0), tuple(rhs))
+                rows += [left.get(k, {}), right.get(k, {})]
+                rhs += [want, want]
+    u = solve_rows(rows, d0, tuple(rhs))
     if u is None:
         raise AlgebraValidationError("no two-sided unit exists in degree 0")
     return u
@@ -1237,9 +1219,9 @@ def tensor_polynomial_generator(
 
 
 class AlgebraMorphism:
-    """A degree-preserving map of cochain algebras given per-degree matrices.
+    """A degree-preserving map of cochain algebras held as sparse columns.
 
-    ``matrices[n]`` maps coordinates in source degree n to target degree n,
+    ``columns[n][i]`` is the image of source basis vector i of degree n,
     for n up to the trust cap (the smaller of the two caps, or less when a
     retraction forgets high degrees).  This class only stores and applies
     the data; build_morphism checks that it is a morphism, while
@@ -1250,97 +1232,106 @@ class AlgebraMorphism:
         self,
         source: CochainAlgebra,
         target: CochainAlgebra,
-        matrices: Sequence[Matrix],
+        columns: Sequence[Sequence[SparseVector]],
     ):
         self.source = source
         self.target = target
-        self.matrices = tuple(matrices)
-        for n, m in enumerate(self.matrices):
+        self._columns = tuple(tuple(c) for c in columns)
+
+    @classmethod
+    def from_matrices(
+        cls, source: CochainAlgebra, target: CochainAlgebra, matrices: Sequence[Matrix]
+    ) -> "AlgebraMorphism":
+        """The map whose degree-n component is ``matrices[n]``, of shape
+        dim target(n) x dim source(n), read into sparse columns."""
+        columns = []
+        for n, m in enumerate(matrices):
             if m.cols != source.dim(n) or m.rows != target.dim(n):
                 raise ValueError(
                     f"matrix shape {m.rows}x{m.cols} wrong in degree {n}: "
                     f"want {target.dim(n)}x{source.dim(n)}"
                 )
+            columns.append(
+                [
+                    {k: row[i] for k, row in enumerate(m.entries) if row[i]}
+                    for i in range(m.cols)
+                ]
+            )
+        return cls(source, target, columns)
 
     @property
     def trust_cap(self) -> int:
-        return len(self.matrices) - 1
+        return len(self._columns) - 1
 
-    def matrix(self, n: int) -> Matrix:
+    def columns(self, n: int) -> tuple[SparseVector, ...]:
+        """The images of the degree-n basis vectors, as sparse columns."""
         if not (0 <= n <= self.trust_cap):
             raise DegreeCapError(
                 f"morphism has no degree-{n} component (trust cap "
                 f"{self.trust_cap})",
                 required_cap=n,
             )
-        return self.matrices[n]
+        return self._columns[n]
 
     def apply(self, el: Element) -> Element:
         if el.algebra is not self.source:
             raise ValueError("element does not live in the morphism source")
-        return Element(
-            self.target, el.degree, self.matrix(el.degree).matvec(el.coords)
-        )
+        n = el.degree
+        coords = apply_columns(self.columns(n), el.coords, self.target.dim(n))
+        return Element._trusted(self.target, n, coords)
 
     def __repr__(self):
         return f"AlgebraMorphism(trust_cap={self.trust_cap})"
 
 
-def validate_morphism(f: AlgebraMorphism, on_generators: bool = False) -> list[str]:
+def validate_morphism(f: AlgebraMorphism) -> list[str]:
     """Check unit, multiplicativity and d-commutation within the trust cap.
 
-    The unit and multiplicativity checks read the structure constants of
-    both algebras and the columns of the matrices directly, like
-    ``validate_algebra``; d-commutation compares matrix products.
+    Every check reads the structure constants and differential tables of
+    both algebras and the columns of the map directly, like
+    ``validate_algebra``: d-commutation compares f(d e) with d f(e) for
+    each basis vector e in turn and reports the first failure per degree.
     """
     problems = []
     src, tgt = f.source, f.target
     trust = f.trust_cap
-    if f.matrix(0).matvec(src._unit_coords) != tgt._unit_coords:
+    columns = [f.columns(n) for n in range(trust + 1)]
+    unit = apply_columns(columns[0], src._unit_coords, tgt.dim(0))
+    if unit != tgt._unit_coords:
         problems.append("morphism does not preserve the unit")
 
-    if on_generators and src.generators is not None:
-        for g in src.generators:
-            if g.degree + 1 <= trust:
-                ge = src.named_element(g.name)
-                if f.apply(src.differential(ge)) != tgt.differential(f.apply(ge)):
-                    problems.append(
-                        f"morphism does not commute with d on generator {g.name!r}"
-                    )
-    else:
-        for n in range(trust):
-            lhs = f.matrix(n + 1).matmul(src.diff_matrix(n))
-            rhs = tgt.diff_matrix(n).matmul(f.matrix(n))
-            if lhs != rhs:
-                for i in range(src.dim(n)):
-                    if lhs.column(i) != rhs.column(i):
-                        problems.append(
-                            "morphism does not commute with d on "
-                            f"{src.basis_label(n, i)!r}"
-                        )
-                        break
+    src_d, tgt_d = src._diff.get, tgt._diff.get
+    for n in range(trust):
+        image = columns[n + 1]
+        for i, column in enumerate(columns[n]):
+            lhs = [
+                (t, c * s) for k, c in src_d((n, i), ()) for t, s in image[k].items()
+            ]
+            rhs = [
+                (t, c * s) for k, c in column.items() for t, s in tgt_d((n, k), ())
+            ]
+            if (lhs or rhs) and _sparse(lhs) != _sparse(rhs):
+                problems.append(
+                    f"morphism does not commute with d on {src.basis_label(n, i)!r}"
+                )
+                break
 
-    # columns[n][i]: the nonzero coordinates of f(e_i) in degree n.
-    columns = [
-        [[(k, c) for k, c in enumerate(col) if c] for col in f.matrix(n).columns()]
-        for n in range(trust + 1)
-    ]
     src_product, tgt_product = src._product, tgt._product
     for n1 in range(trust + 1):
         for n2 in range(trust + 1 - n1):
             image = columns[n1 + n2]
             for i1 in range(src.dim(n1)):
-                fe1 = columns[n1][i1]
+                fe1 = columns[n1][i1].items()
                 for i2 in range(src.dim(n2)):
                     lhs = [
                         (t, c * s)
                         for k, c in src_product(n1, i1, n2, i2)
-                        for t, s in image[k]
+                        for t, s in image[k].items()
                     ]
                     rhs = [
                         (t, c1 * c2 * s)
                         for k1, c1 in fe1
-                        for k2, c2 in columns[n2][i2]
+                        for k2, c2 in columns[n2][i2].items()
                         for t, s in tgt_product(n1, k1, n2, k2)
                     ]
                     if (lhs or rhs) and _sparse(lhs) != _sparse(rhs):
@@ -1362,18 +1353,17 @@ def build_morphism(
 
     For a free source pass generator ``images`` (target elements of the
     generator degrees); basis monomials map to ordered products of the
-    images.  Otherwise pass explicit per-degree ``matrices``.  Validation
-    rejects maps that fail to commute with the differential, fail
-    multiplicativity, or move the unit.
+    images.  Otherwise pass explicit per-degree ``matrices``, read by
+    ``AlgebraMorphism.from_matrices``.  Validation rejects maps that fail
+    to commute with the differential, fail multiplicativity, or move the
+    unit.
     """
-    trust = min(source.cap, target.cap)
     if images is not None:
         if source.generators is None:
             raise AlgebraValidationError(
                 "generator images need a free source algebra"
             )
-        gens = source.generators
-        for g in gens:
+        for g in source.generators:
             if g.name not in images:
                 raise AlgebraValidationError(f"no image given for {g.name!r}")
             img = images[g.name]
@@ -1385,31 +1375,53 @@ def build_morphism(
                 raise AlgebraValidationError(
                     f"image of {g.name!r} has degree {img.degree}, want {g.degree}"
                 )
-        mats = []
-        for n in range(trust + 1):
-            cols = []
-            for i in range(source.dim(n)):
-                mono = source.basis_label(n, i)
+        columns = []
+        for n in range(min(source.cap, target.cap) + 1):
+            degree = []
+            for mono in source.basis_labels(n):
                 out = target.unit()
                 if mono != "1":
                     for nm in mono.split("*"):
                         out = target.multiply(out, images[nm])
-                cols.append(out.coords)
-            mats.append(Matrix._trusted_columns(cols, target.dim(n)))
-        f = AlgebraMorphism(source, target, mats)
-        problems = validate_morphism(f, on_generators=True)
+                degree.append({k: c for k, c in enumerate(out.coords) if c})
+            columns.append(degree)
+        f = AlgebraMorphism(source, target, columns)
     elif matrices is not None:
-        f = AlgebraMorphism(source, target, matrices)
-        problems = validate_morphism(f)
+        f = AlgebraMorphism.from_matrices(source, target, matrices)
     else:
         raise ValueError("pass either generator images or matrices")
+    problems = validate_morphism(f)
     if problems:
         raise AlgebraValidationError(problems[0])
     return f
 
 
 def identity_morphism(a: CochainAlgebra) -> AlgebraMorphism:
-    return AlgebraMorphism(a, a, [Matrix.identity(a.dim(n)) for n in range(a.cap + 1)])
+    return AlgebraMorphism(
+        a, a, [[{i: _ONE} for i in range(a.dim(n))] for n in range(a.cap + 1)]
+    )
+
+
+def _base_block(
+    a: CochainAlgebra, ext: CochainAlgebra, role: str
+) -> list[tuple[int, int]]:
+    """``(offset, size)`` of the h^0 block of each degree of ``ext`` up to
+    the smaller cap, checked against the dimensions of ``a``."""
+    info = ext.tensor_info
+    if info is None:
+        raise AlgebraValidationError(
+            f"{role} is not a polynomial-generator extension"
+        )
+    out = []
+    for n in range(min(a.cap, ext.cap) + 1):
+        block = info.block(n, 0)
+        size = 0 if block is None else block[3]
+        if size != a.dim(n):
+            raise AlgebraValidationError(
+                f"base dimension mismatch in degree {n}: {a.dim(n)} vs {size}"
+            )
+        out.append((0 if block is None else block[2], size))
+    return out
 
 
 def tensor_embedding(a: CochainAlgebra, ext: CochainAlgebra) -> AlgebraMorphism:
@@ -1417,24 +1429,10 @@ def tensor_embedding(a: CochainAlgebra, ext: CochainAlgebra) -> AlgebraMorphism:
 
     A morphism by construction when ``a`` is the base of ``ext``.
     """
-    info = ext.tensor_info
-    if info is None:
-        raise AlgebraValidationError("target is not a polynomial-generator extension")
-    mats = []
-    for n in range(min(a.cap, ext.cap) + 1):
-        block = info.block(n, 0)
-        size = 0 if block is None else block[3]
-        if size != a.dim(n):
-            raise AlgebraValidationError(
-                f"base dimension mismatch in degree {n}: {a.dim(n)} vs {size}"
-            )
-        cols = []
-        for i in range(a.dim(n)):
-            col = [Fraction(0)] * ext.dim(n)
-            col[block[2] + i] = Fraction(1)
-            cols.append(col)
-        mats.append(Matrix._trusted_columns(cols, ext.dim(n)))
-    return AlgebraMorphism(a, ext, mats)
+    blocks = _base_block(a, ext, "target")
+    return AlgebraMorphism(
+        a, ext, [[{off + i: _ONE} for i in range(size)] for off, size in blocks]
+    )
 
 
 def tensor_retraction(ext: CochainAlgebra, a: CochainAlgebra) -> AlgebraMorphism:
@@ -1442,21 +1440,8 @@ def tensor_retraction(ext: CochainAlgebra, a: CochainAlgebra) -> AlgebraMorphism
 
     A morphism by construction when ``a`` is the base of ``ext``.
     """
-    info = ext.tensor_info
-    if info is None:
-        raise AlgebraValidationError("source is not a polynomial-generator extension")
-    mats = []
-    for n in range(min(a.cap, ext.cap) + 1):
-        block = info.block(n, 0)
-        size = 0 if block is None else block[3]
-        if size != a.dim(n):
-            raise AlgebraValidationError(
-                f"base dimension mismatch in degree {n}: {a.dim(n)} vs {size}"
-            )
-        rows = []
-        for i in range(a.dim(n)):
-            row = [Fraction(0)] * ext.dim(n)
-            row[block[2] + i] = Fraction(1)
-            rows.append(tuple(row))
-        mats.append(Matrix._trusted(tuple(rows), ext.dim(n)))
-    return AlgebraMorphism(ext, a, mats)
+    columns = [
+        [{k - off: _ONE} if off <= k < off + size else {} for k in range(ext.dim(n))]
+        for n, (off, size) in enumerate(_base_block(a, ext, "source"))
+    ]
+    return AlgebraMorphism(ext, a, columns)

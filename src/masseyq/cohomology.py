@@ -33,14 +33,15 @@ from .errors import (
 )
 from .linalg import (
     AffineCoset,
-    Matrix,
     SparseVector,
     Subspace,
     Vector,
+    apply_columns,
     densify,
     fr,
     kernel_rows,
     solve_rows,
+    transpose,
     unit_vector,
     vector,
     zero_vector,
@@ -452,13 +453,6 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     return CohomologyClass._trusted(ring, n, tuple(out))
 
 
-def cup_matrix(ring: CohomologyRing, xi: CohomologyClass, n: int) -> Matrix:
-    """Matrix of multiplication by xi from H^n to H^{n + deg xi}."""
-    dim = ring.class_dim(n + xi.degree)
-    cols = [densify(col, dim) for col in ideal_products(ring, [xi], n + xi.degree)]
-    return Matrix._trusted_columns(cols, dim)
-
-
 def ideal_products(
     ring: CohomologyRing, classes: Sequence[CohomologyClass], n: int
 ) -> list[SparseVector]:
@@ -537,11 +531,7 @@ def certify_ideal_membership(
                 "vanishes on the class"
             )
         return IdealCertificate(False, functional=densify(phi, dim))
-    rows: list[SparseVector] = [{} for _ in range(dim)]
-    for j, col in enumerate(columns):
-        for k, v in col.items():
-            rows[k][j] = v
-    sol = solve_rows(rows, len(columns), t.coords)
+    sol = solve_rows(transpose(columns, dim), len(columns), t.coords)
     if sol is not None:
         split = ring.class_dim(n - g1.degree)
         alpha = CohomologyClass._trusted(ring, n - g1.degree, sol[:split])
@@ -657,11 +647,12 @@ def triple_massey(
     y = alg.element(q + r - 1, y_coords)
 
     rep = A.bar() * y + x.bar() * C
-    if not rep.d().is_zero():
+    try:
+        rep_class = ring.project(rep)
+    except AlgebraValidationError:
         raise ConsistencyError(
             f"assembled representative is not a cocycle: d gives {rep.d()}"
-        )
-    rep_class = ring.project(rep)
+        ) from None
 
     products = ideal_products(ring, [a, c], n)
     indeterminacy = Subspace.span_rows(ring.class_dim(n), products)
@@ -751,7 +742,8 @@ def check_scaling_law(
 
 
 class InducedMap:
-    """The map on cohomology induced by an algebra morphism."""
+    """The map on cohomology induced by an algebra morphism, held as the
+    sparse class columns of each degree, filled on first use."""
 
     def __init__(
         self,
@@ -767,33 +759,40 @@ class InducedMap:
         self.source = source
         self.target = target
         self.top = min(source.top, target.top, morphism.trust_cap)
-        self._matrices: dict[int, Matrix] = {}
+        self._columns: dict[int, tuple[SparseVector, ...]] = {}
 
-    def matrix(self, n: int) -> Matrix:
+    def columns(self, n: int) -> tuple[SparseVector, ...]:
+        """The images of the basis classes of H^n, as sparse class columns."""
         if not (0 <= n <= self.top):
             raise DegreeCapError(
                 f"induced map unknown in degree {n} (top {self.top})",
                 required_cap=n + 1,
             )
-        if n not in self._matrices:
-            cols = []
-            for e in self.source.basis_classes(n):
-                image = self.morphism.apply(self.source.lift(e))
-                cols.append(self.target.project(image).coords)
-            self._matrices[n] = Matrix._trusted_columns(
-                cols, self.target.class_dim(n)
+        columns = self._columns.get(n)
+        if columns is None:
+            images = (
+                self.target.project(self.morphism.apply(self.source.lift(e))).coords
+                for e in self.source.basis_classes(n)
             )
-        return self._matrices[n]
+            columns = self._columns[n] = tuple(
+                {k: c for k, c in enumerate(v) if c} for v in images
+            )
+        return columns
+
+    def _apply_coords(self, n: int, v: Vector) -> Vector:
+        return apply_columns(self.columns(n), v, self.target.class_dim(n))
 
     def apply(self, cls: CohomologyClass) -> CohomologyClass:
         if cls.ring is not self.source:
             raise ValueError("class does not live in the source ring")
-        return CohomologyClass(
-            self.target, cls.degree, self.matrix(cls.degree).matvec(cls.coords)
-        )
+        n = cls.degree
+        coords = self._apply_coords(n, cls.coords)
+        return CohomologyClass._trusted(self.target, n, coords)
 
     def apply_coset(self, coset: AffineCoset, n: int) -> AffineCoset:
-        return _image_coset(self.matrix(n).matvec, coset, self.target.class_dim(n))
+        return _image_coset(
+            lambda v: self._apply_coords(n, v), coset, self.target.class_dim(n)
+        )
 
 
 def check_functoriality(

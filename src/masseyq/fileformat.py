@@ -19,7 +19,8 @@ of the fixed model and per-degree `restrict[n]` / `push[n]` matrices
 with rational entries, rows separated by `;`.  Degrees whose matrices
 are omitted get zero matrices of the forced shape, which is only
 correct when one side is zero-dimensional; the datum validator flags
-everything else.
+everything else.  The restriction is read into the sparse columns of an
+`AlgebraMorphism` once its shapes are checked.
 
 A family document is a sequence of [config] sections, each naming a
 model (or a datum), a triple, Euler data and an optional expected
@@ -420,10 +421,7 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
         else:
             restrict_mats.append(Matrix.zero(want_rows, want_cols))
 
-    try:
-        rmap = AlgebraMorphism(ambient, fixed, restrict_mats)
-    except ValueError as exc:
-        raise ParseError(str(exc), line=first)
+    rmap = AlgebraMorphism.from_matrices(ambient, fixed, restrict_mats)
 
     fixed_ring = CohomologyRing(fixed)
     ambient_ring = CohomologyRing(ambient)

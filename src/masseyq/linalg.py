@@ -3,29 +3,30 @@
 Scalars are ``fractions.Fraction`` values: always in lowest terms, always
 with a positive denominator, so equality is literal equality and printing
 is canonical (``p/q`` or ``p``).  Vectors are tuples of fractions and a
-``Matrix`` is an immutable row-major grid of them.  A sparse vector is a
-dict from column index to nonzero entry.
+sparse vector is a dict from index to nonzero entry.  A linear map is
+held as sparse columns, one per source basis vector (``apply_columns``,
+``transpose``); ``Matrix``, a row-major grid, is the checked entry type
+for matrix data from outside: datum files, bundled data and callers.
 
 Coercion to Fraction, and the refusal of floats, happens at the public
-constructors only: ``Matrix(...)``, ``Matrix.from_columns``,
-``Subspace.span``, ``AffineCoset`` and the right-hand side of ``solve``.
-Matrices that masseyq computes itself, such as the output of ``rref``,
-skip it.
+constructors only: ``Matrix(...)``, ``Subspace.span``, ``AffineCoset``
+and the right-hand side of ``solve``.  Results that masseyq computes
+itself, such as the output of ``rref``, skip it.
 
 Every elimination runs on one core, ``_eliminate``: Gaussian elimination
 and back substitution on sparse rows with a column -> rows index, so
 pivot search and updates visit nonzero entries only and exact
-cancellations are dropped.  ``rref``, ``rank``, ``solve``,
-``kernel_basis`` and ``Subspace`` spans use it; ``solve_rows``,
-``kernel_rows`` and ``Subspace.span_rows`` take sparse rows directly, as
-the cochain algebras hand out their differentials, and dense rows are
-built only when a result leaves as a tuple.  Pivots are taken column by
-column from the left, scaled to 1 and cleared above and below, so every
-reduced form, particular solution and kernel basis is the unique
-reduced-echelon one: the same input yields identical output on every
-run, whichever row serves as pivot.  A kernel needs one elimination: on
-the column-reversed matrix the null vectors, read back in the original
-order, already form the reduced-echelon basis.
+cancellations are dropped.  ``rref``, ``solve``, ``kernel_basis`` and
+``Subspace`` spans use it; ``solve_rows``, ``kernel_rows`` and
+``Subspace.span_rows`` take sparse rows directly, as the cochain
+algebras hand out their differentials, and dense rows are built only
+when a result leaves as a tuple.  Pivots are taken column by column from
+the left, scaled to 1 and cleared above and below, so every reduced
+form, particular solution and kernel basis is the unique reduced-echelon
+one: the same input yields identical output on every run, whichever row
+serves as pivot.  A kernel needs one elimination: on the column-reversed
+matrix the null vectors, read back in the original order, already form
+the reduced-echelon basis.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def vec_is_zero(v: Vector) -> bool:
 
 
 class Matrix:
-    """Immutable rational matrix, stored dense and row-major.
+    """Immutable rational matrix, stored dense and row-major: matrix data
+    from outside, such as pushforward data.
 
     Elimination reads it as sparse rows; ``matvec`` skips zero entries.
     ``entries`` is a sequence of rows, each entry coerced by ``fr``.
@@ -112,12 +114,6 @@ class Matrix:
         object.__setattr__(m, "entries", entries)
         return m
 
-    @classmethod
-    def _trusted_columns(cls, columns: Sequence[Vector], rows: int) -> "Matrix":
-        """``from_columns`` for columns of Fractions masseyq computed itself."""
-        entries = tuple(zip(*columns)) if columns else ((),) * rows
-        return cls._trusted(entries, len(columns))
-
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -125,43 +121,11 @@ class Matrix:
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls._trusted((zero_vector(cols),) * rows, cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls._trusted(tuple(unit_vector(n, i) for i in range(n)), n)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Vector], rows: int) -> "Matrix":
-        for c in columns:
-            if len(c) != rows:
-                raise ValueError(f"column length {len(c)} != rows {rows}")
-        return cls(
-            [[c[i] for c in columns] for i in range(rows)], cols=len(columns)
-        )
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
-
     def matvec(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"matvec shape mismatch: {self.cols} cols vs {len(v)}")
         nonzero = [(j, c) for j, c in enumerate(v) if c]
         return tuple(sum((r[j] * c for j, c in nonzero), _ZERO) for r in self.entries)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("matmul shape mismatch")
-        return Matrix._trusted_columns(
-            [self.matvec(other.column(j)) for j in range(other.cols)], self.rows
-        )
-
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.entries)
 
     def __eq__(self, other):
         return (
@@ -180,6 +144,25 @@ class Matrix:
 
 def _sparse_rows(m: Matrix) -> list[SparseVector]:
     return [{j: v for j, v in enumerate(r) if v} for r in m.entries]
+
+
+def apply_columns(columns: Sequence[SparseVector], v: Vector, n: int) -> Vector:
+    """The length-``n`` tuple sum_i v[i] * columns[i], over v's nonzeros."""
+    out = [_ZERO] * n
+    for c, column in zip(v, columns):
+        if c:
+            for k, x in column.items():
+                out[k] += c * x
+    return tuple(out)
+
+
+def transpose(vectors: Sequence[SparseVector], n: int) -> list[SparseVector]:
+    """The ``n`` sparse rows of the matrix whose columns are ``vectors``."""
+    rows: list[SparseVector] = [{} for _ in range(n)]
+    for j, vec in enumerate(vectors):
+        for k, x in vec.items():
+            rows[k][j] = x
+    return rows
 
 
 def densify(row: SparseVector, n: int) -> Vector:
@@ -286,10 +269,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     rows = [densify(row, m.cols) for row in reduced]
     rows += [zero_vector(m.cols)] * (m.rows - len(rows))
     return Matrix._trusted(tuple(rows), m.cols), pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(_eliminate(_sparse_rows(m), m.cols)[1])
 
 
 def solve(a: Matrix, b: Vector) -> Optional[Vector]:

@@ -157,14 +157,16 @@ def rotation_datum(fixed_cap: int = 8, ambient_cap: int = 9) -> HamiltonianTrans
     ambient = rotation_ambient(ambient_cap)
     fixed = tensor_polynomial_generator(two_points(), "h", cap=fixed_cap)
 
+    # E restricts to eN + eS; in degree 2k, Hk to (eN + eS) h^k, Ak to eN h^k.
+    one = fr(1)
     restrict = []
     for n in range(fixed_cap + 1):
         if n == 0:
-            restrict.append(Matrix([[fr(1)], [fr(1)]], cols=1))
+            restrict.append([{0: one, 1: one}])
         elif n % 2 == 0:
-            restrict.append(Matrix([[fr(1), fr(1)], [fr(1), fr(0)]], cols=2))
+            restrict.append([{0: one, 1: one}, {0: one}])
         else:
-            restrict.append(Matrix.zero(0, 0))
+            restrict.append([])
 
     push = []
     for n in range(fixed_cap - 2 + 1):

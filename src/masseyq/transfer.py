@@ -45,7 +45,8 @@ from .cohomology import (
     certify_ideal_membership,
     check_scaling_law,
     cup,
-    cup_matrix,
+    ideal_degree_piece,
+    ideal_products,
     triple_massey,
 )
 from .errors import (
@@ -55,7 +56,7 @@ from .errors import (
     PremiseError,
     UndefinedProductError,
 )
-from .linalg import Matrix, kernel_basis, rank, solve
+from .linalg import Matrix, Subspace, kernel_basis, solve_rows, transpose
 
 ClassInput = Union[str, list, CohomologyClass]
 
@@ -416,14 +417,16 @@ def verify_not_zero_divisor(
     chi = c h^m + (lower h powers), the top h block of chi x is c times
     that of x, so chi is injective when c is a unit of H^0 of the base
     (Allday and Puppe, Cohomological Methods in Transformation Groups,
-    ch. 3).  Otherwise each cup matrix of chi is ranked, since the lower
-    terms can still make chi injective.  For a genuine Euler class c is
-    the product of the weights, so a failure flags corrupted input data.
+    ch. 3).  Otherwise, in each degree n, the span of chi times the basis
+    classes of H^n is ranked, since the lower terms can still make chi
+    injective.  For a genuine Euler class c is the product of the
+    weights, so a failure flags corrupted input data.
     """
     degrees = range(ring.top - 2 * chi.m + 1)
     if not _top_is_unit(ring, chi):
         for n in degrees:
-            if rank(cup_matrix(ring, chi.cls, n)) != ring.class_dim(n):
+            image = ideal_degree_piece(ring, [chi.cls], n + 2 * chi.m)
+            if image.dim != ring.class_dim(n):
                 return ZeroDivisorReport(False, tuple(range(n + 1)), failed_degree=n)
     return ZeroDivisorReport(ok=True, degrees_checked=tuple(degrees))
 
@@ -434,7 +437,8 @@ def _top_is_unit(ring: CohomologyRing, chi: EulerClass) -> bool:
     base = ring.block_ring
     c = CohomologyClass._trusted(base, 0, ring.h_block(chi.cls, chi.m))
     one = base.unit_class()
-    sol = solve(cup_matrix(base, c, 0), one.coords)
+    dim = base.class_dim(0)
+    sol = solve_rows(transpose(ideal_products(base, [c], 0), dim), dim, one.coords)
     if sol is not None and cup(c, CohomologyClass._trusted(base, 0, sol)) != one:
         raise ConsistencyError(
             "top h coefficient of the Euler class: solve gives an inverse "
@@ -898,7 +902,8 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
 
     rmap = datum.restrict_map()
     for n in range(rmap.top + 1):
-        if rank(rmap.matrix(n)) != datum.ambient_ring.class_dim(n):
+        image = Subspace.span_rows(datum.fixed_ring.class_dim(n), rmap.columns(n))
+        if image.dim != datum.ambient_ring.class_dim(n):
             findings.append(
                 f"restriction is not injective on cohomology in degree {n}"
             )

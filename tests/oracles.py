@@ -206,25 +206,37 @@ def heisenberg_massey_oracle():
 # -- Betti numbers straight from ranks ----------------------------------------
 
 
+def differential_columns(algebra, n):
+    """d: degree n -> n+1 as dense columns, the coordinates of d of each
+    basis Element."""
+    return [
+        algebra.differential(algebra.basis_element(n, i)).coords
+        for i in range(algebra.dim(n))
+    ]
+
+
+def differential_rows(algebra, n):
+    """d: degree n -> n+1 as dense rows, one per basis vector of degree n+1."""
+    columns = differential_columns(algebra, n)
+    return [tuple(col[k] for col in columns) for k in range(algebra.dim(n + 1))]
+
+
 def betti_oracle(algebra):
     """Betti numbers as dim ker - rank im using the fraction-free reducer.
 
-    Only reads the differential matrices off the algebra; the rank
-    arithmetic is independent of the package's reduction code.
+    Only reads the differential off the algebra, through ``differential``
+    on basis Elements; the rank arithmetic is independent of the
+    package's reduction code.
     """
     out = []
     for n in range(algebra.cap):
-        d_n = algebra.diff_matrix(n)
-        rows = [d_n.row(i) for i in range(d_n.rows)]
-        _, pivots = ff_rref(rows, d_n.cols)
-        kernel_dim = d_n.cols - len(pivots)
+        _, pivots = ff_rref(differential_rows(algebra, n), algebra.dim(n))
+        kernel_dim = algebra.dim(n) - len(pivots)
         if n == 0:
             image_rank = 0
         else:
-            d_prev = algebra.diff_matrix(n - 1)
-            prev_rows = [d_prev.row(i) for i in range(d_prev.rows)]
-            _, prev_pivots = ff_rref(prev_rows, d_prev.cols)
-            image_rank = len(prev_pivots)
+            rows = differential_rows(algebra, n - 1)
+            image_rank = len(ff_rref(rows, algebra.dim(n - 1))[1])
         out.append(kernel_dim - image_rank)
     return tuple(out)
 
@@ -406,16 +418,12 @@ def _poly_add(p, q):
 # match finding for finding.
 
 
-def _is_zero(v):
-    return all(c == 0 for c in v)
-
-
 def validate_algebra_reference(a, limit=None):
     """``validate_algebra`` through Element arithmetic: same loops, same order.
 
     Every identity is evaluated with ``multiply`` and ``differential`` on
-    basis Elements (d*d through ``diff_matrix``), so the findings list,
-    messages and ``limit`` cut must match the structure-constant scan.
+    basis Elements, so the findings list, messages and ``limit`` cut must
+    match the structure-constant scan.
     """
     problems: list[str] = []
 
@@ -425,16 +433,14 @@ def validate_algebra_reference(a, limit=None):
 
     cap = a.cap
     for n in range(cap - 1):
-        m = a.diff_matrix(n + 1).matmul(a.diff_matrix(n))
-        if not m.is_zero():
-            for i in range(a.dim(n)):
-                if not _is_zero(m.column(i)):
-                    if report(
-                        f"d*d != 0 on basis vector {a.basis_label(n, i)!r} "
-                        f"(degree {n})"
-                    ):
-                        return problems
-                    break
+        for i in range(a.dim(n)):
+            if not a.differential(a.differential(a.basis_element(n, i))).is_zero():
+                if report(
+                    f"d*d != 0 on basis vector {a.basis_label(n, i)!r} "
+                    f"(degree {n})"
+                ):
+                    return problems
+                break
 
     for n1 in range(cap + 1):
         for n2 in range(n1, cap + 1 - n1):
@@ -498,7 +504,7 @@ def validate_algebra_reference(a, limit=None):
     return problems
 
 
-def validate_morphism_reference(f, on_generators=False):
+def validate_morphism_reference(f):
     """``validate_morphism`` through Element arithmetic: same loops, same order."""
     problems = []
     src, tgt = f.source, f.target
@@ -506,26 +512,14 @@ def validate_morphism_reference(f, on_generators=False):
     if f.apply(src.unit()) != tgt.unit():
         problems.append("morphism does not preserve the unit")
 
-    if on_generators and src.generators is not None:
-        for g in src.generators:
-            if g.degree + 1 <= trust:
-                ge = src.named_element(g.name)
-                if f.apply(src.differential(ge)) != tgt.differential(f.apply(ge)):
-                    problems.append(
-                        f"morphism does not commute with d on generator {g.name!r}"
-                    )
-    else:
-        for n in range(trust):
-            lhs = f.matrix(n + 1).matmul(src.diff_matrix(n))
-            rhs = tgt.diff_matrix(n).matmul(f.matrix(n))
-            if lhs != rhs:
-                for i in range(src.dim(n)):
-                    if lhs.column(i) != rhs.column(i):
-                        problems.append(
-                            "morphism does not commute with d on "
-                            f"{src.basis_label(n, i)!r}"
-                        )
-                        break
+    for n in range(trust):
+        for i in range(src.dim(n)):
+            e = src.basis_element(n, i)
+            if f.apply(src.differential(e)) != tgt.differential(f.apply(e)):
+                problems.append(
+                    f"morphism does not commute with d on {src.basis_label(n, i)!r}"
+                )
+                break
 
     for n1 in range(trust + 1):
         for n2 in range(trust + 1 - n1):
@@ -588,17 +582,28 @@ def zero_divisor_rank_scan(ring, chi_cls, m):
     return True, None
 
 
+def cup_matrix_reference(ring, xi, n):
+    """The ``Matrix`` of multiplication by xi from H^n to H^(n + deg xi),
+    with the ``cup`` of xi and each basis class as its columns."""
+    from masseyq.cohomology import cup
+    from masseyq.linalg import Matrix
+
+    columns = [cup(xi, e).coords for e in ring.basis_classes(n)]
+    height = ring.class_dim(n + xi.degree)
+    rows = [[col[k] for col in columns] for k in range(height)]
+    return Matrix(rows, cols=len(columns))
+
+
 def full_datum_findings(datum):
     """``validate_transfer_datum`` on an unmarked copy of a datum, with
     rings of its own, so every check runs on it.  A tautological datum
     holds no push matrices; the copy gets those of cup with chi."""
-    from masseyq.cohomology import cup_matrix
     from masseyq.transfer import HamiltonianTransferDatum, validate_transfer_datum
 
     push = datum.push_matrices
     if datum._euler is not None:
         push = [
-            cup_matrix(datum.fixed_ring, datum._euler.cls, n)
+            cup_matrix_reference(datum.fixed_ring, datum._euler.cls, n)
             for n in range(datum.push_top + 1)
         ]
     copy = HamiltonianTransferDatum(

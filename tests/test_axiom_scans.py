@@ -26,7 +26,6 @@ from masseyq.cdga import (
     validate_algebra,
     validate_morphism,
 )
-from masseyq.linalg import Matrix
 from masseyq.models import BUILTIN_MODELS, rotation_datum
 from oracles import (
     random_free_cdga,
@@ -139,10 +138,6 @@ def _assert_algebra_scans_agree(a):
 
 def _assert_morphism_scans_agree(f):
     assert validate_morphism(f) == validate_morphism_reference(f)
-    if f.source.generators is not None:
-        assert validate_morphism(f, on_generators=True) == validate_morphism_reference(
-            f, on_generators=True
-        )
 
 
 def test_scans_agree_on_every_bundled_model_and_its_extension():
@@ -176,19 +171,25 @@ def test_algebra_scan_matches_the_reference_on_random_extensions(seed):
     _assert_algebra_scans_agree(_random_extension(random.Random(seed)))
 
 
-def _mutated_matrices(f, rng, count):
-    mats = [list(map(list, m.entries)) for m in f.matrices]
-    shaped = [n for n, m in enumerate(mats) if m and m[0]]
+def _mutated_columns(f, rng, count):
+    """The sparse columns of f with ``count`` random entries shifted; an
+    entry that cancels to zero leaves its column."""
+    columns = [[dict(c) for c in f.columns(n)] for n in range(f.trust_cap + 1)]
+    shaped = [
+        n for n in range(f.trust_cap + 1) if f.target.dim(n) and f.source.dim(n)
+    ]
     for _ in range(count):
         if not shaped:
             break
         n = rng.choice(shaped)
-        row = rng.randrange(len(mats[n]))
-        col = rng.randrange(len(mats[n][0]))
-        mats[n][row][col] += rng.choice(_COEFFS)
-    return [
-        Matrix(rows, cols=f.matrices[n].cols) for n, rows in enumerate(mats)
-    ]
+        row = rng.randrange(f.target.dim(n))
+        column = columns[n][rng.randrange(f.source.dim(n))]
+        value = column.get(row, Fraction(0)) + rng.choice(_COEFFS)
+        if value:
+            column[row] = value
+        else:
+            del column[row]
+    return columns
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -215,5 +216,5 @@ def test_morphism_scan_matches_the_reference(seed, kind, count, break_target):
     if break_target:
         target = _mutant(target, rng, 1 + count)
     source = target if f.source is f.target else f.source
-    broken = AlgebraMorphism(source, target, _mutated_matrices(f, rng, count))
+    broken = AlgebraMorphism(source, target, _mutated_columns(f, rng, count))
     _assert_morphism_scans_agree(broken)

@@ -473,9 +473,9 @@ def test_morphism_degree_mismatch_rejected():
 def test_matrix_morphism_multiplicativity_checked():
     p = build_free_cdga([("u", 2)], {}, 4)
     mats = [
-        Matrix.identity(1),
+        Matrix([[1]]),
         Matrix.zero(0, 0),
-        Matrix.identity(1),
+        Matrix([[1]]),
         Matrix.zero(0, 0),
         Matrix.zero(1, 1),
     ]
@@ -690,7 +690,9 @@ def test_free_structure_constants_match_the_definition():
                 coords(oracle.differential({exps: Fraction(1)}), n + 1)
                 for exps in basis[n]
             ]
-            assert a.diff_matrix(n) == Matrix.from_columns(want, a.dim(n + 1))
+            assert a.diff_columns(n) == [
+                {k: c for k, c in enumerate(col) if c} for col in want
+            ]
         for n1 in range(cap + 1):
             for n2 in range(cap + 1 - n1):
                 for i1, e in enumerate(basis[n1]):

@@ -348,6 +348,40 @@ def test_transfer_rotation_inconclusive(capsys):
     assert doc["payload"]["containment-holds"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, most",
+    [
+        (["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1",
+          "--cap", "12"], 0),
+        (["theorem11", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1"], 0),
+        (["scan", "builtin:default"], 7),
+    ],
+    ids=["lemma32", "theorem11", "scan"],
+)
+def test_no_dense_matrix_on_the_request_path(capsys, monkeypatch, argv, most):
+    # Maps are held as sparse columns; a Matrix is built only for matrix
+    # data from outside, which on these requests is the rotation datum's
+    # seven pushforward matrices in the default scan.
+    from masseyq.linalg import Matrix
+
+    built = []
+    init, trusted = Matrix.__init__, Matrix._trusted.__func__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_trusted(cls, *args, **kwargs):
+        built.append(cls)
+        return trusted(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    monkeypatch.setattr(Matrix, "_trusted", classmethod(counting_trusted))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(built) <= most
+
+
 def test_transfer_request_validates_the_rotation_restriction_once(capsys, monkeypatch):
     import masseyq.cdga as cdga
     import masseyq.models as models
@@ -356,9 +390,9 @@ def test_transfer_request_validates_the_rotation_restriction_once(capsys, monkey
     original = cdga.validate_morphism
     calls = []
 
-    def counting(f, on_generators=False):
+    def counting(f):
         calls.append(f)
-        return original(f, on_generators)
+        return original(f)
 
     for module in (cdga, models, transfer):
         monkeypatch.setattr(module, "validate_morphism", counting, raising=False)

@@ -26,19 +26,20 @@ from masseyq.cohomology import (
     check_functoriality,
     check_scaling_law,
     cup,
-    cup_matrix,
     ideal_degree_piece,
     ideal_products,
     triple_massey,
 )
-from masseyq import linalg
-from masseyq.linalg import densify
+from masseyq import cohomology, linalg
+from masseyq.linalg import Subspace, densify
 from masseyq.errors import AlgebraValidationError, ConsistencyError, DegreeCapError
 from masseyq.fileformat import resolve_model_spec
 from masseyq.models import builtin_model
 from oracles import (
     FreeCdgaOracle,
     betti_oracle,
+    differential_columns,
+    differential_rows,
     ff_rref,
     heisenberg_massey_oracle,
     massey_coset_oracle,
@@ -172,15 +173,6 @@ def test_cup_beyond_top_raises():
     assert err.value.required_cap == 3
 
 
-def test_cup_matrix_shapes_and_action():
-    _, ring = heisenberg_ring()
-    x, _ = ring.basis_classes(1)
-    m = cup_matrix(ring, x, 2)
-    assert m.rows == ring.class_dim(3) and m.cols == ring.class_dim(2)
-    xz = ring.basis_class(2, 0)
-    assert m.matvec(xz.coords) == cup(x, xz).coords
-
-
 def test_ideal_degree_piece():
     _, ring = heisenberg_ring()
     x, y = ring.basis_classes(1)
@@ -257,6 +249,37 @@ def test_corrupted_certificate_raises(corrupt_certificate, route):
     for inputs in cases:
         with pytest.raises(ConsistencyError, match=rf"ideal membership in degree \d: {message}"):
             triple_massey(*inputs)
+
+
+def test_a_perturbed_primitive_fails_the_cocycle_check(monkeypatch):
+    # Shifting the x primitive of <x1, x2, x2> by a cochain e adds bar(e) C
+    # to the representative, whose differential -d(e) C is nonzero when
+    # d(e) C is; the projection's cocycle check must report it.
+    ring = CohomologyRing(resolve_model_spec(FILIFORM_8))
+    a, b, c = (ring.class_from_polynomial(p) for p in ("x1", "x2", "x2"))
+    assert triple_massey(a, b, c).defined
+    algebra, C = ring.algebra, ring.lift(c)
+    n = a.degree + b.degree - 1
+    k = next(
+        k
+        for k in range(algebra.dim(n))
+        if not (algebra.basis_element(n, k).d() * C).is_zero()
+    )
+    real, calls = cohomology.solve_rows, []
+
+    def perturbed(rows, cols, rhs):
+        out = real(rows, cols, rhs)
+        calls.append(cols)
+        if len(calls) == 1:  # the first solve is the x primitive's
+            out = out[:k] + (out[k] + 1,) + out[k + 1 :]
+        return out
+
+    monkeypatch.setattr(cohomology, "solve_rows", perturbed)
+    with pytest.raises(
+        ConsistencyError, match="assembled representative is not a cocycle: d gives"
+    ):
+        triple_massey(a, b, c)
+    assert calls[0] == algebra.dim(n)
 
 
 def test_the_certificate_reuses_the_eliminated_indeterminacy(monkeypatch):
@@ -439,9 +462,8 @@ def test_embedding_induces_injection_in_low_degrees():
     ering = CohomologyRing(ext)
     f = InducedMap(emb, hring, ering)
     for n in range(hring.top + 1):
-        from masseyq.linalg import rank
-
-        assert rank(f.matrix(n)) == hring.class_dim(n)
+        image = Subspace.span_rows(ering.class_dim(n), f.columns(n))
+        assert image.dim == hring.class_dim(n)
 
 
 def test_retraction_kills_h():
@@ -606,8 +628,9 @@ def test_cup_matches_the_projected_product_of_lifts(drawn):
         assert cup(a, b).coords == _reference_product(fresh, a, b)
     for a in classes:
         for n in range(ring.top - a.degree + 1):
-            columns = cup_matrix(ring, a, n).columns()
-            assert columns == [
+            dim = ring.class_dim(n + a.degree)
+            columns = ideal_products(ring, [a], n + a.degree)
+            assert [densify(col, dim) for col in columns] == [
                 _reference_product(fresh, a, e) for e in ring.basis_classes(n)
             ]
 
@@ -674,18 +697,21 @@ def test_differential_squares_to_zero_as_matrices(drawn):
     # Cohomology trusts d*d = 0, which is checked where algebras enter.
     algebra = drawn[0].algebra
     for n in range(1, algebra.cap):
-        product = algebra.diff_matrix(n).matmul(algebra.diff_matrix(n - 1))
-        assert product.is_zero()
+        outer = differential_rows(algebra, n)
+        for column in differential_columns(algebra, n - 1):
+            assert not any(
+                sum(r * c for r, c in zip(row, column)) for row in outer
+            )
 
 
-def _ff_solve(matrix, rhs):
-    """Canonical particular solution of matrix * x = rhs, from ``ff_rref``."""
-    rows = [matrix.row(i) + (rhs[i],) for i in range(matrix.rows)]
-    reduced, pivots = ff_rref(rows, matrix.cols + 1)
-    assert matrix.cols not in pivots, "the oracle finds no solution"
-    x = [Fraction(0)] * matrix.cols
+def _ff_solve(rows, cols, rhs):
+    """Canonical particular solution of rows * x = rhs, from ``ff_rref``."""
+    augmented = [row + (b,) for row, b in zip(rows, rhs)]
+    reduced, pivots = ff_rref(augmented, cols + 1)
+    assert cols not in pivots, "the oracle finds no solution"
+    x = [Fraction(0)] * cols
     for k, p in enumerate(pivots):
-        x[p] = reduced[k][matrix.cols]
+        x[p] = reduced[k][cols]
     return tuple(x)
 
 
@@ -697,17 +723,15 @@ def test_sparse_fed_eliminations_match_the_fraction_free_oracle(drawn):
     ring = drawn[0]
     algebra = ring.algebra
     for n in range(ring.top + 1):
-        d = algebra.diff_matrix(n)
         cocycles = ring.cocycles(n)
         assert (cocycles.basis, cocycles.pivots) == _two_elimination_kernel(
-            [d.row(i) for i in range(d.rows)], d.cols
+            differential_rows(algebra, n), algebra.dim(n)
         )
         coboundaries = ring.coboundaries(n)
         if n == 0:
             assert coboundaries.dim == 0
             continue
-        prev = algebra.diff_matrix(n - 1)
-        basis, pivots = ff_rref(prev.columns(), prev.rows)
+        basis, pivots = ff_rref(differential_columns(algebra, n - 1), algebra.dim(n))
         assert (coboundaries.basis, coboundaries.pivots) == (
             basis[: len(pivots)],
             pivots,
@@ -721,10 +745,11 @@ def test_sparse_fed_eliminations_match_the_fraction_free_oracle(drawn):
         if not result.defined:
             continue
         A, B, C = ring.lift(a), ring.lift(b), ring.lift(c)
-        x_matrix = algebra.diff_matrix(a.degree + b.degree - 1)
-        y_matrix = algebra.diff_matrix(b.degree + c.degree - 1)
-        assert result.x_witness.coords == _ff_solve(x_matrix, (A.bar() * B).coords)
-        assert result.y_witness.coords == _ff_solve(y_matrix, (B.bar() * C).coords)
+        for witness, left, right in ((result.x_witness, A, B), (result.y_witness, B, C)):
+            n = witness.degree
+            rows = differential_rows(algebra, n)
+            rhs = (left.bar() * right).coords
+            assert witness.coords == _ff_solve(rows, algebra.dim(n), rhs)
         checked += 1
 
 
@@ -881,15 +906,14 @@ def test_block_assembly_matches_the_dense_oracle(ext):
     # cap included, and so do the shifted structure constants.
     ring = CohomologyRing(ext)
     for n in range(ring.top + 1):
-        d = ext.diff_matrix(n)
         cocycles, cocycle_pivots = _two_elimination_kernel(
-            [d.row(i) for i in range(d.rows)], d.cols
+            differential_rows(ext, n), ext.dim(n)
         )
         if n == 0:
             boundary, boundary_pivots = (), ()
         else:
-            prev = ext.diff_matrix(n - 1)
-            reduced, boundary_pivots = ff_rref(prev.columns(), prev.rows)
+            columns = differential_columns(ext, n - 1)
+            reduced, boundary_pivots = ff_rref(columns, ext.dim(n))
             boundary = reduced[: len(boundary_pivots)]
         assert (ring.cocycles(n).basis, ring.cocycles(n).pivots) == (
             cocycles,

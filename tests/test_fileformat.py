@@ -181,7 +181,7 @@ def test_datum_file_matches_builtin():
     ref = rotation_datum()
     assert datum.m == ref.m
     for n in range(9):
-        assert datum.restrict.matrix(n) == ref.restrict.matrix(n)
+        assert datum.restrict.columns(n) == ref.restrict.columns(n)
     assert list(datum.push_matrices) == list(ref.push_matrices)
 
 

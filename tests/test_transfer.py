@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,9 +13,9 @@ from masseyq.cdga import AlgebraMorphism, build_free_cdga, identity_morphism
 from masseyq.cohomology import (
     CohomologyClass,
     CohomologyRing,
+    check_functoriality,
     check_scaling_law,
     cup,
-    cup_matrix,
     triple_massey,
 )
 from masseyq.errors import (
@@ -23,7 +24,7 @@ from masseyq.errors import (
     PremiseError,
     UndefinedProductError,
 )
-from masseyq.linalg import Matrix, solve
+from masseyq.linalg import Matrix, solve_rows, transpose
 from masseyq.models import (
     BUILTIN_MODELS,
     broken_projection_datum,
@@ -56,7 +57,12 @@ from masseyq.transfer import (
     validate_transfer_datum,
     verify_not_zero_divisor,
 )
-from oracles import full_datum_findings, random_free_cdga, zero_divisor_rank_scan
+from oracles import (
+    cup_matrix_reference,
+    full_datum_findings,
+    random_free_cdga,
+    zero_divisor_rank_scan,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +195,41 @@ def test_pure_base_class_is_flagged_as_zero_divisor():
     assert report.failed_degree == 1  # [x*z] kills [x] already
 
 
+_HEISENBERG = ([("x", 1), ("y", 1), ("z", 1)], {"z": [(1, ("x", "y"))]}, 4)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(1, 3),
+    st.integers(2, 3),
+    st.booleans(),
+)
+@example(random.Random(0), 2, 2, True)
+def test_induced_maps_on_random_presentations(rng, k, extra, heisenberg_base):
+    # The embedding and retraction act on class columns; on random bases
+    # the retraction undoes the embedding, the embedding carries every
+    # defined basis triple into the extension's product, and chi = k*h
+    # scales each embedded product into the product with chi in any slot.
+    gens, diffs, cap = _HEISENBERG if heisenberg_base else random_free_cdga(rng)
+    setup = build_setup(build_free_cdga(gens, diffs, cap), cap + extra)
+    base_ring, embed, retract = setup.base_ring, setup.embed, setup.retract
+    for n in range(min(embed.top, retract.top) + 1):
+        for e in base_ring.basis_classes(n):
+            assert retract.apply(embed.apply(e)) == e
+    chi = setup.ext_ring.class_from_polynomial(f"{k}*h")
+    classes = [e for n in range(1, base_ring.top + 1) for e in base_ring.basis_classes(n)]
+    for a, b, c in itertools.product(classes, repeat=3):
+        n = a.degree + b.degree + c.degree - 1
+        if n > embed.top or not triple_massey(a, b, c).defined:
+            continue
+        report, _, image = check_functoriality(embed, a, b, c)
+        assert report.holds
+        if n + chi.degree <= setup.ext_ring.top:
+            for slot in (1, 2, 3):
+                assert check_scaling_law(chi, image, slot)[0].holds
+
+
 _TABLE_BASES = [
     "two-points",  # H^0 = Q + Q, so a top coefficient can be a non-unit
     "point",
@@ -242,13 +283,13 @@ def test_a_corrupted_top_inverse_trips_the_cup_check(monkeypatch, model, chi):
     setup = build_setup(model(), cap=7)
     euler = euler_class_from_polynomial(setup, chi, 1)
     assert verify_not_zero_divisor(setup.ext_ring, euler).ok
-    real = transfer.solve
+    real = transfer.solve_rows
 
-    def corrupted(a, b):
-        sol = real(a, b)
+    def corrupted(rows, cols, b):
+        sol = real(rows, cols, b)
         return (sol[0] + 1,) + sol[1:]
 
-    monkeypatch.setattr(transfer, "solve", corrupted)
+    monkeypatch.setattr(transfer, "solve_rows", corrupted)
     with pytest.raises(ConsistencyError):
         verify_not_zero_divisor(setup.ext_ring, euler)
 
@@ -467,13 +508,14 @@ def test_broken_projection_formula_is_rejected_with_a_witness():
 
 def test_non_injective_restriction_is_rejected():
     good = rotation_datum()
-    mats = list(good.restrict.matrices)
-    mats[2] = Matrix([[1, 1], [1, 1]], cols=2)
+    columns = [good.restrict.columns(n) for n in range(good.restrict.trust_cap + 1)]
+    one = Fraction(1)
+    columns[2] = [{0: one, 1: one}, {0: one, 1: one}]
     bad = HamiltonianTransferDatum(
         name="squashed",
         ambient=good.ambient,
         fixed=good.fixed,
-        restrict=AlgebraMorphism(good.ambient, good.fixed, mats),
+        restrict=AlgebraMorphism(good.ambient, good.fixed, columns),
         push_matrices=good.push_matrices,
         chi_polynomial=good.chi_polynomial,
         m=good.m,
@@ -486,7 +528,7 @@ def test_non_injective_restriction_is_rejected():
 def test_identity_restriction_is_not_rescanned(monkeypatch):
     import masseyq.transfer as transfer
 
-    def forbidden(f, on_generators=False):
+    def forbidden(f):
         raise AssertionError("the identity restriction was scanned")
 
     datum = tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=8)
@@ -498,18 +540,15 @@ def test_non_identity_endomorphism_restriction_is_scanned():
     # Doubling degree 1 keeps source == target but breaks both d-commutation
     # (d z = x*y) and multiplicativity, so the full scan must report it.
     good = tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=8)
-    mats = list(good.restrict.matrices)
-    n1 = mats[1].cols
-    mats[1] = Matrix(
-        [[2 if i == j else 0 for j in range(n1)] for i in range(n1)], cols=n1
-    )
+    columns = [good.restrict.columns(n) for n in range(good.restrict.trust_cap + 1)]
+    columns[1] = [{i: Fraction(2)} for i in range(good.ambient.dim(1))]
     bad = HamiltonianTransferDatum(
         name="doubled",
         ambient=good.ambient,
         fixed=good.fixed,
-        restrict=AlgebraMorphism(good.ambient, good.fixed, mats),
+        restrict=AlgebraMorphism(good.ambient, good.fixed, columns),
         push_matrices=[
-            cup_matrix(good.fixed_ring, good.chi_class(), n)
+            cup_matrix_reference(good.fixed_ring, good.chi_class(), n)
             for n in range(good.push_top + 1)
         ],
         chi_polynomial=good.chi_polynomial,
@@ -584,8 +623,9 @@ def test_rotation_pushforward_is_forced_by_the_projection_formula():
         for idx, nm in enumerate(("eN", "eS")):
             e = fixed.named_element(nm) * power
             target = chi_el * e
-            rmat = datum.restrict.matrix(2 * k + 2)
-            col = solve(rmat, target.coords)
+            n = 2 * k + 2
+            rows = transpose(datum.restrict.columns(n), fixed.dim(n))
+            col = solve_rows(rows, datum.ambient.dim(n), target.coords)
             assert col is not None
             pushed = datum.push(fring.project(e))
             assert tuple(pushed.coords) == tuple(col)
