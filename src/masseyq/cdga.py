@@ -179,19 +179,6 @@ class TensorInfo:
         row = self.blocks[n]
         return row[j] if 0 <= j < len(row) else None
 
-    def split_index(self, n: int, idx: int) -> tuple[int, int]:
-        """Map a degree-n basis index to (h power, base index)."""
-        row = self.splits[n]
-        if not (0 <= idx < len(row)):
-            raise IndexError(f"basis index {idx} out of range in degree {n}")
-        return row[idx]
-
-    def index(self, n: int, j: int, base_index: int) -> int:
-        entry = self.block(n, j)
-        if entry is None or not (0 <= base_index < entry[3]):
-            raise IndexError(f"no basis vector (h^{j}, {base_index}) in degree {n}")
-        return entry[2] + base_index
-
 
 class Element:
     """A homogeneous element of a CochainAlgebra: a degree and coordinates."""
@@ -318,10 +305,6 @@ class Element:
 
     def __repr__(self):
         return f"Element(deg={self.degree}, {self})"
-
-
-def bar(a: Element) -> Element:
-    return a.bar()
 
 
 Terms = tuple[tuple[int, Fraction], ...]

@@ -77,7 +77,6 @@ from .transfer import (
     required_cap,
     run_transfer_pipeline,
     scan_families,
-    validate_transfer_datum,
 )
 
 
@@ -152,9 +151,7 @@ def _massey_payload(res: MasseyResult) -> dict:
 
 
 def _euler_scaled_payload(rep: EulerScaledReport) -> dict:
-    h_table = class_h_components(
-        rep.setup.ext_ring, rep.setup.base_ring, rep.witness
-    )
+    h_table = class_h_components(rep.setup.ext_ring, rep.witness)
     payload: dict = {
         "verdict": rep.verdict,
         "degrees": list(rep.degrees),
@@ -288,7 +285,7 @@ def _cmd_euler(args) -> Report:
         chi = euler_class(setup, bundles)
     else:
         chi = euler_class_from_polynomial(setup, chi_poly, m)
-    h_table = class_h_components(setup.ext_ring, setup.base_ring, chi.cls)
+    h_table = class_h_components(setup.ext_ring, chi.cls)
     payload = {
         "model": args.model,
         "m": chi.m,
@@ -347,8 +344,7 @@ def _cmd_lemma32(args) -> Report:
 
 def _cmd_transfer(args) -> Report:
     datum = resolve_datum_spec(args.datum, os.getcwd())
-    findings = validate_transfer_datum(datum)
-    if findings:
+    if datum.findings:
         return Report(
             "transfer",
             STATUS_INVALID,
@@ -356,7 +352,7 @@ def _cmd_transfer(args) -> Report:
             {
                 "datum": args.datum,
                 "inputs": [args.u, args.v, args.w],
-                "findings": findings,
+                "findings": list(datum.findings),
             },
         )
     gys = check_gysin_transfer(datum, args.u, args.v, args.w)

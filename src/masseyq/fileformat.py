@@ -445,8 +445,8 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
 
     return HamiltonianTransferDatum(
         name=datum_name,
-        ambient=ambient,
-        fixed=fixed,
+        ambient_ring=ambient_ring,
+        fixed_ring=fixed_ring,
         restrict=rmap,
         push_matrices=push_mats,
         chi_polynomial=chi,
@@ -514,7 +514,6 @@ def tautological_from_parts(
     chi: Optional[str],
     m: Optional[int],
     min_cap: Optional[int],
-    hname: str = "h",
     setups: Optional[SetupTable] = None,
 ) -> HamiltonianTransferDatum:
     """Size and build the ambient-equals-fixed datum for a configuration."""
@@ -529,7 +528,6 @@ def tautological_from_parts(
         chi_polynomial=chi,
         m=m,
         cap=cap,
-        hname=hname,
         setups=setups,
     )
 

@@ -18,6 +18,7 @@ from .cdga import (
     build_table_algebra,
     tensor_polynomial_generator,
 )
+from .cohomology import CohomologyRing
 from .errors import AlgebraValidationError
 from .linalg import Matrix, fr
 from .transfer import (
@@ -177,8 +178,8 @@ def rotation_datum(fixed_cap: int = 8, ambient_cap: int = 9) -> HamiltonianTrans
 
     return HamiltonianTransferDatum(
         name="rotation",
-        ambient=ambient,
-        fixed=fixed,
+        ambient_ring=CohomologyRing(ambient),
+        fixed_ring=CohomologyRing(fixed),
         restrict=AlgebraMorphism(ambient, fixed, restrict),
         push_matrices=push,
         chi_polynomial="eN*h - eS*h",
@@ -199,8 +200,8 @@ def broken_projection_datum() -> HamiltonianTransferDatum:
     push[2] = Matrix(bad, cols=push[2].cols)
     return HamiltonianTransferDatum(
         name="rotation-broken-push",
-        ambient=good.ambient,
-        fixed=good.fixed,
+        ambient_ring=good.ambient_ring,
+        fixed_ring=good.fixed_ring,
         restrict=good.restrict,
         push_matrices=push,
         chi_polynomial=good.chi_polynomial,

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ParseError
 
@@ -33,20 +32,6 @@ STATUS_CAP = "cap-too-small"
 STATUS_INTERNAL = "internal"
 
 _STATUSES = (STATUS_OK, STATUS_PREMISE, STATUS_INVALID, STATUS_CAP, STATUS_INTERNAL)
-
-
-def frac_str(x) -> str:
-    """Exact text for a rational: "3", "-1/2"."""
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def vec_strs(coords: Iterable) -> list[str]:
-    return [frac_str(c) for c in coords]
-
-
-def matrix_strs(mat) -> list[list[str]]:
-    return [vec_strs(row) for row in mat.entries]
 
 
 @dataclass
@@ -109,6 +94,3 @@ def format_table(rows: Sequence[Sequence[str]], header: Optional[Sequence[str]] 
             lines.append("  ".join("-" * widths[i] for i in range(ncols)).rstrip())
     return "\n".join(lines)
 
-
-def indent_block(text: str, prefix: str = "  ") -> str:
-    return "\n".join(prefix + line if line else line for line in text.splitlines())

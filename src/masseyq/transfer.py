@@ -109,81 +109,37 @@ def build_setup(
     )
 
 
-def _presentation(a: CochainAlgebra) -> tuple:
-    """Everything ``build_setup`` reads from a base; equal values, equal setups.
-
-    A free algebra is fixed by its generators, its cap and its
-    differential.  Any other algebra is fixed by its labels, names, unit,
-    differential and the products of all basis pairs within the cap.
-    """
-    diff = tuple(sorted(a._diff.items()))
-    if a.kind == "free":
-        return ("free", a.generators, a.cap, diff)
-    products = tuple(
-        a._product(n1, i1, n2, i2)
-        for n1 in range(a.cap + 1)
-        for n2 in range(a.cap + 1 - n1)
-        for i1 in range(a.dim(n1))
-        for i2 in range(a.dim(n2))
-    )
-    names = tuple(sorted(a._names.items()))
-    return (a.kind, a._labels, names, a._unit_coords, diff, products)
-
-
 class SetupTable:
     """The equivariant setups of one request, one per (base, cap, h name).
 
     A caller makes one table per request, passes it to everything that
     needs a setup and drops it with the request; nothing outlives it.
-    Bases are told apart by presentation (see ``_presentation``), so two
-    specs that read the same algebra share a setup.  A new setup is also
-    filed under its own base, the re-capped copy of a free base, which is
-    where the Euler stage over a datum built from the table looks.
-
-    The table also keeps the findings of ``validate_transfer_datum`` for
-    each datum object it is asked about, so configs that name one datum
-    spec (resolved once into one object) validate it once.
+    Bases are told apart by object: a request resolves each spec once, so
+    configs over one model share its setup, while two equal bases given
+    as distinct objects get a setup each.  A new setup is also filed
+    under its own base, the re-capped copy of a free base, which is where
+    the Euler stage over a datum built from the table looks.
     """
 
     def __init__(self):
-        self._setups: dict[tuple[int, int, str], EquivariantSetup] = {}
-        # id(base) -> (base, presentation number); holding the base keeps
-        # its id from being reused while the table lives.
-        self._bases: dict[int, tuple[CochainAlgebra, int]] = {}
-        self._presentations: dict[tuple, int] = {}
-        # id(datum) -> (datum, findings), held the same way
-        self._findings: dict[int, tuple[HamiltonianTransferDatum, tuple[str, ...]]] = {}
-
-    def _number(self, base: CochainAlgebra) -> int:
-        entry = self._bases.get(id(base))
-        if entry is None:
-            number = self._presentations.setdefault(
-                _presentation(base), len(self._presentations)
-            )
-            entry = self._bases[id(base)] = (base, number)
-        return entry[1]
+        # id(base) keys; each entry holds its base so the id is not reused
+        # while the table lives.
+        self._setups: dict[
+            tuple[int, int, str], tuple[CochainAlgebra, EquivariantSetup]
+        ] = {}
 
     def setup(
         self, base: CochainAlgebra, cap: Optional[int] = None, hname: str = "h"
     ) -> EquivariantSetup:
         """``build_setup(base, cap, hname)``, built once per table."""
         cap = base.cap if cap is None else cap
-        key = (self._number(base), cap, hname)
-        found = self._setups.get(key)
-        if found is None:
-            found = self._setups[key] = build_setup(base, cap, hname)
-            self._setups.setdefault((self._number(found.base), cap, hname), found)
-        return found
-
-    def datum_findings(self, datum: HamiltonianTransferDatum) -> list[str]:
-        """``validate_transfer_datum(datum)``, run once per datum object."""
-        entry = self._findings.get(id(datum))
+        key = (id(base), cap, hname)
+        entry = self._setups.get(key)
         if entry is None:
-            entry = self._findings[id(datum)] = (
-                datum,
-                tuple(validate_transfer_datum(datum)),
-            )
-        return list(entry[1])
+            setup = build_setup(base, cap, hname)
+            entry = self._setups[key] = (base, setup)
+            self._setups.setdefault((id(setup.base), cap, hname), (setup.base, setup))
+        return entry[1]
 
 
 def _setup(
@@ -269,21 +225,18 @@ def h_components(el: Element) -> dict[int, Element]:
 
 
 def class_h_components(
-    ext_ring: CohomologyRing,
-    base_ring: CohomologyRing,
-    cls: CohomologyClass,
+    ring: CohomologyRing, cls: CohomologyClass
 ) -> dict[int, CohomologyClass]:
     """The nonzero base-class coefficients of an extension class.
 
-    ``base_ring`` must be the extension ring's block ring, whose class
-    coordinates in each h-power block of ``cls`` are those coefficients;
-    vanishing coefficients are omitted.
+    They are classes of the extension ring's block ring, whose class
+    coordinates are those of ``cls`` in each h-power block; vanishing
+    coefficients are omitted.
     """
-    if base_ring is not ext_ring.block_ring:
-        raise ValueError("base ring must be the extension ring's block ring")
+    base_ring = ring.block_ring
     out = {}
     for j in range(cls.degree // 2 + 1):
-        coords = ext_ring.h_block(cls, j)
+        coords = ring.h_block(cls, j)
         if not any(coords):
             continue
         degree = cls.degree - 2 * j
@@ -528,9 +481,9 @@ def h_comparison_check(
 
     base_ring = setup.base_ring
     two_m = 2 * chi.m
-    a_comp = class_h_components(ring, base_ring, a_cls).get(two_m)
-    b_comp = class_h_components(ring, base_ring, b_cls).get(two_m)
-    lam = class_h_components(ring, base_ring, chi2).get(two_m)
+    a_comp = class_h_components(ring, a_cls).get(two_m)
+    b_comp = class_h_components(ring, b_cls).get(two_m)
+    lam = class_h_components(ring, chi2).get(two_m)
 
     extracted = matches = None
     scalar = _unit_multiple(base_ring, lam)
@@ -764,42 +717,44 @@ def check_euler_scaled_massey(
 class HamiltonianTransferDatum:
     """Restriction and pushforward between two equivariant models.
 
-    ``ambient`` models the equivariant cohomology of the whole space and
-    ``fixed`` that of a fixed locus (a polynomial-generator extension).
-    ``restrict`` is a cochain-level ring map; ``push_matrices[n]`` gives
-    the degree n -> n + 2m pushforward on cohomology class coordinates.
-    The defining relation is restrict(push(x)) = chi * x.  A datum made
-    by ``tautological_datum`` holds no matrices and pushes by cup with chi.
+    ``ambient_ring`` is the cohomology of a model of the whole space and
+    ``fixed_ring`` that of a fixed locus (a polynomial-generator
+    extension); ``ambient`` and ``fixed`` are their algebras.  A datum is
+    built with the rings it is used with, and ``restrict_map`` is the map
+    the cochain-level ring map ``restrict`` induces between them.
+    ``push_matrices[n]`` gives the degree n -> n + 2m pushforward on class
+    coordinates.  The defining relation is restrict(push(x)) = chi * x.
+    A datum made by ``tautological_datum`` holds no matrices and pushes by
+    cup with chi.  ``findings`` validates the datum once per object.
     """
 
     def __init__(
         self,
         name: str,
-        ambient: CochainAlgebra,
-        fixed: CochainAlgebra,
+        ambient_ring: CohomologyRing,
+        fixed_ring: CohomologyRing,
         restrict: AlgebraMorphism,
         push_matrices: Sequence[Matrix],
         chi_polynomial: PolyInput,
         m: int,
     ):
         self.name = name
-        self.ambient = ambient
-        self.fixed = fixed
+        self.ambient_ring = ambient_ring
+        self.fixed_ring = fixed_ring
+        self.ambient = ambient_ring.algebra
+        self.fixed = fixed_ring.algebra
         self.restrict = restrict
+        self.restrict_map = InducedMap(restrict, ambient_ring, fixed_ring)
         self.push_matrices = tuple(push_matrices)
         self.chi_polynomial = chi_polynomial
         self.m = m
-        self._restrict_map: Optional[InducedMap] = None
         # set by tautological_datum alone; see push and validate_transfer_datum
         self._euler: Optional[EulerClass] = None
 
     @cached_property
-    def ambient_ring(self) -> CohomologyRing:
-        return CohomologyRing(self.ambient)
-
-    @cached_property
-    def fixed_ring(self) -> CohomologyRing:
-        return CohomologyRing(self.fixed)
+    def findings(self) -> tuple[str, ...]:
+        """``validate_transfer_datum(self)``, run once per datum."""
+        return tuple(validate_transfer_datum(self))
 
     @property
     def push_top(self) -> int:
@@ -830,13 +785,6 @@ class HamiltonianTransferDatum:
             n + 2 * self.m,
             self.push_matrices[n].matvec(cls.coords),
         )
-
-    def restrict_map(self) -> InducedMap:
-        if self._restrict_map is None:
-            self._restrict_map = InducedMap(
-                self.restrict, self.ambient_ring, self.fixed_ring
-            )
-        return self._restrict_map
 
     def __repr__(self):
         return f"HamiltonianTransferDatum({self.name!r}, m={self.m})"
@@ -871,15 +819,6 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     if datum.fixed.tensor_info is None:
         findings.append("fixed model must be a polynomial-generator extension")
         return findings
-    if (
-        datum.restrict.source is not datum.ambient
-        or datum.restrict.target is not datum.fixed
-    ):
-        findings.append(
-            "restriction must map the ambient model to the fixed model"
-        )
-        return findings
-
     try:
         chi_el = datum.chi_element()
     except Exception as exc:
@@ -900,7 +839,7 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     if findings:
         return findings
 
-    rmap = datum.restrict_map()
+    rmap = datum.restrict_map
     for n in range(rmap.top + 1):
         image = Subspace.span_rows(datum.fixed_ring.class_dim(n), rmap.columns(n))
         if image.dim != datum.ambient_ring.class_dim(n):
@@ -976,20 +915,19 @@ def tautological_datum(
     chi_polynomial: Optional[PolyInput] = None,
     m: Optional[int] = None,
     cap: Optional[int] = None,
-    hname: str = "h",
     setups: Optional[SetupTable] = None,
 ) -> HamiltonianTransferDatum:
     """The datum with ambient equal to fixed and push = cup with chi.
 
     Restriction is the identity, so the projection formula holds by
     construction; useful as a reference datum and for exercising the
-    pipeline end to end without extra geometry.  Both sides use the
-    setup's extension ring, and ``push`` cups with chi on demand, up to
-    the top degree minus 2m.  With ``setups`` the fixed model is the
-    extension of that table's setup, which the Euler stage of
-    ``run_transfer_pipeline`` then finds in the same table.
+    pipeline end to end without extra geometry.  The datum is built with
+    the extension ring of the setup (polynomial generator h) as both of
+    its rings, and ``push`` cups with chi on demand, up to the top degree
+    minus 2m.  With ``setups`` the setup is that table's, which the Euler
+    stage of ``run_transfer_pipeline`` then finds in the same table.
     """
-    setup = _setup(setups, base, cap, hname)
+    setup = _setup(setups, base, cap, "h")
     if bundles is not None:
         chi = euler_class(setup, bundles)
         chi_poly = _bundle_polynomial(setup, bundles)
@@ -998,14 +936,13 @@ def tautological_datum(
         chi_poly = chi_polynomial
     datum = HamiltonianTransferDatum(
         name="tautological",
-        ambient=setup.ext,
-        fixed=setup.ext,
+        ambient_ring=setup.ext_ring,
+        fixed_ring=setup.ext_ring,
         restrict=identity_morphism(setup.ext),
         push_matrices=(),
         chi_polynomial=chi_poly,
         m=chi.m,
     )
-    datum.ambient_ring = datum.fixed_ring = setup.ext_ring
     datum._euler = chi
     return datum
 
@@ -1080,7 +1017,7 @@ def check_gysin_transfer(
     U = datum.push(u_cls)
     V = datum.push(v_cls)
     W = datum.push(w_cls)
-    rmap = datum.restrict_map()
+    rmap = datum.restrict_map
 
     zeros = []  # (restriction zero, direct zero) for U V and for V W
     for a, b, chi_a, chi_b in ((U, V, chi_u, chi_v), (V, W, chi_v, chi_w)):
@@ -1171,24 +1108,20 @@ def run_transfer_pipeline(
     model.  A failed premise skips the scaling stage but still attempts
     the transfer, whose hypothesis is independent of it.
 
-    The Euler stage takes its setup from ``setups`` when given, and the
-    datum's findings come from the table too, so a datum shared by the
-    configs of one request is validated once.  Over a datum the Euler
-    stage rebuilds the extension of the datum's fixed base by the same
-    deterministic construction that made the fixed model, so the two
-    agree by construction and are not compared; a tautological datum
-    built from the same table is that very setup.
+    The Euler stage takes its setup from ``setups`` when given.  The
+    findings are the datum's own, computed once per datum object, so a
+    datum shared by the configs of one request is validated once.  Over
+    a datum the Euler stage rebuilds the extension of the datum's fixed
+    base by the same deterministic construction that made the fixed
+    model, so the two agree by construction and are not compared; a
+    tautological datum built from the same table is that very setup.
     """
     if datum is not None:
-        if setups is None:
-            findings = validate_transfer_datum(datum)
-        else:
-            findings = setups.datum_findings(datum)
-        if findings:
+        if datum.findings:
             return PipelineReport(
                 status="invalid-datum",
                 verdict="inconclusive",
-                datum_findings=findings,
+                datum_findings=list(datum.findings),
             )
         if bundles is not None or chi_polynomial is not None or m is not None:
             raise ValueError(

@@ -598,6 +598,7 @@ def full_datum_findings(datum):
     """``validate_transfer_datum`` on an unmarked copy of a datum, with
     rings of its own, so every check runs on it.  A tautological datum
     holds no push matrices; the copy gets those of cup with chi."""
+    from masseyq.cohomology import CohomologyRing
     from masseyq.transfer import HamiltonianTransferDatum, validate_transfer_datum
 
     push = datum.push_matrices
@@ -608,8 +609,8 @@ def full_datum_findings(datum):
         ]
     copy = HamiltonianTransferDatum(
         name=datum.name,
-        ambient=datum.ambient,
-        fixed=datum.fixed,
+        ambient_ring=CohomologyRing(datum.ambient),
+        fixed_ring=CohomologyRing(datum.fixed),
         restrict=datum.restrict,
         push_matrices=push,
         chi_polynomial=datum.chi_polynomial,
@@ -624,7 +625,7 @@ def full_datum_findings(datum):
 # defining system is a pair X, Y with dX = bar(A) B and dY = bar(B) C, where
 # bar twists by the sign (-1)^degree, and its product is the cocycle
 # bar(A) Y + bar(X) C (the convention stated by ``triple_massey`` and
-# ``cdga.bar``).  With A, B, C fixed, X and Y run over one solution plus all
+# ``Element.bar``).  With A, B, C fixed, X and Y run over one solution plus all
 # cocycles, so the products run over rep + bar(A) Z^(q+r-1) + bar(Z^(p+q-1)) C,
 # and modulo coboundaries that is the whole Massey set.  Everything below
 # reads the differential and the products of a ``FreeCdgaOracle`` and

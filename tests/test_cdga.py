@@ -411,9 +411,11 @@ def test_tensor_block_index_round_trip():
     ext = tensor_polynomial_generator(heisenberg(4), "h", cap=8)
     info = ext.tensor_info
     for n in range(ext.cap + 1):
+        assert len(info.splits[n]) == ext.dim(n)
         for i in range(ext.dim(n)):
-            j, b = info.split_index(n, i)
-            assert info.index(n, j, b) == i
+            j, b = info.splits[n][i]
+            _, _, offset, size = info.blocks[n][j]
+            assert 0 <= b < size and offset + b == i
 
 
 # -- morphisms ---------------------------------------------------------------

@@ -1,32 +1,9 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from masseyq.errors import ParseError
-from masseyq.linalg import Matrix
-from masseyq.report import (
-    Report,
-    format_table,
-    frac_str,
-    indent_block,
-    matrix_strs,
-    report_from_json,
-    vec_strs,
-)
-
-
-def test_frac_str():
-    assert frac_str(Fraction(3)) == "3"
-    assert frac_str(Fraction(-1, 2)) == "-1/2"
-    assert frac_str(0) == "0"
-
-
-def test_vec_and_matrix_strs():
-    assert vec_strs([Fraction(1), Fraction(2, 3)]) == ["1", "2/3"]
-    mat = Matrix([[1, 2], [3, 4]])
-    assert matrix_strs(mat) == [["1", "2"], ["3", "4"]]
+from masseyq.report import Report, format_table, report_from_json
 
 
 def test_report_rejects_unknown_status():
@@ -65,6 +42,3 @@ def test_format_table_alignment():
     assert set(lines[1]) <= {"-", " "}
     assert lines[2].startswith("a  ")
 
-
-def test_indent_block():
-    assert indent_block("a\nb") == "  a\n  b"

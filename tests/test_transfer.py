@@ -93,7 +93,7 @@ def test_class_h_components_convolve_under_cup():
     ring, base_ring = setup.ext_ring, setup.base_ring
     p = ring.class_from_polynomial("x*y + h")
     sq = cup(p, p)
-    comps = class_h_components(ring, base_ring, sq)
+    comps = class_h_components(ring, sq)
     # (xy + h)^2 = 2h xy + h^2, matching the convolution of {0: [xy], 1: [1]}
     # with itself; the h^0 component xy*xy dies.
     assert sorted(comps) == [1, 2]
@@ -513,8 +513,8 @@ def test_non_injective_restriction_is_rejected():
     columns[2] = [{0: one, 1: one}, {0: one, 1: one}]
     bad = HamiltonianTransferDatum(
         name="squashed",
-        ambient=good.ambient,
-        fixed=good.fixed,
+        ambient_ring=good.ambient_ring,
+        fixed_ring=good.fixed_ring,
         restrict=AlgebraMorphism(good.ambient, good.fixed, columns),
         push_matrices=good.push_matrices,
         chi_polynomial=good.chi_polynomial,
@@ -544,8 +544,8 @@ def test_non_identity_endomorphism_restriction_is_scanned():
     columns[1] = [{i: Fraction(2)} for i in range(good.ambient.dim(1))]
     bad = HamiltonianTransferDatum(
         name="doubled",
-        ambient=good.ambient,
-        fixed=good.fixed,
+        ambient_ring=good.ambient_ring,
+        fixed_ring=good.fixed_ring,
         restrict=AlgebraMorphism(good.ambient, good.fixed, columns),
         push_matrices=[
             cup_matrix_reference(good.fixed_ring, good.chi_class(), n)
@@ -567,8 +567,8 @@ def test_wrong_push_shape_is_rejected():
     push[2] = Matrix([[1, 0, 0], [0, 1, 0]], cols=3)
     bad = HamiltonianTransferDatum(
         name="misshapen",
-        ambient=good.ambient,
-        fixed=good.fixed,
+        ambient_ring=good.ambient_ring,
+        fixed_ring=good.fixed_ring,
         restrict=good.restrict,
         push_matrices=push,
         chi_polynomial=good.chi_polynomial,
@@ -582,8 +582,8 @@ def test_nonpositive_m_is_rejected():
     good = rotation_datum()
     bad = HamiltonianTransferDatum(
         name="flat",
-        ambient=good.ambient,
-        fixed=good.fixed,
+        ambient_ring=good.ambient_ring,
+        fixed_ring=good.fixed_ring,
         restrict=good.restrict,
         push_matrices=good.push_matrices,
         chi_polynomial=good.chi_polynomial,
@@ -594,10 +594,11 @@ def test_nonpositive_m_is_rejected():
 
 def test_fixed_model_must_be_an_extension():
     a = heisenberg()
+    ring = CohomologyRing(a)
     bad = HamiltonianTransferDatum(
         name="bare",
-        ambient=a,
-        fixed=a,
+        ambient_ring=ring,
+        fixed_ring=ring,
         restrict=identity_morphism(a),
         push_matrices=[],
         chi_polynomial="x*z",
