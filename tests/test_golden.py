@@ -94,6 +94,13 @@ CASES = [
         ["theorem11", "builtin:two-points", "eN", "eS", "eN", "--chi", "eN*h", "--m", "1"],
         3,
     ),
+    (
+        "cohomology-table-cap-below-basis",
+        ["cohomology", "table-cap-below-basis.alg"],
+        0,
+    ),
+    ("scan-m-zero", ["scan", "m-zero.family"], 13),
+    ("scan-negative-min-cap", ["scan", "negative-min-cap.family"], 0),
 ]
 
 
