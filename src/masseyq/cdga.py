@@ -20,6 +20,10 @@ computes a product from the base lookup shifted into the right power of
 h; neither tabulates its products.  Differentials are tabulated for every
 presentation, since the cohomology needs all of them.
 
+An Element holds its nonzero terms (basis index -> Fraction), as do the
+unit and the names; arithmetic, products and differentials visit those
+only, and the dense ``coords`` tuple is computed when asked for.
+
 Every algebra carries an explicit degree cap.  Products or differentials
 that would land above the cap raise DegreeCapError; nothing is ever
 silently truncated.  The basis order is fixed (degree first, then
@@ -45,10 +49,10 @@ from .linalg import (
     Matrix,
     SparseVector,
     Vector,
-    apply_columns,
+    densify,
     fr,
     solve_rows,
-    vec_is_zero,
+    sparse_sum,
     vector,
     zero_vector,
 )
@@ -181,9 +185,14 @@ class TensorInfo:
 
 
 class Element:
-    """A homogeneous element of a CochainAlgebra: a degree and coordinates."""
+    """A homogeneous element of a CochainAlgebra: a degree and its nonzero terms.
 
-    __slots__ = ("algebra", "degree", "coords")
+    ``terms`` maps basis index to nonzero Fraction and is read-only by
+    convention; ``coords`` is the dense tuple, computed on each access.
+    The public constructor takes dense coordinates.
+    """
+
+    __slots__ = ("algebra", "degree", "terms")
 
     def __init__(self, algebra: "CochainAlgebra", degree: int, coords: Iterable):
         coords = vector(coords)
@@ -198,55 +207,49 @@ class Element:
             )
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "terms", {i: c for i, c in enumerate(coords) if c})
 
     @classmethod
     def _trusted(
-        cls, algebra: "CochainAlgebra", degree: int, coords: Vector
+        cls, algebra: "CochainAlgebra", degree: int, terms: SparseVector
     ) -> "Element":
-        """Wrap coordinates that masseyq computed itself, without coercion.
+        """Wrap terms that masseyq computed itself, without coercion.
 
-        ``coords`` must be a tuple of Fractions of length
-        ``algebra.dim(degree)``; nothing is checked.  Input from outside
-        goes through the public constructor, which coerces and rejects
-        floats.
+        ``terms`` must map indices below ``algebra.dim(degree)`` to nonzero
+        Fractions; nothing is checked.  Input from outside goes through
+        the public constructor, which coerces and rejects floats.
         """
         el = object.__new__(cls)
         object.__setattr__(el, "algebra", algebra)
         object.__setattr__(el, "degree", degree)
-        object.__setattr__(el, "coords", coords)
+        object.__setattr__(el, "terms", terms)
         return el
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
 
+    @property
+    def coords(self) -> Vector:
+        return densify(self.terms, self.algebra.dim(self.degree))
+
     def is_zero(self) -> bool:
-        return vec_is_zero(self.coords)
+        return not self.terms
 
     def __add__(self, other: "Element") -> "Element":
         self._check_compatible(other)
-        return Element._trusted(
-            self.algebra,
-            self.degree,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
+        terms = sparse_sum([*self.terms.items(), *other.terms.items()])
+        return Element._trusted(self.algebra, self.degree, terms)
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check_compatible(other)
-        return Element._trusted(
-            self.algebra,
-            self.degree,
-            tuple(a - b for a, b in zip(self.coords, other.coords)),
-        )
+        return self + other.scale(-1)
 
     def __neg__(self) -> "Element":
         return self.scale(-1)
 
     def scale(self, c) -> "Element":
         c = fr(c)
-        return Element._trusted(
-            self.algebra, self.degree, tuple(c * a for a in self.coords)
-        )
+        terms = {k: c * a for k, a in self.terms.items()} if c else {}
+        return Element._trusted(self.algebra, self.degree, terms)
 
     def bar(self) -> "Element":
         """Sign twist: ``(-1)^degree`` times the element."""
@@ -276,17 +279,15 @@ class Element:
             isinstance(other, Element)
             and self.algebra is other.algebra
             and self.degree == other.degree
-            and self.coords == other.coords
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), self.degree, self.coords))
+        return hash((id(self.algebra), self.degree, frozenset(self.terms.items())))
 
     def __str__(self):
         parts = []
-        for i, c in enumerate(self.coords):
-            if not c:
-                continue
+        for i, c in sorted(self.terms.items()):
             label = self.algebra.basis_label(self.degree, i)
             if label == "1":
                 parts.append(str(c))
@@ -322,9 +323,10 @@ class CochainAlgebra:
     tensor_polynomial_generator; the constructor itself is internal.
     Structure constants are read through ``product``, a lookup
     ``(p, i, q, j) -> ((k, c), ...)`` that ``multiply`` calls for each
-    pair of nonzero coordinates, so a presentation decides whether it
+    pair of nonzero terms, so a presentation decides whether it
     stores its products (tables) or computes them on demand (free
-    algebras and the h-extension).
+    algebras and the h-extension).  ``unit`` and the entries of ``names``
+    (name -> (degree, terms)) are sparse terms.
 
     Degrees run 0..cap.  The differential maps degree n to n+1 and is
     stored for n < cap only, so cocycles in degree cap cannot be verified;
@@ -338,8 +340,8 @@ class CochainAlgebra:
         labels: Sequence[Sequence[str]],
         product: ProductLookup,
         diff: DiffTable,
-        unit_coords: Vector,
-        names: Mapping[str, tuple[int, Vector]],
+        unit: SparseVector,
+        names: Mapping[str, tuple[int, SparseVector]],
         generators: Optional[tuple[GeneratorDecl, ...]] = None,
         free_recipe=None,
         tensor_info: Optional[TensorInfo] = None,
@@ -349,7 +351,7 @@ class CochainAlgebra:
         self._labels = tuple(tuple(l) for l in labels)
         self._product = product
         self._diff = dict(diff)
-        self._unit_coords = unit_coords
+        self._unit = unit
         self._names = dict(names)
         self.generators = generators
         self._free_recipe = free_recipe
@@ -385,18 +387,16 @@ class CochainAlgebra:
     def basis_element(self, n: int, i: int) -> Element:
         if not (0 <= i < self.dim(n)):
             raise IndexError(f"basis index {i} out of range in degree {n}")
-        coords = [Fraction(0)] * self.dim(n)
-        coords[i] = Fraction(1)
-        return Element(self, n, coords)
+        return Element._trusted(self, n, {i: _ONE})
 
     def unit(self) -> Element:
-        return Element(self, 0, self._unit_coords)
+        return Element._trusted(self, 0, self._unit)
 
     def named_element(self, name: str) -> Element:
         if name not in self._names:
             raise ParseError(f"unknown name {name!r} in this algebra")
-        degree, coords = self._names[name]
-        return Element(self, degree, coords)
+        degree, terms = self._names[name]
+        return Element._trusted(self, degree, terms)
 
     def has_name(self, name: str) -> bool:
         return name in self._names
@@ -423,15 +423,14 @@ class CochainAlgebra:
                 f"product degree {n} exceeds cap {self.cap}", required_cap=n
             )
         p, q, product = a.degree, b.degree, self._product
-        right = [(i2, c2) for i2, c2 in enumerate(b.coords) if c2]
-        out = [Fraction(0)] * self.dim(n)
-        for i1, c1 in enumerate(a.coords):
-            if c1:
-                for i2, c2 in right:
-                    c = c1 * c2
-                    for k, s in product(p, i1, q, i2):
-                        out[k] += c * s
-        return Element._trusted(self, n, tuple(out))
+        right = b.terms.items()
+        terms = sparse_sum(
+            (k, c1 * c2 * s)
+            for i1, c1 in a.terms.items()
+            for i2, c2 in right
+            for k, s in product(p, i1, q, i2)
+        )
+        return Element._trusted(self, n, terms)
 
     def differential(self, a: Element) -> Element:
         if a.algebra is not self:
@@ -442,13 +441,11 @@ class CochainAlgebra:
                 f"differential lands in degree {n}, above cap {self.cap}",
                 required_cap=n,
             )
-        out = [Fraction(0)] * self.dim(n)
-        for i, c in enumerate(a.coords):
-            if c == 0:
-                continue
-            for j, s in self._diff.get((a.degree, i), ()):
-                out[j] += c * s
-        return Element._trusted(self, n, tuple(out))
+        p, diff = a.degree, self._diff.get
+        terms = sparse_sum(
+            (j, c * s) for i, c in a.terms.items() for j, s in diff((p, i), ())
+        )
+        return Element._trusted(self, n, terms)
 
     def diff_columns(self, n: int) -> list[SparseVector]:
         """Columns of d: degree n -> n+1 as sparse vectors, read from the table."""
@@ -650,30 +647,29 @@ def build_free_cdga(
         sign = minus_one if (odd2 & crossing1).bit_count() & 1 else one
         return ((index[key1 + key2][1], sign),)
 
-    unit_coords = vector([1] + [0] * (len(by_degree[0]) - 1))
+    unit = {0: _ONE}
     names = {}
     for gi, g in enumerate(gens):
         n, i = index[weights[gi]]
-        coords = [Fraction(0)] * len(by_degree[n])
-        coords[i] = Fraction(1)
-        names[g.name] = (n, vector(coords))
+        names[g.name] = (n, {i: _ONE})
 
     # A differential-free shell is enough to evaluate the generator images.
     shell = CochainAlgebra(
-        cap, "free", labels, product, {}, unit_coords, names, generators=gens
+        cap, "free", labels, product, {}, unit, names, generators=gens
     )
 
-    # d(g) as its nonzero (index, coefficient) terms, by generator position.
+    # d(g) as its nonzero (index, coefficient) terms, by generator position,
+    # and its parsed polynomial, the recipe ``recap`` rebuilds from.
     d_terms: dict[int, list[tuple[int, Fraction]]] = {}
-    normalized: dict[str, PolyTerms] = {}
+    parsed: dict[str, PolyTerms] = {}
     for gi, g in enumerate(gens):
         poly = differentials.get(g.name)
         if poly is None:
             continue
         try:
+            terms = parse_polynomial(poly) if isinstance(poly, str) else list(poly)
             if g.degree + 1 > cap:
                 # d out of the top degree is not stored; only d = 0 fits.
-                terms = parse_polynomial(poly) if isinstance(poly, str) else poly
                 if any(c != 0 for c, _ in terms):
                     raise DegreeCapError(
                         f"differential of {g.name!r} does not fit under cap {cap}",
@@ -681,7 +677,7 @@ def build_free_cdga(
                     )
                 continue
             try:
-                el = shell.from_polynomial(poly, expected_degree=g.degree + 1)
+                el = shell.from_polynomial(terms, expected_degree=g.degree + 1)
             except AlgebraValidationError as exc:
                 raise AlgebraValidationError(
                     f"differential of {g.name!r} is ill-graded: {exc}"
@@ -694,13 +690,8 @@ def build_free_cdga(
         except (AlgebraError, ParseError) as exc:
             raise _at_row(exc, "d", g.name)
         if not el.is_zero():
-            d_terms[gi] = [(k, c, -c) for k, c in enumerate(el.coords) if c]
-            normalized[g.name] = [
-                (c, f)
-                for c, f in (
-                    parse_polynomial(poly) if isinstance(poly, str) else poly
-                )
-            ]
+            d_terms[gi] = [(k, c, -c) for k, c in el.terms.items()]
+            parsed[g.name] = terms
 
     # Leibniz rule on the word of each monomial: the letter g at a position
     # contributes (-1)^|prefix| * prefix * d(g) * suffix, and both products
@@ -749,10 +740,10 @@ def build_free_cdga(
         labels,
         product,
         diff,
-        unit_coords,
+        unit,
         names,
         generators=gens,
-        free_recipe=(gens, normalized),
+        free_recipe=(gens, parsed),
     )
 
     for g in gens:
@@ -851,7 +842,7 @@ def build_table_algebra(
                     f"product ({n1},{i1},{n2},{i2}) targets invalid index {k}"
                 )
             terms.append((k, c))
-        cleaned = _sparse(terms)
+        cleaned = sparse_sum(terms)
         if cleaned:
             mul[(n1, i1, n2, i2)] = tuple(sorted(cleaned.items()))
 
@@ -869,25 +860,22 @@ def build_table_algebra(
                     f"differential of ({n},{i}) targets invalid index {j}"
                 )
             terms.append((j, c))
-        cleaned = _sparse(terms)
+        cleaned = sparse_sum(terms)
         if cleaned:
             diff[(n, i)] = tuple(sorted(cleaned.items()))
 
-    name_map = {}
-    for n, ns in enumerate(names_per_degree):
-        for i, nm in enumerate(ns):
-            coords = [Fraction(0)] * dims[n]
-            coords[i] = Fraction(1)
-            name_map[nm] = (n, vector(coords))
-
-    unit_coords = _solve_unit(dims, mul, cap)
+    name_map = {
+        nm: (n, {i: _ONE})
+        for n, ns in enumerate(names_per_degree)
+        for i, nm in enumerate(ns)
+    }
     algebra = CochainAlgebra(
         cap,
         "table",
         names_per_degree,
         _table_lookup(mul),
         diff,
-        unit_coords,
+        _solve_unit(dims, mul, cap),
         name_map,
     )
     problems = validate_algebra(algebra, limit=1)
@@ -906,7 +894,7 @@ def _table_lookup(mul: MulTable) -> ProductLookup:
     return product
 
 
-def _solve_unit(dims, mul, cap) -> Vector:
+def _solve_unit(dims, mul, cap) -> SparseVector:
     """Find the two-sided unit in degree 0 by solving the defining system."""
     d0 = dims[0]
     if d0 == 0:
@@ -930,20 +918,12 @@ def _solve_unit(dims, mul, cap) -> Vector:
     u = solve_rows(rows, d0, tuple(rhs))
     if u is None:
         raise AlgebraValidationError("no two-sided unit exists in degree 0")
-    return u
+    return {i: c for i, c in enumerate(u) if c}
 
 
 # --------------------------------------------------------------------------
 # Structural validation scans
 # --------------------------------------------------------------------------
-
-
-def _sparse(terms: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
-    """The nonzero coordinates of a sum of ``(index, coefficient)`` terms."""
-    out: dict[int, Fraction] = {}
-    for k, c in terms:
-        out[k] = out[k] + c if k in out else c
-    return {k: c for k, c in out.items() if c}
 
 
 def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str]:
@@ -967,7 +947,7 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
 
     for n in range(cap - 1):
         for i in range(dims[n]):
-            if _sparse(
+            if sparse_sum(
                 (k, c * s) for j, c in d((n, i), ()) for k, s in d((n + 1, j), ())
             ):
                 if report(
@@ -983,7 +963,7 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
                 for i2 in range(dims[n2]):
                     ab = product(n1, i1, n2, i2)
                     ba = product(n2, i2, n1, i1)
-                    if (ab or ba) and _sparse(ab) != _sparse(
+                    if (ab or ba) and sparse_sum(ab) != sparse_sum(
                         (k, sign * c) for k, c in ba
                     ):
                         if report(
@@ -1011,7 +991,7 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
                                 for k, c in product(n2, i2, n3, i3)
                                 for t, s in product(n1, i1, n23, k)
                             ]
-                            if (lhs or rhs) and _sparse(lhs) != _sparse(rhs):
+                            if (lhs or rhs) and sparse_sum(lhs) != sparse_sum(rhs):
                                 if report(
                                     "associativity fails on ("
                                     f"{label(n1, i1)!r}, "
@@ -1041,19 +1021,19 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
                         for j, c in d((n2, i2), ())
                         for t, s in product(n1, i1, n2 + 1, j)
                     ]
-                    if (lhs or rhs) and _sparse(lhs) != _sparse(rhs):
+                    if (lhs or rhs) and sparse_sum(lhs) != sparse_sum(rhs):
                         if report(
                             "Leibniz rule fails on "
                             f"({label(n1, i1)!r}, {label(n2, i2)!r})"
                         ):
                             return problems
 
-    unit = [(i0, u) for i0, u in enumerate(a._unit_coords) if u]
+    unit = a._unit.items()
     for n in range(cap + 1):
         for i in range(dims[n]):
             left = [(t, u * s) for i0, u in unit for t, s in product(0, i0, n, i)]
             right = [(t, u * s) for i0, u in unit for t, s in product(n, i, 0, i0)]
-            if _sparse(left) != {i: 1} or _sparse(right) != {i: 1}:
+            if sparse_sum(left) != {i: 1} or sparse_sum(right) != {i: 1}:
                 if report(f"unit is not neutral on {label(n, i)!r}"):
                     return problems
     return problems
@@ -1163,26 +1143,11 @@ def tensor_polynomial_generator(
                 if entries:
                     diff[(n, off + i)] = tuple((toff + k, c) for k, c in entries)
 
-    unit_block = info.block(0, 0)
-    unit_coords = list(zero_vector(sum(b[3] for b in blocks[0])))
-    for i, c in enumerate(base._unit_coords):
-        unit_coords[unit_block[2] + i] = c
-
-    names: dict[str, tuple[int, Vector]] = {}
-    for nm in base.names():
-        bdeg, bcoords = base._names[nm]
-        if bdeg > cap:
-            continue
-        block = info.block(bdeg, 0)
-        coords = [Fraction(0)] * sum(b[3] for b in blocks[bdeg])
-        for i, c in enumerate(bcoords):
-            coords[block[2] + i] = c
-        names[nm] = (bdeg, vector(coords))
-    hcoords = [Fraction(0)] * sum(b[3] for b in blocks[2])
-    hblock = info.block(2, 1)
-    for i, c in enumerate(base._unit_coords):
-        hcoords[hblock[2] + i] = c
-    names[name] = (2, vector(hcoords))
+    # The h^0 block sits at offset 0 of every degree, so the base's unit and
+    # names carry over unchanged; h is the base unit in the h^1 block.
+    names = dict(base._names)
+    hoff = info.block(2, 1)[2]
+    names[name] = (2, {hoff + i: c for i, c in base._unit.items()})
 
     return CochainAlgebra(
         cap,
@@ -1190,7 +1155,7 @@ def tensor_polynomial_generator(
         labels,
         product,
         diff,
-        vector(unit_coords),
+        base._unit,
         names,
         tensor_info=info,
     )
@@ -1259,9 +1224,11 @@ class AlgebraMorphism:
     def apply(self, el: Element) -> Element:
         if el.algebra is not self.source:
             raise ValueError("element does not live in the morphism source")
-        n = el.degree
-        coords = apply_columns(self.columns(n), el.coords, self.target.dim(n))
-        return Element._trusted(self.target, n, coords)
+        columns = self.columns(el.degree)
+        terms = sparse_sum(
+            (k, c * x) for i, c in el.terms.items() for k, x in columns[i].items()
+        )
+        return Element._trusted(self.target, el.degree, terms)
 
     def __repr__(self):
         return f"AlgebraMorphism(trust_cap={self.trust_cap})"
@@ -1279,8 +1246,10 @@ def validate_morphism(f: AlgebraMorphism) -> list[str]:
     src, tgt = f.source, f.target
     trust = f.trust_cap
     columns = [f.columns(n) for n in range(trust + 1)]
-    unit = apply_columns(columns[0], src._unit_coords, tgt.dim(0))
-    if unit != tgt._unit_coords:
+    unit = sparse_sum(
+        (k, c * x) for i, c in src._unit.items() for k, x in columns[0][i].items()
+    )
+    if unit != tgt._unit:
         problems.append("morphism does not preserve the unit")
 
     src_d, tgt_d = src._diff.get, tgt._diff.get
@@ -1293,7 +1262,7 @@ def validate_morphism(f: AlgebraMorphism) -> list[str]:
             rhs = [
                 (t, c * s) for k, c in column.items() for t, s in tgt_d((n, k), ())
             ]
-            if (lhs or rhs) and _sparse(lhs) != _sparse(rhs):
+            if (lhs or rhs) and sparse_sum(lhs) != sparse_sum(rhs):
                 problems.append(
                     f"morphism does not commute with d on {src.basis_label(n, i)!r}"
                 )
@@ -1317,7 +1286,7 @@ def validate_morphism(f: AlgebraMorphism) -> list[str]:
                         for k2, c2 in columns[n2][i2].items()
                         for t, s in tgt_product(n1, k1, n2, k2)
                     ]
-                    if (lhs or rhs) and _sparse(lhs) != _sparse(rhs):
+                    if (lhs or rhs) and sparse_sum(lhs) != sparse_sum(rhs):
                         problems.append(
                             "morphism is not multiplicative on "
                             f"({src.basis_label(n1, i1)!r}, "
@@ -1366,7 +1335,7 @@ def build_morphism(
                 if mono != "1":
                     for nm in mono.split("*"):
                         out = target.multiply(out, images[nm])
-                degree.append({k: c for k, c in enumerate(out.coords) if c})
+                degree.append(out.terms)
             columns.append(degree)
         f = AlgebraMorphism(source, target, columns)
     elif matrices is not None:

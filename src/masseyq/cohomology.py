@@ -41,6 +41,7 @@ from .linalg import (
     fr,
     kernel_rows,
     solve_rows,
+    sparse_sum,
     transpose,
     unit_vector,
     vector,
@@ -85,10 +86,10 @@ def _direct_sum(dim: int, parts: Sequence[tuple[int, _DegreeData]]) -> _DegreeDa
     )
 
 
-def _class_coords(data: _DegreeData, coords: Vector) -> Vector:
+def _class_coords(data: _DegreeData, terms: SparseVector) -> Vector:
     """Class coordinates of a cocycle: its residue read at the class pivots."""
-    reduced = data.coboundaries.reduce(coords)
-    return tuple(reduced[p] for p in data.class_pivots)
+    reduced = data.coboundaries.reduce_row(terms)
+    return tuple(reduced.get(p, _ZERO) for p in data.class_pivots)
 
 
 class CohomologyClass:
@@ -330,19 +331,17 @@ class CohomologyRing:
                 f"element {el} of degree {el.degree} is not a cocycle "
                 f"(d gives {el.d()})"
             )
-        return CohomologyClass._trusted(self, el.degree, _class_coords(data, el.coords))
+        return CohomologyClass._trusted(self, el.degree, _class_coords(data, el.terms))
 
     def lift(self, cls: CohomologyClass) -> Element:
         """The canonical harmonic representative of a class."""
         if cls.ring is not self:
             raise ValueError("class belongs to a different ring")
-        data = self._degree(cls.degree)
-        out = list(zero_vector(self.algebra.dim(cls.degree)))
-        for c, rep in zip(cls.coords, data.representatives):
-            if c:
-                for k, v in rep.items():
-                    out[k] += c * v
-        return Element._trusted(self.algebra, cls.degree, tuple(out))
+        reps = self._degree(cls.degree).representatives
+        terms = sparse_sum(
+            (k, c * v) for c, rep in zip(cls.coords, reps) if c for k, v in rep.items()
+        )
+        return Element._trusted(self.algebra, cls.degree, terms)
 
     def h_block(self, cls: CohomologyClass, j: int) -> Vector:
         """The class coordinates of the h^j coefficient of a class, a class
@@ -383,17 +382,13 @@ class CohomologyRing:
             if n > a.cap:
                 entry = ()
             else:
-                left = Element._trusted(
-                    a, p, densify(self._block(p).representatives[i], a.dim(p))
-                )
-                right = Element._trusted(
-                    a, q, densify(self._block(q).representatives[j], a.dim(q))
-                )
+                left = Element._trusted(a, p, self._block(p).representatives[i])
+                right = Element._trusted(a, q, self._block(q).representatives[j])
                 product = left * right
                 if n < a.cap:
                     coords = self.project(product).coords
                 else:
-                    coords = _class_coords(self._block(n), product.coords)
+                    coords = _class_coords(self._block(n), product.terms)
                 entry = tuple((k, v) for k, v in enumerate(coords) if v)
             self._base_products[key] = entry
         return entry
@@ -635,7 +630,7 @@ def triple_massey(
             "product of representatives is not exact although the classes "
             "multiply to zero"
         )
-    x = alg.element(p + q - 1, x_coords)
+    x = Element._trusted(alg, p + q - 1, {k: v for k, v in enumerate(x_coords) if v})
 
     bc = B.bar() * C
     y_coords = solve_rows(alg.diff_rows(q + r - 1), alg.dim(q + r - 1), bc.coords)
@@ -644,7 +639,7 @@ def triple_massey(
             "product of representatives is not exact although the classes "
             "multiply to zero"
         )
-    y = alg.element(q + r - 1, y_coords)
+    y = Element._trusted(alg, q + r - 1, {k: v for k, v in enumerate(y_coords) if v})
 
     rep = A.bar() * y + x.bar() * C
     try:

@@ -192,6 +192,7 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
             if cap is not None:
                 raise ParseError("cap given twice", line=lineno)
             cap = _parse_int("cap", mo.group(2), lineno)
+            cap_line = lineno
             continue
         raise ParseError(f"unrecognized algebra line {line!r}", line=lineno)
 
@@ -219,7 +220,11 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
 
     top = max(basis) if basis else 0
     if cap is not None:
-        top = max(top, cap)
+        if cap < top:
+            raise ParseError(
+                f"cap {cap} is below the top basis degree {top}", line=cap_line
+            )
+        top = cap
     dims = [len(basis.get(n, [])) for n in range(top + 1)]
     names_per_degree = [basis.get(n, []) for n in range(top + 1)]
     names: dict[str, tuple[int, int]] = {}
@@ -581,8 +586,14 @@ def _parse_config(
             chi = value
         elif key == "m":
             m = _parse_int(key, value, lineno)
+            if m < 1:
+                raise ValueError(f"line {lineno}: m must be at least 1, got {m}")
         elif key == "min-cap":
             min_cap = _parse_int(key, value, lineno)
+            if min_cap < 0:
+                raise ValueError(
+                    f"line {lineno}: min-cap must be nonnegative, got {min_cap}"
+                )
         elif key == "expect":
             expect = value
         else:

@@ -2,9 +2,11 @@
 
 Scalars are ``fractions.Fraction`` values: always in lowest terms, always
 with a positive denominator, so equality is literal equality and printing
-is canonical (``p/q`` or ``p``).  Vectors are tuples of fractions and a
-sparse vector is a dict from index to nonzero entry.  A linear map is
-held as sparse columns, one per source basis vector (``apply_columns``,
+is canonical (``p/q`` or ``p``).  Cochains and eliminations are held
+as sparse vectors, dicts from index to nonzero entry, summed by
+``sparse_sum``; vectors are tuples of fractions, such as class
+coordinates or the view ``densify`` gives.  A linear map is held as
+sparse columns, one per source basis vector (``apply_columns``,
 ``transpose``); ``Matrix``, a row-major grid, is the checked entry type
 for matrix data from outside: datum files, bundled data and callers.
 
@@ -171,6 +173,14 @@ def densify(row: SparseVector, n: int) -> Vector:
     for j, v in row.items():
         out[j] = v
     return tuple(out)
+
+
+def sparse_sum(terms: Iterable[tuple[int, Fraction]]) -> SparseVector:
+    """The nonzero coordinates of a sum of ``(index, coefficient)`` terms."""
+    out: SparseVector = {}
+    for k, c in terms:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
 
 
 def _eliminate(

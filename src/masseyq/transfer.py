@@ -142,17 +142,6 @@ class SetupTable:
         return entry[1]
 
 
-def _setup(
-    setups: Optional[SetupTable],
-    base: CochainAlgebra,
-    cap: Optional[int],
-    hname: str,
-) -> EquivariantSetup:
-    if setups is None:
-        return build_setup(base, cap, hname)
-    return setups.setup(base, cap, hname)
-
-
 def formal_degree(algebra: CochainAlgebra, poly: PolyInput) -> int:
     """Degree of a homogeneous polynomial read off the factor names alone."""
     terms = parse_polynomial(poly) if isinstance(poly, str) else list(poly)
@@ -179,8 +168,8 @@ def as_class(ring: CohomologyRing, value: ClassInput) -> CohomologyClass:
     pass through.  A class over another algebra is carried over when its
     degree-n basis labels equal those of the target's h^0 block (the whole
     degree when the target is not an extension), as for a re-capped copy
-    of a base or the base of an extension: its representative's
-    coordinates are copied into that block.
+    of a base or the base of an extension: that block sits at offset 0, so
+    its representative's terms are taken over unchanged.
     """
     if not isinstance(value, CohomologyClass):
         return ring.class_from_polynomial(value)
@@ -192,8 +181,7 @@ def as_class(ring: CohomologyRing, value: ClassInput) -> CohomologyClass:
         info = target.tensor_info
         size = target.dim(n) if info is None else info.block(n, 0)[3]
         if target.basis_labels(n)[:size] == rep.algebra.basis_labels(n):
-            coords = rep.coords + (Fraction(0),) * (target.dim(n) - size)
-            return ring.project(Element._trusted(target, n, coords))
+            return ring.project(Element._trusted(target, n, rep.terms))
     raise AlgebraValidationError(
         "class cannot be transported between unrelated algebras"
     )
@@ -220,7 +208,8 @@ def h_components(el: Element) -> dict[int, Element]:
     for j, bdeg, off, size in info.blocks[el.degree]:
         if bdeg > base.cap:
             continue
-        out[j] = base.element(bdeg, el.coords[off : off + size])
+        terms = {k - off: c for k, c in el.terms.items() if off <= k < off + size}
+        out[j] = Element._trusted(base, bdeg, terms)
     return out
 
 
@@ -605,7 +594,7 @@ def check_euler_scaled_massey(
     mm = len(bundles) if bundles is not None else m
     required = required_cap(base, u, v, w, mm)
     cap = max(required, min_cap or 0, base.cap)
-    setup = _setup(setups, base, cap, hname)
+    setup = (setups or SetupTable()).setup(base, cap, hname)
 
     if bundles is not None:
         chi = euler_class(setup, bundles)
@@ -927,7 +916,7 @@ def tautological_datum(
     minus 2m.  With ``setups`` the setup is that table's, which the Euler
     stage of ``run_transfer_pipeline`` then finds in the same table.
     """
-    setup = _setup(setups, base, cap, "h")
+    setup = (setups or SetupTable()).setup(base, cap, "h")
     if bundles is not None:
         chi = euler_class(setup, bundles)
         chi_poly = _bundle_polynomial(setup, bundles)

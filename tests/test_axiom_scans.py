@@ -67,7 +67,7 @@ def _assemble(a, mul, diff):
         [a.basis_labels(n) for n in range(a.cap + 1)],
         lambda n1, i1, n2, i2: products.get((n1, i1, n2, i2), ()),
         {key: _merged(terms) for key, terms in diff.items() if _merged(terms)},
-        a._unit_coords,
+        a._unit,
         a._names,
     )
 

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masseyq.cdga import (
+    Element,
     GeneratorDecl,
     build_free_cdga,
     build_morphism,
@@ -24,7 +27,7 @@ from masseyq.errors import (
     DegreeCapError,
     ParseError,
 )
-from masseyq.linalg import Matrix
+from masseyq.linalg import Matrix, densify
 from masseyq.models import two_points
 from oracles import FreeCdgaOracle, random_free_cdga
 
@@ -704,3 +707,86 @@ def test_free_structure_constants_match_the_definition():
                         want = {exps: Fraction(sign)} if sign else {}
                         assert got.coords == coords(want, n1 + n2)
     assert even_powers > 0
+
+
+# -- sparse elements against the oracle ---------------------------------------
+
+
+@st.composite
+def _algebras_with_elements(draw):
+    """A random free presentation, or its h-extension two or three degrees
+    above its cap, with the oracle over its generators (plus ``("h", 2)``
+    for an extension) and pairs of integer combinations of equal degree.
+
+    The second element of a pair negates the first at random positions, so
+    sums and differences cancel exactly there.
+    """
+    gens, diffs, cap = random_free_cdga(draw(st.randoms(use_true_random=False)))
+    algebra = build_free_cdga(gens, diffs, cap)
+    if draw(st.booleans()):
+        cap += draw(st.integers(2, 3))
+        algebra = tensor_polynomial_generator(algebra, "h", cap=cap)
+        gens = list(gens) + [("h", 2)]
+    coeff = st.integers(-2, 2)
+    pairs = []
+    for _ in range(4):
+        n = draw(st.integers(0, cap))
+        x = draw(st.lists(coeff, min_size=algebra.dim(n), max_size=algebra.dim(n)))
+        flips = draw(
+            st.lists(st.booleans(), min_size=algebra.dim(n), max_size=algebra.dim(n))
+        )
+        y = [-a if flip else draw(coeff) for a, flip in zip(x, flips)]
+        pairs.append((algebra.element(n, x), algebra.element(n, y)))
+    return algebra, FreeCdgaOracle(gens, diffs), pairs
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_algebras_with_elements())
+def test_sparse_elements_match_the_oracle(drawn):
+    algebra, oracle, pairs = drawn
+    one = oracle.exponents("1")
+
+    def poly(el):
+        return {
+            oracle.exponents(algebra.basis_label(el.degree, k)): c
+            for k, c in el.terms.items()
+        }
+
+    def scaled(p, c):
+        return oracle.multiply({one: Fraction(c)}, p)
+
+    def added(p, q):
+        out = dict(p)
+        for e, c in q.items():
+            out[e] = out.get(e, 0) + c
+        return {e: c for e, c in out.items() if c}
+
+    def checked(el):
+        # No zero is stored, the dense view is the terms densified, and the
+        # public constructor on that view gives an equal element that
+        # prints and hashes alike.
+        assert 0 not in el.terms.values()
+        assert all(0 <= k < algebra.dim(el.degree) for k in el.terms)
+        assert el.coords == densify(el.terms, algebra.dim(el.degree))
+        again = Element(algebra, el.degree, el.coords)
+        assert again == el and hash(again) == hash(el)
+        assert str(again) == str(el)
+        return el
+
+    assert poly(checked(algebra.unit())) == {one: 1}
+    for name in algebra.names():
+        assert poly(checked(algebra.named_element(name))) == {
+            oracle.exponents(name): 1
+        }
+    for (x, y), (z, _) in zip(pairs, pairs[1:] + pairs[:1]):
+        px, py, pz = poly(x), poly(y), poly(z)
+        assert poly(checked(x + y)) == added(px, py)
+        assert poly(checked(x - y)) == added(px, scaled(py, -1))
+        assert checked(x + y - y) == x and hash(x + y - y) == hash(x)
+        for c in (0, -1, 2, Fraction(1, 2)):
+            assert poly(checked(x.scale(c))) == scaled(px, c)
+        assert poly(checked(x.bar())) == scaled(px, (-1) ** x.degree)
+        if x.degree < algebra.cap:
+            assert poly(checked(x.d())) == oracle.differential(px)
+        if x.degree + z.degree <= algebra.cap:
+            assert poly(checked(x * z)) == oracle.multiply(px, pz)

@@ -123,6 +123,7 @@ def test_parse_error_carries_line_number():
         ("cap = 0\nbasis 0 : e\ndiff e = e", "above cap"),
         ("cap = 2\nbasis 0 : e\nbasis 2 : f\nmul f * f = f", "above cap"),
         ("cap = 2\nbasis 0 : e\nbasis 2 : f\nmul e * e = f", "degree"),
+        ("cap = -2\nbasis 0 : e\nbasis 2 : f", "line 1: cap -2 is below the top basis degree 2"),
         ("cap = 3\ngen a : 1\nd c = a", "line 3: differential given for unknown generator 'c'"),
         ("cap = 3\ngen a : 1\ngen b : 1\nd b = a", "line 4: differential of 'b' is ill-graded"),
         ("cap = 1\ngen a : 1\ngen b : 1\nd b = a*a*a", "line 4: differential of 'b' does not fit"),
@@ -330,6 +331,20 @@ def test_family_rejections(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_family_document(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (FAMILY_TEXT.replace("m = 1", "m = 0"), "line 7: m must be at least 1, got 0"),
+        (FAMILY_TEXT + "min-cap = -5\n", "line 8: min-cap must be nonnegative, got -5"),
+    ],
+)
+def test_family_values_out_of_range(text, message):
+    # Parsed but invalid, as the same values are on the command line (exit 3).
+    with pytest.raises(ValueError) as exc:
+        parse_family_document(text)
+    assert str(exc.value) == message
 
 
 def test_resolve_model_spec_variants(tmp_path):

@@ -97,10 +97,10 @@ CASES = [
     (
         "cohomology-table-cap-below-basis",
         ["cohomology", "table-cap-below-basis.alg"],
-        0,
+        2,
     ),
-    ("scan-m-zero", ["scan", "m-zero.family"], 13),
-    ("scan-negative-min-cap", ["scan", "negative-min-cap.family"], 0),
+    ("scan-m-zero", ["scan", "m-zero.family"], 3),
+    ("scan-negative-min-cap", ["scan", "negative-min-cap.family"], 3),
 ]
 
 
