@@ -1,9 +1,11 @@
-"""Golden structured outputs: each case must reproduce its file byte for byte.
+"""Golden outputs: each case must reproduce its file byte for byte.
 
 The files under ``tests/golden/`` pin what masseyq reports on the bundled
 workloads, so a change that is meant to alter no behaviour can prove it.
-Commands run with ``tests/golden/`` as the working directory, so model
-files there are named by a relative path that the output repeats.
+Every case pins its structured output (``<name>.json``); the cases named
+in ``HUMAN`` also pin their human output (``<name>.txt``).  Commands run
+with ``tests/golden/`` as the working directory, so model files there are
+named by a relative path that the output repeats.
 
 To re-pin after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -104,36 +106,59 @@ CASES = [
 ]
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
+# cases whose human output is pinned as well
+HUMAN = {
+    "theorem11-heisenberg",
+    "lemma32-heisenberg-cap12",
+    "theorem11-rotation",
+    "scan-default",
+}
+
+def _run(argv: list[str], fmt: str) -> tuple[int, str]:
     out = io.StringIO()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
         with contextlib.redirect_stdout(out):
-            code = main(argv + ["--format", "structured"])
+            code = main(argv + ["--format", fmt])
     finally:
         os.chdir(cwd)
     return code, out.getvalue()
 
 
-def _path(name: str) -> str:
-    return os.path.join(GOLDEN, f"{name}.json")
+def _path(name: str, fmt: str) -> str:
+    return os.path.join(GOLDEN, f"{name}.{'json' if fmt == 'structured' else 'txt'}")
 
 
-@pytest.mark.parametrize("name, argv, exit_code", CASES, ids=[c[0] for c in CASES])
-def test_structured_output_is_unchanged(name, argv, exit_code):
-    code, out = _run(argv)
-    with open(_path(name), encoding="utf-8", newline="") as fh:
+def _check(name, argv, exit_code, fmt):
+    code, out = _run(argv, fmt)
+    with open(_path(name, fmt), encoding="utf-8", newline="") as fh:
         want = fh.read()
     assert code == exit_code
     assert out == want
 
 
+@pytest.mark.parametrize("name, argv, exit_code", CASES, ids=[c[0] for c in CASES])
+def test_structured_output_is_unchanged(name, argv, exit_code):
+    _check(name, argv, exit_code, "structured")
+
+
+_HUMAN_CASES = [c for c in CASES if c[0] in HUMAN]
+
+
+@pytest.mark.parametrize(
+    "name, argv, exit_code", _HUMAN_CASES, ids=[c[0] for c in _HUMAN_CASES]
+)
+def test_human_output_is_unchanged(name, argv, exit_code):
+    _check(name, argv, exit_code, "human")
+
+
 if __name__ == "__main__":
     for name, argv, exit_code in CASES:
-        code, out = _run(argv)
-        if code != exit_code:
-            sys.exit(f"{name}: exit {code}, expected {exit_code}")
-        with open(_path(name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(out)
-        print(f"{name}: {len(out)} bytes")
+        for fmt in ("structured", "human") if name in HUMAN else ("structured",):
+            code, out = _run(argv, fmt)
+            if code != exit_code:
+                sys.exit(f"{name} ({fmt}): exit {code}, expected {exit_code}")
+            with open(_path(name, fmt), "w", encoding="utf-8", newline="") as fh:
+                fh.write(out)
+            print(f"{os.path.basename(_path(name, fmt))}: {len(out)} bytes")
