@@ -6,8 +6,9 @@ monomial basis is enumerated per degree (odd generators square to zero) and
 the differential is extended as a degree +1 derivation.  A table
 presentation takes explicit per-degree dimensions, structure constants and
 differentials, and is validated against the graded axioms on
-construction.  The degree-2 extension of a valid base, and its embedding
-and retraction, are valid by construction and are not checked again.
+construction.  The degree-2 extension of a valid base is valid by
+construction and is not checked again; its maps to and from the base are
+read off the cohomology's class blocks (see transfer.build_setup).
 validate_algebra and validate_morphism scan tables and user-supplied
 maps once, where they enter, reading the structure constants directly.
 A morphism is held as sparse columns, into which matrix data is read once.
@@ -1170,10 +1171,10 @@ class AlgebraMorphism:
     """A degree-preserving map of cochain algebras held as sparse columns.
 
     ``columns[n][i]`` is the image of source basis vector i of degree n,
-    for n up to the trust cap (the smaller of the two caps, or less when a
-    retraction forgets high degrees).  This class only stores and applies
+    for n up to the trust cap (at most the smaller of the two caps).  This
+    class only stores and applies
     the data; build_morphism checks that it is a morphism, while
-    identity_morphism and the tensor maps are morphisms by construction.
+    identity_morphism is one by construction.
     """
 
     def __init__(
@@ -1353,47 +1354,3 @@ def identity_morphism(a: CochainAlgebra) -> AlgebraMorphism:
         a, a, [[{i: _ONE} for i in range(a.dim(n))] for n in range(a.cap + 1)]
     )
 
-
-def _base_block(
-    a: CochainAlgebra, ext: CochainAlgebra, role: str
-) -> list[tuple[int, int]]:
-    """``(offset, size)`` of the h^0 block of each degree of ``ext`` up to
-    the smaller cap, checked against the dimensions of ``a``."""
-    info = ext.tensor_info
-    if info is None:
-        raise AlgebraValidationError(
-            f"{role} is not a polynomial-generator extension"
-        )
-    out = []
-    for n in range(min(a.cap, ext.cap) + 1):
-        block = info.block(n, 0)
-        size = 0 if block is None else block[3]
-        if size != a.dim(n):
-            raise AlgebraValidationError(
-                f"base dimension mismatch in degree {n}: {a.dim(n)} vs {size}"
-            )
-        out.append((0 if block is None else block[2], size))
-    return out
-
-
-def tensor_embedding(a: CochainAlgebra, ext: CochainAlgebra) -> AlgebraMorphism:
-    """The inclusion of the base into ``base (x) Q[h]`` (h power zero).
-
-    A morphism by construction when ``a`` is the base of ``ext``.
-    """
-    blocks = _base_block(a, ext, "target")
-    return AlgebraMorphism(
-        a, ext, [[{off + i: _ONE} for i in range(size)] for off, size in blocks]
-    )
-
-
-def tensor_retraction(ext: CochainAlgebra, a: CochainAlgebra) -> AlgebraMorphism:
-    """Set h to zero: the left inverse of tensor_embedding on the base.
-
-    A morphism by construction when ``a`` is the base of ``ext``.
-    """
-    columns = [
-        [{k - off: _ONE} if off <= k < off + size else {} for k in range(ext.dim(n))]
-        for n, (off, size) in enumerate(_base_block(a, ext, "source"))
-    ]
-    return AlgebraMorphism(ext, a, columns)

@@ -738,7 +738,8 @@ def check_scaling_law(
 
 class InducedMap:
     """The map on cohomology induced by an algebra morphism, held as the
-    sparse class columns of each degree, filled on first use."""
+    sparse class columns of each degree, filled on first use; see
+    ``leading_block`` for the maps that have no morphism."""
 
     def __init__(
         self,
@@ -756,6 +757,29 @@ class InducedMap:
         self.top = min(source.top, target.top, morphism.trust_cap)
         self._columns: dict[int, tuple[SparseVector, ...]] = {}
 
+    @classmethod
+    def leading_block(
+        cls, source: CohomologyRing, target: CohomologyRing
+    ) -> "InducedMap":
+        """The identity of a ring, the embedding of a block ring into its
+        extension's ring (h^0) or the retraction back (h = 0).
+
+        The extension lays out the block ring's classes of degree n first,
+        at class offset 0, so base class i is extension class i: column i
+        is {i: 1} below the target's class dimension and empty above it.
+        """
+        if not (
+            source is target
+            or target is source.block_ring
+            or source is target.block_ring
+        ):
+            raise ValueError("rings are not an extension ring and its block ring")
+        fmap = cls.__new__(cls)
+        fmap.morphism, fmap.source, fmap.target = None, source, target
+        fmap.top = min(source.top, target.top)
+        fmap._columns = {}
+        return fmap
+
     def columns(self, n: int) -> tuple[SparseVector, ...]:
         """The images of the basis classes of H^n, as sparse class columns."""
         if not (0 <= n <= self.top):
@@ -765,13 +789,19 @@ class InducedMap:
             )
         columns = self._columns.get(n)
         if columns is None:
-            images = (
-                self.target.project(self.morphism.apply(self.source.lift(e))).coords
-                for e in self.source.basis_classes(n)
-            )
-            columns = self._columns[n] = tuple(
-                {k: c for k, c in enumerate(v) if c} for v in images
-            )
+            if self.morphism is None:
+                size = self.target.class_dim(n)
+                columns = tuple(
+                    {i: _ONE} if i < size else {}
+                    for i in range(self.source.class_dim(n))
+                )
+            else:
+                images = (
+                    self.target.project(self.morphism.apply(self.source.lift(e))).coords
+                    for e in self.source.basis_classes(n)
+                )
+                columns = tuple({k: c for k, c in enumerate(v) if c} for v in images)
+            self._columns[n] = columns
         return columns
 
     def _apply_coords(self, n: int, v: Vector) -> Vector:

@@ -31,9 +31,7 @@ from .cdga import (
     PolyInput,
     identity_morphism,
     parse_polynomial,
-    tensor_embedding,
     tensor_polynomial_generator,
-    tensor_retraction,
     validate_morphism,
 )
 from .cohomology import (
@@ -91,21 +89,19 @@ def build_setup(
     base (the re-capped copy of a free base), so that one ring serves as
     ``base_ring``: the base cohomology and its structure constants are
     computed once, for the embedding, the retraction and every h-power
-    block of the extension alike.
+    block of the extension alike.  The embedding and the retraction copy
+    the coordinates of the h^0 class block (``InducedMap.leading_block``).
     """
     ext = tensor_polynomial_generator(base, hname, cap=cap)
     ext_ring = CohomologyRing(ext)
     base_ring = ext_ring.block_ring
-    inner = base_ring.algebra
-    embed = InducedMap(tensor_embedding(inner, ext), base_ring, ext_ring)
-    retract = InducedMap(tensor_retraction(ext, inner), ext_ring, base_ring)
     return EquivariantSetup(
-        base=inner,
+        base=base_ring.algebra,
         ext=ext,
         base_ring=base_ring,
         ext_ring=ext_ring,
-        embed=embed,
-        retract=retract,
+        embed=InducedMap.leading_block(base_ring, ext_ring),
+        retract=InducedMap.leading_block(ext_ring, base_ring),
     )
 
 
@@ -932,6 +928,7 @@ def tautological_datum(
         chi_polynomial=chi_poly,
         m=chi.m,
     )
+    datum.restrict_map = InducedMap.leading_block(setup.ext_ring, setup.ext_ring)
     datum._euler = chi
     return datum
 
@@ -939,11 +936,13 @@ def tautological_datum(
 def _bundle_polynomial(
     setup: EquivariantSetup, bundles: Sequence[WeightedLineBundle]
 ) -> list:
-    """The parsed-polynomial form of a product of bundle factors."""
+    """The parsed-polynomial form of a product of bundle factors; a bundle
+    without c1 contributes weight * h alone."""
     terms = [(Fraction(1), ())]
     for b in bundles:
-        factor = parse_polynomial(b.c1) if isinstance(b.c1, str) else list(b.c1)
-        factor = list(factor) + [(Fraction(b.weight), (setup.hname,))]
+        c1 = b.c1 or ()
+        factor = parse_polynomial(c1) if isinstance(c1, str) else list(c1)
+        factor.append((Fraction(b.weight), (setup.hname,)))
         terms = [
             (c1 * c2, tuple(f1) + tuple(f2))
             for c1, f1 in terms

@@ -5,9 +5,11 @@ calling into the code under test, so agreement is meaningful.  The
 exceptions are the Element-level axiom scans and the projected structure
 constants at the end, which take the package's Element arithmetic (and,
 for the products, the projection of a ring whose degree data a test has
-checked against ``ff_rref``) as the reference for its direct routes, and
-the transfer-datum routes after them, which run the package's own
-checks where it skips them.
+checked against ``ff_rref``) as the reference for its direct routes, the
+transfer-datum routes after them, which run the package's own
+checks where it skips them, and the cochain embedding and retraction of
+an extension, held as the package's ``AlgebraMorphism`` and induced on
+cohomology by its ``InducedMap``.
 """
 
 from __future__ import annotations
@@ -537,6 +539,90 @@ def validate_morphism_reference(f):
                             f"{src.basis_label(n2, i2)!r})"
                         )
     return problems
+
+
+# -- the cochain maps between a base and its extension --------------------------
+#
+# The package reads the embedding of the base, the retraction h = 0 and the
+# identity off the h^0 class block of the extension's cohomology.  These are
+# the cochain maps whose induced maps they must equal.
+
+
+def _base_block(a, ext, role):
+    """``(offset, size)`` of the h^0 block of each degree of ``ext`` up to
+    the smaller cap, checked against the dimensions of ``a``."""
+    from masseyq.errors import AlgebraValidationError
+
+    info = ext.tensor_info
+    if info is None:
+        raise AlgebraValidationError(
+            f"{role} is not a polynomial-generator extension"
+        )
+    out = []
+    for n in range(min(a.cap, ext.cap) + 1):
+        block = info.block(n, 0)
+        size = 0 if block is None else block[3]
+        if size != a.dim(n):
+            raise AlgebraValidationError(
+                f"base dimension mismatch in degree {n}: {a.dim(n)} vs {size}"
+            )
+        out.append((0 if block is None else block[2], size))
+    return out
+
+
+def tensor_embedding(a, ext):
+    """The inclusion of the base into ``base (x) Q[h]`` (h power zero), a
+    morphism when ``a`` is the base of ``ext``."""
+    from masseyq.cdga import AlgebraMorphism
+
+    blocks = _base_block(a, ext, "target")
+    return AlgebraMorphism(
+        a,
+        ext,
+        [[{off + i: Fraction(1)} for i in range(size)] for off, size in blocks],
+    )
+
+
+def tensor_retraction(ext, a):
+    """Set h to zero: the left inverse of ``tensor_embedding`` on the base,
+    a morphism when ``a`` is the base of ``ext``."""
+    from masseyq.cdga import AlgebraMorphism
+
+    columns = [
+        [
+            {k - off: Fraction(1)} if off <= k < off + size else {}
+            for k in range(ext.dim(n))
+        ]
+        for n, (off, size) in enumerate(_base_block(a, ext, "source"))
+    ]
+    return AlgebraMorphism(ext, a, columns)
+
+
+def block_map_mismatches(setup, restrict_map):
+    """``(map name, degree)`` wherever ``setup.embed``, ``setup.retract`` or
+    ``restrict_map`` (a tautological datum's, over ``setup.ext_ring``)
+    differs from the map its cochain map induces, in every degree up to
+    its top; the tops must agree too."""
+    from masseyq.cdga import identity_morphism
+    from masseyq.cohomology import InducedMap
+
+    base, ext = setup.base_ring, setup.ext_ring
+    embed = tensor_embedding(setup.base, setup.ext)
+    retract = tensor_retraction(setup.ext, setup.base)
+    pairs = (
+        ("embed", setup.embed, InducedMap(embed, base, ext)),
+        ("retract", setup.retract, InducedMap(retract, ext, base)),
+        ("restrict", restrict_map, InducedMap(identity_morphism(setup.ext), ext, ext)),
+    )
+    out = []
+    for name, got, want in pairs:
+        if got.top != want.top:
+            out.append((name, "top"))
+            continue
+        out.extend(
+            (name, n) for n in range(want.top + 1) if got.columns(n) != want.columns(n)
+        )
+    return out
 
 
 # -- structure constants by projection ----------------------------------------

@@ -16,8 +16,6 @@ from fractions import Fraction
 from masseyq.cdga import (
     build_free_cdga,
     identity_morphism,
-    tensor_embedding,
-    tensor_retraction,
     validate_algebra,
     validate_morphism,
 )
@@ -37,15 +35,22 @@ from masseyq.models import (
     torus,
 )
 from masseyq.transfer import (
+    SetupTable,
     WeightedLineBundle,
     build_setup,
     check_euler_scaled_massey,
     tautological_datum,
-    tensor_polynomial_generator,
     validate_transfer_datum,
 )
 
-from oracles import betti_oracle, heisenberg_massey_oracle, random_free_cdga
+from oracles import (
+    betti_oracle,
+    block_map_mismatches,
+    heisenberg_massey_oracle,
+    random_free_cdga,
+    tensor_embedding,
+    tensor_retraction,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -392,13 +397,19 @@ def test_criterion_09_structural_scans(capsys):
     for name, ctor in sorted(BUILTIN_MODELS.items()):
         model = ctor()
         ok = ok and validate_algebra(model) == []
-        ext = tensor_polynomial_generator(model, "h", cap=model.cap + 5)
-        inner = ext.tensor_info.base
+        table = SetupTable()
+        setup = table.setup(model, model.cap + 5)
+        ext, inner = setup.ext, setup.base
         # The extension and its maps are trusted by construction; these
-        # scans are the oracle behind that trust.
+        # scans, and the maps the scanned cochain maps induce, are the
+        # oracle behind that trust.
         ok = ok and validate_algebra(ext) == []
         ok = ok and validate_morphism(tensor_embedding(inner, ext)) == []
         ok = ok and validate_morphism(tensor_retraction(ext, inner)) == []
+        datum = tautological_datum(
+            model, chi_polynomial="h", m=1, cap=model.cap + 5, setups=table
+        )
+        ok = ok and block_map_mismatches(setup, datum.restrict_map) == []
         for n in range(ext.cap + 1):
             want = sum(
                 inner.dim(n - 2 * j) if n - 2 * j <= inner.cap else 0
@@ -421,7 +432,8 @@ def test_criterion_09_structural_scans(capsys):
         ok,
         f"graded axioms hold on all bundled models, their h-extensions "
         f"with embedding and retraction, and {random_count} random free "
-        "presentations; extension dimensions match the convolution formula",
+        "presentations; the maps read off the h^0 class block match the "
+        "induced ones; extension dimensions match the convolution formula",
     )
 
 

@@ -20,15 +20,15 @@ from masseyq.cdga import (
     CochainAlgebra,
     build_free_cdga,
     identity_morphism,
-    tensor_embedding,
     tensor_polynomial_generator,
-    tensor_retraction,
     validate_algebra,
     validate_morphism,
 )
 from masseyq.models import BUILTIN_MODELS, rotation_datum
 from oracles import (
     random_free_cdga,
+    tensor_embedding,
+    tensor_retraction,
     validate_algebra_reference,
     validate_morphism_reference,
 )

@@ -435,6 +435,35 @@ def test_theorem11_heisenberg_audit_trail(capsys):
     assert payload["gysin"]["containment-holds"] is True
 
 
+def test_tautological_datum_takes_a_bundle_without_c1(capsys, tmp_path):
+    # The c1 part of a bundle may be omitted; the factor is then weight * h.
+    code, bundled = run_json(
+        capsys, "theorem11", "builtin:heisenberg", "x", "x", "y",
+        "--bundle", "weight = 1",
+    )
+    assert code == 0
+    code, direct = run_json(
+        capsys, "theorem11", "builtin:heisenberg", "x", "x", "y",
+        "--chi", "h", "--m", "1",
+    )
+    assert bundled == direct
+    family = tmp_path / "bare.family"
+    family.write_text(
+        "[config]\n"
+        "name = bare-bundle\n"
+        "model = builtin:heisenberg\n"
+        "datum = tautological\n"
+        "triple = x | x | y\n"
+        "bundle weight = 1\n"
+        "expect = non-vanishing\n"
+    )
+    code, doc = run_json(capsys, "scan", str(family))
+    assert code == 0
+    assert doc["payload"]["rows"] == [
+        {"name": "bare-bundle", "note": "", "status": "ok", "verdict": "non-vanishing"}
+    ]
+
+
 def test_theorem11_torus_premise_failure(capsys):
     code, doc = run_json(
         capsys, "theorem11", "builtin:torus", "x", "x", "y",

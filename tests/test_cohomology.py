@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from masseyq.cdga import (
     build_free_cdga,
     build_morphism,
-    tensor_embedding,
     tensor_polynomial_generator,
-    tensor_retraction,
 )
 from masseyq.cohomology import (
     CohomologyClass,
@@ -45,6 +43,8 @@ from oracles import (
     massey_coset_oracle,
     projected_product_reference,
     random_free_cdga,
+    tensor_embedding,
+    tensor_retraction,
 )
 from test_linalg import _two_elimination_kernel
 

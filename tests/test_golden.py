@@ -44,6 +44,11 @@ CASES = [
         0,
     ),
     (
+        "theorem11-heisenberg-bare-bundle",
+        ["theorem11", "builtin:heisenberg", "x", "x", "y", "--bundle", "weight = 2"],
+        0,
+    ),
+    (
         "theorem11-rotation",
         ["theorem11", "eN", "eS", "eN", "--datum", "builtin:rotation"],
         12,

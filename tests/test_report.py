@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masseyq.errors import ParseError
-from masseyq.report import Report, format_table, report_from_json
+from masseyq.report import _STATUSES, Report, format_table, report_from_json
 
 
 def test_report_rejects_unknown_status():
@@ -18,6 +20,28 @@ def test_report_round_trip():
     assert back.status == "ok"
     assert back.exit_code == 13
     assert back.payload == {"findings": ["a"], "count": 2}
+
+
+_payloads = st.dictionaries(
+    st.text(),
+    st.recursive(
+        st.text() | st.integers() | st.booleans(),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.text(), st.sampled_from(_STATUSES), st.integers(), _payloads)
+def test_report_round_trips_on_generated_reports(command, status, exit_code, payload):
+    rep = Report(command, status, exit_code, payload)
+    text = rep.to_json()
+    back = report_from_json(text)
+    assert back == rep
+    assert back.to_json() == text
 
 
 def test_report_json_is_stable():

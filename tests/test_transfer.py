@@ -40,6 +40,7 @@ from masseyq.transfer import (
     EulerClass,
     HamiltonianTransferDatum,
     ScanConfig,
+    SetupTable,
     WeightedLineBundle,
     build_setup,
     check_euler_scaled_massey,
@@ -58,6 +59,7 @@ from masseyq.transfer import (
     verify_not_zero_divisor,
 )
 from oracles import (
+    block_map_mismatches,
     cup_matrix_reference,
     full_datum_findings,
     random_free_cdga,
@@ -207,12 +209,19 @@ _HEISENBERG = ([("x", 1), ("y", 1), ("z", 1)], {"z": [(1, ("x", "y"))]}, 4)
 )
 @example(random.Random(0), 2, 2, True)
 def test_induced_maps_on_random_presentations(rng, k, extra, heisenberg_base):
-    # The embedding and retraction act on class columns; on random bases
-    # the retraction undoes the embedding, the embedding carries every
-    # defined basis triple into the extension's product, and chi = k*h
-    # scales each embedded product into the product with chi in any slot.
+    # The embedding, the retraction and the tautological identity read
+    # off the h^0 class block equal the maps their cochain maps induce; on
+    # random bases the retraction undoes the embedding, the embedding
+    # carries every defined basis triple into the extension's product, and
+    # chi = k*h scales each embedded product into the product with chi in
+    # any slot.
     gens, diffs, cap = _HEISENBERG if heisenberg_base else random_free_cdga(rng)
-    setup = build_setup(build_free_cdga(gens, diffs, cap), cap + extra)
+    base, table = build_free_cdga(gens, diffs, cap), SetupTable()
+    setup = table.setup(base, cap + extra)
+    datum = tautological_datum(
+        base, chi_polynomial=f"{k}*h", m=1, cap=cap + extra, setups=table
+    )
+    assert block_map_mismatches(setup, datum.restrict_map) == []
     base_ring, embed, retract = setup.base_ring, setup.embed, setup.retract
     for n in range(min(embed.top, retract.top) + 1):
         for e in base_ring.basis_classes(n):
@@ -228,6 +237,35 @@ def test_induced_maps_on_random_presentations(rng, k, extra, heisenberg_base):
         if n + chi.degree <= setup.ext_ring.top:
             for slot in (1, 2, 3):
                 assert check_scaling_law(chi, image, slot)[0].holds
+
+
+def test_block_maps_fill_columns_without_lifting_or_projecting(monkeypatch):
+    calls = []
+
+    def counted(name):
+        method = getattr(CohomologyRing, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return method(self, *args)
+
+        return wrapper
+
+    table = SetupTable()
+    for base in (heisenberg(), two_points()):
+        setup = table.setup(base, base.cap + 4)
+        datum = tautological_datum(
+            base, chi_polynomial="h", m=1, cap=base.cap + 4, setups=table
+        )
+        monkeypatch.setattr(CohomologyRing, "lift", counted("lift"))
+        monkeypatch.setattr(CohomologyRing, "project", counted("project"))
+        filled = 0
+        for fmap in (setup.embed, setup.retract, datum.restrict_map):
+            for n in range(fmap.top + 1):
+                filled += len(fmap.columns(n))
+        monkeypatch.undo()
+        assert filled > 0
+    assert calls == []
 
 
 _TABLE_BASES = [
