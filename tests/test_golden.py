@@ -108,12 +108,32 @@ CASES = [
     ),
     ("scan-m-zero", ["scan", "m-zero.family"], 3),
     ("scan-negative-min-cap", ["scan", "negative-min-cap.family"], 3),
+    (
+        "transfer-rotation-chi-zero-coefficient",
+        ["transfer", "rotation-chi-zero-coefficient.datum", "eN", "eS", "eN"],
+        3,
+    ),
+    (
+        "transfer-rotation-chi-unknown-name",
+        ["transfer", "rotation-chi-unknown-name.datum", "eN", "eS", "eN"],
+        3,
+    ),
+    (
+        "transfer-rotation-chi-not-homogeneous",
+        ["transfer", "rotation-chi-not-homogeneous.datum", "eN", "eS", "eN"],
+        3,
+    ),
+    ("scan-tautological-bundle-and-chi", ["scan", "tautological-bundle-and-chi.family"], 0),
+    ("scan-tautological-bundle-and-m", ["scan", "tautological-bundle-and-m.family"], 0),
+    ("scan-tautological-m-without-chi", ["scan", "tautological-m-without-chi.family"], 3),
+    ("scan-tautological-chi-without-m", ["scan", "tautological-chi-without-m.family"], 2),
 ]
 
 
 # cases whose human output is pinned as well
 HUMAN = {
     "theorem11-heisenberg",
+    "theorem11-heisenberg-bare-bundle",
     "lemma32-heisenberg-cap12",
     "theorem11-rotation",
     "scan-default",
