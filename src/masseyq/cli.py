@@ -64,16 +64,14 @@ from .report import (
     format_table,
 )
 from .transfer import (
+    EulerData,
     EulerScaledReport,
     GysinReport,
     SetupTable,
-    WeightedLineBundle,
     build_setup,
     check_euler_scaled_massey,
     check_gysin_transfer,
     class_h_components,
-    euler_class,
-    euler_class_from_polynomial,
     required_cap,
     run_transfer_pipeline,
     scan_families,
@@ -93,28 +91,21 @@ def _resolve_model(spec: str, cap: Optional[int]) -> CochainAlgebra:
     return model
 
 
-def _parse_bundles(specs: Optional[Sequence[str]]) -> list[WeightedLineBundle]:
+_FLAG_WORDS = (
+    "give --bundle flags or --chi with --m, not both",
+    "Euler data is required: --bundle flags, or --chi with --m",
+)
+
+
+def _euler_data(args) -> EulerData:
+    """The Euler data of the --bundle, --chi and --m flags."""
     bundles = []
-    for spec in specs or []:
+    for spec in args.bundle or []:
         text = spec.strip()
         if not text.startswith("bundle"):
             text = "bundle " + text
         bundles.append(parse_bundle_line(text))
-    return bundles
-
-
-def _euler_inputs(args) -> tuple[Optional[list[WeightedLineBundle]], Optional[str], Optional[int], int]:
-    """Bundles or an explicit class with m, plus the resulting m."""
-    bundles = _parse_bundles(getattr(args, "bundle", None))
-    chi = getattr(args, "chi", None)
-    m = getattr(args, "m", None)
-    if bundles and (chi is not None or m is not None):
-        raise ParseError("give --bundle flags or --chi with --m, not both")
-    if bundles:
-        return bundles, None, None, len(bundles)
-    if chi is None or m is None:
-        raise ParseError("Euler data is required: --bundle flags, or --chi with --m")
-    return None, chi, m, m
+    return EulerData.of(bundles, args.chi, args.m, words=_FLAG_WORDS)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +269,10 @@ def _cmd_massey(args) -> Report:
 
 def _cmd_euler(args) -> Report:
     model = _resolve_model(args.model, None)
-    bundles, chi_poly, m, mm = _euler_inputs(args)
-    cap = max(model.cap, 2 * mm + 1, args.cap or 0)
+    euler = _euler_data(args)
+    cap = max(model.cap, 2 * euler.m + 1, args.cap or 0)
     setup = build_setup(model, cap)
-    if bundles is not None:
-        chi = euler_class(setup, bundles)
-    else:
-        chi = euler_class_from_polynomial(setup, chi_poly, m)
+    chi = euler.build(setup)
     h_table = class_h_components(setup.ext_ring, chi.cls)
     payload = {
         "model": args.model,
@@ -303,11 +291,11 @@ def _cmd_euler(args) -> Report:
 
 def _cmd_lemma32(args) -> Report:
     model = _resolve_model(args.model, None)
-    bundles, chi_poly, m, mm = _euler_inputs(args)
-    required = required_cap(model, args.u, args.v, args.w, mm)
+    euler = _euler_data(args)
+    required = required_cap(model, args.u, args.v, args.w, euler.m)
     if args.cap is not None and args.cap < required:
         message = (
-            f"this triple with m = {mm} needs cap {required}, "
+            f"this triple with m = {euler.m} needs cap {required}, "
             f"got --cap {args.cap}"
         )
         return Report(
@@ -323,14 +311,7 @@ def _cmd_lemma32(args) -> Report:
             },
         )
     rep = check_euler_scaled_massey(
-        model,
-        args.u,
-        args.v,
-        args.w,
-        bundles=bundles,
-        chi_polynomial=chi_poly,
-        m=m,
-        min_cap=args.cap,
+        model, args.u, args.v, args.w, euler, min_cap=args.cap
     )
     payload = {
         "model": args.model,
@@ -375,7 +356,7 @@ def _cmd_theorem11(args) -> Report:
                 "with --datum, theorem11 takes exactly three classes: U V W"
             )
         u, v, w = args.args
-        if getattr(args, "bundle", None) or args.chi or args.m is not None:
+        if args.bundle or args.chi or args.m is not None:
             raise ParseError(
                 "a stored datum carries its own Euler data; drop "
                 "--bundle/--chi/--m"
@@ -389,10 +370,8 @@ def _cmd_theorem11(args) -> Report:
             )
         model_spec, u, v, w = args.args
         model = _resolve_model(model_spec, None)
-        bundles, chi_poly, m, _ = _euler_inputs(args)
         datum = tautological_from_parts(
-            model, (u, v, w), bundles or [], chi_poly, m, args.cap,
-            setups=setups,
+            model, (u, v, w), _euler_data(args), args.cap, setups=setups
         )
         source = f"tautological over {model_spec}"
     rep = run_transfer_pipeline(

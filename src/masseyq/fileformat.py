@@ -48,13 +48,13 @@ from .cohomology import CohomologyRing
 from .errors import (
     AlgebraError,
     AlgebraValidationError,
-    DegreeCapError,
     DifferentialSquareError,
     ParseError,
 )
 from .linalg import Matrix
 from .models import builtin_datum, builtin_model
 from .transfer import (
+    EulerData,
     HamiltonianTransferDatum,
     ScanConfig,
     SetupTable,
@@ -454,8 +454,7 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
         fixed_ring=fixed_ring,
         restrict=rmap,
         push_matrices=push_mats,
-        chi_polynomial=chi,
-        m=m,
+        euler=EulerData.of(chi=chi, m=m),
     )
 
 
@@ -515,26 +514,14 @@ def resolve_datum_spec(spec: str, base_dir: str = ".") -> HamiltonianTransferDat
 def tautological_from_parts(
     base: CochainAlgebra,
     triple: tuple[str, str, str],
-    bundles: list[WeightedLineBundle],
-    chi: Optional[str],
-    m: Optional[int],
+    euler: EulerData,
     min_cap: Optional[int],
     setups: Optional[SetupTable] = None,
 ) -> HamiltonianTransferDatum:
     """Size and build the ambient-equals-fixed datum for a configuration."""
-    mm = len(bundles) if bundles else m
-    if mm is None:
-        raise ParseError("the tautological datum needs Euler data (chi and m)")
-    cap = required_cap(base, triple[0], triple[1], triple[2], mm)
+    cap = required_cap(base, triple[0], triple[1], triple[2], euler.m)
     cap = max(cap, base.cap, min_cap or 0)
-    return tautological_datum(
-        base,
-        bundles=bundles or None,
-        chi_polynomial=chi,
-        m=m,
-        cap=cap,
-        setups=setups,
-    )
+    return tautological_datum(base, euler, cap=cap, setups=setups)
 
 
 # ---------------------------------------------------------------------------
@@ -603,48 +590,35 @@ def _parse_config(
     if triple is None:
         raise ParseError("a config needs a triple", line=first)
 
-    if datum_spec is not None and datum_spec.strip() == "tautological":
-        if model_spec is None:
-            raise ParseError(
-                "the tautological datum needs a model to sit over", line=first
-            )
-        datum = tautological_from_parts(
-            model_of(model_spec), triple, bundles, chi, m, min_cap,
-            setups=setups,
-        )
-        return ScanConfig(
-            name=name, base=None, u=triple[0], v=triple[1], w=triple[2],
-            datum=datum, min_cap=min_cap, expect=expect,
-        )
-    if datum_spec is not None:
+    tautological = datum_spec is not None and datum_spec.strip() == "tautological"
+    if datum_spec is not None and not tautological:
         if model_spec or bundles or chi or m is not None:
             raise ParseError(
                 "a stored datum carries its own model and Euler data; drop "
                 "the model/chi/m/bundle keys",
                 line=first,
             )
-        datum = datum_of(datum_spec)
         return ScanConfig(
             name=name, base=None, u=triple[0], v=triple[1], w=triple[2],
-            datum=datum, min_cap=min_cap, expect=expect,
+            datum=datum_of(datum_spec), min_cap=min_cap, expect=expect,
         )
     if model_spec is None:
+        if tautological:
+            raise ParseError(
+                "the tautological datum needs a model to sit over", line=first
+            )
         raise ParseError("a config needs a model or a datum", line=first)
-    if bundles and (chi is not None or m is not None):
-        raise ParseError("give bundles or chi with m, not both", line=first)
-    if not bundles and (chi is None or m is None):
-        raise ParseError("a config needs Euler data: bundles, or chi with m", line=first)
+    euler = EulerData.of(bundles, chi, m, line=first)
+    base = model_of(model_spec)
+    if tautological:
+        return ScanConfig(
+            name=name, base=None, u=triple[0], v=triple[1], w=triple[2],
+            datum=tautological_from_parts(base, triple, euler, min_cap, setups=setups),
+            min_cap=min_cap, expect=expect,
+        )
     return ScanConfig(
-        name=name,
-        base=model_of(model_spec),
-        u=triple[0],
-        v=triple[1],
-        w=triple[2],
-        bundles=bundles or None,
-        chi_polynomial=chi,
-        m=m,
-        min_cap=min_cap,
-        expect=expect,
+        name=name, base=base, u=triple[0], v=triple[1], w=triple[2],
+        euler=euler, min_cap=min_cap, expect=expect,
     )
 
 

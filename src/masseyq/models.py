@@ -22,6 +22,7 @@ from .cohomology import CohomologyRing
 from .errors import AlgebraValidationError
 from .linalg import Matrix, fr
 from .transfer import (
+    EulerData,
     HamiltonianTransferDatum,
     ScanConfig,
     SetupTable,
@@ -182,8 +183,7 @@ def rotation_datum(fixed_cap: int = 8, ambient_cap: int = 9) -> HamiltonianTrans
         fixed_ring=CohomologyRing(fixed),
         restrict=AlgebraMorphism(ambient, fixed, restrict),
         push_matrices=push,
-        chi_polynomial="eN*h - eS*h",
-        m=1,
+        euler=EulerData.of(chi="eN*h - eS*h", m=1),
     )
 
 
@@ -204,8 +204,7 @@ def broken_projection_datum() -> HamiltonianTransferDatum:
         fixed_ring=good.fixed_ring,
         restrict=good.restrict,
         push_matrices=push,
-        chi_polynomial=good.chi_polynomial,
-        m=good.m,
+        euler=good.euler,
     )
 
 
@@ -250,9 +249,11 @@ def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig
     formal controls and both transfer data; each row carries the outcome
     it must reproduce, so a clean scan really checks something.  Rows on
     the same model share one instance, and the tautological datum is
-    built through ``setups`` when given.
+    built through ``setups`` when given.  The rows with chi = h share
+    one Euler-data value, so two rows over one setup share its class.
     """
     heis, tor = heisenberg(), torus()
+    chi_h = EulerData.of(chi="h", m=1)
     return [
         ScanConfig(
             name="heisenberg-h",
@@ -260,8 +261,7 @@ def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig
             u="x",
             v="x",
             w="y",
-            chi_polynomial="h",
-            m=1,
+            euler=chi_h,
             expect="non-vanishing",
         ),
         ScanConfig(
@@ -270,7 +270,7 @@ def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig
             u="x",
             v="x",
             w="y",
-            bundles=[WeightedLineBundle("x*z", 2)],
+            euler=EulerData.of([WeightedLineBundle("x*z", 2)]),
             expect="non-vanishing",
         ),
         ScanConfig(
@@ -279,7 +279,9 @@ def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig
             u="x",
             v="x",
             w="y",
-            bundles=[WeightedLineBundle(None, 1), WeightedLineBundle(None, 1)],
+            euler=EulerData.of(
+                [WeightedLineBundle(None, 1), WeightedLineBundle(None, 1)]
+            ),
             expect="non-vanishing",
         ),
         ScanConfig(
@@ -288,9 +290,7 @@ def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig
             u="x",
             v="x",
             w="y",
-            datum=tautological_datum(
-                heis, chi_polynomial="h", m=1, cap=9, setups=setups
-            ),
+            datum=tautological_datum(heis, chi_h, cap=9, setups=setups),
             expect="non-vanishing",
         ),
         ScanConfig(
@@ -299,8 +299,7 @@ def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig
             u="x",
             v="x",
             w="y",
-            chi_polynomial="h",
-            m=1,
+            euler=chi_h,
             expect="premise-failed",
         ),
         ScanConfig(
@@ -309,8 +308,7 @@ def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig
             u="x",
             v="x",
             w="x",
-            chi_polynomial="h",
-            m=1,
+            euler=chi_h,
             expect="premise-failed",
         ),
         ScanConfig(
@@ -319,8 +317,7 @@ def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig
             u="u",
             v="u",
             w="u",
-            chi_polynomial="h",
-            m=1,
+            euler=chi_h,
             expect="premise-failed",
         ),
         ScanConfig(

@@ -2,9 +2,9 @@
 
 The central objects are an equivariant model of a fixed-point component
 (the base algebra with a central degree-2 polynomial generator adjoined),
-an Euler class built from weighted line bundle data, and a transfer datum
-tying an ambient equivariant model to the fixed one through restriction
-and pushforward maps.
+Euler data (weighted line bundles, or a class polynomial with m) and the
+Euler class it builds, and a transfer datum tying an ambient equivariant
+model to the fixed one through restriction and pushforward maps.
 
 A verdict on ideal membership is whether the ideal's degree piece, the
 indeterminacy a triple product has eliminated, holds the class.  Its
@@ -51,6 +51,7 @@ from .errors import (
     AlgebraValidationError,
     ConsistencyError,
     DegreeCapError,
+    ParseError,
     PremiseError,
     UndefinedProductError,
 )
@@ -79,6 +80,23 @@ class EquivariantSetup:
     def hname(self) -> str:
         return self.ext.tensor_info.hname
 
+    @classmethod
+    def of_ring(cls, ext_ring: CohomologyRing) -> "EquivariantSetup":
+        """The setup of an extension ring and its block ring.
+
+        The embedding and the retraction copy the coordinates of the h^0
+        class block (``InducedMap.leading_block``).
+        """
+        base_ring = ext_ring.block_ring
+        return cls(
+            base=base_ring.algebra,
+            ext=ext_ring.algebra,
+            base_ring=base_ring,
+            ext_ring=ext_ring,
+            embed=InducedMap.leading_block(base_ring, ext_ring),
+            retract=InducedMap.leading_block(ext_ring, base_ring),
+        )
+
 
 def build_setup(
     base: CochainAlgebra, cap: Optional[int] = None, hname: str = "h"
@@ -89,39 +107,34 @@ def build_setup(
     base (the re-capped copy of a free base), so that one ring serves as
     ``base_ring``: the base cohomology and its structure constants are
     computed once, for the embedding, the retraction and every h-power
-    block of the extension alike.  The embedding and the retraction copy
-    the coordinates of the h^0 class block (``InducedMap.leading_block``).
+    block of the extension alike.
     """
     ext = tensor_polynomial_generator(base, hname, cap=cap)
-    ext_ring = CohomologyRing(ext)
-    base_ring = ext_ring.block_ring
-    return EquivariantSetup(
-        base=base_ring.algebra,
-        ext=ext,
-        base_ring=base_ring,
-        ext_ring=ext_ring,
-        embed=InducedMap.leading_block(base_ring, ext_ring),
-        retract=InducedMap.leading_block(ext_ring, base_ring),
-    )
+    return EquivariantSetup.of_ring(CohomologyRing(ext))
 
 
 class SetupTable:
-    """The equivariant setups of one request, one per (base, cap, h name).
+    """The equivariant setups of one request, one per (base, cap, h name),
+    and their Euler classes, one per (setup, Euler data).
 
     A caller makes one table per request, passes it to everything that
     needs a setup and drops it with the request; nothing outlives it.
-    Bases are told apart by object: a request resolves each spec once, so
-    configs over one model share its setup, while two equal bases given
-    as distinct objects get a setup each.  A new setup is also filed
-    under its own base, the re-capped copy of a free base, which is where
-    the Euler stage over a datum built from the table looks.
+    Bases and Euler data are told apart by object: a request resolves
+    each spec once, so configs over one model share its setup, while two
+    equal bases given as distinct objects get a setup each.  A new setup
+    is also filed under its own base, the re-capped copy of a free base,
+    which is where the Euler stage over a datum built from the table
+    looks; there it finds the datum's own Euler class.
     """
 
     def __init__(self):
-        # id(base) keys; each entry holds its base so the id is not reused
-        # while the table lives.
+        # id() keys; each entry holds what it was keyed by, so the id is
+        # not reused while the table lives.
         self._setups: dict[
             tuple[int, int, str], tuple[CochainAlgebra, EquivariantSetup]
+        ] = {}
+        self._classes: dict[
+            tuple[int, int], tuple[EquivariantSetup, EulerData, EulerClass]
         ] = {}
 
     def setup(
@@ -136,6 +149,14 @@ class SetupTable:
             entry = self._setups[key] = (base, setup)
             self._setups.setdefault((id(setup.base), cap, hname), (setup.base, setup))
         return entry[1]
+
+    def euler_class(self, setup: EquivariantSetup, euler: EulerData) -> EulerClass:
+        """``euler.build(setup)``, built once per table."""
+        key = (id(setup), id(euler))
+        entry = self._classes.get(key)
+        if entry is None:
+            entry = self._classes[key] = (setup, euler, euler.build(setup))
+        return entry[2]
 
 
 def formal_degree(algebra: CochainAlgebra, poly: PolyInput) -> int:
@@ -264,6 +285,69 @@ class EulerClass:
     weights: Optional[tuple[int, ...]]
     top_coefficient: CohomologyClass
 
+    @cached_property
+    def zero_divisor(self) -> ZeroDivisorReport:
+        """``verify_not_zero_divisor`` in the class's ring, run once."""
+        return verify_not_zero_divisor(self.cls.ring, self)
+
+
+class EulerClassError(AlgebraValidationError):
+    """A class polynomial that gives no Euler class.
+
+    ``finding`` says the same as a finding against a transfer datum.
+    """
+
+    def __init__(self, message: str, finding: str):
+        super().__init__(message)
+        self.finding = finding
+
+
+# The bundles-or-chi-with-m rule, as its two failures read against the
+# keys of a family config; the command line words them for its flags.
+_KEY_WORDS = (
+    "give bundles or chi with m, not both",
+    "a config needs Euler data: bundles, or chi with m",
+)
+
+
+@dataclass(frozen=True, eq=False)
+class EulerData:
+    """Euler data: weighted line bundles, or a class polynomial with m.
+
+    Made by ``EulerData.of``, which owns the rule that exactly one of the
+    two forms is given, and turned into a class by ``build``.  Each
+    ``SetupTable`` builds one class per setup and Euler-data object.
+    """
+
+    bundles: Optional[tuple[WeightedLineBundle, ...]]
+    polynomial: PolyInput
+    m: int
+
+    @classmethod
+    def of(
+        cls,
+        bundles: Sequence[WeightedLineBundle] = (),
+        chi: PolyInput = None,
+        m: Optional[int] = None,
+        line: Optional[int] = None,
+        words: tuple[str, str] = _KEY_WORDS,
+    ) -> "EulerData":
+        """Bundles, or chi together with m; ParseError (at ``line``, worded
+        by ``words``) when both forms or neither is given."""
+        if bundles and (chi is not None or m is not None):
+            raise ParseError(words[0], line=line)
+        if bundles:
+            return cls(tuple(bundles), None, len(bundles))
+        if chi is None or m is None:
+            raise ParseError(words[1], line=line)
+        return cls(None, chi, m)
+
+    def build(self, setup: EquivariantSetup) -> EulerClass:
+        """The Euler class in the setup's extension ring."""
+        if self.bundles is not None:
+            return euler_class(setup, self.bundles)
+        return euler_class_from_polynomial(setup, self.polynomial, self.m)
+
 
 def euler_class(
     setup: EquivariantSetup, bundles: Sequence[WeightedLineBundle]
@@ -322,11 +406,15 @@ def euler_class_from_polynomial(
         raise AlgebraValidationError("m must be at least 1")
     el = setup.ext.from_polynomial(poly, expected_degree=2 * m)
     if not el.d().is_zero():
-        raise AlgebraValidationError("Euler class polynomial is not a cocycle")
+        raise EulerClassError(
+            "Euler class polynomial is not a cocycle", "Euler class is not a cocycle"
+        )
     top = h_components(el).get(m)
     if top is None or top.is_zero():
-        raise AlgebraValidationError(
-            f"Euler class must have a nonzero h^{m} coefficient"
+        raise EulerClassError(
+            f"Euler class must have a nonzero h^{m} coefficient",
+            f"Euler class has no h^{m} term; it cannot come from a rank {m} "
+            "normal bundle",
         )
     return EulerClass(
         cls=setup.ext_ring.project(el),
@@ -563,9 +651,7 @@ def check_euler_scaled_massey(
     u: ClassInput,
     v: ClassInput,
     w: ClassInput,
-    bundles: Optional[Sequence[WeightedLineBundle]] = None,
-    chi_polynomial: Optional[PolyInput] = None,
-    m: Optional[int] = None,
+    euler: EulerData,
     hname: str = "h",
     min_cap: Optional[int] = None,
     setups: Optional[SetupTable] = None,
@@ -580,24 +666,15 @@ def check_euler_scaled_massey(
     product but outside the ideal of the scaled outer classes, so the
     scaled product cannot vanish.  The cap is sized automatically from
     the input degrees and never truncates the given base presentation.
-    With ``setups`` the extension comes from that table.
+    With ``setups`` the extension and the Euler class come from that table.
     """
-    if bundles is not None and (chi_polynomial is not None or m is not None):
-        raise ValueError("pass bundles or an explicit class with m, not both")
-    if bundles is None and (chi_polynomial is None or m is None):
-        raise ValueError("pass bundles, or chi_polynomial together with m")
-
-    mm = len(bundles) if bundles is not None else m
-    required = required_cap(base, u, v, w, mm)
+    required = required_cap(base, u, v, w, euler.m)
     cap = max(required, min_cap or 0, base.cap)
-    setup = (setups or SetupTable()).setup(base, cap, hname)
+    setups = setups or SetupTable()
+    setup = setups.setup(base, cap, hname)
+    chi = setups.euler_class(setup, euler)
 
-    if bundles is not None:
-        chi = euler_class(setup, bundles)
-    else:
-        chi = euler_class_from_polynomial(setup, chi_polynomial, m)
-
-    zero_divisor = verify_not_zero_divisor(setup.ext_ring, chi)
+    zero_divisor = chi.zero_divisor
     if not zero_divisor.ok:
         raise AlgebraValidationError(_ZERO_DIVISOR.format(zero_divisor.failed_degree))
 
@@ -708,9 +785,11 @@ class HamiltonianTransferDatum:
     built with the rings it is used with, and ``restrict_map`` is the map
     the cochain-level ring map ``restrict`` induces between them.
     ``push_matrices[n]`` gives the degree n -> n + 2m pushforward on class
-    coordinates.  The defining relation is restrict(push(x)) = chi * x.
-    A datum made by ``tautological_datum`` holds no matrices and pushes by
-    cup with chi.  ``findings`` validates the datum once per object.
+    coordinates.  ``euler`` is the datum's Euler data and ``chi`` its one
+    Euler class in the fixed ring.  The defining relation is
+    restrict(push(x)) = chi * x.  A datum made by ``tautological_datum``
+    holds no matrices (``push_matrices`` None) and pushes by cup with chi.
+    ``findings`` validates the datum once per object.
     """
 
     def __init__(
@@ -719,9 +798,9 @@ class HamiltonianTransferDatum:
         ambient_ring: CohomologyRing,
         fixed_ring: CohomologyRing,
         restrict: AlgebraMorphism,
-        push_matrices: Sequence[Matrix],
-        chi_polynomial: PolyInput,
-        m: int,
+        push_matrices: Optional[Sequence[Matrix]],
+        euler: EulerData,
+        chi: Optional[EulerClass] = None,
     ):
         self.name = name
         self.ambient_ring = ambient_ring
@@ -730,11 +809,21 @@ class HamiltonianTransferDatum:
         self.fixed = fixed_ring.algebra
         self.restrict = restrict
         self.restrict_map = InducedMap(restrict, ambient_ring, fixed_ring)
-        self.push_matrices = tuple(push_matrices)
-        self.chi_polynomial = chi_polynomial
-        self.m = m
-        # set by tautological_datum alone; see push and validate_transfer_datum
-        self._euler: Optional[EulerClass] = None
+        self.push_matrices = None if push_matrices is None else tuple(push_matrices)
+        self.euler = euler
+        self._chi = chi
+
+    @property
+    def m(self) -> int:
+        return self.euler.m
+
+    @property
+    def chi(self) -> EulerClass:
+        """The Euler class in the fixed ring, built from ``euler`` on first
+        use; raises when the Euler data gives no class."""
+        if self._chi is None:
+            self._chi = self.euler.build(EquivariantSetup.of_ring(self.fixed_ring))
+        return self._chi
 
     @cached_property
     def findings(self) -> tuple[str, ...]:
@@ -743,17 +832,9 @@ class HamiltonianTransferDatum:
 
     @property
     def push_top(self) -> int:
-        if self._euler is not None:
+        if self.push_matrices is None:
             return self.fixed_ring.top - 2 * self.m
         return len(self.push_matrices) - 1
-
-    def chi_element(self) -> Element:
-        return self.fixed.from_polynomial(
-            self.chi_polynomial, expected_degree=2 * self.m
-        )
-
-    def chi_class(self) -> CohomologyClass:
-        return self.fixed_ring.project(self.chi_element())
 
     def push(self, cls: CohomologyClass) -> CohomologyClass:
         if cls.ring is not self.fixed_ring:
@@ -763,8 +844,8 @@ class HamiltonianTransferDatum:
             raise DegreeCapError(
                 f"no pushforward matrix in degree {n}", required_cap=n
             )
-        if self._euler is not None:
-            return cup(self._euler.cls, cls)
+        if self.push_matrices is None:
+            return cup(self.chi.cls, cls)
         return CohomologyClass(
             self.ambient_ring,
             n + 2 * self.m,
@@ -779,20 +860,21 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     """All structural findings against a transfer datum, empty when valid.
 
     Checks, in order: the fixed model is a polynomial-generator extension and
-    the Euler data has the right shape; the restriction is a ring map
+    the Euler data gives an Euler class; the restriction is a ring map
     commuting with the differentials and injective on cohomology degree by
     degree; the projection formula restrict(push(e)) = chi * e holds on a
     class basis; the Euler class is not a zero divisor; the pushforward has
     full column rank, any kernel being traced back to the zero-divisor
-    property through the projection formula.
+    property through the projection formula.  The Euler class and the
+    restriction are checked independently; a finding against either ends
+    the checks there.
 
     On a datum made by ``tautological_datum`` (identity restriction, push
     = cup with chi) only the zero-divisor check can fail; a class chi kills
     in its failed degree is a kernel class of push, so that is all it runs.
     """
-    chi = datum._euler
-    if chi is not None:
-        zd = verify_not_zero_divisor(datum.fixed_ring, chi)
+    if datum.push_matrices is None:
+        zd = datum.chi.zero_divisor
         if zd.ok:
             return []
         return [f.format(zd.failed_degree) for f in (_ZERO_DIVISOR, _KILLED_KERNEL)]
@@ -805,19 +887,11 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
         findings.append("fixed model must be a polynomial-generator extension")
         return findings
     try:
-        chi_el = datum.chi_element()
+        chi = datum.chi
+    except EulerClassError as exc:
+        findings.append(exc.finding)
     except Exception as exc:
         findings.append(f"Euler class polynomial is invalid: {exc}")
-        return findings
-    if not chi_el.d().is_zero():
-        findings.append("Euler class is not a cocycle")
-        return findings
-    top = h_components(chi_el).get(datum.m)
-    if top is None or top.is_zero():
-        findings.append(
-            f"Euler class has no h^{datum.m} term; it cannot come from a "
-            f"rank {datum.m} normal bundle"
-        )
 
     for msg in validate_morphism(datum.restrict):
         findings.append(f"restriction: {msg}")
@@ -833,7 +907,6 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
             )
             break
 
-    chi_cls = datum.chi_class()
     for n in range(datum.push_top + 1):
         mat = datum.push_matrices[n]
         if mat.cols != datum.fixed_ring.class_dim(n):
@@ -861,7 +934,7 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     formula_top = min(datum.push_top, min(fring.top, rmap.top) - 2 * datum.m)
     for n in range(formula_top + 1):
         if any(
-            rmap.apply(datum.push(e)) != cup(chi_cls, e)
+            rmap.apply(datum.push(e)) != cup(chi.cls, e)
             for e in fring.basis_classes(n)
         ):
             findings.append(
@@ -870,9 +943,7 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
             )
             break
 
-    top_cls = fring.block_ring.project(top)
-    euler = EulerClass(chi_cls, chi_el, datum.m, weights=None, top_coefficient=top_cls)
-    zd = verify_not_zero_divisor(fring, euler)
+    zd = chi.zero_divisor
     if not zd.ok:
         findings.append(_ZERO_DIVISOR.format(zd.failed_degree))
 
@@ -881,7 +952,7 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
         if not kern.dim:
             continue
         x = CohomologyClass(datum.fixed_ring, n, kern.basis[0])
-        if cup(chi_cls, x).is_zero():
+        if cup(chi.cls, x).is_zero():
             findings.append(_KILLED_KERNEL.format(n))
         else:
             findings.append(
@@ -896,9 +967,7 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
 
 def tautological_datum(
     base: CochainAlgebra,
-    bundles: Optional[Sequence[WeightedLineBundle]] = None,
-    chi_polynomial: Optional[PolyInput] = None,
-    m: Optional[int] = None,
+    euler: EulerData,
     cap: Optional[int] = None,
     setups: Optional[SetupTable] = None,
 ) -> HamiltonianTransferDatum:
@@ -908,47 +977,24 @@ def tautological_datum(
     construction; useful as a reference datum and for exercising the
     pipeline end to end without extra geometry.  The datum is built with
     the extension ring of the setup (polynomial generator h) as both of
-    its rings, and ``push`` cups with chi on demand, up to the top degree
-    minus 2m.  With ``setups`` the setup is that table's, which the Euler
-    stage of ``run_transfer_pipeline`` then finds in the same table.
+    its rings and that setup's Euler class, and ``push`` cups with chi on
+    demand, up to the top degree minus 2m.  With ``setups`` the setup and
+    the class are that table's, where the Euler stage of
+    ``run_transfer_pipeline`` then finds them.
     """
-    setup = (setups or SetupTable()).setup(base, cap, "h")
-    if bundles is not None:
-        chi = euler_class(setup, bundles)
-        chi_poly = _bundle_polynomial(setup, bundles)
-    else:
-        chi = euler_class_from_polynomial(setup, chi_polynomial, m)
-        chi_poly = chi_polynomial
+    setups = setups or SetupTable()
+    setup = setups.setup(base, cap, "h")
     datum = HamiltonianTransferDatum(
         name="tautological",
         ambient_ring=setup.ext_ring,
         fixed_ring=setup.ext_ring,
         restrict=identity_morphism(setup.ext),
-        push_matrices=(),
-        chi_polynomial=chi_poly,
-        m=chi.m,
+        push_matrices=None,
+        euler=euler,
+        chi=setups.euler_class(setup, euler),
     )
     datum.restrict_map = InducedMap.leading_block(setup.ext_ring, setup.ext_ring)
-    datum._euler = chi
     return datum
-
-
-def _bundle_polynomial(
-    setup: EquivariantSetup, bundles: Sequence[WeightedLineBundle]
-) -> list:
-    """The parsed-polynomial form of a product of bundle factors; a bundle
-    without c1 contributes weight * h alone."""
-    terms = [(Fraction(1), ())]
-    for b in bundles:
-        c1 = b.c1 or ()
-        factor = parse_polynomial(c1) if isinstance(c1, str) else list(c1)
-        factor.append((Fraction(b.weight), (setup.hname,)))
-        terms = [
-            (c1 * c2, tuple(f1) + tuple(f2))
-            for c1, f1 in terms
-            for c2, f2 in factor
-        ]
-    return terms
 
 
 # --------------------------------------------------------------------------
@@ -987,7 +1033,7 @@ def check_gysin_transfer(
     A vanishing fixed product is reported as inconclusive.
     """
     fring = datum.fixed_ring
-    chi_cls = datum.chi_class()
+    chi_cls = datum.chi.cls
     u_cls = as_class(fring, u)
     v_cls = as_class(fring, v)
     w_cls = as_class(fring, w)
@@ -1080,9 +1126,7 @@ def run_transfer_pipeline(
     u: ClassInput,
     v: ClassInput,
     w: ClassInput,
-    bundles: Optional[Sequence[WeightedLineBundle]] = None,
-    chi_polynomial: Optional[PolyInput] = None,
-    m: Optional[int] = None,
+    euler: Optional[EulerData] = None,
     datum: Optional[HamiltonianTransferDatum] = None,
     min_cap: Optional[int] = None,
     setups: Optional[SetupTable] = None,
@@ -1096,13 +1140,14 @@ def run_transfer_pipeline(
     model.  A failed premise skips the scaling stage but still attempts
     the transfer, whose hypothesis is independent of it.
 
-    The Euler stage takes its setup from ``setups`` when given.  The
-    findings are the datum's own, computed once per datum object, so a
-    datum shared by the configs of one request is validated once.  Over
-    a datum the Euler stage rebuilds the extension of the datum's fixed
-    base by the same deterministic construction that made the fixed
-    model, so the two agree by construction and are not compared; a
-    tautological datum built from the same table is that very setup.
+    The Euler stage takes its setup and Euler class from ``setups`` when
+    given.  The findings are the datum's own, computed once per datum
+    object, so a datum shared by the configs of one request is validated
+    once.  Over a datum the Euler stage rebuilds the extension of the
+    datum's fixed base by the same deterministic construction that made
+    the fixed model, so the two agree by construction and are not
+    compared; for a tautological datum built from the same table that is
+    the datum's own setup, and the class is the datum's own class.
     """
     if datum is not None:
         if datum.findings:
@@ -1111,13 +1156,12 @@ def run_transfer_pipeline(
                 verdict="inconclusive",
                 datum_findings=list(datum.findings),
             )
-        if bundles is not None or chi_polynomial is not None or m is not None:
+        if euler is not None:
             raise ValueError(
                 "with a datum, the Euler data comes from the datum itself"
             )
         base = datum.fixed.tensor_info.base
-        chi_polynomial = datum.chi_polynomial
-        m = datum.m
+        euler = datum.euler
         hname = datum.fixed.tensor_info.hname
     else:
         if base is None:
@@ -1132,9 +1176,7 @@ def run_transfer_pipeline(
             u,
             v,
             w,
-            bundles=bundles,
-            chi_polynomial=chi_polynomial,
-            m=m,
+            euler,
             hname=hname,
             min_cap=min_cap,
             setups=setups,
@@ -1182,9 +1224,7 @@ class ScanConfig:
     u: ClassInput
     v: ClassInput
     w: ClassInput
-    bundles: Optional[Sequence[WeightedLineBundle]] = None
-    chi_polynomial: Optional[PolyInput] = None
-    m: Optional[int] = None
+    euler: Optional[EulerData] = None
     datum: Optional[HamiltonianTransferDatum] = None
     min_cap: Optional[int] = None
     expect: Optional[str] = None  # a status or a verdict
@@ -1243,9 +1283,7 @@ def scan_families(
                 cfg.u,
                 cfg.v,
                 cfg.w,
-                bundles=cfg.bundles,
-                chi_polynomial=cfg.chi_polynomial,
-                m=cfg.m,
+                euler=cfg.euler,
                 datum=cfg.datum,
                 min_cap=cfg.min_cap,
                 setups=setups,

@@ -649,6 +649,27 @@ def projected_product_reference(ring, p, i, q, j):
 # builds itself.  These are the routes it no longer takes there.
 
 
+def bundle_polynomial(bundles, hname="h"):
+    """The Euler class of weighted line bundles as polynomial text.
+
+    ``bundles`` are (c1, weight) pairs, c1 a product of names joined by
+    ``*`` or None.  The product of the factors c1 + weight*hname is
+    multiplied out by choosing one summand per factor, in bundle order, so
+    no term is reordered and no sign is needed.
+    """
+    terms = [(1, [])]
+    for c1, weight in bundles:
+        summands = [(weight, [hname])]
+        if c1 is not None:
+            summands.append((1, c1.split("*")))
+        terms = [
+            (coeff * c, names + more)
+            for coeff, names in terms
+            for c, more in summands
+        ]
+    return " + ".join("*".join([str(coeff)] + names) for coeff, names in terms)
+
+
 def zero_divisor_rank_scan(ring, chi_cls, m):
     """``(ok, failed degree)`` of the degreewise rank test of multiplication
     by chi, a class of degree 2m: products by projection, ranks by
@@ -688,9 +709,9 @@ def full_datum_findings(datum):
     from masseyq.transfer import HamiltonianTransferDatum, validate_transfer_datum
 
     push = datum.push_matrices
-    if datum._euler is not None:
+    if push is None:
         push = [
-            cup_matrix_reference(datum.fixed_ring, datum._euler.cls, n)
+            cup_matrix_reference(datum.fixed_ring, datum.chi.cls, n)
             for n in range(datum.push_top + 1)
         ]
     copy = HamiltonianTransferDatum(
@@ -699,8 +720,7 @@ def full_datum_findings(datum):
         fixed_ring=CohomologyRing(datum.fixed),
         restrict=datum.restrict,
         push_matrices=push,
-        chi_polynomial=datum.chi_polynomial,
-        m=datum.m,
+        euler=datum.euler,
     )
     return validate_transfer_datum(copy)
 

@@ -35,6 +35,7 @@ from masseyq.models import (
     torus,
 )
 from masseyq.transfer import (
+    EulerData,
     SetupTable,
     WeightedLineBundle,
     build_setup,
@@ -170,7 +171,9 @@ def test_criterion_03_scaled_products_at_cap_12(capsys):
     notes = []
     for label, bundles, expected_cap in configs:
         started = time.perf_counter()
-        rep = check_euler_scaled_massey(base, "x", "x", "y", bundles=bundles, min_cap=12)
+        rep = check_euler_scaled_massey(
+            base, "x", "x", "y", EulerData.of(bundles), min_cap=12
+        )
         elapsed = time.perf_counter() - started
         _record(rep.base_result)
         _record(rep.embedded_result)
@@ -322,7 +325,7 @@ def test_criterion_07_transfer_datum_validation(capsys):
     for name, ctor in sorted(BUILTIN_MODELS.items()):
         model = ctor()
         datum = tautological_datum(
-            model, chi_polynomial="h", m=1, cap=max(8, model.cap)
+            model, euler=EulerData.of(chi="h", m=1), cap=max(8, model.cap)
         )
         findings = validate_transfer_datum(datum)
         ok = ok and findings == []
@@ -407,7 +410,7 @@ def test_criterion_09_structural_scans(capsys):
         ok = ok and validate_morphism(tensor_embedding(inner, ext)) == []
         ok = ok and validate_morphism(tensor_retraction(ext, inner)) == []
         datum = tautological_datum(
-            model, chi_polynomial="h", m=1, cap=model.cap + 5, setups=table
+            model, euler=EulerData.of(chi="h", m=1), cap=model.cap + 5, setups=table
         )
         ok = ok and block_map_mismatches(setup, datum.restrict_map) == []
         for n in range(ext.cap + 1):

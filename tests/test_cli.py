@@ -382,6 +382,75 @@ def test_no_dense_matrix_on_the_request_path(capsys, monkeypatch, argv, most):
     assert len(built) <= most
 
 
+def _count_euler_work(monkeypatch):
+    """Wrap Euler-class construction, the zero-divisor check and polynomial
+    evaluation; returns the lists the wrappers fill, in that order."""
+    import masseyq.transfer as transfer
+    from masseyq.cdga import CochainAlgebra
+
+    built, checks, evaluated = [], [], []
+    init = transfer.EulerClass.__init__
+    verify = transfer.verify_not_zero_divisor
+    from_polynomial = CochainAlgebra.from_polynomial
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_verify(ring, chi):
+        checks.append(chi)
+        return verify(ring, chi)
+
+    def counting_from_polynomial(self, poly, expected_degree=None):
+        evaluated.append((self, poly, expected_degree))
+        return from_polynomial(self, poly, expected_degree)
+
+    monkeypatch.setattr(transfer.EulerClass, "__init__", counting_init)
+    monkeypatch.setattr(transfer, "verify_not_zero_divisor", counting_verify)
+    monkeypatch.setattr(CochainAlgebra, "from_polynomial", counting_from_polynomial)
+    return built, checks, evaluated
+
+
+@pytest.mark.parametrize(
+    "euler",
+    [["--chi", "h", "--m", "1"], ["--bundle", "weight = 2"]],
+    ids=["chi", "bundle"],
+)
+def test_tautological_theorem11_builds_its_euler_class_once(capsys, monkeypatch, euler):
+    # The datum's class serves the Euler stage (through the request's
+    # setup table), the pushforward and the Gysin stage, and its
+    # zero-divisor verdict serves both the datum findings and the Euler
+    # stage.
+    built, checks, evaluated = _count_euler_work(monkeypatch)
+    assert main(["theorem11", "builtin:heisenberg", "x", "x", "y", *euler]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    assert len(checks) == 1
+    chi_like = [
+        poly for algebra, poly, degree in evaluated
+        if algebra.tensor_info is not None and degree == 2
+    ]
+    assert len(chi_like) <= 1
+
+
+@pytest.mark.parametrize(
+    "argv, most",
+    [
+        (["transfer", "builtin:rotation", "eN", "eS", "eN"], 1),
+        # the Euler stage's setup (cap 6) is not the datum's (fixed cap 8)
+        (["theorem11", "eN", "eS", "eN", "--datum", "builtin:rotation"], 2),
+    ],
+    ids=["transfer", "theorem11"],
+)
+def test_the_rotation_chi_polynomial_is_evaluated_once_per_setup(
+    capsys, monkeypatch, argv, most
+):
+    _, _, evaluated = _count_euler_work(monkeypatch)
+    assert main(argv) == 12
+    capsys.readouterr()
+    assert len([1 for _, poly, _ in evaluated if poly == "eN*h - eS*h"]) <= most
+
+
 def test_transfer_request_validates_the_rotation_restriction_once(capsys, monkeypatch):
     import masseyq.cdga as cdga
     import masseyq.models as models
@@ -437,6 +506,7 @@ def test_theorem11_heisenberg_audit_trail(capsys):
 
 def test_tautological_datum_takes_a_bundle_without_c1(capsys, tmp_path):
     # The c1 part of a bundle may be omitted; the factor is then weight * h.
+    # The bundle form reports its weights, as lemma32 does.
     code, bundled = run_json(
         capsys, "theorem11", "builtin:heisenberg", "x", "x", "y",
         "--bundle", "weight = 1",
@@ -446,6 +516,7 @@ def test_tautological_datum_takes_a_bundle_without_c1(capsys, tmp_path):
         capsys, "theorem11", "builtin:heisenberg", "x", "x", "y",
         "--chi", "h", "--m", "1",
     )
+    assert bundled["payload"]["euler"].pop("weights") == [1]
     assert bundled == direct
     family = tmp_path / "bare.family"
     family.write_text(

@@ -20,7 +20,7 @@ from masseyq.fileformat import (
     tautological_from_parts,
 )
 from masseyq.models import heisenberg, rotation_datum
-from masseyq.transfer import scan_families, validate_transfer_datum
+from masseyq.transfer import EulerData, scan_families, validate_transfer_datum
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -363,6 +363,8 @@ def test_resolve_model_spec_variants(tmp_path):
 def test_tautological_from_parts_needs_euler_data():
     base = heisenberg()
     with pytest.raises(ParseError):
-        tautological_from_parts(base, ("x", "x", "y"), [], None, None, None)
-    datum = tautological_from_parts(base, ("x", "x", "y"), [], "h", 1, None)
+        EulerData.of()
+    datum = tautological_from_parts(
+        base, ("x", "x", "y"), EulerData.of(chi="h", m=1), None
+    )
     assert datum.fixed.cap >= 9

@@ -123,9 +123,9 @@ CASES = [
         ["transfer", "rotation-chi-not-homogeneous.datum", "eN", "eS", "eN"],
         3,
     ),
-    ("scan-tautological-bundle-and-chi", ["scan", "tautological-bundle-and-chi.family"], 0),
-    ("scan-tautological-bundle-and-m", ["scan", "tautological-bundle-and-m.family"], 0),
-    ("scan-tautological-m-without-chi", ["scan", "tautological-m-without-chi.family"], 3),
+    ("scan-tautological-bundle-and-chi", ["scan", "tautological-bundle-and-chi.family"], 2),
+    ("scan-tautological-bundle-and-m", ["scan", "tautological-bundle-and-m.family"], 2),
+    ("scan-tautological-m-without-chi", ["scan", "tautological-m-without-chi.family"], 2),
     ("scan-tautological-chi-without-m", ["scan", "tautological-chi-without-m.family"], 2),
 ]
 

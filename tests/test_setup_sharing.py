@@ -23,9 +23,9 @@ from masseyq.cohomology import CohomologyRing
 from masseyq.fileformat import load_datum, parse_family_document, tautological_from_parts
 from masseyq.models import BUILTIN_MODELS, builtin_family, rotation_datum
 from masseyq.transfer import (
+    EulerData,
     SetupTable,
     build_setup,
-    euler_class_from_polynomial,
     required_cap,
     run_transfer_pipeline,
     scan_families,
@@ -163,7 +163,9 @@ def test_tautological_data_build_no_rings_of_their_own(monkeypatch, capsys, argv
 def test_the_euler_stage_reuses_the_tautological_datum_setup():
     setups = SetupTable()
     base = BUILTIN_MODELS["heisenberg"]()
-    datum = tautological_from_parts(base, ("x", "x", "y"), [], "h", 1, None, setups=setups)
+    datum = tautological_from_parts(
+        base, ("x", "x", "y"), EulerData.of(chi="h", m=1), None, setups=setups
+    )
     report = run_transfer_pipeline(None, "x", "x", "y", datum=datum, setups=setups)
     assert report.verdict == "non-vanishing"
     assert report.euler.setup.ext is datum.fixed
@@ -201,8 +203,8 @@ def _assert_euler_stage_rebuilds_the_fixed_model(datum, triple, min_cap=None):
     for n in range(upto + 1):
         assert rebuilt.ext.basis_labels(n) == datum.fixed.basis_labels(n), n
     assert 2 * datum.m <= upto
-    chi = euler_class_from_polynomial(rebuilt, datum.chi_polynomial, datum.m)
-    assert chi.element.coords == datum.chi_element().coords
+    chi = datum.euler.build(rebuilt)
+    assert chi.element.coords == datum.chi.element.coords
 
 
 @pytest.mark.parametrize("source", ["builtin", "file"])
@@ -223,7 +225,7 @@ def test_tautological_fixed_model_is_rebuilt_exactly(name, chi, m, min_cap):
     base = BUILTIN_MODELS[name]()
     first = sorted(base.names())[0]
     triple = (first, first, first)
-    datum = tautological_from_parts(base, triple, [], chi, m, min_cap)
+    datum = tautological_from_parts(base, triple, EulerData.of(chi=chi, m=m), min_cap)
     _assert_euler_stage_rebuilds_the_fixed_model(datum, triple, min_cap)
 
 

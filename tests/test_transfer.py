@@ -21,6 +21,7 @@ from masseyq.cohomology import (
 from masseyq.errors import (
     AlgebraValidationError,
     ConsistencyError,
+    ParseError,
     PremiseError,
     UndefinedProductError,
 )
@@ -38,6 +39,7 @@ from masseyq.models import (
 )
 from masseyq.transfer import (
     EulerClass,
+    EulerData,
     HamiltonianTransferDatum,
     ScanConfig,
     SetupTable,
@@ -60,6 +62,7 @@ from masseyq.transfer import (
 )
 from oracles import (
     block_map_mismatches,
+    bundle_polynomial,
     cup_matrix_reference,
     full_datum_findings,
     random_free_cdga,
@@ -219,7 +222,7 @@ def test_induced_maps_on_random_presentations(rng, k, extra, heisenberg_base):
     base, table = build_free_cdga(gens, diffs, cap), SetupTable()
     setup = table.setup(base, cap + extra)
     datum = tautological_datum(
-        base, chi_polynomial=f"{k}*h", m=1, cap=cap + extra, setups=table
+        base, euler=EulerData.of(chi=f"{k}*h", m=1), cap=cap + extra, setups=table
     )
     assert block_map_mismatches(setup, datum.restrict_map) == []
     base_ring, embed, retract = setup.base_ring, setup.embed, setup.retract
@@ -255,7 +258,7 @@ def test_block_maps_fill_columns_without_lifting_or_projecting(monkeypatch):
     for base in (heisenberg(), two_points()):
         setup = table.setup(base, base.cap + 4)
         datum = tautological_datum(
-            base, chi_polynomial="h", m=1, cap=base.cap + 4, setups=table
+            base, euler=EulerData.of(chi="h", m=1), cap=base.cap + 4, setups=table
         )
         monkeypatch.setattr(CohomologyRing, "lift", counted("lift"))
         monkeypatch.setattr(CohomologyRing, "project", counted("project"))
@@ -338,17 +341,42 @@ def test_a_corrupted_top_inverse_trips_the_cup_check(monkeypatch, model, chi):
 @example((two_points(), 6, "3*eS*h*h", 2))
 def test_trusted_tautological_datum_matches_the_full_route(drawn):
     base, cap, chi_poly, m = drawn
-    datum = tautological_datum(base, chi_polynomial=chi_poly, m=m, cap=cap)
+    datum = tautological_datum(base, euler=EulerData.of(chi=chi_poly, m=m), cap=cap)
     findings = validate_transfer_datum(datum)
     assert findings == full_datum_findings(datum)
-    if transfer._top_is_unit(datum.fixed_ring, datum._euler):
+    if transfer._top_is_unit(datum.fixed_ring, datum.chi):
         assert findings == []
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([None, "x*z", "y*z"]),
+            st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_bundle_and_polynomial_euler_data_agree(drawn):
+    # The two forms of the same Euler data build the same class.
+    setup = build_setup(heisenberg(), 7)
+    bundles = [WeightedLineBundle(c1, weight) for c1, weight in drawn]
+    by_bundles = EulerData.of(bundles).build(setup)
+    by_polynomial = EulerData.of(
+        chi=bundle_polynomial(drawn), m=len(drawn)
+    ).build(setup)
+    assert by_bundles.element == by_polynomial.element
+    assert by_bundles.cls == by_polynomial.cls
+    assert by_bundles.m == by_polynomial.m == len(drawn)
+    assert by_bundles.top_coefficient == by_polynomial.top_coefficient
 
 
 def test_zero_divisor_euler_class_is_invalid_input():
     with pytest.raises(AlgebraValidationError, match="zero divisor"):
         check_euler_scaled_massey(
-            two_points(), "eN", "eS", "eN", chi_polynomial="eN*h", m=1
+            two_points(), "eN", "eS", "eN", euler=EulerData.of(chi="eN*h", m=1)
         )
 
 
@@ -418,7 +446,7 @@ def test_corrupted_membership_certificate_raises(corrupt_certificate, route, bas
 
 def test_scaled_chain_heisenberg_with_h():
     report = check_euler_scaled_massey(
-        heisenberg(), "x", "x", "y", chi_polynomial="h", m=1, min_cap=12
+        heisenberg(), "x", "x", "y", euler=EulerData.of(chi="h", m=1), min_cap=12
     )
     assert report.verdict == "non-vanishing"
     assert report.ext_cap == 12
@@ -439,7 +467,8 @@ def test_scaled_chain_heisenberg_with_h():
 
 def test_scaled_chain_with_twisted_line_bundle():
     report = check_euler_scaled_massey(
-        heisenberg(), "x", "x", "y", bundles=[WeightedLineBundle("x*z", 2)], min_cap=12
+        heisenberg(), "x", "x", "y",
+        EulerData.of([WeightedLineBundle("x*z", 2)]), min_cap=12,
     )
     assert report.verdict == "non-vanishing"
     assert report.ext_cap == 12
@@ -452,7 +481,7 @@ def test_scaled_chain_with_two_line_bundles_raises_the_cap():
         "x",
         "x",
         "y",
-        bundles=[WeightedLineBundle(None, 1), WeightedLineBundle(None, 1)],
+        euler=EulerData.of([WeightedLineBundle(None, 1), WeightedLineBundle(None, 1)]),
         min_cap=12,
     )
     assert report.verdict == "non-vanishing"
@@ -472,41 +501,43 @@ def test_class_inputs_are_ported_from_a_smaller_cap():
     ring = CohomologyRing(base)
     u = ring.class_from_polynomial("x")
     w = ring.class_from_polynomial("y")
-    report = check_euler_scaled_massey(base, u, u, w, chi_polynomial="h", m=1)
+    report = check_euler_scaled_massey(base, u, u, w, euler=EulerData.of(chi="h", m=1))
     assert report.verdict == "non-vanishing"
     assert report.ext_cap == 9
 
 
 def test_undefined_premise_is_a_premise_error():
     with pytest.raises(PremiseError):
-        check_euler_scaled_massey(torus(), "x", "x", "y", chi_polynomial="h", m=1)
+        check_euler_scaled_massey(torus(), "x", "x", "y", EulerData.of(chi="h", m=1))
 
 
 def test_vanishing_premise_is_a_premise_error():
     with pytest.raises(PremiseError):
-        check_euler_scaled_massey(torus(), "x", "x", "x", chi_polynomial="h", m=1)
+        check_euler_scaled_massey(torus(), "x", "x", "x", EulerData.of(chi="h", m=1))
 
 
 def test_degree_zero_premise_is_a_premise_error():
     with pytest.raises(PremiseError):
         check_euler_scaled_massey(
-            two_points(), "eN", "eN", "eN", chi_polynomial="h", m=1
+            two_points(), "eN", "eN", "eN", euler=EulerData.of(chi="h", m=1)
         )
 
 
 def test_euler_argument_validation():
-    with pytest.raises(ValueError):
-        check_euler_scaled_massey(heisenberg(), "x", "x", "y")
-    with pytest.raises(ValueError):
-        check_euler_scaled_massey(
-            heisenberg(),
-            "x",
-            "x",
-            "y",
-            bundles=[WeightedLineBundle(None, 1)],
-            chi_polynomial="h",
-            m=1,
-        )
+    # Bundles, or chi together with m: both forms or neither is refused.
+    bundle = WeightedLineBundle(None, 1)
+    for bundles, chi, m in (
+        ((), None, None),
+        ((), "h", None),
+        ((), None, 1),
+        ((bundle,), "h", 1),
+        ((bundle,), None, 2),
+        ((bundle,), "h", None),
+    ):
+        with pytest.raises(ParseError):
+            EulerData.of(bundles, chi, m)
+    assert EulerData.of((bundle, bundle)).m == 2
+    assert EulerData.of(chi="h*h", m=2).m == 2
 
 
 def test_unit_scaling_keeps_the_coset():
@@ -529,7 +560,7 @@ def test_tautological_datum_is_valid_on_every_bundled_model():
     for name, make in sorted(BUILTIN_MODELS.items()):
         base = make()
         datum = tautological_datum(
-            base, chi_polynomial="h", m=1, cap=max(8, base.cap)
+            base, euler=EulerData.of(chi="h", m=1), cap=max(8, base.cap)
         )
         assert validate_transfer_datum(datum) == [], name
 
@@ -555,8 +586,7 @@ def test_non_injective_restriction_is_rejected():
         fixed_ring=good.fixed_ring,
         restrict=AlgebraMorphism(good.ambient, good.fixed, columns),
         push_matrices=good.push_matrices,
-        chi_polynomial=good.chi_polynomial,
-        m=good.m,
+        euler=good.euler,
     )
     findings = validate_transfer_datum(bad)
     assert findings
@@ -569,7 +599,7 @@ def test_identity_restriction_is_not_rescanned(monkeypatch):
     def forbidden(f):
         raise AssertionError("the identity restriction was scanned")
 
-    datum = tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=8)
+    datum = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=8)
     monkeypatch.setattr(transfer, "validate_morphism", forbidden)
     assert validate_transfer_datum(datum) == []
 
@@ -577,7 +607,7 @@ def test_identity_restriction_is_not_rescanned(monkeypatch):
 def test_non_identity_endomorphism_restriction_is_scanned():
     # Doubling degree 1 keeps source == target but breaks both d-commutation
     # (d z = x*y) and multiplicativity, so the full scan must report it.
-    good = tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=8)
+    good = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=8)
     columns = [good.restrict.columns(n) for n in range(good.restrict.trust_cap + 1)]
     columns[1] = [{i: Fraction(2)} for i in range(good.ambient.dim(1))]
     bad = HamiltonianTransferDatum(
@@ -586,11 +616,10 @@ def test_non_identity_endomorphism_restriction_is_scanned():
         fixed_ring=good.fixed_ring,
         restrict=AlgebraMorphism(good.ambient, good.fixed, columns),
         push_matrices=[
-            cup_matrix_reference(good.fixed_ring, good.chi_class(), n)
+            cup_matrix_reference(good.fixed_ring, good.chi.cls, n)
             for n in range(good.push_top + 1)
         ],
-        chi_polynomial=good.chi_polynomial,
-        m=good.m,
+        euler=good.euler,
     )
     findings = validate_transfer_datum(bad)
     assert any(f.startswith("restriction: morphism does not commute with d")
@@ -609,8 +638,7 @@ def test_wrong_push_shape_is_rejected():
         fixed_ring=good.fixed_ring,
         restrict=good.restrict,
         push_matrices=push,
-        chi_polynomial=good.chi_polynomial,
-        m=good.m,
+        euler=good.euler,
     )
     findings = validate_transfer_datum(bad)
     assert any("degree 2" in f for f in findings)
@@ -624,8 +652,7 @@ def test_nonpositive_m_is_rejected():
         fixed_ring=good.fixed_ring,
         restrict=good.restrict,
         push_matrices=good.push_matrices,
-        chi_polynomial=good.chi_polynomial,
-        m=0,
+        euler=EulerData.of(chi=good.euler.polynomial, m=0),
     )
     assert validate_transfer_datum(bad) == ["m must be at least 1, got 0"]
 
@@ -639,8 +666,7 @@ def test_fixed_model_must_be_an_extension():
         fixed_ring=ring,
         restrict=identity_morphism(a),
         push_matrices=[],
-        chi_polynomial="x*z",
-        m=1,
+        euler=EulerData.of(chi="x*z", m=1),
     )
     findings = validate_transfer_datum(bad)
     assert findings == ["fixed model must be a polynomial-generator extension"]
@@ -653,7 +679,7 @@ def test_rotation_pushforward_is_forced_by_the_projection_formula():
     datum = rotation_datum()
     fixed = datum.fixed
     fring = datum.fixed_ring
-    chi_el = datum.chi_element()
+    chi_el = datum.chi.element
     h = fixed.named_element("h")
     for k in range(0, 3):
         power = fixed.unit()
@@ -685,7 +711,7 @@ def test_gysin_on_the_rotation_datum_is_inconclusive():
 
 
 def test_gysin_on_the_tautological_heisenberg_datum_transfers():
-    datum = tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=9)
+    datum = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=9)
     report = check_gysin_transfer(datum, "x", "x", "y")
     assert report.status == "non-vanishing"
     assert not report.fixed_result.vanishes
@@ -704,10 +730,10 @@ def test_gysin_rejects_an_undefined_scaled_product():
 
 
 def test_pipeline_accepts_only_one_euler_source():
-    datum = tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=9)
+    datum = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=9)
     with pytest.raises(ValueError):
         run_transfer_pipeline(
-            None, "x", "x", "y", datum=datum, chi_polynomial="h", m=1
+            None, "x", "x", "y", datum=datum, euler=EulerData.of(chi="h", m=1)
         )
     with pytest.raises(ValueError):
         run_transfer_pipeline(None, "x", "x", "y")
@@ -724,7 +750,7 @@ def test_pipeline_flags_an_invalid_datum_before_anything_runs():
 
 
 def test_pipeline_premise_failure_without_datum():
-    result = run_transfer_pipeline(torus(), "x", "x", "y", chi_polynomial="h", m=1)
+    result = run_transfer_pipeline(torus(), "x", "x", "y", EulerData.of(chi="h", m=1))
     assert result.status == "premise-failed"
     assert result.verdict == "inconclusive"
     assert result.euler is None
@@ -732,7 +758,7 @@ def test_pipeline_premise_failure_without_datum():
 
 
 def test_pipeline_full_run_with_tautological_datum():
-    datum = tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=9)
+    datum = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=9)
     result = run_transfer_pipeline(None, "x", "x", "y", datum=datum)
     assert result.status == "ok"
     assert result.verdict == "non-vanishing"
@@ -781,8 +807,7 @@ def test_scan_records_expectation_mismatches():
         u="x",
         v="x",
         w="y",
-        chi_polynomial="h",
-        m=1,
+        euler=EulerData.of(chi="h", m=1),
         expect="vanishes",
     )
     report = scan_families([cfg])
@@ -797,8 +822,7 @@ def test_scan_turns_exceptions_into_error_rows():
         u="nosuchname",
         v="x",
         w="y",
-        chi_polynomial="h",
-        m=1,
+        euler=EulerData.of(chi="h", m=1),
     )
     report = scan_families([cfg])
     assert report.rows[0].status == "error"
@@ -890,16 +914,16 @@ def _classes(base, polys):
 
 def test_classes_over_the_base_give_the_polynomial_verdicts():
     polys = ("x", "x", "y")
-    by_poly = check_euler_scaled_massey(heisenberg(), *polys, chi_polynomial="h", m=1)
+    by_poly = check_euler_scaled_massey(heisenberg(), *polys, EulerData.of(chi="h", m=1))
     by_class = check_euler_scaled_massey(
-        heisenberg(), *_classes(heisenberg(), polys), chi_polynomial="h", m=1
+        heisenberg(), *_classes(heisenberg(), polys), euler=EulerData.of(chi="h", m=1)
     )
     assert by_class.verdict == by_poly.verdict == "non-vanishing"
     assert str(by_class.witness) == str(by_poly.witness)
 
     for make_datum, polys, gysin in (
         (
-            lambda: tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=12),
+            lambda: tautological_datum(heisenberg(), EulerData.of(chi="h", m=1), cap=12),
             polys,
             "non-vanishing",
         ),
@@ -920,7 +944,7 @@ def test_classes_over_the_base_give_the_polynomial_verdicts():
 def test_a_class_over_an_unrelated_algebra_is_rejected():
     classes = _classes(torus(), ("x", "x", "y"))
     with pytest.raises(AlgebraValidationError, match="unrelated algebras"):
-        check_euler_scaled_massey(heisenberg(), *classes, chi_polynomial="h", m=1)
-    datum = tautological_datum(heisenberg(), chi_polynomial="h", m=1, cap=12)
+        check_euler_scaled_massey(heisenberg(), *classes, EulerData.of(chi="h", m=1))
+    datum = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=12)
     with pytest.raises(AlgebraValidationError, match="unrelated algebras"):
         check_gysin_transfer(datum, *classes)
