@@ -866,8 +866,8 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     class basis; the Euler class is not a zero divisor; the pushforward has
     full column rank, any kernel being traced back to the zero-divisor
     property through the projection formula.  The Euler class and the
-    restriction are checked independently; a finding against either ends
-    the checks there.
+    restriction are checked independently, and a finding against either
+    ends the checks after both.
 
     On a datum made by ``tautological_datum`` (identity restriction, push
     = cup with chi) only the zero-divisor check can fail; a class chi kills
