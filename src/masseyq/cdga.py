@@ -47,9 +47,9 @@ from .errors import (
     ParseError,
 )
 from .linalg import (
-    Matrix,
     SparseVector,
     Vector,
+    columns_of_rows,
     densify,
     fr,
     solve_rows,
@@ -1187,27 +1187,6 @@ class AlgebraMorphism:
         self.target = target
         self._columns = tuple(tuple(c) for c in columns)
 
-    @classmethod
-    def from_matrices(
-        cls, source: CochainAlgebra, target: CochainAlgebra, matrices: Sequence[Matrix]
-    ) -> "AlgebraMorphism":
-        """The map whose degree-n component is ``matrices[n]``, of shape
-        dim target(n) x dim source(n), read into sparse columns."""
-        columns = []
-        for n, m in enumerate(matrices):
-            if m.cols != source.dim(n) or m.rows != target.dim(n):
-                raise ValueError(
-                    f"matrix shape {m.rows}x{m.cols} wrong in degree {n}: "
-                    f"want {target.dim(n)}x{source.dim(n)}"
-                )
-            columns.append(
-                [
-                    {k: row[i] for k, row in enumerate(m.entries) if row[i]}
-                    for i in range(m.cols)
-                ]
-            )
-        return cls(source, target, columns)
-
     @property
     def trust_cap(self) -> int:
         return len(self._columns) - 1
@@ -1300,16 +1279,17 @@ def build_morphism(
     source: CochainAlgebra,
     target: CochainAlgebra,
     images: Optional[Mapping[str, Element]] = None,
-    matrices: Optional[Sequence[Matrix]] = None,
+    matrices: Optional[Sequence[Sequence[Sequence]]] = None,
 ) -> AlgebraMorphism:
     """Construct and verify a morphism of cochain algebras.
 
     For a free source pass generator ``images`` (target elements of the
     generator degrees); basis monomials map to ordered products of the
-    images.  Otherwise pass explicit per-degree ``matrices``, read by
-    ``AlgebraMorphism.from_matrices``.  Validation rejects maps that fail
-    to commute with the differential, fail multiplicativity, or move the
-    unit.
+    images.  Otherwise pass explicit per-degree ``matrices``: the rows of
+    each, dim target(n) of them with dim source(n) entries, are read into
+    sparse columns by ``columns_of_rows``.  Validation rejects maps that
+    fail to commute with the differential, fail multiplicativity, or move
+    the unit.
     """
     if images is not None:
         if source.generators is None:
@@ -1340,7 +1320,17 @@ def build_morphism(
             columns.append(degree)
         f = AlgebraMorphism(source, target, columns)
     elif matrices is not None:
-        f = AlgebraMorphism.from_matrices(source, target, matrices)
+        columns = []
+        for n, rows in enumerate(matrices):
+            want = (target.dim(n), source.dim(n))
+            shape = (len(rows), len(rows[0]) if rows else want[1])
+            if shape != want:
+                raise ValueError(
+                    f"matrix shape {shape[0]}x{shape[1]} wrong in degree {n}: "
+                    f"want {want[0]}x{want[1]}"
+                )
+            columns.append(columns_of_rows(rows, want[1]))
+        f = AlgebraMorphism(source, target, columns)
     else:
         raise ValueError("pass either generator images or matrices")
     problems = validate_morphism(f)

@@ -42,6 +42,7 @@ from .fileformat import (
     parse_bundle_line,
     resolve_datum_spec,
     resolve_model_spec,
+    resolve_spec,
     tautological_from_parts,
 )
 from .models import builtin_family
@@ -405,23 +406,14 @@ def _cmd_theorem11(args) -> Report:
 
 
 def _cmd_scan(args) -> Report:
-    spec = args.family.strip()
-    if not spec:
-        raise ParseError("empty family spec")
     setups = SetupTable()
-    if spec.startswith("builtin:"):
-        configs = builtin_family(spec[len("builtin:") :], setups)
-    else:
-        path = spec if os.path.isabs(spec) else os.path.join(os.getcwd(), spec)
-        if os.path.isdir(path):
-            raise ParseError(f"family spec {spec!r} is a directory")
-        if os.path.exists(path):
-            configs = load_family(path, setups)
-        else:
-            try:
-                configs = builtin_family(spec, setups)
-            except KeyError:
-                raise ParseError(f"no such family file or builtin: {spec!r}")
+    configs = resolve_spec(
+        args.family,
+        os.getcwd(),
+        "family",
+        lambda name: builtin_family(name, setups),
+        lambda path: load_family(path, setups),
+    )
     report = scan_families(configs, budget=args.budget, setups=setups)
     payload = {
         "family": args.family,

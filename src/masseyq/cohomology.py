@@ -672,23 +672,6 @@ def triple_massey(
     )
 
 
-def scale_coset(
-    ring: CohomologyRing, xi: CohomologyClass, coset: AffineCoset, n: int
-) -> AffineCoset:
-    """The image of a coset of H^n under multiplication by xi."""
-    return _image_coset(
-        lambda v: cup(xi, CohomologyClass._trusted(ring, n, v)).coords,
-        coset,
-        ring.class_dim(n + xi.degree),
-    )
-
-
-def _image_coset(f, coset: AffineCoset, dim: int) -> AffineCoset:
-    """The image of a coset under a linear map f of coordinate vectors into Q^dim."""
-    direction = Subspace._trusted_span(dim, [f(v) for v in coset.direction.basis])
-    return AffineCoset(f(coset.point), direction)
-
-
 @dataclass(frozen=True)
 class ContainmentReport:
     """One coset-containment check with its witnesses."""
@@ -723,7 +706,6 @@ def check_scaling_law(
         raise AlgebraValidationError(
             f"base triple product is not defined: {base.reason}"
         )
-    ring = base.inputs[0].ring
     scaled_inputs = list(base.inputs)
     scaled_inputs[slot - 1] = cup(xi, scaled_inputs[slot - 1])
     scaled = triple_massey(*scaled_inputs)
@@ -732,14 +714,18 @@ def check_scaling_law(
             "scaled triple product must be defined when the base product is; "
             f"got: {scaled.reason}"
         )
-    image = scale_coset(ring, xi, base.coset, base.degree)
+    image = InducedMap.multiplication(xi).apply_coset(base.coset, base.degree)
     return ContainmentReport.of(image, scaled.coset), base, scaled
 
 
 class InducedMap:
-    """The map on cohomology induced by an algebra morphism, held as the
-    sparse class columns of each degree, filled on first use; see
-    ``leading_block`` for the maps that have no morphism."""
+    """A linear map on cohomology, H^n(source) -> H^(n + shift)(target) for
+    0 <= n <= top, held as the sparse class columns of each degree: column
+    i is the image of basis class i.  The constructor takes the map an
+    algebra morphism induces (shift 0); ``leading_block``,
+    ``multiplication`` and ``stored`` make the others.  Each degree's
+    columns are filled, or read from the stored ones, on first use.
+    """
 
     def __init__(
         self,
@@ -751,11 +737,28 @@ class InducedMap:
             raise ValueError("source ring does not match the morphism source")
         if morphism.target is not target.algebra:
             raise ValueError("target ring does not match the morphism target")
-        self.morphism = morphism
-        self.source = source
-        self.target = target
-        self.top = min(source.top, target.top, morphism.trust_cap)
+
+        def fill(n: int) -> list[SparseVector]:
+            images = (
+                target.project(morphism.apply(source.lift(e))).coords
+                for e in source.basis_classes(n)
+            )
+            return [{k: c for k, c in enumerate(v) if c} for v in images]
+
+        top = min(source.top, target.top, morphism.trust_cap)
+        self._set(morphism, source, target, 0, top, fill)
+
+    def _set(self, morphism, source, target, shift: int, top: int, fill) -> None:
+        self.morphism: Optional[AlgebraMorphism] = morphism
+        self.source, self.target = source, target
+        self.shift, self.top, self._fill = shift, top, fill
         self._columns: dict[int, tuple[SparseVector, ...]] = {}
+
+    @classmethod
+    def _of(cls, source, target, shift, top, fill) -> "InducedMap":
+        fmap = cls.__new__(cls)
+        fmap._set(None, source, target, shift, top, fill)
+        return fmap
 
     @classmethod
     def leading_block(
@@ -774,11 +777,34 @@ class InducedMap:
             or source is target.block_ring
         ):
             raise ValueError("rings are not an extension ring and its block ring")
-        fmap = cls.__new__(cls)
-        fmap.morphism, fmap.source, fmap.target = None, source, target
-        fmap.top = min(source.top, target.top)
-        fmap._columns = {}
-        return fmap
+
+        def fill(n: int) -> list[SparseVector]:
+            size = target.class_dim(n)
+            return [{i: _ONE} if i < size else {} for i in range(source.class_dim(n))]
+
+        return cls._of(source, target, 0, min(source.top, target.top), fill)
+
+    @classmethod
+    def multiplication(cls, xi: CohomologyClass) -> "InducedMap":
+        """Cup product with xi, from each degree n up to the ring top minus
+        the degree of xi: column i of degree n is xi times basis class i,
+        as ``ideal_products`` lists it."""
+        ring, p = xi.ring, xi.degree
+        return cls._of(
+            ring, ring, p, ring.top - p, lambda n: ideal_products(ring, [xi], n + p)
+        )
+
+    @classmethod
+    def stored(
+        cls,
+        source: CohomologyRing,
+        target: CohomologyRing,
+        shift: int,
+        columns: Sequence[Sequence[SparseVector]],
+    ) -> "InducedMap":
+        """A map given as the sparse class columns of degrees 0..len - 1,
+        such as a datum's pushforward; nothing is checked here."""
+        return cls._of(source, target, shift, len(columns) - 1, lambda n: columns[n])
 
     def columns(self, n: int) -> tuple[SparseVector, ...]:
         """The images of the basis classes of H^n, as sparse class columns."""
@@ -789,35 +815,30 @@ class InducedMap:
             )
         columns = self._columns.get(n)
         if columns is None:
-            if self.morphism is None:
-                size = self.target.class_dim(n)
-                columns = tuple(
-                    {i: _ONE} if i < size else {}
-                    for i in range(self.source.class_dim(n))
-                )
-            else:
-                images = (
-                    self.target.project(self.morphism.apply(self.source.lift(e))).coords
-                    for e in self.source.basis_classes(n)
-                )
-                columns = tuple({k: c for k, c in enumerate(v) if c} for v in images)
-            self._columns[n] = columns
+            columns = self._columns[n] = tuple(self._fill(n))
         return columns
-
-    def _apply_coords(self, n: int, v: Vector) -> Vector:
-        return apply_columns(self.columns(n), v, self.target.class_dim(n))
 
     def apply(self, cls: CohomologyClass) -> CohomologyClass:
         if cls.ring is not self.source:
             raise ValueError("class does not live in the source ring")
-        n = cls.degree
-        coords = self._apply_coords(n, cls.coords)
+        n = cls.degree + self.shift
+        coords = apply_columns(
+            self.columns(cls.degree), cls.coords, self.target.class_dim(n)
+        )
         return CohomologyClass._trusted(self.target, n, coords)
 
     def apply_coset(self, coset: AffineCoset, n: int) -> AffineCoset:
-        return _image_coset(
-            lambda v: self._apply_coords(n, v), coset, self.target.class_dim(n)
-        )
+        """The image of a coset of H^n, a coset of H^(n + shift)."""
+        columns = self.columns(n)
+        dim = self.target.class_dim(n + self.shift)
+        images = [
+            sparse_sum(
+                (k, c * x) for i, c in row.items() for k, x in columns[i].items()
+            )
+            for row in coset.direction.rows
+        ]
+        direction = Subspace.span_rows(dim, images)
+        return AffineCoset(apply_columns(columns, coset.point, dim), direction)
 
 
 def check_functoriality(

@@ -19,8 +19,9 @@ of the fixed model and per-degree `restrict[n]` / `push[n]` matrices
 with rational entries, rows separated by `;`.  Degrees whose matrices
 are omitted get zero matrices of the forced shape, which is only
 correct when one side is zero-dimensional; the datum validator flags
-everything else.  The restriction is read into the sparse columns of an
-`AlgebraMorphism` once its shapes are checked.
+everything else.  Once its shape is checked, each matrix is read into
+sparse columns: the restriction's into an `AlgebraMorphism`, the
+pushforward's into the datum's stored `InducedMap`.
 
 A family document is a sequence of [config] sections, each naming a
 model (or a datum), a triple, Euler data and an optional expected
@@ -34,7 +35,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from .cdga import (
     CochainAlgebra,
@@ -44,14 +45,14 @@ from .cdga import (
     parse_polynomial,
     tensor_polynomial_generator,
 )
-from .cohomology import CohomologyRing
+from .cohomology import CohomologyRing, InducedMap
 from .errors import (
     AlgebraError,
     AlgebraValidationError,
     DifferentialSquareError,
     ParseError,
 )
-from .linalg import Matrix
+from .linalg import SparseVector, columns_of_rows
 from .models import builtin_datum, builtin_model
 from .transfer import (
     EulerData,
@@ -289,8 +290,9 @@ def parse_bundle_line(line: str, lineno: Optional[int] = None) -> WeightedLineBu
 
 @dataclass
 class AlgebraDocument:
+    """A parsed algebra file: its one algebra."""
+
     algebra: CochainAlgebra
-    bundles: list[WeightedLineBundle]
 
 
 def parse_algebra_document(text: str) -> AlgebraDocument:
@@ -298,23 +300,16 @@ def parse_algebra_document(text: str) -> AlgebraDocument:
     if not sections:
         raise ParseError("empty algebra file", line=1)
     algebra: Optional[CochainAlgebra] = None
-    bundles: list[WeightedLineBundle] = []
     for section in sections:
-        if section.name in ("", "algebra"):
-            if algebra is not None:
-                raise ParseError("two algebra sections", line=section.line)
-            algebra = parse_algebra_section(section)
-        elif section.name == "bundles":
-            for lineno, line in section.rows:
-                bundles.append(_parse_bundle(line, lineno))
-        else:
+        if section.name not in ("", "algebra"):
             raise ParseError(
                 f"unexpected section [{section.name}] in an algebra file",
                 line=section.line,
             )
-    if algebra is None:
-        raise ParseError("no algebra section", line=1)
-    return AlgebraDocument(algebra=algebra, bundles=bundles)
+        if algebra is not None:
+            raise ParseError("two algebra sections", line=section.line)
+        algebra = parse_algebra_section(section)
+    return AlgebraDocument(algebra=algebra)
 
 
 def load_algebra_document(path: str) -> AlgebraDocument:
@@ -327,7 +322,7 @@ def load_algebra_document(path: str) -> AlgebraDocument:
 # ---------------------------------------------------------------------------
 
 
-def _parse_matrix_rows(value: str, lineno: int) -> Matrix:
+def _parse_matrix_rows(value: str, lineno: int) -> list[list[Fraction]]:
     rows = []
     for chunk in value.split(";"):
         entries = chunk.split()
@@ -336,7 +331,28 @@ def _parse_matrix_rows(value: str, lineno: int) -> Matrix:
         rows.append([_parse_fraction(e, lineno) for e in entries])
     if len({len(r) for r in rows}) != 1:
         raise ParseError("matrix rows have different lengths", line=lineno)
-    return Matrix(rows)
+    return rows
+
+
+def _matrix_columns(
+    kind: str,
+    given: dict[int, tuple[int, list[list[Fraction]]]],
+    n: int,
+    want_rows: int,
+    want_cols: int,
+) -> list[SparseVector]:
+    """The sparse columns of ``kind[n]``, zero when the line is omitted;
+    ParseError at its line unless it is want_rows x want_cols."""
+    if n not in given:
+        return [{} for _ in range(want_cols)]
+    lineno, rows = given[n]
+    if (len(rows), len(rows[0])) != (want_rows, want_cols):
+        raise ParseError(
+            f"{kind}[{n}] must be {want_rows}x{want_cols}, "
+            f"got {len(rows)}x{len(rows[0])}",
+            line=lineno,
+        )
+    return columns_of_rows(rows, want_cols)
 
 
 def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDatum:
@@ -360,8 +376,8 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
     ext_cap: Optional[int] = None
     hname = "h"
     datum_name = name
-    restrict_given: dict[int, tuple[int, Matrix]] = {}
-    push_given: dict[int, tuple[int, Matrix]] = {}
+    restrict_given: dict[int, tuple[int, list[list[Fraction]]]] = {}
+    push_given: dict[int, tuple[int, list[list[Fraction]]]] = {}
 
     for lineno, line in sections["datum"].rows:
         mo = _MATRIX_RE.match(line)
@@ -411,49 +427,25 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
             raise ParseError(
                 f"restrict[{deg}] is beyond the shared cap {shared}", line=lineno
             )
-    restrict_mats = []
-    for n in range(shared + 1):
-        want_rows, want_cols = fixed.dim(n), ambient.dim(n)
-        if n in restrict_given:
-            lineno, mat = restrict_given[n]
-            if (mat.rows, mat.cols) != (want_rows, want_cols):
-                raise ParseError(
-                    f"restrict[{n}] must be {want_rows}x{want_cols}, "
-                    f"got {mat.rows}x{mat.cols}",
-                    line=lineno,
-                )
-            restrict_mats.append(mat)
-        else:
-            restrict_mats.append(Matrix.zero(want_rows, want_cols))
-
-    rmap = AlgebraMorphism.from_matrices(ambient, fixed, restrict_mats)
-
+    restrict = [
+        _matrix_columns("restrict", restrict_given, n, fixed.dim(n), ambient.dim(n))
+        for n in range(shared + 1)
+    ]
     fixed_ring = CohomologyRing(fixed)
     ambient_ring = CohomologyRing(ambient)
-    push_top = max(push_given) if push_given else -1
-    push_mats = []
-    for n in range(push_top + 1):
+    push = []
+    for n in range(max(push_given, default=-1) + 1):
         want_cols = fixed_ring.class_dim(n) if n <= fixed_ring.top else 0
         target = n + 2 * m
         want_rows = ambient_ring.class_dim(target) if target <= ambient_ring.top else 0
-        if n in push_given:
-            lineno, mat = push_given[n]
-            if (mat.rows, mat.cols) != (want_rows, want_cols):
-                raise ParseError(
-                    f"push[{n}] must be {want_rows}x{want_cols}, "
-                    f"got {mat.rows}x{mat.cols}",
-                    line=lineno,
-                )
-            push_mats.append(mat)
-        else:
-            push_mats.append(Matrix.zero(want_rows, want_cols))
+        push.append(_matrix_columns("push", push_given, n, want_rows, want_cols))
 
     return HamiltonianTransferDatum(
         name=datum_name,
-        ambient_ring=ambient_ring,
-        fixed_ring=fixed_ring,
-        restrict=rmap,
-        push_matrices=push_mats,
+        restrict_map=InducedMap(
+            AlgebraMorphism(ambient, fixed, restrict), ambient_ring, fixed_ring
+        ),
+        push_map=InducedMap.stored(fixed_ring, ambient_ring, 2 * m, push),
         euler=EulerData.of(chi=chi, m=m),
     )
 
@@ -470,45 +462,56 @@ def load_datum(path: str) -> HamiltonianTransferDatum:
 # ---------------------------------------------------------------------------
 
 
-def resolve_model_spec(spec: str, base_dir: str = ".") -> CochainAlgebra:
-    """A model named `builtin:<name>` or given as a file path."""
+_T = TypeVar("_T")
+
+
+def resolve_spec(
+    spec: str,
+    base_dir: str,
+    kind: str,
+    builtin: Callable[[str], _T],
+    load: Callable[[str], _T],
+) -> _T:
+    """What a `builtin:<name>` spec, a file path or a bare builtin name
+    names; ``kind`` ("model", "datum" or "family") words the errors.
+
+    A path is read relative to ``base_dir``, a name that is no path is
+    tried as a builtin, and ``builtin`` raises KeyError for an unknown
+    name.  An empty spec, an unknown name or a directory is a ParseError.
+    """
     spec = spec.strip()
     if not spec:
-        raise ParseError("empty model spec")
+        raise ParseError(f"empty {kind} spec")
     if spec.startswith("builtin:"):
         try:
-            return builtin_model(spec[len("builtin:") :])
+            return builtin(spec[len("builtin:") :])
         except KeyError as exc:
             raise ParseError(str(exc.args[0]))
     path = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
     if not os.path.exists(path):
         try:
-            return builtin_model(spec)
+            return builtin(spec)
         except KeyError:
-            raise ParseError(f"no such model file or builtin: {spec!r}")
+            raise ParseError(f"no such {kind} file or builtin: {spec!r}")
     if os.path.isdir(path):
-        raise ParseError(f"model spec {spec!r} is a directory")
-    return load_algebra_document(path).algebra
+        raise ParseError(f"{kind} spec {spec!r} is a directory")
+    return load(path)
+
+
+def resolve_model_spec(spec: str, base_dir: str = ".") -> CochainAlgebra:
+    """A model named `builtin:<name>` or given as a file path."""
+    return resolve_spec(
+        spec,
+        base_dir,
+        "model",
+        builtin_model,
+        lambda path: load_algebra_document(path).algebra,
+    )
 
 
 def resolve_datum_spec(spec: str, base_dir: str = ".") -> HamiltonianTransferDatum:
-    spec = spec.strip()
-    if not spec:
-        raise ParseError("empty datum spec")
-    if spec.startswith("builtin:"):
-        try:
-            return builtin_datum(spec[len("builtin:") :])
-        except KeyError as exc:
-            raise ParseError(str(exc.args[0]))
-    path = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
-    if not os.path.exists(path):
-        try:
-            return builtin_datum(spec)
-        except KeyError:
-            raise ParseError(f"no such datum file or builtin: {spec!r}")
-    if os.path.isdir(path):
-        raise ParseError(f"datum spec {spec!r} is a directory")
-    return load_datum(path)
+    """A transfer datum named `builtin:<name>` or given as a file path."""
+    return resolve_spec(spec, base_dir, "datum", builtin_datum, load_datum)
 
 
 def tautological_from_parts(

@@ -7,22 +7,26 @@ as sparse vectors, dicts from index to nonzero entry, summed by
 ``sparse_sum``; vectors are tuples of fractions, such as class
 coordinates or the view ``densify`` gives.  A linear map is held as
 sparse columns, one per source basis vector (``apply_columns``,
-``transpose``); ``Matrix``, a row-major grid, is the checked entry type
-for matrix data from outside: datum files, bundled data and callers.
+``transpose``); matrix data from outside, such as datum files and
+``build_morphism(matrices=...)``, is read into sparse columns where it
+enters (``columns_of_rows``).  ``Matrix``, a dense row-major grid, and
+``rref`` and ``solve`` on it are public dense helpers that nothing in
+the package calls; they are due for removal.
 
 Coercion to Fraction, and the refusal of floats, happens at the public
-constructors only: ``Matrix(...)``, ``Subspace.span``, ``AffineCoset``
-and the right-hand side of ``solve``.  Results that masseyq computes
-itself, such as the output of ``rref``, skip it.
+constructors only: ``columns_of_rows``, ``Matrix(...)``,
+``Subspace.span``, ``AffineCoset`` and the right-hand side of ``solve``.
+Results that masseyq computes itself, such as the output of ``rref``,
+skip it.
 
 Every elimination runs on one core, ``_eliminate``: Gaussian elimination
 and back substitution on sparse rows with a column -> rows index, so
 pivot search and updates visit nonzero entries only and exact
-cancellations are dropped.  ``rref``, ``solve``, ``kernel_basis`` and
-``Subspace`` spans use it; ``solve_rows``, ``kernel_rows`` and
-``Subspace.span_rows`` take sparse rows directly, as the cochain
-algebras hand out their differentials, and dense rows are built only
-when a result leaves as a tuple.  Pivots are taken column by column from
+cancellations are dropped.  ``solve_rows``, ``kernel_rows`` and
+``Subspace.span_rows`` take sparse rows, as the cochain algebras hand
+out their differentials, and so do ``rref`` and ``solve`` after reading
+their matrix; dense rows are built only when a result leaves as a tuple.
+Pivots are taken column by column from
 the left, scaled to 1 and cleared above and below, so every reduced
 form, particular solution and kernel basis is the unique reduced-echelon
 one: the same input yields identical output on every run, whichever row
@@ -76,8 +80,8 @@ def vec_is_zero(v: Vector) -> bool:
 
 
 class Matrix:
-    """Immutable rational matrix, stored dense and row-major: matrix data
-    from outside, such as pushforward data.
+    """Immutable rational matrix, stored dense and row-major: a public
+    dense helper, due for removal, that no code path of the package uses.
 
     Elimination reads it as sparse rows; ``matvec`` skips zero entries.
     ``entries`` is a sequence of rows, each entry coerced by ``fr``.
@@ -119,10 +123,6 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls._trusted((zero_vector(cols),) * rows, cols)
-
     def matvec(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"matvec shape mismatch: {self.cols} cols vs {len(v)}")
@@ -156,6 +156,21 @@ def apply_columns(columns: Sequence[SparseVector], v: Vector, n: int) -> Vector:
             for k, x in column.items():
                 out[k] += c * x
     return tuple(out)
+
+
+def columns_of_rows(rows: Sequence[Sequence], cols: int) -> list[SparseVector]:
+    """The ``cols`` sparse columns of a matrix given as rows of ``cols``
+    entries each, coerced by ``fr`` (floats are refused); ValueError
+    ("ragged rows") on a row of another length."""
+    columns: list[SparseVector] = [{} for _ in range(cols)]
+    for k, row in enumerate(rows):
+        if len(row) != cols:
+            raise ValueError("ragged rows")
+        for j, entry in enumerate(row):
+            value = fr(entry)
+            if value:
+                columns[j][k] = value
+    return columns
 
 
 def transpose(vectors: Sequence[SparseVector], n: int) -> list[SparseVector]:
@@ -345,17 +360,8 @@ class Subspace:
                 raise ValueError(
                     f"vector length {len(v)} != ambient dim {ambient_dim}"
                 )
-        return cls._trusted_span(ambient_dim, vecs)
-
-    @classmethod
-    def _trusted_span(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
-        """``span`` of vectors of Fractions that masseyq computed itself.
-
-        Every vector must have length ``ambient_dim``; nothing is coerced
-        or checked.
-        """
         return cls.span_rows(
-            ambient_dim, [{j: v for j, v in enumerate(u) if v} for u in vectors]
+            ambient_dim, [{j: v for j, v in enumerate(u) if v} for u in vecs]
         )
 
     @classmethod
@@ -448,11 +454,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def kernel_basis(a: Matrix) -> Subspace:
-    """Null space of ``a`` as a canonical Subspace of Q^cols; see ``kernel_rows``."""
-    return kernel_rows(_sparse_rows(a), a.cols)
 
 
 def kernel_rows(rows: Sequence[SparseVector], cols: int) -> Subspace:

@@ -9,6 +9,7 @@ its two fixed-point restrictions.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .cdga import (
@@ -18,9 +19,8 @@ from .cdga import (
     build_table_algebra,
     tensor_polynomial_generator,
 )
-from .cohomology import CohomologyRing
+from .cohomology import CohomologyRing, InducedMap
 from .errors import AlgebraValidationError
-from .linalg import Matrix, fr
 from .transfer import (
     EulerData,
     HamiltonianTransferDatum,
@@ -160,7 +160,7 @@ def rotation_datum(fixed_cap: int = 8, ambient_cap: int = 9) -> HamiltonianTrans
     fixed = tensor_polynomial_generator(two_points(), "h", cap=fixed_cap)
 
     # E restricts to eN + eS; in degree 2k, Hk to (eN + eS) h^k, Ak to eN h^k.
-    one = fr(1)
+    one = Fraction(1)
     restrict = []
     for n in range(fixed_cap + 1):
         if n == 0:
@@ -169,20 +169,19 @@ def rotation_datum(fixed_cap: int = 8, ambient_cap: int = 9) -> HamiltonianTrans
             restrict.append([{0: one, 1: one}, {0: one}])
         else:
             restrict.append([])
+    # On class coordinates (eN h^k, eS h^k) -> (H(k+1), A(k+1)).
+    push = [
+        [{1: one}, {0: -one, 1: one}] if n % 2 == 0 else []
+        for n in range(fixed_cap - 1)
+    ]
 
-    push = []
-    for n in range(fixed_cap - 2 + 1):
-        if n % 2 == 0:
-            push.append(Matrix([[fr(0), fr(-1)], [fr(1), fr(1)]], cols=2))
-        else:
-            push.append(Matrix.zero(0, 0))
-
+    ambient_ring, fixed_ring = CohomologyRing(ambient), CohomologyRing(fixed)
     return HamiltonianTransferDatum(
         name="rotation",
-        ambient_ring=CohomologyRing(ambient),
-        fixed_ring=CohomologyRing(fixed),
-        restrict=AlgebraMorphism(ambient, fixed, restrict),
-        push_matrices=push,
+        restrict_map=InducedMap(
+            AlgebraMorphism(ambient, fixed, restrict), ambient_ring, fixed_ring
+        ),
+        push_map=InducedMap.stored(fixed_ring, ambient_ring, 2, push),
         euler=EulerData.of(chi="eN*h - eS*h", m=1),
     )
 
@@ -194,16 +193,13 @@ def broken_projection_datum() -> HamiltonianTransferDatum:
     so validation must reject it; negative control for the datum checks.
     """
     good = rotation_datum()
-    push = list(good.push_matrices)
-    bad = [[c for c in row] for row in push[2].entries]
-    bad[0][0] += 1
-    push[2] = Matrix(bad, cols=push[2].cols)
+    push = [good.push_map.columns(n) for n in range(good.push_map.top + 1)]
+    # The H2 entry of the image of eN h, 0 in the good datum, becomes 1.
+    push[2] = [{0: Fraction(1), 1: Fraction(1)}, push[2][1]]
     return HamiltonianTransferDatum(
         name="rotation-broken-push",
-        ambient_ring=good.ambient_ring,
-        fixed_ring=good.fixed_ring,
-        restrict=good.restrict,
-        push_matrices=push,
+        restrict_map=good.restrict_map,
+        push_map=InducedMap.stored(good.fixed_ring, good.ambient_ring, 2, push),
         euler=good.euler,
     )
 

@@ -25,11 +25,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .cdga import (
-    AlgebraMorphism,
     CochainAlgebra,
     Element,
     PolyInput,
-    identity_morphism,
     parse_polynomial,
     tensor_polynomial_generator,
     validate_morphism,
@@ -55,7 +53,7 @@ from .errors import (
     PremiseError,
     UndefinedProductError,
 )
-from .linalg import Matrix, Subspace, kernel_basis, solve_rows, transpose
+from .linalg import Subspace, kernel_rows, solve_rows, transpose
 
 ClassInput = Union[str, list, CohomologyClass]
 
@@ -779,37 +777,35 @@ def check_euler_scaled_massey(
 class HamiltonianTransferDatum:
     """Restriction and pushforward between two equivariant models.
 
-    ``ambient_ring`` is the cohomology of a model of the whole space and
-    ``fixed_ring`` that of a fixed locus (a polynomial-generator
-    extension); ``ambient`` and ``fixed`` are their algebras.  A datum is
-    built with the rings it is used with, and ``restrict_map`` is the map
-    the cochain-level ring map ``restrict`` induces between them.
-    ``push_matrices[n]`` gives the degree n -> n + 2m pushforward on class
-    coordinates.  ``euler`` is the datum's Euler data and ``chi`` its one
-    Euler class in the fixed ring.  The defining relation is
-    restrict(push(x)) = chi * x.  A datum made by ``tautological_datum``
-    holds no matrices (``push_matrices`` None) and pushes by cup with chi.
-    ``findings`` validates the datum once per object.
+    ``restrict_map`` runs from the cohomology of a model of the whole
+    space, ``ambient_ring``, to that of a fixed locus (a
+    polynomial-generator extension), ``fixed_ring``; ``ambient`` and
+    ``fixed`` are their algebras.  ``push_map`` runs back, raising degrees
+    by 2m.  Both are ``InducedMap`` columns: the restriction is induced by
+    a cochain-level ring map, its ``morphism``, and a stored pushforward
+    is read in from datum data.  ``euler`` is the datum's Euler data and
+    ``chi`` its one Euler class in the fixed ring.  The defining relation
+    is restrict(push(x)) = chi * x.  A datum whose two rings are one
+    object is the tautological datum of ``tautological_datum``: identity
+    restriction, push = multiplication by chi.  ``findings`` validates the
+    datum once per object.
     """
 
     def __init__(
         self,
         name: str,
-        ambient_ring: CohomologyRing,
-        fixed_ring: CohomologyRing,
-        restrict: AlgebraMorphism,
-        push_matrices: Optional[Sequence[Matrix]],
+        restrict_map: InducedMap,
+        push_map: InducedMap,
         euler: EulerData,
         chi: Optional[EulerClass] = None,
     ):
         self.name = name
-        self.ambient_ring = ambient_ring
-        self.fixed_ring = fixed_ring
-        self.ambient = ambient_ring.algebra
-        self.fixed = fixed_ring.algebra
-        self.restrict = restrict
-        self.restrict_map = InducedMap(restrict, ambient_ring, fixed_ring)
-        self.push_matrices = None if push_matrices is None else tuple(push_matrices)
+        self.restrict_map = restrict_map
+        self.push_map = push_map
+        self.ambient_ring = restrict_map.source
+        self.fixed_ring = restrict_map.target
+        self.ambient = self.ambient_ring.algebra
+        self.fixed = self.fixed_ring.algebra
         self.euler = euler
         self._chi = chi
 
@@ -830,27 +826,15 @@ class HamiltonianTransferDatum:
         """``validate_transfer_datum(self)``, run once per datum."""
         return tuple(validate_transfer_datum(self))
 
-    @property
-    def push_top(self) -> int:
-        if self.push_matrices is None:
-            return self.fixed_ring.top - 2 * self.m
-        return len(self.push_matrices) - 1
-
     def push(self, cls: CohomologyClass) -> CohomologyClass:
         if cls.ring is not self.fixed_ring:
             raise ValueError("pushforward input must live in the fixed ring")
         n = cls.degree
-        if n > self.push_top:
+        if n > self.push_map.top:
             raise DegreeCapError(
                 f"no pushforward matrix in degree {n}", required_cap=n
             )
-        if self.push_matrices is None:
-            return cup(self.chi.cls, cls)
-        return CohomologyClass(
-            self.ambient_ring,
-            n + 2 * self.m,
-            self.push_matrices[n].matvec(cls.coords),
-        )
+        return self.push_map.apply(cls)
 
     def __repr__(self):
         return f"HamiltonianTransferDatum({self.name!r}, m={self.m})"
@@ -869,16 +853,12 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     restriction are checked independently, and a finding against either
     ends the checks after both.
 
-    On a datum made by ``tautological_datum`` (identity restriction, push
-    = cup with chi) only the zero-divisor check can fail; a class chi kills
-    in its failed degree is a kernel class of push, so that is all it runs.
+    A datum whose two rings are one object is the tautological datum
+    (identity restriction, push = multiplication by chi): past the checks
+    on m and the fixed model, only the zero-divisor check can fail on it,
+    and a class chi kills in its failed degree is a kernel class of push,
+    so that is all it runs.
     """
-    if datum.push_matrices is None:
-        zd = datum.chi.zero_divisor
-        if zd.ok:
-            return []
-        return [f.format(zd.failed_degree) for f in (_ZERO_DIVISOR, _KILLED_KERNEL)]
-
     findings: list[str] = []
     if datum.m < 1:
         findings.append(f"m must be at least 1, got {datum.m}")
@@ -886,6 +866,11 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     if datum.fixed.tensor_info is None:
         findings.append("fixed model must be a polynomial-generator extension")
         return findings
+    if datum.ambient_ring is datum.fixed_ring:
+        zd = datum.chi.zero_divisor
+        if zd.ok:
+            return []
+        return [f.format(zd.failed_degree) for f in (_ZERO_DIVISOR, _KILLED_KERNEL)]
     try:
         chi = datum.chi
     except EulerClassError as exc:
@@ -893,45 +878,46 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     except Exception as exc:
         findings.append(f"Euler class polynomial is invalid: {exc}")
 
-    for msg in validate_morphism(datum.restrict):
+    rmap, push = datum.restrict_map, datum.push_map
+    for msg in validate_morphism(rmap.morphism):
         findings.append(f"restriction: {msg}")
     if findings:
         return findings
 
-    rmap = datum.restrict_map
+    fring, aring = datum.fixed_ring, datum.ambient_ring
     for n in range(rmap.top + 1):
-        image = Subspace.span_rows(datum.fixed_ring.class_dim(n), rmap.columns(n))
-        if image.dim != datum.ambient_ring.class_dim(n):
+        image = Subspace.span_rows(fring.class_dim(n), rmap.columns(n))
+        if image.dim != aring.class_dim(n):
             findings.append(
                 f"restriction is not injective on cohomology in degree {n}"
             )
             break
 
-    for n in range(datum.push_top + 1):
-        mat = datum.push_matrices[n]
-        if mat.cols != datum.fixed_ring.class_dim(n):
+    for n in range(push.top + 1):
+        columns = push.columns(n)
+        if len(columns) != fring.class_dim(n):
             findings.append(
-                f"pushforward matrix in degree {n} has {mat.cols} columns, "
-                f"want {datum.fixed_ring.class_dim(n)}"
+                f"pushforward matrix in degree {n} has {len(columns)} columns, "
+                f"want {fring.class_dim(n)}"
             )
             return findings
         target_degree = n + 2 * datum.m
-        if target_degree > datum.ambient_ring.top:
+        if target_degree > aring.top:
             findings.append(
                 f"pushforward matrix in degree {n} lands in degree "
-                f"{target_degree}, above the ambient top "
-                f"{datum.ambient_ring.top}"
+                f"{target_degree}, above the ambient top {aring.top}"
             )
             return findings
-        if mat.rows != datum.ambient_ring.class_dim(target_degree):
+        height = aring.class_dim(target_degree)
+        row = max((k for column in columns for k in column), default=-1)
+        if row >= height:
             findings.append(
-                f"pushforward matrix in degree {n} has {mat.rows} rows, "
-                f"want {datum.ambient_ring.class_dim(target_degree)}"
+                f"pushforward matrix in degree {n} has an entry in row {row}, "
+                f"want {height} rows"
             )
             return findings
 
-    fring = datum.fixed_ring
-    formula_top = min(datum.push_top, min(fring.top, rmap.top) - 2 * datum.m)
+    formula_top = min(push.top, min(fring.top, rmap.top) - 2 * datum.m)
     for n in range(formula_top + 1):
         if any(
             rmap.apply(datum.push(e)) != cup(chi.cls, e)
@@ -947,11 +933,13 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     if not zd.ok:
         findings.append(_ZERO_DIVISOR.format(zd.failed_degree))
 
-    for n in range(datum.push_top + 1):
-        kern = kernel_basis(datum.push_matrices[n])
+    for n in range(push.top + 1):
+        columns = push.columns(n)
+        height = aring.class_dim(n + 2 * datum.m)
+        kern = kernel_rows(transpose(columns, height), len(columns))
         if not kern.dim:
             continue
-        x = CohomologyClass(datum.fixed_ring, n, kern.basis[0])
+        x = CohomologyClass._trusted(fring, n, kern.basis[0])
         if cup(chi.cls, x).is_zero():
             findings.append(_KILLED_KERNEL.format(n))
         else:
@@ -977,24 +965,21 @@ def tautological_datum(
     construction; useful as a reference datum and for exercising the
     pipeline end to end without extra geometry.  The datum is built with
     the extension ring of the setup (polynomial generator h) as both of
-    its rings and that setup's Euler class, and ``push`` cups with chi on
-    demand, up to the top degree minus 2m.  With ``setups`` the setup and
+    its rings and that setup's Euler class; ``push`` is multiplication by
+    chi, up to the top degree minus 2m.  With ``setups`` the setup and
     the class are that table's, where the Euler stage of
     ``run_transfer_pipeline`` then finds them.
     """
     setups = setups or SetupTable()
     setup = setups.setup(base, cap, "h")
-    datum = HamiltonianTransferDatum(
+    chi = setups.euler_class(setup, euler)
+    return HamiltonianTransferDatum(
         name="tautological",
-        ambient_ring=setup.ext_ring,
-        fixed_ring=setup.ext_ring,
-        restrict=identity_morphism(setup.ext),
-        push_matrices=None,
+        restrict_map=InducedMap.leading_block(setup.ext_ring, setup.ext_ring),
+        push_map=InducedMap.multiplication(chi.cls),
         euler=euler,
-        chi=setups.euler_class(setup, euler),
+        chi=chi,
     )
-    datum.restrict_map = InducedMap.leading_block(setup.ext_ring, setup.ext_ring)
-    return datum
 
 
 # --------------------------------------------------------------------------

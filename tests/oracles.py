@@ -689,40 +689,76 @@ def zero_divisor_rank_scan(ring, chi_cls, m):
     return True, None
 
 
-def cup_matrix_reference(ring, xi, n):
-    """The ``Matrix`` of multiplication by xi from H^n to H^(n + deg xi),
-    with the ``cup`` of xi and each basis class as its columns."""
+def cup_columns_reference(ring, xi, n):
+    """The sparse class columns of multiplication by xi from H^n to
+    H^(n + deg xi): the ``cup`` of xi and each basis class."""
     from masseyq.cohomology import cup
-    from masseyq.linalg import Matrix
 
-    columns = [cup(xi, e).coords for e in ring.basis_classes(n)]
-    height = ring.class_dim(n + xi.degree)
-    rows = [[col[k] for col in columns] for k in range(height)]
-    return Matrix(rows, cols=len(columns))
+    return [
+        {k: c for k, c in enumerate(cup(xi, e).coords) if c}
+        for e in ring.basis_classes(n)
+    ]
 
 
 def full_datum_findings(datum):
     """``validate_transfer_datum`` on an unmarked copy of a datum, with
-    rings of its own, so every check runs on it.  A tautological datum
-    holds no push matrices; the copy gets those of cup with chi."""
-    from masseyq.cohomology import CohomologyRing
+    rings of its own, so every check runs on it.  The copy of a
+    tautological datum (one ring on both sides) restricts by the identity
+    morphism and pushes by the columns of cup with chi."""
+    from masseyq.cdga import identity_morphism
+    from masseyq.cohomology import CohomologyRing, InducedMap
     from masseyq.transfer import HamiltonianTransferDatum, validate_transfer_datum
 
-    push = datum.push_matrices
-    if push is None:
-        push = [
-            cup_matrix_reference(datum.fixed_ring, datum.chi.cls, n)
-            for n in range(datum.push_top + 1)
+    push = datum.push_map
+    if datum.ambient_ring is datum.fixed_ring:
+        morphism = identity_morphism(datum.fixed)
+        columns = [
+            cup_columns_reference(datum.fixed_ring, datum.chi.cls, n)
+            for n in range(push.top + 1)
         ]
+    else:
+        morphism = datum.restrict_map.morphism
+        columns = [push.columns(n) for n in range(push.top + 1)]
+    ambient, fixed = CohomologyRing(datum.ambient), CohomologyRing(datum.fixed)
     copy = HamiltonianTransferDatum(
         name=datum.name,
-        ambient_ring=CohomologyRing(datum.ambient),
-        fixed_ring=CohomologyRing(datum.fixed),
-        restrict=datum.restrict,
-        push_matrices=push,
+        restrict_map=InducedMap(morphism, ambient, fixed),
+        push_map=InducedMap.stored(fixed, ambient, push.shift, columns),
         euler=datum.euler,
     )
     return validate_transfer_datum(copy)
+
+
+# -- maps on cohomology by dense coordinates ------------------------------------
+#
+# The package holds every map on cohomology as sparse class columns
+# (``InducedMap``).  These are the routes it took before: a coset scaled by
+# ``cup`` of its point and of each direction vector, spanned afresh, and a
+# pushforward given as dense rows, applied by a matrix-vector product.
+
+
+def scale_coset_reference(ring, xi, coset, n):
+    """The image of a coset of H^n under multiplication by xi."""
+    from masseyq.cohomology import CohomologyClass, cup
+    from masseyq.linalg import AffineCoset, Subspace
+
+    def scaled(v):
+        return cup(xi, CohomologyClass(ring, n, v)).coords
+
+    dim = ring.class_dim(n + xi.degree)
+    direction = Subspace.span(dim, [scaled(v) for v in coset.direction.basis])
+    return AffineCoset(scaled(coset.point), direction)
+
+
+def matvec_reference(rows, v):
+    """The dense product of a matrix, given as rows, with a vector."""
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows)
+
+
+# The rotation datum's pushforward in each even degree 2k, as the rows of
+# its matrix on class coordinates (eN h^k, eS h^k) -> (H(k+1), A(k+1)):
+# eN h^k -> A(k+1) and eS h^k -> A(k+1) - H(k+1).  Odd degrees are empty.
+ROTATION_PUSH_ROWS = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(1)))
 
 
 # -- triple Massey products from the definition -------------------------------

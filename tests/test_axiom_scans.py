@@ -153,7 +153,7 @@ def test_scans_agree_on_every_bundled_model_and_its_extension():
             _assert_morphism_scans_agree(tensor_retraction(ext, inner))
     datum = rotation_datum()
     _assert_algebra_scans_agree(datum.fixed)
-    _assert_morphism_scans_agree(datum.restrict)
+    _assert_morphism_scans_agree(datum.restrict_map.morphism)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -202,7 +202,7 @@ def _mutated_columns(f, rng, count):
 def test_morphism_scan_matches_the_reference(seed, kind, count, break_target):
     rng = random.Random(seed)
     if kind == "rotation":
-        f = rotation_datum().restrict
+        f = rotation_datum().restrict_map.morphism
     else:
         ext = _random_extension(rng)
         inner = ext.tensor_info.base

@@ -25,7 +25,7 @@ from masseyq.errors import (
     DegreeCapError,
     ParseError,
 )
-from masseyq.linalg import Matrix, densify
+from masseyq.linalg import densify
 from masseyq.models import two_points
 from oracles import (
     FreeCdgaOracle,
@@ -480,15 +480,20 @@ def test_morphism_degree_mismatch_rejected():
 
 def test_matrix_morphism_multiplicativity_checked():
     p = build_free_cdga([("u", 2)], {}, 4)
-    mats = [
-        Matrix([[1]]),
-        Matrix.zero(0, 0),
-        Matrix([[1]]),
-        Matrix.zero(0, 0),
-        Matrix.zero(1, 1),
-    ]
+    mats = [[[1]], [], [[1]], [], [[0]]]
     with pytest.raises(AlgebraValidationError, match="multiplicative"):
         build_morphism(p, p, matrices=mats)
+
+
+def test_matrix_morphism_rows_are_coerced_and_shape_checked():
+    p = build_free_cdga([("u", 2)], {}, 4)
+    with pytest.raises(TypeError, match="floats are not exact"):
+        build_morphism(p, p, matrices=[[[0.5]]])
+    a = build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {"z": "x*y"}, 2)
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        build_morphism(a, a, matrices=[[[1]], [[1, 0, 0], [0, 1], [0, 0, 1]]])
+    with pytest.raises(ValueError, match="^matrix shape 3x2 wrong in degree 1: want 3x3$"):
+        build_morphism(a, a, matrices=[[[1]], [[1, 0], [0, 1], [0, 0]]])
 
 
 def test_embedding_retraction_round_trip():

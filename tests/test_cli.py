@@ -349,19 +349,21 @@ def test_transfer_rotation_inconclusive(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, most",
+    "argv, code",
     [
         (["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1",
           "--cap", "12"], 0),
         (["theorem11", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1"], 0),
-        (["scan", "builtin:default"], 7),
+        (["scan", "builtin:default"], 0),
+        (["transfer", os.path.join(DATA, "rotation.datum"), "eN", "eS", "eN"], 12),
+        (["theorem11", "eN", "eS", "eN", "--datum", "builtin:rotation"], 12),
     ],
-    ids=["lemma32", "theorem11", "scan"],
+    ids=["lemma32", "theorem11", "scan", "transfer-rotation-file", "theorem11-rotation"],
 )
-def test_no_dense_matrix_on_the_request_path(capsys, monkeypatch, argv, most):
-    # Maps are held as sparse columns; a Matrix is built only for matrix
-    # data from outside, which on these requests is the rotation datum's
-    # seven pushforward matrices in the default scan.
+def test_no_dense_matrix_on_the_request_path(capsys, monkeypatch, argv, code):
+    # Every map on cohomology is held as sparse class columns, and matrix
+    # data from files and builtins is read straight into such columns: no
+    # request builds a dense Matrix.
     from masseyq.linalg import Matrix
 
     built = []
@@ -377,9 +379,9 @@ def test_no_dense_matrix_on_the_request_path(capsys, monkeypatch, argv, most):
 
     monkeypatch.setattr(Matrix, "__init__", counting_init)
     monkeypatch.setattr(Matrix, "_trusted", classmethod(counting_trusted))
-    assert cli.main(argv) == 0
+    assert cli.main(argv) == code
     capsys.readouterr()
-    assert len(built) <= most
+    assert built == []
 
 
 def _count_euler_work(monkeypatch):
@@ -685,6 +687,39 @@ def test_scan_directory_spec_is_a_parse_error(capsys, tmp_path, line, error):
 def test_scan_unknown_family(capsys):
     code, doc = run_json(capsys, "scan", "no-such-family")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ("cohomology", "builtin:nonexistent"),
+            "unknown model 'nonexistent'; known models: even-sphere, heisenberg, "
+            "point, rotation-ambient, sphere-cohomology, torus, "
+            "truncated-polynomial, two-points",
+        ),
+        (
+            ("transfer", "builtin:nonexistent", "eN", "eS", "eN"),
+            "unknown datum 'nonexistent'; known data: rotation, rotation-broken-push",
+        ),
+        (
+            ("scan", "builtin:nonexistent"),
+            "unknown family 'nonexistent'; known families: corrupted-demo, default",
+        ),
+        (
+            ("scan", "builtin:"),
+            "unknown family ''; known families: corrupted-demo, default",
+        ),
+    ],
+    ids=["model", "datum", "family", "family-empty-name"],
+)
+def test_unknown_builtin_spec_is_a_parse_error(capsys, argv, error):
+    # Model, datum and family specs share one resolver, so an unknown
+    # builtin name exits 2 with one line for each kind alike.
+    code, doc = run_json(capsys, *argv)
+    assert (code, doc["payload"]["error"]) == (2, error)
+    code, out = run(capsys, *argv)
+    assert (code, out) == (2, f"{argv[0]}: invalid-input\nerror: {error}\n")
 
 
 def test_structured_output_is_deterministic(capsys):

@@ -29,7 +29,7 @@ from masseyq.cohomology import (
     triple_massey,
 )
 from masseyq import cohomology, linalg
-from masseyq.linalg import Subspace, densify
+from masseyq.linalg import AffineCoset, Subspace, densify
 from masseyq.errors import AlgebraValidationError, ConsistencyError, DegreeCapError
 from masseyq.fileformat import resolve_model_spec
 from masseyq.models import builtin_model
@@ -43,6 +43,7 @@ from oracles import (
     massey_coset_oracle,
     projected_product_reference,
     random_free_cdga,
+    scale_coset_reference,
     tensor_embedding,
     tensor_retraction,
 )
@@ -633,6 +634,21 @@ def test_cup_matches_the_projected_product_of_lifts(drawn):
             assert [densify(col, dim) for col in columns] == [
                 _reference_product(fresh, a, e) for e in ring.basis_classes(n)
             ]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_rings_with_classes())
+def test_multiplication_map_matches_cup_and_the_scaled_coset_oracle(drawn):
+    # Each coset of H^n has a drawn class as its point and the other drawn
+    # classes of degree n as its direction.
+    ring, classes, pairs = drawn
+    for xi, x in pairs:
+        fmap = InducedMap.multiplication(xi)
+        assert fmap.apply(x) == cup(xi, x)
+        n = x.degree
+        others = [c.coords for c in classes if c.degree == n and c is not x]
+        coset = AffineCoset(x.coords, Subspace.span(ring.class_dim(n), others))
+        assert fmap.apply_coset(coset, n) == scale_coset_reference(ring, xi, coset, n)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

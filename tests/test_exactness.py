@@ -80,3 +80,48 @@ def test_guard_allows_names_relative_imports_and_the_stdlib():
         "ok = isinstance(x, float)\n"
     )
     assert _findings(ast.parse(source)) == []
+
+
+def _matrix_names(tree: ast.AST) -> list[str]:
+    """Every place a module names ``Matrix``: a name, an attribute, an
+    import or a string such as an ``__all__`` entry."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name == "Matrix":
+            found.append(f"line {getattr(node, 'lineno', '?')}: {type(node).__name__}")
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in _modules() if m != "linalg.py"])
+def test_no_module_but_linalg_names_matrix(module):
+    # Maps are sparse columns from the point of entry; the dense Matrix
+    # is a helper of linalg.py alone.
+    with open(os.path.join(SOURCE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _matrix_names(tree) == []
+
+
+def test_matrix_guard_sees_names_attributes_imports_and_strings():
+    source = (
+        "from .linalg import Matrix\n"
+        "m = linalg.Matrix\n"
+        "__all__ = ['Matrix']\n"
+        "def f(x: Matrix): pass\n"
+        "ok = 'a Matrix of data'\n"
+    )
+    assert _matrix_names(ast.parse(source)) == [
+        "line 1: alias",
+        "line 2: Attribute",
+        "line 3: Constant",
+        "line 4: Name",
+    ]

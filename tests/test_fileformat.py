@@ -49,7 +49,6 @@ def test_free_algebra_headerless():
     doc = parse_algebra_document(HEISENBERG_TEXT)
     ring = CohomologyRing(doc.algebra)
     assert ring.betti() == (1, 2, 2, 1)
-    assert doc.bundles == []
 
 
 def test_free_algebra_matches_builtin():
@@ -75,21 +74,14 @@ def test_table_algebra_with_cap_padding():
     assert (a.unit() - en - es).is_zero()
 
 
-def test_bundles_section():
-    doc = parse_algebra_document(
-        HEISENBERG_TEXT + "\n[bundles]\nbundle c1 = x*z weight = 2\nbundle weight = 1\n"
-    )
-    assert len(doc.bundles) == 2
-    assert doc.bundles[0].weight == 2
-    assert doc.bundles[0].c1 == "x*z"
-    assert doc.bundles[1].c1 is None
-
-
 def test_bundle_errors_carry_the_file_line_only():
-    text = HEISENBERG_TEXT + "\n[bundles]\nbundle weight = 1\nbundle weight =\n"
+    text = (
+        "[config]\nmodel = builtin:heisenberg\ntriple = x | x | y\n"
+        "bundle weight = 1\nbundle weight =\n"
+    )
     bad_line = text.splitlines().index("bundle weight =") + 1
     with pytest.raises(ParseError, match=rf"^line {bad_line}: bundle lines read"):
-        parse_algebra_document(text)
+        parse_family_document(text)
     with pytest.raises(ParseError, match=r"^bundle lines read") as info:
         parse_bundle_line("bundle weight =")
     assert info.value.line is None
@@ -114,6 +106,7 @@ def test_parse_error_carries_line_number():
         ("gen x : 1", "needs a cap"),
         ("cap = 2\ncap = 3\ngen x : 1", "cap given twice"),
         ("[what]\ncap = 2", "unexpected section"),
+        ("cap = 2\ngen x : 1\n[bundles]\nbundle weight = 1", "line 3: unexpected section [bundles]"),
         ("[broken\ncap = 2", "malformed section header"),
         ("cap = 1\nbasis 0 : e\nbasis 0 : f", "second basis stanza"),
         ("cap = 1\nbasis 0 : e e", "repeats"),
@@ -182,8 +175,10 @@ def test_datum_file_matches_builtin():
     ref = rotation_datum()
     assert datum.m == ref.m
     for n in range(9):
-        assert datum.restrict.columns(n) == ref.restrict.columns(n)
-    assert list(datum.push_matrices) == list(ref.push_matrices)
+        assert datum.restrict_map.morphism.columns(n) == ref.restrict_map.morphism.columns(n)
+    assert datum.push_map.top == ref.push_map.top
+    for n in range(ref.push_map.top + 1):
+        assert datum.push_map.columns(n) == ref.push_map.columns(n)
 
 
 MINI_DATUM = """
@@ -212,7 +207,7 @@ push[0] = 1
 def test_minimal_datum_parses():
     datum = parse_datum_document(MINI_DATUM, name="mini")
     assert datum.name == "mini"
-    assert datum.push_top == 0
+    assert datum.push_map.top == 0
     assert datum.fixed.cap == 4
 
 

@@ -127,7 +127,8 @@ CASES = [
     ("scan-tautological-bundle-and-m", ["scan", "tautological-bundle-and-m.family"], 2),
     ("scan-tautological-m-without-chi", ["scan", "tautological-m-without-chi.family"], 2),
     ("scan-tautological-chi-without-m", ["scan", "tautological-chi-without-m.family"], 2),
-    ("cohomology-heisenberg-bundles", ["cohomology", "heisenberg-bundles.alg"], 0),
+    ("cohomology-heisenberg-bundles", ["cohomology", "heisenberg-bundles.alg"], 2),
+    ("scan-unknown-builtin", ["scan", "builtin:nonexistent"], 2),
 ]
 
 

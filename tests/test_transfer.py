@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from masseyq.cdga import AlgebraMorphism, build_free_cdga, identity_morphism
 from masseyq.cohomology import (
     CohomologyClass,
     CohomologyRing,
+    InducedMap,
     check_functoriality,
     check_scaling_law,
     cup,
@@ -25,7 +27,8 @@ from masseyq.errors import (
     PremiseError,
     UndefinedProductError,
 )
-from masseyq.linalg import Matrix, solve_rows, transpose
+from masseyq.fileformat import load_datum
+from masseyq.linalg import solve_rows, transpose
 from masseyq.models import (
     BUILTIN_MODELS,
     broken_projection_datum,
@@ -61,10 +64,12 @@ from masseyq.transfer import (
     verify_not_zero_divisor,
 )
 from oracles import (
+    ROTATION_PUSH_ROWS,
     block_map_mismatches,
     bundle_polynomial,
-    cup_matrix_reference,
+    cup_columns_reference,
     full_datum_findings,
+    matvec_reference,
     random_free_cdga,
     zero_divisor_rank_scan,
 )
@@ -577,15 +582,18 @@ def test_broken_projection_formula_is_rejected_with_a_witness():
 
 def test_non_injective_restriction_is_rejected():
     good = rotation_datum()
-    columns = [good.restrict.columns(n) for n in range(good.restrict.trust_cap + 1)]
+    morphism = good.restrict_map.morphism
+    columns = [morphism.columns(n) for n in range(morphism.trust_cap + 1)]
     one = Fraction(1)
     columns[2] = [{0: one, 1: one}, {0: one, 1: one}]
     bad = HamiltonianTransferDatum(
         name="squashed",
-        ambient_ring=good.ambient_ring,
-        fixed_ring=good.fixed_ring,
-        restrict=AlgebraMorphism(good.ambient, good.fixed, columns),
-        push_matrices=good.push_matrices,
+        restrict_map=InducedMap(
+            AlgebraMorphism(good.ambient, good.fixed, columns),
+            good.ambient_ring,
+            good.fixed_ring,
+        ),
+        push_map=good.push_map,
         euler=good.euler,
     )
     findings = validate_transfer_datum(bad)
@@ -607,18 +615,27 @@ def test_identity_restriction_is_not_rescanned(monkeypatch):
 def test_non_identity_endomorphism_restriction_is_scanned():
     # Doubling degree 1 keeps source == target but breaks both d-commutation
     # (d z = x*y) and multiplicativity, so the full scan must report it.
+    # The datum gets two rings of its own: one ring on both sides marks
+    # the tautological datum.
     good = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=8)
-    columns = [good.restrict.columns(n) for n in range(good.restrict.trust_cap + 1)]
+    identity = identity_morphism(good.fixed)
+    columns = [identity.columns(n) for n in range(identity.trust_cap + 1)]
     columns[1] = [{i: Fraction(2)} for i in range(good.ambient.dim(1))]
+    ambient, fixed = CohomologyRing(good.ambient), CohomologyRing(good.fixed)
     bad = HamiltonianTransferDatum(
         name="doubled",
-        ambient_ring=good.ambient_ring,
-        fixed_ring=good.fixed_ring,
-        restrict=AlgebraMorphism(good.ambient, good.fixed, columns),
-        push_matrices=[
-            cup_matrix_reference(good.fixed_ring, good.chi.cls, n)
-            for n in range(good.push_top + 1)
-        ],
+        restrict_map=InducedMap(
+            AlgebraMorphism(good.ambient, good.fixed, columns), ambient, fixed
+        ),
+        push_map=InducedMap.stored(
+            fixed,
+            ambient,
+            2,
+            [
+                cup_columns_reference(good.fixed_ring, good.chi.cls, n)
+                for n in range(good.push_map.top + 1)
+            ],
+        ),
         euler=good.euler,
     )
     findings = validate_transfer_datum(bad)
@@ -629,29 +646,32 @@ def test_non_identity_endomorphism_restriction_is_scanned():
 
 
 def test_wrong_push_shape_is_rejected():
+    # Degree 2 runs from a 2-dimensional H^2 to a 2-dimensional H^4.
     good = rotation_datum()
-    push = list(good.push_matrices)
-    push[2] = Matrix([[1, 0, 0], [0, 1, 0]], cols=3)
-    bad = HamiltonianTransferDatum(
-        name="misshapen",
-        ambient_ring=good.ambient_ring,
-        fixed_ring=good.fixed_ring,
-        restrict=good.restrict,
-        push_matrices=push,
-        euler=good.euler,
-    )
-    findings = validate_transfer_datum(bad)
-    assert any("degree 2" in f for f in findings)
+    one = Fraction(1)
+    for columns, finding in (
+        ([{0: one}, {1: one}, {}], "has 3 columns, want 2"),
+        ([{0: one}, {2: one}], "has an entry in row 2, want 2 rows"),
+    ):
+        push = [good.push_map.columns(n) for n in range(good.push_map.top + 1)]
+        push[2] = columns
+        bad = HamiltonianTransferDatum(
+            name="misshapen",
+            restrict_map=good.restrict_map,
+            push_map=InducedMap.stored(good.fixed_ring, good.ambient_ring, 2, push),
+            euler=good.euler,
+        )
+        assert validate_transfer_datum(bad) == [
+            f"pushforward matrix in degree 2 {finding}"
+        ]
 
 
 def test_nonpositive_m_is_rejected():
     good = rotation_datum()
     bad = HamiltonianTransferDatum(
         name="flat",
-        ambient_ring=good.ambient_ring,
-        fixed_ring=good.fixed_ring,
-        restrict=good.restrict,
-        push_matrices=good.push_matrices,
+        restrict_map=good.restrict_map,
+        push_map=good.push_map,
         euler=EulerData.of(chi=good.euler.polynomial, m=0),
     )
     assert validate_transfer_datum(bad) == ["m must be at least 1, got 0"]
@@ -662,10 +682,8 @@ def test_fixed_model_must_be_an_extension():
     ring = CohomologyRing(a)
     bad = HamiltonianTransferDatum(
         name="bare",
-        ambient_ring=ring,
-        fixed_ring=ring,
-        restrict=identity_morphism(a),
-        push_matrices=[],
+        restrict_map=InducedMap(identity_morphism(a), ring, ring),
+        push_map=InducedMap.stored(ring, ring, 2, []),
         euler=EulerData.of(chi="x*z", m=1),
     )
     findings = validate_transfer_datum(bad)
@@ -689,11 +707,34 @@ def test_rotation_pushforward_is_forced_by_the_projection_formula():
             e = fixed.named_element(nm) * power
             target = chi_el * e
             n = 2 * k + 2
-            rows = transpose(datum.restrict.columns(n), fixed.dim(n))
+            rows = transpose(datum.restrict_map.morphism.columns(n), fixed.dim(n))
             col = solve_rows(rows, datum.ambient.dim(n), target.coords)
             assert col is not None
             pushed = datum.push(fring.project(e))
             assert tuple(pushed.coords) == tuple(col)
+
+
+_ROTATION_FILE = os.path.join(os.path.dirname(__file__), "..", "data", "rotation.datum")
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    st.lists(st.sampled_from([Fraction(c, 2) for c in range(-4, 5)]), min_size=2, max_size=2),
+    st.booleans(),
+)
+def test_rotation_push_matches_the_dense_matvec(coords, from_file):
+    # The pushforward is held as sparse columns; the reference multiplies
+    # the class coordinates by its dense matrix, on every basis class and
+    # on one drawn class per even degree.
+    datum = load_datum(_ROTATION_FILE) if from_file else rotation_datum()
+    fring = datum.fixed_ring
+    for n in range(datum.push_map.top + 1):
+        rows = ROTATION_PUSH_ROWS if n % 2 == 0 else ()
+        classes = fring.basis_classes(n)
+        if n % 2 == 0:
+            classes.append(CohomologyClass(fring, n, coords))
+        for e in classes:
+            assert datum.push(e).coords == matvec_reference(rows, e.coords)
 
 
 # ---------------------------------------------------------------------------
