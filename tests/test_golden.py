@@ -97,6 +97,11 @@ CASES = [
         3,
     ),
     (
+        "lemma32-heisenberg-chi-wrong-degree",
+        ["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h*h", "--m", "1"],
+        3,
+    ),
+    (
         "theorem11-two-points-zero-divisor",
         ["theorem11", "builtin:two-points", "eN", "eS", "eN", "--chi", "eN*h", "--m", "1"],
         3,
