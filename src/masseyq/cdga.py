@@ -8,7 +8,7 @@ presentation takes explicit per-degree dimensions, structure constants and
 differentials, and is validated against the graded axioms on
 construction.  The degree-2 extension of a valid base is valid by
 construction and is not checked again; its maps to and from the base are
-read off the cohomology's class blocks (see transfer.build_setup).
+read off the cohomology's class blocks (see InducedMap.leading_block).
 validate_algebra and validate_morphism scan tables and user-supplied
 maps once, where they enter, reading the structure constants directly.
 A morphism is held as sparse columns, into which matrix data is read once.
@@ -505,6 +505,9 @@ class CochainAlgebra:
                 raise AlgebraValidationError(
                     f"polynomial is not homogeneous: term of degree {term_degree} "
                     f"next to degree {degree}"
+                    if expected_degree is None
+                    else f"polynomial has a term of degree {term_degree}, "
+                    f"expected degree {degree}"
                 )
             result = term if result is None else result + term
         if result is not None:

@@ -143,7 +143,7 @@ def _massey_payload(res: MasseyResult) -> dict:
 
 
 def _euler_scaled_payload(rep: EulerScaledReport) -> dict:
-    h_table = class_h_components(rep.setup.ext_ring, rep.witness)
+    h_table = class_h_components(rep.witness)
     payload: dict = {
         "verdict": rep.verdict,
         "degrees": list(rep.degrees),
@@ -272,9 +272,8 @@ def _cmd_euler(args) -> Report:
     model = _resolve_model(args.model, None)
     euler = _euler_data(args)
     cap = max(model.cap, 2 * euler.m + 1, args.cap or 0)
-    setup = build_setup(model, cap)
-    chi = euler.build(setup)
-    h_table = class_h_components(setup.ext_ring, chi.cls)
+    chi = euler.build(build_setup(model, cap))
+    h_table = class_h_components(chi.cls)
     payload = {
         "model": args.model,
         "m": chi.m,

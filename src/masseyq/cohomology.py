@@ -204,16 +204,16 @@ class CohomologyRing:
 
     The block ring caches the products of base classes: the nonzero
     (class index, coefficient) terms of e_i * e_j, filled on first use by
-    projecting the product of the two base representatives, cocycle check
-    included.  ``_product`` shifts them into the class block of h^(a+b),
-    as (e h^a)(f h^b) = (e f) h^(a+b).  Only the pairs some product needs
-    are filled, and the caches live exactly as long as the rings.
+    reducing the product of the two base representatives, a cocycle by
+    the Leibniz rule, against the coboundaries.  ``_product`` shifts them
+    into the class block of h^(a+b), as (e h^a)(f h^b) = (e f) h^(a+b).
+    Only the pairs some product needs are filled, and the caches live
+    exactly as long as the rings.
 
     A table base is not re-capped, and no differential is stored out of
     its cap, neither in the base nor in the extension.  So the block of
     base degree cap is all cocycles, its coboundaries are the image of d
-    out of degree cap - 1, a product landing there is reduced without a
-    cocycle check, and products above the base cap are zero.
+    out of degree cap - 1, and products above the base cap are zero.
     """
 
     def __init__(self, algebra: CochainAlgebra):
@@ -384,11 +384,8 @@ class CohomologyRing:
             else:
                 left = Element._trusted(a, p, self._block(p).representatives[i])
                 right = Element._trusted(a, q, self._block(q).representatives[j])
-                product = left * right
-                if n < a.cap:
-                    coords = self.project(product).coords
-                else:
-                    coords = _class_coords(self._block(n), product.terms)
+                # a cocycle by Leibniz: reduced without a cocycle check
+                coords = _class_coords(self._block(n), (left * right).terms)
                 entry = tuple((k, v) for k, v in enumerate(coords) if v)
             self._base_products[key] = entry
         return entry

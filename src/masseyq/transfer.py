@@ -1,10 +1,11 @@
 """Euler-class machinery for circle actions and the transfer of products.
 
 The central objects are an equivariant model of a fixed-point component
-(the base algebra with a central degree-2 polynomial generator adjoined),
-Euler data (weighted line bundles, or a class polynomial with m) and the
-Euler class it builds, and a transfer datum tying an ambient equivariant
-model to the fixed one through restriction and pushforward maps.
+(the cohomology ring of the base algebra with a central degree-2
+polynomial generator adjoined), Euler data (weighted line bundles, or a
+class polynomial with m) and the Euler class it builds, and a transfer
+datum tying an ambient equivariant model to the fixed one through
+restriction and pushforward maps.
 
 A verdict on ideal membership is whether the ideal's degree piece, the
 indeterminacy a triple product has eliminated, holds the class.  Its
@@ -63,63 +64,27 @@ ClassInput = Union[str, list, CohomologyClass]
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class EquivariantSetup:
-    """A base algebra, its degree-2 extension, and the maps between them."""
-
-    base: CochainAlgebra
-    ext: CochainAlgebra
-    base_ring: CohomologyRing
-    ext_ring: CohomologyRing
-    embed: InducedMap
-    retract: InducedMap
-
-    @property
-    def hname(self) -> str:
-        return self.ext.tensor_info.hname
-
-    @classmethod
-    def of_ring(cls, ext_ring: CohomologyRing) -> "EquivariantSetup":
-        """The setup of an extension ring and its block ring.
-
-        The embedding and the retraction copy the coordinates of the h^0
-        class block (``InducedMap.leading_block``).
-        """
-        base_ring = ext_ring.block_ring
-        return cls(
-            base=base_ring.algebra,
-            ext=ext_ring.algebra,
-            base_ring=base_ring,
-            ext_ring=ext_ring,
-            embed=InducedMap.leading_block(base_ring, ext_ring),
-            retract=InducedMap.leading_block(ext_ring, base_ring),
-        )
-
-
 def build_setup(
     base: CochainAlgebra, cap: Optional[int] = None, hname: str = "h"
-) -> EquivariantSetup:
-    """The equivariant model of a trivial circle action on the base.
-
-    The extension ring works block by block through the ring of its own
-    base (the re-capped copy of a free base), so that one ring serves as
-    ``base_ring``: the base cohomology and its structure constants are
-    computed once, for the embedding, the retraction and every h-power
-    block of the extension alike.
+) -> CohomologyRing:
+    """The equivariant model of a trivial circle action on the base: the
+    cohomology ring of base (x) Q[h].  Its ``block_ring`` is the ring of
+    its own base (the re-capped copy of a free base), computed once for
+    every h-power block; the embedding and the retraction h = 0 are
+    ``InducedMap.leading_block`` between the two.
     """
-    ext = tensor_polynomial_generator(base, hname, cap=cap)
-    return EquivariantSetup.of_ring(CohomologyRing(ext))
+    return CohomologyRing(tensor_polynomial_generator(base, hname, cap=cap))
 
 
 class SetupTable:
-    """The equivariant setups of one request, one per (base, cap, h name),
-    and their Euler classes, one per (setup, Euler data).
+    """The equivariant setups of one request, an extension ring per (base,
+    cap, h name), and their Euler classes, one per (ring, Euler data).
 
     A caller makes one table per request, passes it to everything that
     needs a setup and drops it with the request; nothing outlives it.
     Bases and Euler data are told apart by object: a request resolves
-    each spec once, so configs over one model share its setup, while two
-    equal bases given as distinct objects get a setup each.  A new setup
+    each spec once, so configs over one model share its ring, while two
+    equal bases given as distinct objects get a ring each.  A new ring
     is also filed under its own base, the re-capped copy of a free base,
     which is where the Euler stage over a datum built from the table
     looks; there it finds the datum's own Euler class.
@@ -129,31 +94,32 @@ class SetupTable:
         # id() keys; each entry holds what it was keyed by, so the id is
         # not reused while the table lives.
         self._setups: dict[
-            tuple[int, int, str], tuple[CochainAlgebra, EquivariantSetup]
+            tuple[int, int, str], tuple[CochainAlgebra, CohomologyRing]
         ] = {}
         self._classes: dict[
-            tuple[int, int], tuple[EquivariantSetup, EulerData, EulerClass]
+            tuple[int, int], tuple[CohomologyRing, EulerData, EulerClass]
         ] = {}
 
     def setup(
         self, base: CochainAlgebra, cap: Optional[int] = None, hname: str = "h"
-    ) -> EquivariantSetup:
+    ) -> CohomologyRing:
         """``build_setup(base, cap, hname)``, built once per table."""
         cap = base.cap if cap is None else cap
         key = (id(base), cap, hname)
         entry = self._setups.get(key)
         if entry is None:
-            setup = build_setup(base, cap, hname)
-            entry = self._setups[key] = (base, setup)
-            self._setups.setdefault((id(setup.base), cap, hname), (setup.base, setup))
+            ring = build_setup(base, cap, hname)
+            entry = self._setups[key] = (base, ring)
+            inner = ring.block_ring.algebra
+            self._setups.setdefault((id(inner), cap, hname), (inner, ring))
         return entry[1]
 
-    def euler_class(self, setup: EquivariantSetup, euler: EulerData) -> EulerClass:
-        """``euler.build(setup)``, built once per table."""
-        key = (id(setup), id(euler))
+    def euler_class(self, ring: CohomologyRing, euler: EulerData) -> EulerClass:
+        """``euler.build(ring)``, built once per table."""
+        key = (id(ring), id(euler))
         entry = self._classes.get(key)
         if entry is None:
-            entry = self._classes[key] = (setup, euler, euler.build(setup))
+            entry = self._classes[key] = (ring, euler, euler.build(ring))
         return entry[2]
 
 
@@ -207,36 +173,14 @@ def as_class(ring: CohomologyRing, value: ClassInput) -> CohomologyClass:
 # --------------------------------------------------------------------------
 
 
-def h_components(el: Element) -> dict[int, Element]:
-    """Split an element of an extension into base elements per h power.
-
-    Blocks padded in above the stored base cap are zero by construction
-    and are omitted.
-    """
-    info = el.algebra.tensor_info
-    if info is None:
-        raise AlgebraValidationError(
-            "element does not live in a polynomial-generator extension"
-        )
-    base = info.base
-    out = {}
-    for j, bdeg, off, size in info.blocks[el.degree]:
-        if bdeg > base.cap:
-            continue
-        terms = {k - off: c for k, c in el.terms.items() if off <= k < off + size}
-        out[j] = Element._trusted(base, bdeg, terms)
-    return out
-
-
-def class_h_components(
-    ring: CohomologyRing, cls: CohomologyClass
-) -> dict[int, CohomologyClass]:
+def class_h_components(cls: CohomologyClass) -> dict[int, CohomologyClass]:
     """The nonzero base-class coefficients of an extension class.
 
     They are classes of the extension ring's block ring, whose class
     coordinates are those of ``cls`` in each h-power block; vanishing
     coefficients are omitted.
     """
+    ring = cls.ring
     base_ring = ring.block_ring
     out = {}
     for j in range(cls.degree // 2 + 1):
@@ -281,7 +225,13 @@ class EulerClass:
     element: Element
     m: int
     weights: Optional[tuple[int, ...]]
-    top_coefficient: CohomologyClass
+
+    @cached_property
+    def top_coefficient(self) -> CohomologyClass:
+        """The h^m class block of ``cls``, a class of the block ring."""
+        ring = self.cls.ring
+        coords = ring.h_block(self.cls, self.m)
+        return CohomologyClass._trusted(ring.block_ring, 0, coords)
 
     @cached_property
     def zero_divisor(self) -> ZeroDivisorReport:
@@ -314,7 +264,7 @@ class EulerData:
 
     Made by ``EulerData.of``, which owns the rule that exactly one of the
     two forms is given, and turned into a class by ``build``.  Each
-    ``SetupTable`` builds one class per setup and Euler-data object.
+    ``SetupTable`` builds one class per ring and Euler-data object.
     """
 
     bundles: Optional[tuple[WeightedLineBundle, ...]]
@@ -340,21 +290,21 @@ class EulerData:
             raise ParseError(words[1], line=line)
         return cls(None, chi, m)
 
-    def build(self, setup: EquivariantSetup) -> EulerClass:
-        """The Euler class in the setup's extension ring."""
+    def build(self, ring: CohomologyRing) -> EulerClass:
+        """The Euler class in an extension ring."""
         if self.bundles is not None:
-            return euler_class(setup, self.bundles)
-        return euler_class_from_polynomial(setup, self.polynomial, self.m)
+            return euler_class(ring, self.bundles)
+        return euler_class_from_polynomial(ring, self.polynomial, self.m)
 
 
 def euler_class(
-    setup: EquivariantSetup, bundles: Sequence[WeightedLineBundle]
+    ring: CohomologyRing, bundles: Sequence[WeightedLineBundle]
 ) -> EulerClass:
-    """Multiply out the Euler class of a sum of weighted line bundles."""
+    """Multiply out the Euler class of weighted line bundles in a ring."""
     if not bundles:
         raise AlgebraValidationError("at least one line bundle is required")
-    ext = setup.ext
-    h_el = ext.named_element(setup.hname)
+    ext = ring.algebra
+    h_el = ext.named_element(ext.tensor_info.hname)
     chi = ext.unit()
     weights = []
     for i, b in enumerate(bundles):
@@ -368,59 +318,48 @@ def euler_class(
             raise AlgebraValidationError(
                 f"bundle {i} first Chern class is not a cocycle"
             )
-        for j, comp in h_components(c1).items():
-            if j >= 1 and not comp.is_zero():
-                raise AlgebraValidationError(
-                    f"bundle {i} first Chern class must come from the base "
-                    "(no h terms)"
-                )
+        # the h^0 block comes first in each degree; a term past it has h
+        if max(c1.terms, default=-1) >= ext.tensor_info.block(2, 0)[3]:
+            raise AlgebraValidationError(
+                f"bundle {i} first Chern class must come from the base "
+                "(no h terms)"
+            )
         chi = chi * (c1 + h_el.scale(b.weight))
         weights.append(b.weight)
     m = len(bundles)
     lead = Fraction(1)
     for k in weights:
         lead *= k
-    top = h_components(chi).get(m)
-    expected = setup.base.unit().scale(lead)
-    if top is None or top != expected:
+    # each h-part of a cocycle is a cocycle, and one of degree 0 is zero
+    # exactly when its class is: the class blocks are the coefficients
+    cls = ring.project(chi)
+    if ring.h_block(cls, m) != ring.block_ring.unit_class().scale(lead).coords:
         raise ConsistencyError(
             "top h coefficient of the Euler class is not the product of "
             "the weights"
         )
-    return EulerClass(
-        cls=setup.ext_ring.project(chi),
-        element=chi,
-        m=m,
-        weights=tuple(weights),
-        top_coefficient=setup.base_ring.project(top),
-    )
+    return EulerClass(cls=cls, element=chi, m=m, weights=tuple(weights))
 
 
 def euler_class_from_polynomial(
-    setup: EquivariantSetup, poly: PolyInput, m: int
+    ring: CohomologyRing, poly: PolyInput, m: int
 ) -> EulerClass:
     """An Euler class given directly, e.g. for a disconnected fixed set."""
     if m < 1:
         raise AlgebraValidationError("m must be at least 1")
-    el = setup.ext.from_polynomial(poly, expected_degree=2 * m)
+    el = ring.algebra.from_polynomial(poly, expected_degree=2 * m)
     if not el.d().is_zero():
         raise EulerClassError(
             "Euler class polynomial is not a cocycle", "Euler class is not a cocycle"
         )
-    top = h_components(el).get(m)
-    if top is None or top.is_zero():
+    cls = ring.project(el)
+    if not any(ring.h_block(cls, m)):
         raise EulerClassError(
             f"Euler class must have a nonzero h^{m} coefficient",
             f"Euler class has no h^{m} term; it cannot come from a rank {m} "
             "normal bundle",
         )
-    return EulerClass(
-        cls=setup.ext_ring.project(el),
-        element=el,
-        m=m,
-        weights=None,
-        top_coefficient=setup.base_ring.project(top),
-    )
+    return EulerClass(cls=cls, element=el, m=m, weights=None)
 
 
 @dataclass(frozen=True)
@@ -456,10 +395,10 @@ def verify_not_zero_divisor(
 
 
 def _top_is_unit(ring: CohomologyRing, chi: EulerClass) -> bool:
-    """Whether the h^m class block c of chi has an inverse u in H^0 of the
+    """Whether the top coefficient c of chi has an inverse u in H^0 of the
     base: one solve of c u = 1, checked by ``cup``."""
     base = ring.block_ring
-    c = CohomologyClass._trusted(base, 0, ring.h_block(chi.cls, chi.m))
+    c = chi.top_coefficient
     one = base.unit_class()
     dim = base.class_dim(0)
     sol = solve_rows(transpose(ideal_products(base, [c], 0), dim), dim, one.coords)
@@ -508,7 +447,6 @@ class HComparisonReport:
 
 
 def h_comparison_check(
-    setup: EquivariantSetup,
     chi: EulerClass,
     z: CohomologyClass,
     scaled: MasseyResult,
@@ -526,7 +464,8 @@ def h_comparison_check(
     divisor, so chi^2 x = u a + w b on the nose, and reading off the
     h^(2m) coefficient writes the base class x inside the base ideal (u, w).
     """
-    ring = setup.ext_ring
+    ring = chi.cls.ring
+    base_ring = ring.block_ring
     chi_u, _, chi_w = scaled.inputs
     certificate = certify_ideal_membership(
         chi_u, chi_w, z, scaled.ideal_columns, scaled.indeterminacy
@@ -535,9 +474,10 @@ def h_comparison_check(
         return HComparisonReport(fired=True)
     a_cls, b_cls = certificate.coefficients
 
-    x_ext = setup.embed.apply(x)
-    u_ext = setup.embed.apply(u)
-    w_ext = setup.embed.apply(w)
+    embed = InducedMap.leading_block(base_ring, ring)
+    x_ext = embed.apply(x)
+    u_ext = embed.apply(u)
+    w_ext = embed.apply(w)
     chi2 = cup(chi.cls, chi.cls)
     t = cup(chi2, x_ext) - cup(u_ext, a_cls) - cup(w_ext, b_cls)
     if not cup(chi.cls, t).is_zero():
@@ -550,11 +490,10 @@ def h_comparison_check(
             "zero-divisor check passed"
         )
 
-    base_ring = setup.base_ring
     two_m = 2 * chi.m
-    a_comp = class_h_components(ring, a_cls).get(two_m)
-    b_comp = class_h_components(ring, b_cls).get(two_m)
-    lam = class_h_components(ring, chi2).get(two_m)
+    a_comp = class_h_components(a_cls).get(two_m)
+    b_comp = class_h_components(b_cls).get(two_m)
+    lam = class_h_components(chi2).get(two_m)
 
     extracted = matches = None
     scalar = _unit_multiple(base_ring, lam)
@@ -606,7 +545,7 @@ def _unit_multiple(
 class EulerScaledReport:
     """Full audit trail of the Euler-scaled triple product check."""
 
-    setup: EquivariantSetup
+    ring: CohomologyRing
     chi: EulerClass
     degrees: tuple[int, int, int]
     ext_cap: int
@@ -664,21 +603,23 @@ def check_euler_scaled_massey(
     product but outside the ideal of the scaled outer classes, so the
     scaled product cannot vanish.  The cap is sized automatically from
     the input degrees and never truncates the given base presentation.
-    With ``setups`` the extension and the Euler class come from that table.
+    With ``setups`` the extension ring and the Euler class come from that
+    table.
     """
     required = required_cap(base, u, v, w, euler.m)
     cap = max(required, min_cap or 0, base.cap)
     setups = setups or SetupTable()
-    setup = setups.setup(base, cap, hname)
-    chi = setups.euler_class(setup, euler)
+    ring = setups.setup(base, cap, hname)
+    base_ring = ring.block_ring
+    chi = setups.euler_class(ring, euler)
 
     zero_divisor = chi.zero_divisor
     if not zero_divisor.ok:
         raise AlgebraValidationError(_ZERO_DIVISOR.format(zero_divisor.failed_degree))
 
-    u_cls = as_class(setup.base_ring, u)
-    v_cls = as_class(setup.base_ring, v)
-    w_cls = as_class(setup.base_ring, w)
+    u_cls = as_class(base_ring, u)
+    v_cls = as_class(base_ring, v)
+    w_cls = as_class(base_ring, w)
 
     try:
         base_result = triple_massey(u_cls, v_cls, w_cls)
@@ -693,9 +634,10 @@ def check_euler_scaled_massey(
             "the base triple product vanishes; there is nothing to scale"
         )
 
-    U = setup.embed.apply(u_cls)
-    V = setup.embed.apply(v_cls)
-    W = setup.embed.apply(w_cls)
+    embed = InducedMap.leading_block(base_ring, ring)
+    U = embed.apply(u_cls)
+    V = embed.apply(v_cls)
+    W = embed.apply(w_cls)
     embedded_result = triple_massey(U, V, W)
     if not embedded_result.defined:
         raise ConsistencyError(
@@ -703,7 +645,7 @@ def check_euler_scaled_massey(
         )
     direct_nonvanish = not embedded_result.vanishes
 
-    retracted = setup.retract.apply_coset(
+    retracted = InducedMap.leading_block(ring, base_ring).apply_coset(
         embedded_result.coset, embedded_result.degree
     )
     h0_containment = ContainmentReport.of(retracted, base_result.coset)
@@ -714,7 +656,7 @@ def check_euler_scaled_massey(
             "embedded product"
         )
 
-    pushed = setup.embed.apply_coset(base_result.coset, base_result.degree)
+    pushed = embed.apply_coset(base_result.coset, base_result.degree)
     embed_functoriality = ContainmentReport.of(pushed, embedded_result.coset)
     if not embed_functoriality.holds:
         raise ConsistencyError(
@@ -731,7 +673,7 @@ def check_euler_scaled_massey(
                 f"scaling containment fails at step {step} of the chain"
             )
 
-    x_ext = setup.embed.apply(base_result.rep_class)
+    x_ext = embed.apply(base_result.rep_class)
     z = cup(chi.cls, cup(chi.cls, cup(chi.cls, x_ext)))
     witness_in_scaled = scaled_result.coset.contains(z.coords)
     if not witness_in_scaled:
@@ -743,12 +685,12 @@ def check_euler_scaled_massey(
     # z lies in the coset, so it avoids the indeterminacy exactly when the
     # product does not vanish: the certificate decides both at once
     machinery = h_comparison_check(
-        setup, chi, z, scaled_result, u_cls, w_cls, base_result.rep_class
+        chi, z, scaled_result, u_cls, w_cls, base_result.rep_class
     )
 
     verdict = "non-vanishing" if machinery.fired else "vanishes"
     return EulerScaledReport(
-        setup=setup,
+        ring=ring,
         chi=chi,
         degrees=(u_cls.degree, v_cls.degree, w_cls.degree),
         ext_cap=cap,
@@ -785,10 +727,8 @@ class HamiltonianTransferDatum:
     a cochain-level ring map, its ``morphism``, and a stored pushforward
     is read in from datum data.  ``euler`` is the datum's Euler data and
     ``chi`` its one Euler class in the fixed ring.  The defining relation
-    is restrict(push(x)) = chi * x.  A datum whose two rings are one
-    object is the tautological datum of ``tautological_datum``: identity
-    restriction, push = multiplication by chi.  ``findings`` validates the
-    datum once per object.
+    is restrict(push(x)) = chi * x.  ``findings`` validates the datum
+    once per object.
     """
 
     def __init__(
@@ -818,7 +758,7 @@ class HamiltonianTransferDatum:
         """The Euler class in the fixed ring, built from ``euler`` on first
         use; raises when the Euler data gives no class."""
         if self._chi is None:
-            self._chi = self.euler.build(EquivariantSetup.of_ring(self.fixed_ring))
+            self._chi = self.euler.build(self.fixed_ring)
         return self._chi
 
     @cached_property
@@ -840,6 +780,13 @@ class HamiltonianTransferDatum:
         return f"HamiltonianTransferDatum({self.name!r}, m={self.m})"
 
 
+class TautologicalDatum(HamiltonianTransferDatum):
+    """The datum of ``tautological_datum``, the only place one is built:
+    one ring on both sides, identity restriction, push = multiplication
+    by chi.  Its type marks it as trusted by ``validate_transfer_datum``.
+    """
+
+
 def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     """All structural findings against a transfer datum, empty when valid.
 
@@ -853,11 +800,10 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     restriction are checked independently, and a finding against either
     ends the checks after both.
 
-    A datum whose two rings are one object is the tautological datum
-    (identity restriction, push = multiplication by chi): past the checks
-    on m and the fixed model, only the zero-divisor check can fail on it,
-    and a class chi kills in its failed degree is a kernel class of push,
-    so that is all it runs.
+    On a ``TautologicalDatum`` (identity restriction, push =
+    multiplication by chi), past the checks on m and the fixed model,
+    only the zero-divisor check can fail, and a class chi kills in its
+    failed degree is a kernel class of push, so that is all it runs.
     """
     findings: list[str] = []
     if datum.m < 1:
@@ -866,7 +812,7 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     if datum.fixed.tensor_info is None:
         findings.append("fixed model must be a polynomial-generator extension")
         return findings
-    if datum.ambient_ring is datum.fixed_ring:
+    if isinstance(datum, TautologicalDatum):
         zd = datum.chi.zero_divisor
         if zd.ok:
             return []
@@ -964,18 +910,18 @@ def tautological_datum(
     Restriction is the identity, so the projection formula holds by
     construction; useful as a reference datum and for exercising the
     pipeline end to end without extra geometry.  The datum is built with
-    the extension ring of the setup (polynomial generator h) as both of
-    its rings and that setup's Euler class; ``push`` is multiplication by
-    chi, up to the top degree minus 2m.  With ``setups`` the setup and
-    the class are that table's, where the Euler stage of
+    the extension ring of the base (polynomial generator h) as both of
+    its rings and that ring's Euler class; ``push`` is multiplication by
+    chi, up to the top degree minus 2m.  With ``setups`` the ring and the
+    class are that table's, where the Euler stage of
     ``run_transfer_pipeline`` then finds them.
     """
     setups = setups or SetupTable()
-    setup = setups.setup(base, cap, "h")
-    chi = setups.euler_class(setup, euler)
-    return HamiltonianTransferDatum(
+    ring = setups.setup(base, cap, "h")
+    chi = setups.euler_class(ring, euler)
+    return TautologicalDatum(
         name="tautological",
-        restrict_map=InducedMap.leading_block(setup.ext_ring, setup.ext_ring),
+        restrict_map=InducedMap.leading_block(ring, ring),
         push_map=InducedMap.multiplication(chi.cls),
         euler=euler,
         chi=chi,
@@ -1125,14 +1071,15 @@ def run_transfer_pipeline(
     model.  A failed premise skips the scaling stage but still attempts
     the transfer, whose hypothesis is independent of it.
 
-    The Euler stage takes its setup and Euler class from ``setups`` when
-    given.  The findings are the datum's own, computed once per datum
-    object, so a datum shared by the configs of one request is validated
-    once.  Over a datum the Euler stage rebuilds the extension of the
-    datum's fixed base by the same deterministic construction that made
-    the fixed model, so the two agree by construction and are not
-    compared; for a tautological datum built from the same table that is
-    the datum's own setup, and the class is the datum's own class.
+    The Euler stage takes its extension ring and Euler class from
+    ``setups`` when given.  The findings are the datum's own, computed
+    once per datum object, so a datum shared by the configs of one
+    request is validated once.  Over a datum the Euler stage rebuilds the
+    extension of the datum's fixed base by the same deterministic
+    construction that made the fixed model, so the two agree by
+    construction and are not compared; for a tautological datum built
+    from the same table that is the datum's own ring, and the class is
+    the datum's own class.
     """
     if datum is not None:
         if datum.findings:
@@ -1251,7 +1198,7 @@ def scan_families(
     All configs share one ``SetupTable``: ``setups`` if given (pass the
     table the family was built with, so tautological data share it too),
     else a new one for this call.  Configs over the same base, cap and h
-    name therefore build one setup, and each row equals the row of its
+    name therefore build one extension ring, and each row equals the row of its
     config scanned alone.
     """
     if budget is not None and budget < 0:

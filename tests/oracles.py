@@ -598,21 +598,22 @@ def tensor_retraction(ext, a):
     return AlgebraMorphism(ext, a, columns)
 
 
-def block_map_mismatches(setup, restrict_map):
-    """``(map name, degree)`` wherever ``setup.embed``, ``setup.retract`` or
-    ``restrict_map`` (a tautological datum's, over ``setup.ext_ring``)
-    differs from the map its cochain map induces, in every degree up to
-    its top; the tops must agree too."""
+def block_map_mismatches(ring, restrict_map):
+    """``(map name, degree)`` wherever the embedding of the block ring of
+    the extension ring ``ring``, the retraction back (both
+    ``InducedMap.leading_block``) or ``restrict_map`` (a tautological
+    datum's, over ``ring``) differs from the map its cochain map induces,
+    in every degree up to its top; the tops must agree too."""
     from masseyq.cdga import identity_morphism
     from masseyq.cohomology import InducedMap
 
-    base, ext = setup.base_ring, setup.ext_ring
-    embed = tensor_embedding(setup.base, setup.ext)
-    retract = tensor_retraction(setup.ext, setup.base)
+    base, ext = ring.block_ring, ring
+    embed = tensor_embedding(base.algebra, ext.algebra)
+    retract = tensor_retraction(ext.algebra, base.algebra)
     pairs = (
-        ("embed", setup.embed, InducedMap(embed, base, ext)),
-        ("retract", setup.retract, InducedMap(retract, ext, base)),
-        ("restrict", restrict_map, InducedMap(identity_morphism(setup.ext), ext, ext)),
+        ("embed", InducedMap.leading_block(base, ext), InducedMap(embed, base, ext)),
+        ("retract", InducedMap.leading_block(ext, base), InducedMap(retract, ext, base)),
+        ("restrict", restrict_map, InducedMap(identity_morphism(ext.algebra), ext, ext)),
     )
     out = []
     for name, got, want in pairs:
@@ -644,9 +645,31 @@ def projected_product_reference(ring, p, i, q, j):
 
 # -- the Euler class and the tautological transfer datum -----------------------
 #
-# The package decides that an Euler class is not a zero divisor from the
-# inverse of its top h coefficient, and trusts the tautological datum it
-# builds itself.  These are the routes it no longer takes there.
+# The package reads the top h coefficient of an Euler class off its class
+# blocks, decides that the class is not a zero divisor from the inverse of
+# that coefficient, and trusts the tautological datum it builds itself.
+# These are the routes it no longer takes there.
+
+
+def h_components(el):
+    """Split a cochain of an extension base (x) Q[h] into base cochains,
+    one per h power; blocks above the stored base cap are zero by
+    construction and omitted."""
+    from masseyq.cdga import Element
+
+    base = el.algebra.tensor_info.base
+    out = {}
+    for j, bdeg, off, size in el.algebra.tensor_info.blocks[el.degree]:
+        if bdeg <= base.cap:
+            terms = {k - off: c for k, c in el.terms.items() if off <= k < off + size}
+            out[j] = Element._trusted(base, bdeg, terms)
+    return out
+
+
+def top_coefficient_reference(chi):
+    """The h^m component of an Euler class's cochain, projected in the
+    block ring of its ring."""
+    return chi.cls.ring.block_ring.project(h_components(chi.element)[chi.m])
 
 
 def bundle_polynomial(bundles, hname="h"):
@@ -701,16 +724,20 @@ def cup_columns_reference(ring, xi, n):
 
 
 def full_datum_findings(datum):
-    """``validate_transfer_datum`` on an unmarked copy of a datum, with
-    rings of its own, so every check runs on it.  The copy of a
-    tautological datum (one ring on both sides) restricts by the identity
-    morphism and pushes by the columns of cup with chi."""
+    """``validate_transfer_datum`` on a plain copy of a datum, with rings
+    of its own, so every check runs on it.  The copy of a
+    ``TautologicalDatum`` restricts by the identity morphism and pushes by
+    the columns of cup with chi."""
     from masseyq.cdga import identity_morphism
     from masseyq.cohomology import CohomologyRing, InducedMap
-    from masseyq.transfer import HamiltonianTransferDatum, validate_transfer_datum
+    from masseyq.transfer import (
+        HamiltonianTransferDatum,
+        TautologicalDatum,
+        validate_transfer_datum,
+    )
 
     push = datum.push_map
-    if datum.ambient_ring is datum.fixed_ring:
+    if isinstance(datum, TautologicalDatum):
         morphism = identity_morphism(datum.fixed)
         columns = [
             cup_columns_reference(datum.fixed_ring, datum.chi.cls, n)

@@ -206,14 +206,13 @@ def test_criterion_04_scaling_containments(capsys):
     ok = True
     for name, ctor in sorted(BUILTIN_MODELS.items()):
         model = ctor()
-        setup = build_setup(model, cap=model.cap + 6)
-        ring = setup.ext_ring
+        ring = build_setup(model, cap=model.cap + 6)
         triples = _defined_basis_triples(ring)
         if not triples:
             vacuous.append(name)
             continue
         unit = ring.unit_class()
-        h_cls = ring.class_from_polynomial(setup.hname)
+        h_cls = ring.class_from_polynomial(ring.algebra.tensor_info.hname)
         for a, b, c, res in triples:
             for slot in (1, 2, 3):
                 report, inner, outer = check_scaling_law(unit, res, slot)
@@ -249,20 +248,21 @@ def test_criterion_05_functoriality(capsys):
     ok = True
     for name, ctor in sorted(BUILTIN_MODELS.items()):
         model = ctor()
-        setup = build_setup(model, cap=model.cap + 4)
-        base_ring = setup.base_ring
+        ring = build_setup(model, cap=model.cap + 4)
+        base_ring = ring.block_ring
+        embed = InducedMap.leading_block(base_ring, ring)
         triples = _defined_basis_triples(base_ring)
         if not triples:
             vacuous.append(name)
             continue
-        ident = InducedMap(identity_morphism(setup.base), base_ring, base_ring)
+        ident = InducedMap(identity_morphism(base_ring.algebra), base_ring, base_ring)
         for a, b, c, _ in triples:
             report, src, dst = check_functoriality(ident, a, b, c)
             _record(src)
             _record(dst)
             checked_identity += 1
             ok = ok and report.holds
-            report, src, dst = check_functoriality(setup.embed, a, b, c)
+            report, src, dst = check_functoriality(embed, a, b, c)
             _record(src)
             _record(dst)
             checked_embed += 1
@@ -401,8 +401,8 @@ def test_criterion_09_structural_scans(capsys):
         model = ctor()
         ok = ok and validate_algebra(model) == []
         table = SetupTable()
-        setup = table.setup(model, model.cap + 5)
-        ext, inner = setup.ext, setup.base
+        ring = table.setup(model, model.cap + 5)
+        ext, inner = ring.algebra, ring.block_ring.algebra
         # The extension and its maps are trusted by construction; these
         # scans, and the maps the scanned cochain maps induce, are the
         # oracle behind that trust.
@@ -412,7 +412,7 @@ def test_criterion_09_structural_scans(capsys):
         datum = tautological_datum(
             model, euler=EulerData.of(chi="h", m=1), cap=model.cap + 5, setups=table
         )
-        ok = ok and block_map_mismatches(setup, datum.restrict_map) == []
+        ok = ok and block_map_mismatches(ring, datum.restrict_map) == []
         for n in range(ext.cap + 1):
             want = sum(
                 inner.dim(n - 2 * j) if n - 2 * j <= inner.cap else 0

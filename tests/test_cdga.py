@@ -186,6 +186,17 @@ def test_from_polynomial_homogeneous_only():
     h = heisenberg()
     with pytest.raises(AlgebraValidationError, match="not homogeneous"):
         h.from_polynomial("x + x*y")
+    # against an expected degree, a term names its own degree and that one
+    with pytest.raises(AlgebraValidationError, match="not homogeneous"):
+        h.from_polynomial("x*y + x", expected_degree=None)
+    with pytest.raises(
+        AlgebraValidationError, match="term of degree 1, expected degree 2"
+    ):
+        h.from_polynomial("x*y + x", expected_degree=2)
+    with pytest.raises(
+        AlgebraValidationError, match="term of degree 2, expected degree 1"
+    ):
+        h.from_polynomial("x*y + x", expected_degree=1)
 
 
 def test_from_polynomial_zero_needs_degree():
@@ -632,10 +643,11 @@ def test_extension_products_are_shifted_base_products():
 
 
 def test_trusted_constructions_run_no_scans(monkeypatch):
-    # The extension and its embedding and retraction are built by
-    # build_setup without an axiom scan.
+    # The extension ring of build_setup, and the embedding and the
+    # retraction read off it, are built without an axiom scan.
     import masseyq.cdga as cdga
     import masseyq.transfer as transfer
+    from masseyq.cohomology import InducedMap
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a trusted construction ran a structural scan")
@@ -643,8 +655,10 @@ def test_trusted_constructions_run_no_scans(monkeypatch):
     monkeypatch.setattr(cdga, "validate_algebra", forbidden)
     monkeypatch.setattr(cdga, "validate_morphism", forbidden)
     monkeypatch.setattr(transfer, "validate_morphism", forbidden)
-    setup = transfer.build_setup(heisenberg(4), cap=8)
-    for fmap in (setup.embed, setup.retract):
+    ring = transfer.build_setup(heisenberg(4), cap=8)
+    base = ring.block_ring
+    for source, target in ((base, ring), (ring, base)):
+        fmap = InducedMap.leading_block(source, target)
         for n in range(fmap.top + 1):
             fmap.columns(n)
 

@@ -584,20 +584,37 @@ def test_random_cocycles_project_consistently():
 _COEFFS = [Fraction(c) for c in (-2, -1, 0, 0, 1, 2)] + [Fraction(1, 2)]
 
 
+_TABLE_MODELS = [
+    "sphere-cohomology",
+    "truncated-polynomial",
+    "two-points",
+    "rotation-ambient",
+]
+
+
 @st.composite
 def _rings_with_classes(draw):
-    """A random free presentation or its h-extension, its ring, and classes.
+    """A random free presentation or its h-extension, or the h-extension
+    of a bundled table model past its cap; its ring, and classes.
 
     Two classes are drawn in every degree with nonzero cohomology up to
     the top, so one ring is asked for products across many degree pairs.
+    A table model is not re-capped, so its extension has products that
+    land in the base's cap degree, where no differential is stored.
     """
-    rng = draw(st.randoms(use_true_random=False))
-    gens, diffs, cap = random_free_cdga(rng)
-    algebra = build_free_cdga(gens, diffs, cap)
-    if draw(st.booleans()):
+    if draw(st.integers(0, 3)) == 0:
+        base = builtin_model(draw(st.sampled_from(_TABLE_MODELS)))
         algebra = tensor_polynomial_generator(
-            algebra, "h", cap=cap + draw(st.integers(1, 3))
+            base, "h", cap=base.cap + draw(st.integers(1, 3))
         )
+    else:
+        rng = draw(st.randoms(use_true_random=False))
+        gens, diffs, cap = random_free_cdga(rng)
+        algebra = build_free_cdga(gens, diffs, cap)
+        if draw(st.booleans()):
+            algebra = tensor_polynomial_generator(
+                algebra, "h", cap=cap + draw(st.integers(1, 3))
+            )
     ring = CohomologyRing(algebra)
     classes = []
     for n in range(ring.top + 1):

@@ -149,8 +149,8 @@ def test_algebra_rejections(text, fragment):
         (
             "cap = 3\ngen x : 1\ngen y : 1\nd y = x\n",
             2,
-            "line 4: differential of 'y' is ill-graded: polynomial is not "
-            "homogeneous: term of degree 1 next to degree 2",
+            "line 4: differential of 'y' is ill-graded: polynomial has a "
+            "term of degree 1, expected degree 2",
         ),
         (
             "cap = 4\ngen a : 1\ngen b : 2\nd b = a*b\nd a = b\n",

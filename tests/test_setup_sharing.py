@@ -168,7 +168,7 @@ def test_the_euler_stage_reuses_the_tautological_datum_setup():
     )
     report = run_transfer_pipeline(None, "x", "x", "y", datum=datum, setups=setups)
     assert report.verdict == "non-vanishing"
-    assert report.euler.setup.ext is datum.fixed
+    assert report.euler.ring is datum.fixed_ring
 
 
 def test_setup_table_shares_by_base_object():
@@ -177,7 +177,7 @@ def test_setup_table_shares_by_base_object():
     heis = setups.setup(base, 9)
     assert setups.setup(base, 9) is heis
     # the re-capped base, where the Euler stage over a datum looks
-    assert setups.setup(heis.base, 9) is heis
+    assert setups.setup(heis.block_ring.algebra, 9) is heis
     assert setups.setup(base, 10) is not heis
     assert setups.setup(base, 9, "k") is not heis
     assert setups.setup(BUILTIN_MODELS["heisenberg"](), 9) is not heis
@@ -199,9 +199,9 @@ def _assert_euler_stage_rebuilds_the_fixed_model(datum, triple, min_cap=None):
     base = info.base
     cap = max(required_cap(base, *triple, datum.m), min_cap or 0, base.cap)
     rebuilt = build_setup(base, cap, info.hname)
-    upto = min(datum.fixed.cap, rebuilt.ext.cap)
+    upto = min(datum.fixed.cap, rebuilt.algebra.cap)
     for n in range(upto + 1):
-        assert rebuilt.ext.basis_labels(n) == datum.fixed.basis_labels(n), n
+        assert rebuilt.algebra.basis_labels(n) == datum.fixed.basis_labels(n), n
     assert 2 * datum.m <= upto
     chi = datum.euler.build(rebuilt)
     assert chi.element.coords == datum.chi.element.coords

@@ -46,6 +46,7 @@ from masseyq.transfer import (
     HamiltonianTransferDatum,
     ScanConfig,
     SetupTable,
+    TautologicalDatum,
     WeightedLineBundle,
     build_setup,
     check_euler_scaled_massey,
@@ -55,7 +56,6 @@ from masseyq.transfer import (
     euler_class_from_polynomial,
     formal_degree,
     h_comparison_check,
-    h_components,
     required_cap,
     run_transfer_pipeline,
     scan_families,
@@ -69,8 +69,10 @@ from oracles import (
     bundle_polynomial,
     cup_columns_reference,
     full_datum_findings,
+    h_components,
     matvec_reference,
     random_free_cdga,
+    top_coefficient_reference,
     zero_divisor_rank_scan,
 )
 
@@ -81,29 +83,33 @@ from oracles import (
 
 
 def test_setup_recaps_base_to_extension_cap():
-    setup = build_setup(heisenberg(), cap=9)
-    assert setup.ext.cap == 9
-    assert setup.base.cap == 9
-    assert setup.base.dims == (1, 3, 3, 1, 0, 0, 0, 0, 0, 0)
-    assert setup.hname == "h"
+    ring = build_setup(heisenberg(), cap=9)
+    ext, base = ring.algebra, ring.block_ring.algebra
+    assert ext.cap == 9
+    assert ext.tensor_info.base is base
+    assert base.cap == 9
+    assert base.dims == (1, 3, 3, 1, 0, 0, 0, 0, 0, 0)
+    assert ext.tensor_info.hname == "h"
 
 
 def test_element_h_components_split_and_reassemble():
-    setup = build_setup(heisenberg(), cap=9)
-    ext = setup.ext
-    el = ext.from_polynomial("x*y*z + 2*h*x", expected_degree=3)
+    # the element-level split of the test oracles, behind the class-level
+    # top coefficient
+    ring = build_setup(heisenberg(), cap=9)
+    base = ring.block_ring.algebra
+    el = ring.algebra.from_polynomial("x*y*z + 2*h*x", expected_degree=3)
     comps = h_components(el)
     assert sorted(comps) == [0, 1]
-    assert comps[0] == setup.base.from_polynomial("x*y*z", expected_degree=3)
-    assert comps[1] == setup.base.from_polynomial("2*x", expected_degree=1)
+    assert comps[0] == base.from_polynomial("x*y*z", expected_degree=3)
+    assert comps[1] == base.from_polynomial("2*x", expected_degree=1)
 
 
 def test_class_h_components_convolve_under_cup():
-    setup = build_setup(torus(), cap=8)
-    ring, base_ring = setup.ext_ring, setup.base_ring
+    ring = build_setup(torus(), cap=8)
+    base_ring = ring.block_ring
     p = ring.class_from_polynomial("x*y + h")
     sq = cup(p, p)
-    comps = class_h_components(ring, sq)
+    comps = class_h_components(sq)
     # (xy + h)^2 = 2h xy + h^2, matching the convolution of {0: [xy], 1: [1]}
     # with itself; the h^0 component xy*xy dies.
     assert sorted(comps) == [1, 2]
@@ -127,79 +133,88 @@ def test_formal_degree_reads_names():
 
 
 def test_euler_class_single_trivial_line_is_h():
-    setup = build_setup(heisenberg(), cap=9)
-    chi = euler_class(setup, [WeightedLineBundle(None, 1)])
+    ring = build_setup(heisenberg(), cap=9)
+    chi = euler_class(ring, [WeightedLineBundle(None, 1)])
     assert chi.m == 1
     assert chi.weights == (1,)
-    assert chi.element == setup.ext.named_element("h")
+    assert chi.element == ring.algebra.named_element("h")
 
 
 def test_euler_class_two_trivial_lines_multiplies_weights():
-    setup = build_setup(heisenberg(), cap=15)
-    chi = euler_class(setup, [WeightedLineBundle(None, 1), WeightedLineBundle(None, 2)])
+    ring = build_setup(heisenberg(), cap=15)
+    chi = euler_class(ring, [WeightedLineBundle(None, 1), WeightedLineBundle(None, 2)])
     assert chi.m == 2
-    assert chi.element == setup.ext.from_polynomial("2*h*h", expected_degree=4)
-    assert chi.top_coefficient == setup.base_ring.unit_class().scale(2)
+    assert chi.element == ring.algebra.from_polynomial("2*h*h", expected_degree=4)
+    assert chi.top_coefficient == ring.block_ring.unit_class().scale(2)
 
 
 def test_euler_class_twisted_line():
-    setup = build_setup(heisenberg(), cap=9)
-    chi = euler_class(setup, [WeightedLineBundle("x*z", 2)])
-    assert chi.element == setup.ext.from_polynomial("x*z + 2*h", expected_degree=2)
+    ring = build_setup(heisenberg(), cap=9)
+    chi = euler_class(ring, [WeightedLineBundle("x*z", 2)])
+    assert chi.element == ring.algebra.from_polynomial("x*z + 2*h", expected_degree=2)
 
 
 def test_euler_class_rejects_zero_weight():
-    setup = build_setup(heisenberg(), cap=9)
-    with pytest.raises(AlgebraValidationError):
-        euler_class(setup, [WeightedLineBundle(None, 0)])
+    ring = build_setup(heisenberg(), cap=9)
+    with pytest.raises(
+        AlgebraValidationError, match="bundle 0 has weight 0; weights must be nonzero"
+    ):
+        euler_class(ring, [WeightedLineBundle(None, 0)])
 
 
 def test_euler_class_rejects_first_chern_class_with_h_term():
-    setup = build_setup(heisenberg(), cap=9)
-    with pytest.raises(AlgebraValidationError):
-        euler_class(setup, [WeightedLineBundle("h", 1)])
+    # a pure h term, and an h term next to base terms
+    ring = build_setup(heisenberg(), cap=9)
+    for c1 in ("h", "x*z + h", "2*x*z - 3*y*z + h"):
+        bundles = [WeightedLineBundle(None, 1), WeightedLineBundle(c1, 1)]
+        with pytest.raises(
+            AlgebraValidationError,
+            match=r"^bundle 1 first Chern class must come from the base \(no h terms\)$",
+        ):
+            euler_class(ring, bundles)
 
 
 def test_euler_class_rejects_odd_degree_chern_class():
-    setup = build_setup(heisenberg(), cap=9)
-    with pytest.raises(AlgebraValidationError):
-        euler_class(setup, [WeightedLineBundle("x", 1)])
+    ring = build_setup(heisenberg(), cap=9)
+    with pytest.raises(
+        AlgebraValidationError, match="term of degree 1, expected degree 2"
+    ):
+        euler_class(ring, [WeightedLineBundle("x", 1)])
 
 
 def test_euler_polynomial_requires_cocycle():
     # dq = p*q makes q a non-closed even generator.
     a = build_free_cdga([("p", 1), ("q", 2)], {"q": "p*q"}, 6)
-    setup = build_setup(a, cap=8)
-    with pytest.raises(AlgebraValidationError):
-        euler_class_from_polynomial(setup, "q", 1)
+    ring = build_setup(a, cap=8)
+    with pytest.raises(
+        AlgebraValidationError, match="^Euler class polynomial is not a cocycle$"
+    ):
+        euler_class_from_polynomial(ring, "q", 1)
 
 
 def test_euler_polynomial_requires_top_h_term():
-    setup = build_setup(heisenberg(), cap=9)
-    with pytest.raises(AlgebraValidationError):
-        euler_class_from_polynomial(setup, "x*z", 1)
+    ring = build_setup(heisenberg(), cap=9)
+    for m, chi in ((1, "x*z"), (2, "x*z*h"), (2, "0*h*h")):
+        with pytest.raises(
+            AlgebraValidationError,
+            match=rf"^Euler class must have a nonzero h\^{m} coefficient$",
+        ):
+            euler_class_from_polynomial(ring, chi, m)
 
 
 def test_h_multiplication_is_injective_below_the_cap():
-    setup = build_setup(heisenberg(), cap=9)
-    chi = euler_class_from_polynomial(setup, "h", 1)
-    report = verify_not_zero_divisor(setup.ext_ring, chi)
+    ring = build_setup(heisenberg(), cap=9)
+    chi = euler_class_from_polynomial(ring, "h", 1)
+    report = verify_not_zero_divisor(ring, chi)
     assert report.ok
     assert report.failed_degree is None
-    assert list(report.degrees_checked) == list(range(setup.ext_ring.top - 1))
+    assert list(report.degrees_checked) == list(range(ring.top - 1))
 
 
 def test_pure_base_class_is_flagged_as_zero_divisor():
-    setup = build_setup(heisenberg(), cap=9)
-    ring = setup.ext_ring
+    ring = build_setup(heisenberg(), cap=9)
     cls = ring.class_from_polynomial("x*z")
-    fake = EulerClass(
-        cls=cls,
-        element=ring.lift(cls),
-        m=1,
-        weights=None,
-        top_coefficient=None,
-    )
+    fake = EulerClass(cls=cls, element=ring.lift(cls), m=1, weights=None)
     report = verify_not_zero_divisor(ring, fake)
     assert not report.ok
     assert report.failed_degree == 1  # [x*z] kills [x] already
@@ -225,16 +240,18 @@ def test_induced_maps_on_random_presentations(rng, k, extra, heisenberg_base):
     # any slot.
     gens, diffs, cap = _HEISENBERG if heisenberg_base else random_free_cdga(rng)
     base, table = build_free_cdga(gens, diffs, cap), SetupTable()
-    setup = table.setup(base, cap + extra)
+    ring = table.setup(base, cap + extra)
     datum = tautological_datum(
         base, euler=EulerData.of(chi=f"{k}*h", m=1), cap=cap + extra, setups=table
     )
-    assert block_map_mismatches(setup, datum.restrict_map) == []
-    base_ring, embed, retract = setup.base_ring, setup.embed, setup.retract
+    assert block_map_mismatches(ring, datum.restrict_map) == []
+    base_ring = ring.block_ring
+    embed = InducedMap.leading_block(base_ring, ring)
+    retract = InducedMap.leading_block(ring, base_ring)
     for n in range(min(embed.top, retract.top) + 1):
         for e in base_ring.basis_classes(n):
             assert retract.apply(embed.apply(e)) == e
-    chi = setup.ext_ring.class_from_polynomial(f"{k}*h")
+    chi = ring.class_from_polynomial(f"{k}*h")
     classes = [e for n in range(1, base_ring.top + 1) for e in base_ring.basis_classes(n)]
     for a, b, c in itertools.product(classes, repeat=3):
         n = a.degree + b.degree + c.degree - 1
@@ -242,7 +259,7 @@ def test_induced_maps_on_random_presentations(rng, k, extra, heisenberg_base):
             continue
         report, _, image = check_functoriality(embed, a, b, c)
         assert report.holds
-        if n + chi.degree <= setup.ext_ring.top:
+        if n + chi.degree <= ring.top:
             for slot in (1, 2, 3):
                 assert check_scaling_law(chi, image, slot)[0].holds
 
@@ -261,14 +278,16 @@ def test_block_maps_fill_columns_without_lifting_or_projecting(monkeypatch):
 
     table = SetupTable()
     for base in (heisenberg(), two_points()):
-        setup = table.setup(base, base.cap + 4)
+        ring = table.setup(base, base.cap + 4)
         datum = tautological_datum(
             base, euler=EulerData.of(chi="h", m=1), cap=base.cap + 4, setups=table
         )
         monkeypatch.setattr(CohomologyRing, "lift", counted("lift"))
         monkeypatch.setattr(CohomologyRing, "project", counted("project"))
         filled = 0
-        for fmap in (setup.embed, setup.retract, datum.restrict_map):
+        embed = InducedMap.leading_block(ring.block_ring, ring)
+        retract = InducedMap.leading_block(ring, ring.block_ring)
+        for fmap in (embed, retract, datum.restrict_map):
             for n in range(fmap.top + 1):
                 filled += len(fmap.columns(n))
         monkeypatch.undo()
@@ -287,10 +306,9 @@ _COEFFS = [Fraction(c) for c in (-2, -1, 0, 0, 1, 2)] + [Fraction(1, 2)]
 
 
 @st.composite
-def _euler_data(draw):
-    """A random free base or a bundled table model, m = 1 or 2, an
-    extension cap with room for chi, and the polynomial of a random class
-    of degree 2m with a nonzero h^m coefficient."""
+def _base_m_and_cap(draw):
+    """A random free base or a bundled table model, m = 1 or 2 and an
+    extension cap with room for a class of degree 2m."""
     if draw(st.booleans()):
         base = builtin_model(draw(st.sampled_from(_TABLE_BASES)))
     else:
@@ -298,8 +316,15 @@ def _euler_data(draw):
         base = build_free_cdga(gens, diffs, cap)
     m = draw(st.integers(1, 2))
     low = max(base.cap, 2 * m + 1)
-    cap = draw(st.integers(low, low + 3))
-    ring = build_setup(base, cap).ext_ring
+    return base, m, draw(st.integers(low, low + 3))
+
+
+@st.composite
+def _euler_data(draw):
+    """``_base_m_and_cap`` and the polynomial of a random class of degree
+    2m with a nonzero h^m coefficient."""
+    base, m, cap = draw(_base_m_and_cap())
+    ring = build_setup(base, cap)
     dim = ring.class_dim(2 * m)
     coords = draw(st.lists(st.sampled_from(_COEFFS), min_size=dim, max_size=dim))
     cls = CohomologyClass(ring, 2 * m, coords)
@@ -313,22 +338,22 @@ def _euler_data(draw):
 @example((two_points(), 6, "eN*h*h - 2*eS*h*h", 2))
 def test_unit_certificate_agrees_with_the_rank_scan(drawn):
     base, cap, chi_poly, m = drawn
-    setup = build_setup(base, cap)
-    chi = euler_class_from_polynomial(setup, chi_poly, m)
-    report = verify_not_zero_divisor(setup.ext_ring, chi)
-    ok, failed = zero_divisor_rank_scan(setup.ext_ring, chi.cls, m)
+    ring = build_setup(base, cap)
+    chi = euler_class_from_polynomial(ring, chi_poly, m)
+    report = verify_not_zero_divisor(ring, chi)
+    ok, failed = zero_divisor_rank_scan(ring, chi.cls, m)
     assert (report.ok, report.failed_degree) == (ok, failed)
-    last = setup.ext_ring.top - 2 * m if ok else failed
+    last = ring.top - 2 * m if ok else failed
     assert report.degrees_checked == tuple(range(last + 1))
-    if transfer._top_is_unit(setup.ext_ring, chi):
+    if transfer._top_is_unit(ring, chi):
         assert ok
 
 
 @pytest.mark.parametrize("model, chi", [(heisenberg, "2*h"), (two_points, "eN*h + 3*eS*h")])
 def test_a_corrupted_top_inverse_trips_the_cup_check(monkeypatch, model, chi):
-    setup = build_setup(model(), cap=7)
-    euler = euler_class_from_polynomial(setup, chi, 1)
-    assert verify_not_zero_divisor(setup.ext_ring, euler).ok
+    ring = build_setup(model(), cap=7)
+    euler = euler_class_from_polynomial(ring, chi, 1)
+    assert verify_not_zero_divisor(ring, euler).ok
     real = transfer.solve_rows
 
     def corrupted(rows, cols, b):
@@ -337,7 +362,7 @@ def test_a_corrupted_top_inverse_trips_the_cup_check(monkeypatch, model, chi):
 
     monkeypatch.setattr(transfer, "solve_rows", corrupted)
     with pytest.raises(ConsistencyError):
-        verify_not_zero_divisor(setup.ext_ring, euler)
+        verify_not_zero_divisor(ring, euler)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -366,16 +391,51 @@ def test_trusted_tautological_datum_matches_the_full_route(drawn):
 )
 def test_bundle_and_polynomial_euler_data_agree(drawn):
     # The two forms of the same Euler data build the same class.
-    setup = build_setup(heisenberg(), 7)
+    ring = build_setup(heisenberg(), 7)
     bundles = [WeightedLineBundle(c1, weight) for c1, weight in drawn]
-    by_bundles = EulerData.of(bundles).build(setup)
+    by_bundles = EulerData.of(bundles).build(ring)
     by_polynomial = EulerData.of(
         chi=bundle_polynomial(drawn), m=len(drawn)
-    ).build(setup)
+    ).build(ring)
     assert by_bundles.element == by_polynomial.element
     assert by_bundles.cls == by_polynomial.cls
     assert by_bundles.m == by_polynomial.m == len(drawn)
     assert by_bundles.top_coefficient == by_polynomial.top_coefficient
+
+
+@st.composite
+def _euler_classes(draw):
+    """An Euler class from either form of Euler data: a class polynomial
+    drawn by ``_euler_data``, or m weighted line bundles whose first Chern
+    classes are absent or representatives of random base classes."""
+    if draw(st.booleans()):
+        base, cap, chi_poly, m = draw(_euler_data())
+        return EulerData.of(chi=chi_poly, m=m).build(build_setup(base, cap))
+    base, m, cap = draw(_base_m_and_cap())
+    ring = build_setup(base, cap)
+    base_ring = ring.block_ring
+    dim = base_ring.class_dim(2) if base_ring.top >= 2 else 0
+    bundles = []
+    for _ in range(m):
+        c1 = None
+        if dim and draw(st.booleans()):
+            coords = draw(st.lists(st.sampled_from(_COEFFS), min_size=dim, max_size=dim))
+            c1 = str(base_ring.lift(CohomologyClass(base_ring, 2, coords)))
+        weight = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+        bundles.append(WeightedLineBundle(c1, weight))
+    return EulerData.of(bundles).build(ring)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_euler_classes())
+def test_top_coefficient_is_the_projected_top_h_component(chi):
+    # the h^m class block against the h^m part of the cochain, projected
+    assert chi.top_coefficient == top_coefficient_reference(chi)
+    if chi.weights is not None:
+        lead = Fraction(1)
+        for k in chi.weights:
+            lead *= k
+        assert chi.top_coefficient == chi.cls.ring.block_ring.unit_class().scale(lead)
 
 
 def test_zero_divisor_euler_class_is_invalid_input():
@@ -393,18 +453,19 @@ def test_zero_divisor_euler_class_is_invalid_input():
 def _h_comparison_inputs(base, cap, x_poly):
     # <chi u, 0, chi w> is defined, and its ideal columns and indeterminacy
     # span the ideal of chi u and chi w in the degree of z = chi^3 x
-    setup = build_setup(base, cap=cap)
-    base_ring = setup.base_ring
-    chi = euler_class_from_polynomial(setup, "h", 1)
+    ring = build_setup(base, cap=cap)
+    base_ring = ring.block_ring
+    embed = InducedMap.leading_block(base_ring, ring)
+    chi = euler_class_from_polynomial(ring, "h", 1)
     u = base_ring.class_from_polynomial("x")
     w = base_ring.class_from_polynomial("y")
     x = base_ring.class_from_polynomial(x_poly)
-    z = cup(chi.cls, cup(chi.cls, cup(chi.cls, setup.embed.apply(x))))
-    chi_u = cup(chi.cls, setup.embed.apply(u))
-    chi_w = cup(chi.cls, setup.embed.apply(w))
-    scaled = triple_massey(chi_u, setup.ext_ring.zero_class(3), chi_w)
+    z = cup(chi.cls, cup(chi.cls, cup(chi.cls, embed.apply(x))))
+    chi_u = cup(chi.cls, embed.apply(u))
+    chi_w = cup(chi.cls, embed.apply(w))
+    scaled = triple_massey(chi_u, ring.zero_class(3), chi_w)
     assert scaled.defined and scaled.degree == z.degree
-    return setup, chi, z, scaled, u, w, x
+    return chi, z, scaled, u, w, x
 
 
 def test_membership_solver_finds_ideal_witness_and_extracts_x():
@@ -546,8 +607,7 @@ def test_euler_argument_validation():
 
 
 def test_unit_scaling_keeps_the_coset():
-    setup = build_setup(torus(), cap=8)
-    ring = setup.ext_ring
+    ring = build_setup(torus(), cap=8)
     a = ring.class_from_polynomial("x")
     report, base_result, scaled_result = check_scaling_law(
         ring.unit_class(), triple_massey(a, a, a), 1
@@ -578,6 +638,30 @@ def test_broken_projection_formula_is_rejected_with_a_witness():
     findings = validate_transfer_datum(broken_projection_datum())
     assert findings
     assert any("projection formula" in f and "degree 2" in f for f in findings)
+
+
+def test_a_datum_over_one_ring_is_checked_in_full():
+    # Only the type of a tautological datum marks it as trusted: a plain
+    # datum with one ring on both sides, whose degree-1 restriction is
+    # doubled, gets the restriction findings.
+    good = tautological_datum(heisenberg(), EulerData.of(chi="h", m=1), cap=9)
+    assert isinstance(good, TautologicalDatum)
+    assert validate_transfer_datum(good) == []
+    ring = good.fixed_ring
+    identity = identity_morphism(good.fixed)
+    columns = [identity.columns(n) for n in range(identity.trust_cap + 1)]
+    columns[1] = [{k: 2 * c for k, c in col.items()} for col in columns[1]]
+    doubled = HamiltonianTransferDatum(
+        "doubled",
+        InducedMap(AlgebraMorphism(good.fixed, good.fixed, columns), ring, ring),
+        good.push_map,
+        good.euler,
+        good.chi,
+    )
+    findings = validate_transfer_datum(doubled)
+    assert findings
+    assert all(f.startswith("restriction: ") for f in findings)
+    assert findings == full_datum_findings(doubled)
 
 
 def test_non_injective_restriction_is_rejected():
