@@ -18,8 +18,11 @@ Every algebra reads its structure constants through one lookup, called by
 presentation stores them.  A free algebra computes the product of two
 monomials when asked (one signed monomial, or zero), and the extension
 computes a product from the base lookup shifted into the right power of
-h; neither tabulates its products.  Differentials are tabulated for every
-presentation, since the cohomology needs all of them.
+h; neither tabulates its products.  Differentials are tabulated degree by
+degree.  A free algebra takes its dimensions from the Poincare series,
+which is checked against SIZE_LIMIT before any monomial is built, and
+builds the monomials and the differential of a degree when that degree
+is first read.
 
 An Element holds its nonzero terms (basis index -> Fraction), as do the
 unit and the names; arithmetic, products and differentials visit those
@@ -42,6 +45,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 from .errors import (
     AlgebraError,
     AlgebraValidationError,
+    BudgetError,
     DegreeCapError,
     DifferentialSquareError,
     ParseError,
@@ -60,6 +64,7 @@ from .linalg import (
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 # A parsed polynomial: list of (coefficient, ordered factor names).
 PolyTerms = list[tuple[Fraction, tuple[str, ...]]]
@@ -288,8 +293,9 @@ class Element:
 
     def __str__(self):
         parts = []
+        labels = self.algebra.basis_labels(self.degree)
         for i, c in sorted(self.terms.items()):
-            label = self.algebra.basis_label(self.degree, i)
+            label = labels[i]
             if label == "1":
                 parts.append(str(c))
             elif c == 1:
@@ -314,7 +320,6 @@ Terms = tuple[tuple[int, Fraction], ...]
 # where e_i and e_j are basis vectors of degrees p and q; () means zero.
 ProductLookup = Callable[[int, int, int, int], Terms]
 MulTable = Mapping[tuple[int, int, int, int], Terms]
-DiffTable = Mapping[tuple[int, int], Terms]
 
 
 class CochainAlgebra:
@@ -329,6 +334,14 @@ class CochainAlgebra:
     algebras and the h-extension).  ``unit`` and the entries of ``names``
     (name -> (degree, terms)) are sparse terms.
 
+    The dimensions of every degree are known on construction.  A free
+    presentation builds the monomials of a degree, and the differential
+    out of it, the first time that degree is read (see _FreeBasis); a
+    table has every degree built.  Every reader of the tables goes
+    through ``basis_labels``, ``product_lookup`` or ``diff_table``, which
+    build what they hand out first; ``multiply`` and ``differential``
+    make the same check once per call.
+
     Degrees run 0..cap.  The differential maps degree n to n+1 and is
     stored for n < cap only, so cocycles in degree cap cannot be verified;
     consumers treating cohomology must stop at cap-1.
@@ -338,25 +351,33 @@ class CochainAlgebra:
         self,
         cap: int,
         kind: str,
-        labels: Sequence[Sequence[str]],
+        dims: Sequence[int],
+        labels: list[tuple[str, ...]],
         product: ProductLookup,
-        diff: DiffTable,
+        diff: list[Optional[tuple[Terms, ...]]],
         unit: SparseVector,
         names: Mapping[str, tuple[int, SparseVector]],
         generators: Optional[tuple[GeneratorDecl, ...]] = None,
         free_recipe=None,
         tensor_info: Optional[TensorInfo] = None,
+        basis: Optional["_FreeBasis"] = None,
     ):
         self.cap = cap
         self.kind = kind
-        self._labels = tuple(tuple(l) for l in labels)
+        self._dims = tuple(dims)
+        # One tuple of labels per built degree, and per degree n < cap the
+        # terms of d of each basis vector (None until built).  A free
+        # algebra shares both lists with its basis, which appends and
+        # fills them.
+        self._labels = labels
         self._product = product
-        self._diff = dict(diff)
+        self._diff = diff
         self._unit = unit
         self._names = dict(names)
         self.generators = generators
         self._free_recipe = free_recipe
         self.tensor_info = tensor_info
+        self._basis = basis
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -365,17 +386,34 @@ class CochainAlgebra:
             raise DegreeCapError(
                 f"degree {n} outside [0, cap={self.cap}]", required_cap=n
             )
-        return len(self._labels[n])
+        return self._dims[n]
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(len(l) for l in self._labels)
+        return self._dims
 
     def basis_label(self, n: int, i: int) -> str:
-        return self._labels[n][i]
+        return self.basis_labels(n)[i]
 
     def basis_labels(self, n: int) -> tuple[str, ...]:
+        if n >= len(self._labels) and self._basis is not None:
+            self._basis.grow(n)
         return self._labels[n]
+
+    def product_lookup(self, n: int) -> ProductLookup:
+        """The structure-constant lookup, with every degree up to n built:
+        it answers for each pair of basis vectors whose product lands in
+        degree n or below."""
+        if n >= len(self._labels) and self._basis is not None:
+            self._basis.grow(n)
+        return self._product
+
+    def diff_table(self, n: int) -> tuple[Terms, ...]:
+        """d out of degree n < cap: the nonzero (index, coefficient) terms
+        of d of each basis vector, in ascending index."""
+        self._check_diff_degree(n)
+        table = self._diff[n]
+        return self._basis.differential(n) if table is None else table
 
     # -- element constructors ----------------------------------------------
 
@@ -423,6 +461,8 @@ class CochainAlgebra:
             raise DegreeCapError(
                 f"product degree {n} exceeds cap {self.cap}", required_cap=n
             )
+        if n >= len(self._labels):
+            self._basis.grow(n)
         p, q, product = a.degree, b.degree, self._product
         right = b.terms.items()
         terms = sparse_sum(
@@ -442,28 +482,29 @@ class CochainAlgebra:
                 f"differential lands in degree {n}, above cap {self.cap}",
                 required_cap=n,
             )
-        p, diff = a.degree, self._diff.get
+        table = self._diff[a.degree]
+        if table is None:
+            table = self._basis.differential(a.degree)
         terms = sparse_sum(
-            (j, c * s) for i, c in a.terms.items() for j, s in diff((p, i), ())
+            (j, c * s) for i, c in a.terms.items() for j, s in table[i]
         )
         return Element._trusted(self, n, terms)
 
     def diff_columns(self, n: int) -> list[SparseVector]:
         """Columns of d: degree n -> n+1 as sparse vectors, read from the table."""
-        self._check_diff_degree(n)
-        return [dict(self._diff.get((n, i), ())) for i in range(self.dim(n))]
+        return [dict(terms) for terms in self.diff_table(n)]
 
     def diff_rows(self, n: int) -> list[SparseVector]:
         """Rows of d: degree n -> n+1 as sparse vectors, read from the table."""
-        self._check_diff_degree(n)
+        table = self.diff_table(n)
         rows: list[SparseVector] = [{} for _ in range(self.dim(n + 1))]
-        for i in range(self.dim(n)):
-            for j, s in self._diff.get((n, i), ()):
+        for i, terms in enumerate(table):
+            for j, s in terms:
                 rows[j][i] = s
         return rows
 
     def _check_diff_degree(self, n: int) -> None:
-        if n + 1 > self.cap:
+        if not 0 <= n < self.cap:
             raise DegreeCapError(
                 f"no differential out of degree {n} at cap {self.cap}",
                 required_cap=n + 1,
@@ -528,30 +569,240 @@ class CochainAlgebra:
 # --------------------------------------------------------------------------
 
 
-def _enumerate_monomials(gens: Sequence[GeneratorDecl], cap: int):
-    """Monomial exponent tuples by total degree 0..cap.
+# The most degrees plus basis elements an algebra may have up to its cap,
+# checked on the Poincare series before any monomial is built (see
+# series_dims).  m0(16) at cap 17 (65,554) fits; an exterior algebra on 20
+# generators (1,048,576 monomials) does not.
+SIZE_LIMIT = 200_000
 
-    Odd generators carry exponent at most 1.  Within a degree, monomials
-    are ordered lexicographically (descending) on their exponent tuples,
-    generators in declaration order, so x*y precedes x*z precedes y*z.
+
+def series_dims(
+    cap: int, degrees: Sequence[int], start: Sequence[int] = (1,)
+) -> tuple[int, ...]:
+    """Coefficients 0..cap of start(t) * prod(1 + t^odd) / prod(1 - t^even).
+
+    With ``start`` = 1 these are the degree dimensions of the free
+    graded-commutative algebra on generators of the given degrees (Felix,
+    Halperin, Thomas, *Rational Homotopy Theory*, GTM 205, section 12);
+    with the dims of a base and ``degrees = (2,)``, those of base (x) Q[h].
+
+    The size, cap + 1 degrees plus the sum of the coefficients, is counted
+    while the product is multiplied out, and BudgetError is raised as soon
+    as it passes SIZE_LIMIT: the cap alone is checked before the
+    coefficients are allocated, and each generator then costs one pass
+    over the degrees.
     """
-    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for g in gens:
-        partial = [
-            (exps + (e,), degree + e * g.degree)
-            for exps, degree in partial
-            for e in range((1 if g.degree % 2 else (cap - degree) // g.degree) + 1)
-            if degree + e * g.degree <= cap
-        ]
-    by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
-    for exps, degree in sorted(partial, reverse=True):
-        by_degree[degree].append(exps)
-    return by_degree
+
+    def over(size: int) -> BudgetError:
+        return BudgetError(
+            f"the algebra up to cap {cap} needs at least {size} degrees "
+            f"and basis elements; the limit is {SIZE_LIMIT}",
+            required=size,
+            allowed=SIZE_LIMIT,
+        )
+
+    size = cap + 1 + sum(start[: cap + 1])
+    if size > SIZE_LIMIT:
+        raise over(size)
+    dims = list(start[: cap + 1]) + [0] * (cap + 1 - len(start))
+    for d in degrees:
+        # times 1 + t^d, descending so that each old term moves up once;
+        # times 1/(1 - t^d) = 1 + t^d + t^2d + ..., ascending so that the
+        # moved terms move on again
+        for n in range(cap, d - 1, -1) if d % 2 else range(d, cap + 1):
+            c = dims[n - d]
+            if c:
+                dims[n] += c
+                size += c
+                if size > SIZE_LIMIT:
+                    raise over(size)
+    return tuple(dims)
 
 
-def _monomial_label(gens: Sequence[GeneratorDecl], exps: tuple[int, ...]) -> str:
-    parts = [g.name for g, e in zip(gens, exps) for _ in range(e)]
-    return "*".join(parts) if parts else "1"
+def _monomial_product(shapes, index) -> ProductLookup:
+    """The product lookup of a free presentation over its basis tables.
+
+    A product of monomials is one signed monomial, or zero when an odd
+    generator repeats.  Its Koszul sign counts the odd letters of the
+    right factor that move left past odd letters of the left factor.
+    """
+
+    def product(n1: int, i1: int, n2: int, i2: int) -> Terms:
+        key1, odd1, crossing1 = shapes[n1][i1]
+        key2, odd2, _ = shapes[n2][i2]
+        if odd1 & odd2:
+            return ()
+        sign = _MINUS_ONE if (odd2 & crossing1).bit_count() & 1 else _ONE
+        return ((index[key1 + key2][1], sign),)
+
+    return product
+
+
+class _FreeBasis:
+    """The monomial basis and differential of a free presentation, built a
+    degree at a time.
+
+    ``grow(n)`` builds the monomials of every degree up to n, in ascending
+    degree: their exponent tuples, labels and shapes, and their entries in
+    ``index``.  ``differential(n)`` builds d out of degree n, which needs
+    the monomials up to degree n + 1.  ``labels`` has one tuple per built
+    degree, so its length tells how far the basis is built; ``diff[n]`` is
+    None until d out of degree n is built.  The algebra shares both lists.
+    """
+
+    def __init__(
+        self, gens: tuple[GeneratorDecl, ...], cap: int, dims: tuple[int, ...]
+    ):
+        self.gens = gens
+        self.cap = cap
+        self.dims = dims
+        # Exponent tuples are packed into integers in base cap+1.  No
+        # exponent of a monomial within the cap exceeds the cap, so the key
+        # of a product is the sum of the keys of its factors.
+        self.weights = [(cap + 1) ** j for j in range(len(gens))]
+        # reach[j]: the highest degree up to the cap that the generators
+        # from position j on can make
+        reach = [0]
+        for g in reversed(gens):
+            reach.append(min(cap, reach[-1] + g.degree) if g.degree % 2 else cap)
+        self.reach = reach[::-1]
+        self.monomials: list[list[tuple[int, ...]]] = []
+        self.labels: list[tuple[str, ...]] = []
+        # Per degree: (key, odd mask, crossing mask) of each basis monomial.
+        # Bit j of the odd mask is set when the monomial contains the odd
+        # generator j; bit j of the crossing mask is the parity of the odd
+        # generators after j that it contains.
+        self.shapes: list[list[tuple[int, int, int]]] = []
+        self.index: dict[int, tuple[int, int]] = {}  # key -> (degree, index)
+        # (j, r) -> (exponents, key, odd mask, odd-letter parity, crossing
+        # mask, label) of each monomial of degree r in the generators from
+        # position j on; "" labels the empty one
+        self.tails: dict[tuple[int, int], list[tuple]] = {
+            (len(gens), 0): [((), 0, 0, 0, 0, "")]
+        }
+        self.diff: list[Optional[tuple[Terms, ...]]] = [None] * cap
+        # d(g) as (index, c, -c) for each nonzero term c, by generator
+        # position; build_free_cdga fills it before any d is built
+        self.d_terms: dict[int, list[tuple[int, Fraction, Fraction]]] = {}
+        self.product = _monomial_product(self.shapes, self.index)
+
+    def grow(self, n: int) -> None:
+        """Build the monomials of every degree up to n (at most the cap).
+
+        A monomial of degree r in the generators from position j on is
+        g_j^e times one in those from j + 1 on, of degree r - e*|g_j|, for
+        e descending; so the monomials come in descending lexicographic
+        order on their exponent tuples (x*y, x*z, y*z), and each one's key,
+        odd mask, crossing mask and label extend those of its tail.  The
+        tails are kept in ``tails`` for the degrees still to come.
+        """
+        gens, weights, reach, tails = self.gens, self.weights, self.reach, self.tails
+        count = len(gens)
+
+        def exponents(j: int, r: int) -> range:
+            # e descending; odd generators square to zero, and the
+            # generators after j must be able to make up the rest
+            d = gens[j].degree
+            top = min(r // d, 1) if d % 2 else r // d
+            return range(top, max(0, -((reach[j + 1] - r) // d)) - 1, -1)
+
+        for degree in range(len(self.labels), min(n, self.cap) + 1):
+            if not self.dims[degree]:
+                self.monomials.append([])
+                self.shapes.append([])
+                self.labels.append(())
+                continue
+            # the remainders each position must make up, top down, less
+            # those whose tails are already known
+            need: list[set[int]] = [{degree}] + [set() for _ in range(count)]
+            for j, g in enumerate(gens):
+                for r in need[j]:
+                    for e in exponents(j, r):
+                        if (j + 1, r - e * g.degree) not in tails:
+                            need[j + 1].add(r - e * g.degree)
+            for j in range(count - 1, -1, -1):
+                g, w = gens[j], weights[j]
+                # an odd letter sets bit j of the odd mask and flips the parity
+                bit, flip = (1 << j, 1) if g.degree % 2 else (0, 0)
+                for r in need[j]:
+                    records: list[tuple] = []
+                    for e in exponents(j, r):
+                        tail = tails[(j + 1, r - e * g.degree)]
+                        # bit j of the crossing mask: the parity of the odd
+                        # letters after j
+                        if not e:
+                            records += [
+                                ((0,) + x, k, m, p, c | p << j, label)
+                                for x, k, m, p, c, label in tail
+                            ]
+                            continue
+                        word, ew = "*".join([g.name] * e), e * w
+                        records += [
+                            (
+                                (e,) + x,
+                                k + ew,
+                                m | bit,
+                                p ^ flip,
+                                c | p << j,
+                                f"{word}*{label}" if label else word,
+                            )
+                            for x, k, m, p, c, label in tail
+                        ]
+                    tails[(j, r)] = records
+            records = tails.pop((0, degree))
+            for i, (_, key, _, _, _, _) in enumerate(records):
+                self.index[key] = (degree, i)
+            self.monomials.append([rec[0] for rec in records])
+            self.shapes.append([(rec[1], rec[2], rec[4]) for rec in records])
+            self.labels.append(tuple(rec[5] or "1" for rec in records))
+        if len(self.labels) > self.cap:
+            self.tails = {}
+
+    def differential(self, n: int) -> tuple[Terms, ...]:
+        """Build d out of degree n < cap from the Leibniz rule on words.
+
+        The letter g at a position of a monomial contributes
+        (-1)^|prefix| * prefix * d(g) * suffix, and both products are
+        single monomials signed by the constants _ONE or _MINUS_ONE, so
+        each term is +c or -c.
+        """
+        if n + 1 >= len(self.labels):
+            self.grow(n + 1)
+        gens, weights, index, product = self.gens, self.weights, self.index, self.product
+        table = []
+        for (key, _, _), exps in zip(self.shapes[n], self.monomials[n]):
+            acc: dict[int, Fraction] = {}
+            prefix_key = 0
+            prefix_deg = 0
+            for gi, e in enumerate(exps):
+                g = gens[gi]
+                terms = self.d_terms.get(gi)
+                if terms is None:
+                    prefix_key += e * weights[gi]
+                    prefix_deg += e * g.degree
+                    continue
+                dn = g.degree + 1
+                for _ in range(e):
+                    pn, pi = index[prefix_key]
+                    sn, si = index[key - prefix_key - weights[gi]]
+                    for k, c, minus_c in terms:
+                        left = product(pn, pi, dn, k)
+                        if not left:
+                            continue
+                        k1, s1 = left[0]
+                        right = product(pn + dn, k1, sn, si)
+                        if not right:
+                            continue
+                        k2, s2 = right[0]
+                        negate = (s1 is _MINUS_ONE) ^ (s2 is _MINUS_ONE)
+                        t = minus_c if negate ^ (prefix_deg & 1) else c
+                        prev = acc.get(k2)
+                        acc[k2] = t if prev is None else prev + t
+                    prefix_key += weights[gi]
+                    prefix_deg += g.degree
+            table.append(tuple((j, c) for j, c in sorted(acc.items()) if c))
+        self.diff[n] = table = tuple(table)
+        return table
 
 
 def build_free_cdga(
@@ -565,11 +816,17 @@ def build_free_cdga(
     or parsed terms) of degree one above the generator; omitted names get
     zero.  The differential is extended as a derivation and d(d(g)) = 0 is
     verified for every generator whose image stays within the cap; a
-    violation reports the generator and the residue.
+    violation reports the generator and the residue.  Since d*d is a
+    derivation, that implies d*d = 0 everywhere.
 
+    The degree dimensions come from the Poincare series (series_dims),
+    which raises BudgetError before any monomial is built when the algebra
+    would pass SIZE_LIMIT.  The monomials and the differential of a degree
+    are built the first time it is read (_FreeBasis); construction builds
+    the degrees up to the top generator degree + 2 for the check above.
     The product of two basis monomials is computed when ``multiply`` asks
-    for it, from the packed exponent keys and odd-letter bitmasks built
-    here; no multiplication table is stored.
+    for it, from the packed exponent keys and odd-letter bitmasks; no
+    multiplication table is stored.
 
     An error about one generator's declaration carries
     ``presentation_row = ("gen", position)``, and one about its
@@ -593,10 +850,10 @@ def build_free_cdga(
             seen.add(g.name)
             continue
         raise _at_row(AlgebraValidationError(message), "gen", gi)
-    if cap < max(g.degree for g in gens):
+    top = max(g.degree for g in gens)
+    if cap < top:
         raise DegreeCapError(
-            f"cap {cap} is below the top generator degree",
-            required_cap=max(g.degree for g in gens),
+            f"cap {cap} is below the top generator degree", required_cap=top
         )
     for name in differentials:
         if name not in seen:
@@ -608,64 +865,24 @@ def build_free_cdga(
                 name,
             )
 
-    by_degree = _enumerate_monomials(gens, cap)
-    # Exponent tuples are packed into integers in base cap+1.  No exponent
-    # of a monomial within the cap exceeds the cap, so the key of a product
-    # is the sum of the keys of its factors.
-    weights = [(cap + 1) ** j for j in range(len(gens))]
-    odd = [g.degree % 2 == 1 for g in gens]
-    index: dict[int, tuple[int, int]] = {}
-    labels = []
-    # Per degree: (key, odd mask, crossing mask) of each basis monomial.  Bit
-    # j of the odd mask is set when the monomial contains the odd generator
-    # j; bit j of the crossing mask is the parity of the odd generators
-    # after j that it contains.
-    shapes: list[list[tuple[int, int, int]]] = []
-    for n in range(cap + 1):
-        labels.append([_monomial_label(gens, m) for m in by_degree[n]])
-        row = []
-        for i, m in enumerate(by_degree[n]):
-            key = odd_mask = crossing = after = 0
-            for j in range(len(gens) - 1, -1, -1):
-                if after:
-                    crossing |= 1 << j
-                if m[j]:
-                    key += m[j] * weights[j]
-                    if odd[j]:
-                        odd_mask |= 1 << j
-                        after ^= 1
-            index[key] = (n, i)
-            row.append((key, odd_mask, crossing))
-        shapes.append(row)
-
-    # A product of monomials is one signed monomial, or zero when an odd
-    # generator repeats.  Its Koszul sign counts the odd letters of the
-    # right factor that move left past odd letters of the left factor.
-    one, minus_one = Fraction(1), Fraction(-1)
-
-    def product(n1: int, i1: int, n2: int, i2: int) -> Terms:
-        key1, odd1, crossing1 = shapes[n1][i1]
-        key2, odd2, _ = shapes[n2][i2]
-        if odd1 & odd2:
-            return ()
-        sign = minus_one if (odd2 & crossing1).bit_count() & 1 else one
-        return ((index[key1 + key2][1], sign),)
-
+    dims = series_dims(cap, [g.degree for g in gens])
+    basis = _FreeBasis(gens, cap, dims)
+    basis.grow(top + 2)  # the generators, their images and the d*d check
     unit = {0: _ONE}
     names = {}
     for gi, g in enumerate(gens):
-        n, i = index[weights[gi]]
+        n, i = basis.index[basis.weights[gi]]
         names[g.name] = (n, {i: _ONE})
-
-    # A differential-free shell is enough to evaluate the generator images.
-    shell = CochainAlgebra(
-        cap, "free", labels, product, {}, unit, names, generators=gens
+    # the parsed polynomial of each nonzero d(g), the recipe ``recap``
+    # rebuilds from
+    parsed: dict[str, PolyTerms] = {}
+    algebra = CochainAlgebra(
+        cap, "free", dims, basis.labels, basis.product, basis.diff, unit, names,
+        generators=gens, free_recipe=(gens, parsed), basis=basis,
     )
 
-    # d(g) as its nonzero (index, coefficient) terms, by generator position,
-    # and its parsed polynomial, the recipe ``recap`` rebuilds from.
-    d_terms: dict[int, list[tuple[int, Fraction]]] = {}
-    parsed: dict[str, PolyTerms] = {}
+    # Evaluate the generator images; no differential is read until
+    # basis.d_terms is complete.
     for gi, g in enumerate(gens):
         poly = differentials.get(g.name)
         if poly is None:
@@ -681,7 +898,7 @@ def build_free_cdga(
                     )
                 continue
             try:
-                el = shell.from_polynomial(terms, expected_degree=g.degree + 1)
+                el = algebra.from_polynomial(terms, expected_degree=g.degree + 1)
             except AlgebraValidationError as exc:
                 raise AlgebraValidationError(
                     f"differential of {g.name!r} is ill-graded: {exc}"
@@ -694,61 +911,8 @@ def build_free_cdga(
         except (AlgebraError, ParseError) as exc:
             raise _at_row(exc, "d", g.name)
         if not el.is_zero():
-            d_terms[gi] = [(k, c, -c) for k, c in el.terms.items()]
+            basis.d_terms[gi] = [(k, c, -c) for k, c in el.terms.items()]
             parsed[g.name] = terms
-
-    # Leibniz rule on the word of each monomial: the letter g at a position
-    # contributes (-1)^|prefix| * prefix * d(g) * suffix, and both products
-    # are single monomials signed by the constants one or minus_one, so
-    # each term is +c or -c.
-    diff: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-    for n in range(cap):
-        for i, exps in enumerate(by_degree[n]):
-            key = shapes[n][i][0]
-            acc: dict[int, Fraction] = {}
-            prefix_key = 0
-            prefix_deg = 0
-            for gi, e in enumerate(exps):
-                g = gens[gi]
-                terms = d_terms.get(gi)
-                if terms is None:
-                    prefix_key += e * weights[gi]
-                    prefix_deg += e * g.degree
-                    continue
-                dn = g.degree + 1
-                for _ in range(e):
-                    pn, pi = index[prefix_key]
-                    sn, si = index[key - prefix_key - weights[gi]]
-                    for k, c, minus_c in terms:
-                        left = product(pn, pi, dn, k)
-                        if not left:
-                            continue
-                        k1, s1 = left[0]
-                        right = product(pn + dn, k1, sn, si)
-                        if not right:
-                            continue
-                        k2, s2 = right[0]
-                        negate = (s1 is minus_one) ^ (s2 is minus_one)
-                        t = minus_c if negate ^ (prefix_deg & 1) else c
-                        prev = acc.get(k2)
-                        acc[k2] = t if prev is None else prev + t
-                    prefix_key += weights[gi]
-                    prefix_deg += g.degree
-            entries = tuple((j, c) for j, c in sorted(acc.items()) if c)
-            if entries:
-                diff[(n, i)] = entries
-
-    algebra = CochainAlgebra(
-        cap,
-        "free",
-        labels,
-        product,
-        diff,
-        unit,
-        names,
-        generators=gens,
-        free_recipe=(gens, parsed),
-    )
 
     for g in gens:
         if g.degree + 2 <= cap:
@@ -876,9 +1040,10 @@ def build_table_algebra(
     algebra = CochainAlgebra(
         cap,
         "table",
-        names_per_degree,
+        dims,
+        [tuple(ns) for ns in names_per_degree],
         _table_lookup(mul),
-        diff,
+        [tuple(diff.get((n, i), ()) for i in range(dims[n])) for n in range(cap)],
         _solve_unit(dims, mul, cap),
         name_map,
     )
@@ -947,12 +1112,13 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
         return limit is not None and len(problems) >= limit
 
     cap, dims, label = a.cap, a.dims, a.basis_label
-    product, d = a._product, a._diff.get
+    product = a.product_lookup(cap)
+    d = [a.diff_table(n) for n in range(cap)]
 
     for n in range(cap - 1):
         for i in range(dims[n]):
             if sparse_sum(
-                (k, c * s) for j, c in d((n, i), ()) for k, s in d((n + 1, j), ())
+                (k, c * s) for j, c in d[n][i] for k, s in d[n + 1][j]
             ):
                 if report(
                     f"d*d != 0 on basis vector {label(n, i)!r} (degree {n})"
@@ -1008,12 +1174,12 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
         for n2 in range(cap - n1):
             n12 = n1 + n2
             for i1 in range(dims[n1]):
-                d1 = d((n1, i1), ())
+                d1 = d[n1][i1]
                 for i2 in range(dims[n2]):
                     lhs = [
                         (t, c * s)
                         for k, c in product(n1, i1, n2, i2)
-                        for t, s in d((n12, k), ())
+                        for t, s in d[n12][k]
                     ]
                     rhs = [
                         (t, c * s)
@@ -1022,7 +1188,7 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
                     ]
                     rhs += [
                         (t, -c * s if n1 % 2 else c * s)
-                        for j, c in d((n2, i2), ())
+                        for j, c in d[n2][i2]
                         for t, s in product(n1, i1, n2 + 1, j)
                     ]
                     if (lhs or rhs) and sparse_sum(lhs) != sparse_sum(rhs):
@@ -1064,7 +1230,8 @@ def tensor_polynomial_generator(
     cap; table bases are taken as literally zero above their own cap,
     which keeps every axiom intact because all extra degrees are zero
     spaces.  The result of a valid base is therefore valid and is not
-    scanned again.
+    scanned again.  Its size, the base's series times 1/(1 - t^2), is
+    checked against SIZE_LIMIT before the base is re-capped.
     """
     if cap is None:
         cap = a.cap
@@ -1084,9 +1251,11 @@ def tensor_polynomial_generator(
             f"name {name!r} already exists in the base algebra"
         )
 
-    if a.kind == "free" and cap > a.cap:
-        base = recap(a, cap)
+    if a.kind == "free":
+        series_dims(cap, [*(g.degree for g in a.generators), 2])
+        base = recap(a, cap) if cap > a.cap else a
     else:
+        series_dims(cap, (2,), start=a.dims)
         base = a
 
     def bdim(k: int) -> int:
@@ -1103,22 +1272,21 @@ def tensor_polynomial_generator(
             offset += size
         blocks.append(tuple(row))
 
-    labels: list[list[str]] = []
+    labels: list[tuple[str, ...]] = []
     for n in range(cap + 1):
         row = []
         for j, bdeg, _off, size in blocks[n]:
-            for i in range(size):
-                base_label = base.basis_label(bdeg, i)
+            for base_label in base.basis_labels(bdeg) if size else ():
                 parts = ([] if base_label == "1" else [base_label]) + [name] * j
                 row.append("*".join(parts) if parts else "1")
-        labels.append(row)
+        labels.append(tuple(row))
 
     splits = tuple(
         tuple((j, i) for j, _bdeg, _off, size in row for i in range(size))
         for row in blocks
     )
     info = TensorInfo(base=base, hname=name, blocks=tuple(blocks), splits=splits)
-    base_product = base._product
+    base_product = base.product_lookup(base.cap)
 
     # (h^j1 (x) e)(h^j2 (x) f) = h^(j1+j2) (x) e*f: the base product, shifted
     # into the block of h^(j1+j2).  A base that is not recapped is zero
@@ -1135,17 +1303,21 @@ def tensor_polynomial_generator(
         toff = blocks[n1 + n2][j1 + j2][2]
         return tuple((toff + k, c) for k, c in entries)
 
-    diff: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+    # d acts on the base part: block j of degree n maps into block j of
+    # degree n + 1, whose offset shifts the base terms.
+    diff: list[tuple[Terms, ...]] = []
     for n in range(cap):
-        for j, bdeg, off, size in blocks[n]:
-            target = info.block(n + 1, j)
-            if target is None or target[3] == 0:
-                continue
-            toff = target[2]
-            for i in range(size):
-                entries = base._diff.get((bdeg, i), ()) if bdeg < base.cap else ()
-                if entries:
-                    diff[(n, off + i)] = tuple((toff + k, c) for k, c in entries)
+        table: list[Terms] = []
+        for j, bdeg, _off, size in blocks[n]:
+            if size and bdeg < base.cap:
+                toff = blocks[n + 1][j][2]
+                table.extend(
+                    tuple((toff + k, c) for k, c in terms) if toff else terms
+                    for terms in base.diff_table(bdeg)
+                )
+            else:
+                table.extend([()] * size)
+        diff.append(tuple(table))
 
     # The h^0 block sits at offset 0 of every degree, so the base's unit and
     # names carry over unchanged; h is the base unit in the h^1 block.
@@ -1156,6 +1328,7 @@ def tensor_polynomial_generator(
     return CochainAlgebra(
         cap,
         "table",
+        [len(row) for row in labels],
         labels,
         product,
         diff,
@@ -1235,23 +1408,19 @@ def validate_morphism(f: AlgebraMorphism) -> list[str]:
     if unit != tgt._unit:
         problems.append("morphism does not preserve the unit")
 
-    src_d, tgt_d = src._diff.get, tgt._diff.get
     for n in range(trust):
         image = columns[n + 1]
+        src_d, tgt_d = src.diff_table(n), tgt.diff_table(n)
         for i, column in enumerate(columns[n]):
-            lhs = [
-                (t, c * s) for k, c in src_d((n, i), ()) for t, s in image[k].items()
-            ]
-            rhs = [
-                (t, c * s) for k, c in column.items() for t, s in tgt_d((n, k), ())
-            ]
+            lhs = [(t, c * s) for k, c in src_d[i] for t, s in image[k].items()]
+            rhs = [(t, c * s) for k, c in column.items() for t, s in tgt_d[k]]
             if (lhs or rhs) and sparse_sum(lhs) != sparse_sum(rhs):
                 problems.append(
                     f"morphism does not commute with d on {src.basis_label(n, i)!r}"
                 )
                 break
 
-    src_product, tgt_product = src._product, tgt._product
+    src_product, tgt_product = src.product_lookup(trust), tgt.product_lookup(trust)
     for n1 in range(trust + 1):
         for n2 in range(trust + 1 - n1):
             image = columns[n1 + n2]

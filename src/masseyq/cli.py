@@ -13,10 +13,12 @@ document with exact rationals rendered as strings; both are assembled
 from the same payload, and identical inputs give byte-identical output.
 
 Exit codes: 0 success or confirmed non-vanishing; 2 unparsable input;
-3 invalid input or datum; 4 cap too small; 10 the product vanishes;
-11 the product is undefined; 12 a premise failed or the run was
-inconclusive; 13 a scan produced findings; 1 an internal consistency
-check tripped.
+3 invalid input or datum; 4 cap too small; 5 an algebra would pass the
+size limit (cdga.SIZE_LIMIT degrees and basis elements up to its cap),
+found from its Poincare series before any of it is built; 10 the
+product vanishes; 11 the product is undefined; 12 a premise failed or
+the run was inconclusive; 13 a scan produced findings; 1 an internal
+consistency check tripped.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .cdga import CochainAlgebra, recap
 from .cohomology import CohomologyRing, MasseyResult, triple_massey
 from .errors import (
     AlgebraError,
+    BudgetError,
     ConsistencyError,
     DegreeCapError,
     ParseError,
@@ -47,6 +50,7 @@ from .fileformat import (
 )
 from .models import builtin_family
 from .report import (
+    EXIT_BUDGET,
     EXIT_CAP,
     EXIT_FINDINGS,
     EXIT_INTERNAL,
@@ -57,6 +61,7 @@ from .report import (
     EXIT_UNDEFINED,
     EXIT_VANISHES,
     Report,
+    STATUS_BUDGET,
     STATUS_CAP,
     STATUS_INTERNAL,
     STATUS_INVALID,
@@ -811,6 +816,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if exc.required_cap is not None:
             payload["required-cap"] = exc.required_cap
         report = Report(command, STATUS_CAP, EXIT_CAP, payload)
+    except BudgetError as exc:
+        payload = {
+            "error": str(exc),
+            "required-size": exc.required,
+            "size-limit": exc.allowed,
+        }
+        report = Report(command, STATUS_BUDGET, EXIT_BUDGET, payload)
     except ConsistencyError as exc:
         report = Report(command, STATUS_INTERNAL, EXIT_INTERNAL, {"error": str(exc)})
     except (AlgebraError, ValueError, OSError) as exc:

@@ -27,6 +27,19 @@ class DegreeCapError(AlgebraError):
         self.required_cap = required_cap
 
 
+class BudgetError(Exception):
+    """A presentation's size passes the package limit before it is built.
+
+    ``required`` is the size counted when the count passed ``allowed``:
+    a lower bound on the full size, since the count stops there.
+    """
+
+    def __init__(self, message: str, required: int, allowed: int):
+        super().__init__(message)
+        self.required = required
+        self.allowed = allowed
+
+
 class UndefinedProductError(AlgebraError):
     """A Massey product needed by a check is not defined."""
 

@@ -20,6 +20,7 @@ EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_CAP = 4
+EXIT_BUDGET = 5
 EXIT_VANISHES = 10
 EXIT_UNDEFINED = 11
 EXIT_PREMISE = 12
@@ -29,9 +30,17 @@ STATUS_OK = "ok"
 STATUS_PREMISE = "premise-failed"
 STATUS_INVALID = "invalid-input"
 STATUS_CAP = "cap-too-small"
+STATUS_BUDGET = "over-budget"
 STATUS_INTERNAL = "internal"
 
-_STATUSES = (STATUS_OK, STATUS_PREMISE, STATUS_INVALID, STATUS_CAP, STATUS_INTERNAL)
+_STATUSES = (
+    STATUS_OK,
+    STATUS_PREMISE,
+    STATUS_INVALID,
+    STATUS_CAP,
+    STATUS_BUDGET,
+    STATUS_INTERNAL,
+)
 
 
 @dataclass

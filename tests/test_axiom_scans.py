@@ -40,14 +40,21 @@ _LIMITS = (None, 1, 3)
 def _tables(a):
     """The product and differential tables of an algebra, read off its lookups."""
     mul = {}
+    product = a.product_lookup(a.cap)
     for n1 in range(a.cap + 1):
         for n2 in range(a.cap + 1 - n1):
             for i1 in range(a.dim(n1)):
                 for i2 in range(a.dim(n2)):
-                    terms = a._product(n1, i1, n2, i2)
+                    terms = product(n1, i1, n2, i2)
                     if terms:
                         mul[(n1, i1, n2, i2)] = list(terms)
-    return mul, {key: list(terms) for key, terms in a._diff.items()}
+    diff = {
+        (n, i): list(terms)
+        for n in range(a.cap)
+        for i, terms in enumerate(a.diff_table(n))
+        if terms
+    }
+    return mul, diff
 
 
 def _merged(terms):
@@ -64,9 +71,13 @@ def _assemble(a, mul, diff):
     return CochainAlgebra(
         a.cap,
         "table",
+        a.dims,
         [a.basis_labels(n) for n in range(a.cap + 1)],
         lambda n1, i1, n2, i2: products.get((n1, i1, n2, i2), ()),
-        {key: _merged(terms) for key, terms in diff.items() if _merged(terms)},
+        [
+            tuple(_merged(diff.get((n, i), ())) for i in range(a.dim(n)))
+            for n in range(a.cap)
+        ],
         a._unit,
         a._names,
     )

@@ -742,7 +742,8 @@ def test_free_structure_constants_match_the_definition():
 def _algebras_with_elements(draw):
     """A random free presentation, or its h-extension two or three degrees
     above its cap, with the oracle over its generators (plus ``("h", 2)``
-    for an extension) and pairs of integer combinations of equal degree.
+    for an extension), pairs of integer combinations of equal degree and
+    an order in which to read the degrees.
 
     The second element of a pair negates the first at random positions, so
     sums and differences cancel exactly there.
@@ -763,13 +764,14 @@ def _algebras_with_elements(draw):
         )
         y = [-a if flip else draw(coeff) for a, flip in zip(x, flips)]
         pairs.append((algebra.element(n, x), algebra.element(n, y)))
-    return algebra, FreeCdgaOracle(gens, diffs), pairs
+    order = draw(st.permutations(range(cap + 1)))
+    return algebra, FreeCdgaOracle(gens, diffs), pairs, order
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_algebras_with_elements())
 def test_sparse_elements_match_the_oracle(drawn):
-    algebra, oracle, pairs = drawn
+    algebra, oracle, pairs, order = drawn
     one = oracle.exponents("1")
 
     def poly(el):
@@ -798,6 +800,30 @@ def test_sparse_elements_match_the_oracle(drawn):
         assert again == el and hash(again) == hash(el)
         assert str(again) == str(el)
         return el
+
+    # Degrees in a random order, each read first through products and d,
+    # which must build the degrees they land in: a free algebra builds
+    # its degrees on first use.
+    names = algebra.names()
+    for n in order:
+        for i in range(algebra.dim(n)):
+            e = algebra.basis_element(n, i)
+            images = [
+                (nm, e * algebra.named_element(nm))
+                for nm in names
+                if n + algebra.name_degree(nm) <= algebra.cap
+            ]
+            de = e.d() if n < algebra.cap else None
+            pe = poly(e)
+            for nm, image in images:
+                assert poly(image) == oracle.multiply(pe, {oracle.exponents(nm): 1})
+            if de is not None:
+                assert poly(de) == oracle.differential(pe)
+        if algebra.tensor_info is None:
+            # descending lexicographic on exponent tuples
+            assert [oracle.exponents(l) for l in algebra.basis_labels(n)] == sorted(
+                oracle.monomials(n), reverse=True
+            )
 
     assert poly(checked(algebra.unit())) == {one: 1}
     for name in algebra.names():

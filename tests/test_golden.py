@@ -134,6 +134,25 @@ CASES = [
     ("scan-tautological-chi-without-m", ["scan", "tautological-chi-without-m.family"], 2),
     ("cohomology-heisenberg-bundles", ["cohomology", "heisenberg-bundles.alg"], 2),
     ("scan-unknown-builtin", ["scan", "builtin:nonexistent"], 2),
+    # Over the size limit: the parent commit runs these unbounded, so they
+    # were pinned from the change that added the limit.
+    (
+        "cohomology-cap-3000000",
+        ["cohomology", "cap-3000000.alg", "--max-degree", "1"],
+        5,
+    ),
+    ("cohomology-cap-huge", ["cohomology", "cap-huge.alg"], 5),
+    ("cohomology-exterior-20", ["cohomology", "exterior-20.alg"], 5),
+    (
+        "euler-heisenberg-m-100000",
+        ["euler", "builtin:heisenberg", "--chi", "h", "--m", "100000"],
+        5,
+    ),
+    (
+        "lemma32-heisenberg-cap-100000",
+        ["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1", "--cap", "100000"],
+        5,
+    ),
 ]
 
 
@@ -144,6 +163,7 @@ HUMAN = {
     "lemma32-heisenberg-cap12",
     "theorem11-rotation",
     "scan-default",
+    "cohomology-exterior-20",
 }
 
 def _run(argv: list[str], fmt: str) -> tuple[int, str]:

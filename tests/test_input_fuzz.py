@@ -26,7 +26,7 @@ from masseyq.cli import main
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "data")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
-EXITS = {0, 2, 3, 4, 10, 11, 12, 13}
+EXITS = {0, 2, 3, 4, 5, 10, 11, 12, 13}
 
 # seed file -> the command run on its mutant, whose path replaces "{}"
 COMMANDS = {

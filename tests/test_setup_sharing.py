@@ -102,14 +102,16 @@ def test_shuffled_family_rows_equal_rows_scanned_alone(seed):
 def _presentation_key(base, cap, hname):
     """A structural name for build_setup's input: cap, labels, d and products."""
     labels = tuple(base.basis_labels(n) for n in range(base.cap + 1))
+    product = base.product_lookup(base.cap)
     products = tuple(
-        base._product(n1, i1, n2, i2)
+        product(n1, i1, n2, i2)
         for n1 in range(base.cap + 1)
         for n2 in range(base.cap + 1 - n1)
         for i1 in range(base.dim(n1))
         for i2 in range(base.dim(n2))
     )
-    return (base.cap, labels, tuple(sorted(base._diff.items())), products, cap, hname)
+    diffs = tuple(base.diff_table(n) for n in range(base.cap))
+    return (base.cap, labels, diffs, products, cap, hname)
 
 
 def test_default_scan_builds_one_setup_per_distinct_base_cap_and_h(monkeypatch, capsys):
