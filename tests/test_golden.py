@@ -134,6 +134,9 @@ CASES = [
     ("scan-tautological-chi-without-m", ["scan", "tautological-chi-without-m.family"], 2),
     ("cohomology-heisenberg-bundles", ["cohomology", "heisenberg-bundles.alg"], 2),
     ("scan-unknown-builtin", ["scan", "builtin:nonexistent"], 2),
+    ("scan-over-budget-min-cap", ["scan", "over-budget-min-cap.family"], 13),
+    ("scan-two-points-zero-divisor", ["scan", "two-points-zero-divisor.family"], 13),
+    ("scan-unknown-class", ["scan", "unknown-class.family"], 13),
     # Over the size limit: the parent commit runs these unbounded, so they
     # were pinned from the change that added the limit.
     (
