@@ -597,8 +597,8 @@ def series_dims(
         return BudgetError(
             f"the algebra up to cap {cap} needs at least {size} degrees "
             f"and basis elements; the limit is {SIZE_LIMIT}",
-            required=size,
-            allowed=SIZE_LIMIT,
+            required_size=size,
+            size_limit=SIZE_LIMIT,
         )
 
     size = cap + 1 + sum(start[: cap + 1])

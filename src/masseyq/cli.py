@@ -12,18 +12,14 @@ Models and data are file paths or `builtin:<name>` specs.  Output is
 document with exact rationals rendered as strings; both are assembled
 from the same payload, and identical inputs give byte-identical output.
 
-Exit codes: 0 success or confirmed non-vanishing; 2 unparsable input;
-3 invalid input or datum; 4 cap too small; 5 an algebra would pass the
-size limit (cdga.SIZE_LIMIT degrees and basis elements up to its cap),
-found from its Poincare series before any of it is built; 10 the
-product vanishes; 11 the product is undefined; 12 a premise failed or
-the run was inconclusive; 13 a scan produced findings; 1 an internal
-consistency check tripped.
+A failed request reports the status and exit code that the outcome
+table in ``report`` gives its exception; README lists every exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -31,15 +27,7 @@ from typing import Optional, Sequence
 
 from .cdga import CochainAlgebra, recap
 from .cohomology import CohomologyRing, MasseyResult, triple_massey
-from .errors import (
-    AlgebraError,
-    BudgetError,
-    ConsistencyError,
-    DegreeCapError,
-    ParseError,
-    PremiseError,
-    UndefinedProductError,
-)
+from .errors import DegreeCapError, ParseError
 from .fileformat import (
     load_family,
     parse_bundle_line,
@@ -50,10 +38,8 @@ from .fileformat import (
 )
 from .models import builtin_family
 from .report import (
-    EXIT_BUDGET,
     EXIT_CAP,
     EXIT_FINDINGS,
-    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_PARSE,
@@ -61,13 +47,12 @@ from .report import (
     EXIT_UNDEFINED,
     EXIT_VANISHES,
     Report,
-    STATUS_BUDGET,
     STATUS_CAP,
-    STATUS_INTERNAL,
     STATUS_INVALID,
     STATUS_OK,
     STATUS_PREMISE,
     format_table,
+    outcome,
 )
 from .transfer import (
     EulerData,
@@ -424,15 +409,7 @@ def _cmd_scan(args) -> Report:
         "total": report.total,
         "completed": report.completed,
         "exhausted": report.exhausted,
-        "rows": [
-            {
-                "name": row.name,
-                "status": row.status,
-                "verdict": row.verdict,
-                "note": row.note,
-            }
-            for row in report.rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in report.rows],
         "findings": list(report.findings),
     }
     exit_code = EXIT_FINDINGS if report.findings else EXIT_OK
@@ -663,9 +640,6 @@ def _render_human(report: Report) -> str:
             )
         for finding in payload["findings"]:
             lines.append(f"finding: {finding}")
-    else:
-        for key in sorted(payload):
-            lines.append(f"{key}: {payload[key]}")
     return "\n".join(lines) + "\n"
 
 
@@ -805,28 +779,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "cap", None) is not None and args.cap < 0:
             raise ValueError("--cap must be nonnegative")
         report = args.handler(args)
-    except ParseError as exc:
-        report = Report(command, STATUS_INVALID, EXIT_PARSE, {"error": str(exc)})
-    except PremiseError as exc:
-        report = Report(command, STATUS_PREMISE, EXIT_PREMISE, {"error": str(exc)})
-    except UndefinedProductError as exc:
-        report = Report(command, STATUS_PREMISE, EXIT_UNDEFINED, {"error": str(exc)})
-    except DegreeCapError as exc:
-        payload = {"error": str(exc)}
-        if exc.required_cap is not None:
-            payload["required-cap"] = exc.required_cap
-        report = Report(command, STATUS_CAP, EXIT_CAP, payload)
-    except BudgetError as exc:
-        payload = {
-            "error": str(exc),
-            "required-size": exc.required,
-            "size-limit": exc.allowed,
-        }
-        report = Report(command, STATUS_BUDGET, EXIT_BUDGET, payload)
-    except ConsistencyError as exc:
-        report = Report(command, STATUS_INTERNAL, EXIT_INTERNAL, {"error": str(exc)})
-    except (AlgebraError, ValueError, OSError) as exc:
-        report = Report(command, STATUS_INVALID, EXIT_INVALID, {"error": str(exc)})
+    except Exception as exc:
+        known = outcome(exc)
+        if known is None:
+            raise
+        report = Report(command, *known)
     _emit(report, args.format)
     return report.exit_code
 

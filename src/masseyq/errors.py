@@ -30,14 +30,14 @@ class DegreeCapError(AlgebraError):
 class BudgetError(Exception):
     """A presentation's size passes the package limit before it is built.
 
-    ``required`` is the size counted when the count passed ``allowed``:
-    a lower bound on the full size, since the count stops there.
+    ``required_size``, the size counted when the count passed
+    ``size_limit``, is a lower bound on the full size: the count stops there.
     """
 
-    def __init__(self, message: str, required: int, allowed: int):
+    def __init__(self, message: str, required_size: int, size_limit: int):
         super().__init__(message)
-        self.required = required
-        self.allowed = allowed
+        self.required_size = required_size
+        self.size_limit = size_limit
 
 
 class UndefinedProductError(AlgebraError):

@@ -11,9 +11,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import ParseError
+from .errors import (
+    AlgebraError,
+    BudgetError,
+    ConsistencyError,
+    DegreeCapError,
+    ParseError,
+    PremiseError,
+    UndefinedProductError,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -33,14 +41,43 @@ STATUS_CAP = "cap-too-small"
 STATUS_BUDGET = "over-budget"
 STATUS_INTERNAL = "internal"
 
-_STATUSES = (
-    STATUS_OK,
-    STATUS_PREMISE,
-    STATUS_INVALID,
-    STATUS_CAP,
-    STATUS_BUDGET,
-    STATUS_INTERNAL,
-)
+# What a failed request reports: exception class -> status, exit code and
+# payload extras, each read off the attribute of the same name (_ for -)
+# and left out when None.  The nearest class on the exception's MRO
+# decides, so a ConsistencyError is internal although it is an AlgebraError.
+_OUTCOMES: dict[type, tuple[str, int, tuple[str, ...]]] = {
+    ParseError: (STATUS_INVALID, EXIT_PARSE, ()),
+    PremiseError: (STATUS_PREMISE, EXIT_PREMISE, ()),
+    UndefinedProductError: (STATUS_PREMISE, EXIT_UNDEFINED, ()),
+    DegreeCapError: (STATUS_CAP, EXIT_CAP, ("required-cap",)),
+    BudgetError: (STATUS_BUDGET, EXIT_BUDGET, ("required-size", "size-limit")),
+    ConsistencyError: (STATUS_INTERNAL, EXIT_INTERNAL, ()),
+    AlgebraError: (STATUS_INVALID, EXIT_INVALID, ()),
+    ValueError: (STATUS_INVALID, EXIT_INVALID, ()),
+    OSError: (STATUS_INVALID, EXIT_INVALID, ()),
+}
+
+_STATUSES = (STATUS_OK, *dict.fromkeys(entry[0] for entry in _OUTCOMES.values()))
+
+
+class Outcome(NamedTuple):
+    status: str
+    exit_code: int
+    payload: dict
+
+
+def outcome(exc: BaseException) -> Optional[Outcome]:
+    """The table's status, exit code and payload for ``exc``, or None."""
+    for cls in type(exc).__mro__:
+        if cls in _OUTCOMES:
+            status, exit_code, extras = _OUTCOMES[cls]
+            payload = {"error": str(exc)}
+            for key in extras:
+                value = getattr(exc, key.replace("-", "_"))
+                if value is not None:
+                    payload[key] = value
+            return Outcome(status, exit_code, payload)
+    return None
 
 
 @dataclass

@@ -55,6 +55,7 @@ from .errors import (
     UndefinedProductError,
 )
 from .linalg import Subspace, kernel_rows, solve_rows, transpose
+from .report import STATUS_INTERNAL, STATUS_INVALID, outcome
 
 ClassInput = Union[str, list, CohomologyClass]
 
@@ -822,6 +823,9 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     except EulerClassError as exc:
         findings.append(exc.finding)
     except Exception as exc:
+        known = outcome(exc)
+        if known is None or known.status != STATUS_INVALID:
+            raise
         findings.append(f"Euler class polynomial is invalid: {exc}")
 
     rmap, push = datum.restrict_map, datum.push_map
@@ -1189,17 +1193,18 @@ def scan_families(
 ) -> ScanReport:
     """Run the pipeline over a family and collect anomalies.
 
-    Every config produces a row.  A finding is recorded only for hard
-    failures (internal inconsistencies, unexpected exceptions) or when a
-    config declares an expectation the run contradicts; an invalid datum
-    is an ordinary row, flagged in place.  ``budget`` bounds the number
-    of configurations run; the report records how far the scan got.
+    Every config produces a row with the status its config reports
+    alone; an exception gets the status ``report.outcome`` gives it and
+    its message as note.  Findings record hard failures (row
+    ``internal`` for a ConsistencyError, ``error`` for an exception the
+    table does not know) and expectations the run contradicts.
+    ``budget`` bounds the number of configurations run; the report
+    records how far the scan got.
 
     All configs share one ``SetupTable``: ``setups`` if given (pass the
     table the family was built with, so tautological data share it too),
     else a new one for this call.  Configs over the same base, cap and h
-    name therefore build one extension ring, and each row equals the row of its
-    config scanned alone.
+    name therefore build one extension ring; sharing changes no row.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -1221,24 +1226,25 @@ def scan_families(
                 setups=setups,
             )
         except Exception as exc:
-            rows.append(ScanRow(cfg.name, "error", "inconclusive", str(exc)))
-            findings.append(f"{cfg.name}: {type(exc).__name__}: {exc}")
-            continue
-        note = ""
-        if result.status == "invalid-datum" and result.datum_findings:
-            note = result.datum_findings[0]
-        elif result.premise_error:
-            note = result.premise_error
-        elif result.gysin_error:
-            note = result.gysin_error
-        rows.append(ScanRow(cfg.name, result.status, result.verdict, note))
-        if cfg.expect is not None and cfg.expect not in (
-            result.status,
-            result.verdict,
-        ):
+            known = outcome(exc)
+            status = "error" if known is None else known.status
+            row = ScanRow(cfg.name, status, "inconclusive", str(exc))
+            if status in ("error", STATUS_INTERNAL):
+                findings.append(f"{cfg.name}: {type(exc).__name__}: {exc}")
+        else:
+            note = ""
+            if result.status == "invalid-datum" and result.datum_findings:
+                note = result.datum_findings[0]
+            elif result.premise_error:
+                note = result.premise_error
+            elif result.gysin_error:
+                note = result.gysin_error
+            row = ScanRow(cfg.name, result.status, result.verdict, note)
+        rows.append(row)
+        if cfg.expect is not None and cfg.expect not in (row.status, row.verdict):
             findings.append(
                 f"{cfg.name}: expected {cfg.expect!r}, got status "
-                f"{result.status!r} with verdict {result.verdict!r}"
+                f"{row.status!r} with verdict {row.verdict!r}"
             )
     return ScanReport(
         rows=rows, findings=findings, total=len(configs), completed=len(run)

@@ -91,8 +91,8 @@ def test_the_series_stops_once_the_size_passes_the_limit(rng, limit):
         if size > limit:
             with pytest.raises(BudgetError) as caught:
                 series_dims(cap, [d for _, d in gens])
-            assert limit < caught.value.required <= size
-            assert caught.value.allowed == limit
+            assert limit < caught.value.required_size <= size
+            assert caught.value.size_limit == limit
         else:
             assert series_dims(cap, [d for _, d in gens]) == tuple(dims)
 

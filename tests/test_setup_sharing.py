@@ -96,7 +96,7 @@ def test_shuffled_family_rows_equal_rows_scanned_alone(seed):
     assert [row.name for row in shared] == [b.split("\n")[0][len("name = "):] for b in blocks]
     assert shared == _rows_alone_from_text(blocks, DATA)
     statuses = {row.status for row in shared}
-    assert {"ok", "premise-failed", "invalid-datum", "error"} <= statuses
+    assert {"ok", "premise-failed", "invalid-datum", "invalid-input"} <= statuses
 
 
 def _presentation_key(base, cap, hname):

@@ -45,6 +45,7 @@ from masseyq.transfer import (
     EulerData,
     HamiltonianTransferDatum,
     ScanConfig,
+    ScanRow,
     SetupTable,
     TautologicalDatum,
     WeightedLineBundle,
@@ -940,7 +941,7 @@ def test_scan_records_expectation_mismatches():
     assert "wrong-guess" in report.findings[0]
 
 
-def test_scan_turns_exceptions_into_error_rows():
+def test_scan_row_of_a_typo_is_invalid_input_without_a_finding():
     cfg = ScanConfig(
         name="typo",
         base=heisenberg(),
@@ -950,8 +951,15 @@ def test_scan_turns_exceptions_into_error_rows():
         euler=EulerData.of(chi="h", m=1),
     )
     report = scan_families([cfg])
-    assert report.rows[0].status == "error"
-    assert len(report.findings) == 1
+    assert report.rows == [
+        ScanRow(
+            "typo",
+            "invalid-input",
+            "inconclusive",
+            "unknown name 'nosuchname' in this algebra",
+        )
+    ]
+    assert report.findings == []
 
 
 def test_scan_budget_stops_early_and_reports_progress():
