@@ -139,6 +139,16 @@ CASES = [
     ("scan-over-budget-min-cap", ["scan", "over-budget-min-cap.family"], 0),
     ("scan-two-points-zero-divisor", ["scan", "two-points-zero-divisor.family"], 0),
     ("scan-unknown-class", ["scan", "unknown-class.family"], 0),
+    # A tautological config that fails while its family loads, and keys
+    # given twice in a config and in a datum.
+    ("scan-tautological-unknown-class", ["scan", "tautological-unknown-class.family"], 2),
+    ("scan-tautological-over-budget", ["scan", "tautological-over-budget.family"], 5),
+    ("scan-repeated-model", ["scan", "repeated-model.family"], 0),
+    (
+        "transfer-rotation-repeated-m",
+        ["transfer", "rotation-repeated-m.datum", "eN", "eS", "eN"],
+        12,
+    ),
     # Over the size limit: the parent commit runs these unbounded, so they
     # were pinned from the change that added the limit.
     (
