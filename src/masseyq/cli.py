@@ -34,7 +34,6 @@ from .fileformat import (
     resolve_datum_spec,
     resolve_model_spec,
     resolve_spec,
-    tautological_from_parts,
 )
 from .models import builtin_family
 from .report import (
@@ -58,7 +57,6 @@ from .transfer import (
     EulerData,
     EulerScaledReport,
     GysinReport,
-    SetupTable,
     build_setup,
     check_euler_scaled_massey,
     check_gysin_transfer,
@@ -339,7 +337,7 @@ def _cmd_transfer(args) -> Report:
 
 
 def _cmd_theorem11(args) -> Report:
-    setups = SetupTable()
+    model = euler = datum = None
     if args.datum is not None:
         if len(args.args) != 3:
             raise ParseError(
@@ -360,12 +358,11 @@ def _cmd_theorem11(args) -> Report:
             )
         model_spec, u, v, w = args.args
         model = _resolve_model(model_spec, None)
-        datum = tautological_from_parts(
-            model, (u, v, w), _euler_data(args), args.cap, setups=setups
-        )
+        euler = _euler_data(args)
         source = f"tautological over {model_spec}"
     rep = run_transfer_pipeline(
-        None, u, v, w, datum=datum, min_cap=args.cap, setups=setups
+        model, u, v, w, euler=euler, datum=datum, tautological=datum is None,
+        min_cap=args.cap,
     )
     payload: dict = {
         "datum": source,
@@ -395,15 +392,10 @@ def _cmd_theorem11(args) -> Report:
 
 
 def _cmd_scan(args) -> Report:
-    setups = SetupTable()
     configs = resolve_spec(
-        args.family,
-        os.getcwd(),
-        "family",
-        lambda name: builtin_family(name, setups),
-        lambda path: load_family(path, setups),
+        args.family, os.getcwd(), "family", builtin_family, load_family
     )
-    report = scan_families(configs, budget=args.budget, setups=setups)
+    report = scan_families(configs, budget=args.budget)
     payload = {
         "family": args.family,
         "total": report.total,

@@ -58,10 +58,9 @@ from .transfer import (
     EulerData,
     HamiltonianTransferDatum,
     ScanConfig,
-    SetupTable,
     WeightedLineBundle,
-    required_cap,
-    tautological_datum,
+    # re-exported: perfbench/spans.py wraps it under this module's name
+    tautological_from_parts,  # noqa: F401
 )
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -378,6 +377,7 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
     datum_name = name
     restrict_given: dict[int, tuple[int, list[list[Fraction]]]] = {}
     push_given: dict[int, tuple[int, list[list[Fraction]]]] = {}
+    seen: set[str] = set()
 
     for lineno, line in sections["datum"].rows:
         mo = _MATRIX_RE.match(line)
@@ -392,6 +392,9 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
         if not mo:
             raise ParseError(f"unrecognized datum line {line!r}", line=lineno)
         key, value = mo.group(1), mo.group(2)
+        if key in seen:
+            raise ParseError(f"{key} given twice", line=lineno)
+        seen.add(key)
         if key == "m":
             m = _parse_int(key, value, lineno)
         elif key == "chi":
@@ -514,19 +517,6 @@ def resolve_datum_spec(spec: str, base_dir: str = ".") -> HamiltonianTransferDat
     return resolve_spec(spec, base_dir, "datum", builtin_datum, load_datum)
 
 
-def tautological_from_parts(
-    base: CochainAlgebra,
-    triple: tuple[str, str, str],
-    euler: EulerData,
-    min_cap: Optional[int],
-    setups: Optional[SetupTable] = None,
-) -> HamiltonianTransferDatum:
-    """Size and build the ambient-equals-fixed datum for a configuration."""
-    cap = required_cap(base, triple[0], triple[1], triple[2], euler.m)
-    cap = max(cap, base.cap, min_cap or 0)
-    return tautological_datum(base, euler, cap=cap, setups=setups)
-
-
 # ---------------------------------------------------------------------------
 # family documents
 # ---------------------------------------------------------------------------
@@ -537,7 +527,6 @@ def _parse_config(
     model_of: Callable[[str], CochainAlgebra],
     datum_of: Callable[[str], HamiltonianTransferDatum],
     position: int,
-    setups: Optional[SetupTable],
 ) -> ScanConfig:
     name = f"config-{position}"
     model_spec: Optional[str] = None
@@ -548,6 +537,7 @@ def _parse_config(
     m: Optional[int] = None
     min_cap: Optional[int] = None
     expect: Optional[str] = None
+    seen: set[str] = set()
 
     for lineno, line in section.rows:
         if line.startswith("bundle"):
@@ -557,7 +547,12 @@ def _parse_config(
         if not mo:
             raise ParseError(f"unrecognized config line {line!r}", line=lineno)
         key, value = mo.group(1), mo.group(2)
-        if key == "name":
+        if key in seen:
+            raise ParseError(f"{key} given twice", line=lineno)
+        seen.add(key)
+        if key == "name" and not value:
+            raise ParseError("a config name cannot be empty", line=lineno)
+        elif key == "name":
             name = value
         elif key in ("model", "datum") and not value:
             raise ParseError(f"{key} needs a builtin name or a file path", line=lineno)
@@ -612,28 +607,19 @@ def _parse_config(
             )
         raise ParseError("a config needs a model or a datum", line=first)
     euler = EulerData.of(bundles, chi, m, line=first)
-    base = model_of(model_spec)
-    if tautological:
-        return ScanConfig(
-            name=name, base=None, u=triple[0], v=triple[1], w=triple[2],
-            datum=tautological_from_parts(base, triple, euler, min_cap, setups=setups),
-            min_cap=min_cap, expect=expect,
-        )
     return ScanConfig(
-        name=name, base=base, u=triple[0], v=triple[1], w=triple[2],
-        euler=euler, min_cap=min_cap, expect=expect,
+        name=name, base=model_of(model_spec), u=triple[0], v=triple[1],
+        w=triple[2], euler=euler, tautological=tautological, min_cap=min_cap,
+        expect=expect,
     )
 
 
-def parse_family_document(
-    text: str, base_dir: str = ".", setups: Optional[SetupTable] = None
-) -> list[ScanConfig]:
+def parse_family_document(text: str, base_dir: str = ".") -> list[ScanConfig]:
     """The configs of a family document, in order.
 
     Each distinct model or datum spec is resolved once, so configs that
-    name the same spec share one object.  Tautological data are built
-    through ``setups`` when given; pass the same table to
-    ``scan_families`` so the Euler stage reuses their setups.
+    name the same spec share one object.  A tautological datum is built
+    by the scan, in its config's row.
     """
     sections = _split_sections(text)
     model_of = functools.cache(lambda spec: resolve_model_spec(spec, base_dir))
@@ -642,7 +628,7 @@ def parse_family_document(
     for section in sections:
         if section.name == "config":
             configs.append(
-                _parse_config(section, model_of, datum_of, len(configs) + 1, setups)
+                _parse_config(section, model_of, datum_of, len(configs) + 1)
             )
         elif section.name == "family":
             for lineno, line in section.rows:
@@ -661,10 +647,8 @@ def parse_family_document(
     return configs
 
 
-def load_family(
-    path: str, setups: Optional[SetupTable] = None
-) -> list[ScanConfig]:
+def load_family(path: str) -> list[ScanConfig]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_family_document(
-            fh.read(), base_dir=os.path.dirname(path) or ".", setups=setups
+            fh.read(), base_dir=os.path.dirname(path) or "."
         )

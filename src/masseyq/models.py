@@ -10,7 +10,7 @@ its two fixed-point restrictions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .cdga import (
     AlgebraMorphism,
@@ -25,9 +25,7 @@ from .transfer import (
     EulerData,
     HamiltonianTransferDatum,
     ScanConfig,
-    SetupTable,
     WeightedLineBundle,
-    tautological_datum,
 )
 
 
@@ -238,15 +236,14 @@ def builtin_datum(name: str) -> HamiltonianTransferDatum:
     return BUILTIN_DATA[key]()
 
 
-def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig]:
+def default_scan_configs() -> list[ScanConfig]:
     """The bundled verification family.
 
     Mixes the non-formal witness in its three Euler-class variants with
     formal controls and both transfer data; each row carries the outcome
     it must reproduce, so a clean scan really checks something.  Rows on
-    the same model share one instance, and the tautological datum is
-    built through ``setups`` when given.  The rows with chi = h share
-    one Euler-data value, so two rows over one setup share its class.
+    the same model share one instance.  The rows with chi = h share one
+    Euler-data value, so two rows over one setup share its class.
     """
     heis, tor = heisenberg(), torus()
     chi_h = EulerData.of(chi="h", m=1)
@@ -282,11 +279,12 @@ def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig
         ),
         ScanConfig(
             name="heisenberg-transfer",
-            base=None,
+            base=heis,
             u="x",
             v="x",
             w="y",
-            datum=tautological_datum(heis, chi_h, cap=9, setups=setups),
+            euler=chi_h,
+            tautological=True,
             expect="non-vanishing",
         ),
         ScanConfig(
@@ -328,11 +326,8 @@ def default_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig
     ]
 
 
-def corrupted_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConfig]:
-    """A family whose only datum is broken; the scan must flag the datum.
-
-    It has no tautological datum, so ``setups`` goes unused.
-    """
+def corrupted_scan_configs() -> list[ScanConfig]:
+    """A family whose only datum is broken; the scan must flag the datum."""
     return [
         ScanConfig(
             name="rotation-broken-push",
@@ -346,16 +341,16 @@ def corrupted_scan_configs(setups: Optional[SetupTable] = None) -> list[ScanConf
     ]
 
 
-BUILTIN_FAMILIES: dict[str, Callable[[Optional[SetupTable]], list[ScanConfig]]] = {
+BUILTIN_FAMILIES: dict[str, Callable[[], list[ScanConfig]]] = {
     "default": default_scan_configs,
     "corrupted-demo": corrupted_scan_configs,
 }
 
 
-def builtin_family(name: str, setups: Optional[SetupTable] = None) -> list[ScanConfig]:
-    """A bundled family; any tautological datum is built through ``setups``."""
+def builtin_family(name: str) -> list[ScanConfig]:
+    """A bundled family."""
     key = name.strip().lower().replace("_", "-")
     if key not in BUILTIN_FAMILIES:
         known = ", ".join(sorted(BUILTIN_FAMILIES))
         raise KeyError(f"unknown family {name!r}; known families: {known}")
-    return BUILTIN_FAMILIES[key](setups)
+    return BUILTIN_FAMILIES[key]()

@@ -85,10 +85,7 @@ class SetupTable:
     needs a setup and drops it with the request; nothing outlives it.
     Bases and Euler data are told apart by object: a request resolves
     each spec once, so configs over one model share its ring, while two
-    equal bases given as distinct objects get a ring each.  A new ring
-    is also filed under its own base, the re-capped copy of a free base,
-    which is where the Euler stage over a datum built from the table
-    looks; there it finds the datum's own Euler class.
+    equal bases given as distinct objects get a ring each.
     """
 
     def __init__(self):
@@ -109,10 +106,7 @@ class SetupTable:
         key = (id(base), cap, hname)
         entry = self._setups.get(key)
         if entry is None:
-            ring = build_setup(base, cap, hname)
-            entry = self._setups[key] = (base, ring)
-            inner = ring.block_ring.algebra
-            self._setups.setdefault((id(inner), cap, hname), (inner, ring))
+            entry = self._setups[key] = (base, build_setup(base, cap, hname))
         return entry[1]
 
     def euler_class(self, ring: CohomologyRing, euler: EulerData) -> EulerClass:
@@ -917,8 +911,7 @@ def tautological_datum(
     the extension ring of the base (polynomial generator h) as both of
     its rings and that ring's Euler class; ``push`` is multiplication by
     chi, up to the top degree minus 2m.  With ``setups`` the ring and the
-    class are that table's, where the Euler stage of
-    ``run_transfer_pipeline`` then finds them.
+    class are that table's.
     """
     setups = setups or SetupTable()
     ring = setups.setup(base, cap, "h")
@@ -930,6 +923,20 @@ def tautological_datum(
         euler=euler,
         chi=chi,
     )
+
+
+def tautological_from_parts(
+    base: CochainAlgebra,
+    triple: tuple[ClassInput, ClassInput, ClassInput],
+    euler: EulerData,
+    min_cap: Optional[int],
+    setups: Optional[SetupTable] = None,
+) -> HamiltonianTransferDatum:
+    """Size and build the ambient-equals-fixed datum for a configuration,
+    at the cap the Euler stage over the same base and triple picks."""
+    cap = required_cap(base, triple[0], triple[1], triple[2], euler.m)
+    cap = max(cap, base.cap, min_cap or 0)
+    return tautological_datum(base, euler, cap=cap, setups=setups)
 
 
 # --------------------------------------------------------------------------
@@ -1063,6 +1070,7 @@ def run_transfer_pipeline(
     w: ClassInput,
     euler: Optional[EulerData] = None,
     datum: Optional[HamiltonianTransferDatum] = None,
+    tautological: bool = False,
     min_cap: Optional[int] = None,
     setups: Optional[SetupTable] = None,
 ) -> PipelineReport:
@@ -1074,24 +1082,31 @@ def run_transfer_pipeline(
     base, and the transfer stage pushes the product into the ambient
     model.  A failed premise skips the scaling stage but still attempts
     the transfer, whose hypothesis is independent of it.
+    ``tautological`` builds the datum first, over ``base`` with
+    ``euler``, sized by ``tautological_from_parts``.
 
-    The Euler stage takes its extension ring and Euler class from
-    ``setups`` when given.  The findings are the datum's own, computed
-    once per datum object, so a datum shared by the configs of one
-    request is validated once.  Over a datum the Euler stage rebuilds the
-    extension of the datum's fixed base by the same deterministic
-    construction that made the fixed model, so the two agree by
-    construction and are not compared; for a tautological datum built
-    from the same table that is the datum's own ring, and the class is
-    the datum's own class.
+    The rings and Euler classes come from ``setups``, or from a table of
+    this call.  The findings are the datum's own, computed once per datum
+    object, so a datum shared by the configs of one request is validated
+    once.  Over a stored datum the Euler stage rebuilds the extension of
+    the datum's fixed base by the same deterministic construction that
+    made the fixed model, so the two agree by construction and are not
+    compared; over a tautological datum it runs over ``base`` at the
+    datum's cap, so its ring and class are the datum's own.
     """
-    if datum is not None:
-        if datum.findings:
-            return PipelineReport(
-                status="invalid-datum",
-                verdict="inconclusive",
-                datum_findings=list(datum.findings),
-            )
+    setups = setups or SetupTable()
+    hname = "h"
+    if tautological:
+        if datum is not None:
+            raise ValueError("a tautological run builds its own datum")
+        datum = tautological_from_parts(base, (u, v, w), euler, min_cap, setups)
+    if datum is not None and datum.findings:
+        return PipelineReport(
+            status="invalid-datum",
+            verdict="inconclusive",
+            datum_findings=list(datum.findings),
+        )
+    if datum is not None and not tautological:
         if euler is not None:
             raise ValueError(
                 "with a datum, the Euler data comes from the datum itself"
@@ -1099,10 +1114,8 @@ def run_transfer_pipeline(
         base = datum.fixed.tensor_info.base
         euler = datum.euler
         hname = datum.fixed.tensor_info.hname
-    else:
-        if base is None:
-            raise ValueError("pass a base algebra or a datum")
-        hname = "h"
+    elif base is None:
+        raise ValueError("pass a base algebra or a datum")
 
     euler_report: Optional[EulerScaledReport] = None
     premise_error: Optional[str] = None
@@ -1153,7 +1166,11 @@ def run_transfer_pipeline(
 
 @dataclass(eq=False)
 class ScanConfig:
-    """One family member: a model, a triple and an expected outcome."""
+    """One family member: a model, a triple and an expected outcome.
+
+    A stored datum is an object; ``tautological`` marks a config whose
+    datum its row builds over ``base`` with ``euler``.
+    """
 
     name: str
     base: Optional[CochainAlgebra]
@@ -1162,6 +1179,7 @@ class ScanConfig:
     w: ClassInput
     euler: Optional[EulerData] = None
     datum: Optional[HamiltonianTransferDatum] = None
+    tautological: bool = False
     min_cap: Optional[int] = None
     expect: Optional[str] = None  # a status or a verdict
 
@@ -1189,7 +1207,6 @@ class ScanReport:
 def scan_families(
     configs: Sequence[ScanConfig],
     budget: Optional[int] = None,
-    setups: Optional[SetupTable] = None,
 ) -> ScanReport:
     """Run the pipeline over a family and collect anomalies.
 
@@ -1201,15 +1218,14 @@ def scan_families(
     ``budget`` bounds the number of configurations run; the report
     records how far the scan got.
 
-    All configs share one ``SetupTable``: ``setups`` if given (pass the
-    table the family was built with, so tautological data share it too),
-    else a new one for this call.  Configs over the same base, cap and h
-    name therefore build one extension ring; sharing changes no row.
+    All configs share one ``SetupTable`` of this call, tautological data
+    included, so configs over the same base, cap and h name build one
+    extension ring; sharing changes no row.  A config past the budget
+    builds nothing.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
-    if setups is None:
-        setups = SetupTable()
+    setups = SetupTable()
     rows: list[ScanRow] = []
     findings: list[str] = []
     run = configs if budget is None else configs[:budget]
@@ -1222,6 +1238,7 @@ def scan_families(
                 cfg.w,
                 euler=cfg.euler,
                 datum=cfg.datum,
+                tautological=cfg.tautological,
                 min_cap=cfg.min_cap,
                 setups=setups,
             )

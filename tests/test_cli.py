@@ -7,11 +7,13 @@ import sys
 
 import pytest
 
+import masseyq.transfer as transfer
 from masseyq import cli
 from masseyq.cli import main
 from masseyq.report import report_from_json
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run(capsys, *argv):
@@ -602,6 +604,23 @@ def test_scan_budget(capsys):
     assert doc["payload"]["exhausted"] is True
     code, doc = run_json(capsys, "scan", "builtin:default", "--budget", "-1")
     assert code == 3
+
+
+def test_scan_budget_bounds_the_tautological_datum_work(capsys, monkeypatch):
+    # the second config is a tautological datum over the size limit
+    calls = []
+    real = transfer.tautological_datum
+    monkeypatch.setattr(
+        transfer,
+        "tautological_datum",
+        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
+    )
+    family = os.path.join(GOLDEN, "tautological-over-budget.family")
+    code, doc = run_json(capsys, "scan", family, "--budget", "1")
+    assert code == 0
+    assert doc["payload"]["completed"] == 1
+    assert doc["payload"]["findings"] == []
+    assert calls == []
 
 
 def test_scan_expectation_mismatch_exits_13(capsys, tmp_path):

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import masseyq.transfer as transfer
 from masseyq.cli import main
 from masseyq.cohomology import CohomologyRing, triple_massey
 from masseyq.errors import ParseError
@@ -17,10 +18,14 @@ from masseyq.fileformat import (
     parse_datum_document,
     parse_family_document,
     resolve_model_spec,
-    tautological_from_parts,
 )
 from masseyq.models import heisenberg, rotation_datum
-from masseyq.transfer import EulerData, scan_families, validate_transfer_datum
+from masseyq.transfer import (
+    EulerData,
+    scan_families,
+    tautological_from_parts,
+    validate_transfer_datum,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -241,6 +246,16 @@ def test_datum_rejections(mangle, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "key,value", [("m", "1"), ("chi", "e*h"), ("fixed-cap", "4"), ("h", "h"), ("name", "x")]
+)
+def test_datum_keys_are_given_once(key, value):
+    with pytest.raises(ParseError) as exc:
+        parse_datum_document(MINI_DATUM + f"{key} = {value}\n" * 2)
+    line = 21 if key in ("m", "chi", "fixed-cap") else 22
+    assert str(exc.value) == f"line {line}: {key} given twice"
+
+
 def test_omitted_matrices_are_zero_filled():
     text = MINI_DATUM.replace("restrict[0] = 1\n", "")
     datum = parse_datum_document(text)
@@ -278,15 +293,25 @@ def test_family_minimal():
     assert configs[0].expect is None
 
 
-def test_family_tautological_datum():
+def test_family_tautological_datum(monkeypatch):
+    built = []
+    real = transfer.tautological_datum
+
+    def keeping(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(transfer, "tautological_datum", keeping)
     text = FAMILY_TEXT + "datum = tautological\nmin-cap = 10\n"
     configs = parse_family_document(text)
     cfg = configs[0]
-    assert cfg.datum is not None
-    assert cfg.base is None
-    assert cfg.datum.fixed.cap >= 10
+    # a description: the datum is built by the row that runs it
+    assert cfg.tautological and cfg.datum is None and cfg.base is not None
+    assert built == []
     report = scan_families(configs)
     assert report.rows[0].verdict == "non-vanishing"
+    [datum] = built
+    assert datum.fixed.cap >= 10
 
 
 @pytest.mark.parametrize(
@@ -326,6 +351,34 @@ def test_family_rejections(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_family_document(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("name", "two"),
+        ("model", "builtin:torus"),
+        ("datum", "tautological"),
+        ("triple", "x | x | y"),
+        ("chi", "h"),
+        ("m", "1"),
+        ("min-cap", "10"),
+        ("expect", "ok"),
+    ],
+)
+def test_family_keys_are_given_once(key, value):
+    with pytest.raises(ParseError) as exc:
+        parse_family_document(FAMILY_TEXT + f"{key} = {value}\n" * 2)
+    line = 9 if key in ("datum", "min-cap", "expect") else 8
+    assert str(exc.value) == f"line {line}: {key} given twice"
+
+
+def test_family_bundles_repeat_and_names_are_not_empty():
+    text = FAMILY_TEXT.replace("chi = h\nm = 1\n", "bundle weight = 1\n" * 2)
+    assert parse_family_document(text)[0].euler.m == 2
+    with pytest.raises(ParseError) as exc:
+        parse_family_document(FAMILY_TEXT.replace("name = one", "name ="))
+    assert str(exc.value) == "line 3: a config name cannot be empty"
 
 
 @pytest.mark.parametrize(

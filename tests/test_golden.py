@@ -139,15 +139,16 @@ CASES = [
     ("scan-over-budget-min-cap", ["scan", "over-budget-min-cap.family"], 0),
     ("scan-two-points-zero-divisor", ["scan", "two-points-zero-divisor.family"], 0),
     ("scan-unknown-class", ["scan", "unknown-class.family"], 0),
-    # A tautological config that fails while its family loads, and keys
-    # given twice in a config and in a datum.
-    ("scan-tautological-unknown-class", ["scan", "tautological-unknown-class.family"], 2),
-    ("scan-tautological-over-budget", ["scan", "tautological-over-budget.family"], 5),
-    ("scan-repeated-model", ["scan", "repeated-model.family"], 0),
+    # A tautological config's datum is built in its row, so its error is
+    # that row (the family used to stop loading with exit 2 and 5).
+    ("scan-tautological-unknown-class", ["scan", "tautological-unknown-class.family"], 0),
+    ("scan-tautological-over-budget", ["scan", "tautological-over-budget.family"], 0),
+    # A key given twice is refused (the last one used to win).
+    ("scan-repeated-model", ["scan", "repeated-model.family"], 2),
     (
         "transfer-rotation-repeated-m",
         ["transfer", "rotation-repeated-m.datum", "eN", "eS", "eN"],
-        12,
+        2,
     ),
     # Over the size limit: the parent commit runs these unbounded, so they
     # were pinned from the change that added the limit.

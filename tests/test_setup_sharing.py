@@ -20,7 +20,7 @@ import pytest
 import masseyq.transfer as transfer
 from masseyq.cli import main
 from masseyq.cohomology import CohomologyRing
-from masseyq.fileformat import load_datum, parse_family_document, tautological_from_parts
+from masseyq.fileformat import load_datum, parse_family_document
 from masseyq.models import BUILTIN_MODELS, builtin_family, rotation_datum
 from masseyq.transfer import (
     EulerData,
@@ -29,6 +29,7 @@ from masseyq.transfer import (
     required_cap,
     run_transfer_pipeline,
     scan_families,
+    tautological_from_parts,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -60,8 +61,7 @@ def _family(blocks):
 
 
 def _scan_text(text, base_dir):
-    setups = SetupTable()
-    return scan_families(parse_family_document(text, base_dir, setups), setups=setups).rows
+    return scan_families(parse_family_document(text, base_dir)).rows
 
 
 def _rows_alone_from_text(blocks, base_dir):
@@ -70,8 +70,7 @@ def _rows_alone_from_text(blocks, base_dir):
 
 @pytest.mark.parametrize("name", ["default", "corrupted-demo"])
 def test_builtin_family_rows_equal_rows_scanned_alone(name):
-    setups = SetupTable()
-    shared = scan_families(builtin_family(name, setups), setups=setups).rows
+    shared = scan_families(builtin_family(name)).rows
     alone = [
         scan_families([builtin_family(name)[i]]).rows[0] for i in range(len(shared))
     ]
@@ -162,15 +161,23 @@ def test_tautological_data_build_no_rings_of_their_own(monkeypatch, capsys, argv
     assert len(built) == rings
 
 
-def test_the_euler_stage_reuses_the_tautological_datum_setup():
-    setups = SetupTable()
+def test_the_euler_stage_reuses_the_tautological_datum_setup(monkeypatch):
+    built = []
+    real = transfer.tautological_datum
+
+    def keeping(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(transfer, "tautological_datum", keeping)
     base = BUILTIN_MODELS["heisenberg"]()
-    datum = tautological_from_parts(
-        base, ("x", "x", "y"), EulerData.of(chi="h", m=1), None, setups=setups
+    report = run_transfer_pipeline(
+        base, "x", "x", "y", euler=EulerData.of(chi="h", m=1), tautological=True
     )
-    report = run_transfer_pipeline(None, "x", "x", "y", datum=datum, setups=setups)
     assert report.verdict == "non-vanishing"
+    [datum] = built
     assert report.euler.ring is datum.fixed_ring
+    assert report.euler.chi is datum.chi
 
 
 def test_setup_table_shares_by_base_object():
@@ -178,8 +185,6 @@ def test_setup_table_shares_by_base_object():
     base = BUILTIN_MODELS["heisenberg"]()
     heis = setups.setup(base, 9)
     assert setups.setup(base, 9) is heis
-    # the re-capped base, where the Euler stage over a datum looks
-    assert setups.setup(heis.block_ring.algebra, 9) is heis
     assert setups.setup(base, 10) is not heis
     assert setups.setup(base, 9, "k") is not heis
     assert setups.setup(BUILTIN_MODELS["heisenberg"](), 9) is not heis

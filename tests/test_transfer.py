@@ -863,6 +863,11 @@ def test_pipeline_accepts_only_one_euler_source():
         )
     with pytest.raises(ValueError):
         run_transfer_pipeline(None, "x", "x", "y")
+    with pytest.raises(ValueError):
+        run_transfer_pipeline(
+            heisenberg(), "x", "x", "y", euler=EulerData.of(chi="h", m=1),
+            datum=datum, tautological=True,
+        )
 
 
 def test_pipeline_flags_an_invalid_datum_before_anything_runs():
