@@ -169,6 +169,33 @@ CASES = [
         ["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1", "--cap", "100000"],
         5,
     ),
+    # Every bundled model, datum and family, and the unknown-name lines.
+    ("cohomology-torus", ["cohomology", "builtin:torus"], 0),
+    ("cohomology-even-sphere", ["cohomology", "builtin:even-sphere"], 0),
+    ("cohomology-sphere-cohomology", ["cohomology", "builtin:sphere-cohomology"], 0),
+    ("cohomology-truncated-polynomial", ["cohomology", "builtin:truncated-polynomial"], 0),
+    ("cohomology-point", ["cohomology", "builtin:point"], 0),
+    ("cohomology-two-points", ["cohomology", "builtin:two-points"], 0),
+    ("cohomology-rotation-ambient", ["cohomology", "builtin:rotation-ambient"], 0),
+    ("transfer-rotation", ["transfer", "builtin:rotation", "eN", "eS", "eN"], 12),
+    (
+        "transfer-rotation-broken-push",
+        ["transfer", "builtin:rotation-broken-push", "eN", "eS", "eN"],
+        3,
+    ),
+    ("scan-corrupted-demo", ["scan", "builtin:corrupted-demo"], 0),
+    ("cohomology-unknown-builtin", ["cohomology", "builtin:nonexistent"], 2),
+    (
+        "transfer-unknown-builtin",
+        ["transfer", "builtin:nonexistent", "eN", "eS", "eN"],
+        2,
+    ),
+    # A push line far above the fixed model's top degree.
+    (
+        "transfer-rotation-push-40",
+        ["transfer", "rotation-push-40.datum", "eN", "eS", "eN"],
+        2,
+    ),
 ]
 
 
