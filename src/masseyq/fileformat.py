@@ -19,9 +19,12 @@ of the fixed model and per-degree `restrict[n]` / `push[n]` matrices
 with rational entries, rows separated by `;`.  Degrees whose matrices
 are omitted get zero matrices of the forced shape, which is only
 correct when one side is zero-dimensional; the datum validator flags
-everything else.  Once its shape is checked, each matrix is read into
-sparse columns: the restriction's into an `AlgebraMorphism`, the
-pushforward's into the datum's stored `InducedMap`.
+everything else.  A `restrict[n]` above the cap the two models share,
+or a `push[n]` above the top degree of the fixed cohomology, is refused
+at its line before any matrix is built.  Once its shape is checked,
+each matrix is read into sparse columns: the restriction's into an
+`AlgebraMorphism`, the pushforward's into the datum's stored
+`InducedMap`.
 
 A family document is a sequence of [config] sections, each naming a
 model (or a datum), a triple, Euler data and an optional expected
@@ -53,7 +56,6 @@ from .errors import (
     ParseError,
 )
 from .linalg import SparseVector, columns_of_rows
-from .models import builtin_datum, builtin_model
 from .transfer import (
     EulerData,
     HamiltonianTransferDatum,
@@ -311,6 +313,11 @@ def parse_algebra_document(text: str) -> AlgebraDocument:
     return AlgebraDocument(algebra=algebra)
 
 
+def parse_algebra_section_of(text: str, name: str) -> CochainAlgebra:
+    """The algebra in the [name] section of a document, e.g. a datum's [ambient]."""
+    return parse_algebra_section({s.name: s for s in _split_sections(text)}[name])
+
+
 def load_algebra_document(path: str) -> AlgebraDocument:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_algebra_document(fh.read())
@@ -430,6 +437,14 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
             raise ParseError(
                 f"restrict[{deg}] is beyond the shared cap {shared}", line=lineno
             )
+    fixed_top = fixed.cap - 1  # the top degree of its cohomology
+    for deg, (lineno, _) in sorted(push_given.items()):
+        if deg > fixed_top:
+            raise ParseError(
+                f"push[{deg}] is beyond the top degree {fixed_top} of the "
+                "fixed cohomology",
+                line=lineno,
+            )
     restrict = [
         _matrix_columns("restrict", restrict_given, n, fixed.dim(n), ambient.dim(n))
         for n in range(shared + 1)
@@ -438,7 +453,7 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
     ambient_ring = CohomologyRing(ambient)
     push = []
     for n in range(max(push_given, default=-1) + 1):
-        want_cols = fixed_ring.class_dim(n) if n <= fixed_ring.top else 0
+        want_cols = fixed_ring.class_dim(n)
         target = n + 2 * m
         want_rows = ambient_ring.class_dim(target) if target <= ambient_ring.top else 0
         push.append(_matrix_columns("push", push_given, n, want_rows, want_cols))
@@ -503,6 +518,9 @@ def resolve_spec(
 
 def resolve_model_spec(spec: str, base_dir: str = ".") -> CochainAlgebra:
     """A model named `builtin:<name>` or given as a file path."""
+    # models reads its builtins through this module: import it on use
+    from .models import builtin_model
+
     return resolve_spec(
         spec,
         base_dir,
@@ -514,6 +532,8 @@ def resolve_model_spec(spec: str, base_dir: str = ".") -> CochainAlgebra:
 
 def resolve_datum_spec(spec: str, base_dir: str = ".") -> HamiltonianTransferDatum:
     """A transfer datum named `builtin:<name>` or given as a file path."""
+    from .models import builtin_datum
+
     return resolve_spec(spec, base_dir, "datum", builtin_datum, load_datum)
 
 

@@ -27,13 +27,7 @@ from masseyq.cohomology import (
     check_scaling_law,
     triple_massey,
 )
-from masseyq.models import (
-    BUILTIN_MODELS,
-    broken_projection_datum,
-    heisenberg,
-    rotation_datum,
-    torus,
-)
+from masseyq.models import BUILTIN_MODELS, builtin_datum, builtin_model
 from masseyq.transfer import (
     EulerData,
     SetupTable,
@@ -91,7 +85,7 @@ def _defined_basis_triples(ring, max_degree=3):
 
 def test_criterion_01_heisenberg_product(capsys):
     started = time.perf_counter()
-    ring = CohomologyRing(heisenberg())
+    ring = CohomologyRing(builtin_model("heisenberg"))
     betti = ring.betti()
     res = triple_massey(
         ring.class_from_polynomial("x"),
@@ -106,7 +100,7 @@ def test_criterion_01_heisenberg_product(capsys):
     canonical_class = (Fraction(0), oracle["canonical"][1], oracle["canonical"][2])
     ok = (
         betti == (1, 2, 2, 1)
-        and betti == betti_oracle(heisenberg())
+        and betti == betti_oracle(builtin_model("heisenberg"))
         and res.defined
         and len(res.indeterminacy.basis) == 0
         and res.rep_class == expected
@@ -128,12 +122,12 @@ def test_criterion_01_heisenberg_product(capsys):
 def test_criterion_02_formal_controls(capsys):
     started = time.perf_counter()
     controls = {
-        "torus": torus(),
-        "two-points": BUILTIN_MODELS["two-points"](),
-        "sphere-cohomology": BUILTIN_MODELS["sphere-cohomology"](),
-        "truncated-polynomial": BUILTIN_MODELS["truncated-polynomial"](),
-        "point": BUILTIN_MODELS["point"](),
-        "rotation-ambient": BUILTIN_MODELS["rotation-ambient"](),
+        "torus": builtin_model("torus"),
+        "two-points": builtin_model("two-points"),
+        "sphere-cohomology": builtin_model("sphere-cohomology"),
+        "truncated-polynomial": builtin_model("truncated-polynomial"),
+        "point": builtin_model("point"),
+        "rotation-ambient": builtin_model("rotation-ambient"),
     }
     defined_count = 0
     all_vanish = True
@@ -161,7 +155,7 @@ def test_criterion_02_formal_controls(capsys):
 
 
 def test_criterion_03_scaled_products_at_cap_12(capsys):
-    base = heisenberg()
+    base = builtin_model("heisenberg")
     configs = [
         ("weight 1", [WeightedLineBundle(None, 1)], 12),
         ("c1=x*z weight 2", [WeightedLineBundle("x*z", 2)], 12),
@@ -204,8 +198,8 @@ def test_criterion_04_scaling_containments(capsys):
     checked_unit = 0
     vacuous = []
     ok = True
-    for name, ctor in sorted(BUILTIN_MODELS.items()):
-        model = ctor()
+    for name in sorted(BUILTIN_MODELS):
+        model = builtin_model(name)
         ring = build_setup(model, cap=model.cap + 6)
         triples = _defined_basis_triples(ring)
         if not triples:
@@ -246,8 +240,8 @@ def test_criterion_05_functoriality(capsys):
     checked_identity = 0
     vacuous = []
     ok = True
-    for name, ctor in sorted(BUILTIN_MODELS.items()):
-        model = ctor()
+    for name in sorted(BUILTIN_MODELS):
+        model = builtin_model(name)
         ring = build_setup(model, cap=model.cap + 4)
         base_ring = ring.block_ring
         embed = InducedMap.leading_block(base_ring, ring)
@@ -278,7 +272,7 @@ def test_criterion_05_functoriality(capsys):
 
 
 def test_criterion_06_witness_perturbations(capsys):
-    algebra = heisenberg()
+    algebra = builtin_model("heisenberg")
     ring = CohomologyRing(algebra)
     a = ring.class_from_polynomial("x")
     b = ring.class_from_polynomial("x")
@@ -322,18 +316,18 @@ def test_criterion_06_witness_perturbations(capsys):
 def test_criterion_07_transfer_datum_validation(capsys):
     ok = True
     names = []
-    for name, ctor in sorted(BUILTIN_MODELS.items()):
-        model = ctor()
+    for name in sorted(BUILTIN_MODELS):
+        model = builtin_model(name)
         datum = tautological_datum(
             model, euler=EulerData.of(chi="h", m=1), cap=max(8, model.cap)
         )
         findings = validate_transfer_datum(datum)
         ok = ok and findings == []
         names.append(name)
-    broken = validate_transfer_datum(broken_projection_datum())
+    broken = validate_transfer_datum(builtin_datum("rotation-broken-push"))
     witnessed = any("projection formula" in f and "degree 2" in f for f in broken)
     ok = ok and broken != [] and witnessed
-    rotation_findings = validate_transfer_datum(rotation_datum())
+    rotation_findings = validate_transfer_datum(builtin_datum("rotation"))
     ok = ok and rotation_findings == []
     docs = os.path.join(REPO_ROOT, "docs", "rotation_datum.md")
     ok = ok and os.path.exists(docs)
@@ -397,8 +391,8 @@ def test_criterion_08_pipeline_cli(capsys):
 
 def test_criterion_09_structural_scans(capsys):
     ok = True
-    for name, ctor in sorted(BUILTIN_MODELS.items()):
-        model = ctor()
+    for name in sorted(BUILTIN_MODELS):
+        model = builtin_model(name)
         ok = ok and validate_algebra(model) == []
         table = SetupTable()
         ring = table.setup(model, model.cap + 5)
@@ -442,8 +436,8 @@ def test_criterion_09_structural_scans(capsys):
 
 def test_criterion_10_verdict_agreement(capsys):
     # an independent mini-sweep in case this test runs alone
-    for ctor in (heisenberg, torus):
-        _defined_basis_triples(CohomologyRing(ctor()))
+    for name in ("heisenberg", "torus"):
+        _defined_basis_triples(CohomologyRing(builtin_model(name)))
     defined = [r for r in RESULTS if r.defined]
     disagreements = [
         r for r in defined if (r.vanishes is not r.in_ideal)

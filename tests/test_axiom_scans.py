@@ -24,7 +24,7 @@ from masseyq.cdga import (
     validate_algebra,
     validate_morphism,
 )
-from masseyq.models import BUILTIN_MODELS, rotation_datum
+from masseyq.models import BUILTIN_MODELS, builtin_datum, builtin_model
 from oracles import (
     random_free_cdga,
     tensor_embedding,
@@ -134,7 +134,7 @@ def _random_extension(rng):
 
 def _bundled(rng):
     name = rng.choice(sorted(BUILTIN_MODELS))
-    return BUILTIN_MODELS[name]()
+    return builtin_model(name)
 
 
 def _assert_algebra_scans_agree(a):
@@ -152,8 +152,8 @@ def _assert_morphism_scans_agree(f):
 
 
 def test_scans_agree_on_every_bundled_model_and_its_extension():
-    for name, make in sorted(BUILTIN_MODELS.items()):
-        a = make()
+    for name in sorted(BUILTIN_MODELS):
+        a = builtin_model(name)
         _assert_algebra_scans_agree(a)
         assert validate_algebra(a) == [], name
         if a.cap <= 4:
@@ -162,7 +162,7 @@ def test_scans_agree_on_every_bundled_model_and_its_extension():
             inner = ext.tensor_info.base
             _assert_morphism_scans_agree(tensor_embedding(inner, ext))
             _assert_morphism_scans_agree(tensor_retraction(ext, inner))
-    datum = rotation_datum()
+    datum = builtin_datum("rotation")
     _assert_algebra_scans_agree(datum.fixed)
     _assert_morphism_scans_agree(datum.restrict_map.morphism)
 
@@ -213,7 +213,7 @@ def _mutated_columns(f, rng, count):
 def test_morphism_scan_matches_the_reference(seed, kind, count, break_target):
     rng = random.Random(seed)
     if kind == "rotation":
-        f = rotation_datum().restrict_map.morphism
+        f = builtin_datum("rotation").restrict_map.morphism
     else:
         ext = _random_extension(rng)
         inner = ext.tensor_info.base

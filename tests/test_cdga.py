@@ -26,7 +26,6 @@ from masseyq.errors import (
     ParseError,
 )
 from masseyq.linalg import densify
-from masseyq.models import two_points
 from oracles import (
     FreeCdgaOracle,
     random_free_cdga,

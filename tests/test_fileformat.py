@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from masseyq.fileformat import (
     parse_family_document,
     resolve_model_spec,
 )
-from masseyq.models import heisenberg, rotation_datum
+from masseyq.models import builtin_datum, builtin_model
 from masseyq.transfer import (
     EulerData,
     scan_families,
@@ -65,7 +66,7 @@ def test_free_algebra_matches_builtin():
         ring.class_from_polynomial("y"),
     )
     assert not res.vanishes
-    assert CohomologyRing(heisenberg()).betti() == ring.betti()
+    assert CohomologyRing(builtin_model("heisenberg")).betti() == ring.betti()
 
 
 def test_table_algebra_with_cap_padding():
@@ -177,7 +178,7 @@ def test_free_presentation_errors_name_their_row(tmp_path, capsys, text, code, m
 def test_datum_file_matches_builtin():
     datum = load_datum(os.path.join(DATA, "rotation.datum"))
     assert validate_transfer_datum(datum) == []
-    ref = rotation_datum()
+    ref = builtin_datum("rotation")
     assert datum.m == ref.m
     for n in range(9):
         assert datum.restrict_map.morphism.columns(n) == ref.restrict_map.morphism.columns(n)
@@ -238,6 +239,10 @@ def test_minimal_datum_parses():
             "line 18: fixed-cap must be an integer, got ''",
         ),
         (lambda t: t.replace("fixed-cap = 4", "fixed-cap = 4.5"), "line 18: fixed-cap must"),
+        (
+            lambda t: t.replace("push[0] = 1", "push[4] = 1"),
+            "line 20: push[4] is beyond the top degree 3 of the fixed cohomology",
+        ),
     ],
 )
 def test_datum_rejections(mangle, fragment):
@@ -254,6 +259,20 @@ def test_datum_keys_are_given_once(key, value):
         parse_datum_document(MINI_DATUM + f"{key} = {value}\n" * 2)
     line = 21 if key in ("m", "chi", "fixed-cap") else 22
     assert str(exc.value) == f"line {line}: {key} given twice"
+
+
+def test_a_push_line_far_above_the_fixed_top_is_refused_at_once(tmp_path, capsys):
+    # Refused at its line before any degree below it is laid out.
+    with open(os.path.join(DATA, "rotation.datum"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "far-push.datum"
+    path.write_text(text.replace("push[6] = 0 -1 ; 1 1", f"push[{10**12}] = 1"))
+    started = time.perf_counter()
+    code = main(["transfer", str(path), "eN", "eS", "eN", "--format", "structured"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)["payload"]["error"]
+    assert error.endswith(f"push[{10**12}] is beyond the top degree 7 of the fixed cohomology")
 
 
 def test_omitted_matrices_are_zero_filled():
@@ -409,7 +428,7 @@ def test_resolve_model_spec_variants(tmp_path):
 
 
 def test_tautological_from_parts_needs_euler_data():
-    base = heisenberg()
+    base = builtin_model("heisenberg")
     with pytest.raises(ParseError):
         EulerData.of()
     datum = tautological_from_parts(

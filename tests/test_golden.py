@@ -190,7 +190,9 @@ CASES = [
         ["transfer", "builtin:nonexistent", "eN", "eS", "eN"],
         2,
     ),
-    # A push line far above the fixed model's top degree.
+    # A push line far above the fixed model's top degree is refused at its
+    # line; it used to be a shape error found after laying out every
+    # degree below it.
     (
         "transfer-rotation-push-40",
         ["transfer", "rotation-push-40.datum", "eN", "eS", "eN"],

@@ -21,7 +21,7 @@ import masseyq.transfer as transfer
 from masseyq.cli import main
 from masseyq.cohomology import CohomologyRing
 from masseyq.fileformat import load_datum, parse_family_document
-from masseyq.models import BUILTIN_MODELS, builtin_family, rotation_datum
+from masseyq.models import BUILTIN_MODELS, builtin_datum, builtin_family, builtin_model
 from masseyq.transfer import (
     EulerData,
     SetupTable,
@@ -170,7 +170,7 @@ def test_the_euler_stage_reuses_the_tautological_datum_setup(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(transfer, "tautological_datum", keeping)
-    base = BUILTIN_MODELS["heisenberg"]()
+    base = builtin_model("heisenberg")
     report = run_transfer_pipeline(
         base, "x", "x", "y", euler=EulerData.of(chi="h", m=1), tautological=True
     )
@@ -182,15 +182,15 @@ def test_the_euler_stage_reuses_the_tautological_datum_setup(monkeypatch):
 
 def test_setup_table_shares_by_base_object():
     setups = SetupTable()
-    base = BUILTIN_MODELS["heisenberg"]()
+    base = builtin_model("heisenberg")
     heis = setups.setup(base, 9)
     assert setups.setup(base, 9) is heis
     assert setups.setup(base, 10) is not heis
     assert setups.setup(base, 9, "k") is not heis
-    assert setups.setup(BUILTIN_MODELS["heisenberg"](), 9) is not heis
+    assert setups.setup(builtin_model("heisenberg"), 9) is not heis
     # The builtin and the file two-point bases are equal but distinct
     # objects, so each gets a setup of its own.
-    builtin = rotation_datum().fixed.tensor_info.base
+    builtin = builtin_datum("rotation").fixed.tensor_info.base
     from_file = load_datum(ROTATION).fixed.tensor_info.base
     assert builtin.basis_labels(0) == from_file.basis_labels(0)
     assert setups.setup(builtin, 6) is not setups.setup(from_file, 6)
@@ -217,7 +217,7 @@ def _assert_euler_stage_rebuilds_the_fixed_model(datum, triple, min_cap=None):
 @pytest.mark.parametrize("source", ["builtin", "file"])
 def test_rotation_fixed_model_is_rebuilt_exactly(source):
     datum = (
-        rotation_datum()
+        builtin_datum("rotation")
         if source == "builtin"
         else load_datum(os.path.join(DATA, "rotation.datum"))
     )
@@ -229,7 +229,7 @@ def test_rotation_fixed_model_is_rebuilt_exactly(source):
     "chi,m,min_cap", [("h", 1, None), ("h", 1, 10), ("h*h", 2, None)]
 )
 def test_tautological_fixed_model_is_rebuilt_exactly(name, chi, m, min_cap):
-    base = BUILTIN_MODELS[name]()
+    base = builtin_model(name)
     first = sorted(base.names())[0]
     triple = (first, first, first)
     datum = tautological_from_parts(base, triple, EulerData.of(chi=chi, m=m), min_cap)

@@ -29,17 +29,7 @@ from masseyq.errors import (
 )
 from masseyq.fileformat import load_datum
 from masseyq.linalg import solve_rows, transpose
-from masseyq.models import (
-    BUILTIN_MODELS,
-    broken_projection_datum,
-    builtin_model,
-    corrupted_scan_configs,
-    default_scan_configs,
-    heisenberg,
-    rotation_datum,
-    torus,
-    two_points,
-)
+from masseyq.models import BUILTIN_MODELS, builtin_datum, builtin_family, builtin_model
 from masseyq.transfer import (
     EulerClass,
     EulerData,
@@ -84,7 +74,7 @@ from oracles import (
 
 
 def test_setup_recaps_base_to_extension_cap():
-    ring = build_setup(heisenberg(), cap=9)
+    ring = build_setup(builtin_model("heisenberg"), cap=9)
     ext, base = ring.algebra, ring.block_ring.algebra
     assert ext.cap == 9
     assert ext.tensor_info.base is base
@@ -96,7 +86,7 @@ def test_setup_recaps_base_to_extension_cap():
 def test_element_h_components_split_and_reassemble():
     # the element-level split of the test oracles, behind the class-level
     # top coefficient
-    ring = build_setup(heisenberg(), cap=9)
+    ring = build_setup(builtin_model("heisenberg"), cap=9)
     base = ring.block_ring.algebra
     el = ring.algebra.from_polynomial("x*y*z + 2*h*x", expected_degree=3)
     comps = h_components(el)
@@ -106,7 +96,7 @@ def test_element_h_components_split_and_reassemble():
 
 
 def test_class_h_components_convolve_under_cup():
-    ring = build_setup(torus(), cap=8)
+    ring = build_setup(builtin_model("torus"), cap=8)
     base_ring = ring.block_ring
     p = ring.class_from_polynomial("x*y + h")
     sq = cup(p, p)
@@ -119,7 +109,7 @@ def test_class_h_components_convolve_under_cup():
 
 
 def test_formal_degree_reads_names():
-    a = heisenberg()
+    a = builtin_model("heisenberg")
     assert formal_degree(a, "x*y") == 2
     assert formal_degree(a, "3*z") == 1
     with pytest.raises(AlgebraValidationError):
@@ -134,7 +124,7 @@ def test_formal_degree_reads_names():
 
 
 def test_euler_class_single_trivial_line_is_h():
-    ring = build_setup(heisenberg(), cap=9)
+    ring = build_setup(builtin_model("heisenberg"), cap=9)
     chi = euler_class(ring, [WeightedLineBundle(None, 1)])
     assert chi.m == 1
     assert chi.weights == (1,)
@@ -142,7 +132,7 @@ def test_euler_class_single_trivial_line_is_h():
 
 
 def test_euler_class_two_trivial_lines_multiplies_weights():
-    ring = build_setup(heisenberg(), cap=15)
+    ring = build_setup(builtin_model("heisenberg"), cap=15)
     chi = euler_class(ring, [WeightedLineBundle(None, 1), WeightedLineBundle(None, 2)])
     assert chi.m == 2
     assert chi.element == ring.algebra.from_polynomial("2*h*h", expected_degree=4)
@@ -150,13 +140,13 @@ def test_euler_class_two_trivial_lines_multiplies_weights():
 
 
 def test_euler_class_twisted_line():
-    ring = build_setup(heisenberg(), cap=9)
+    ring = build_setup(builtin_model("heisenberg"), cap=9)
     chi = euler_class(ring, [WeightedLineBundle("x*z", 2)])
     assert chi.element == ring.algebra.from_polynomial("x*z + 2*h", expected_degree=2)
 
 
 def test_euler_class_rejects_zero_weight():
-    ring = build_setup(heisenberg(), cap=9)
+    ring = build_setup(builtin_model("heisenberg"), cap=9)
     with pytest.raises(
         AlgebraValidationError, match="bundle 0 has weight 0; weights must be nonzero"
     ):
@@ -165,7 +155,7 @@ def test_euler_class_rejects_zero_weight():
 
 def test_euler_class_rejects_first_chern_class_with_h_term():
     # a pure h term, and an h term next to base terms
-    ring = build_setup(heisenberg(), cap=9)
+    ring = build_setup(builtin_model("heisenberg"), cap=9)
     for c1 in ("h", "x*z + h", "2*x*z - 3*y*z + h"):
         bundles = [WeightedLineBundle(None, 1), WeightedLineBundle(c1, 1)]
         with pytest.raises(
@@ -176,7 +166,7 @@ def test_euler_class_rejects_first_chern_class_with_h_term():
 
 
 def test_euler_class_rejects_odd_degree_chern_class():
-    ring = build_setup(heisenberg(), cap=9)
+    ring = build_setup(builtin_model("heisenberg"), cap=9)
     with pytest.raises(
         AlgebraValidationError, match="term of degree 1, expected degree 2"
     ):
@@ -194,7 +184,7 @@ def test_euler_polynomial_requires_cocycle():
 
 
 def test_euler_polynomial_requires_top_h_term():
-    ring = build_setup(heisenberg(), cap=9)
+    ring = build_setup(builtin_model("heisenberg"), cap=9)
     for m, chi in ((1, "x*z"), (2, "x*z*h"), (2, "0*h*h")):
         with pytest.raises(
             AlgebraValidationError,
@@ -204,7 +194,7 @@ def test_euler_polynomial_requires_top_h_term():
 
 
 def test_h_multiplication_is_injective_below_the_cap():
-    ring = build_setup(heisenberg(), cap=9)
+    ring = build_setup(builtin_model("heisenberg"), cap=9)
     chi = euler_class_from_polynomial(ring, "h", 1)
     report = verify_not_zero_divisor(ring, chi)
     assert report.ok
@@ -213,7 +203,7 @@ def test_h_multiplication_is_injective_below_the_cap():
 
 
 def test_pure_base_class_is_flagged_as_zero_divisor():
-    ring = build_setup(heisenberg(), cap=9)
+    ring = build_setup(builtin_model("heisenberg"), cap=9)
     cls = ring.class_from_polynomial("x*z")
     fake = EulerClass(cls=cls, element=ring.lift(cls), m=1, weights=None)
     report = verify_not_zero_divisor(ring, fake)
@@ -278,7 +268,7 @@ def test_block_maps_fill_columns_without_lifting_or_projecting(monkeypatch):
         return wrapper
 
     table = SetupTable()
-    for base in (heisenberg(), two_points()):
+    for base in (builtin_model("heisenberg"), builtin_model("two-points")):
         ring = table.setup(base, base.cap + 4)
         datum = tautological_datum(
             base, euler=EulerData.of(chi="h", m=1), cap=base.cap + 4, setups=table
@@ -335,8 +325,8 @@ def _euler_data(draw):
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(_euler_data())
-@example((two_points(), 5, "eN*h", 1))
-@example((two_points(), 6, "eN*h*h - 2*eS*h*h", 2))
+@example((builtin_model("two-points"), 5, "eN*h", 1))
+@example((builtin_model("two-points"), 6, "eN*h*h - 2*eS*h*h", 2))
 def test_unit_certificate_agrees_with_the_rank_scan(drawn):
     base, cap, chi_poly, m = drawn
     ring = build_setup(base, cap)
@@ -350,9 +340,9 @@ def test_unit_certificate_agrees_with_the_rank_scan(drawn):
         assert ok
 
 
-@pytest.mark.parametrize("model, chi", [(heisenberg, "2*h"), (two_points, "eN*h + 3*eS*h")])
+@pytest.mark.parametrize("model, chi", [("heisenberg", "2*h"), ("two_points", "eN*h + 3*eS*h")])
 def test_a_corrupted_top_inverse_trips_the_cup_check(monkeypatch, model, chi):
-    ring = build_setup(model(), cap=7)
+    ring = build_setup(builtin_model(model), cap=7)
     euler = euler_class_from_polynomial(ring, chi, 1)
     assert verify_not_zero_divisor(ring, euler).ok
     real = transfer.solve_rows
@@ -368,8 +358,8 @@ def test_a_corrupted_top_inverse_trips_the_cup_check(monkeypatch, model, chi):
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(_euler_data())
-@example((two_points(), 5, "eN*h", 1))
-@example((two_points(), 6, "3*eS*h*h", 2))
+@example((builtin_model("two-points"), 5, "eN*h", 1))
+@example((builtin_model("two-points"), 6, "3*eS*h*h", 2))
 def test_trusted_tautological_datum_matches_the_full_route(drawn):
     base, cap, chi_poly, m = drawn
     datum = tautological_datum(base, euler=EulerData.of(chi=chi_poly, m=m), cap=cap)
@@ -392,7 +382,7 @@ def test_trusted_tautological_datum_matches_the_full_route(drawn):
 )
 def test_bundle_and_polynomial_euler_data_agree(drawn):
     # The two forms of the same Euler data build the same class.
-    ring = build_setup(heisenberg(), 7)
+    ring = build_setup(builtin_model("heisenberg"), 7)
     bundles = [WeightedLineBundle(c1, weight) for c1, weight in drawn]
     by_bundles = EulerData.of(bundles).build(ring)
     by_polynomial = EulerData.of(
@@ -442,7 +432,7 @@ def test_top_coefficient_is_the_projected_top_h_component(chi):
 def test_zero_divisor_euler_class_is_invalid_input():
     with pytest.raises(AlgebraValidationError, match="zero divisor"):
         check_euler_scaled_massey(
-            two_points(), "eN", "eS", "eN", euler=EulerData.of(chi="eN*h", m=1)
+            builtin_model("two-points"), "eN", "eS", "eN", euler=EulerData.of(chi="eN*h", m=1)
         )
 
 
@@ -472,7 +462,7 @@ def _h_comparison_inputs(base, cap, x_poly):
 def test_membership_solver_finds_ideal_witness_and_extracts_x():
     # Control case: [xy] lies in the ideal of [x] and [y], so the solver
     # must find coefficients and recover [xy] from the top h block.
-    inputs = _h_comparison_inputs(torus(), 10, "x*y")
+    inputs = _h_comparison_inputs(builtin_model("torus"), 10, "x*y")
     x = inputs[-1]
     rep = h_comparison_check(*inputs)
     assert not rep.fired
@@ -483,7 +473,7 @@ def test_membership_solver_finds_ideal_witness_and_extracts_x():
 
 
 def test_membership_solver_fires_outside_the_ideal():
-    rep = h_comparison_check(*_h_comparison_inputs(heisenberg(), 9, "x*z"))
+    rep = h_comparison_check(*_h_comparison_inputs(builtin_model("heisenberg"), 9, "x*z"))
     assert rep.fired
     assert rep.solution_a is None
 
@@ -491,9 +481,9 @@ def test_membership_solver_fires_outside_the_ideal():
 @pytest.mark.parametrize(
     "route, base, x_poly",
     [
-        ("solve", torus(), "x*y"),
+        ("solve", builtin_model("torus"), "x*y"),
         ("solve", build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {}, 4), "x*z"),
-        ("functional", heisenberg(), "x*z"),
+        ("functional", builtin_model("heisenberg"), "x*z"),
     ],
 )
 def test_corrupted_membership_certificate_raises(corrupt_certificate, route, base, x_poly):
@@ -513,7 +503,7 @@ def test_corrupted_membership_certificate_raises(corrupt_certificate, route, bas
 
 def test_scaled_chain_heisenberg_with_h():
     report = check_euler_scaled_massey(
-        heisenberg(), "x", "x", "y", euler=EulerData.of(chi="h", m=1), min_cap=12
+        builtin_model("heisenberg"), "x", "x", "y", euler=EulerData.of(chi="h", m=1), min_cap=12
     )
     assert report.verdict == "non-vanishing"
     assert report.ext_cap == 12
@@ -534,7 +524,7 @@ def test_scaled_chain_heisenberg_with_h():
 
 def test_scaled_chain_with_twisted_line_bundle():
     report = check_euler_scaled_massey(
-        heisenberg(), "x", "x", "y",
+        builtin_model("heisenberg"), "x", "x", "y",
         EulerData.of([WeightedLineBundle("x*z", 2)]), min_cap=12,
     )
     assert report.verdict == "non-vanishing"
@@ -544,7 +534,7 @@ def test_scaled_chain_with_twisted_line_bundle():
 
 def test_scaled_chain_with_two_line_bundles_raises_the_cap():
     report = check_euler_scaled_massey(
-        heisenberg(),
+        builtin_model("heisenberg"),
         "x",
         "x",
         "y",
@@ -558,13 +548,13 @@ def test_scaled_chain_with_two_line_bundles_raises_the_cap():
 
 
 def test_required_cap_formula():
-    assert required_cap(heisenberg(), "x", "x", "y", 1) == 9
-    assert required_cap(heisenberg(), "x", "x", "y", 2) == 15
-    assert required_cap(heisenberg(), "x*y", "x", "y", 1) == 10
+    assert required_cap(builtin_model("heisenberg"), "x", "x", "y", 1) == 9
+    assert required_cap(builtin_model("heisenberg"), "x", "x", "y", 2) == 15
+    assert required_cap(builtin_model("heisenberg"), "x*y", "x", "y", 1) == 10
 
 
 def test_class_inputs_are_ported_from_a_smaller_cap():
-    base = heisenberg()
+    base = builtin_model("heisenberg")
     ring = CohomologyRing(base)
     u = ring.class_from_polynomial("x")
     w = ring.class_from_polynomial("y")
@@ -575,18 +565,18 @@ def test_class_inputs_are_ported_from_a_smaller_cap():
 
 def test_undefined_premise_is_a_premise_error():
     with pytest.raises(PremiseError):
-        check_euler_scaled_massey(torus(), "x", "x", "y", EulerData.of(chi="h", m=1))
+        check_euler_scaled_massey(builtin_model("torus"), "x", "x", "y", EulerData.of(chi="h", m=1))
 
 
 def test_vanishing_premise_is_a_premise_error():
     with pytest.raises(PremiseError):
-        check_euler_scaled_massey(torus(), "x", "x", "x", EulerData.of(chi="h", m=1))
+        check_euler_scaled_massey(builtin_model("torus"), "x", "x", "x", EulerData.of(chi="h", m=1))
 
 
 def test_degree_zero_premise_is_a_premise_error():
     with pytest.raises(PremiseError):
         check_euler_scaled_massey(
-            two_points(), "eN", "eN", "eN", euler=EulerData.of(chi="h", m=1)
+            builtin_model("two-points"), "eN", "eN", "eN", euler=EulerData.of(chi="h", m=1)
         )
 
 
@@ -608,7 +598,7 @@ def test_euler_argument_validation():
 
 
 def test_unit_scaling_keeps_the_coset():
-    ring = build_setup(torus(), cap=8)
+    ring = build_setup(builtin_model("torus"), cap=8)
     a = ring.class_from_polynomial("x")
     report, base_result, scaled_result = check_scaling_law(
         ring.unit_class(), triple_massey(a, a, a), 1
@@ -623,8 +613,8 @@ def test_unit_scaling_keeps_the_coset():
 
 
 def test_tautological_datum_is_valid_on_every_bundled_model():
-    for name, make in sorted(BUILTIN_MODELS.items()):
-        base = make()
+    for name in sorted(BUILTIN_MODELS):
+        base = builtin_model(name)
         datum = tautological_datum(
             base, euler=EulerData.of(chi="h", m=1), cap=max(8, base.cap)
         )
@@ -632,11 +622,11 @@ def test_tautological_datum_is_valid_on_every_bundled_model():
 
 
 def test_rotation_datum_is_valid():
-    assert validate_transfer_datum(rotation_datum()) == []
+    assert validate_transfer_datum(builtin_datum("rotation")) == []
 
 
 def test_broken_projection_formula_is_rejected_with_a_witness():
-    findings = validate_transfer_datum(broken_projection_datum())
+    findings = validate_transfer_datum(builtin_datum("rotation-broken-push"))
     assert findings
     assert any("projection formula" in f and "degree 2" in f for f in findings)
 
@@ -645,7 +635,7 @@ def test_a_datum_over_one_ring_is_checked_in_full():
     # Only the type of a tautological datum marks it as trusted: a plain
     # datum with one ring on both sides, whose degree-1 restriction is
     # doubled, gets the restriction findings.
-    good = tautological_datum(heisenberg(), EulerData.of(chi="h", m=1), cap=9)
+    good = tautological_datum(builtin_model("heisenberg"), EulerData.of(chi="h", m=1), cap=9)
     assert isinstance(good, TautologicalDatum)
     assert validate_transfer_datum(good) == []
     ring = good.fixed_ring
@@ -666,7 +656,7 @@ def test_a_datum_over_one_ring_is_checked_in_full():
 
 
 def test_non_injective_restriction_is_rejected():
-    good = rotation_datum()
+    good = builtin_datum("rotation")
     morphism = good.restrict_map.morphism
     columns = [morphism.columns(n) for n in range(morphism.trust_cap + 1)]
     one = Fraction(1)
@@ -692,7 +682,7 @@ def test_identity_restriction_is_not_rescanned(monkeypatch):
     def forbidden(f):
         raise AssertionError("the identity restriction was scanned")
 
-    datum = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=8)
+    datum = tautological_datum(builtin_model("heisenberg"), euler=EulerData.of(chi="h", m=1), cap=8)
     monkeypatch.setattr(transfer, "validate_morphism", forbidden)
     assert validate_transfer_datum(datum) == []
 
@@ -702,7 +692,7 @@ def test_non_identity_endomorphism_restriction_is_scanned():
     # (d z = x*y) and multiplicativity, so the full scan must report it.
     # The datum gets two rings of its own: one ring on both sides marks
     # the tautological datum.
-    good = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=8)
+    good = tautological_datum(builtin_model("heisenberg"), euler=EulerData.of(chi="h", m=1), cap=8)
     identity = identity_morphism(good.fixed)
     columns = [identity.columns(n) for n in range(identity.trust_cap + 1)]
     columns[1] = [{i: Fraction(2)} for i in range(good.ambient.dim(1))]
@@ -732,7 +722,7 @@ def test_non_identity_endomorphism_restriction_is_scanned():
 
 def test_wrong_push_shape_is_rejected():
     # Degree 2 runs from a 2-dimensional H^2 to a 2-dimensional H^4.
-    good = rotation_datum()
+    good = builtin_datum("rotation")
     one = Fraction(1)
     for columns, finding in (
         ([{0: one}, {1: one}, {}], "has 3 columns, want 2"),
@@ -752,7 +742,7 @@ def test_wrong_push_shape_is_rejected():
 
 
 def test_nonpositive_m_is_rejected():
-    good = rotation_datum()
+    good = builtin_datum("rotation")
     bad = HamiltonianTransferDatum(
         name="flat",
         restrict_map=good.restrict_map,
@@ -763,7 +753,7 @@ def test_nonpositive_m_is_rejected():
 
 
 def test_fixed_model_must_be_an_extension():
-    a = heisenberg()
+    a = builtin_model("heisenberg")
     ring = CohomologyRing(a)
     bad = HamiltonianTransferDatum(
         name="bare",
@@ -779,7 +769,7 @@ def test_rotation_pushforward_is_forced_by_the_projection_formula():
     # Re-derive each pushforward column by solving
     # restrict(column) = chi * (basis class); injectivity makes the
     # solution unique, so this reproduces the bundled matrices.
-    datum = rotation_datum()
+    datum = builtin_datum("rotation")
     fixed = datum.fixed
     fring = datum.fixed_ring
     chi_el = datum.chi.element
@@ -811,7 +801,7 @@ def test_rotation_push_matches_the_dense_matvec(coords, from_file):
     # The pushforward is held as sparse columns; the reference multiplies
     # the class coordinates by its dense matrix, on every basis class and
     # on one drawn class per even degree.
-    datum = load_datum(_ROTATION_FILE) if from_file else rotation_datum()
+    datum = load_datum(_ROTATION_FILE) if from_file else builtin_datum("rotation")
     fring = datum.fixed_ring
     for n in range(datum.push_map.top + 1):
         rows = ROTATION_PUSH_ROWS if n % 2 == 0 else ()
@@ -828,7 +818,7 @@ def test_rotation_push_matches_the_dense_matvec(coords, from_file):
 
 
 def test_gysin_on_the_rotation_datum_is_inconclusive():
-    report = check_gysin_transfer(rotation_datum(), "eN", "eS", "eN")
+    report = check_gysin_transfer(builtin_datum("rotation"), "eN", "eS", "eN")
     assert report.status == "inconclusive"
     assert report.fixed_result.defined
     assert report.fixed_result.vanishes
@@ -837,7 +827,7 @@ def test_gysin_on_the_rotation_datum_is_inconclusive():
 
 
 def test_gysin_on_the_tautological_heisenberg_datum_transfers():
-    datum = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=9)
+    datum = tautological_datum(builtin_model("heisenberg"), euler=EulerData.of(chi="h", m=1), cap=9)
     report = check_gysin_transfer(datum, "x", "x", "y")
     assert report.status == "non-vanishing"
     assert not report.fixed_result.vanishes
@@ -847,7 +837,7 @@ def test_gysin_on_the_tautological_heisenberg_datum_transfers():
 
 def test_gysin_rejects_an_undefined_scaled_product():
     with pytest.raises(UndefinedProductError):
-        check_gysin_transfer(rotation_datum(), "eN", "eN", "eN")
+        check_gysin_transfer(builtin_datum("rotation"), "eN", "eN", "eN")
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +846,7 @@ def test_gysin_rejects_an_undefined_scaled_product():
 
 
 def test_pipeline_accepts_only_one_euler_source():
-    datum = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=9)
+    datum = tautological_datum(builtin_model("heisenberg"), euler=EulerData.of(chi="h", m=1), cap=9)
     with pytest.raises(ValueError):
         run_transfer_pipeline(
             None, "x", "x", "y", datum=datum, euler=EulerData.of(chi="h", m=1)
@@ -865,14 +855,14 @@ def test_pipeline_accepts_only_one_euler_source():
         run_transfer_pipeline(None, "x", "x", "y")
     with pytest.raises(ValueError):
         run_transfer_pipeline(
-            heisenberg(), "x", "x", "y", euler=EulerData.of(chi="h", m=1),
+            builtin_model("heisenberg"), "x", "x", "y", euler=EulerData.of(chi="h", m=1),
             datum=datum, tautological=True,
         )
 
 
 def test_pipeline_flags_an_invalid_datum_before_anything_runs():
     result = run_transfer_pipeline(
-        None, "eN", "eS", "eN", datum=broken_projection_datum()
+        None, "eN", "eS", "eN", datum=builtin_datum("rotation-broken-push")
     )
     assert result.status == "invalid-datum"
     assert result.verdict == "inconclusive"
@@ -881,7 +871,9 @@ def test_pipeline_flags_an_invalid_datum_before_anything_runs():
 
 
 def test_pipeline_premise_failure_without_datum():
-    result = run_transfer_pipeline(torus(), "x", "x", "y", EulerData.of(chi="h", m=1))
+    result = run_transfer_pipeline(
+        builtin_model("torus"), "x", "x", "y", EulerData.of(chi="h", m=1)
+    )
     assert result.status == "premise-failed"
     assert result.verdict == "inconclusive"
     assert result.euler is None
@@ -889,7 +881,7 @@ def test_pipeline_premise_failure_without_datum():
 
 
 def test_pipeline_full_run_with_tautological_datum():
-    datum = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=9)
+    datum = tautological_datum(builtin_model("heisenberg"), euler=EulerData.of(chi="h", m=1), cap=9)
     result = run_transfer_pipeline(None, "x", "x", "y", datum=datum)
     assert result.status == "ok"
     assert result.verdict == "non-vanishing"
@@ -898,7 +890,7 @@ def test_pipeline_full_run_with_tautological_datum():
 
 
 def test_pipeline_rotation_datum_runs_the_transfer_despite_the_premise():
-    result = run_transfer_pipeline(None, "eN", "eS", "eN", datum=rotation_datum())
+    result = run_transfer_pipeline(None, "eN", "eS", "eN", datum=builtin_datum("rotation"))
     assert result.status == "premise-failed"
     assert result.gysin is not None
     assert result.gysin.status == "inconclusive"
@@ -911,7 +903,7 @@ def test_pipeline_rotation_datum_runs_the_transfer_despite_the_premise():
 
 
 def test_default_family_scans_clean():
-    report = scan_families(default_scan_configs())
+    report = scan_families(builtin_family("default"))
     assert report.findings == []
     assert len(report.rows) == 8
     by_name = {row.name: row for row in report.rows}
@@ -923,7 +915,7 @@ def test_default_family_scans_clean():
 
 
 def test_corrupted_family_flags_the_datum_not_a_counterexample():
-    report = scan_families(corrupted_scan_configs())
+    report = scan_families(builtin_family("corrupted-demo"))
     assert report.findings == []
     assert len(report.rows) == 1
     row = report.rows[0]
@@ -934,7 +926,7 @@ def test_corrupted_family_flags_the_datum_not_a_counterexample():
 def test_scan_records_expectation_mismatches():
     cfg = ScanConfig(
         name="wrong-guess",
-        base=heisenberg(),
+        base=builtin_model("heisenberg"),
         u="x",
         v="x",
         w="y",
@@ -949,7 +941,7 @@ def test_scan_records_expectation_mismatches():
 def test_scan_row_of_a_typo_is_invalid_input_without_a_finding():
     cfg = ScanConfig(
         name="typo",
-        base=heisenberg(),
+        base=builtin_model("heisenberg"),
         u="nosuchname",
         v="x",
         w="y",
@@ -968,7 +960,7 @@ def test_scan_row_of_a_typo_is_invalid_input_without_a_finding():
 
 
 def test_scan_budget_stops_early_and_reports_progress():
-    configs = default_scan_configs()
+    configs = builtin_family("default")
     report = scan_families(configs, budget=3)
     assert report.completed == 3
     assert report.total == len(configs)
@@ -992,7 +984,7 @@ def _perturbed_representative(result, ring, da, dy):
 
 
 def test_witness_perturbations_move_within_the_indeterminacy():
-    base = heisenberg()
+    base = builtin_model("heisenberg")
     ring = CohomologyRing(base)
     x = ring.class_from_polynomial("x")
     y = ring.class_from_polynomial("y")
@@ -1021,7 +1013,7 @@ def test_witness_perturbations_move_within_the_indeterminacy():
 
 
 def test_witness_perturbations_on_a_vanishing_product():
-    base = torus()
+    base = builtin_model("torus")
     ring = CohomologyRing(base)
     x = ring.class_from_polynomial("x")
     result = triple_massey(x, x, x)
@@ -1052,20 +1044,26 @@ def _classes(base, polys):
 
 def test_classes_over_the_base_give_the_polynomial_verdicts():
     polys = ("x", "x", "y")
-    by_poly = check_euler_scaled_massey(heisenberg(), *polys, EulerData.of(chi="h", m=1))
+    by_poly = check_euler_scaled_massey(
+        builtin_model("heisenberg"), *polys, EulerData.of(chi="h", m=1)
+    )
     by_class = check_euler_scaled_massey(
-        heisenberg(), *_classes(heisenberg(), polys), euler=EulerData.of(chi="h", m=1)
+        builtin_model("heisenberg"),
+        *_classes(builtin_model("heisenberg"), polys),
+        euler=EulerData.of(chi="h", m=1),
     )
     assert by_class.verdict == by_poly.verdict == "non-vanishing"
     assert str(by_class.witness) == str(by_poly.witness)
 
     for make_datum, polys, gysin in (
         (
-            lambda: tautological_datum(heisenberg(), EulerData.of(chi="h", m=1), cap=12),
+            lambda: tautological_datum(
+                builtin_model("heisenberg"), EulerData.of(chi="h", m=1), cap=12
+            ),
             polys,
             "non-vanishing",
         ),
-        (rotation_datum, ("eN", "eS", "eN"), "inconclusive"),
+        (lambda: builtin_datum("rotation"), ("eN", "eS", "eN"), "inconclusive"),
     ):
         base = make_datum().fixed.tensor_info.base
         by_poly = run_transfer_pipeline(None, *polys, datum=make_datum())
@@ -1080,9 +1078,11 @@ def test_classes_over_the_base_give_the_polynomial_verdicts():
 
 
 def test_a_class_over_an_unrelated_algebra_is_rejected():
-    classes = _classes(torus(), ("x", "x", "y"))
+    classes = _classes(builtin_model("torus"), ("x", "x", "y"))
     with pytest.raises(AlgebraValidationError, match="unrelated algebras"):
-        check_euler_scaled_massey(heisenberg(), *classes, EulerData.of(chi="h", m=1))
-    datum = tautological_datum(heisenberg(), euler=EulerData.of(chi="h", m=1), cap=12)
+        check_euler_scaled_massey(builtin_model("heisenberg"), *classes, EulerData.of(chi="h", m=1))
+    datum = tautological_datum(
+        builtin_model("heisenberg"), euler=EulerData.of(chi="h", m=1), cap=12
+    )
     with pytest.raises(AlgebraValidationError, match="unrelated algebras"):
         check_gysin_transfer(datum, *classes)
