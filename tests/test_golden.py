@@ -169,6 +169,13 @@ CASES = [
         ["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1", "--cap", "100000"],
         5,
     ),
+    # A large cap inside the size limit: the extension used to be laid out
+    # whole, in time quadratic in its cap, before the answer --cap 16 gives.
+    (
+        "lemma32-heisenberg-cap-3000",
+        ["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1", "--cap", "3000"],
+        0,
+    ),
     # Every bundled model, datum and family, and the unknown-name lines.
     ("cohomology-torus", ["cohomology", "builtin:torus"], 0),
     ("cohomology-even-sphere", ["cohomology", "builtin:even-sphere"], 0),
