@@ -19,10 +19,10 @@ presentation stores them.  A free algebra computes the product of two
 monomials when asked (one signed monomial, or zero), and the extension
 computes a product from the base lookup shifted into the right power of
 h; neither tabulates its products.  Differentials are tabulated degree by
-degree.  A free algebra takes its dimensions from the Poincare series,
-which is checked against SIZE_LIMIT before any monomial is built, and
-builds the monomials and the differential of a degree when that degree
-is first read.
+degree.  A free algebra and an extension take their dimensions from the
+Poincare series, which is checked against SIZE_LIMIT before any basis is
+built, and build the basis and the differential of a degree when that
+degree is first read.
 
 An Element holds its nonzero terms (basis index -> Fraction), as do the
 unit and the names; arithmetic, products and differentials visit those
@@ -169,25 +169,85 @@ class GeneratorDecl:
     degree: int
 
 
-@dataclass(frozen=True)
 class TensorInfo:
-    """Bookkeeping for algebras of the form ``base (x) Q[h]``.
+    """The basis of ``base (x) Q[h]``, laid out a degree at a time.
 
-    ``blocks[n]`` lists ``(j, base_degree, offset, size)`` for every power
-    h^j with 2j <= n, in ascending j, so ``blocks[n][j]`` is the entry of
-    h^j; a size is zero where the base has no basis.  The basis of degree
-    n is the concatenation of the base bases of the listed degrees.
-    ``splits[n][idx]`` is the ``(j, base index)`` of basis index idx.
+    Degree n is the sum over j of h^j (x) base^(n-2j), in ascending j, so
+    the extension's dims fix every block: that of h^j in degree n has
+    base degree b = n - 2j, offset dims[n] - dims[b] and size dims[b] -
+    dims[b - 2].  ``block(n, j)`` gives ``(j, b, offset, size)`` for any
+    2j <= n, ``row(n)`` the blocks of degree n with a basis.  Like
+    _FreeBasis, ``grow(n)`` builds the labels and the ``(j, base index)``
+    split of each basis index of every degree up to n, and
+    ``differential(n)`` the shifted base d out of degree n; the algebra
+    shares ``labels`` and ``diff``.
     """
 
-    base: "CochainAlgebra"
-    hname: str
-    blocks: tuple[tuple[tuple[int, int, int, int], ...], ...]
-    splits: tuple[tuple[tuple[int, int], ...], ...]
+    def __init__(self, base: "CochainAlgebra", hname: str, dims: tuple[int, ...]):
+        self.base, self.hname, self.dims = base, hname, dims
+        self.labels: list[tuple[str, ...]] = []
+        self.splits: list[tuple[tuple[int, int], ...]] = []
+        self.diff: list[Optional[tuple[Terms, ...]]] = [None] * (len(dims) - 1)
+        # the base degrees with a basis, ascending
+        self.support = [b for b in range(len(dims)) if self.block(b, 0)[3]]
+        splits, bcap, base_product = self.splits, base.cap, base.product_lookup(0)
+
+        # (h^j1 (x) e)(h^j2 (x) f) = h^(j1+j2) (x) e*f, shifted into the block
+        # of h^(j1+j2); a table base is zero above its cap.  grow has built
+        # every base degree with a basis that the lookup reads.
+        def product(n1: int, i1: int, n2: int, i2: int) -> Terms:
+            j1, k1 = splits[n1][i1]
+            j2, k2 = splits[n2][i2]
+            b1, b2 = n1 - 2 * j1, n2 - 2 * j2
+            if b1 + b2 > bcap:
+                return ()
+            toff = dims[n1 + n2] - dims[b1 + b2]
+            return tuple((toff + k, c) for k, c in base_product(b1, k1, b2, k2))
+
+        self.product = product
 
     def block(self, n: int, j: int) -> Optional[tuple[int, int, int, int]]:
-        row = self.blocks[n]
-        return row[j] if 0 <= j < len(row) else None
+        if not 0 <= 2 * j <= n:
+            return None
+        b, dims = n - 2 * j, self.dims
+        return (j, b, dims[n] - dims[b], dims[b] - (dims[b - 2] if b > 1 else 0))
+
+    def row(self, n: int) -> list[tuple[int, int, int, int]]:
+        """The blocks of degree n with nonzero size, in ascending j."""
+        return [
+            self.block(n, (n - b) // 2)
+            for b in reversed(self.support)
+            if b <= n and (n - b) % 2 == 0
+        ]
+
+    def grow(self, n: int) -> None:
+        for degree in range(len(self.labels), min(n, len(self.diff)) + 1):
+            labels, split = [], []
+            for j, b, _, size in self.row(degree):
+                powers = [self.hname] * j
+                labels += [
+                    "*".join(([] if label == "1" else [label]) + powers) or "1"
+                    for label in self.base.basis_labels(b)
+                ]
+                split += [(j, i) for i in range(size)]
+            self.labels.append(tuple(labels))
+            self.splits.append(tuple(split))
+
+    def differential(self, n: int) -> tuple[Terms, ...]:
+        """d out of degree n, block j into block j of degree n + 1; a table
+        base stores no d out of its cap, above which it is zero."""
+        table: list[Terms] = []
+        for j, b, _, size in self.row(n):
+            if b < self.base.cap:
+                toff = self.dims[n + 1] - self.dims[b + 1]
+                table += [
+                    tuple((toff + k, c) for k, c in terms) if toff else terms
+                    for terms in self.base.diff_table(b)
+                ]
+            else:
+                table += [()] * size
+        self.diff[n] = table = tuple(table)
+        return table
 
 
 class Element:
@@ -335,12 +395,12 @@ class CochainAlgebra:
     (name -> (degree, terms)) are sparse terms.
 
     The dimensions of every degree are known on construction.  A free
-    presentation builds the monomials of a degree, and the differential
-    out of it, the first time that degree is read (see _FreeBasis); a
-    table has every degree built.  Every reader of the tables goes
-    through ``basis_labels``, ``product_lookup`` or ``diff_table``, which
-    build what they hand out first; ``multiply`` and ``differential``
-    make the same check once per call.
+    presentation or an extension builds the basis of a degree, and the
+    differential out of it, the first time that degree is read (see
+    _FreeBasis and TensorInfo); a table has every degree built.  Every
+    reader of the tables goes through ``basis_labels``, ``product_lookup``
+    or ``diff_table``, which build what they hand out first; ``multiply``
+    and ``differential`` make the same check once per call.
 
     Degrees run 0..cap.  The differential maps degree n to n+1 and is
     stored for n < cap only, so cocycles in degree cap cannot be verified;
@@ -359,8 +419,7 @@ class CochainAlgebra:
         names: Mapping[str, tuple[int, SparseVector]],
         generators: Optional[tuple[GeneratorDecl, ...]] = None,
         free_recipe=None,
-        tensor_info: Optional[TensorInfo] = None,
-        basis: Optional["_FreeBasis"] = None,
+        basis: Union["_FreeBasis", TensorInfo, None] = None,
     ):
         self.cap = cap
         self.kind = kind
@@ -376,7 +435,7 @@ class CochainAlgebra:
         self._names = dict(names)
         self.generators = generators
         self._free_recipe = free_recipe
-        self.tensor_info = tensor_info
+        self.tensor_info = basis if isinstance(basis, TensorInfo) else None
         self._basis = basis
 
     # -- basis bookkeeping -------------------------------------------------
@@ -1230,8 +1289,10 @@ def tensor_polynomial_generator(
     cap; table bases are taken as literally zero above their own cap,
     which keeps every axiom intact because all extra degrees are zero
     spaces.  The result of a valid base is therefore valid and is not
-    scanned again.  Its size, the base's series times 1/(1 - t^2), is
-    checked against SIZE_LIMIT before the base is re-capped.
+    scanned again.  Its dims, the base's series times 1/(1 - t^2), are
+    checked against SIZE_LIMIT before the base is re-capped, and fix the
+    layout (TensorInfo), which is built a degree at a time on first read,
+    so the work grows with the degrees read, not with the cap.
     """
     if cap is None:
         cap = a.cap
@@ -1252,89 +1313,20 @@ def tensor_polynomial_generator(
         )
 
     if a.kind == "free":
-        series_dims(cap, [*(g.degree for g in a.generators), 2])
+        dims = series_dims(cap, [*(g.degree for g in a.generators), 2])
         base = recap(a, cap) if cap > a.cap else a
     else:
-        series_dims(cap, (2,), start=a.dims)
+        dims = series_dims(cap, (2,), start=a.dims)
         base = a
-
-    def bdim(k: int) -> int:
-        return base.dim(k) if 0 <= k <= base.cap else 0
-
-    blocks: list[tuple[tuple[int, int, int, int], ...]] = []
-    for n in range(cap + 1):
-        row = []
-        offset = 0
-        for j in range(n // 2 + 1):
-            bdeg = n - 2 * j
-            size = bdim(bdeg)
-            row.append((j, bdeg, offset, size))
-            offset += size
-        blocks.append(tuple(row))
-
-    labels: list[tuple[str, ...]] = []
-    for n in range(cap + 1):
-        row = []
-        for j, bdeg, _off, size in blocks[n]:
-            for base_label in base.basis_labels(bdeg) if size else ():
-                parts = ([] if base_label == "1" else [base_label]) + [name] * j
-                row.append("*".join(parts) if parts else "1")
-        labels.append(tuple(row))
-
-    splits = tuple(
-        tuple((j, i) for j, _bdeg, _off, size in row for i in range(size))
-        for row in blocks
-    )
-    info = TensorInfo(base=base, hname=name, blocks=tuple(blocks), splits=splits)
-    base_product = base.product_lookup(base.cap)
-
-    # (h^j1 (x) e)(h^j2 (x) f) = h^(j1+j2) (x) e*f: the base product, shifted
-    # into the block of h^(j1+j2).  A base that is not recapped is zero
-    # above its cap, and its own lookup only covers degrees within it.
-    def product(n1: int, i1: int, n2: int, i2: int) -> Terms:
-        j1, k1 = splits[n1][i1]
-        j2, k2 = splits[n2][i2]
-        b1, b2 = n1 - 2 * j1, n2 - 2 * j2
-        if b1 + b2 > base.cap:
-            return ()
-        entries = base_product(b1, k1, b2, k2)
-        if not entries:
-            return ()
-        toff = blocks[n1 + n2][j1 + j2][2]
-        return tuple((toff + k, c) for k, c in entries)
-
-    # d acts on the base part: block j of degree n maps into block j of
-    # degree n + 1, whose offset shifts the base terms.
-    diff: list[tuple[Terms, ...]] = []
-    for n in range(cap):
-        table: list[Terms] = []
-        for j, bdeg, _off, size in blocks[n]:
-            if size and bdeg < base.cap:
-                toff = blocks[n + 1][j][2]
-                table.extend(
-                    tuple((toff + k, c) for k, c in terms) if toff else terms
-                    for terms in base.diff_table(bdeg)
-                )
-            else:
-                table.extend([()] * size)
-        diff.append(tuple(table))
-
+    info = TensorInfo(base, name, dims)
     # The h^0 block sits at offset 0 of every degree, so the base's unit and
     # names carry over unchanged; h is the base unit in the h^1 block.
     names = dict(base._names)
     hoff = info.block(2, 1)[2]
     names[name] = (2, {hoff + i: c for i, c in base._unit.items()})
-
     return CochainAlgebra(
-        cap,
-        "table",
-        [len(row) for row in labels],
-        labels,
-        product,
-        diff,
-        base._unit,
-        names,
-        tensor_info=info,
+        cap, "table", dims, info.labels, info.product, info.diff, base._unit,
+        names, basis=info,
     )
 
 

@@ -193,7 +193,7 @@ class CohomologyRing:
     ``block_ring`` is the ring of the base when the algebra is an
     extension base (x) Q[h], and the ring itself otherwise.  Degree n is
     the direct sum of the blocks ``(j, base degree, offset, size)`` of
-    ``TensorInfo.blocks[n]`` (a plain algebra is the one block j = 0 at
+    ``TensorInfo.row(n)`` (a plain algebra is the one block j = 0 at
     offset 0), and d is block diagonal with contiguous column blocks in
     ascending j.  A reduced row echelon form is unique, so that of d is
     the blocks' forms side by side: the data of degree n (cocycles,
@@ -252,24 +252,25 @@ class CohomologyRing:
                 )
             info = self.algebra.tensor_info
             if info is None:
-                layout = ((0, n, 0, self.algebra.dim(n)),)
+                layout, powers = [(0, n, 0, self.algebra.dim(n))], 1
             else:
-                layout = info.blocks[n]
+                layout, powers = info.row(n), n // 2 + 1
             parts = []
             split: list[tuple[int, int, int]] = []
-            offsets = []
-            for j, bdeg, offset, size in layout:
-                offsets.append(len(split))
-                if size:
-                    block = self.block_ring._block(bdeg)
-                    parts.append((offset, block))
-                    split.extend((j, bdeg, k) for k in range(len(block.class_pivots)))
+            offsets: list[int] = []
+            for j, bdeg, offset, _ in layout:
+                # the blocks before j with no basis hold no classes
+                offsets += [len(split)] * (j + 1 - len(offsets))
+                block = self.block_ring._block(bdeg)
+                parts.append((offset, block))
+                split.extend((j, bdeg, k) for k in range(len(block.class_pivots)))
             if len(parts) == 1:
                 data = parts[0][1]
             else:
                 data = _direct_sum(self.algebra.dim(n), parts)
             self._data[n] = data
             self._class_split[n] = tuple(split)
+            offsets += [len(split)] * (powers - len(offsets))
             self._class_offsets[n] = tuple(offsets)
         return data
 

@@ -546,6 +546,7 @@ def _parse_config(
     section: _Section,
     model_of: Callable[[str], CochainAlgebra],
     datum_of: Callable[[str], HamiltonianTransferDatum],
+    eulers: dict[tuple, EulerData],
     position: int,
 ) -> ScanConfig:
     name = f"config-{position}"
@@ -627,6 +628,7 @@ def _parse_config(
             )
         raise ParseError("a config needs a model or a datum", line=first)
     euler = EulerData.of(bundles, chi, m, line=first)
+    euler = eulers.setdefault((euler.bundles, euler.polynomial, euler.m), euler)
     return ScanConfig(
         name=name, base=model_of(model_spec), u=triple[0], v=triple[1],
         w=triple[2], euler=euler, tautological=tautological, min_cap=min_cap,
@@ -638,17 +640,18 @@ def parse_family_document(text: str, base_dir: str = ".") -> list[ScanConfig]:
     """The configs of a family document, in order.
 
     Each distinct model or datum spec is resolved once, so configs that
-    name the same spec share one object.  A tautological datum is built
-    by the scan, in its config's row.
+    name the same spec, or equal Euler data, share one object.  A
+    tautological datum is built by the scan, in its config's row.
     """
     sections = _split_sections(text)
     model_of = functools.cache(lambda spec: resolve_model_spec(spec, base_dir))
     datum_of = functools.cache(lambda spec: resolve_datum_spec(spec, base_dir))
+    eulers: dict[tuple, EulerData] = {}
     configs: list[ScanConfig] = []
     for section in sections:
         if section.name == "config":
             configs.append(
-                _parse_config(section, model_of, datum_of, len(configs) + 1)
+                _parse_config(section, model_of, datum_of, eulers, len(configs) + 1)
             )
         elif section.name == "family":
             for lineno, line in section.rows:

@@ -541,6 +541,72 @@ def validate_morphism_reference(f):
     return problems
 
 
+# -- the extension laid out whole -----------------------------------------------
+#
+# The package lays out base (x) Q[h] a degree at a time and reads each
+# block's offset and size off the extension's dims.  This builds the same
+# tables whole, walking every power of h in every degree and counting
+# offsets up from the base dims.
+
+
+def eager_tensor_tables(base, name, cap):
+    """``(blocks, labels, diff, product)`` of ``base (x) Q[h]`` up to
+    ``cap``, with ``base`` zero above its own cap.
+
+    ``blocks[n]`` lists ``(j, base degree, offset, size)`` for every
+    2j <= n in ascending j, ``labels[n]`` the basis labels of degree n,
+    ``diff[n]`` (n < cap) the terms of d of each basis vector, and
+    ``product(n1, i1, n2, i2)`` the terms of a product of basis vectors:
+    the base product shifted into the block of the sum of the h powers.
+    """
+
+    def bdim(k):
+        return base.dim(k) if 0 <= k <= base.cap else 0
+
+    blocks, labels, splits = [], [], []
+    for n in range(cap + 1):
+        row, offset = [], 0
+        for j in range(n // 2 + 1):
+            row.append((j, n - 2 * j, offset, bdim(n - 2 * j)))
+            offset += bdim(n - 2 * j)
+        blocks.append(tuple(row))
+        labels.append(
+            tuple(
+                "*".join(([] if label == "1" else [label]) + [name] * j) or "1"
+                for j, bdeg, _off, size in row
+                for label in (base.basis_labels(bdeg) if size else ())
+            )
+        )
+        splits.append([(j, i) for j, _bdeg, _off, size in row for i in range(size)])
+
+    diff = []
+    for n in range(cap):
+        table = []
+        for j, bdeg, _off, size in blocks[n]:
+            if size and bdeg < base.cap:
+                toff = blocks[n + 1][j][2]
+                table += [
+                    tuple((toff + k, c) for k, c in terms)
+                    for terms in base.diff_table(bdeg)
+                ]
+            else:
+                table += [()] * size
+        diff.append(tuple(table))
+
+    base_product = base.product_lookup(base.cap)
+
+    def product(n1, i1, n2, i2):
+        j1, k1 = splits[n1][i1]
+        j2, k2 = splits[n2][i2]
+        b1, b2 = n1 - 2 * j1, n2 - 2 * j2
+        if b1 + b2 > base.cap:
+            return ()
+        toff = blocks[n1 + n2][j1 + j2][2]
+        return tuple((toff + k, c) for k, c in base_product(b1, k1, b2, k2))
+
+    return blocks, labels, diff, product
+
+
 # -- the cochain maps between a base and its extension --------------------------
 #
 # The package reads the embedding of the base, the retraction h = 0 and the
@@ -657,12 +723,13 @@ def h_components(el):
     construction and omitted."""
     from masseyq.cdga import Element
 
-    base = el.algebra.tensor_info.base
+    info = el.algebra.tensor_info
     out = {}
-    for j, bdeg, off, size in el.algebra.tensor_info.blocks[el.degree]:
-        if bdeg <= base.cap:
+    for j in range(el.degree // 2 + 1):
+        _, bdeg, off, size = info.block(el.degree, j)
+        if bdeg <= info.base.cap:
             terms = {k - off: c for k, c in el.terms.items() if off <= k < off + size}
-            out[j] = Element._trusted(base, bdeg, terms)
+            out[j] = Element._trusted(info.base, bdeg, terms)
     return out
 
 

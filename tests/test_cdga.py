@@ -26,8 +26,10 @@ from masseyq.errors import (
     ParseError,
 )
 from masseyq.linalg import densify
+from masseyq.models import builtin_model
 from oracles import (
     FreeCdgaOracle,
+    eager_tensor_tables,
     random_free_cdga,
     tensor_embedding,
     tensor_retraction,
@@ -423,15 +425,65 @@ def test_tensor_cap_below_two_rejected():
     assert info.value.required_cap == 2
 
 
-def test_tensor_block_index_round_trip():
-    ext = tensor_polynomial_generator(heisenberg(4), "h", cap=8)
-    info = ext.tensor_info
-    for n in range(ext.cap + 1):
-        assert len(info.splits[n]) == ext.dim(n)
-        for i in range(ext.dim(n)):
-            j, b = info.splits[n][i]
-            _, _, offset, size = info.blocks[n][j]
-            assert 0 <= b < size and offset + b == i
+TABLE_BUILTINS = [
+    "sphere-cohomology", "truncated-polynomial", "point", "two-points", "rotation-ambient"
+]
+
+
+def _extension_case(kind, rng, extra):
+    """An extension of a random free presentation, of a bundled table past
+    its cap, or of an extension (the inner one over a random free base)."""
+    if kind == "table":
+        base = builtin_model(rng.choice(TABLE_BUILTINS))
+        return tensor_polynomial_generator(base, "h", cap=max(2, base.cap + extra))
+    gens, diffs, cap = random_free_cdga(rng)
+    base = build_free_cdga(gens, diffs, cap)
+    ext = tensor_polynomial_generator(base, "h", cap=cap + extra % 3)
+    if kind == "nested":
+        ext = tensor_polynomial_generator(ext, "k", cap=ext.cap + extra)
+    return ext
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(["free", "table", "nested"]),
+    st.randoms(use_true_random=False),
+    st.integers(0, 5),
+)
+def test_extension_tables_equal_the_eager_layout(kind, rng, extra):
+    # The extension is laid out a degree at a time on first read; each
+    # degree is read in a random order, d before anything grows it, and
+    # compared with the layout built whole.
+    ext = _extension_case(kind, rng, extra)
+    info, cap = ext.tensor_info, ext.cap
+    order = list(range(cap + 1))
+    rng.shuffle(order)
+    got = {}
+    for n in order:
+        diff = ext.diff_table(n) if n < cap else None
+        blocks = [info.block(n, j) for j in range(-1, n // 2 + 2)]
+        lookup = ext.product_lookup(n)
+        products = [
+            lookup(n1, i1, n - n1, i2)
+            for n1 in range(n + 1)
+            for i1 in range(ext.dim(n1))
+            for i2 in range(ext.dim(n - n1))
+        ]
+        got[n] = (ext.basis_labels(n), diff, blocks, products)
+    blocks, labels, diff, product = eager_tensor_tables(info.base, info.hname, cap)
+    for n in range(cap + 1):
+        assert got[n] == (
+            labels[n],
+            diff[n] if n < cap else None,
+            [None, *blocks[n], None],
+            [
+                product(n1, i1, n - n1, i2)
+                for n1 in range(n + 1)
+                for i1 in range(len(labels[n1]))
+                for i2 in range(len(labels[n - n1]))
+            ],
+        ), n
+    assert ext.dims == tuple(len(row) for row in labels)
 
 
 # -- morphisms ---------------------------------------------------------------

@@ -132,6 +132,28 @@ def test_default_scan_builds_one_setup_per_distinct_base_cap_and_h(monkeypatch, 
     ]
 
 
+def test_configs_with_equal_euler_data_share_its_class(monkeypatch, capsys):
+    configs = builtin_family("default")
+    by_name = {c.name: c.euler for c in configs}
+    assert by_name["heisenberg-h"] is by_name["heisenberg-transfer"]
+    assert by_name["torus-undefined"] is by_name["torus-vanishing"]
+    assert by_name["heisenberg-h"] is not by_name["heisenberg-two-lines"]
+    calls = []
+    real = transfer.euler_class_from_polynomial
+
+    def counting(ring, poly, m):
+        calls.append((poly, m))
+        return real(ring, poly, m)
+
+    monkeypatch.setattr(transfer, "euler_class_from_polynomial", counting)
+    assert main(["scan", "builtin:default"]) == 0
+    capsys.readouterr()
+    # chi = h once over each of Heisenberg, the torus and the even sphere,
+    # and the rotation datum's chi over its fixed model and in the Euler
+    # stage's setup
+    assert len(calls) == 5
+
+
 @pytest.mark.parametrize(
     "argv, rings",
     [
