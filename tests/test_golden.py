@@ -23,6 +23,8 @@ import pytest
 from masseyq.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+# a 5,000-digit integer literal
+_BIG = "1" + "0" * 4999
 
 # (name, argv, exit code)
 CASES = [
@@ -204,6 +206,22 @@ CASES = [
         "transfer-rotation-push-40",
         ["transfer", "rotation-push-40.datum", "eN", "eS", "eN"],
         2,
+    ),
+    # Listing every class of a degree used to cost the square of its Betti
+    # number; 4,096 classes here.
+    ("cohomology-exterior-12", ["cohomology", "exterior-12.alg"], 0),
+    # A numeric literal past Python's 4,300-digit limit on reading an int,
+    # in a free algebra's d line, in a table's mul line and in an argument.
+    ("cohomology-oversized-literal", ["cohomology", "oversized-literal.alg"], 3),
+    (
+        "cohomology-oversized-literal-table",
+        ["cohomology", "oversized-literal-table.alg"],
+        3,
+    ),
+    (
+        "massey-heisenberg-oversized-literal",
+        ["massey", "builtin:heisenberg", _BIG + "*x", "x", "y"],
+        3,
     ),
 ]
 
