@@ -51,15 +51,12 @@ from .errors import (
     ParseError,
 )
 from .linalg import (
+    GradedVector,
     SparseVector,
-    Vector,
     columns_of_rows,
-    densify,
     fr,
     solve_rows,
     sparse_sum,
-    vector,
-    zero_vector,
 )
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -134,6 +131,11 @@ def parse_polynomial(text: str) -> PolyTerms:
                 except ZeroDivisionError:
                     raise ParseError(
                         f"zero denominator in {val!r} at column {col + 1}"
+                    ) from None
+                except ValueError:
+                    # past Python's limit on the digits of an int
+                    raise ParseError(
+                        f"number at column {col + 1} is too long or malformed"
                     ) from None
             elif kind == "name":
                 factors.append(val)
@@ -250,72 +252,19 @@ class TensorInfo:
         return table
 
 
-class Element:
-    """A homogeneous element of a CochainAlgebra: a degree and its nonzero terms.
+class Element(GradedVector):
+    """A homogeneous element of a CochainAlgebra: a degree and its nonzero
+    terms (see GradedVector)."""
 
-    ``terms`` maps basis index to nonzero Fraction and is read-only by
-    convention; ``coords`` is the dense tuple, computed on each access.
-    The public constructor takes dense coordinates.
-    """
+    __slots__ = ()
+    algebra = GradedVector._owner
+    _LENGTH = "coordinate length {n} != dim {dim} in degree {degree}"
+    _OTHER_OWNER = "elements live in different algebras"
+    _OTHER_DEGREE = "degree mismatch: {} vs {}"
 
-    __slots__ = ("algebra", "degree", "terms")
-
-    def __init__(self, algebra: "CochainAlgebra", degree: int, coords: Iterable):
-        coords = vector(coords)
-        if not (0 <= degree <= algebra.cap):
-            raise DegreeCapError(
-                f"degree {degree} outside [0, cap={algebra.cap}]", required_cap=degree
-            )
-        if len(coords) != algebra.dim(degree):
-            raise ValueError(
-                f"coordinate length {len(coords)} != dim {algebra.dim(degree)} "
-                f"in degree {degree}"
-            )
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", {i: c for i, c in enumerate(coords) if c})
-
-    @classmethod
-    def _trusted(
-        cls, algebra: "CochainAlgebra", degree: int, terms: SparseVector
-    ) -> "Element":
-        """Wrap terms that masseyq computed itself, without coercion.
-
-        ``terms`` must map indices below ``algebra.dim(degree)`` to nonzero
-        Fractions; nothing is checked.  Input from outside goes through
-        the public constructor, which coerces and rejects floats.
-        """
-        el = object.__new__(cls)
-        object.__setattr__(el, "algebra", algebra)
-        object.__setattr__(el, "degree", degree)
-        object.__setattr__(el, "terms", terms)
-        return el
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
-
-    @property
-    def coords(self) -> Vector:
-        return densify(self.terms, self.algebra.dim(self.degree))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check_compatible(other)
-        terms = sparse_sum([*self.terms.items(), *other.terms.items()])
-        return Element._trusted(self.algebra, self.degree, terms)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "Element":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Element":
-        c = fr(c)
-        terms = {k: c * a for k, a in self.terms.items()} if c else {}
-        return Element._trusted(self.algebra, self.degree, terms)
+    @staticmethod
+    def _dim(algebra: "CochainAlgebra", degree: int) -> int:
+        return algebra.dim(degree)
 
     def bar(self) -> "Element":
         """Sign twist: ``(-1)^degree`` times the element."""
@@ -326,30 +275,8 @@ class Element:
             return self.algebra.multiply(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def d(self) -> "Element":
         return self.algebra.differential(self)
-
-    def _check_compatible(self, other: "Element"):
-        if self.algebra is not other.algebra:
-            raise ValueError("elements live in different algebras")
-        if self.degree != other.degree:
-            raise ValueError(
-                f"degree mismatch: {self.degree} vs {other.degree}"
-            )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.algebra is other.algebra
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.degree, frozenset(self.terms.items())))
 
     def __str__(self):
         parts = []
@@ -480,7 +407,8 @@ class CochainAlgebra:
         return Element(self, degree, coords)
 
     def zero(self, degree: int) -> Element:
-        return Element(self, degree, zero_vector(self.dim(degree)))
+        self.dim(degree)  # DegreeCapError outside [0, cap]
+        return Element._trusted(self, degree, {})
 
     def basis_element(self, n: int, i: int) -> Element:
         if not (0 <= i < self.dim(n)):

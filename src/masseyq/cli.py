@@ -121,7 +121,7 @@ def _massey_payload(res: MasseyResult) -> dict:
             "representative-cochain": str(res.representative),
             "x-witness": str(res.x_witness),
             "y-witness": str(res.y_witness),
-            "indeterminacy-dimension": len(res.indeterminacy.basis),
+            "indeterminacy-dimension": res.indeterminacy.dim,
             "vanishes": res.vanishes,
             "in-ideal": res.in_ideal,
             "verdict": "vanishes" if res.vanishes else "non-vanishing",

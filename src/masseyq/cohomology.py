@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cdga import AlgebraMorphism, CochainAlgebra, Element, Terms
@@ -33,19 +34,17 @@ from .errors import (
 )
 from .linalg import (
     AffineCoset,
+    GradedVector,
     SparseVector,
     Subspace,
     Vector,
     apply_columns,
     densify,
-    fr,
     kernel_rows,
     solve_rows,
     sparse_sum,
+    sparsify,
     transpose,
-    unit_vector,
-    vector,
-    zero_vector,
 )
 
 _ZERO = Fraction(0)
@@ -58,6 +57,10 @@ class _DegreeData:
     coboundaries: Subspace
     class_pivots: tuple[int, ...]
     representatives: tuple[SparseVector, ...]
+
+    @cached_property
+    def class_index(self) -> dict[int, int]:
+        return {p: i for i, p in enumerate(self.class_pivots)}
 
 
 def _direct_sum(dim: int, parts: Sequence[tuple[int, _DegreeData]]) -> _DegreeData:
@@ -86,99 +89,32 @@ def _direct_sum(dim: int, parts: Sequence[tuple[int, _DegreeData]]) -> _DegreeDa
     )
 
 
-def _class_coords(data: _DegreeData, terms: SparseVector) -> Vector:
+def _class_coords(data: _DegreeData, terms: SparseVector) -> SparseVector:
     """Class coordinates of a cocycle: its residue read at the class pivots."""
+    index = data.class_index
     reduced = data.coboundaries.reduce_row(terms)
-    return tuple(reduced.get(p, _ZERO) for p in data.class_pivots)
+    return {index[k]: v for k, v in reduced.items() if k in index}
 
 
-class CohomologyClass:
-    """An element of H^degree, stored in class coordinates."""
+class CohomologyClass(GradedVector):
+    """An element of H^degree in class coordinates (see GradedVector)."""
 
-    __slots__ = ("ring", "degree", "coords")
+    __slots__ = ()
+    ring = GradedVector._owner
+    _LENGTH = "class coordinate length {n} != dim H^{degree} = {dim}"
+    _OTHER_OWNER = _OTHER_DEGREE = "classes live in different rings or degrees"
 
-    def __init__(self, ring: "CohomologyRing", degree: int, coords):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coords", vector(coords))
-        if len(self.coords) != ring.class_dim(degree):
-            raise ValueError(
-                f"class coordinate length {len(self.coords)} != "
-                f"dim H^{degree} = {ring.class_dim(degree)}"
-            )
-
-    @classmethod
-    def _trusted(
-        cls, ring: "CohomologyRing", degree: int, coords: Vector
-    ) -> "CohomologyClass":
-        """Wrap class coordinates that masseyq computed itself.
-
-        ``coords`` must be a tuple of Fractions of length
-        ``ring.class_dim(degree)``; nothing is coerced or checked.  Input
-        from outside goes through the public constructor.
-        """
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ring", ring)
-        object.__setattr__(obj, "degree", degree)
-        object.__setattr__(obj, "coords", coords)
-        return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CohomologyClass is immutable")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+    @staticmethod
+    def _dim(ring: "CohomologyRing", degree: int) -> int:
+        return ring.class_dim(degree)
 
     def representative(self) -> Element:
         return self.ring.lift(self)
-
-    def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
-        self._check(other)
-        return CohomologyClass._trusted(
-            self.ring,
-            self.degree,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
-
-    def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
-        self._check(other)
-        return CohomologyClass._trusted(
-            self.ring,
-            self.degree,
-            tuple(a - b for a, b in zip(self.coords, other.coords)),
-        )
-
-    def scale(self, c) -> "CohomologyClass":
-        c = fr(c)
-        return CohomologyClass._trusted(
-            self.ring, self.degree, tuple(c * a for a in self.coords)
-        )
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, CohomologyClass):
             return cup(self, other)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def _check(self, other):
-        if self.ring is not other.ring or self.degree != other.degree:
-            raise ValueError("classes live in different rings or degrees")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohomologyClass)
-            and self.ring is other.ring
-            and self.degree == other.degree
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), self.degree, self.coords))
 
     def __str__(self):
         return f"[{self.representative()}]"
@@ -339,17 +275,18 @@ class CohomologyRing:
         if cls.ring is not self:
             raise ValueError("class belongs to a different ring")
         reps = self._degree(cls.degree).representatives
-        terms = sparse_sum(
-            (k, c * v) for c, rep in zip(cls.coords, reps) if c for k, v in rep.items()
-        )
+        terms = apply_columns(reps, cls.terms)
         return Element._trusted(self.algebra, cls.degree, terms)
 
-    def h_block(self, cls: CohomologyClass, j: int) -> Vector:
-        """The class coordinates of the h^j coefficient of a class, a class
-        of ``block_ring`` in degree ``cls.degree - 2j``."""
-        self._degree(cls.degree)
-        offsets = self._class_offsets[cls.degree] + (len(cls.coords),)
-        return cls.coords[offsets[j] : offsets[j + 1]]
+    def h_block(self, cls: CohomologyClass, j: int) -> CohomologyClass:
+        """The h^j coefficient of a class, a class of ``block_ring`` in
+        degree ``cls.degree - 2j``."""
+        n = cls.degree
+        dim = self.class_dim(n)  # fills the class tables read below
+        bounds = self._class_offsets[n] + (dim,)
+        lo, hi = bounds[j], bounds[j + 1]
+        terms = {k - lo: v for k, v in cls.terms.items() if lo <= k < hi}
+        return CohomologyClass._trusted(self.block_ring, n - 2 * j, terms)
 
     def _product(self, p: int, i: int, q: int, j: int) -> Terms:
         """The nonzero (class index, coefficient) terms of e_i * e_j, for
@@ -386,19 +323,20 @@ class CohomologyRing:
                 left = Element._trusted(a, p, self._block(p).representatives[i])
                 right = Element._trusted(a, q, self._block(q).representatives[j])
                 # a cocycle by Leibniz: reduced without a cocycle check
-                coords = _class_coords(self._block(n), (left * right).terms)
-                entry = tuple((k, v) for k, v in enumerate(coords) if v)
+                terms = _class_coords(self._block(n), (left * right).terms)
+                entry = tuple(sorted(terms.items()))
             self._base_products[key] = entry
         return entry
 
     def zero_class(self, n: int) -> CohomologyClass:
-        return CohomologyClass(self, n, zero_vector(self.class_dim(n)))
+        self.class_dim(n)  # DegreeCapError above the top
+        return CohomologyClass._trusted(self, n, {})
 
     def basis_class(self, n: int, i: int) -> CohomologyClass:
         dim = self.class_dim(n)
         if not (0 <= i < dim):
             raise IndexError(f"H^{n} has dimension {dim}, no index {i}")
-        return CohomologyClass._trusted(self, n, unit_vector(dim, i))
+        return CohomologyClass._trusted(self, n, {i: _ONE})
 
     def basis_classes(self, n: int) -> list[CohomologyClass]:
         return [self.basis_class(n, i) for i in range(self.class_dim(n))]
@@ -418,13 +356,9 @@ class CohomologyRing:
 
 
 def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    """Product of classes, read bilinearly from the ring's structure constants.
-
-    Only pairs of nonzero coordinates are looked up, and each pair's
-    product of basis classes is computed once per ring (see
-    CohomologyRing).  The result equals the projection of the product of
-    the two canonical representatives.
-    """
+    """Product of classes, read bilinearly off the ring's structure
+    constants (see CohomologyRing): the projection of the product of the
+    two canonical representatives."""
     if a.ring is not b.ring:
         raise ValueError("classes live in different rings")
     ring = a.ring
@@ -435,15 +369,13 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
             f"cup product in degree {n} needs cap at least {n + 1}",
             required_cap=n + 1,
         )
-    out = list(zero_vector(ring.class_dim(n)))
-    right = [(j, cb) for j, cb in enumerate(b.coords) if cb]
-    for i, ca in enumerate(a.coords):
-        if ca:
-            for j, cb in right:
-                c = ca * cb
-                for k, v in ring._product(p, i, q, j):
-                    out[k] += c * v
-    return CohomologyClass._trusted(ring, n, tuple(out))
+    terms = sparse_sum(
+        (k, ca * cb * v)
+        for i, ca in a.terms.items()
+        for j, cb in b.terms.items()
+        for k, v in ring._product(p, i, q, j)
+    )
+    return CohomologyClass._trusted(ring, n, terms)
 
 
 def ideal_products(
@@ -462,13 +394,14 @@ def ideal_products(
         p, rest = g.degree, n - g.degree
         if rest < 0:
             continue
-        terms = [(i, c) for i, c in enumerate(g.coords) if c]
         for j in range(ring.class_dim(rest)):
-            col: SparseVector = {}
-            for i, c in terms:
-                for k, v in ring._product(p, i, rest, j):
-                    col[k] = col.get(k, _ZERO) + c * v
-            vectors.append({k: v for k, v in col.items() if v})
+            vectors.append(
+                sparse_sum(
+                    (k, c * v)
+                    for i, c in g.terms.items()
+                    for k, v in ring._product(p, i, rest, j)
+                )
+            )
     return vectors
 
 
@@ -514,10 +447,10 @@ def certify_ideal_membership(
     """
     ring, n = t.ring, t.degree
     dim = ring.class_dim(n)
-    phi = span.separating_functional({k: c for k, c in enumerate(t.coords) if c})
+    phi = span.separating_functional(t.terms)
     if phi is not None:
-        dot = lambda v: sum(phi.get(k, _ZERO) * c for k, c in v)
-        if any(dot(col.items()) for col in columns) or not dot(enumerate(t.coords)):
+        dot = lambda v: sum(phi.get(k, _ZERO) * c for k, c in v.items())
+        if any(dot(col) for col in columns) or not dot(t.terms):
             raise ConsistencyError(
                 f"ideal membership in degree {n}: the functional read off the "
                 "indeterminacy's echelon form fails to vanish on the ideal or "
@@ -527,8 +460,8 @@ def certify_ideal_membership(
     sol = solve_rows(transpose(columns, dim), len(columns), t.coords)
     if sol is not None:
         split = ring.class_dim(n - g1.degree)
-        alpha = CohomologyClass._trusted(ring, n - g1.degree, sol[:split])
-        beta = CohomologyClass._trusted(ring, n - g2.degree, sol[split:])
+        alpha = CohomologyClass._trusted(ring, n - g1.degree, sparsify(sol[:split]))
+        beta = CohomologyClass._trusted(ring, n - g2.degree, sparsify(sol[split:]))
     if sol is None or cup(g1, alpha) + cup(g2, beta) != t:
         raise ConsistencyError(
             f"ideal membership in degree {n}: solve gives no coefficients "
@@ -628,7 +561,7 @@ def triple_massey(
             "product of representatives is not exact although the classes "
             "multiply to zero"
         )
-    x = Element._trusted(alg, p + q - 1, {k: v for k, v in enumerate(x_coords) if v})
+    x = Element._trusted(alg, p + q - 1, sparsify(x_coords))
 
     bc = B.bar() * C
     y_coords = solve_rows(alg.diff_rows(q + r - 1), alg.dim(q + r - 1), bc.coords)
@@ -637,7 +570,7 @@ def triple_massey(
             "product of representatives is not exact although the classes "
             "multiply to zero"
         )
-    y = Element._trusted(alg, q + r - 1, {k: v for k, v in enumerate(y_coords) if v})
+    y = Element._trusted(alg, q + r - 1, sparsify(y_coords))
 
     rep = A.bar() * y + x.bar() * C
     try:
@@ -737,11 +670,10 @@ class InducedMap:
             raise ValueError("target ring does not match the morphism target")
 
         def fill(n: int) -> list[SparseVector]:
-            images = (
-                target.project(morphism.apply(source.lift(e))).coords
+            return [
+                target.project(morphism.apply(source.lift(e))).terms
                 for e in source.basis_classes(n)
-            )
-            return [{k: c for k, c in enumerate(v) if c} for v in images]
+            ]
 
         top = min(source.top, target.top, morphism.trust_cap)
         self._set(morphism, source, target, 0, top, fill)
@@ -820,23 +752,18 @@ class InducedMap:
         if cls.ring is not self.source:
             raise ValueError("class does not live in the source ring")
         n = cls.degree + self.shift
-        coords = apply_columns(
-            self.columns(cls.degree), cls.coords, self.target.class_dim(n)
-        )
-        return CohomologyClass._trusted(self.target, n, coords)
+        self.target.class_dim(n)  # DegreeCapError above the target's top
+        terms = apply_columns(self.columns(cls.degree), cls.terms)
+        return CohomologyClass._trusted(self.target, n, terms)
 
     def apply_coset(self, coset: AffineCoset, n: int) -> AffineCoset:
         """The image of a coset of H^n, a coset of H^(n + shift)."""
         columns = self.columns(n)
         dim = self.target.class_dim(n + self.shift)
-        images = [
-            sparse_sum(
-                (k, c * x) for i, c in row.items() for k, x in columns[i].items()
-            )
-            for row in coset.direction.rows
-        ]
+        images = [apply_columns(columns, row) for row in coset.direction.rows]
         direction = Subspace.span_rows(dim, images)
-        return AffineCoset(apply_columns(columns, coset.point, dim), direction)
+        point = apply_columns(columns, sparsify(coset.point))
+        return AffineCoset(densify(point, dim), direction)
 
 
 def check_functoriality(

@@ -2,22 +2,25 @@
 
 Scalars are ``fractions.Fraction`` values: always in lowest terms, always
 with a positive denominator, so equality is literal equality and printing
-is canonical (``p/q`` or ``p``).  Cochains and eliminations are held
-as sparse vectors, dicts from index to nonzero entry, summed by
-``sparse_sum``; vectors are tuples of fractions, such as class
-coordinates or the view ``densify`` gives.  A linear map is held as
-sparse columns, one per source basis vector (``apply_columns``,
-``transpose``); matrix data from outside, such as datum files and
-``build_morphism(matrices=...)``, is read into sparse columns where it
-enters (``columns_of_rows``).  ``Matrix``, a dense row-major grid, and
-``rref`` and ``solve`` on it are public dense helpers that nothing in
-the package calls; they are due for removal.
+is canonical (``p/q`` or ``p``).  Cochains, cohomology classes and
+eliminations are held as sparse vectors, dicts from index to nonzero
+entry, summed by ``sparse_sum``.  A cochain (``Element``) and a class
+(``CohomologyClass``) are both a ``GradedVector``: its ``terms`` are
+that dict and its ``coords`` the dense tuple, a view computed on each
+access.  Vectors are tuples of fractions: such views, and the points,
+functionals and solutions of cosets and certificates, which stay dense.
+A linear map is held as sparse columns, one per source basis vector
+(``apply_columns``, ``transpose``); matrix data from outside, such as
+datum files and ``build_morphism(matrices=...)``, is read into sparse
+columns where it enters (``columns_of_rows``).  ``Matrix``, a dense
+row-major grid, and ``rref`` and ``solve`` on it are public dense
+helpers that nothing in the package calls; they are due for removal.
 
 Coercion to Fraction, and the refusal of floats, happens at the public
-constructors only: ``columns_of_rows``, ``Matrix(...)``,
-``Subspace.span``, ``AffineCoset`` and the right-hand side of ``solve``.
-Results that masseyq computes itself, such as the output of ``rref``,
-skip it.
+constructors only: ``columns_of_rows``, ``Matrix(...)``, a
+``GradedVector``'s, ``Subspace.span``, ``AffineCoset`` and the
+right-hand side of ``solve``.  Results that masseyq computes itself,
+such as the output of ``rref``, skip it.
 
 Every elimination runs on one core, ``_eliminate``: Gaussian elimination
 and back substitution on sparse rows with a column -> rows index, so
@@ -63,10 +66,6 @@ def vector(entries: Iterable) -> Vector:
 
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
@@ -145,17 +144,12 @@ class Matrix:
 
 
 def _sparse_rows(m: Matrix) -> list[SparseVector]:
-    return [{j: v for j, v in enumerate(r) if v} for r in m.entries]
+    return [sparsify(r) for r in m.entries]
 
 
-def apply_columns(columns: Sequence[SparseVector], v: Vector, n: int) -> Vector:
-    """The length-``n`` tuple sum_i v[i] * columns[i], over v's nonzeros."""
-    out = [_ZERO] * n
-    for c, column in zip(v, columns):
-        if c:
-            for k, x in column.items():
-                out[k] += c * x
-    return tuple(out)
+def apply_columns(columns: Sequence[SparseVector], v: SparseVector) -> SparseVector:
+    """sum_i v[i] * columns[i] over the nonzeros of v."""
+    return sparse_sum((k, c * x) for i, c in v.items() for k, x in columns[i].items())
 
 
 def columns_of_rows(rows: Sequence[Sequence], cols: int) -> list[SparseVector]:
@@ -190,12 +184,99 @@ def densify(row: SparseVector, n: int) -> Vector:
     return tuple(out)
 
 
+def sparsify(v: Vector) -> SparseVector:
+    """The nonzero entries of a tuple, by index."""
+    return {j: x for j, x in enumerate(v) if x}
+
+
 def sparse_sum(terms: Iterable[tuple[int, Fraction]]) -> SparseVector:
     """The nonzero coordinates of a sum of ``(index, coefficient)`` terms."""
     out: SparseVector = {}
     for k, c in terms:
         out[k] = out[k] + c if k in out else c
     return {k: c for k, c in out.items() if c}
+
+
+class GradedVector:
+    """A vector in one degree of a graded space: its owner, its degree and
+    its nonzero terms.
+
+    ``terms`` maps index to nonzero Fraction, never holds a zero and is
+    read-only by convention; ``coords`` is the dense tuple, computed on
+    each access.  A subclass names the owner (its slot ``_owner`` under a
+    public alias), gives its dimension in a degree (``_dim(owner, n)``)
+    and words the errors: ``_LENGTH`` (formatted with n, dim and degree),
+    ``_OTHER_OWNER`` and ``_OTHER_DEGREE`` (with the two degrees).
+    """
+
+    __slots__ = ("_owner", "degree", "terms")
+
+    def __init__(self, owner, degree: int, coords: Iterable):
+        """Dense coordinates from outside, coerced by ``fr`` (floats are
+        refused) and checked against the owner's dimension."""
+        coords = vector(coords)
+        dim = self._dim(owner, degree)
+        if len(coords) != dim:
+            raise ValueError(self._LENGTH.format(n=len(coords), dim=dim, degree=degree))
+        object.__setattr__(self, "_owner", owner)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", sparsify(coords))
+
+    @classmethod
+    def _trusted(cls, owner, degree: int, terms: SparseVector):
+        """Wrap terms that masseyq computed itself: indices below the
+        owner's dimension, nonzero Fractions; nothing is checked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_owner", owner)
+        object.__setattr__(obj, "degree", degree)
+        object.__setattr__(obj, "terms", terms)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coords(self) -> Vector:
+        return densify(self.terms, self._dim(self._owner, self.degree))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check_compatible(self, other: "GradedVector"):
+        if self._owner is not other._owner:
+            raise ValueError(self._OTHER_OWNER)
+        if self.degree != other.degree:
+            raise ValueError(self._OTHER_DEGREE.format(self.degree, other.degree))
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        terms = sparse_sum([*self.terms.items(), *other.terms.items()])
+        return self._trusted(self._owner, self.degree, terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = fr(c)
+        terms = {k: c * a for k, a in self.terms.items()} if c else {}
+        return self._trusted(self._owner, self.degree, terms)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GradedVector)
+            and self._owner is other._owner
+            and self.degree == other.degree
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((id(self._owner), self.degree, frozenset(self.terms.items())))
 
 
 def _eliminate(
@@ -360,9 +441,7 @@ class Subspace:
                 raise ValueError(
                     f"vector length {len(v)} != ambient dim {ambient_dim}"
                 )
-        return cls.span_rows(
-            ambient_dim, [{j: v for j, v in enumerate(u) if v} for u in vecs]
-        )
+        return cls.span_rows(ambient_dim, [sparsify(u) for u in vecs])
 
     @classmethod
     def span_rows(cls, ambient_dim: int, rows: Sequence[SparseVector]) -> "Subspace":
@@ -392,7 +471,7 @@ class Subspace:
         """Residue of v after eliminating all pivot coordinates."""
         if len(v) != self.ambient_dim:
             raise ValueError("reduce length mismatch")
-        residue = self.reduce_row({j: x for j, x in enumerate(v) if x})
+        residue = self.reduce_row(sparsify(v))
         return densify(residue, self.ambient_dim)
 
     def reduce_row(self, row: SparseVector) -> SparseVector:

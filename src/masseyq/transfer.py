@@ -54,7 +54,7 @@ from .errors import (
     PremiseError,
     UndefinedProductError,
 )
-from .linalg import Subspace, kernel_rows, solve_rows, transpose
+from .linalg import Subspace, kernel_rows, solve_rows, sparsify, transpose
 from .report import STATUS_INTERNAL, STATUS_INVALID, outcome
 
 ClassInput = Union[str, list, CohomologyClass]
@@ -169,27 +169,22 @@ def as_class(ring: CohomologyRing, value: ClassInput) -> CohomologyClass:
 
 
 def class_h_components(cls: CohomologyClass) -> dict[int, CohomologyClass]:
-    """The nonzero base-class coefficients of an extension class.
-
-    They are classes of the extension ring's block ring, whose class
-    coordinates are those of ``cls`` in each h-power block; vanishing
-    coefficients are omitted.
-    """
+    """The nonzero h^j coefficients of an extension class, by j: classes of
+    the block ring (see CohomologyRing.h_block)."""
     ring = cls.ring
-    base_ring = ring.block_ring
+    top = ring.block_ring.top
     out = {}
     for j in range(cls.degree // 2 + 1):
-        coords = ring.h_block(cls, j)
-        if not any(coords):
+        component = ring.h_block(cls, j)
+        if component.is_zero():
             continue
-        degree = cls.degree - 2 * j
-        if degree > base_ring.top:
+        if component.degree > top:
             raise DegreeCapError(
-                f"h^{j} component lives in base degree {degree}, "
-                f"above the base ring top {base_ring.top}",
-                required_cap=degree + 1,
+                f"h^{j} component lives in base degree {component.degree}, "
+                f"above the base ring top {top}",
+                required_cap=component.degree + 1,
             )
-        out[j] = CohomologyClass._trusted(base_ring, degree, coords)
+        out[j] = component
     return out
 
 
@@ -223,10 +218,8 @@ class EulerClass:
 
     @cached_property
     def top_coefficient(self) -> CohomologyClass:
-        """The h^m class block of ``cls``, a class of the block ring."""
-        ring = self.cls.ring
-        coords = ring.h_block(self.cls, self.m)
-        return CohomologyClass._trusted(ring.block_ring, 0, coords)
+        """The h^m coefficient of ``cls``, a class of the block ring."""
+        return self.cls.ring.h_block(self.cls, self.m)
 
     @cached_property
     def zero_divisor(self) -> ZeroDivisorReport:
@@ -328,7 +321,7 @@ def euler_class(
     # each h-part of a cocycle is a cocycle, and one of degree 0 is zero
     # exactly when its class is: the class blocks are the coefficients
     cls = ring.project(chi)
-    if ring.h_block(cls, m) != ring.block_ring.unit_class().scale(lead).coords:
+    if ring.h_block(cls, m) != ring.block_ring.unit_class().scale(lead):
         raise ConsistencyError(
             "top h coefficient of the Euler class is not the product of "
             "the weights"
@@ -348,7 +341,7 @@ def euler_class_from_polynomial(
             "Euler class polynomial is not a cocycle", "Euler class is not a cocycle"
         )
     cls = ring.project(el)
-    if not any(ring.h_block(cls, m)):
+    if ring.h_block(cls, m).is_zero():
         raise EulerClassError(
             f"Euler class must have a nonzero h^{m} coefficient",
             f"Euler class has no h^{m} term; it cannot come from a rank {m} "
@@ -397,7 +390,8 @@ def _top_is_unit(ring: CohomologyRing, chi: EulerClass) -> bool:
     one = base.unit_class()
     dim = base.class_dim(0)
     sol = solve_rows(transpose(ideal_products(base, [c], 0), dim), dim, one.coords)
-    if sol is not None and cup(c, CohomologyClass._trusted(base, 0, sol)) != one:
+    inverse = None if sol is None else CohomologyClass._trusted(base, 0, sparsify(sol))
+    if inverse is not None and cup(c, inverse) != one:
         raise ConsistencyError(
             "top h coefficient of the Euler class: solve gives an inverse "
             "but recomputing it through cup does not reproduce the unit"
@@ -522,11 +516,11 @@ def _unit_multiple(
     if cls is None or cls.degree != 0:
         return None
     unit = ring.unit_class()
-    pivot = next((k for k, c in enumerate(unit.coords) if c != 0), None)
-    if pivot is None:
+    if unit.is_zero():
         return None
-    scalar = cls.coords[pivot] / unit.coords[pivot]
-    if cls.coords != unit.scale(scalar).coords:
+    pivot = min(unit.terms)
+    scalar = cls.terms.get(pivot, Fraction(0)) / unit.terms[pivot]
+    if cls.terms != unit.scale(scalar).terms:
         return None
     return scalar
 
@@ -883,7 +877,7 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
         kern = kernel_rows(transpose(columns, height), len(columns))
         if not kern.dim:
             continue
-        x = CohomologyClass._trusted(fring, n, kern.basis[0])
+        x = CohomologyClass._trusted(fring, n, kern.rows[0])
         if cup(chi.cls, x).is_zero():
             findings.append(_KILLED_KERNEL.format(n))
         else:

@@ -709,6 +709,63 @@ def projected_product_reference(ring, p, i, q, j):
     return ring.project(left * right).coords
 
 
+# -- dense class arithmetic -----------------------------------------------------
+#
+# A class of the package holds the sparse terms of its coordinates.  These
+# are the same operations on the dense tuple of coordinates, each entry
+# visited, with products from ``projected_product_reference`` and the
+# ring's degree data (checked against ``ff_rref`` elsewhere) as the only
+# inputs.
+
+
+def dense_add(u, v):
+    assert len(u) == len(v)
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def dense_sub(u, v):
+    assert len(u) == len(v)
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def dense_scale(u, c):
+    return tuple(Fraction(c) * a for a in u)
+
+
+def dense_lift(ring, n, coords):
+    """Cochain coordinates of the representative of a class of H^n: the
+    combination of the degree's representatives, entry by entry."""
+    out = [Fraction(0)] * ring.algebra.dim(n)
+    for c, rep in zip(coords, ring._degree(n).representatives):
+        for k, v in rep.items():
+            out[k] += c * v
+    return tuple(out)
+
+
+def dense_project(ring, el):
+    """Class coordinates of a cocycle: the entries at the class pivots of
+    its residue after the reduced coboundary basis rows."""
+    space = ring.coboundaries(el.degree)
+    out = list(el.coords)
+    for row, p in zip(space.basis, space.pivots):
+        c = out[p]
+        if c:
+            out = [x - c * y for x, y in zip(out, row)]
+    return tuple(out[p] for p in ring._degree(el.degree).class_pivots)
+
+
+def dense_cup(ring, p, u, q, v):
+    """Class coordinates of the product of classes of H^p and H^q with
+    coordinates u and v, summed over every pair of basis classes."""
+    out = [Fraction(0)] * ring.class_dim(p + q)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b:
+                product = projected_product_reference(ring, p, i, q, j)
+                out = [x + a * b * y for x, y in zip(out, product)]
+    return tuple(out)
+
+
 # -- the Euler class and the tautological transfer datum -----------------------
 #
 # The package reads the top h coefficient of an Euler class off its class

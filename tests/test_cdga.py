@@ -97,6 +97,13 @@ def test_parse_rejects_garbage():
         parse_polynomial("1/0*x")
 
 
+def test_parse_rejects_a_number_past_the_int_digit_limit_at_its_column():
+    with pytest.raises(ParseError, match="number at column 5 is too long"):
+        parse_polynomial("x + " + "7" * 5000 + "*y")
+    with pytest.raises(ParseError, match="number at column 1 is too long"):
+        parse_polynomial("1/" + "3" * 5000 + "*x")
+
+
 # -- free algebras -----------------------------------------------------------
 
 

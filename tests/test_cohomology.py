@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from masseyq.cdga import (
+    Element,
     build_free_cdga,
     build_morphism,
     tensor_polynomial_generator,
@@ -29,13 +30,19 @@ from masseyq.cohomology import (
     triple_massey,
 )
 from masseyq import cohomology, linalg
-from masseyq.linalg import AffineCoset, Subspace, densify
+from masseyq.linalg import AffineCoset, GradedVector, Subspace, densify
 from masseyq.errors import AlgebraValidationError, ConsistencyError, DegreeCapError
 from masseyq.fileformat import resolve_model_spec
 from masseyq.models import builtin_model
 from oracles import (
     FreeCdgaOracle,
     betti_oracle,
+    dense_add,
+    dense_cup,
+    dense_lift,
+    dense_project,
+    dense_scale,
+    dense_sub,
     differential_columns,
     differential_rows,
     ff_rref,
@@ -684,6 +691,68 @@ def test_structure_constants_do_not_depend_on_fill_order(drawn):
         for a, b in reversed(pairs)
     ]
     assert forward == backward[::-1]
+
+
+def _well_formed(cls):
+    """``cls``, once its terms are checked: in range, nonzero Fractions."""
+    dim = len(cls.coords)
+    for k, v in cls.terms.items():
+        assert 0 <= k < dim and type(v) is Fraction and v != 0, cls
+    return cls
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_rings_with_classes(), st.sampled_from(_COEFFS))
+def test_sparse_classes_agree_with_dense_class_arithmetic(drawn, c):
+    ring, classes, pairs = drawn
+    for a in classes:
+        n = a.degree
+        rep = _well_formed(ring.lift(a))
+        assert rep.coords == dense_lift(ring, n, a.coords)
+        # the representative, and it moved by a coboundary, project back
+        for boundary in ring.coboundaries(n).rows[:1]:
+            rep = rep + Element._trusted(ring.algebra, n, boundary)
+        assert _well_formed(ring.project(rep)) == a
+        assert dense_project(ring, rep) == a.coords
+        assert _well_formed(a.scale(c)).coords == dense_scale(a.coords, c)
+        assert _well_formed(c * a) == a.scale(c)
+        assert _well_formed(-a).coords == dense_scale(a.coords, -1)
+        again = CohomologyClass(ring, n, a.coords)
+        assert again == a and hash(again) == hash(a)
+        for b in classes:
+            if b.degree != n:
+                continue
+            assert _well_formed(a + b).coords == dense_add(a.coords, b.coords)
+            assert _well_formed(a - b).coords == dense_sub(a.coords, b.coords)
+            assert (a == b) == (a.coords == b.coords)
+            back = (a + b) - b
+            assert back == a and hash(back) == hash(a)
+    for a, b in pairs:
+        assert _well_formed(cup(a, b)).coords == dense_cup(
+            ring, a.degree, a.coords, b.degree, b.coords
+        )
+
+
+def test_classes_and_cochains_share_one_copy_of_the_arithmetic():
+    shared = [
+        "__init__",
+        "_trusted",
+        "__setattr__",
+        "coords",
+        "is_zero",
+        "_check_compatible",
+        "__add__",
+        "__sub__",
+        "__neg__",
+        "scale",
+        "__rmul__",
+        "__eq__",
+        "__hash__",
+    ]
+    assert all(name in vars(GradedVector) for name in shared)
+    for kind in (CohomologyClass, Element):
+        assert issubclass(kind, GradedVector)
+        assert [name for name in shared if name in vars(kind)] == []
 
 
 # -- coercion at the boundary ----------------------------------------------------

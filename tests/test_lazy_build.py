@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import math
 import os
 import time
 from unittest import mock
@@ -169,3 +171,21 @@ def test_runaway_inputs_stop_at_the_size_limit(argv, bases):
     # No basis is made for the over-limit algebra: only the Heisenberg
     # base at its own cap, where the extension is what passes the limit.
     assert all(b.cap < 100 for b in bases)
+
+
+def test_listing_cohomology_costs_what_it_prints(tmp_path):
+    # The exterior algebra on 16 degree-1 generators has 65,536 classes.
+    # Each printed class used to be a dense tuple walked whole, so the
+    # listing took 126 s; held sparse it takes 1.2-1.8 s.
+    lines = ["cap = 16"] + [f"gen e{i} : 1" for i in range(1, 17)]
+    (tmp_path / "ext16.alg").write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, out = _run(["cohomology", "ext16.alg"], tmp_path)
+    assert time.perf_counter() - start < 8.0
+    assert code == 0
+    classes = json.loads(out)["payload"]["classes"]
+    assert [len(classes[str(n)]) for n in range(16)] == [
+        math.comb(16, n) for n in range(16)
+    ]
+    assert classes["1"][0] == "[e1]"
+    assert classes["15"][-1] == "[" + "*".join(f"e{i}" for i in range(2, 17)) + "]"
