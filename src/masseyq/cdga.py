@@ -24,7 +24,7 @@ Poincare series, which is checked against SIZE_LIMIT before any basis is
 built, and build the basis and the differential of a degree when that
 degree is first read.
 
-An Element holds its nonzero terms (basis index -> Fraction), as do the
+An Element holds its nonzero terms (basis index -> scalar), as do the
 unit and the names; arithmetic, products and differentials visit those
 only, and the dense ``coords`` tuple is computed when asked for.
 
@@ -52,7 +52,9 @@ from .errors import (
 )
 from .linalg import (
     GradedVector,
+    Scalar,
     SparseVector,
+    _q,
     columns_of_rows,
     fr,
     solve_rows,
@@ -60,11 +62,11 @@ from .linalg import (
 )
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+_ONE = 1
+_MINUS_ONE = -1
 
 # A parsed polynomial: list of (coefficient, ordered factor names).
-PolyTerms = list[tuple[Fraction, tuple[str, ...]]]
+PolyTerms = list[tuple[Scalar, tuple[str, ...]]]
 PolyInput = Union[str, PolyTerms, None]
 
 
@@ -114,7 +116,7 @@ def parse_polynomial(text: str) -> PolyTerms:
         return tokens[pos] if pos < len(tokens) else (None, None, None)
 
     while pos < len(tokens):
-        sign = Fraction(1)
+        sign = _ONE
         kind, val, col = peek()
         while kind in ("+", "-"):
             if kind == "-":
@@ -127,7 +129,7 @@ def parse_polynomial(text: str) -> PolyTerms:
             kind, val, col = peek()
             if kind == "num":
                 try:
-                    coeff *= Fraction(val)
+                    coeff = _q(coeff * Fraction(val))
                 except ZeroDivisionError:
                     raise ParseError(
                         f"zero denominator in {val!r} at column {col + 1}"
@@ -302,7 +304,7 @@ class Element(GradedVector):
         return f"Element(deg={self.degree}, {self})"
 
 
-Terms = tuple[tuple[int, Fraction], ...]
+Terms = tuple[tuple[int, Scalar], ...]
 # (p, i, q, j) -> nonzero (k, coefficient) terms of e_i * e_j in degree p+q,
 # where e_i and e_j are basis vectors of degrees p and q; () means zero.
 ProductLookup = Callable[[int, int, int, int], Terms]
@@ -670,7 +672,7 @@ class _FreeBasis:
         self.diff: list[Optional[tuple[Terms, ...]]] = [None] * cap
         # d(g) as (index, c, -c) for each nonzero term c, by generator
         # position; build_free_cdga fills it before any d is built
-        self.d_terms: dict[int, list[tuple[int, Fraction, Fraction]]] = {}
+        self.d_terms: dict[int, list[tuple[int, Scalar, Scalar]]] = {}
         self.product = _monomial_product(self.shapes, self.index)
 
     def grow(self, n: int) -> None:
@@ -750,28 +752,32 @@ class _FreeBasis:
 
         The letter g at a position of a monomial contributes
         (-1)^|prefix| * prefix * d(g) * suffix, and both products are
-        single monomials signed by the constants _ONE or _MINUS_ONE, so
-        each term is +c or -c.
+        single monomials signed by +1 or -1, so each term is +c or -c.
+        Only the positions of generators with a nonzero d are visited:
+        the prefix before position j is the low digits of the key, key %
+        weights[j], and |prefix| has the parity of the odd letters before
+        j, read off the odd mask.  An odd letter occurs at most once, so
+        the parity is the same for each copy of the letter at j.
         """
         if n + 1 >= len(self.labels):
             self.grow(n + 1)
-        gens, weights, index, product = self.gens, self.weights, self.index, self.product
+        index, product = self.index, self.product
+        active = [
+            (gi, self.weights[gi], (1 << gi) - 1, self.gens[gi].degree + 1, terms)
+            for gi, terms in sorted(self.d_terms.items())
+        ]
         table = []
-        for (key, _, _), exps in zip(self.shapes[n], self.monomials[n]):
-            acc: dict[int, Fraction] = {}
-            prefix_key = 0
-            prefix_deg = 0
-            for gi, e in enumerate(exps):
-                g = gens[gi]
-                terms = self.d_terms.get(gi)
-                if terms is None:
-                    prefix_key += e * weights[gi]
-                    prefix_deg += e * g.degree
+        for (key, odd, _), exps in zip(self.shapes[n], self.monomials[n]):
+            acc: dict[int, Scalar] = {}
+            for gi, w, below, dn, terms in active:
+                e = exps[gi]
+                if not e:
                     continue
-                dn = g.degree + 1
+                prefix_key = key % w
+                odd_prefix = (odd & below).bit_count() & 1
                 for _ in range(e):
                     pn, pi = index[prefix_key]
-                    sn, si = index[key - prefix_key - weights[gi]]
+                    sn, si = index[key - prefix_key - w]
                     for k, c, minus_c in terms:
                         left = product(pn, pi, dn, k)
                         if not left:
@@ -781,12 +787,11 @@ class _FreeBasis:
                         if not right:
                             continue
                         k2, s2 = right[0]
-                        negate = (s1 is _MINUS_ONE) ^ (s2 is _MINUS_ONE)
-                        t = minus_c if negate ^ (prefix_deg & 1) else c
+                        negate = (s1 < 0) ^ (s2 < 0)
+                        t = minus_c if negate ^ odd_prefix else c
                         prev = acc.get(k2)
                         acc[k2] = t if prev is None else prev + t
-                    prefix_key += weights[gi]
-                    prefix_deg += g.degree
+                    prefix_key += w
             table.append(tuple((j, c) for j, c in sorted(acc.items()) if c))
         self.diff[n] = table = tuple(table)
         return table
@@ -979,7 +984,7 @@ def build_table_algebra(
         if not NAME_RE.fullmatch(nm):
             raise AlgebraValidationError(f"invalid basis name {nm!r}")
 
-    mul: dict[tuple[int, int, int, int], tuple[tuple[int, Fraction], ...]] = {}
+    mul: dict[tuple[int, int, int, int], Terms] = {}
     for (n1, i1, n2, i2), entries in products.items():
         if not (0 <= n1 <= cap and 0 <= n2 <= cap and n1 + n2 <= cap):
             raise AlgebraValidationError(
@@ -1001,7 +1006,7 @@ def build_table_algebra(
         if cleaned:
             mul[(n1, i1, n2, i2)] = tuple(sorted(cleaned.items()))
 
-    diff: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+    diff: dict[tuple[int, int], Terms] = {}
     for (n, i), entries in (differentials or {}).items():
         if not (0 <= n < cap) or not (0 <= i < dims[n]):
             raise AlgebraValidationError(
@@ -1068,7 +1073,7 @@ def _solve_unit(dims, mul, cap) -> SparseVector:
                 for k, c in mul.get((n, j, 0, i), ()):
                     right.setdefault(k, {})[i] = c
             for k in range(dims[n]):
-                want = Fraction(1 if j == k else 0)
+                want = int(j == k)
                 rows += [left.get(k, {}), right.get(k, {})]
                 rhs += [want, want]
     u = solve_rows(rows, d0, tuple(rhs))

@@ -22,7 +22,6 @@ DegreeCapError with the cap that would suffice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -47,8 +46,8 @@ from .linalg import (
     transpose,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 @dataclass(frozen=True)

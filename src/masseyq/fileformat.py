@@ -55,7 +55,7 @@ from .errors import (
     DifferentialSquareError,
     ParseError,
 )
-from .linalg import SparseVector, columns_of_rows
+from .linalg import Scalar, SparseVector, _q, columns_of_rows
 from .transfer import (
     EulerData,
     HamiltonianTransferDatum,
@@ -105,9 +105,9 @@ def _split_sections(text: str) -> list[_Section]:
     return sections
 
 
-def _parse_fraction(text: str, lineno: int) -> Fraction:
+def _parse_fraction(text: str, lineno: int) -> Scalar:
     try:
-        return Fraction(text)
+        return _q(Fraction(text))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a rational number: {text!r}", line=lineno)
 
@@ -121,13 +121,13 @@ def _parse_int(key: str, value: str, lineno: int) -> int:
 
 def _parse_combination(
     value: str, names: dict[str, tuple[int, int]], degree: int, lineno: int
-) -> list[tuple[int, Fraction]]:
+) -> list[tuple[int, Scalar]]:
     """A linear combination of degree-`degree` basis names, e.g. "2*eN - eS"."""
     try:
         terms = parse_polynomial(value)
     except (ParseError, AlgebraError) as exc:
         raise ParseError(str(exc), line=lineno)
-    out: dict[int, Fraction] = {}
+    out: dict[int, Scalar] = {}
     for coeff, factors in terms:
         if coeff == 0:
             continue
@@ -145,7 +145,7 @@ def _parse_combination(
             raise ParseError(
                 f"{name!r} has degree {ndeg}, expected {degree}", line=lineno
             )
-        out[idx] = out.get(idx, Fraction(0)) + coeff
+        out[idx] = out.get(idx, 0) + coeff
     return sorted(out.items())
 
 
@@ -236,7 +236,7 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
                 raise ParseError(f"basis name {nm!r} repeats", line=first)
             names[nm] = (n, i)
 
-    products: dict[tuple[int, int, int, int], list[tuple[int, Fraction]]] = {}
+    products: dict[tuple[int, int, int, int], list[tuple[int, Scalar]]] = {}
     for lineno, a, b, value in mul_rows:
         if a not in names or b not in names:
             missing = a if a not in names else b
@@ -252,7 +252,7 @@ def parse_algebra_section(section: _Section) -> CochainAlgebra:
             raise ParseError(f"product {a}*{b} given twice", line=lineno)
         products[key] = _parse_combination(value, names, n1 + n2, lineno)
 
-    differentials: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    differentials: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     for lineno, a, value in diff_rows:
         if a not in names:
             raise ParseError(f"unknown basis name {a!r}", line=lineno)
@@ -328,7 +328,7 @@ def load_algebra_document(path: str) -> AlgebraDocument:
 # ---------------------------------------------------------------------------
 
 
-def _parse_matrix_rows(value: str, lineno: int) -> list[list[Fraction]]:
+def _parse_matrix_rows(value: str, lineno: int) -> list[list[Scalar]]:
     rows = []
     for chunk in value.split(";"):
         entries = chunk.split()
@@ -342,7 +342,7 @@ def _parse_matrix_rows(value: str, lineno: int) -> list[list[Fraction]]:
 
 def _matrix_columns(
     kind: str,
-    given: dict[int, tuple[int, list[list[Fraction]]]],
+    given: dict[int, tuple[int, list[list[Scalar]]]],
     n: int,
     want_rows: int,
     want_cols: int,
@@ -382,8 +382,8 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
     ext_cap: Optional[int] = None
     hname = "h"
     datum_name = name
-    restrict_given: dict[int, tuple[int, list[list[Fraction]]]] = {}
-    push_given: dict[int, tuple[int, list[list[Fraction]]]] = {}
+    restrict_given: dict[int, tuple[int, list[list[Scalar]]]] = {}
+    push_given: dict[int, tuple[int, list[list[Scalar]]]] = {}
     seen: set[str] = set()
 
     for lineno, line in sections["datum"].rows:

@@ -1,13 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` values: always in lowest terms, always
-with a positive denominator, so equality is literal equality and printing
-is canonical (``p/q`` or ``p``).  Cochains, cohomology classes and
+Scalars are exact rationals: an ``int`` when the value is integral, a
+``fractions.Fraction`` (lowest terms, positive denominator) when it is
+not.  Most coefficients are small integers, and an int skips the gcd a
+Fraction pays on every operation.  An int and an integral Fraction agree
+under ``==``, ``hash`` and ``str``, so either may stand for an integer
+without changing any result or output.  ``_div`` is the one division of
+coefficients; it makes a Fraction only where a remainder is left, so
+``int / int`` never makes a float.  Cochains, cohomology classes and
 eliminations are held as sparse vectors, dicts from index to nonzero
 entry, summed by ``sparse_sum``.  A cochain (``Element``) and a class
 (``CohomologyClass``) are both a ``GradedVector``: its ``terms`` are
 that dict and its ``coords`` the dense tuple, a view computed on each
-access.  Vectors are tuples of fractions: such views, and the points,
+access.  Vectors are tuples of scalars: such views, and the points,
 functionals and solutions of cosets and certificates, which stay dense.
 A linear map is held as sparse columns, one per source basis vector
 (``apply_columns``, ``transpose``); matrix data from outside, such as
@@ -16,8 +21,8 @@ columns where it enters (``columns_of_rows``).  ``Matrix``, a dense
 row-major grid, and ``rref`` and ``solve`` on it are public dense
 helpers that nothing in the package calls; they are due for removal.
 
-Coercion to Fraction, and the refusal of floats, happens at the public
-constructors only: ``columns_of_rows``, ``Matrix(...)``, a
+Coercion by ``fr``, and the refusal of floats and bools, happens at the
+public constructors only: ``columns_of_rows``, ``Matrix(...)``, a
 ``GradedVector``'s, ``Subspace.span``, ``AffineCoset`` and the
 right-hand side of ``solve``.  Results that masseyq computes itself,
 such as the output of ``rref``, skip it.
@@ -41,23 +46,45 @@ the reduced-echelon basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
-Vector = tuple[Fraction, ...]
+# An exact scalar: an int when integral, a Fraction otherwise.
+Scalar = Union[int, Fraction]
+Vector = tuple[Scalar, ...]
 # Column index -> nonzero entry; a missing index is a zero.
-SparseVector = dict[int, Fraction]
+SparseVector = dict[int, Scalar]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
-def fr(value) -> Fraction:
-    """Coerce an int, string like ``2/3``, or Fraction to a Fraction."""
-    if isinstance(value, Fraction):
+def _q(x: Fraction) -> Scalar:
+    """``x`` as an int when it is integral, else ``x`` itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b, the one division of coefficients.  For a
+    and b as ``fr`` makes them, it is an int when it is integral and a
+    Fraction otherwise."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    return _q(Fraction(a) / b)
+
+
+def fr(value) -> Scalar:
+    """Coerce an int, string like ``2/3``, or Fraction to an exact scalar:
+    an int when the value is integral, a Fraction otherwise.  Floats and
+    bools are refused."""
+    if type(value) is int:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
-    return Fraction(value)
+    if isinstance(value, bool):
+        raise TypeError("bools are not coefficients; pass int, str or Fraction")
+    return _q(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def vector(entries: Iterable) -> Vector:
@@ -65,7 +92,7 @@ def vector(entries: Iterable) -> Vector:
 
 
 def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
@@ -109,7 +136,7 @@ class Matrix:
     def _trusted(cls, entries: tuple[Vector, ...], cols: int) -> "Matrix":
         """Wrap rows that masseyq computed itself, without coercion.
 
-        ``entries`` must be a tuple of equally long tuples of Fractions,
+        ``entries`` must be a tuple of equally long tuples of scalars,
         ``cols`` long each; nothing is checked.  Input from outside goes
         through the public constructor, which coerces and rejects floats.
         """
@@ -189,7 +216,7 @@ def sparsify(v: Vector) -> SparseVector:
     return {j: x for j, x in enumerate(v) if x}
 
 
-def sparse_sum(terms: Iterable[tuple[int, Fraction]]) -> SparseVector:
+def sparse_sum(terms: Iterable[tuple[int, Scalar]]) -> SparseVector:
     """The nonzero coordinates of a sum of ``(index, coefficient)`` terms."""
     out: SparseVector = {}
     for k, c in terms:
@@ -201,7 +228,7 @@ class GradedVector:
     """A vector in one degree of a graded space: its owner, its degree and
     its nonzero terms.
 
-    ``terms`` maps index to nonzero Fraction, never holds a zero and is
+    ``terms`` maps index to nonzero scalar, never holds a zero and is
     read-only by convention; ``coords`` is the dense tuple, computed on
     each access.  A subclass names the owner (its slot ``_owner`` under a
     public alias), gives its dimension in a degree (``_dim(owner, n)``)
@@ -225,7 +252,7 @@ class GradedVector:
     @classmethod
     def _trusted(cls, owner, degree: int, terms: SparseVector):
         """Wrap terms that masseyq computed itself: indices below the
-        owner's dimension, nonzero Fractions; nothing is checked."""
+        owner's dimension, nonzero scalars; nothing is checked."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "_owner", owner)
         object.__setattr__(obj, "degree", degree)
@@ -316,7 +343,7 @@ def _eliminate(
         inv = prow.pop(c)
         if inv != 1:
             for j in prow:
-                prow[j] /= inv
+                prow[j] = _div(prow[j], inv)
         prow[c] = _ONE
         _clear_column(work, holders, r, c, below)
         finished[r] = True
@@ -392,7 +419,7 @@ def solve_rows(rows: Sequence[SparseVector], cols: int, b: Vector) -> Optional[V
 
     The solution sets every free variable to zero, so it is unique and
     reproducible.  Inconsistency is detected by a pivot appearing in the
-    augmented column.  ``b`` must hold Fractions, one per row.
+    augmented column.  ``b`` must hold scalars, one per row.
     """
     augmented = []
     for row, c in zip(rows, b):
@@ -445,7 +472,7 @@ class Subspace:
 
     @classmethod
     def span_rows(cls, ambient_dim: int, rows: Sequence[SparseVector]) -> "Subspace":
-        """The span of sparse vectors of Fractions in Q^ambient_dim, unchecked."""
+        """The span of sparse vectors of scalars in Q^ambient_dim, unchecked."""
         reduced, pivots = _eliminate(rows, ambient_dim)
         return cls(ambient_dim, reduced, pivots)
 

@@ -13,7 +13,6 @@ presented by its two fixed-point restrictions.  Its [ambient] and
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from typing import Optional
 
 from .cdga import CochainAlgebra
@@ -78,7 +77,7 @@ def _broken_push(good: HamiltonianTransferDatum) -> HamiltonianTransferDatum:
     """
     push = [good.push_map.columns(n) for n in range(good.push_map.top + 1)]
     # The H2 entry of the image of eN h, 0 in the good datum, becomes 1.
-    push[2] = [{0: Fraction(1), 1: Fraction(1)}, push[2][1]]
+    push[2] = [{0: 1, 1: 1}, push[2][1]]
     return HamiltonianTransferDatum(
         name="rotation-broken-push",
         restrict_map=good.restrict_map,

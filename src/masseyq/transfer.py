@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .cdga import (
@@ -54,7 +53,7 @@ from .errors import (
     PremiseError,
     UndefinedProductError,
 )
-from .linalg import Subspace, kernel_rows, solve_rows, sparsify, transpose
+from .linalg import Scalar, Subspace, _div, kernel_rows, solve_rows, sparsify, transpose
 from .report import STATUS_INTERNAL, STATUS_INVALID, outcome
 
 ClassInput = Union[str, list, CohomologyClass]
@@ -296,7 +295,7 @@ def euler_class(
     chi = ext.unit()
     weights = []
     for i, b in enumerate(bundles):
-        if not isinstance(b.weight, int) or b.weight == 0:
+        if isinstance(b.weight, bool) or not isinstance(b.weight, int) or not b.weight:
             raise AlgebraValidationError(
                 f"bundle {i} has weight {b.weight!r}; weights must be "
                 "nonzero integers"
@@ -315,7 +314,7 @@ def euler_class(
         chi = chi * (c1 + h_el.scale(b.weight))
         weights.append(b.weight)
     m = len(bundles)
-    lead = Fraction(1)
+    lead = 1
     for k in weights:
         lead *= k
     # each h-part of a cocycle is a cocycle, and one of degree 0 is zero
@@ -492,7 +491,7 @@ def h_comparison_check(
             rhs = rhs + cup(u, a_comp)
         if b_comp is not None:
             rhs = rhs + cup(w, b_comp)
-        extracted = rhs.scale(Fraction(1) / scalar)
+        extracted = rhs.scale(_div(1, scalar))
         matches = extracted == x
         if not matches:
             raise ConsistencyError(
@@ -511,7 +510,7 @@ def h_comparison_check(
 
 def _unit_multiple(
     ring: CohomologyRing, cls: Optional[CohomologyClass]
-) -> Optional[Fraction]:
+) -> Optional[Scalar]:
     """The scalar c with cls = c * [1], or None if there is no such c."""
     if cls is None or cls.degree != 0:
         return None
@@ -519,7 +518,7 @@ def _unit_multiple(
     if unit.is_zero():
         return None
     pivot = min(unit.terms)
-    scalar = cls.terms.get(pivot, Fraction(0)) / unit.terms[pivot]
+    scalar = _div(cls.terms.get(pivot, 0), unit.terms[pivot])
     if cls.terms != unit.scale(scalar).terms:
         return None
     return scalar

@@ -694,10 +694,11 @@ def test_structure_constants_do_not_depend_on_fill_order(drawn):
 
 
 def _well_formed(cls):
-    """``cls``, once its terms are checked: in range, nonzero Fractions."""
+    """``cls``, once its terms are checked: in range, nonzero exact
+    scalars (an int or a Fraction, never a float or a bool)."""
     dim = len(cls.coords)
     for k, v in cls.terms.items():
-        assert 0 <= k < dim and type(v) is Fraction and v != 0, cls
+        assert 0 <= k < dim and type(v) in (int, Fraction) and v != 0, cls
     return cls
 
 
@@ -767,6 +768,10 @@ def test_outside_coordinates_are_coerced_and_internal_results_are_fractions():
     x, y = ring.basis_classes(1)
     with pytest.raises(TypeError, match="floats"):
         x.scale(0.5)
+    with pytest.raises(TypeError, match="bools"):
+        a.element(1, [True, 0, 0])
+    with pytest.raises(TypeError, match="bools"):
+        x.scale(True)
     half = a.element(1, ["1/2", 0, 0])
     assert half.coords == (Fraction(1, 2), Fraction(0), Fraction(0))
 
@@ -790,7 +795,8 @@ def test_outside_coordinates_are_coerced_and_internal_results_are_fractions():
         x.scale(2),
     ]
     for out in outputs:
-        assert all(type(c) is Fraction for c in out.coords), out
+        assert all(type(c) in (int, Fraction) for c in out.coords), out
+        assert all(c != 0 for c in out.terms.values()), out
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

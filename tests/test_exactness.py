@@ -1,20 +1,43 @@
 """Exactness and stdlib-only guard over the package source.
 
-masseyq computes with Fractions only and imports nothing outside the
+masseyq computes with exact rationals only, an int where the value is
+integral and a Fraction where it is not, and imports nothing outside the
 standard library.  This walks the syntax tree of every module under
 ``src/masseyq`` and reports any float literal, any call of ``float``,
 any import of ``math`` or ``decimal``, and any import that is neither
 the standard library nor the package itself.  A name such as ``float``
-in ``isinstance(value, float)`` is not a call and is allowed.
+in ``isinstance(value, float)`` is not a call and is allowed.  It also
+reports every true division outside ``linalg._div``, the one exact
+division of coefficients, since ``int / int`` makes a float.
+
+Two properties show that the choice between an int and an integral
+Fraction cannot be seen: ``_div`` agrees with Fraction division and
+returns an int exactly when the quotient is integral, and spelling a
+presentation's coefficients as ``2``, ``2/1`` or ``4/2``, or keeping
+every value the parser and ``_div`` make a Fraction, leaves the
+structured output of ``cohomology`` and ``massey`` byte-identical.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import itertools
 import os
 import sys
+import tempfile
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from masseyq import cdga, fileformat, linalg
+from masseyq.cli import main
+from masseyq.linalg import _div
+from oracles import random_free_cdga
 
 PACKAGE = "masseyq"
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", PACKAGE)
@@ -125,3 +148,151 @@ def test_matrix_guard_sees_names_attributes_imports_and_strings():
         "line 3: Constant",
         "line 4: Name",
     ]
+
+
+# -- the one division ------------------------------------------------------------
+
+# module -> the functions in it where a true division is allowed
+DIVISION_ALLOWED = {"linalg.py": {"_div"}}
+
+
+def _divisions(tree: ast.AST, allowed=frozenset()) -> list[str]:
+    """Every true division (``/`` or ``/=``) outside the functions named
+    in ``allowed``."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name in allowed
+        if (
+            not inside
+            and isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div)
+        ):
+            found.append(f"line {node.lineno}: true division")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_no_true_division_outside_the_one_exact_division(module):
+    with open(os.path.join(SOURCE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _divisions(tree, DIVISION_ALLOWED.get(module, frozenset())) == []
+
+
+def test_division_guard_sees_operators_and_allows_only_the_named_function():
+    source = (
+        "x = a / b\n"
+        "row[j] /= inv\n"
+        "y = a // b\n"
+        "def _div(a, b):\n"
+        "    return Fraction(a) / b\n"
+        "def other(a, b):\n"
+        "    return a / b\n"
+    )
+    tree = ast.parse(source)
+    assert _divisions(tree, {"_div"}) == [
+        "line 1: true division",
+        "line 2: true division",
+        "line 7: true division",
+    ]
+    # the allowed function holds the package's only division
+    with open(os.path.join(SOURCE, "linalg.py"), encoding="utf-8") as fh:
+        linalg_tree = ast.parse(fh.read())
+    assert len(_divisions(linalg_tree)) == 1
+
+
+# -- ints and Fractions are interchangeable --------------------------------------
+
+# Scalars as the package holds them: an int when integral, else a Fraction.
+_BIG = 10**30
+_SCALARS = st.one_of(
+    st.sampled_from([1, -1, 2, -2]),
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(2, _BIG)).filter(
+        lambda x: x.denominator != 1
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_SCALARS, _SCALARS.filter(bool))
+@example(6, 3)
+@example(6, 4)
+@example(Fraction(3, 2), Fraction(1, 2))
+@example(Fraction(3, 2), -1)
+@example(-7, 1)
+def test_div_is_fraction_division_and_an_int_exactly_when_integral(a, b):
+    q, want = _div(a, b), Fraction(a) / Fraction(b)
+    assert q == want
+    assert type(q) is (int if want.denominator == 1 else Fraction)
+
+
+def _spell(c: Fraction, style: int) -> str:
+    """|c| written in lowest terms (0), over 1 when integral (1), or with
+    numerator and denominator doubled (2)."""
+    p, q = abs(c.numerator), c.denominator
+    if style == 1 and q == 1:
+        return f"{p}/1"
+    if style == 2:
+        return f"{2 * p}/{2 * q}"
+    return str(Fraction(p, q))
+
+
+def _alg_text(gens, diffs, cap, styles) -> str:
+    lines = [f"cap = {cap}"] + [f"gen {name} : {deg}" for name, deg in gens]
+    for name, terms in diffs.items():
+        poly = " ".join(
+            f"{'-' if c < 0 else '+'} {_spell(c, next(styles))}*{'*'.join(word)}"
+            for c, word in terms
+        )
+        lines.append(f"d {name} = {poly}")
+    return "\n".join(lines) + "\n"
+
+
+def _structured(argv, cwd) -> tuple[int, str]:
+    out = io.StringIO()
+    old = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--format", "structured"])
+    finally:
+        os.chdir(old)
+    return code, out.getvalue()
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_coefficient_spelling_leaves_the_output_byte_identical(rng, data):
+    gens, diffs, cap = random_free_cdga(rng)
+    closed = [name for name, _ in gens if name not in diffs]
+    triple = data.draw(st.lists(st.sampled_from(closed), min_size=3, max_size=3))
+    # a cap that reaches the degree of the triple product
+    degree = dict(gens)
+    massey = ["massey", "p.alg", *triple, "--cap"]
+    massey.append(str(max(cap, sum(degree[name] for name in triple) + 1)))
+    mixed = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=8))
+    # (spelling, whether integral Fractions are kept as they are)
+    runs = [([0], False), ([1], False), ([2], False), (mixed, False), ([0], True)]
+    outputs = set()
+    with tempfile.TemporaryDirectory() as cwd:
+        for styles, keep_fractions in runs:
+            with open(os.path.join(cwd, "p.alg"), "w", encoding="utf-8") as fh:
+                fh.write(_alg_text(gens, diffs, cap, itertools.cycle(styles)))
+            with contextlib.ExitStack() as stack:
+                if keep_fractions:
+                    for module in (linalg, cdga, fileformat):
+                        patch = mock.patch.object(module, "_q", lambda x: x)
+                        stack.enter_context(patch)
+                outputs.add(
+                    (
+                        _structured(["cohomology", "p.alg"], cwd),
+                        _structured(massey, cwd),
+                    )
+                )
+    assert len(outputs) == 1, outputs

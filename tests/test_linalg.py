@@ -42,6 +42,22 @@ def test_fr_accepts_ints_and_strings_but_not_floats():
     assert fr(Fraction(1, 7)) == Fraction(1, 7)
     with pytest.raises(TypeError):
         fr(0.5)
+    # an integral value comes back an int, whatever its spelling
+    for value in (3, "3", "6/2", Fraction(6, 2), "-4/2"):
+        assert type(fr(value)) is int, value
+    assert type(fr("2/5")) is Fraction
+
+
+def test_fr_refuses_bools_like_floats():
+    # Python counts True as 1, but a bool is not a coefficient: taken as
+    # it is, it would print as "True".
+    for value in (True, False):
+        with pytest.raises(TypeError, match="bools"):
+            fr(value)
+    with pytest.raises(TypeError, match="bools"):
+        Matrix([[True]])
+    with pytest.raises(TypeError, match="bools"):
+        Subspace.span(1, [(False,)])
 
 
 def test_public_constructors_coerce_and_reject_floats():
@@ -54,13 +70,15 @@ def test_public_constructors_coerce_and_reject_floats():
     ):
         with pytest.raises(TypeError):
             build()
+    # Integral values are ints, the others Fractions; never a float or bool.
     m = Matrix([[1], ["1/2"]])
     assert m.entries == ((Fraction(1),), (Fraction(1, 2),))
-    assert all(type(x) is Fraction for row in m.entries for x in row)
+    assert [type(x) for row in m.entries for x in row] == [int, Fraction]
     s = Subspace.span(2, [(2, "1")])
     assert s.basis == ((Fraction(1), Fraction(1, 2)),)
+    assert all(type(x) in (int, Fraction) for x in s.basis[0])
     reduced, _ = rref(Matrix([[2, 3], [4, 1]]))
-    assert all(type(x) is Fraction for row in reduced.entries for x in row)
+    assert all(type(x) in (int, Fraction) for row in reduced.entries for x in row)
 
 
 def test_rref_collapses_dependent_rows():

@@ -151,6 +151,11 @@ def test_euler_class_rejects_zero_weight():
         AlgebraValidationError, match="bundle 0 has weight 0; weights must be nonzero"
     ):
         euler_class(ring, [WeightedLineBundle(None, 0)])
+    # a bool is not an integer weight, though Python counts it as an int
+    with pytest.raises(
+        AlgebraValidationError, match="bundle 0 has weight True; weights must be"
+    ):
+        euler_class(ring, [WeightedLineBundle(None, True)])
 
 
 def test_euler_class_rejects_first_chern_class_with_h_term():
