@@ -836,7 +836,7 @@ def build_free_cdga(
             message = f"invalid generator name {g.name!r}"
         elif g.name in seen:
             message = f"duplicate generator name {g.name!r}"
-        elif not isinstance(g.degree, int) or g.degree < 1:
+        elif type(g.degree) is not int or g.degree < 1:
             message = f"generator {g.name!r} must have integer degree >= 1"
         else:
             seen.add(g.name)
@@ -1061,7 +1061,7 @@ def _solve_unit(dims, mul, cap) -> SparseVector:
     if d0 == 0:
         raise AlgebraValidationError("no degree-0 component, so no unit")
     rows: list[SparseVector] = []
-    rhs = []
+    rhs: SparseVector = {}
     for n in range(cap + 1):
         for j in range(dims[n]):
             # k -> the sparse row of the k coordinate of u * e_j (e_j * u)
@@ -1073,13 +1073,13 @@ def _solve_unit(dims, mul, cap) -> SparseVector:
                 for k, c in mul.get((n, j, 0, i), ()):
                     right.setdefault(k, {})[i] = c
             for k in range(dims[n]):
-                want = int(j == k)
+                if j == k:
+                    rhs[len(rows)] = rhs[len(rows) + 1] = _ONE
                 rows += [left.get(k, {}), right.get(k, {})]
-                rhs += [want, want]
-    u = solve_rows(rows, d0, tuple(rhs))
+    u = solve_rows(rows, d0, rhs)
     if u is None:
         raise AlgebraValidationError("no two-sided unit exists in degree 0")
-    return {i: c for i, c in enumerate(u) if c}
+    return u
 
 
 # --------------------------------------------------------------------------

@@ -36,13 +36,10 @@ from .linalg import (
     GradedVector,
     SparseVector,
     Subspace,
-    Vector,
     apply_columns,
-    densify,
     kernel_rows,
     solve_rows,
     sparse_sum,
-    sparsify,
     transpose,
 )
 
@@ -417,13 +414,13 @@ class IdealCertificate:
 
     A member carries ``coefficients`` (alpha, beta) with
     g1 * alpha + g2 * beta equal to the class.  A non-member carries a
-    ``functional`` on H^n that is zero on every product of a generator
-    with a basis class and nonzero on the class.
+    ``functional`` on H^n, sparse by class index, that is zero on every
+    product of a generator with a basis class and nonzero on the class.
     """
 
     member: bool
     coefficients: Optional[tuple[CohomologyClass, CohomologyClass]] = None
-    functional: Optional[Vector] = None
+    functional: Optional[SparseVector] = None
 
 
 def certify_ideal_membership(
@@ -445,7 +442,6 @@ def certify_ideal_membership(
     ConsistencyError.
     """
     ring, n = t.ring, t.degree
-    dim = ring.class_dim(n)
     phi = span.separating_functional(t.terms)
     if phi is not None:
         dot = lambda v: sum(phi.get(k, _ZERO) * c for k, c in v.items())
@@ -455,12 +451,14 @@ def certify_ideal_membership(
                 "indeterminacy's echelon form fails to vanish on the ideal or "
                 "vanishes on the class"
             )
-        return IdealCertificate(False, functional=densify(phi, dim))
-    sol = solve_rows(transpose(columns, dim), len(columns), t.coords)
+        return IdealCertificate(False, functional=phi)
+    sol = solve_rows(transpose(columns, ring.class_dim(n)), len(columns), t.terms)
     if sol is not None:
         split = ring.class_dim(n - g1.degree)
-        alpha = CohomologyClass._trusted(ring, n - g1.degree, sparsify(sol[:split]))
-        beta = CohomologyClass._trusted(ring, n - g2.degree, sparsify(sol[split:]))
+        left = {k: c for k, c in sol.items() if k < split}
+        right = {k - split: c for k, c in sol.items() if k >= split}
+        alpha = CohomologyClass._trusted(ring, n - g1.degree, left)
+        beta = CohomologyClass._trusted(ring, n - g2.degree, right)
     if sol is None or cup(g1, alpha) + cup(g2, beta) != t:
         raise ConsistencyError(
             f"ideal membership in degree {n}: solve gives no coefficients "
@@ -554,22 +552,22 @@ def triple_massey(
     A, B, C = ring.lift(a), ring.lift(b), ring.lift(c)
 
     ab = A.bar() * B
-    x_coords = solve_rows(alg.diff_rows(p + q - 1), alg.dim(p + q - 1), ab.coords)
-    if x_coords is None:
+    x_terms = solve_rows(alg.diff_rows(p + q - 1), alg.dim(p + q - 1), ab.terms)
+    if x_terms is None:
         raise ConsistencyError(
             "product of representatives is not exact although the classes "
             "multiply to zero"
         )
-    x = Element._trusted(alg, p + q - 1, sparsify(x_coords))
+    x = Element._trusted(alg, p + q - 1, x_terms)
 
     bc = B.bar() * C
-    y_coords = solve_rows(alg.diff_rows(q + r - 1), alg.dim(q + r - 1), bc.coords)
-    if y_coords is None:
+    y_terms = solve_rows(alg.diff_rows(q + r - 1), alg.dim(q + r - 1), bc.terms)
+    if y_terms is None:
         raise ConsistencyError(
             "product of representatives is not exact although the classes "
             "multiply to zero"
         )
-    y = Element._trusted(alg, q + r - 1, sparsify(y_coords))
+    y = Element._trusted(alg, q + r - 1, y_terms)
 
     rep = A.bar() * y + x.bar() * C
     try:
@@ -581,7 +579,7 @@ def triple_massey(
 
     products = ideal_products(ring, [a, c], n)
     indeterminacy = Subspace.span_rows(ring.class_dim(n), products)
-    coset = AffineCoset(rep_class.coords, indeterminacy)
+    coset = AffineCoset(rep_class.terms, indeterminacy)
     certificate = certify_ideal_membership(a, c, rep_class, products, indeterminacy)
 
     return MasseyResult(
@@ -604,15 +602,20 @@ def triple_massey(
 
 @dataclass(frozen=True)
 class ContainmentReport:
-    """One coset-containment check with its witnesses."""
+    """One coset-containment check with its witnesses: the image of a
+    product under a map, and the product it must lie in."""
 
     holds: bool
     scaled: AffineCoset
     target: AffineCoset
 
     @classmethod
-    def of(cls, scaled: AffineCoset, target: AffineCoset) -> "ContainmentReport":
-        return cls(scaled.contained_in(target), scaled, target)
+    def of(
+        cls, fmap: "InducedMap", source: MasseyResult, target: MasseyResult
+    ) -> "ContainmentReport":
+        """Whether ``fmap`` maps the coset of ``source`` into that of ``target``."""
+        image = fmap.apply_coset(source.coset, source.degree)
+        return cls(image.contained_in(target.coset), image, target.coset)
 
 
 def check_scaling_law(
@@ -644,8 +647,8 @@ def check_scaling_law(
             "scaled triple product must be defined when the base product is; "
             f"got: {scaled.reason}"
         )
-    image = InducedMap.multiplication(xi).apply_coset(base.coset, base.degree)
-    return ContainmentReport.of(image, scaled.coset), base, scaled
+    report = ContainmentReport.of(InducedMap.multiplication(xi), base, scaled)
+    return report, base, scaled
 
 
 class InducedMap:
@@ -761,8 +764,7 @@ class InducedMap:
         dim = self.target.class_dim(n + self.shift)
         images = [apply_columns(columns, row) for row in coset.direction.rows]
         direction = Subspace.span_rows(dim, images)
-        point = apply_columns(columns, sparsify(coset.point))
-        return AffineCoset(densify(point, dim), direction)
+        return AffineCoset(apply_columns(columns, coset.point), direction)
 
 
 def check_functoriality(
@@ -784,6 +786,5 @@ def check_functoriality(
             "image triple product must be defined when the source product is; "
             f"got: {target_result.reason}"
         )
-    image = fmap.apply_coset(source_result.coset, source_result.degree)
-    report = ContainmentReport.of(image, target_result.coset)
+    report = ContainmentReport.of(fmap, source_result, target_result)
     return report, source_result, target_result

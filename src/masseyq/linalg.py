@@ -7,25 +7,27 @@ Fraction pays on every operation.  An int and an integral Fraction agree
 under ``==``, ``hash`` and ``str``, so either may stand for an integer
 without changing any result or output.  ``_div`` is the one division of
 coefficients; it makes a Fraction only where a remainder is left, so
-``int / int`` never makes a float.  Cochains, cohomology classes and
-eliminations are held as sparse vectors, dicts from index to nonzero
-entry, summed by ``sparse_sum``.  A cochain (``Element``) and a class
+``int / int`` never makes a float.
+
+Every vector that leaves this module is sparse, a dict from index to
+nonzero entry, summed by ``sparse_sum``: cochains, cohomology classes,
+eliminated rows, solutions, and the points and functionals of cosets
+and certificates.  A cochain (``Element``) and a class
 (``CohomologyClass``) are both a ``GradedVector``: its ``terms`` are
 that dict and its ``coords`` the dense tuple, a view computed on each
-access.  Vectors are tuples of scalars: such views, and the points,
-functionals and solutions of cosets and certificates, which stay dense.
-A linear map is held as sparse columns, one per source basis vector
-(``apply_columns``, ``transpose``); matrix data from outside, such as
-datum files and ``build_morphism(matrices=...)``, is read into sparse
-columns where it enters (``columns_of_rows``).  ``Matrix``, a dense
-row-major grid, and ``rref`` and ``solve`` on it are public dense
-helpers that nothing in the package calls; they are due for removal.
+access.  A linear map is held as sparse columns, one per source basis
+vector (``apply_columns``, ``transpose``); matrix data from outside,
+such as datum files and ``build_morphism(matrices=...)``, is read into
+sparse columns where it enters (``columns_of_rows``).  Dense tuples
+remain only at public edges: ``coords``, and ``Matrix``, a dense
+row-major grid, with ``rref`` and ``solve`` on it, public dense helpers
+that nothing in the package calls; they are due for removal.
 
 Coercion by ``fr``, and the refusal of floats and bools, happens at the
 public constructors only: ``columns_of_rows``, ``Matrix(...)``, a
-``GradedVector``'s, ``Subspace.span``, ``AffineCoset`` and the
-right-hand side of ``solve``.  Results that masseyq computes itself,
-such as the output of ``rref``, skip it.
+``GradedVector``'s and the right-hand side of ``solve``.  ``Subspace``
+and ``AffineCoset`` wrap sparse data that masseyq computed itself, and
+results such as the output of ``rref`` skip it too.
 
 Every elimination runs on one core, ``_eliminate``: Gaussian elimination
 and back substitution on sparse rows with a column -> rows index, so
@@ -33,7 +35,7 @@ pivot search and updates visit nonzero entries only and exact
 cancellations are dropped.  ``solve_rows``, ``kernel_rows`` and
 ``Subspace.span_rows`` take sparse rows, as the cochain algebras hand
 out their differentials, and so do ``rref`` and ``solve`` after reading
-their matrix; dense rows are built only when a result leaves as a tuple.
+their matrix.
 Pivots are taken column by column from
 the left, scaled to 1 and cleared above and below, so every reduced
 form, particular solution and kernel basis is the unique reduced-echelon
@@ -93,16 +95,6 @@ def vector(entries: Iterable) -> Vector:
 
 def zero_vector(n: int) -> Vector:
     return (_ZERO,) * n
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"vector length mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return not any(v)
 
 
 class Matrix:
@@ -407,33 +399,32 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 def solve(a: Matrix, b: Vector) -> Optional[Vector]:
     """Canonical particular solution of ``a x = b``, or None if inconsistent.
 
-    See ``solve_rows``.
+    The dense edge of ``solve_rows``.
     """
     if len(b) != a.rows:
         raise ValueError(f"solve shape mismatch: {a.rows} rows vs rhs {len(b)}")
-    return solve_rows(_sparse_rows(a), a.cols, vector(b))
+    x = solve_rows(_sparse_rows(a), a.cols, sparsify(vector(b)))
+    return None if x is None else densify(x, a.cols)
 
 
-def solve_rows(rows: Sequence[SparseVector], cols: int, b: Vector) -> Optional[Vector]:
-    """``solve`` for a matrix given as sparse rows with ``cols`` columns.
+def solve_rows(
+    rows: Sequence[SparseVector], cols: int, b: SparseVector
+) -> Optional[SparseVector]:
+    """The solution of ``rows x = b`` for a matrix given as sparse rows
+    with ``cols`` columns and ``b`` keyed by row, sparse; None if
+    inconsistent.
 
     The solution sets every free variable to zero, so it is unique and
     reproducible.  Inconsistency is detected by a pivot appearing in the
-    augmented column.  ``b`` must hold scalars, one per row.
+    augmented column.
     """
-    augmented = []
-    for row, c in zip(rows, b):
-        if c:
-            row = dict(row)
-            row[cols] = c
-        augmented.append(row)
+    augmented = list(rows)
+    for k, c in b.items():
+        augmented[k] = {**augmented[k], cols: c}
     reduced, pivots = _eliminate(augmented, cols + 1)
     if pivots and pivots[-1] == cols:
         return None
-    x = [_ZERO] * cols
-    for row, p in zip(reduced, pivots):
-        x[p] = row.get(cols, _ZERO)
-    return tuple(x)
+    return {p: row[cols] for row, p in zip(reduced, pivots) if cols in row}
 
 
 class Subspace:
@@ -442,12 +433,12 @@ class Subspace:
     The stored basis is the canonical one (reduced row echelon form with
     zero rows dropped), so two Subspace objects are equal exactly when
     they describe the same subspace.  ``rows`` holds it sparse, as the
-    elimination that built it left it; ``basis`` densifies it on first
-    use.  The constructor wraps such rows and their pivots unchecked;
-    ``span`` builds a subspace from arbitrary vectors.
+    elimination that built it left it.  The constructor wraps such rows
+    and their pivots unchecked; ``span_rows`` builds a subspace from
+    arbitrary sparse vectors.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(
         self, ambient_dim: int, rows: Sequence[SparseVector], pivots: Sequence[int]
@@ -455,20 +446,9 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def span(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
-        vecs = [vector(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError(
-                    f"vector length {len(v)} != ambient dim {ambient_dim}"
-                )
-        return cls.span_rows(ambient_dim, [sparsify(u) for u in vecs])
 
     @classmethod
     def span_rows(cls, ambient_dim: int, rows: Sequence[SparseVector]) -> "Subspace":
@@ -481,28 +461,12 @@ class Subspace:
         return cls(ambient_dim, (), ())
 
     @property
-    def basis(self) -> tuple[Vector, ...]:
-        if self._basis is None:
-            object.__setattr__(
-                self,
-                "_basis",
-                tuple(densify(row, self.ambient_dim) for row in self.rows),
-            )
-        return self._basis
-
-    @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Vector) -> Vector:
-        """Residue of v after eliminating all pivot coordinates."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("reduce length mismatch")
-        residue = self.reduce_row(sparsify(v))
-        return densify(residue, self.ambient_dim)
-
     def reduce_row(self, row: SparseVector) -> SparseVector:
-        """``reduce`` for a sparse vector; the residue is sparse too.
+        """Residue of a sparse vector after eliminating all pivot
+        coordinates; the residue is sparse too.
 
         A basis row is zero at the other pivots, so each pivot
         coordinate is eliminated once, in any order.
@@ -535,8 +499,8 @@ class Subspace:
         phi[f] = _ONE
         return phi
 
-    def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.reduce(v))
+    def contains(self, v: SparseVector) -> bool:
+        return not self.reduce_row(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -552,11 +516,13 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.pivots == other.pivots
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        rows = tuple(frozenset(row.items()) for row in self.rows)
+        return hash((self.ambient_dim, self.pivots, rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -597,17 +563,16 @@ def kernel_rows(rows: Sequence[SparseVector], cols: int) -> Subspace:
 class AffineCoset:
     """An affine coset ``point + direction`` inside Q^n.
 
-    The point is stored reduced against the direction subspace, so equal
-    cosets get equal stored data.
+    The point is a sparse vector, stored reduced against the direction
+    subspace, so equal cosets get equal stored data, and v lies in the
+    coset exactly when it reduces to the point.  Both are wrapped as
+    masseyq computed them; nothing is checked.
     """
 
     __slots__ = ("point", "direction")
 
-    def __init__(self, point: Vector, direction: Subspace):
-        point = vector(point)
-        if len(point) != direction.ambient_dim:
-            raise ValueError("point length does not match the direction space")
-        object.__setattr__(self, "point", direction.reduce(point))
+    def __init__(self, point: SparseVector, direction: Subspace):
+        object.__setattr__(self, "point", direction.reduce_row(point))
         object.__setattr__(self, "direction", direction)
 
     def __setattr__(self, name, value):
@@ -617,11 +582,11 @@ class AffineCoset:
     def ambient_dim(self) -> int:
         return self.direction.ambient_dim
 
-    def contains(self, v: Vector) -> bool:
-        return self.direction.contains(vec_sub(vector(v), self.point))
+    def contains(self, v: SparseVector) -> bool:
+        return self.direction.reduce_row(v) == self.point
 
     def contains_zero(self) -> bool:
-        return vec_is_zero(self.point)
+        return not self.point
 
     def contained_in(self, other: "AffineCoset") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -638,7 +603,7 @@ class AffineCoset:
         )
 
     def __hash__(self):
-        return hash((self.point, self.direction))
+        return hash((frozenset(self.point.items()), self.direction))
 
     def __repr__(self):
         return f"AffineCoset(dim={self.direction.dim}, ambient={self.ambient_dim})"

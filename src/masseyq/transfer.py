@@ -53,7 +53,7 @@ from .errors import (
     PremiseError,
     UndefinedProductError,
 )
-from .linalg import Scalar, Subspace, _div, kernel_rows, solve_rows, sparsify, transpose
+from .linalg import Scalar, Subspace, _div, kernel_rows, solve_rows, transpose
 from .report import STATUS_INTERNAL, STATUS_INVALID, outcome
 
 ClassInput = Union[str, list, CohomologyClass]
@@ -388,8 +388,8 @@ def _top_is_unit(ring: CohomologyRing, chi: EulerClass) -> bool:
     c = chi.top_coefficient
     one = base.unit_class()
     dim = base.class_dim(0)
-    sol = solve_rows(transpose(ideal_products(base, [c], 0), dim), dim, one.coords)
-    inverse = None if sol is None else CohomologyClass._trusted(base, 0, sparsify(sol))
+    sol = solve_rows(transpose(ideal_products(base, [c], 0), dim), dim, one.terms)
+    inverse = None if sol is None else CohomologyClass._trusted(base, 0, sol)
     if inverse is not None and cup(c, inverse) != one:
         raise ConsistencyError(
             "top h coefficient of the Euler class: solve gives an inverse "
@@ -633,10 +633,8 @@ def check_euler_scaled_massey(
         )
     direct_nonvanish = not embedded_result.vanishes
 
-    retracted = InducedMap.leading_block(ring, base_ring).apply_coset(
-        embedded_result.coset, embedded_result.degree
-    )
-    h0_containment = ContainmentReport.of(retracted, base_result.coset)
+    retract = InducedMap.leading_block(ring, base_ring)
+    h0_containment = ContainmentReport.of(retract, embedded_result, base_result)
     via_base = h0_containment.holds and not base_result.vanishes
     if direct_nonvanish != via_base:
         raise ConsistencyError(
@@ -644,8 +642,7 @@ def check_euler_scaled_massey(
             "embedded product"
         )
 
-    pushed = embed.apply_coset(base_result.coset, base_result.degree)
-    embed_functoriality = ContainmentReport.of(pushed, embedded_result.coset)
+    embed_functoriality = ContainmentReport.of(embed, base_result, embedded_result)
     if not embed_functoriality.holds:
         raise ConsistencyError(
             "the embedded image of the base product must land inside the "
@@ -663,7 +660,7 @@ def check_euler_scaled_massey(
 
     x_ext = embed.apply(base_result.rep_class)
     z = cup(chi.cls, cup(chi.cls, cup(chi.cls, x_ext)))
-    witness_in_scaled = scaled_result.coset.contains(z.coords)
+    witness_in_scaled = scaled_result.coset.contains(z.terms)
     if not witness_in_scaled:
         raise ConsistencyError(
             "chi^3 times the base representative must lie in the fully "
@@ -1010,8 +1007,7 @@ def check_gysin_transfer(
             "ambient product must be defined once both obstructions vanish"
         )
 
-    image = rmap.apply_coset(ambient_result.coset, ambient_result.degree)
-    containment = ContainmentReport.of(image, fixed_result.coset)
+    containment = ContainmentReport.of(rmap, ambient_result, fixed_result)
     if not containment.holds:
         raise ConsistencyError(
             "restriction does not map the ambient product into the fixed one"

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from masseyq import cohomology
-from masseyq.linalg import Subspace, zero_vector
+from masseyq.linalg import Subspace, sparse_sum
 
 
 @pytest.fixture
@@ -15,8 +15,8 @@ def corrupt_certificate(monkeypatch):
     """Corrupt one route of ``certify_ideal_membership`` and nothing else.
 
     ``corrupt_certificate("solve")`` corrupts the member route: it adds 1
-    to the coordinate of the first nonzero column in the solution of
-    ``solve_rows`` (the first coordinate if all are zero), reading an
+    to the coordinate of the first nonzero column in the sparse solution
+    of ``solve_rows`` (the first coordinate if all are zero), reading an
     inconsistent system's missing solution as zero, so every system gets
     a wrong solution.  ``corrupt_certificate("functional")`` corrupts the
     non-member route: it drops the 1 at the free column from every
@@ -32,9 +32,8 @@ def corrupt_certificate(monkeypatch):
                 out = real(rows, cols, b)
                 if sys._getframe(1).f_code.co_name != "certify_ideal_membership":
                     return out
-                x = list(zero_vector(cols) if out is None else out)
-                x[min((j for row in rows for j in row), default=0)] += 1
-                return tuple(x)
+                first = min((j for row in rows for j in row), default=0)
+                return sparse_sum([*(out or {}).items(), (first, 1)])
 
             monkeypatch.setattr(cohomology, "solve_rows", corrupted)
             return

@@ -69,6 +69,47 @@ def ff_rref(rows, cols):
     return tuple(out), tuple(pivots)
 
 
+def solve_reference(rows, cols, rhs):
+    """The x with rows * x = rhs whose free variables are zero, read off
+    the ``ff_rref`` of the augmented matrix, or None if there is none."""
+    augmented = [list(row) + [c] for row, c in zip(rows, rhs)]
+    reduced, pivots = ff_rref(augmented, cols + 1)
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for i, p in enumerate(pivots):
+        x[p] = reduced[i][cols]
+    return x
+
+
+def _rank(vectors, cols):
+    return len(ff_rref(vectors, cols)[1])
+
+
+def coset_contains_reference(point, directions, v, cols):
+    """Whether v lies in point + span(directions), dense vectors of
+    length cols: adding v - point to the directions keeps their rank."""
+    diff = [a - b for a, b in zip(v, point)]
+    return _rank(list(directions) + [diff], cols) == _rank(directions, cols)
+
+
+def coset_contained_in_reference(small, big, cols):
+    """Whether the coset small lies in the coset big, each given as a
+    dense point and a list of dense direction vectors."""
+    (point, directions), (big_point, big_directions) = small, big
+    return coset_contains_reference(big_point, big_directions, point, cols) and all(
+        coset_contains_reference([0] * cols, big_directions, d, cols)
+        for d in directions
+    )
+
+
+def dense_rows(space):
+    """The reduced-echelon basis of a package ``Subspace``, as dense tuples."""
+    from masseyq.linalg import densify
+
+    return tuple(densify(row, space.ambient_dim) for row in space.rows)
+
+
 def _gcd(a, b):
     a, b = abs(a), abs(b)
     while b:
@@ -747,7 +788,7 @@ def dense_project(ring, el):
     its residue after the reduced coboundary basis rows."""
     space = ring.coboundaries(el.degree)
     out = list(el.coords)
-    for row, p in zip(space.basis, space.pivots):
+    for row, p in zip(dense_rows(space), space.pivots):
         c = out[p]
         if c:
             out = [x - c * y for x, y in zip(out, row)]
@@ -891,13 +932,13 @@ def full_datum_findings(datum):
 def scale_coset_reference(ring, xi, coset, n):
     """The image of a coset of H^n under multiplication by xi."""
     from masseyq.cohomology import CohomologyClass, cup
-    from masseyq.linalg import AffineCoset, Subspace
+    from masseyq.linalg import AffineCoset, Subspace, densify
 
     def scaled(v):
-        return cup(xi, CohomologyClass(ring, n, v)).coords
+        return cup(xi, CohomologyClass(ring, n, densify(v, ring.class_dim(n)))).terms
 
     dim = ring.class_dim(n + xi.degree)
-    direction = Subspace.span(dim, [scaled(v) for v in coset.direction.basis])
+    direction = Subspace.span_rows(dim, [scaled(v) for v in coset.direction.rows])
     return AffineCoset(scaled(coset.point), direction)
 
 
@@ -957,18 +998,6 @@ def _null_space(rows, cols):
     return basis
 
 
-def _preimage(rows, cols, rhs):
-    """Some x with rows * x = rhs, or None."""
-    augmented = [list(row) + [c] for row, c in zip(rows, rhs)]
-    reduced, pivots = ff_rref(augmented, cols + 1)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][cols]
-    return x
-
-
 def _span(vectors, cols):
     """The nonzero rows of the rref of a list of vectors."""
     reduced, pivots = ff_rref(vectors, cols)
@@ -994,7 +1023,7 @@ def massey_coset_oracle(oracle, A, B, C, p, q, r):
         k = lp + rq - 1
         source = oracle.monomials(k)
         target = _coords(oracle.multiply(_bar(left, lp), right), oracle.monomials(k + 1))
-        x = _preimage(_d_rows(oracle, k), len(source), target)
+        x = solve_reference(_d_rows(oracle, k), len(source), target)
         return None if x is None else {e: c for e, c in zip(source, x) if c}
 
     def cocycles(k):

@@ -102,7 +102,7 @@ def test_criterion_01_heisenberg_product(capsys):
         betti == (1, 2, 2, 1)
         and betti == betti_oracle(builtin_model("heisenberg"))
         and res.defined
-        and len(res.indeterminacy.basis) == 0
+        and res.indeterminacy.dim == 0
         and res.rep_class == expected
         and not res.rep_class.is_zero()
         and res.vanishes is False
@@ -284,7 +284,7 @@ def test_criterion_06_witness_perturbations(capsys):
     a_lift = ring.lift(res.inputs[0])
     c_lift = ring.lift(res.inputs[2])
     trials = 0
-    ok = res.defined and len(res.indeterminacy.basis) == 0
+    ok = res.defined and res.indeterminacy.dim == 0
     for _ in range(24):
         scale_a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         scale_y = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
@@ -298,7 +298,7 @@ def test_criterion_06_witness_perturbations(capsys):
             break
         moved = ring.project(rep)
         trials += 1
-        if not res.coset.contains(moved.coords):
+        if not res.coset.contains(moved.terms):
             ok = False
             break
         if moved != res.rep_class:

@@ -184,6 +184,10 @@ def test_duplicate_and_bad_generators_rejected():
         build_free_cdga([("x", 1), ("x", 2)], {}, 3)
     with pytest.raises(AlgebraValidationError):
         build_free_cdga([("x", 0)], {}, 2)
+    # isinstance counts a bool as an int, but True is not a degree
+    for degree in (True, False, 1.0):
+        with pytest.raises(AlgebraValidationError, match="must have integer degree >= 1"):
+            build_free_cdga([("x", degree)], {}, 2)
     with pytest.raises(AlgebraValidationError):
         build_free_cdga([("x-y", 1)], {}, 2)
     with pytest.raises(AlgebraValidationError):

@@ -30,7 +30,7 @@ from masseyq.cohomology import (
     triple_massey,
 )
 from masseyq import cohomology, linalg
-from masseyq.linalg import AffineCoset, GradedVector, Subspace, densify
+from masseyq.linalg import AffineCoset, GradedVector, Subspace, densify, sparse_sum
 from masseyq.errors import AlgebraValidationError, ConsistencyError, DegreeCapError
 from masseyq.fileformat import resolve_model_spec
 from masseyq.models import builtin_model
@@ -41,6 +41,7 @@ from oracles import (
     dense_cup,
     dense_lift,
     dense_project,
+    dense_rows,
     dense_scale,
     dense_sub,
     differential_columns,
@@ -51,6 +52,7 @@ from oracles import (
     projected_product_reference,
     random_free_cdga,
     scale_coset_reference,
+    solve_reference,
     tensor_embedding,
     tensor_retraction,
 )
@@ -187,7 +189,7 @@ def test_ideal_degree_piece():
     assert ideal_degree_piece(ring, [x, y], 2).dim == 0
     piece3 = ideal_degree_piece(ring, [x, y], 3)
     assert piece3.dim == 1
-    assert piece3.contains(cup(x, ring.basis_class(2, 1)).coords)
+    assert piece3.contains(cup(x, ring.basis_class(2, 1)).terms)
 
 
 def _check_certificate(g1, g2, t):
@@ -201,7 +203,7 @@ def _check_certificate(g1, g2, t):
         assert cup(g1, alpha) + cup(g2, beta) == t
         assert cert.functional is None
     else:
-        phi = cert.functional
+        phi = densify(cert.functional, ring.class_dim(n))
         dot = lambda v: sum(a * b for a, b in zip(phi, v))
         for g in (g1, g2):
             for e in ring.basis_classes(n - g.degree):
@@ -279,7 +281,7 @@ def test_a_perturbed_primitive_fails_the_cocycle_check(monkeypatch):
         out = real(rows, cols, rhs)
         calls.append(cols)
         if len(calls) == 1:  # the first solve is the x primitive's
-            out = out[:k] + (out[k] + 1,) + out[k + 1 :]
+            out = sparse_sum([*out.items(), (k, 1)])
         return out
 
     monkeypatch.setattr(cohomology, "solve_rows", perturbed)
@@ -366,7 +368,7 @@ def test_heisenberg_massey_matches_brute_force_oracle():
     # every representative the oracle found projects into our coset
     for coords in oracle["representatives"]:
         cls = ring.project(a.element(2, coords))
-        assert result.coset.contains(cls.coords)
+        assert result.coset.contains(cls.terms)
     # and the class spread the oracle saw matches our indeterminacy
     assert len(oracle["classes"]) == 1
     assert result.indeterminacy.dim == 0
@@ -670,8 +672,8 @@ def test_multiplication_map_matches_cup_and_the_scaled_coset_oracle(drawn):
         fmap = InducedMap.multiplication(xi)
         assert fmap.apply(x) == cup(xi, x)
         n = x.degree
-        others = [c.coords for c in classes if c.degree == n and c is not x]
-        coset = AffineCoset(x.coords, Subspace.span(ring.class_dim(n), others))
+        others = [c.terms for c in classes if c.degree == n and c is not x]
+        coset = AffineCoset(x.terms, Subspace.span_rows(ring.class_dim(n), others))
         assert fmap.apply_coset(coset, n) == scale_coset_reference(ring, xi, coset, n)
 
 
@@ -812,17 +814,6 @@ def test_differential_squares_to_zero_as_matrices(drawn):
             )
 
 
-def _ff_solve(rows, cols, rhs):
-    """Canonical particular solution of rows * x = rhs, from ``ff_rref``."""
-    augmented = [row + (b,) for row, b in zip(rows, rhs)]
-    reduced, pivots = ff_rref(augmented, cols + 1)
-    assert cols not in pivots, "the oracle finds no solution"
-    x = [Fraction(0)] * cols
-    for k, p in enumerate(pivots):
-        x[p] = reduced[k][cols]
-    return tuple(x)
-
-
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(_rings_with_classes())
 def test_sparse_fed_eliminations_match_the_fraction_free_oracle(drawn):
@@ -832,7 +823,7 @@ def test_sparse_fed_eliminations_match_the_fraction_free_oracle(drawn):
     algebra = ring.algebra
     for n in range(ring.top + 1):
         cocycles = ring.cocycles(n)
-        assert (cocycles.basis, cocycles.pivots) == _two_elimination_kernel(
+        assert (dense_rows(cocycles), cocycles.pivots) == _two_elimination_kernel(
             differential_rows(algebra, n), algebra.dim(n)
         )
         coboundaries = ring.coboundaries(n)
@@ -840,7 +831,7 @@ def test_sparse_fed_eliminations_match_the_fraction_free_oracle(drawn):
             assert coboundaries.dim == 0
             continue
         basis, pivots = ff_rref(differential_columns(algebra, n - 1), algebra.dim(n))
-        assert (coboundaries.basis, coboundaries.pivots) == (
+        assert (dense_rows(coboundaries), coboundaries.pivots) == (
             basis[: len(pivots)],
             pivots,
         )
@@ -857,7 +848,7 @@ def test_sparse_fed_eliminations_match_the_fraction_free_oracle(drawn):
             n = witness.degree
             rows = differential_rows(algebra, n)
             rhs = (left.bar() * right).coords
-            assert witness.coords == _ff_solve(rows, algebra.dim(n), rhs)
+            assert witness.coords == tuple(solve_reference(rows, algebra.dim(n), rhs))
         checked += 1
 
 
@@ -948,14 +939,15 @@ def test_triple_products_match_the_massey_coset_oracle(drawn):
         # the same direction: lifts of the indeterminacy plus coboundaries
         lifts = [
             coords(ring.lift(CohomologyClass(ring, n, v)))
-            for v in result.indeterminacy.basis
+            for v in dense_rows(result.indeterminacy)
         ]
         assert span(list(want["coboundaries"]) + lifts, cols) == want["direction"]
         assert len(want["direction"]) == len(want["coboundaries"]) + result.indeterminacy.dim
         # the same coset: the two representatives differ by a direction vector
         diff = [x - y for x, y in zip(coords(result.representative), want["rep"])]
         assert len(span(list(want["direction"]) + [diff], cols)) == len(want["direction"])
-        point = coords(ring.lift(CohomologyClass(ring, n, result.coset.point)))
+        point = densify(result.coset.point, ring.class_dim(n))
+        point = coords(ring.lift(CohomologyClass(ring, n, point)))
         diff = [x - y for x, y in zip(point, want["rep"])]
         assert len(span(list(want["direction"]) + [diff], cols)) == len(want["direction"])
         # vanishes iff 0 lies in the coset, and the ideal verdict agrees
@@ -1023,11 +1015,11 @@ def test_block_assembly_matches_the_dense_oracle(ext):
             columns = differential_columns(ext, n - 1)
             reduced, boundary_pivots = ff_rref(columns, ext.dim(n))
             boundary = reduced[: len(boundary_pivots)]
-        assert (ring.cocycles(n).basis, ring.cocycles(n).pivots) == (
+        assert (dense_rows(ring.cocycles(n)), ring.cocycles(n).pivots) == (
             cocycles,
             cocycle_pivots,
         )
-        assert (ring.coboundaries(n).basis, ring.coboundaries(n).pivots) == (
+        assert (dense_rows(ring.coboundaries(n)), ring.coboundaries(n).pivots) == (
             boundary,
             boundary_pivots,
         )

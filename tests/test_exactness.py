@@ -8,7 +8,9 @@ any import of ``math`` or ``decimal``, and any import that is neither
 the standard library nor the package itself.  A name such as ``float``
 in ``isinstance(value, float)`` is not a call and is allowed.  It also
 reports every true division outside ``linalg._div``, the one exact
-division of coefficients, since ``int / int`` makes a float.
+division of coefficients, since ``int / int`` makes a float, and, outside
+``linalg.py``, every ``coords`` attribute and every import of a dense
+vector helper: vectors cross module boundaries sparse.
 
 Two properties show that the choice between an int and an integral
 Fraction cannot be seen: ``_div`` agrees with Fraction division and
@@ -147,6 +149,54 @@ def test_matrix_guard_sees_names_attributes_imports_and_strings():
         "line 2: Attribute",
         "line 3: Constant",
         "line 4: Name",
+    ]
+
+
+# -- the one vector format -------------------------------------------------------
+
+# linalg's helpers that make or read dense tuples
+DENSE_HELPERS = {"densify", "sparsify", "vector", "zero_vector"}
+
+
+def _dense_uses(tree: ast.AST) -> list[str]:
+    """Every attribute named ``coords`` and every import of a dense helper."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "coords":
+            found.append(f"line {node.lineno}: .coords")
+        elif isinstance(node, ast.ImportFrom):
+            found += [
+                f"line {node.lineno}: import of {alias.name}"
+                for alias in node.names
+                if alias.name in DENSE_HELPERS
+            ]
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in _modules() if m != "linalg.py"])
+def test_no_module_but_linalg_handles_dense_vectors(module):
+    # Vectors cross module boundaries sparse; the dense tuple (a
+    # GradedVector's ``coords``, ``rref`` and ``solve``) is linalg's edge
+    # for outside callers.
+    with open(os.path.join(SOURCE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _dense_uses(tree) == []
+
+
+def test_dense_guard_sees_coords_and_each_helper_import():
+    source = (
+        "from .linalg import Subspace, densify, sparsify\n"
+        "from masseyq.linalg import vector as v, zero_vector\n"
+        "coset = AffineCoset(rep_class.coords, indeterminacy)\n"
+        "ok = rep_class.terms\n"
+        "def coords(x): pass\n"
+    )
+    assert _dense_uses(ast.parse(source)) == [
+        "line 1: import of densify",
+        "line 1: import of sparsify",
+        "line 2: import of vector",
+        "line 2: import of zero_vector",
+        "line 3: .coords",
     ]
 
 

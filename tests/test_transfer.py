@@ -28,7 +28,7 @@ from masseyq.errors import (
     UndefinedProductError,
 )
 from masseyq.fileformat import load_datum
-from masseyq.linalg import solve_rows, transpose
+from masseyq.linalg import densify, solve_rows, sparse_sum, transpose
 from masseyq.models import BUILTIN_MODELS, builtin_datum, builtin_family, builtin_model
 from masseyq.transfer import (
     EulerClass,
@@ -353,8 +353,7 @@ def test_a_corrupted_top_inverse_trips_the_cup_check(monkeypatch, model, chi):
     real = transfer.solve_rows
 
     def corrupted(rows, cols, b):
-        sol = real(rows, cols, b)
-        return (sol[0] + 1,) + sol[1:]
+        return sparse_sum([*real(rows, cols, b).items(), (0, 1)])
 
     monkeypatch.setattr(transfer, "solve_rows", corrupted)
     with pytest.raises(ConsistencyError):
@@ -788,10 +787,10 @@ def test_rotation_pushforward_is_forced_by_the_projection_formula():
             target = chi_el * e
             n = 2 * k + 2
             rows = transpose(datum.restrict_map.morphism.columns(n), fixed.dim(n))
-            col = solve_rows(rows, datum.ambient.dim(n), target.coords)
+            col = solve_rows(rows, datum.ambient.dim(n), target.terms)
             assert col is not None
             pushed = datum.push(fring.project(e))
-            assert tuple(pushed.coords) == tuple(col)
+            assert pushed.coords == densify(col, datum.ambient.dim(n))
 
 
 _ROTATION_FILE = os.path.join(os.path.dirname(__file__), "..", "data", "rotation.datum")
@@ -1014,7 +1013,7 @@ def test_witness_perturbations_move_within_the_indeterminacy():
         cls = ring.project(rep)
         # zero indeterminacy: the class itself must be reproduced
         assert cls == result.rep_class
-        assert result.coset.contains(cls.coords)
+        assert result.coset.contains(cls.terms)
 
 
 def test_witness_perturbations_on_a_vanishing_product():
@@ -1034,7 +1033,7 @@ def test_witness_perturbations_on_a_vanishing_product():
         dy = cocycles[rng.randrange(2)].scale(rng.randint(-5, 5))
         rep = _perturbed_representative(result, ring, da, dy)
         assert rep.d().is_zero()
-        assert result.coset.contains(ring.project(rep).coords)
+        assert result.coset.contains(ring.project(rep).terms)
 
 
 # ---------------------------------------------------------------------------
