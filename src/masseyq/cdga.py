@@ -18,11 +18,11 @@ Every algebra reads its structure constants through one lookup, called by
 presentation stores them.  A free algebra computes the product of two
 monomials when asked (one signed monomial, or zero), and the extension
 computes a product from the base lookup shifted into the right power of
-h; neither tabulates its products.  Differentials are tabulated degree by
-degree.  A free algebra and an extension take their dimensions from the
-Poincare series, which is checked against SIZE_LIMIT before any basis is
-built, and build the basis and the differential of a degree when that
-degree is first read.
+h and keeps it for the next read; neither tabulates its products.
+Differentials are tabulated degree by degree.  A free algebra and an
+extension take their dimensions from the Poincare series, which is
+checked against SIZE_LIMIT before any basis is built, and build the
+basis and the differential of a degree when that degree is first read.
 
 An Element holds its nonzero terms (basis index -> scalar), as do the
 unit and the names; arithmetic, products and differentials visit those
@@ -55,9 +55,11 @@ from .linalg import (
     Scalar,
     SparseVector,
     _q,
+    apply_columns,
     columns_of_rows,
     fr,
     solve_rows,
+    sparse_combination,
     sparse_sum,
 )
 
@@ -195,18 +197,24 @@ class TensorInfo:
         # the base degrees with a basis, ascending
         self.support = [b for b in range(len(dims)) if self.block(b, 0)[3]]
         splits, bcap, base_product = self.splits, base.cap, base.product_lookup(0)
+        memo: dict[tuple[int, int, int, int], Terms] = {}
 
         # (h^j1 (x) e)(h^j2 (x) f) = h^(j1+j2) (x) e*f, shifted into the block
-        # of h^(j1+j2); a table base is zero above its cap.  grow has built
-        # every base degree with a basis that the lookup reads.
+        # of h^(j1+j2) and kept in memo as long as the extension; a table
+        # base is zero above its cap.  grow has built every base degree with
+        # a basis that the lookup reads.
         def product(n1: int, i1: int, n2: int, i2: int) -> Terms:
-            j1, k1 = splits[n1][i1]
-            j2, k2 = splits[n2][i2]
-            b1, b2 = n1 - 2 * j1, n2 - 2 * j2
-            if b1 + b2 > bcap:
-                return ()
-            toff = dims[n1 + n2] - dims[b1 + b2]
-            return tuple((toff + k, c) for k, c in base_product(b1, k1, b2, k2))
+            key = (n1, i1, n2, i2)
+            terms = memo.get(key)
+            if terms is None:
+                j1, k1 = splits[n1][i1]
+                j2, k2 = splits[n2][i2]
+                b1, b2 = n1 - 2 * j1, n2 - 2 * j2
+                terms = memo[key] = () if b1 + b2 > bcap else tuple(
+                    (dims[n1 + n2] - dims[b1 + b2] + k, c)
+                    for k, c in base_product(b1, k1, b2, k2)
+                )
+            return terms
 
         self.product = product
 
@@ -454,11 +462,10 @@ class CochainAlgebra:
             self._basis.grow(n)
         p, q, product = a.degree, b.degree, self._product
         right = b.terms.items()
-        terms = sparse_sum(
-            (k, c1 * c2 * s)
+        terms = sparse_combination(
+            (c1 * c2, product(p, i1, q, i2))
             for i1, c1 in a.terms.items()
             for i2, c2 in right
-            for k, s in product(p, i1, q, i2)
         )
         return Element._trusted(self, n, terms)
 
@@ -474,9 +481,7 @@ class CochainAlgebra:
         table = self._diff[a.degree]
         if table is None:
             table = self._basis.differential(a.degree)
-        terms = sparse_sum(
-            (j, c * s) for i, c in a.terms.items() for j, s in table[i]
-        )
+        terms = sparse_combination((c, table[i]) for i, c in a.terms.items())
         return Element._trusted(self, n, terms)
 
     def diff_columns(self, n: int) -> list[SparseVector]:
@@ -1088,14 +1093,22 @@ def _solve_unit(dims, mul, cap) -> SparseVector:
 
 
 def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str]:
-    """Scan the graded axioms on all basis tuples within the cap.
+    """Scan the graded axioms on the basis tuples within the cap that can fail.
 
     Checks d*d = 0, graded commutativity, associativity, the Leibniz rule
-    and neutrality of the unit.  Each side of each identity is summed
-    straight from the product lookup and the differential table, as
-    sparse ``(index, coefficient)`` terms; no Element is built.  Returns
-    human-readable problem strings, empty when the algebra is sound;
-    stops early after ``limit`` findings.
+    and neutrality of the unit, summing each side straight from the
+    product lookup and the differential table; no Element is built.
+    Tuples are visited in the nested order of a full scan, so findings
+    come in its order, less those whose identity cannot fail: d*d on a
+    basis vector with no differential; Leibniz on a pair when neither
+    factor nor any basis vector of their product's degree has one;
+    associativity on (a, b, c) with ab = 0 and bc = 0; and, once the unit
+    is neutral on every basis vector, commutativity and associativity on
+    a tuple with a factor that is a multiple of the unit, when the unit is
+    a multiple of one basis vector.  So the unit check runs first; its
+    findings are still reported last.  Returns human-readable problem
+    strings, empty when the algebra is sound; stops early after ``limit``
+    findings.
     """
     problems: list[str] = []
 
@@ -1106,12 +1119,24 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
     cap, dims, label = a.cap, a.dims, a.basis_label
     product = a.product_lookup(cap)
     d = [a.diff_table(n) for n in range(cap)]
+    closed = [not any(table) for table in d]
+    unit = a._unit.items()
+    stray = [
+        f"unit is not neutral on {label(n, i)!r}"
+        for n in range(cap + 1)
+        for i in range(dims[n])
+        if sparse_combination((u, product(0, i0, n, i)) for i0, u in unit) != {i: 1}
+        or sparse_combination((u, product(n, i, 0, i0)) for i0, u in unit) != {i: 1}
+    ]
+    # per degree, the basis vectors taken as factors below: all but a
+    # multiple of a neutral unit
+    basis: list[Sequence[int]] = [range(dim) for dim in dims]
+    if len(unit) == 1 and not stray:
+        basis[0] = [i for i in basis[0] if i not in a._unit]
 
     for n in range(cap - 1):
-        for i in range(dims[n]):
-            if sparse_sum(
-                (k, c * s) for j, c in d[n][i] for k, s in d[n + 1][j]
-            ):
+        for i, di in enumerate(d[n]):
+            if di and sparse_combination((c, d[n + 1][j]) for j, c in di):
                 if report(
                     f"d*d != 0 on basis vector {label(n, i)!r} (degree {n})"
                 ):
@@ -1121,8 +1146,8 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
     for n1 in range(cap + 1):
         for n2 in range(n1, cap + 1 - n1):
             sign = -1 if (n1 % 2 and n2 % 2) else 1
-            for i1 in range(dims[n1]):
-                for i2 in range(dims[n2]):
+            for i1 in basis[n1]:
+                for i2 in basis[n2]:
                     ab = product(n1, i1, n2, i2)
                     ba = product(n2, i2, n1, i1)
                     if (ab or ba) and sparse_sum(ab) != sparse_sum(
@@ -1134,26 +1159,30 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
                         ):
                             return problems
 
+    # (n2, i2, n3) -> the i3 with e_i2 * e_i3 nonzero, ascending
+    nonzero: dict[tuple[int, int, int], list[int]] = {}
     for n1 in range(cap + 1):
         for n2 in range(cap + 1 - n1):
             n12 = n1 + n2
             for n3 in range(cap + 1 - n12):
                 n23 = n2 + n3
-                for i1 in range(dims[n1]):
-                    for i2 in range(dims[n2]):
+                for i1 in basis[n1]:
+                    for i2 in basis[n2]:
                         e12 = product(n1, i1, n2, i2)
-                        for i3 in range(dims[n3]):
-                            lhs = [
-                                (t, c * s)
-                                for k, c in e12
-                                for t, s in product(n12, k, n3, i3)
+                        third = basis[n3] if e12 else nonzero.get((n2, i2, n3))
+                        if third is None:
+                            third = nonzero[n2, i2, n3] = [
+                                i3 for i3 in basis[n3] if product(n2, i2, n3, i3)
                             ]
-                            rhs = [
-                                (t, c * s)
+                        for i3 in third:
+                            lhs = sparse_combination(
+                                (c, product(n12, k, n3, i3)) for k, c in e12
+                            )
+                            rhs = sparse_combination(
+                                (c, product(n1, i1, n23, k))
                                 for k, c in product(n2, i2, n3, i3)
-                                for t, s in product(n1, i1, n23, k)
-                            ]
-                            if (lhs or rhs) and sparse_sum(lhs) != sparse_sum(rhs):
+                            )
+                            if lhs != rhs:
                                 if report(
                                     "associativity fails on ("
                                     f"{label(n1, i1)!r}, "
@@ -1165,39 +1194,29 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
     for n1 in range(cap + 1):
         for n2 in range(cap - n1):
             n12 = n1 + n2
+            odd = n1 % 2
             for i1 in range(dims[n1]):
                 d1 = d[n1][i1]
-                for i2 in range(dims[n2]):
-                    lhs = [
-                        (t, c * s)
-                        for k, c in product(n1, i1, n2, i2)
-                        for t, s in d[n12][k]
-                    ]
-                    rhs = [
-                        (t, c * s)
-                        for j, c in d1
-                        for t, s in product(n1 + 1, j, n2, i2)
-                    ]
+                for i2, d2 in enumerate(d[n2]):
+                    if closed[n12] and not d1 and not d2:
+                        continue
+                    lhs = sparse_combination(
+                        (c, d[n12][k]) for k, c in product(n1, i1, n2, i2)
+                    )
+                    rhs = [(c, product(n1 + 1, j, n2, i2)) for j, c in d1]
                     rhs += [
-                        (t, -c * s if n1 % 2 else c * s)
-                        for j, c in d[n2][i2]
-                        for t, s in product(n1, i1, n2 + 1, j)
+                        (-c if odd else c, product(n1, i1, n2 + 1, j)) for j, c in d2
                     ]
-                    if (lhs or rhs) and sparse_sum(lhs) != sparse_sum(rhs):
+                    if lhs != sparse_combination(rhs):
                         if report(
                             "Leibniz rule fails on "
                             f"({label(n1, i1)!r}, {label(n2, i2)!r})"
                         ):
                             return problems
 
-    unit = a._unit.items()
-    for n in range(cap + 1):
-        for i in range(dims[n]):
-            left = [(t, u * s) for i0, u in unit for t, s in product(0, i0, n, i)]
-            right = [(t, u * s) for i0, u in unit for t, s in product(n, i, 0, i0)]
-            if sparse_sum(left) != {i: 1} or sparse_sum(right) != {i: 1}:
-                if report(f"unit is not neutral on {label(n, i)!r}"):
-                    return problems
+    for msg in stray:
+        if report(msg):
+            return problems
     return problems
 
 
@@ -1216,12 +1235,12 @@ def tensor_polynomial_generator(
     The degree-n basis of the result is the concatenation over j >= 0 of
     the base bases in degree n-2j, tagged with h^j; products multiply base
     parts and add h exponents, and the differential acts on the base part
-    alone.  A product is looked up in the base when ``multiply`` asks for
-    it and shifted into the block of its power of h; the result stores no
-    multiplication table.  Free bases are re-enumerated up to the new
-    cap; table bases are taken as literally zero above their own cap,
-    which keeps every axiom intact because all extra degrees are zero
-    spaces.  The result of a valid base is therefore valid and is not
+    alone.  A product is looked up in the base when ``multiply`` first
+    asks for it, shifted into the block of its power of h and kept; no
+    multiplication table is built up front.  Free bases are re-enumerated
+    up to the new cap; table bases are taken as literally zero above their
+    own cap, which keeps every axiom intact because all extra degrees are
+    zero spaces.  The result of a valid base is therefore valid and is not
     scanned again.  Its dims, the base's series times 1/(1 - t^2), are
     checked against SIZE_LIMIT before the base is re-capped, and fix the
     layout (TensorInfo), which is built a degree at a time on first read,
@@ -1305,10 +1324,7 @@ class AlgebraMorphism:
     def apply(self, el: Element) -> Element:
         if el.algebra is not self.source:
             raise ValueError("element does not live in the morphism source")
-        columns = self.columns(el.degree)
-        terms = sparse_sum(
-            (k, c * x) for i, c in el.terms.items() for k, x in columns[i].items()
-        )
+        terms = apply_columns(self.columns(el.degree), el.terms)
         return Element._trusted(self.target, el.degree, terms)
 
     def __repr__(self):

@@ -39,7 +39,7 @@ from .linalg import (
     apply_columns,
     kernel_rows,
     solve_rows,
-    sparse_sum,
+    sparse_combination,
     transpose,
 )
 
@@ -365,11 +365,11 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
             f"cup product in degree {n} needs cap at least {n + 1}",
             required_cap=n + 1,
         )
-    terms = sparse_sum(
-        (k, ca * cb * v)
+    right = b.terms.items()
+    terms = sparse_combination(
+        (ca * cb, ring._product(p, i, q, j))
         for i, ca in a.terms.items()
-        for j, cb in b.terms.items()
-        for k, v in ring._product(p, i, q, j)
+        for j, cb in right
     )
     return CohomologyClass._trusted(ring, n, terms)
 
@@ -392,10 +392,8 @@ def ideal_products(
             continue
         for j in range(ring.class_dim(rest)):
             vectors.append(
-                sparse_sum(
-                    (k, c * v)
-                    for i, c in g.terms.items()
-                    for k, v in ring._product(p, i, rest, j)
+                sparse_combination(
+                    (c, ring._product(p, i, rest, j)) for i, c in g.terms.items()
                 )
             )
     return vectors

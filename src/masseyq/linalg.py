@@ -10,7 +10,8 @@ coefficients; it makes a Fraction only where a remainder is left, so
 ``int / int`` never makes a float.
 
 Every vector that leaves this module is sparse, a dict from index to
-nonzero entry, summed by ``sparse_sum``: cochains, cohomology classes,
+nonzero entry, summed by ``sparse_sum`` (``sparse_combination`` for a
+linear combination of sparse terms): cochains, cohomology classes,
 eliminated rows, solutions, and the points and functionals of cosets
 and certificates.  A cochain (``Element``) and a class
 (``CohomologyClass``) are both a ``GradedVector``: its ``terms`` are
@@ -31,11 +32,11 @@ results such as the output of ``rref`` skip it too.
 
 Every elimination runs on one core, ``_eliminate``: Gaussian elimination
 and back substitution on sparse rows with a column -> rows index, so
-pivot search and updates visit nonzero entries only and exact
-cancellations are dropped.  ``solve_rows``, ``kernel_rows`` and
-``Subspace.span_rows`` take sparse rows, as the cochain algebras hand
-out their differentials, and so do ``rref`` and ``solve`` after reading
-their matrix.
+pivot search and updates visit nonzero entries only, exact
+cancellations are dropped and empty rows cost nothing.  ``solve_rows``,
+``kernel_rows`` and ``Subspace.span_rows`` take sparse rows, as the
+cochain algebras hand out their differentials, and so do ``rref`` and
+``solve`` after reading their matrix.
 Pivots are taken column by column from
 the left, scaled to 1 and cleared above and below, so every reduced
 form, particular solution and kernel basis is the unique reduced-echelon
@@ -58,6 +59,9 @@ SparseVector = dict[int, Scalar]
 
 _ZERO = 0
 _ONE = 1
+# bound once for GradedVector._trusted, which every product and sum calls
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _q(x: Fraction) -> Scalar:
@@ -168,7 +172,7 @@ def _sparse_rows(m: Matrix) -> list[SparseVector]:
 
 def apply_columns(columns: Sequence[SparseVector], v: SparseVector) -> SparseVector:
     """sum_i v[i] * columns[i] over the nonzeros of v."""
-    return sparse_sum((k, c * x) for i, c in v.items() for k, x in columns[i].items())
+    return sparse_combination((c, columns[i].items()) for i, c in v.items())
 
 
 def columns_of_rows(rows: Sequence[Sequence], cols: int) -> list[SparseVector]:
@@ -209,11 +213,29 @@ def sparsify(v: Vector) -> SparseVector:
 
 
 def sparse_sum(terms: Iterable[tuple[int, Scalar]]) -> SparseVector:
-    """The nonzero coordinates of a sum of ``(index, coefficient)`` terms."""
+    """The nonzero coordinates of a sum of ``(index, coefficient)`` terms,
+    in the order of each index's first term (Gustavson's sparse
+    accumulator, ACM TOMS 4(3), 1978); a second pass drops zeros only
+    when some coordinate came out zero."""
     out: SparseVector = {}
+    zero = False
     for k, c in terms:
-        out[k] = out[k] + c if k in out else c
-    return {k: c for k, c in out.items() if c}
+        out[k] = c = out[k] + c if k in out else c
+        if not c:
+            zero = True
+    return {k: c for k, c in out.items() if c} if zero else out
+
+
+def sparse_combination(pairs: Iterable[tuple[Scalar, Iterable]]) -> SparseVector:
+    """``sparse_sum`` of c * x over the ``(k, x)`` of each ``(c, terms)`` pair."""
+    out: SparseVector = {}
+    zero = False
+    for c, terms in pairs:
+        for k, x in terms:
+            out[k] = x = out[k] + c * x if k in out else c * x
+            if not x:
+                zero = True
+    return {k: c for k, c in out.items() if c} if zero else out
 
 
 class GradedVector:
@@ -245,10 +267,10 @@ class GradedVector:
     def _trusted(cls, owner, degree: int, terms: SparseVector):
         """Wrap terms that masseyq computed itself: indices below the
         owner's dimension, nonzero scalars; nothing is checked."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_owner", owner)
-        object.__setattr__(obj, "degree", degree)
-        object.__setattr__(obj, "terms", terms)
+        obj = _new(cls)
+        _set(obj, "_owner", owner)
+        _set(obj, "degree", degree)
+        _set(obj, "terms", terms)
         return obj
 
     def __setattr__(self, name, value):
@@ -303,7 +325,8 @@ def _eliminate(
 ) -> tuple[list[SparseVector], tuple[int, ...]]:
     """The nonzero rows of the rref of sparse rows, sorted by pivot, and the pivots.
 
-    The input rows are copied, not changed.  A column index records which
+    Empty rows are dropped, the others copied in their order, not
+    changed.  A column index records which
     rows are nonzero in each column, so finding a pivot and clearing its
     column visit those rows only, and each update touches the pivot row's
     nonzeros only.  Entries that cancel to zero are deleted.
@@ -315,17 +338,18 @@ def _eliminate(
     form is unique.  A backward pass then clears each pivot column in the
     rows above, last pivot first.
     """
-    work = [dict(r) for r in rows]
+    work = [dict(r) for r in rows if r]
+    if not work:
+        return [], ()
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(work):
         for j in row:
             holders.setdefault(j, set()).add(i)
     finished = [False] * len(work)
-    live = sum(1 for row in work if row)
     pivots: list[int] = []
     pivot_rows: list[int] = []
     for c in range(cols):
-        if len(pivots) == live:
+        if len(pivots) == len(work):
             break
         below = [i for i in holders.get(c, ()) if not finished[i]]
         if not below:
@@ -499,18 +523,10 @@ class Subspace:
         phi[f] = _ONE
         return phi
 
-    def contains(self, v: SparseVector) -> bool:
-        return not self.reduce_row(v)
-
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         return not any(self.reduce_row(row) for row in other.rows)
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace.span_rows(self.ambient_dim, self.rows + other.rows)
 
     def __eq__(self, other):
         return (

@@ -229,3 +229,57 @@ def test_morphism_scan_matches_the_reference(seed, kind, count, break_target):
     source = target if f.source is f.target else f.source
     broken = AlgebraMorphism(source, target, _mutated_columns(f, rng, count))
     _assert_morphism_scans_agree(broken)
+
+
+# -- the rotation shape: d = 0 and degree 0 spanned by the unit --------------------
+
+# (degree, index) of the rotation ambient's basis vectors by label
+_AMBIENT = {
+    "E": (0, 0), "H1": (2, 0), "A1": (2, 1), "H2": (4, 0), "A2": (4, 1), "H3": (6, 0),
+}
+
+
+def _ambient_with(products):
+    """The rotation ambient table with the products of the given label
+    pairs set to the given terms (label, coefficient); not scanned."""
+    a = builtin_model("rotation-ambient")
+    mul, diff = _tables(a)
+    for (left, right), terms in products.items():
+        key = _AMBIENT[left] + _AMBIENT[right]
+        mul[key] = [(_AMBIENT[label][1], c) for label, c in terms]
+    return _assemble(a, mul, diff)
+
+
+def test_the_rotation_ambient_has_the_shape_the_scan_skips_on():
+    a = builtin_model("rotation-ambient")
+    assert all(not any(a.diff_table(n)) for n in range(a.cap))
+    assert a.dim(0) == 1 and a._unit == {0: 1}
+    _assert_algebra_scans_agree(a)
+    assert validate_algebra(a) == []
+
+
+def test_an_associativity_defect_with_no_unit_factor_is_found():
+    # H1 * H1 = 0 leaves (H1 * H1) * A1 = 0 against H1 * (H1 * A1) = A3:
+    # a triple whose left product is zero and right product is not.
+    dropped = _ambient_with({("H1", "H1"): []})
+    # A1 * A2 = A2 * A1 = H3 keeps commutativity, but not associativity
+    # on triples whose products are all nonzero, such as (H1, A1, A1).
+    moved = _ambient_with({("A1", "A2"): [("H3", 1)], ("A2", "A1"): [("H3", 1)]})
+    for mutant in (dropped, moved):
+        _assert_algebra_scans_agree(mutant)
+        found = validate_algebra(mutant)
+        assert found and all(f.startswith("associativity fails") for f in found)
+        assert not any("'E'" in f for f in found)
+    assert "associativity fails on ('H1', 'H1', 'A1')" in validate_algebra(dropped)
+    assert "associativity fails on ('H1', 'A1', 'A1')" in validate_algebra(moved)
+
+
+def test_a_non_neutral_unit_is_found_in_every_tuple_it_spoils():
+    # E * A2 = A2 * E = 2 * A2: commutative, but the unit is not neutral
+    # on A2, so the tuples with the unit as a factor are scanned again.
+    doubled = _ambient_with({("E", "A2"): [("A2", 2)], ("A2", "E"): [("A2", 2)]})
+    _assert_algebra_scans_agree(doubled)
+    found = validate_algebra(doubled)
+    assert "associativity fails on ('E', 'E', 'A2')" in found
+    assert found[-1] == "unit is not neutral on 'A2'"
+    assert validate_algebra(doubled, limit=1) == [found[0]]

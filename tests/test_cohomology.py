@@ -189,7 +189,7 @@ def test_ideal_degree_piece():
     assert ideal_degree_piece(ring, [x, y], 2).dim == 0
     piece3 = ideal_degree_piece(ring, [x, y], 3)
     assert piece3.dim == 1
-    assert piece3.contains(cup(x, ring.basis_class(2, 1)).terms)
+    assert not piece3.reduce_row(cup(x, ring.basis_class(2, 1)).terms)
 
 
 def _check_certificate(g1, g2, t):

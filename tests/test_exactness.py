@@ -10,7 +10,11 @@ in ``isinstance(value, float)`` is not a call and is allowed.  It also
 reports every true division outside ``linalg._div``, the one exact
 division of coefficients, since ``int / int`` makes a float, and, outside
 ``linalg.py``, every ``coords`` attribute and every import of a dense
-vector helper: vectors cross module boundaries sparse.
+vector helper: vectors cross module boundaries sparse.  And it reports
+every cache that would outlive one ``cli.main`` call: a ``functools``
+cache on a module-level function or a method, or bound to a module-level
+name, but for the argument parser, and a module-level dict, list or set
+that its module writes to.
 
 Two properties show that the choice between an int and an integral
 Fraction cannot be seen: ``_div`` agrees with Fraction division and
@@ -346,3 +350,108 @@ def test_coefficient_spelling_leaves_the_output_byte_identical(rng, data):
                     )
                 )
     assert len(outputs) == 1, outputs
+
+
+# -- no cache outlives one request -----------------------------------------------
+
+# The CLI serves one request per process, and a library caller may make
+# many: state kept at module level would carry one request into the next.
+CACHES = {"cache", "lru_cache"}
+# module -> the module-level functions that may keep a cache for the process
+CACHE_ALLOWED = {"cli.py": {"_build_parser"}}
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict"}
+MUTATORS = {
+    "add", "append", "clear", "extend", "insert", "pop", "popitem",
+    "remove", "discard", "setdefault", "update", "__setitem__",
+}
+
+
+def _is_cache(node: ast.AST) -> bool:
+    """Whether an expression is ``functools.cache`` or ``lru_cache``,
+    called or not, by any import spelling."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in CACHES
+
+
+def _lasting_caches(tree: ast.Module, allowed=frozenset()) -> list[str]:
+    """Every cache that lives as long as the module: a cache decorator on
+    a module-level function or on a method, a cache bound to a
+    module-level name, and a module-level dict, list or set that the
+    module writes to (a memo)."""
+    found = []
+    containers = set()
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in defs:
+            if (
+                isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and fn.name not in allowed
+                and any(_is_cache(dec) for dec in fn.decorator_list)
+            ):
+                found.append(f"line {fn.lineno}: cache on {fn.name}")
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            value = node.value
+            if _is_cache(value):
+                found += [f"line {node.lineno}: cache bound to {n}" for n in names]
+            elif isinstance(value, CONTAINERS) or (
+                isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) in CONTAINER_CALLS
+            ):
+                containers.update(names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func.value if node.func.attr in MUTATORS else None
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id in containers:
+            found.append(f"line {node.lineno}: module-level {target.id} written")
+    return found
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_no_cache_outlives_one_request(module):
+    with open(os.path.join(SOURCE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _lasting_caches(tree, CACHE_ALLOWED.get(module, frozenset())) == []
+
+
+def test_cache_guard_sees_decorators_bindings_and_memos():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "_memo = {}\n"
+        "_seen: list = []\n"
+        "TABLE = {'a': 1}\n"
+        "@functools.cache\n"
+        "def f(x):\n"
+        "    _memo[x] = TABLE[x]\n"
+        "    _seen.append(x)\n"
+        "@lru_cache(maxsize=None)\n"
+        "def g(x): pass\n"
+        "h = functools.cache(len)\n"
+        "class C:\n"
+        "    @functools.lru_cache\n"
+        "    def m(self): pass\n"
+        "def ok():\n"
+        "    local = {}\n"
+        "    local[1] = 2\n"
+        "    return functools.cache(lambda s: s)\n"
+    )
+    tree = ast.parse(source)
+    memos = ["line 8: module-level _memo written", "line 9: module-level _seen written"]
+    assert _lasting_caches(tree) == [
+        "line 7: cache on f",
+        "line 11: cache on g",
+        "line 12: cache bound to h",
+        "line 15: cache on m",
+        *memos,
+    ]
+    allowed = _lasting_caches(tree, {"f", "g", "m"})
+    assert allowed == ["line 12: cache bound to h", *memos]

@@ -20,6 +20,7 @@ from masseyq.linalg import (
     rref,
     solve,
     solve_rows,
+    sparse_combination,
     sparse_sum,
     sparsify,
     transpose,
@@ -398,12 +399,15 @@ def test_solve_solutions_actually_solve():
 
 
 def test_subspace_membership_and_sum():
+    # a vector lies in a subspace exactly when it reduces to zero; a sum is
+    # the span of both bases
     s = _span(2, [[1, 1]])
-    assert s.contains({0: 2, 1: 2})
-    assert not s.contains({0: 1})
+    assert not s.reduce_row({0: 2, 1: 2})
+    assert s.reduce_row({0: 1}) == {1: -1}
     t = _span(2, [[1, 0]])
-    assert (s + t).dim == 2
-    assert (s + t).contains({0: 5, 1: -7})
+    both = Subspace.span_rows(2, s.rows + t.rows)
+    assert both.dim == 2
+    assert not both.reduce_row({0: 5, 1: -7})
 
 
 def test_subspace_reduce_is_idempotent_and_kills_members():
@@ -420,7 +424,7 @@ def test_subspace_reduce_is_idempotent_and_kills_members():
         assert s.reduce_row(r) == r
         for g in gens:
             assert not s.reduce_row(g)
-        assert s.contains(sparse_sum([*v.items(), *((k, -c) for k, c in r.items())]))
+        assert not s.reduce_row(sparse_sum([*v.items(), *((k, -c) for k, c in r.items())]))
 
 
 def test_subspace_canonical_basis_is_presentation_independent():
@@ -517,3 +521,95 @@ def test_eliminations_with_no_columns():
     assert solve(flat, vector([0, 0])) == ()
     assert solve(flat, vector([1, 0])) is None
     assert Subspace.span_rows(0, [{}, {}]) == Subspace.zero(0)
+
+
+# -- the sparse accumulator --------------------------------------------------------
+
+
+def _two_pass_sum(terms):
+    """Sum every term per index, then drop the zeros: the accumulator as it
+    was before zeros were filtered only when one came out."""
+    out = {}
+    for k, c in terms:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
+
+
+# zero, unit and small int coefficients next to Fractions, integral ones too
+_ACC_SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+)
+# few indices, so they repeat
+_ACC_TERMS = st.lists(st.tuples(st.integers(0, 5), _ACC_SCALARS), max_size=6)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(_ACC_SCALARS, _ACC_TERMS), max_size=6), st.data())
+@example([(1, [(0, 1), (0, -1)])], None)  # an exact cancellation
+@example([(0, [(2, 5)]), (2, [(1, 0)])], None)  # zero coefficients
+@example([(2, [(3, 1), (1, 1)]), (-2, [(3, 1)]), (1, [(3, 4)])], None)  # back again
+def test_sparse_accumulator_matches_the_two_pass_sum(pairs, data):
+    if data is not None:
+        # cancel some pairs exactly by appending their negation
+        for c, terms in list(pairs):
+            if data.draw(st.booleans()):
+                pairs.append((-c, terms))
+    flat = [(k, c * x) for c, terms in pairs for k, x in terms]
+    want = _two_pass_sum(flat)
+    combined = sparse_combination((c, iter(terms)) for c, terms in pairs)
+    for got in (combined, sparse_sum(iter(flat))):
+        assert got == want
+        # the order of the terms reaches the output: dict order and types
+        assert list(got.items()) == list(want.items())
+        assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+        assert 0 not in got.values()
+
+
+# -- eliminations with empty rows ---------------------------------------------------
+
+
+@st.composite
+def _matrices_with_empty_rows(draw):
+    """A drawn matrix, sometimes zeroed whole, with empty rows put in
+    between its rows."""
+    entries, cols = draw(_rational_matrices())
+    if draw(st.booleans()):
+        entries = [[Fraction(0)] * cols for _ in entries]
+    for _ in range(draw(st.integers(0, 4))):
+        entries.insert(draw(st.integers(0, len(entries))), [Fraction(0)] * cols)
+    return entries, cols
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_matrices_with_empty_rows(), st.data())
+@example(([[0, 0, 0]] * 3, 3), None)  # all zero
+@example(([[0, 0], [1, 2], [0, 0], [0, 0], [2, 4], [0, 0]], 2), None)
+@example(([[0, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 1]], 3), None)
+def test_eliminations_of_empty_rows_match_the_fraction_free_oracle(case, data):
+    entries, cols = case
+    rows = [sparsify(vector(row)) for row in entries]
+    reduced, pivots = ff_rref(entries, cols)
+    span = Subspace.span_rows(cols, rows)
+    assert (dense_rows(span), span.pivots) == (reduced[: len(pivots)], pivots)
+    kernel = kernel_rows(rows, cols)
+    assert (dense_rows(kernel), kernel.pivots) == _two_elimination_kernel(entries, cols)
+    if data is None:
+        b = [Fraction(k + 1) for k in range(len(entries))]
+    else:
+        size = len(entries)
+        b = data.draw(st.lists(st.sampled_from(_ENTRIES), min_size=size, max_size=size))
+    got = solve_rows(rows, cols, sparsify(vector(b)))
+    want = solve_reference(entries, cols, b)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert densify(got, cols) == tuple(want)
+
+
+def test_a_zero_matrix_has_every_vector_in_its_kernel_and_solves_only_zero():
+    rows = [{}, {}, {}]
+    assert kernel_rows(rows, 2) == Subspace(2, [{0: 1}, {1: 1}], [0, 1])
+    assert Subspace.span_rows(2, rows) == Subspace.zero(2)
+    assert solve_rows(rows, 2, {}) == {}
+    assert solve_rows(rows, 2, {1: 5}) is None
+    assert solve_reference([[0, 0]] * 3, 2, [0, 5, 0]) is None
