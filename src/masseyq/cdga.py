@@ -18,11 +18,11 @@ Every algebra reads its structure constants through one lookup, called by
 presentation stores them.  A free algebra computes the product of two
 monomials when asked (one signed monomial, or zero), and the extension
 computes a product from the base lookup shifted into the right power of
-h and keeps it for the next read; neither tabulates its products.
-Differentials are tabulated degree by degree.  A free algebra and an
-extension take their dimensions from the Poincare series, which is
-checked against SIZE_LIMIT before any basis is built, and build the
-basis and the differential of a degree when that degree is first read.
+h; neither tabulates its products.  Differentials are tabulated degree by
+degree.  A free algebra and an extension take their dimensions from the
+Poincare series, which is checked against SIZE_LIMIT before any basis is
+built, and build the basis and the differential of a degree when that
+degree is first read.
 
 An Element holds its nonzero terms (basis index -> scalar), as do the
 unit and the names; arithmetic, products and differentials visit those
@@ -197,24 +197,18 @@ class TensorInfo:
         # the base degrees with a basis, ascending
         self.support = [b for b in range(len(dims)) if self.block(b, 0)[3]]
         splits, bcap, base_product = self.splits, base.cap, base.product_lookup(0)
-        memo: dict[tuple[int, int, int, int], Terms] = {}
 
         # (h^j1 (x) e)(h^j2 (x) f) = h^(j1+j2) (x) e*f, shifted into the block
-        # of h^(j1+j2) and kept in memo as long as the extension; a table
-        # base is zero above its cap.  grow has built every base degree with
-        # a basis that the lookup reads.
+        # of h^(j1+j2); a table base is zero above its cap.  grow has built
+        # every base degree with a basis that the lookup reads.
         def product(n1: int, i1: int, n2: int, i2: int) -> Terms:
-            key = (n1, i1, n2, i2)
-            terms = memo.get(key)
-            if terms is None:
-                j1, k1 = splits[n1][i1]
-                j2, k2 = splits[n2][i2]
-                b1, b2 = n1 - 2 * j1, n2 - 2 * j2
-                terms = memo[key] = () if b1 + b2 > bcap else tuple(
-                    (dims[n1 + n2] - dims[b1 + b2] + k, c)
-                    for k, c in base_product(b1, k1, b2, k2)
-                )
-            return terms
+            j1, k1 = splits[n1][i1]
+            j2, k2 = splits[n2][i2]
+            b1, b2 = n1 - 2 * j1, n2 - 2 * j2
+            if b1 + b2 > bcap:
+                return ()
+            toff = dims[n1 + n2] - dims[b1 + b2]
+            return tuple((toff + k, c) for k, c in base_product(b1, k1, b2, k2))
 
         self.product = product
 
@@ -1150,9 +1144,7 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
                 for i2 in basis[n2]:
                     ab = product(n1, i1, n2, i2)
                     ba = product(n2, i2, n1, i1)
-                    if (ab or ba) and sparse_sum(ab) != sparse_sum(
-                        (k, sign * c) for k, c in ba
-                    ):
+                    if (ab or ba) and sparse_sum(ab) != sparse_combination(((sign, ba),)):
                         if report(
                             "graded commutativity fails on "
                             f"({label(n1, i1)!r}, {label(n2, i2)!r})"

@@ -59,9 +59,6 @@ SparseVector = dict[int, Scalar]
 
 _ZERO = 0
 _ONE = 1
-# bound once for GradedVector._trusted, which every product and sum calls
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _q(x: Fraction) -> Scalar:
@@ -212,22 +209,11 @@ def sparsify(v: Vector) -> SparseVector:
     return {j: x for j, x in enumerate(v) if x}
 
 
-def sparse_sum(terms: Iterable[tuple[int, Scalar]]) -> SparseVector:
-    """The nonzero coordinates of a sum of ``(index, coefficient)`` terms,
-    in the order of each index's first term (Gustavson's sparse
-    accumulator, ACM TOMS 4(3), 1978); a second pass drops zeros only
-    when some coordinate came out zero."""
-    out: SparseVector = {}
-    zero = False
-    for k, c in terms:
-        out[k] = c = out[k] + c if k in out else c
-        if not c:
-            zero = True
-    return {k: c for k, c in out.items() if c} if zero else out
-
-
 def sparse_combination(pairs: Iterable[tuple[Scalar, Iterable]]) -> SparseVector:
-    """``sparse_sum`` of c * x over the ``(k, x)`` of each ``(c, terms)`` pair."""
+    """The nonzero coordinates of the sum of c * x over the ``(k, x)`` of
+    each ``(c, terms)`` pair, in the order of each index's first term
+    (Gustavson's sparse accumulator, ACM TOMS 4(3), 1978); a second pass
+    drops zeros only when some coordinate came out zero."""
     out: SparseVector = {}
     zero = False
     for c, terms in pairs:
@@ -236,6 +222,11 @@ def sparse_combination(pairs: Iterable[tuple[Scalar, Iterable]]) -> SparseVector
             if not x:
                 zero = True
     return {k: c for k, c in out.items() if c} if zero else out
+
+
+def sparse_sum(terms: Iterable[tuple[int, Scalar]]) -> SparseVector:
+    """The nonzero coordinates of a sum of ``(index, coefficient)`` terms."""
+    return sparse_combination(((_ONE, terms),))
 
 
 class GradedVector:
@@ -267,10 +258,10 @@ class GradedVector:
     def _trusted(cls, owner, degree: int, terms: SparseVector):
         """Wrap terms that masseyq computed itself: indices below the
         owner's dimension, nonzero scalars; nothing is checked."""
-        obj = _new(cls)
-        _set(obj, "_owner", owner)
-        _set(obj, "degree", degree)
-        _set(obj, "terms", terms)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_owner", owner)
+        object.__setattr__(obj, "degree", degree)
+        object.__setattr__(obj, "terms", terms)
         return obj
 
     def __setattr__(self, name, value):
