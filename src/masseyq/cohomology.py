@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cdga import AlgebraMorphism, CochainAlgebra, Element, Terms
 from .errors import (
@@ -501,6 +501,19 @@ class MasseyResult:
     )
 
 
+def _primitive(el: Element) -> Element:
+    """The canonical primitive of the exact cochain el; 0 for el = 0,
+    which needs no differential."""
+    alg, n = el.algebra, el.degree - 1
+    terms = solve_rows(alg.diff_rows(n), alg.dim(n), el.terms) if el.terms else {}
+    if terms is None:
+        raise ConsistencyError(
+            "product of representatives is not exact although the classes "
+            "multiply to zero"
+        )
+    return Element._trusted(alg, n, terms)
+
+
 def triple_massey(
     a: CohomologyClass, b: CohomologyClass, c: CohomologyClass
 ) -> MasseyResult:
@@ -546,26 +559,10 @@ def triple_massey(
             right_product=right,
         )
 
-    alg = ring.algebra
     A, B, C = ring.lift(a), ring.lift(b), ring.lift(c)
 
-    ab = A.bar() * B
-    x_terms = solve_rows(alg.diff_rows(p + q - 1), alg.dim(p + q - 1), ab.terms)
-    if x_terms is None:
-        raise ConsistencyError(
-            "product of representatives is not exact although the classes "
-            "multiply to zero"
-        )
-    x = Element._trusted(alg, p + q - 1, x_terms)
-
-    bc = B.bar() * C
-    y_terms = solve_rows(alg.diff_rows(q + r - 1), alg.dim(q + r - 1), bc.terms)
-    if y_terms is None:
-        raise ConsistencyError(
-            "product of representatives is not exact although the classes "
-            "multiply to zero"
-        )
-    y = Element._trusted(alg, q + r - 1, y_terms)
+    x = _primitive(A.bar() * B)
+    y = _primitive(B.bar() * C)
 
     rep = A.bar() * y + x.bar() * C
     try:
@@ -617,15 +614,20 @@ class ContainmentReport:
 
 
 def check_scaling_law(
-    xi: CohomologyClass, base: MasseyResult, slot: int
+    xi: CohomologyClass,
+    base: MasseyResult,
+    slot: int,
+    product: Optional[Callable[..., MasseyResult]] = None,
 ) -> tuple[ContainmentReport, MasseyResult, MasseyResult]:
     """Verify xi * <a1,a2,a3> lies inside the product with xi in one slot.
 
     ``base`` is the already computed product <a1,a2,a3>; its inputs are
     read from ``base.inputs``.  ``slot`` is 1, 2 or 3 and names the input
     that absorbs xi.  The class xi must have even degree so that the
-    scaled product is again defined.  Returns the containment report
-    together with both product results.
+    scaled product is again defined.  ``product`` computes the scaled
+    product, ``triple_massey`` by default; a caller passes a table's
+    lookup to share it.  Returns the containment report together with
+    both product results.
     """
     if slot not in (1, 2, 3):
         raise ValueError("slot must be 1, 2 or 3")
@@ -639,7 +641,7 @@ def check_scaling_law(
         )
     scaled_inputs = list(base.inputs)
     scaled_inputs[slot - 1] = cup(xi, scaled_inputs[slot - 1])
-    scaled = triple_massey(*scaled_inputs)
+    scaled = (product or triple_massey)(*scaled_inputs)
     if not scaled.defined:
         raise ConsistencyError(
             "scaled triple product must be defined when the base product is; "

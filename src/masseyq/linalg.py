@@ -430,9 +430,12 @@ def solve_rows(
     inconsistent.
 
     The solution sets every free variable to zero, so it is unique and
-    reproducible.  Inconsistency is detected by a pivot appearing in the
-    augmented column.
+    reproducible; for b = 0 it is 0, returned without an elimination.
+    Inconsistency is detected by a pivot appearing in the augmented
+    column.
     """
+    if not b:
+        return {}
     augmented = list(rows)
     for k, c in b.items():
         augmented[k] = {**augmented[k], cols: c}

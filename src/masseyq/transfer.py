@@ -78,13 +78,17 @@ def build_setup(
 
 class SetupTable:
     """The equivariant setups of one request, an extension ring per (base,
-    cap, h name), and their Euler classes, one per (ring, Euler data).
+    cap, h name), their Euler classes, one per (ring, Euler data), and
+    the triple products computed over them, one per (ring, inputs).
 
     A caller makes one table per request, passes it to everything that
     needs a setup and drops it with the request; nothing outlives it.
     Bases and Euler data are told apart by object: a request resolves
     each spec once, so configs over one model share its ring, while two
-    equal bases given as distinct objects get a ring each.
+    equal bases given as distinct objects get a ring each.  Triple
+    products are told apart by ring object and by the degree and terms of
+    each input, so Lemma 3.2's chain and the Gysin stage compute each
+    distinct product once.
     """
 
     def __init__(self):
@@ -96,6 +100,7 @@ class SetupTable:
         self._classes: dict[
             tuple[int, int], tuple[CohomologyRing, EulerData, EulerClass]
         ] = {}
+        self._products: dict[tuple, tuple[CohomologyRing, MasseyResult]] = {}
 
     def setup(
         self, base: CochainAlgebra, cap: Optional[int] = None, hname: str = "h"
@@ -115,6 +120,20 @@ class SetupTable:
         if entry is None:
             entry = self._classes[key] = (ring, euler, euler.build(ring))
         return entry[2]
+
+    def massey(
+        self, a: CohomologyClass, b: CohomologyClass, c: CohomologyClass
+    ) -> MasseyResult:
+        """``triple_massey(a, b, c)``, computed once per table; an
+        exception is raised again on each call, not stored."""
+        key = tuple(
+            (id(x.ring), x.degree, frozenset(x.terms.items())) for x in (a, b, c)
+        )
+        entry = self._products.get(key)
+        if entry is None:
+            # stored only once computed, so all three share the ring held
+            entry = self._products[key] = (a.ring, triple_massey(a, b, c))
+        return entry[1]
 
 
 def formal_degree(algebra: CochainAlgebra, poly: PolyInput) -> int:
@@ -591,8 +610,8 @@ def check_euler_scaled_massey(
     product but outside the ideal of the scaled outer classes, so the
     scaled product cannot vanish.  The cap is sized automatically from
     the input degrees and never truncates the given base presentation.
-    With ``setups`` the extension ring and the Euler class come from that
-    table.
+    With ``setups`` the extension ring, the Euler class and the triple
+    products come from that table.
     """
     required = required_cap(base, u, v, w, euler.m)
     cap = max(required, min_cap or 0, base.cap)
@@ -610,7 +629,7 @@ def check_euler_scaled_massey(
     w_cls = as_class(base_ring, w)
 
     try:
-        base_result = triple_massey(u_cls, v_cls, w_cls)
+        base_result = setups.massey(u_cls, v_cls, w_cls)
     except AlgebraValidationError as exc:
         raise PremiseError(f"the base triple product is not available: {exc}")
     if not base_result.defined:
@@ -626,7 +645,7 @@ def check_euler_scaled_massey(
     U = embed.apply(u_cls)
     V = embed.apply(v_cls)
     W = embed.apply(w_cls)
-    embedded_result = triple_massey(U, V, W)
+    embedded_result = setups.massey(U, V, W)
     if not embedded_result.defined:
         raise ConsistencyError(
             "embedded triple product must be defined when the base one is"
@@ -649,9 +668,10 @@ def check_euler_scaled_massey(
             "extension's product"
         )
 
-    chain1, _, scaled1 = check_scaling_law(chi.cls, embedded_result, 1)
-    chain2, _, scaled2 = check_scaling_law(chi.cls, scaled1, 2)
-    chain3, _, scaled_result = check_scaling_law(chi.cls, scaled2, 3)
+    product = setups.massey
+    chain1, _, scaled1 = check_scaling_law(chi.cls, embedded_result, 1, product)
+    chain2, _, scaled2 = check_scaling_law(chi.cls, scaled1, 2, product)
+    chain3, _, scaled_result = check_scaling_law(chi.cls, scaled2, 3, product)
     for step, report in enumerate((chain1, chain2, chain3), start=1):
         if not report.holds:
             raise ConsistencyError(
@@ -953,6 +973,7 @@ def check_gysin_transfer(
     u: ClassInput,
     v: ClassInput,
     w: ClassInput,
+    setups: Optional[SetupTable] = None,
 ) -> GysinReport:
     """Transfer a non-vanishing scaled product from the fixed locus upstairs.
 
@@ -962,8 +983,12 @@ def check_gysin_transfer(
     consecutive products vanish both by restriction and by direct
     computation, the restriction maps the ambient product coset into the
     fixed one, and non-vanishing downstairs therefore transfers upstairs.
-    A vanishing fixed product is reported as inconclusive.
+    A vanishing fixed product is reported as inconclusive.  The two
+    products come from ``setups``, or from a table of this call, so over a
+    tautological datum, where the pushforward is multiplication by chi in
+    the fixed ring, the ambient product is the fixed one.
     """
+    setups = setups or SetupTable()
     fring = datum.fixed_ring
     chi_cls = datum.chi.cls
     u_cls = as_class(fring, u)
@@ -973,7 +998,7 @@ def check_gysin_transfer(
     chi_u = cup(chi_cls, u_cls)
     chi_v = cup(chi_cls, v_cls)
     chi_w = cup(chi_cls, w_cls)
-    fixed_result = triple_massey(chi_u, chi_v, chi_w)
+    fixed_result = setups.massey(chi_u, chi_v, chi_w)
     if not fixed_result.defined:
         raise UndefinedProductError(
             "the scaled product over the fixed locus is not defined: "
@@ -1001,7 +1026,7 @@ def check_gysin_transfer(
         zeros.append((scaled.is_zero(), pushed.is_zero()))
     (uv_restrict_zero, uv_direct_zero), (vw_restrict_zero, vw_direct_zero) = zeros
 
-    ambient_result = triple_massey(U, V, W)
+    ambient_result = setups.massey(U, V, W)
     if not ambient_result.defined:
         raise ConsistencyError(
             "ambient product must be defined once both obstructions vanish"
@@ -1074,14 +1099,15 @@ def run_transfer_pipeline(
     ``tautological`` builds the datum first, over ``base`` with
     ``euler``, sized by ``tautological_from_parts``.
 
-    The rings and Euler classes come from ``setups``, or from a table of
-    this call.  The findings are the datum's own, computed once per datum
-    object, so a datum shared by the configs of one request is validated
-    once.  Over a stored datum the Euler stage rebuilds the extension of
-    the datum's fixed base by the same deterministic construction that
-    made the fixed model, so the two agree by construction and are not
-    compared; over a tautological datum it runs over ``base`` at the
-    datum's cap, so its ring and class are the datum's own.
+    The rings, Euler classes and triple products come from ``setups``, or
+    from a table of this call.  The findings are the datum's own, computed
+    once per datum object, so a datum shared by the configs of one request
+    is validated once.  Over a stored datum the Euler stage rebuilds the
+    extension of the datum's fixed base by the same deterministic
+    construction that made the fixed model, so the two agree by
+    construction and are not compared; over a tautological datum it runs
+    over ``base`` at the datum's cap, so its ring and class are the
+    datum's own.
     """
     setups = setups or SetupTable()
     hname = "h"
@@ -1126,7 +1152,7 @@ def run_transfer_pipeline(
     gysin_error: Optional[str] = None
     if datum is not None:
         try:
-            gysin_report = check_gysin_transfer(datum, u, v, w)
+            gysin_report = check_gysin_transfer(datum, u, v, w, setups)
         except (UndefinedProductError, DegreeCapError) as exc:
             gysin_error = str(exc)
 

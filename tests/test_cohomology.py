@@ -5,6 +5,7 @@ import itertools
 import os
 import random
 import weakref
+from unittest import mock
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from masseyq.cdga import (
+    CochainAlgebra,
     Element,
     build_free_cdga,
     build_morphism,
@@ -913,7 +915,14 @@ def _massey_triples(draw):
 @given(_massey_triples())
 def test_triple_products_match_the_massey_coset_oracle(drawn):
     ring, oracle, triples = drawn
+    for a, b, c in triples:
+        _assert_matches_the_oracle(ring, oracle, triple_massey(a, b, c))
+
+
+def _assert_matches_the_oracle(ring, oracle, result):
+    """``result`` is the coset massey_coset_oracle finds for its inputs."""
     algebra = ring.algebra
+    a, b, c = result.inputs
 
     def poly(el):
         labels = algebra.basis_labels(el.degree)
@@ -923,36 +932,67 @@ def test_triple_products_match_the_massey_coset_oracle(drawn):
         reduced, pivots = ff_rref(vectors, cols)
         return reduced[: len(pivots)]
 
+    want = massey_coset_oracle(
+        oracle, *(poly(ring.lift(x)) for x in (a, b, c)), a.degree, b.degree, c.degree
+    )
+    # defined iff both neighbouring products vanish
+    assert result.defined == want["defined"]
+    assert result.defined == (cup(a, b).is_zero() and cup(b, c).is_zero())
+    if not result.defined:
+        return
+    n, basis = want["degree"], want["basis"]
+    coords = lambda el: [poly(el).get(e, Fraction(0)) for e in basis]
+    cols = len(basis)
+    # the same direction: lifts of the indeterminacy plus coboundaries
+    lifts = [
+        coords(ring.lift(CohomologyClass(ring, n, v)))
+        for v in dense_rows(result.indeterminacy)
+    ]
+    assert span(list(want["coboundaries"]) + lifts, cols) == want["direction"]
+    assert len(want["direction"]) == len(want["coboundaries"]) + result.indeterminacy.dim
+    # the same coset: the two representatives differ by a direction vector
+    diff = [x - y for x, y in zip(coords(result.representative), want["rep"])]
+    assert len(span(list(want["direction"]) + [diff], cols)) == len(want["direction"])
+    point = densify(result.coset.point, ring.class_dim(n))
+    point = coords(ring.lift(CohomologyClass(ring, n, point)))
+    diff = [x - y for x, y in zip(point, want["rep"])]
+    assert len(span(list(want["direction"]) + [diff], cols)) == len(want["direction"])
+    # vanishes iff 0 lies in the coset, and the ideal verdict agrees
+    assert result.vanishes == want["vanishes"]
+    assert result.in_ideal == result.vanishes
+
+
+def _heisenberg_xxy():
+    gens, diffs = [("x", 1), ("y", 1), ("z", 1)], {"z": "x*y"}
+    ring = CohomologyRing(build_free_cdga(gens, diffs, 4))
+    x, y = ring.basis_classes(1)
+    return ring, FreeCdgaOracle(gens, {"z": [(1, ("x", "y"))]}), [(x, x, y)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_massey_triples())
+@example(_heisenberg_xxy())  # x*x = 0 as cochains: the x-witness is 0
+def test_a_zero_cochain_product_has_the_zero_primitive_without_a_solve(drawn):
+    ring, oracle, triples = drawn
+    real = CochainAlgebra.diff_rows
     for a, b, c in triples:
-        result = triple_massey(a, b, c)
-        want = massey_coset_oracle(
-            oracle, *(poly(ring.lift(x)) for x in (a, b, c)), a.degree, b.degree, c.degree
-        )
-        # defined iff both neighbouring products vanish
-        assert result.defined == want["defined"]
-        assert result.defined == (cup(a, b).is_zero() and cup(b, c).is_zero())
+        first = triple_massey(a, b, c)  # builds the ring's degree data
+        read = []
+        with mock.patch.object(
+            CochainAlgebra, "diff_rows", lambda alg, n: read.append(n) or real(alg, n)
+        ):
+            result = triple_massey(a, b, c)
+        assert result == first
         if not result.defined:
             continue
-        n, basis = want["degree"], want["basis"]
-        coords = lambda el: [poly(el).get(e, Fraction(0)) for e in basis]
-        cols = len(basis)
-        # the same direction: lifts of the indeterminacy plus coboundaries
-        lifts = [
-            coords(ring.lift(CohomologyClass(ring, n, v)))
-            for v in dense_rows(result.indeterminacy)
-        ]
-        assert span(list(want["coboundaries"]) + lifts, cols) == want["direction"]
-        assert len(want["direction"]) == len(want["coboundaries"]) + result.indeterminacy.dim
-        # the same coset: the two representatives differ by a direction vector
-        diff = [x - y for x, y in zip(coords(result.representative), want["rep"])]
-        assert len(span(list(want["direction"]) + [diff], cols)) == len(want["direction"])
-        point = densify(result.coset.point, ring.class_dim(n))
-        point = coords(ring.lift(CohomologyClass(ring, n, point)))
-        diff = [x - y for x, y in zip(point, want["rep"])]
-        assert len(span(list(want["direction"]) + [diff], cols)) == len(want["direction"])
-        # vanishes iff 0 lies in the coset, and the ideal verdict agrees
-        assert result.vanishes == want["vanishes"]
-        assert result.in_ideal == result.vanishes
+        A, B, C = (ring.lift(x) for x in (a, b, c))
+        products = (A.bar() * B, B.bar() * C)
+        # one d read per nonzero product; a zero one has the zero primitive
+        assert read == [p.degree - 1 for p in products if not p.is_zero()]
+        for product, witness in zip(products, (result.x_witness, result.y_witness)):
+            assert witness.d() == product
+            assert witness.is_zero() == product.is_zero()
+        _assert_matches_the_oracle(ring, oracle, result)
 
 
 _TABLE_MODELS = [

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from masseyq import linalg
 from masseyq.linalg import (
     AffineCoset,
     Matrix,
@@ -316,6 +318,17 @@ def test_sparse_solve_matches_the_fraction_free_oracle(system):
     else:
         assert got is not None and 0 not in got.values()
         assert densify(got, cols) == tuple(want)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_sparse_systems())
+@example(([], 0, {}))
+def test_a_homogeneous_system_solves_to_zero_without_an_elimination(system):
+    rows, cols, _ = system
+    with mock.patch.object(linalg, "_eliminate", side_effect=AssertionError):
+        assert solve_rows(rows, cols, {}) == {}
+    dense = [densify(row, cols) for row in rows]
+    assert solve_reference(dense, cols, [0] * len(rows)) == [0] * cols
 
 
 @st.composite

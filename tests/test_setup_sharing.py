@@ -1,25 +1,31 @@
-"""One setup per base object, cap and h name in a request; one ring per datum side.
+"""One setup per base object, cap and h name in a request; one ring per datum
+side; one triple product per ring and input classes.
 
 A scan resolves each spec once and shares equivariant setups between its
 configs, so every row must equal the row its config gives when scanned
 alone.  Bases are told apart by object, so two equal bases resolved from
 different specs get a setup each.  A transfer datum is built with the
 rings it is used with, and ring counts pin that no request builds them
-twice.  The Euler stage over a datum rebuilds the datum's fixed model by
+twice, and product counts that none computes a triple product twice.
+The Euler stage over a datum rebuilds the datum's fixed model by
 the construction that made it; the by-construction test below is the
 check that used to run on every pipeline call.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import random
+import weakref
 
 import pytest
 
+import masseyq.cohomology as cohomology
 import masseyq.transfer as transfer
 from masseyq.cli import main
-from masseyq.cohomology import CohomologyRing
+from masseyq.cohomology import CohomologyClass, CohomologyRing
+from masseyq.errors import DegreeCapError
 from masseyq.fileformat import load_datum, parse_family_document
 from masseyq.models import BUILTIN_MODELS, builtin_datum, builtin_family, builtin_model
 from masseyq.transfer import (
@@ -181,6 +187,97 @@ def test_tautological_data_build_no_rings_of_their_own(monkeypatch, capsys, argv
     assert main(argv) == (12 if ROTATION in argv else 0)
     capsys.readouterr()
     assert len(built) == rings
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The inputs of every triple product computed while the test runs."""
+    made = []
+    real = cohomology.triple_massey
+
+    def counting(a, b, c):
+        made.append((a, b, c))
+        return real(a, b, c)
+
+    for module in (cohomology, transfer):
+        monkeypatch.setattr(module, "triple_massey", counting)
+    return made
+
+
+@pytest.mark.parametrize(
+    "argv, products",
+    [
+        # 28 asked: the base and embedded products of <x,x,y> are computed
+        # once over the shared Heisenberg ring, and the Gysin stage of the
+        # tautological config reads the Euler stage's fully scaled product
+        (["scan", "builtin:default"], 19),
+        # the base, embedded and three scaled products; the Gysin stage's
+        # fixed and ambient products are the fully scaled one
+        (["theorem11", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1"], 5),
+        # every product of the chain is distinct
+        (["lemma32", "builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1",
+          "--cap", "12"], 5),
+    ],
+)
+def test_a_request_computes_each_distinct_triple_product_once(
+    computed, capsys, argv, products
+):
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(computed) == products
+    keys = {
+        tuple((id(x.ring), x.degree, frozenset(x.terms.items())) for x in triple)
+        for triple in computed
+    }
+    assert len(keys) == products
+
+
+def _heisenberg_extension():
+    return build_setup(builtin_model("heisenberg"), 9)
+
+
+def test_a_setup_table_shares_products_and_a_fresh_table_recomputes(computed):
+    ring = _heisenberg_extension()
+    x, y = ring.basis_classes(1)
+    setups = SetupTable()
+    first = setups.massey(x, x, y)
+    # equal inputs given as other objects are the same product
+    again = setups.massey(*(CohomologyClass(ring, 1, c.coords) for c in (x, x, y)))
+    assert again is first and len(computed) == 1
+    assert setups.massey(x, y, y) is not first and len(computed) == 2
+    fresh = SetupTable().massey(x, x, y)
+    assert fresh is not first and fresh == first and len(computed) == 3
+
+
+def test_a_failed_product_is_not_stored(computed):
+    ring = _heisenberg_extension()
+    x, _ = ring.basis_classes(1)
+    top = ring.basis_classes(ring.top)[0]
+    setups = SetupTable()
+    for _ in range(2):
+        with pytest.raises(DegreeCapError):
+            setups.massey(x, x, top)
+    assert len(computed) == 2
+
+
+def test_a_pipeline_through_a_setup_table_leaves_no_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        base = builtin_model("heisenberg")
+        setups = SetupTable()
+        report = run_transfer_pipeline(
+            base, "x", "x", "y", euler=EulerData.of(chi="h", m=1),
+            tautological=True, setups=setups,
+        )
+        assert report.verdict == "non-vanishing"
+        ring = report.euler.ring
+        refs = [weakref.ref(ring), weakref.ref(ring.block_ring), weakref.ref(base)]
+        del base, setups, report, ring
+        assert [ref() for ref in refs] == [None, None, None]
+        assert gc.collect() == 0  # and nothing else was left in a cycle
+    finally:
+        gc.enable()
 
 
 def test_the_euler_stage_reuses_the_tautological_datum_setup(monkeypatch):
