@@ -224,6 +224,20 @@ CASES = [
         ["massey", "builtin:heisenberg", _BIG + "*x", "x", "y"],
         2,
     ),
+    # A table that fails the axiom scan names its first basis line.
+    ("cohomology-non-associative", ["cohomology", "non-associative.alg"], 3),
+    # The one verdict the scaled check gives on valid input when chi's
+    # top coefficient is no unit: the witness lies in the scaled ideal.
+    (
+        "lemma32-two-factor-member",
+        ["lemma32", "two-factor-member.alg", "x", "x", "y", "--chi", "p*h + s", "--m", "1"],
+        10,
+    ),
+    (
+        "theorem11-two-factor-member",
+        ["theorem11", "two-factor-member.alg", "x", "x", "y", "--chi", "p*h + s", "--m", "1"],
+        10,
+    ),
 ]
 
 
@@ -235,6 +249,7 @@ HUMAN = {
     "theorem11-rotation",
     "scan-default",
     "cohomology-exterior-20",
+    "lemma32-two-factor-member",
 }
 
 def _run(argv: list[str], fmt: str) -> tuple[int, str]:
