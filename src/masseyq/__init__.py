@@ -26,7 +26,6 @@ from .cdga import (
     Element,
     build_free_cdga,
     build_table_algebra,
-    identity_morphism,
     parse_polynomial,
     recap,
     tensor_polynomial_generator,
@@ -38,7 +37,6 @@ from .cohomology import (
     CohomologyRing,
     InducedMap,
     MasseyResult,
-    check_functoriality,
     check_scaling_law,
     cup,
     ideal_degree_piece,
@@ -78,7 +76,7 @@ from .fileformat import (
     resolve_datum_spec,
     resolve_model_spec,
 )
-from .report import Report, report_from_json
+from .report import Report
 from .cli import main
 
 __version__ = "0.1.0"
@@ -116,7 +114,6 @@ __all__ = [
     "builtin_family",
     "builtin_model",
     "check_euler_scaled_massey",
-    "check_functoriality",
     "check_gysin_transfer",
     "check_scaling_law",
     "class_h_components",
@@ -126,7 +123,6 @@ __all__ = [
     "formal_degree",
     "h_comparison_check",
     "ideal_degree_piece",
-    "identity_morphism",
     "load_algebra_document",
     "load_datum",
     "load_family",
@@ -136,7 +132,6 @@ __all__ = [
     "parse_family_document",
     "parse_polynomial",
     "recap",
-    "report_from_json",
     "required_cap",
     "resolve_datum_spec",
     "resolve_model_spec",

@@ -56,7 +56,6 @@ from .linalg import (
     SparseVector,
     _q,
     apply_columns,
-    columns_of_rows,
     fr,
     solve_rows,
     sparse_combination,
@@ -1284,9 +1283,8 @@ class AlgebraMorphism:
 
     ``columns[n][i]`` is the image of source basis vector i of degree n,
     for n up to the trust cap (at most the smaller of the two caps).  This
-    class only stores and applies
-    the data; build_morphism checks that it is a morphism, while
-    identity_morphism is one by construction.
+    class only stores and applies the data; ``validate_morphism`` checks
+    that it is a morphism.
     """
 
     def __init__(
@@ -1378,74 +1376,3 @@ def validate_morphism(f: AlgebraMorphism) -> list[str]:
                             f"{src.basis_label(n2, i2)!r})"
                         )
     return problems
-
-
-def build_morphism(
-    source: CochainAlgebra,
-    target: CochainAlgebra,
-    images: Optional[Mapping[str, Element]] = None,
-    matrices: Optional[Sequence[Sequence[Sequence]]] = None,
-) -> AlgebraMorphism:
-    """Construct and verify a morphism of cochain algebras.
-
-    For a free source pass generator ``images`` (target elements of the
-    generator degrees); basis monomials map to ordered products of the
-    images.  Otherwise pass explicit per-degree ``matrices``: the rows of
-    each, dim target(n) of them with dim source(n) entries, are read into
-    sparse columns by ``columns_of_rows``.  Validation rejects maps that
-    fail to commute with the differential, fail multiplicativity, or move
-    the unit.
-    """
-    if images is not None:
-        if source.generators is None:
-            raise AlgebraValidationError(
-                "generator images need a free source algebra"
-            )
-        for g in source.generators:
-            if g.name not in images:
-                raise AlgebraValidationError(f"no image given for {g.name!r}")
-            img = images[g.name]
-            if img.algebra is not target:
-                raise AlgebraValidationError(
-                    f"image of {g.name!r} lives in the wrong algebra"
-                )
-            if img.degree != g.degree:
-                raise AlgebraValidationError(
-                    f"image of {g.name!r} has degree {img.degree}, want {g.degree}"
-                )
-        columns = []
-        for n in range(min(source.cap, target.cap) + 1):
-            degree = []
-            for mono in source.basis_labels(n):
-                out = target.unit()
-                if mono != "1":
-                    for nm in mono.split("*"):
-                        out = target.multiply(out, images[nm])
-                degree.append(out.terms)
-            columns.append(degree)
-        f = AlgebraMorphism(source, target, columns)
-    elif matrices is not None:
-        columns = []
-        for n, rows in enumerate(matrices):
-            want = (target.dim(n), source.dim(n))
-            shape = (len(rows), len(rows[0]) if rows else want[1])
-            if shape != want:
-                raise ValueError(
-                    f"matrix shape {shape[0]}x{shape[1]} wrong in degree {n}: "
-                    f"want {want[0]}x{want[1]}"
-                )
-            columns.append(columns_of_rows(rows, want[1]))
-        f = AlgebraMorphism(source, target, columns)
-    else:
-        raise ValueError("pass either generator images or matrices")
-    problems = validate_morphism(f)
-    if problems:
-        raise AlgebraValidationError(problems[0])
-    return f
-
-
-def identity_morphism(a: CochainAlgebra) -> AlgebraMorphism:
-    return AlgebraMorphism(
-        a, a, [[{i: _ONE} for i in range(a.dim(n))] for n in range(a.cap + 1)]
-    )
-

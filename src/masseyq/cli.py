@@ -165,9 +165,6 @@ def _euler_scaled_payload(rep: EulerScaledReport) -> dict:
         payload["ideal-solution"] = {
             "a": str(rep.machinery.solution_a),
             "b": str(rep.machinery.solution_b),
-            "t-vanishes": rep.machinery.t_is_zero,
-            "extracted": str(rep.machinery.extracted),
-            "extraction-matches": rep.machinery.extraction_matches,
         }
     return payload
 
@@ -498,11 +495,7 @@ def _render_euler_scaled(payload: dict) -> list[str]:
     )
     if "ideal-solution" in payload:
         sol = payload["ideal-solution"]
-        lines.append(
-            f"  ideal solution a = {sol['a']}, b = {sol['b']}; "
-            f"t vanishes: {_yesno(sol['t-vanishes'])}; "
-            f"extraction matches: {_yesno(sol['extraction-matches'])}"
-        )
+        lines.append(f"  ideal solution a = {sol['a']}, b = {sol['b']}")
     return lines
 
 

@@ -107,11 +107,6 @@ class CohomologyClass(GradedVector):
     def representative(self) -> Element:
         return self.ring.lift(self)
 
-    def __mul__(self, other):
-        if isinstance(other, CohomologyClass):
-            return cup(self, other)
-        return self.scale(other)
-
     def __str__(self):
         return f"[{self.representative()}]"
 
@@ -765,26 +760,3 @@ class InducedMap:
         images = [apply_columns(columns, row) for row in coset.direction.rows]
         direction = Subspace.span_rows(dim, images)
         return AffineCoset(apply_columns(columns, coset.point), direction)
-
-
-def check_functoriality(
-    fmap: InducedMap,
-    a: CohomologyClass,
-    b: CohomologyClass,
-    c: CohomologyClass,
-) -> tuple[ContainmentReport, MasseyResult, MasseyResult]:
-    """Verify the image of <a,b,c> lies inside <f a, f b, f c>."""
-    source_result = triple_massey(a, b, c)
-    if not source_result.defined:
-        raise AlgebraValidationError(
-            f"source triple product is not defined: {source_result.reason}"
-        )
-    fa, fb, fc = fmap.apply(a), fmap.apply(b), fmap.apply(c)
-    target_result = triple_massey(fa, fb, fc)
-    if not target_result.defined:
-        raise ConsistencyError(
-            "image triple product must be defined when the source product is; "
-            f"got: {target_result.reason}"
-        )
-    report = ContainmentReport.of(fmap, source_result, target_result)
-    return report, source_result, target_result

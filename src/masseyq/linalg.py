@@ -18,8 +18,8 @@ and certificates.  A cochain (``Element``) and a class
 that dict and its ``coords`` the dense tuple, a view computed on each
 access.  A linear map is held as sparse columns, one per source basis
 vector (``apply_columns``, ``transpose``); matrix data from outside,
-such as datum files and ``build_morphism(matrices=...)``, is read into
-sparse columns where it enters (``columns_of_rows``).  Dense tuples
+such as datum files, is read into sparse columns where it enters
+(``columns_of_rows``).  Dense tuples
 remain only at public edges: ``coords``, and ``Matrix``, a dense
 row-major grid, with ``rref`` and ``solve`` on it, public dense helpers
 that nothing in the package calls; they are due for removal.

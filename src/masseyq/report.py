@@ -101,24 +101,6 @@ class Report:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def report_from_json(text: str) -> Report:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not a structured report: {exc}")
-    if not isinstance(doc, dict):
-        raise ParseError("a structured report must be a JSON object")
-    missing = {"command", "status", "exit_code", "payload"} - set(doc)
-    if missing:
-        raise ParseError(f"report misses keys: {', '.join(sorted(missing))}")
-    return Report(
-        command=doc["command"],
-        status=doc["status"],
-        exit_code=doc["exit_code"],
-        payload=doc["payload"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # human rendering helpers
 # ---------------------------------------------------------------------------

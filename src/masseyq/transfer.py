@@ -53,7 +53,7 @@ from .errors import (
     PremiseError,
     UndefinedProductError,
 )
-from .linalg import Scalar, Subspace, _div, kernel_rows, solve_rows, transpose
+from .linalg import Subspace, kernel_rows, solve_rows, transpose
 from .report import STATUS_INTERNAL, STATUS_INVALID, outcome
 
 ClassInput = Union[str, list, CohomologyClass]
@@ -438,19 +438,12 @@ class HComparisonReport:
 
     ``fired`` means a checked certificate shows that the witness avoids
     the ideal.  When the witness is a member the report carries the
-    certified coefficients together with their consequences: the
-    combination t = chi^2 x - u a - w b is killed by chi and must
-    therefore vanish, and comparing top h coefficients of
-    chi^2 x = u a + w b exhibits the base representative inside the base
-    ideal of u and w.
+    certified coefficients a and b of z = (chi u) a + (chi w) b.
     """
 
     fired: bool
     solution_a: Optional[CohomologyClass] = None
     solution_b: Optional[CohomologyClass] = None
-    t_is_zero: Optional[bool] = None
-    extracted: Optional[CohomologyClass] = None
-    extraction_matches: Optional[bool] = None
 
 
 def h_comparison_check(
@@ -467,12 +460,18 @@ def h_comparison_check(
     of z, whose ideal columns and indeterminacy span that ideal's degree
     piece.  Certifies z = (chi u) a + (chi w) b over the extension ring,
     or a functional separating z from the ideal; the latter fires.  A
-    solution is pushed through the comparison argument: chi is not a zero
-    divisor, so chi^2 x = u a + w b on the nose, and reading off the
-    h^(2m) coefficient writes the base class x inside the base ideal (u, w).
+    member is checked by a second route: t = chi^2 x - u a - w b is
+    killed by chi, so it vanishes, chi being no zero divisor there.
+
+    Nothing more is read off a member.  With chi = c h^m + (lower powers
+    of h), the h^(2m) coefficient of chi^2 x = u a + w b is
+    c^2 x = u a_2m + w b_2m.  Were c a unit of H^0 of the base, x would
+    lie in the base ideal (u, w) and the base product would vanish, which
+    the premise excludes.  So a member is found only when c is no unit
+    (say, one of two idempotents of H^0), and then c^2 x in (u, w) says
+    nothing about x.
     """
     ring = chi.cls.ring
-    base_ring = ring.block_ring
     chi_u, _, chi_w = scaled.inputs
     certificate = certify_ideal_membership(
         chi_u, chi_w, z, scaled.ideal_columns, scaled.indeterminacy
@@ -481,7 +480,7 @@ def h_comparison_check(
         return HComparisonReport(fired=True)
     a_cls, b_cls = certificate.coefficients
 
-    embed = InducedMap.leading_block(base_ring, ring)
+    embed = InducedMap.leading_block(ring.block_ring, ring)
     x_ext = embed.apply(x)
     u_ext = embed.apply(u)
     w_ext = embed.apply(w)
@@ -496,51 +495,7 @@ def h_comparison_check(
             "found a class killed by the Euler class although the "
             "zero-divisor check passed"
         )
-
-    two_m = 2 * chi.m
-    a_comp = class_h_components(a_cls).get(two_m)
-    b_comp = class_h_components(b_cls).get(two_m)
-    lam = class_h_components(chi2).get(two_m)
-
-    extracted = matches = None
-    scalar = _unit_multiple(base_ring, lam)
-    if scalar is not None and scalar != 0:
-        rhs = base_ring.zero_class(x.degree)
-        if a_comp is not None:
-            rhs = rhs + cup(u, a_comp)
-        if b_comp is not None:
-            rhs = rhs + cup(w, b_comp)
-        extracted = rhs.scale(_div(1, scalar))
-        matches = extracted == x
-        if not matches:
-            raise ConsistencyError(
-                "h-coefficient comparison did not reproduce the base "
-                "representative from the membership solution"
-            )
-    return HComparisonReport(
-        fired=False,
-        solution_a=a_cls,
-        solution_b=b_cls,
-        t_is_zero=True,
-        extracted=extracted,
-        extraction_matches=matches,
-    )
-
-
-def _unit_multiple(
-    ring: CohomologyRing, cls: Optional[CohomologyClass]
-) -> Optional[Scalar]:
-    """The scalar c with cls = c * [1], or None if there is no such c."""
-    if cls is None or cls.degree != 0:
-        return None
-    unit = ring.unit_class()
-    if unit.is_zero():
-        return None
-    pivot = min(unit.terms)
-    scalar = _div(cls.terms.get(pivot, 0), unit.terms[pivot])
-    if cls.terms != unit.scale(scalar).terms:
-        return None
-    return scalar
+    return HComparisonReport(fired=False, solution_a=a_cls, solution_b=b_cls)
 
 
 # --------------------------------------------------------------------------

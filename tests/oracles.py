@@ -677,6 +677,15 @@ def _base_block(a, ext, role):
     return out
 
 
+def identity_morphism(a):
+    """The identity of ``a`` on every degree up to its cap."""
+    from masseyq.cdga import AlgebraMorphism
+
+    return AlgebraMorphism(
+        a, a, [[{i: 1} for i in range(a.dim(n))] for n in range(a.cap + 1)]
+    )
+
+
 def tensor_embedding(a, ext):
     """The inclusion of the base into ``base (x) Q[h]`` (h power zero), a
     morphism when ``a`` is the base of ``ext``."""
@@ -711,7 +720,6 @@ def block_map_mismatches(ring, restrict_map):
     ``InducedMap.leading_block``) or ``restrict_map`` (a tautological
     datum's, over ``ring``) differs from the map its cochain map induces,
     in every degree up to its top; the tops must agree too."""
-    from masseyq.cdga import identity_morphism
     from masseyq.cohomology import InducedMap
 
     base, ext = ring.block_ring, ring
@@ -893,7 +901,6 @@ def full_datum_findings(datum):
     of its own, so every check runs on it.  The copy of a
     ``TautologicalDatum`` restricts by the identity morphism and pushes by
     the columns of cup with chi."""
-    from masseyq.cdga import identity_morphism
     from masseyq.cohomology import CohomologyRing, InducedMap
     from masseyq.transfer import (
         HamiltonianTransferDatum,

@@ -19,13 +19,13 @@ from masseyq.cdga import (
     AlgebraMorphism,
     CochainAlgebra,
     build_free_cdga,
-    identity_morphism,
     tensor_polynomial_generator,
     validate_algebra,
     validate_morphism,
 )
 from masseyq.models import BUILTIN_MODELS, builtin_datum, builtin_model
 from oracles import (
+    identity_morphism,
     random_free_cdga,
     tensor_embedding,
     tensor_retraction,

@@ -10,7 +10,6 @@ import pytest
 import masseyq.transfer as transfer
 from masseyq import cli
 from masseyq.cli import main
-from masseyq.report import report_from_json
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -55,8 +54,8 @@ def test_cohomology_negative_max_degree_is_invalid_input(capsys, fmt):
     out = capsys.readouterr().out
     assert code == 3
     if fmt == "structured":
-        rep = report_from_json(out)
-        assert (rep.status, rep.payload) == (
+        doc = json.loads(out)
+        assert (doc["status"], doc["payload"]) == (
             "invalid-input", {"error": "--max-degree must be nonnegative"}
         )
     else:
@@ -85,8 +84,8 @@ def test_negative_cap_is_invalid_input_on_every_subcommand(capsys, monkeypatch, 
     out = capsys.readouterr().out
     assert code == 3
     if fmt == "structured":
-        rep = report_from_json(out)
-        assert (rep.command, rep.status, rep.payload) == (
+        doc = json.loads(out)
+        assert (doc["command"], doc["status"], doc["payload"]) == (
             argv[0], "invalid-input", {"error": "--cap must be nonnegative"}
         )
     else:
@@ -274,10 +273,10 @@ def test_consistency_failure_gives_an_internal_report(capsys, corrupt_certificat
     assert code == 1
     assert captured.err == ""
     if fmt == "structured":
-        rep = report_from_json(captured.out)
-        assert (rep.command, rep.status, rep.exit_code) == ("massey", "internal", 1)
-        assert rep.payload["error"].startswith("ideal membership in degree 2: solve ")
-        assert "\n" not in rep.payload["error"]
+        doc = json.loads(captured.out)
+        assert (doc["command"], doc["status"], doc["exit_code"]) == ("massey", "internal", 1)
+        assert doc["payload"]["error"].startswith("ideal membership in degree 2: solve ")
+        assert "\n" not in doc["payload"]["error"]
     else:
         lines = captured.out.splitlines()
         assert lines[0] == "massey: internal"
@@ -755,9 +754,9 @@ def test_structured_output_is_deterministic(capsys):
 
 def test_structured_output_round_trips(capsys):
     _, out = run(capsys, "scan", "builtin:default", "--format", "structured")
-    rep = report_from_json(out)
-    assert rep.command == "scan"
-    assert rep.exit_code == 0
+    doc = json.loads(out)
+    assert doc["command"] == "scan"
+    assert doc["exit_code"] == 0
 
 
 def test_bad_arguments_exit_2(capsys):
