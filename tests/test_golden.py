@@ -238,6 +238,36 @@ CASES = [
         ["theorem11", "two-factor-member.alg", "x", "x", "y", "--chi", "p*h + s", "--m", "1"],
         10,
     ),
+    # Live paths no case above reached: the transfer stage's error under
+    # theorem11, a re-capped and a bare builtin model, a product whose left
+    # obstruction alone is nonzero, and a scan with a finding whose budget
+    # runs out.
+    (
+        "theorem11-rotation-gysin-error",
+        ["theorem11", "eN", "eN", "eN", "--datum", "builtin:rotation"],
+        12,
+    ),
+    ("cohomology-heisenberg-cap6", ["cohomology", "builtin:heisenberg", "--cap", "6"], 0),
+    ("cohomology-heisenberg-bare-name", ["cohomology", "heisenberg"], 0),
+    ("massey-torus-xyy", ["massey", "builtin:torus", "x", "y", "y"], 11),
+    ("scan-one-finding-budget", ["scan", "one-finding.family", "--budget", "2"], 13),
+    # A datum that names h itself.
+    (
+        "transfer-rotation-h-named-t",
+        ["transfer", "rotation-h-named-t.datum", "eN", "eS", "eN"],
+        12,
+    ),
+    # A datum m below 1 fails where the push shapes are sized from it.
+    (
+        "transfer-rotation-m-negative",
+        ["transfer", "rotation-m-negative.datum", "eN", "eS", "eN"],
+        4,
+    ),
+    (
+        "transfer-rotation-m-zero",
+        ["transfer", "rotation-m-zero.datum", "eN", "eS", "eN"],
+        2,
+    ),
 ]
 
 
@@ -250,6 +280,8 @@ HUMAN = {
     "scan-default",
     "cohomology-exterior-20",
     "lemma32-two-factor-member",
+    "theorem11-rotation-gysin-error",
+    "scan-one-finding-budget",
 }
 
 def _run(argv: list[str], fmt: str) -> tuple[int, str]:
