@@ -63,6 +63,8 @@ from .linalg import (
 )
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# The name of the degree-2 generator of every extension base (x) Q[h].
+H_NAME = "h"
 _ONE = 1
 _MINUS_ONE = -1
 
@@ -188,8 +190,8 @@ class TensorInfo:
     shares ``labels`` and ``diff``.
     """
 
-    def __init__(self, base: "CochainAlgebra", hname: str, dims: tuple[int, ...]):
-        self.base, self.hname, self.dims = base, hname, dims
+    def __init__(self, base: "CochainAlgebra", dims: tuple[int, ...]):
+        self.base, self.dims = base, dims
         self.labels: list[tuple[str, ...]] = []
         self.splits: list[tuple[tuple[int, int], ...]] = []
         self.diff: list[Optional[tuple[Terms, ...]]] = [None] * (len(dims) - 1)
@@ -229,7 +231,7 @@ class TensorInfo:
         for degree in range(len(self.labels), min(n, len(self.diff)) + 1):
             labels, split = [], []
             for j, b, _, size in self.row(degree):
-                powers = [self.hname] * j
+                powers = [H_NAME] * j
                 labels += [
                     "*".join(([] if label == "1" else [label]) + powers) or "1"
                     for label in self.base.basis_labels(b)
@@ -1217,11 +1219,10 @@ def validate_algebra(a: CochainAlgebra, limit: Optional[int] = None) -> list[str
 
 
 def tensor_polynomial_generator(
-    a: CochainAlgebra,
-    name: str = "h",
-    cap: Optional[int] = None,
+    a: CochainAlgebra, cap: Optional[int] = None
 ) -> CochainAlgebra:
-    """Adjoin a central polynomial generator of degree 2 with d = 0.
+    """Adjoin a central polynomial generator h (``H_NAME``) of degree 2
+    with d = 0.
 
     The degree-n basis of the result is the concatenation over j >= 0 of
     the base bases in degree n-2j, tagged with h^j; products multiply base
@@ -1245,14 +1246,12 @@ def tensor_polynomial_generator(
         )
     if cap < 2:
         raise DegreeCapError(
-            f"extension cap {cap} leaves no room for {name!r} in degree 2",
+            f"extension cap {cap} leaves no room for {H_NAME!r} in degree 2",
             required_cap=2,
         )
-    if not NAME_RE.fullmatch(name):
-        raise AlgebraValidationError(f"invalid generator name {name!r}")
-    if a.has_name(name):
+    if a.has_name(H_NAME):
         raise AlgebraValidationError(
-            f"name {name!r} already exists in the base algebra"
+            f"name {H_NAME!r} already exists in the base algebra"
         )
 
     if a.kind == "free":
@@ -1261,12 +1260,12 @@ def tensor_polynomial_generator(
     else:
         dims = series_dims(cap, (2,), start=a.dims)
         base = a
-    info = TensorInfo(base, name, dims)
+    info = TensorInfo(base, dims)
     # The h^0 block sits at offset 0 of every degree, so the base's unit and
     # names carry over unchanged; h is the base unit in the h^1 block.
     names = dict(base._names)
     hoff = info.block(2, 1)[2]
-    names[name] = (2, {hoff + i: c for i, c in base._unit.items()})
+    names[H_NAME] = (2, {hoff + i: c for i, c in base._unit.items()})
     return CochainAlgebra(
         cap, "table", dims, info.labels, info.product, info.diff, base._unit,
         names, basis=info,

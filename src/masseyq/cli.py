@@ -67,9 +67,7 @@ from .transfer import (
 )
 
 
-def _yesno(flag: Optional[bool]) -> str:
-    if flag is None:
-        return "-"
+def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 

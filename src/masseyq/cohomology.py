@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .cdga import AlgebraMorphism, CochainAlgebra, Element, Terms
+from .cdga import AlgebraMorphism, CochainAlgebra, Element, PolyInput, Terms
 from .errors import (
     AlgebraValidationError,
     ConsistencyError,
@@ -335,12 +335,8 @@ class CohomologyRing:
     def unit_class(self) -> CohomologyClass:
         return self.project(self.algebra.unit())
 
-    def class_from_polynomial(
-        self, poly, expected_degree: Optional[int] = None
-    ) -> CohomologyClass:
-        return self.project(
-            self.algebra.from_polynomial(poly, expected_degree=expected_degree)
-        )
+    def class_from_polynomial(self, poly: PolyInput) -> CohomologyClass:
+        return self.project(self.algebra.from_polynomial(poly))
 
     def __repr__(self):
         return f"CohomologyRing(top={self.top})"

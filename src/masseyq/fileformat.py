@@ -129,8 +129,6 @@ def _parse_combination(
         raise ParseError(str(exc), line=lineno)
     out: dict[int, Scalar] = {}
     for coeff, factors in terms:
-        if coeff == 0:
-            continue
         if len(factors) != 1:
             raise ParseError(
                 "table entries are linear combinations of basis names, "
@@ -380,7 +378,6 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
     m: Optional[int] = None
     chi: Optional[str] = None
     ext_cap: Optional[int] = None
-    hname = "h"
     datum_name = name
     restrict_given: dict[int, tuple[int, list[list[Scalar]]]] = {}
     push_given: dict[int, tuple[int, list[list[Scalar]]]] = {}
@@ -404,12 +401,12 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
         seen.add(key)
         if key == "m":
             m = _parse_int(key, value, lineno)
+            if m < 1:
+                raise ValueError(f"line {lineno}: m must be at least 1, got {m}")
         elif key == "chi":
             chi = value
         elif key == "fixed-cap":
             ext_cap = _parse_int(key, value, lineno)
-        elif key == "h":
-            hname = value
         elif key == "name":
             datum_name = value
         else:
@@ -427,7 +424,7 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
         )
 
     try:
-        fixed = tensor_polynomial_generator(fixed_base, hname, cap=ext_cap)
+        fixed = tensor_polynomial_generator(fixed_base, cap=ext_cap)
     except AlgebraError as exc:
         raise ParseError(str(exc), line=first)
 

@@ -70,8 +70,6 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
     """The exact quotient a / b, the one division of coefficients.  For a
     and b as ``fr`` makes them, it is an int when it is integral and a
     Fraction otherwise."""
-    if b == 1:
-        return a
     if b == -1:
         return -a
     return _q(Fraction(a) / b)

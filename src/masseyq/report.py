@@ -106,11 +106,10 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def format_table(rows: Sequence[Sequence[str]], header: Optional[Sequence[str]] = None) -> str:
-    """Fixed-width text table; every row padded to the widest cell."""
-    all_rows = ([list(header)] if header else []) + [list(r) for r in rows]
-    if not all_rows:
-        return ""
+def format_table(rows: Sequence[Sequence[str]], header: Sequence[str]) -> str:
+    """Fixed-width text table under a header and a rule; every row padded
+    to the widest cell."""
+    all_rows = [list(header)] + [list(r) for r in rows]
     ncols = max(len(r) for r in all_rows)
     for r in all_rows:
         r.extend([""] * (ncols - len(r)))
@@ -118,7 +117,7 @@ def format_table(rows: Sequence[Sequence[str]], header: Optional[Sequence[str]] 
     lines = []
     for k, r in enumerate(all_rows):
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip())
-        if header and k == 0:
+        if k == 0:
             lines.append("  ".join("-" * widths[i] for i in range(ncols)).rstrip())
     return "\n".join(lines)
 

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .cdga import (
+    H_NAME,
     CochainAlgebra,
     Element,
     PolyInput,
@@ -56,30 +57,26 @@ from .errors import (
 from .linalg import Subspace, kernel_rows, solve_rows, transpose
 from .report import STATUS_INTERNAL, STATUS_INVALID, outcome
 
-ClassInput = Union[str, list, CohomologyClass]
-
 
 # --------------------------------------------------------------------------
 # Equivariant setup
 # --------------------------------------------------------------------------
 
 
-def build_setup(
-    base: CochainAlgebra, cap: Optional[int] = None, hname: str = "h"
-) -> CohomologyRing:
+def build_setup(base: CochainAlgebra, cap: Optional[int] = None) -> CohomologyRing:
     """The equivariant model of a trivial circle action on the base: the
     cohomology ring of base (x) Q[h].  Its ``block_ring`` is the ring of
     its own base (the re-capped copy of a free base), computed once for
     every h-power block; the embedding and the retraction h = 0 are
     ``InducedMap.leading_block`` between the two.
     """
-    return CohomologyRing(tensor_polynomial_generator(base, hname, cap=cap))
+    return CohomologyRing(tensor_polynomial_generator(base, cap=cap))
 
 
 class SetupTable:
     """The equivariant setups of one request, an extension ring per (base,
-    cap, h name), their Euler classes, one per (ring, Euler data), and
-    the triple products computed over them, one per (ring, inputs).
+    cap), their Euler classes, one per (ring, Euler data), and the triple
+    products computed over them, one per (ring, inputs).
 
     A caller makes one table per request, passes it to everything that
     needs a setup and drops it with the request; nothing outlives it.
@@ -94,23 +91,19 @@ class SetupTable:
     def __init__(self):
         # id() keys; each entry holds what it was keyed by, so the id is
         # not reused while the table lives.
-        self._setups: dict[
-            tuple[int, int, str], tuple[CochainAlgebra, CohomologyRing]
-        ] = {}
+        self._setups: dict[tuple[int, int], tuple[CochainAlgebra, CohomologyRing]] = {}
         self._classes: dict[
             tuple[int, int], tuple[CohomologyRing, EulerData, EulerClass]
         ] = {}
         self._products: dict[tuple, tuple[CohomologyRing, MasseyResult]] = {}
 
-    def setup(
-        self, base: CochainAlgebra, cap: Optional[int] = None, hname: str = "h"
-    ) -> CohomologyRing:
-        """``build_setup(base, cap, hname)``, built once per table."""
+    def setup(self, base: CochainAlgebra, cap: Optional[int] = None) -> CohomologyRing:
+        """``build_setup(base, cap)``, built once per table."""
         cap = base.cap if cap is None else cap
-        key = (id(base), cap, hname)
+        key = (id(base), cap)
         entry = self._setups.get(key)
         if entry is None:
-            entry = self._setups[key] = (base, build_setup(base, cap, hname))
+            entry = self._setups[key] = (base, build_setup(base, cap))
         return entry[1]
 
     def euler_class(self, ring: CohomologyRing, euler: EulerData) -> EulerClass:
@@ -153,32 +146,6 @@ def formal_degree(algebra: CochainAlgebra, poly: PolyInput) -> int:
             f"polynomial is not homogeneous: term degrees {sorted(degrees)}"
         )
     return degrees.pop()
-
-
-def as_class(ring: CohomologyRing, value: ClassInput) -> CohomologyClass:
-    """Read a polynomial or a class as a class of ``ring``.
-
-    Polynomials are evaluated in the ring's algebra and classes of the ring
-    pass through.  A class over another algebra is carried over when its
-    degree-n basis labels equal those of the target's h^0 block (the whole
-    degree when the target is not an extension), as for a re-capped copy
-    of a base or the base of an extension: that block sits at offset 0, so
-    its representative's terms are taken over unchanged.
-    """
-    if not isinstance(value, CohomologyClass):
-        return ring.class_from_polynomial(value)
-    if value.ring is ring:
-        return value
-    rep = value.representative()
-    n, target = rep.degree, ring.algebra
-    if n <= target.cap:
-        info = target.tensor_info
-        size = target.dim(n) if info is None else info.block(n, 0)[3]
-        if target.basis_labels(n)[:size] == rep.algebra.basis_labels(n):
-            return ring.project(Element._trusted(target, n, rep.terms))
-    raise AlgebraValidationError(
-        "class cannot be transported between unrelated algebras"
-    )
 
 
 # --------------------------------------------------------------------------
@@ -310,7 +277,7 @@ def euler_class(
     if not bundles:
         raise AlgebraValidationError("at least one line bundle is required")
     ext = ring.algebra
-    h_el = ext.named_element(ext.tensor_info.hname)
+    h_el = ext.named_element(H_NAME)
     chi = ext.unit()
     weights = []
     for i, b in enumerate(bundles):
@@ -528,7 +495,7 @@ class EulerScaledReport:
 
 
 def required_cap(
-    base: CochainAlgebra, u: ClassInput, v: ClassInput, w: ClassInput, m: int
+    base: CochainAlgebra, u: PolyInput, v: PolyInput, w: PolyInput, m: int
 ) -> int:
     """Smallest extension cap with room for chi^3 x and its verification.
 
@@ -536,22 +503,15 @@ def required_cap(
     6m + |u| + |v| + |w| - 1 and the membership checks need one degree
     above it.
     """
-    if isinstance(u, CohomologyClass):
-        p, q, r = u.degree, v.degree, w.degree
-    else:
-        p = formal_degree(base, u)
-        q = formal_degree(base, v)
-        r = formal_degree(base, w)
-    return 6 * m + p + q + r
+    return 6 * m + sum(formal_degree(base, x) for x in (u, v, w))
 
 
 def check_euler_scaled_massey(
     base: CochainAlgebra,
-    u: ClassInput,
-    v: ClassInput,
-    w: ClassInput,
+    u: PolyInput,
+    v: PolyInput,
+    w: PolyInput,
     euler: EulerData,
-    hname: str = "h",
     min_cap: Optional[int] = None,
     setups: Optional[SetupTable] = None,
 ) -> EulerScaledReport:
@@ -571,7 +531,7 @@ def check_euler_scaled_massey(
     required = required_cap(base, u, v, w, euler.m)
     cap = max(required, min_cap or 0, base.cap)
     setups = setups or SetupTable()
-    ring = setups.setup(base, cap, hname)
+    ring = setups.setup(base, cap)
     base_ring = ring.block_ring
     chi = setups.euler_class(ring, euler)
 
@@ -579,9 +539,9 @@ def check_euler_scaled_massey(
     if not zero_divisor.ok:
         raise AlgebraValidationError(_ZERO_DIVISOR.format(zero_divisor.failed_degree))
 
-    u_cls = as_class(base_ring, u)
-    v_cls = as_class(base_ring, v)
-    w_cls = as_class(base_ring, w)
+    u_cls = base_ring.class_from_polynomial(u)
+    v_cls = base_ring.class_from_polynomial(v)
+    w_cls = base_ring.class_from_polynomial(w)
 
     try:
         base_result = setups.massey(u_cls, v_cls, w_cls)
@@ -879,7 +839,7 @@ def tautological_datum(
     class are that table's.
     """
     setups = setups or SetupTable()
-    ring = setups.setup(base, cap, "h")
+    ring = setups.setup(base, cap)
     chi = setups.euler_class(ring, euler)
     return TautologicalDatum(
         name="tautological",
@@ -892,7 +852,7 @@ def tautological_datum(
 
 def tautological_from_parts(
     base: CochainAlgebra,
-    triple: tuple[ClassInput, ClassInput, ClassInput],
+    triple: tuple[PolyInput, PolyInput, PolyInput],
     euler: EulerData,
     min_cap: Optional[int],
     setups: Optional[SetupTable] = None,
@@ -925,14 +885,14 @@ class GysinReport:
 
 def check_gysin_transfer(
     datum: HamiltonianTransferDatum,
-    u: ClassInput,
-    v: ClassInput,
-    w: ClassInput,
+    u: PolyInput,
+    v: PolyInput,
+    w: PolyInput,
     setups: Optional[SetupTable] = None,
 ) -> GysinReport:
     """Transfer a non-vanishing scaled product from the fixed locus upstairs.
 
-    u, v and w are read into the fixed model by ``as_class``.  The product
+    u, v and w are polynomials in the fixed model's names.  The product
     <chi u, chi v, chi w> must be defined there (UndefinedProductError
     otherwise).  The ambient inputs are the pushforwards; their
     consecutive products vanish both by restriction and by direct
@@ -946,9 +906,9 @@ def check_gysin_transfer(
     setups = setups or SetupTable()
     fring = datum.fixed_ring
     chi_cls = datum.chi.cls
-    u_cls = as_class(fring, u)
-    v_cls = as_class(fring, v)
-    w_cls = as_class(fring, w)
+    u_cls = fring.class_from_polynomial(u)
+    v_cls = fring.class_from_polynomial(v)
+    w_cls = fring.class_from_polynomial(w)
 
     chi_u = cup(chi_cls, u_cls)
     chi_v = cup(chi_cls, v_cls)
@@ -1034,9 +994,9 @@ class PipelineReport:
 
 def run_transfer_pipeline(
     base: Optional[CochainAlgebra],
-    u: ClassInput,
-    v: ClassInput,
-    w: ClassInput,
+    u: PolyInput,
+    v: PolyInput,
+    w: PolyInput,
     euler: Optional[EulerData] = None,
     datum: Optional[HamiltonianTransferDatum] = None,
     tautological: bool = False,
@@ -1065,7 +1025,6 @@ def run_transfer_pipeline(
     datum's own.
     """
     setups = setups or SetupTable()
-    hname = "h"
     if tautological:
         if datum is not None:
             raise ValueError("a tautological run builds its own datum")
@@ -1083,7 +1042,6 @@ def run_transfer_pipeline(
             )
         base = datum.fixed.tensor_info.base
         euler = datum.euler
-        hname = datum.fixed.tensor_info.hname
     elif base is None:
         raise ValueError("pass a base algebra or a datum")
 
@@ -1096,7 +1054,6 @@ def run_transfer_pipeline(
             v,
             w,
             euler,
-            hname=hname,
             min_cap=min_cap,
             setups=setups,
         )
@@ -1144,9 +1101,9 @@ class ScanConfig:
 
     name: str
     base: Optional[CochainAlgebra]
-    u: ClassInput
-    v: ClassInput
-    w: ClassInput
+    u: PolyInput
+    v: PolyInput
+    w: PolyInput
     euler: Optional[EulerData] = None
     datum: Optional[HamiltonianTransferDatum] = None
     tautological: bool = False
@@ -1189,8 +1146,8 @@ def scan_families(
     records how far the scan got.
 
     All configs share one ``SetupTable`` of this call, tautological data
-    included, so configs over the same base, cap and h name build one
-    extension ring; sharing changes no row.  A config past the budget
+    included, so configs over the same base and cap build one extension
+    ring; sharing changes no row.  A config past the budget
     builds nothing.
     """
     if budget is not None and budget < 0:

@@ -590,7 +590,7 @@ def validate_morphism_reference(f):
 # offsets up from the base dims.
 
 
-def eager_tensor_tables(base, name, cap):
+def eager_tensor_tables(base, cap):
     """``(blocks, labels, diff, product)`` of ``base (x) Q[h]`` up to
     ``cap``, with ``base`` zero above its own cap.
 
@@ -613,7 +613,7 @@ def eager_tensor_tables(base, name, cap):
         blocks.append(tuple(row))
         labels.append(
             tuple(
-                "*".join(([] if label == "1" else [label]) + [name] * j) or "1"
+                "*".join(([] if label == "1" else [label]) + ["h"] * j) or "1"
                 for j, bdeg, _off, size in row
                 for label in (base.basis_labels(bdeg) if size else ())
             )
@@ -845,17 +845,17 @@ def top_coefficient_reference(chi):
     return chi.cls.ring.block_ring.project(h_components(chi.element)[chi.m])
 
 
-def bundle_polynomial(bundles, hname="h"):
+def bundle_polynomial(bundles):
     """The Euler class of weighted line bundles as polynomial text.
 
     ``bundles`` are (c1, weight) pairs, c1 a product of names joined by
-    ``*`` or None.  The product of the factors c1 + weight*hname is
+    ``*`` or None.  The product of the factors c1 + weight*h is
     multiplied out by choosing one summand per factor, in bundle order, so
     no term is reordered and no sign is needed.
     """
     terms = [(1, [])]
     for c1, weight in bundles:
-        summands = [(weight, [hname])]
+        summands = [(weight, ["h"])]
         if c1 is not None:
             summands.append((1, c1.split("*")))
         terms = [

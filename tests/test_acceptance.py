@@ -202,7 +202,7 @@ def test_criterion_04_scaling_containments(capsys):
             vacuous.append(name)
             continue
         unit = ring.unit_class()
-        h_cls = ring.class_from_polynomial(ring.algebra.tensor_info.hname)
+        h_cls = ring.class_from_polynomial("h")
         for a, b, c, res in triples:
             for slot in (1, 2, 3):
                 report, inner, outer = check_scaling_law(unit, res, slot)

@@ -129,7 +129,7 @@ def _mutant(a, rng, count):
 def _random_extension(rng):
     gens, diffs, cap = random_free_cdga(rng)
     base = build_free_cdga(gens, diffs, cap)
-    return tensor_polynomial_generator(base, "h", cap=cap + rng.randint(0, 1))
+    return tensor_polynomial_generator(base, cap=cap + rng.randint(0, 1))
 
 
 def _bundled(rng):
@@ -157,7 +157,7 @@ def test_scans_agree_on_every_bundled_model_and_its_extension():
         _assert_algebra_scans_agree(a)
         assert validate_algebra(a) == [], name
         if a.cap <= 4:
-            ext = tensor_polynomial_generator(a, "h", cap=a.cap + 2)
+            ext = tensor_polynomial_generator(a, cap=a.cap + 2)
             _assert_algebra_scans_agree(ext)
             inner = ext.tensor_info.base
             _assert_morphism_scans_agree(tensor_embedding(inner, ext))

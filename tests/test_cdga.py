@@ -388,7 +388,7 @@ def test_table_truncated_polynomial_ring():
 
 def test_tensor_free_base_recapped():
     t = torus(2)
-    ext = tensor_polynomial_generator(t, "h", cap=6)
+    ext = tensor_polynomial_generator(t, cap=6)
     assert ext.dims == (1, 2, 2, 2, 2, 2, 2)
     assert ext.basis_labels(2) == ("x*y", "h")
     assert ext.basis_labels(3) == ("x*h", "y*h")
@@ -402,7 +402,7 @@ def test_tensor_free_base_recapped():
 
 def test_tensor_heisenberg_differential():
     hb = heisenberg(4)
-    ext = tensor_polynomial_generator(hb, "h", cap=8)
+    ext = tensor_polynomial_generator(hb, cap=8)
     z, h = ext.generator("z"), ext.generator("h")
     x, y = ext.generator("x"), ext.generator("y")
     assert (z * h).d() == x * y * h
@@ -411,7 +411,7 @@ def test_tensor_heisenberg_differential():
 
 def test_tensor_table_base_padded():
     pts = two_points()
-    ext = tensor_polynomial_generator(pts, "h", cap=4)
+    ext = tensor_polynomial_generator(pts, cap=4)
     assert ext.dims == (2, 0, 2, 0, 2)
     assert ext.basis_labels(2) == ("eN*h", "eS*h")
     eN, h = ext.generator("eN"), ext.generator("h")
@@ -421,18 +421,22 @@ def test_tensor_table_base_padded():
 
 
 def test_tensor_name_collision_rejected():
-    with pytest.raises(AlgebraValidationError, match="already exists"):
-        tensor_polynomial_generator(torus(), "x")
+    # h is the one name of the adjoined generator, so a base that already
+    # has a generator h, an extension among them, is refused.
+    with pytest.raises(AlgebraValidationError, match="^name 'h' already exists"):
+        tensor_polynomial_generator(build_free_cdga([("x", 1), ("h", 2)], {}, 4))
+    with pytest.raises(AlgebraValidationError, match="^name 'h' already exists"):
+        tensor_polynomial_generator(tensor_polynomial_generator(torus(), cap=4), cap=6)
 
 
 def test_tensor_cap_below_base_rejected():
     with pytest.raises(DegreeCapError):
-        tensor_polynomial_generator(heisenberg(4), "h", cap=3)
+        tensor_polynomial_generator(heisenberg(4), cap=3)
 
 
 def test_tensor_cap_below_two_rejected():
     with pytest.raises(DegreeCapError, match="degree 2") as info:
-        tensor_polynomial_generator(two_points(), "h", cap=1)
+        tensor_polynomial_generator(two_points(), cap=1)
     assert info.value.required_cap == 2
 
 
@@ -442,22 +446,19 @@ TABLE_BUILTINS = [
 
 
 def _extension_case(kind, rng, extra):
-    """An extension of a random free presentation, of a bundled table past
-    its cap, or of an extension (the inner one over a random free base)."""
+    """An extension of a random free presentation or of a bundled table
+    past its cap."""
     if kind == "table":
         base = builtin_model(rng.choice(TABLE_BUILTINS))
-        return tensor_polynomial_generator(base, "h", cap=max(2, base.cap + extra))
+        return tensor_polynomial_generator(base, cap=max(2, base.cap + extra))
     gens, diffs, cap = random_free_cdga(rng)
     base = build_free_cdga(gens, diffs, cap)
-    ext = tensor_polynomial_generator(base, "h", cap=cap + extra % 3)
-    if kind == "nested":
-        ext = tensor_polynomial_generator(ext, "k", cap=ext.cap + extra)
-    return ext
+    return tensor_polynomial_generator(base, cap=cap + extra % 3)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
-    st.sampled_from(["free", "table", "nested"]),
+    st.sampled_from(["free", "table"]),
     st.randoms(use_true_random=False),
     st.integers(0, 5),
 )
@@ -481,7 +482,7 @@ def test_extension_tables_equal_the_eager_layout(kind, rng, extra):
             for i2 in range(ext.dim(n - n1))
         ]
         got[n] = (ext.basis_labels(n), diff, blocks, products)
-    blocks, labels, diff, product = eager_tensor_tables(info.base, info.hname, cap)
+    blocks, labels, diff, product = eager_tensor_tables(info.base, cap)
     for n in range(cap + 1):
         assert got[n] == (
             labels[n],
@@ -568,7 +569,7 @@ def test_matrix_morphism_rows_are_coerced_and_shape_checked():
 
 def test_embedding_retraction_round_trip():
     hb = heisenberg(4)
-    ext = tensor_polynomial_generator(hb, "h", cap=8)
+    ext = tensor_polynomial_generator(hb, cap=8)
     emb = tensor_embedding(hb, ext)
     ret = tensor_retraction(ext, hb)
     for n in range(hb.cap + 1):
@@ -580,7 +581,7 @@ def test_embedding_retraction_round_trip():
 
 def test_morphism_into_extension_multiplicative():
     hb = heisenberg(4)
-    ext = tensor_polynomial_generator(hb, "h", cap=8)
+    ext = tensor_polynomial_generator(hb, cap=8)
     emb = tensor_embedding(hb, ext)
     x, y = hb.generator("x"), hb.generator("y")
     assert emb.apply(x * y) == emb.apply(x) * emb.apply(y)
@@ -607,7 +608,7 @@ def test_random_extensions_and_maps_pass_the_oracle():
     while checked < 25:
         gens, diffs, cap = random_free_cdga(rng)
         a = build_free_cdga(gens, diffs, cap)
-        ext = tensor_polynomial_generator(a, "h", cap=cap + 2 + checked % 5)
+        ext = tensor_polynomial_generator(a, cap=cap + 2 + checked % 5)
         if sum(ext.dims) > 60:
             continue
         inner = ext.tensor_info.base
@@ -617,18 +618,18 @@ def test_random_extensions_and_maps_pass_the_oracle():
         checked += 1
 
 
-def _h_split(label, hname):
+def _h_split(label):
     """(h power, base label) of an extension basis label such as ``x*z*h*h``."""
     parts = label.split("*")
     j = 0
-    while parts and parts[-1] == hname:
+    while parts and parts[-1] == "h":
         parts.pop()
         j += 1
     return j, "*".join(parts) or "1"
 
 
-def _h_shift(label, j, hname):
-    parts = ([] if label == "1" else [label]) + [hname] * j
+def _h_shift(label, j):
+    parts = ([] if label == "1" else [label]) + ["h"] * j
     return "*".join(parts) or "1"
 
 
@@ -639,14 +640,13 @@ def _check_extension_products(a, ext):
     carried into the extension by tensor_embedding, and h^(p+q) is placed
     by label, so the check shares no index arithmetic with the extension.
     """
-    hname = ext.tensor_info.hname
     embed = tensor_embedding(a, ext)
     where = [
         {label: i for i, label in enumerate(ext.basis_labels(n))}
         for n in range(ext.cap + 1)
     ]
     factors = [
-        [_h_split(label, hname) for label in ext.basis_labels(n)]
+        [_h_split(label) for label in ext.basis_labels(n)]
         for n in range(ext.cap + 1)
     ]
     checked = 0
@@ -665,7 +665,7 @@ def _check_extension_products(a, ext):
                         for k, c in enumerate(ef.coords):
                             if c:
                                 label = ext.basis_label(ef.degree, k)
-                                want[where[n][_h_shift(label, j1 + j2, hname)]] = c
+                                want[where[n][_h_shift(label, j1 + j2)]] = c
                     got = ext.multiply(
                         ext.basis_element(n1, i1), ext.basis_element(n2, i2)
                     )
@@ -685,20 +685,15 @@ def test_extension_products_are_shifted_base_products():
     for t in range(20):
         gens, diffs, cap = random_free_cdga(rng)
         ext = tensor_polynomial_generator(
-            build_free_cdga(gens, diffs, cap), "h", cap=cap + 2 + t % 3
+            build_free_cdga(gens, diffs, cap), cap=cap + 2 + t % 3
         )
         assert _check_extension_products(ext.tensor_info.base, ext) > 0
     # A table base is zero above its own cap inside the extension.
     pts = two_points()
     for ext_cap in (2, 5, 8):
-        ext = tensor_polynomial_generator(pts, "h", cap=ext_cap)
+        ext = tensor_polynomial_generator(pts, cap=ext_cap)
         assert ext.tensor_info.base is pts
         assert _check_extension_products(pts, ext) > 0
-    # So is an extension used as a base, whose lookup is computed too.
-    inner = tensor_polynomial_generator(heisenberg(4), "h", cap=5)
-    ext = tensor_polynomial_generator(inner, "k", cap=8)
-    assert ext.tensor_info.base is inner
-    assert _check_extension_products(inner, ext) > 0
 
 
 def test_trusted_constructions_run_no_scans(monkeypatch):
@@ -811,7 +806,7 @@ def _algebras_with_elements(draw):
     algebra = build_free_cdga(gens, diffs, cap)
     if draw(st.booleans()):
         cap += draw(st.integers(2, 3))
-        algebra = tensor_polynomial_generator(algebra, "h", cap=cap)
+        algebra = tensor_polynomial_generator(algebra, cap=cap)
         gens = list(gens) + [("h", 2)]
     coeff = st.integers(-2, 2)
     pairs = []

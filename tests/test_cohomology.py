@@ -322,7 +322,7 @@ def test_a_dropped_ring_is_freed_without_the_cyclic_collector(extended):
     try:
         algebra = build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {"z": "x*y"}, 4)
         if extended:
-            algebra = tensor_polynomial_generator(algebra, "h", cap=6)
+            algebra = tensor_polynomial_generator(algebra, cap=6)
         ring = CohomologyRing(algebra)
         x, y = (ring.class_from_polynomial(p) for p in ("x", "y"))
         assert not triple_massey(x, x, y).vanishes
@@ -424,7 +424,7 @@ def test_massey_shifts_by_coboundary_of_input_do_not_matter():
 
 def test_ext_heisenberg_massey_embeds_unchanged():
     hb = build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {"z": "x*y"}, 4)
-    ext = tensor_polynomial_generator(hb, "h", cap=8)
+    ext = tensor_polynomial_generator(hb, cap=8)
     ring = CohomologyRing(ext)
     x = ring.class_from_polynomial("x")
     y = ring.class_from_polynomial("y")
@@ -442,8 +442,8 @@ def test_ext_heisenberg_massey_embeds_unchanged():
 
 def test_extension_betti_is_convolution_with_h_powers():
     hb = build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {"z": "x*y"}, 4)
-    ext = tensor_polynomial_generator(hb, "h", cap=8)
-    base_ring = CohomologyRing(tensor_polynomial_generator(hb, "hh", cap=8).tensor_info.base)
+    ext = tensor_polynomial_generator(hb, cap=8)
+    base_ring = CohomologyRing(ext.tensor_info.base)
     ext_ring = CohomologyRing(ext)
 
     def base_betti(n):
@@ -458,7 +458,7 @@ def test_extension_betti_is_convolution_with_h_powers():
 
 def test_extension_betti_against_rank_oracle():
     hb = build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {"z": "x*y"}, 4)
-    ext = tensor_polynomial_generator(hb, "h", cap=8)
+    ext = tensor_polynomial_generator(hb, cap=8)
     assert CohomologyRing(ext).betti() == betti_oracle(ext)
 
 
@@ -467,7 +467,7 @@ def test_extension_betti_against_rank_oracle():
 
 def test_embedding_induces_injection_in_low_degrees():
     hb = build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {"z": "x*y"}, 4)
-    ext = tensor_polynomial_generator(hb, "h", cap=8)
+    ext = tensor_polynomial_generator(hb, cap=8)
     emb = tensor_embedding(hb, ext)
     hring = CohomologyRing(hb)
     ering = CohomologyRing(ext)
@@ -479,7 +479,7 @@ def test_embedding_induces_injection_in_low_degrees():
 
 def test_retraction_kills_h():
     hb = build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {"z": "x*y"}, 4)
-    ext = tensor_polynomial_generator(hb, "h", cap=8)
+    ext = tensor_polynomial_generator(hb, cap=8)
     ret = tensor_retraction(ext, hb)
     ering = CohomologyRing(ext)
     hring = CohomologyRing(hb)
@@ -492,7 +492,7 @@ def test_retraction_kills_h():
 
 def test_functoriality_along_embedding():
     hb = build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {"z": "x*y"}, 4)
-    ext = tensor_polynomial_generator(hb, "h", cap=8)
+    ext = tensor_polynomial_generator(hb, cap=8)
     emb = tensor_embedding(hb, ext)
     hring = CohomologyRing(hb)
     ering = CohomologyRing(ext)
@@ -511,7 +511,7 @@ def test_functoriality_along_embedding():
 
 def test_scaling_law_on_extended_heisenberg_all_slots():
     hb = build_free_cdga([("x", 1), ("y", 1), ("z", 1)], {"z": "x*y"}, 4)
-    ext = tensor_polynomial_generator(hb, "h", cap=10)
+    ext = tensor_polynomial_generator(hb, cap=10)
     ring = CohomologyRing(ext)
     x = ring.class_from_polynomial("x")
     y = ring.class_from_polynomial("y")
@@ -603,7 +603,7 @@ def _rings_with_classes(draw):
     if draw(st.integers(0, 3)) == 0:
         base = builtin_model(draw(st.sampled_from(_TABLE_MODELS)))
         algebra = tensor_polynomial_generator(
-            base, "h", cap=base.cap + draw(st.integers(1, 3))
+            base, cap=base.cap + draw(st.integers(1, 3))
         )
     else:
         rng = draw(st.randoms(use_true_random=False))
@@ -611,7 +611,7 @@ def _rings_with_classes(draw):
         algebra = build_free_cdga(gens, diffs, cap)
         if draw(st.booleans()):
             algebra = tensor_polynomial_generator(
-                algebra, "h", cap=cap + draw(st.integers(1, 3))
+                algebra, cap=cap + draw(st.integers(1, 3))
             )
     ring = CohomologyRing(algebra)
     classes = []
@@ -866,7 +866,7 @@ def _massey_triples(draw):
         gens, diffs, cap = draw(st.sampled_from(_NON_FORMAL))
     algebra = build_free_cdga(gens, diffs, cap)
     if draw(st.booleans()):
-        algebra = tensor_polynomial_generator(algebra, "h", cap=cap + draw(st.integers(1, 3)))
+        algebra = tensor_polynomial_generator(algebra, cap=cap + draw(st.integers(1, 3)))
         gens = gens + [("h", 2)]
     ring = CohomologyRing(algebra)
     degrees = [n for n in range(1, ring.top + 1) if ring.class_dim(n)]
@@ -1002,7 +1002,7 @@ def _extensions(draw):
         base = build_free_cdga(gens, diffs, cap)
     low = max(base.cap, 2)  # h itself lives in degree 2
     return tensor_polynomial_generator(
-        base, "h", cap=draw(st.integers(low, base.cap + 6))
+        base, cap=draw(st.integers(low, base.cap + 6))
     )
 
 
@@ -1018,15 +1018,8 @@ def _residue(row, basis, pivots):
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(_extensions())
-@example(tensor_polynomial_generator(builtin_model("sphere-cohomology"), "h", cap=7))
-@example(tensor_polynomial_generator(builtin_model("two-points"), "h", cap=7))
-@example(  # the block ring is itself an extension
-    tensor_polynomial_generator(
-        tensor_polynomial_generator(builtin_model("sphere-cohomology"), "h", cap=4),
-        "k",
-        cap=7,
-    )
-)
+@example(tensor_polynomial_generator(builtin_model("sphere-cohomology"), cap=7))
+@example(tensor_polynomial_generator(builtin_model("two-points"), cap=7))
 def test_block_assembly_matches_the_dense_oracle(ext):
     # Degree data assembled from shifted base blocks equals the direct
     # computation on the extension's dense differential, block at the base

@@ -251,22 +251,25 @@ CASES = [
     ("cohomology-heisenberg-bare-name", ["cohomology", "heisenberg"], 0),
     ("massey-torus-xyy", ["massey", "builtin:torus", "x", "y", "y"], 11),
     ("scan-one-finding-budget", ["scan", "one-finding.family", "--budget", "2"], 13),
-    # A datum that names h itself.
+    # h is a fixed name: a datum key that renames it is refused at its line
+    # (it used to be honoured, exit 12).
     (
         "transfer-rotation-h-named-t",
         ["transfer", "rotation-h-named-t.datum", "eN", "eS", "eN"],
-        12,
+        2,
     ),
-    # A datum m below 1 fails where the push shapes are sized from it.
+    # A datum m below 1 is refused at its line, as a family config's is; it
+    # used to fail later, where the push shapes are sized from it (exit 4
+    # at m = -3, exit 2 at m = 0).
     (
         "transfer-rotation-m-negative",
         ["transfer", "rotation-m-negative.datum", "eN", "eS", "eN"],
-        4,
+        3,
     ),
     (
         "transfer-rotation-m-zero",
         ["transfer", "rotation-m-zero.datum", "eN", "eS", "eN"],
-        2,
+        3,
     ),
 ]
 

@@ -79,7 +79,7 @@ def test_series_equals_the_built_dims(rng, extra):
     assert [len(algebra.basis_labels(n)) for n in range(cap + 1)] == list(algebra.dims)
     # times 1/(1 - t^2): the h-extension, re-capped over the free base, and
     # over the base's own dims
-    ext = tensor_polynomial_generator(algebra, "h", cap=cap + extra)
+    ext = tensor_polynomial_generator(algebra, cap=cap + extra)
     assert ext.dims == series_dims(cap + extra, [d for _, d in gens] + [2])
     assert ext.dims[: cap + 1] == series_dims(cap, (2,), start=algebra.dims)
 

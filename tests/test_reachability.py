@@ -7,7 +7,11 @@ An entry of ``ALLOWED`` that no longer names a function, or whose
 function a case now reaches, fails as well, so the list stays true.
 
 ``PYTHONPATH=src python tests/test_reachability.py`` prints every
-unreached function with its ``file:line`` and line count.
+unreached function with its ``file:line`` and line count.  With
+``--statements`` it runs the same cases under ``sys.settrace`` instead
+and prints every statement inside a function body that no case runs,
+with its ``file:line``, then the counts of ``raise`` and other
+statements.  That pass takes a few seconds and is no test.
 """
 
 from __future__ import annotations
@@ -115,6 +119,18 @@ def defined_functions() -> dict[tuple[str, int], tuple[str, int]]:
     return out
 
 
+def _run_cases(install, hook) -> None:
+    """Every golden case in both formats with ``install(hook)`` in force
+    (``sys.setprofile`` or ``sys.settrace``)."""
+    for _, argv, _ in CASES:
+        for fmt in ("structured", "human"):
+            install(hook)
+            try:
+                _run(argv, fmt)
+            finally:
+                install(None)
+
+
 def _trace() -> list[tuple[str, int]]:
     """(file, first line) of every function a golden case calls here."""
     seen = {}
@@ -123,29 +139,105 @@ def _trace() -> list[tuple[str, int]]:
         if event == "call":
             seen[id(frame.f_code)] = frame.f_code
 
-    for _, argv, _ in CASES:
-        for fmt in ("structured", "human"):
-            sys.setprofile(profile)
-            try:
-                _run(argv, fmt)
-            finally:
-                sys.setprofile(None)
+    _run_cases(sys.setprofile, profile)
     return sorted({(os.path.abspath(c.co_filename), c.co_firstlineno) for c in seen.values()})
 
 
-def reached_code() -> set[tuple[str, int]]:
-    """``_trace`` in a new interpreter: a process that has run other tests
-    may hold what a first request builds (the CLI builds its parser once)
-    and so never call it again."""
+def _trace_lines() -> list[tuple[str, int]]:
+    """(file, line) of every line of the package a golden case runs."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(SRC) else None
+
+    _run_cases(sys.settrace, trace)
+    return sorted(seen)
+
+
+def _code_lines(code) -> set[int]:
+    """The lines that hold bytecode in a code object and those nested in it."""
+    lines = {line for _, _, line in code.co_lines() if line is not None}
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            lines |= _code_lines(const)
+    return lines
+
+
+def body_statements() -> list[tuple[str, int, str, bool, range]]:
+    """Every statement with bytecode inside a function body: (file, line,
+    function, is a raise, the lines whose execution means it ran).
+
+    A compound statement runs when its header does, so its lines end
+    before its first inner statement; a docstring has no bytecode.
+    """
+    out = []
+    functions = defined_functions()
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        path = os.path.join(SRC, fname)
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        code_lines = _code_lines(compile(source, path, "exec"))
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    inner = functions[(path, first)][0]
+                else:
+                    inner = function
+                if function is not None and isinstance(child, ast.stmt):
+                    body = [
+                        n.lineno
+                        for n in ast.iter_child_nodes(child)
+                        if isinstance(n, (ast.stmt, ast.ExceptHandler))
+                    ]
+                    own = range(child.lineno, min(body, default=child.end_lineno + 1))
+                    if code_lines.intersection(own):
+                        out.append(
+                            (path, child.lineno, function, isinstance(child, ast.Raise), own)
+                        )
+                visit(child, inner)
+
+        visit(ast.parse(source, path), None)
+    return out
+
+
+def _in_new_interpreter(flag: str) -> list:
+    """A ``--trace`` pass in a new interpreter: a process that has run
+    other tests may hold what a first request builds (the CLI builds its
+    parser once) and so never call it again."""
     pythonpath = [os.path.dirname(SRC), os.environ.get("PYTHONPATH")]
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--trace"],
+        [sys.executable, os.path.abspath(__file__), flag],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    return {(path, line) for path, line in json.loads(out)}
+    return json.loads(out)
+
+
+def reached_code() -> set[tuple[str, int]]:
+    """(file, first line) of every function a golden case calls."""
+    return {(path, line) for path, line in _in_new_interpreter("--trace")}
+
+
+def unreached_statements(statements) -> list[tuple[str, int, str, bool]]:
+    """The ``body_statements`` no golden case runs: (file, line, function,
+    is a raise)."""
+    ran = {(path, line) for path, line in _in_new_interpreter("--trace-lines")}
+    return [
+        (path, line, function, is_raise)
+        for path, line, function, is_raise, own in statements
+        if not any((path, n) in ran for n in own)
+    ]
 
 
 def unreached() -> dict[str, tuple[str, int]]:
@@ -176,6 +268,19 @@ def test_every_function_is_reached_or_allowed():
 
 if __name__ == "__main__" and sys.argv[1:] == ["--trace"]:
     print(json.dumps(_trace()))
+elif __name__ == "__main__" and sys.argv[1:] == ["--trace-lines"]:
+    print(json.dumps(_trace_lines()))
+elif __name__ == "__main__" and sys.argv[1:] == ["--statements"]:
+    statements = body_statements()
+    missed = unreached_statements(statements)
+    for path, line, function, is_raise in missed:
+        kind = "raise" if is_raise else "statement"
+        print(f"{os.path.relpath(path)}:{line}: {kind} in {function}")
+    raises = sum(is_raise for *_, is_raise in missed)
+    print(
+        f"{len(missed)} of {len(statements)} function-body statements "
+        f"unreached: {raises} raise, {len(missed) - raises} other"
+    )
 elif __name__ == "__main__":
     missed = unreached()
     for (path, line), (name, size) in sorted(defined_functions().items()):

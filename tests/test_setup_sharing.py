@@ -104,7 +104,7 @@ def test_shuffled_family_rows_equal_rows_scanned_alone(seed):
     assert {"ok", "premise-failed", "invalid-datum", "invalid-input"} <= statuses
 
 
-def _presentation_key(base, cap, hname):
+def _presentation_key(base, cap):
     """A structural name for build_setup's input: cap, labels, d and products."""
     labels = tuple(base.basis_labels(n) for n in range(base.cap + 1))
     product = base.product_lookup(base.cap)
@@ -116,15 +116,15 @@ def _presentation_key(base, cap, hname):
         for i2 in range(base.dim(n2))
     )
     diffs = tuple(base.diff_table(n) for n in range(base.cap))
-    return (base.cap, labels, diffs, products, cap, hname)
+    return (base.cap, labels, diffs, products, cap)
 
 
 def test_default_scan_builds_one_setup_per_distinct_base_cap_and_h(monkeypatch, capsys):
     calls = []
 
-    def counting(base, cap=None, hname="h"):
-        calls.append(_presentation_key(base, base.cap if cap is None else cap, hname))
-        return build_setup(base, cap, hname)
+    def counting(base, cap=None):
+        calls.append(_presentation_key(base, base.cap if cap is None else cap))
+        return build_setup(base, cap)
 
     monkeypatch.setattr(transfer, "build_setup", counting)
     assert main(["scan", "builtin:default"]) == 0
@@ -305,7 +305,6 @@ def test_setup_table_shares_by_base_object():
     heis = setups.setup(base, 9)
     assert setups.setup(base, 9) is heis
     assert setups.setup(base, 10) is not heis
-    assert setups.setup(base, 9, "k") is not heis
     assert setups.setup(builtin_model("heisenberg"), 9) is not heis
     # The builtin and the file two-point bases are equal but distinct
     # objects, so each gets a setup of its own.
@@ -324,7 +323,7 @@ def _assert_euler_stage_rebuilds_the_fixed_model(datum, triple, min_cap=None):
     info = datum.fixed.tensor_info
     base = info.base
     cap = max(required_cap(base, *triple, datum.m), min_cap or 0, base.cap)
-    rebuilt = build_setup(base, cap, info.hname)
+    rebuilt = build_setup(base, cap)
     upto = min(datum.fixed.cap, rebuilt.algebra.cap)
     for n in range(upto + 1):
         assert rebuilt.algebra.basis_labels(n) == datum.fixed.basis_labels(n), n

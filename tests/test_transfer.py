@@ -81,7 +81,7 @@ def test_setup_recaps_base_to_extension_cap():
     assert ext.tensor_info.base is base
     assert base.cap == 9
     assert base.dims == (1, 3, 3, 1, 0, 0, 0, 0, 0, 0)
-    assert ext.tensor_info.hname == "h"
+    assert ext.has_name("h")
 
 
 def test_element_h_components_split_and_reassemble():
@@ -593,16 +593,6 @@ def test_required_cap_formula():
     assert required_cap(builtin_model("heisenberg"), "x*y", "x", "y", 1) == 10
 
 
-def test_class_inputs_are_ported_from_a_smaller_cap():
-    base = builtin_model("heisenberg")
-    ring = CohomologyRing(base)
-    u = ring.class_from_polynomial("x")
-    w = ring.class_from_polynomial("y")
-    report = check_euler_scaled_massey(base, u, u, w, euler=EulerData.of(chi="h", m=1))
-    assert report.verdict == "non-vanishing"
-    assert report.ext_cap == 9
-
-
 def test_undefined_premise_is_a_premise_error():
     with pytest.raises(PremiseError):
         check_euler_scaled_massey(builtin_model("torus"), "x", "x", "y", EulerData.of(chi="h", m=1))
@@ -1070,59 +1060,3 @@ def test_witness_perturbations_on_a_vanishing_product():
         rep = _perturbed_representative(result, ring, da, dy)
         assert rep.d().is_zero()
         assert result.coset.contains(ring.project(rep).terms)
-
-
-# ---------------------------------------------------------------------------
-# class inputs carried between algebras
-# ---------------------------------------------------------------------------
-
-
-def _classes(base, polys):
-    ring = CohomologyRing(base)
-    return [ring.class_from_polynomial(p) for p in polys]
-
-
-def test_classes_over_the_base_give_the_polynomial_verdicts():
-    polys = ("x", "x", "y")
-    by_poly = check_euler_scaled_massey(
-        builtin_model("heisenberg"), *polys, EulerData.of(chi="h", m=1)
-    )
-    by_class = check_euler_scaled_massey(
-        builtin_model("heisenberg"),
-        *_classes(builtin_model("heisenberg"), polys),
-        euler=EulerData.of(chi="h", m=1),
-    )
-    assert by_class.verdict == by_poly.verdict == "non-vanishing"
-    assert str(by_class.witness) == str(by_poly.witness)
-
-    for make_datum, polys, gysin in (
-        (
-            lambda: tautological_datum(
-                builtin_model("heisenberg"), EulerData.of(chi="h", m=1), cap=12
-            ),
-            polys,
-            "non-vanishing",
-        ),
-        (lambda: builtin_datum("rotation"), ("eN", "eS", "eN"), "inconclusive"),
-    ):
-        base = make_datum().fixed.tensor_info.base
-        by_poly = run_transfer_pipeline(None, *polys, datum=make_datum())
-        by_class = run_transfer_pipeline(
-            None, *_classes(base, polys), datum=make_datum()
-        )
-        assert (by_class.status, by_class.verdict) == (by_poly.status, by_poly.verdict)
-        assert by_class.gysin.status == by_poly.gysin.status == gysin
-        assert [str(c) for c in by_class.gysin.fixed_result.inputs] == [
-            str(c) for c in by_poly.gysin.fixed_result.inputs
-        ]
-
-
-def test_a_class_over_an_unrelated_algebra_is_rejected():
-    classes = _classes(builtin_model("torus"), ("x", "x", "y"))
-    with pytest.raises(AlgebraValidationError, match="unrelated algebras"):
-        check_euler_scaled_massey(builtin_model("heisenberg"), *classes, EulerData.of(chi="h", m=1))
-    datum = tautological_datum(
-        builtin_model("heisenberg"), euler=EulerData.of(chi="h", m=1), cap=12
-    )
-    with pytest.raises(AlgebraValidationError, match="unrelated algebras"):
-        check_gysin_transfer(datum, *classes)
