@@ -271,6 +271,23 @@ CASES = [
         ["transfer", "rotation-m-zero.datum", "eN", "eS", "eN"],
         3,
     ),
+    # A fixed-cap that leaves no room for h, or lies below the fixed base's
+    # cap, fails where the fixed model is built.
+    (
+        "transfer-rotation-fixed-cap-1",
+        ["transfer", "rotation-fixed-cap-1.datum", "eN", "eS", "eN"],
+        2,
+    ),
+    (
+        "transfer-rotation-fixed-cap-0",
+        ["transfer", "rotation-fixed-cap-0.datum", "eN", "eS", "eN"],
+        2,
+    ),
+    (
+        "transfer-rotation-fixed-cap-negative",
+        ["transfer", "rotation-fixed-cap-negative.datum", "eN", "eS", "eN"],
+        2,
+    ),
 ]
 
 
