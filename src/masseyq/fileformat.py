@@ -52,6 +52,7 @@ from .cohomology import CohomologyRing, InducedMap
 from .errors import (
     AlgebraError,
     AlgebraValidationError,
+    DegreeCapError,
     DifferentialSquareError,
     ParseError,
 )
@@ -378,6 +379,7 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
     m: Optional[int] = None
     chi: Optional[str] = None
     ext_cap: Optional[int] = None
+    ext_cap_line = 0
     datum_name = name
     restrict_given: dict[int, tuple[int, list[list[Scalar]]]] = {}
     push_given: dict[int, tuple[int, list[list[Scalar]]]] = {}
@@ -406,7 +408,7 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
         elif key == "chi":
             chi = value
         elif key == "fixed-cap":
-            ext_cap = _parse_int(key, value, lineno)
+            ext_cap, ext_cap_line = _parse_int(key, value, lineno), lineno
         elif key == "name":
             datum_name = value
         else:
@@ -425,6 +427,8 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
 
     try:
         fixed = tensor_polynomial_generator(fixed_base, cap=ext_cap)
+    except DegreeCapError as exc:
+        raise ParseError(str(exc), line=ext_cap_line)
     except AlgebraError as exc:
         raise ParseError(str(exc), line=first)
 

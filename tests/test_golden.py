@@ -272,7 +272,8 @@ CASES = [
         3,
     ),
     # A fixed-cap that leaves no room for h, or lies below the fixed base's
-    # cap, fails where the fixed model is built.
+    # cap, is refused at its own line (it used to be reported at the
+    # [datum] header, line 66).
     (
         "transfer-rotation-fixed-cap-1",
         ["transfer", "rotation-fixed-cap-1.datum", "eN", "eS", "eN"],
