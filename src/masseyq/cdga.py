@@ -342,19 +342,16 @@ class CochainAlgebra:
     def __init__(
         self,
         cap: int,
-        kind: str,
         dims: Sequence[int],
         labels: list[tuple[str, ...]],
         product: ProductLookup,
         diff: list[Optional[tuple[Terms, ...]]],
         unit: SparseVector,
         names: Mapping[str, tuple[int, SparseVector]],
-        generators: Optional[tuple[GeneratorDecl, ...]] = None,
         free_recipe=None,
         basis: Union["_FreeBasis", TensorInfo, None] = None,
     ):
         self.cap = cap
-        self.kind = kind
         self._dims = tuple(dims)
         # One tuple of labels per built degree, and per degree n < cap the
         # terms of d of each basis vector (None until built).  A free
@@ -365,7 +362,6 @@ class CochainAlgebra:
         self._diff = diff
         self._unit = unit
         self._names = dict(names)
-        self.generators = generators
         self._free_recipe = free_recipe
         self.tensor_info = basis if isinstance(basis, TensorInfo) else None
         self._basis = basis
@@ -550,7 +546,8 @@ class CochainAlgebra:
         return self.zero(degree)
 
     def __repr__(self):
-        return f"CochainAlgebra(kind={self.kind}, cap={self.cap}, dims={list(self.dims)})"
+        kind = "table" if self._free_recipe is None else "free"
+        return f"CochainAlgebra(kind={kind}, cap={self.cap}, dims={list(self.dims)})"
 
 
 # --------------------------------------------------------------------------
@@ -869,8 +866,8 @@ def build_free_cdga(
     # rebuilds from
     parsed: dict[str, PolyTerms] = {}
     algebra = CochainAlgebra(
-        cap, "free", dims, basis.labels, basis.product, basis.diff, unit, names,
-        generators=gens, free_recipe=(gens, parsed), basis=basis,
+        cap, dims, basis.labels, basis.product, basis.diff, unit, names,
+        free_recipe=(gens, parsed), basis=basis,
     )
 
     # Evaluate the generator images; no differential is read until
@@ -1031,7 +1028,6 @@ def build_table_algebra(
     }
     algebra = CochainAlgebra(
         cap,
-        "table",
         dims,
         [tuple(ns) for ns in names_per_degree],
         _table_lookup(mul),
@@ -1254,8 +1250,8 @@ def tensor_polynomial_generator(
             f"name {H_NAME!r} already exists in the base algebra"
         )
 
-    if a.kind == "free":
-        dims = series_dims(cap, [*(g.degree for g in a.generators), 2])
+    if a._free_recipe is not None:
+        dims = series_dims(cap, [*(g.degree for g in a._free_recipe[0]), 2])
         base = recap(a, cap) if cap > a.cap else a
     else:
         dims = series_dims(cap, (2,), start=a.dims)
@@ -1267,7 +1263,7 @@ def tensor_polynomial_generator(
     hoff = info.block(2, 1)[2]
     names[H_NAME] = (2, {hoff + i: c for i, c in base._unit.items()})
     return CochainAlgebra(
-        cap, "table", dims, info.labels, info.product, info.diff, base._unit,
+        cap, dims, info.labels, info.product, info.diff, base._unit,
         names, basis=info,
     )
 

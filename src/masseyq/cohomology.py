@@ -21,7 +21,7 @@ DegreeCapError with the cap that would suffice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -53,6 +53,11 @@ class _DegreeData:
     coboundaries: Subspace
     class_pivots: tuple[int, ...]
     representatives: tuple[SparseVector, ...]
+    # on an extension degree, the (h power, base degree, base class index)
+    # of each class and the class offset of each h power; the defaults are
+    # one block at offset 0
+    split: tuple[tuple[int, int, int], ...] = ()
+    offsets: tuple[int, ...] = (0,)
 
     @cached_property
     def class_index(self) -> dict[int, int]:
@@ -62,6 +67,8 @@ class _DegreeData:
 def _direct_sum(dim: int, parts: Sequence[tuple[int, _DegreeData]]) -> _DegreeData:
     """The data of a direct sum of blocks, each given with its column
     offset, in ascending order: every row and pivot shifted by it."""
+    if len(parts) == 1:  # the one block with a basis sits at offset 0
+        return parts[0][1]
 
     def shifted(field: str) -> Subspace:
         rows, pivots = [], []
@@ -120,12 +127,13 @@ class CohomologyRing:
     ``block_ring`` is the ring of the base when the algebra is an
     extension base (x) Q[h], and the ring itself otherwise.  Degree n is
     the direct sum of the blocks ``(j, base degree, offset, size)`` of
-    ``TensorInfo.row(n)`` (a plain algebra is the one block j = 0 at
-    offset 0), and d is block diagonal with contiguous column blocks in
-    ascending j.  A reduced row echelon form is unique, so that of d is
-    the blocks' forms side by side: the data of degree n (cocycles,
-    coboundaries, class pivots and representatives) is the block ring's
-    data of each base degree shifted by its offset.  Each base degree is
+    ``TensorInfo.row(n)``, and d is block diagonal with contiguous column
+    blocks in ascending j.  A reduced row echelon form is unique, so that
+    of d is the blocks' forms side by side: the data of degree n
+    (cocycles, coboundaries, class pivots and representatives) is the
+    block ring's data of each base degree shifted by its offset, and its
+    record also holds the h power, base degree and base index of each
+    class.  A plain ring's degree n is its own block.  Each base degree is
     eliminated once, on first use.  The class basis is canonical for the
     algebra's basis order, so coordinates are reproducible across runs.
 
@@ -133,9 +141,9 @@ class CohomologyRing:
     (class index, coefficient) terms of e_i * e_j, filled on first use by
     reducing the product of the two base representatives, a cocycle by
     the Leibniz rule, against the coboundaries.  ``_product`` shifts them
-    into the class block of h^(a+b), as (e h^a)(f h^b) = (e f) h^(a+b).
-    Only the pairs some product needs are filled, and the caches live
-    exactly as long as the rings.
+    into the class block of h^(a+b), as (e h^a)(f h^b) = (e f) h^(a+b),
+    on each call.  Only the pairs some product needs are filled, and the
+    cache lives exactly as long as the ring.
 
     A table base is not re-capped, and no differential is stored out of
     its cap, neither in the base nor in the extension.  So the block of
@@ -149,12 +157,7 @@ class CohomologyRing:
         # None for a plain algebra, whose block ring is itself: holding self
         # would make every ring a reference cycle
         self._block_ring = None if info is None else CohomologyRing(info.base)
-        self._data: dict[int, _DegreeData] = {}
-        # degree -> (h power, base degree, base class index) per class index,
-        # and the offset of each h power's classes among the class coordinates
-        self._class_split: dict[int, tuple[tuple[int, int, int], ...]] = {}
-        self._class_offsets: dict[int, tuple[int, ...]] = {}
-        self._products: dict[tuple[int, int, int, int], Terms] = {}
+        self._data: dict[int, _DegreeData] = {}  # per extension degree
         # per base degree of this ring's algebra, when it serves as a block ring
         self._blocks: dict[int, _DegreeData] = {}
         self._base_products: dict[tuple[int, int, int, int], Terms] = {}
@@ -169,36 +172,29 @@ class CohomologyRing:
         return self.algebra.cap - 1
 
     def _degree(self, n: int) -> _DegreeData:
+        if not (0 <= n <= self.top):
+            raise DegreeCapError(
+                f"cohomology in degree {n} needs cap at least {n + 1}, "
+                f"have {self.algebra.cap}",
+                required_cap=n + 1,
+            )
+        if self._block_ring is None:
+            return self._block(n)
         data = self._data.get(n)
         if data is None:
-            if not (0 <= n <= self.top):
-                raise DegreeCapError(
-                    f"cohomology in degree {n} needs cap at least {n + 1}, "
-                    f"have {self.algebra.cap}",
-                    required_cap=n + 1,
-                )
-            info = self.algebra.tensor_info
-            if info is None:
-                layout, powers = [(0, n, 0, self.algebra.dim(n))], 1
-            else:
-                layout, powers = info.row(n), n // 2 + 1
             parts = []
             split: list[tuple[int, int, int]] = []
             offsets: list[int] = []
-            for j, bdeg, offset, _ in layout:
+            for j, bdeg, offset, _ in self.algebra.tensor_info.row(n):
                 # the blocks before j with no basis hold no classes
                 offsets += [len(split)] * (j + 1 - len(offsets))
-                block = self.block_ring._block(bdeg)
+                block = self._block_ring._block(bdeg)
                 parts.append((offset, block))
                 split.extend((j, bdeg, k) for k in range(len(block.class_pivots)))
-            if len(parts) == 1:
-                data = parts[0][1]
-            else:
-                data = _direct_sum(self.algebra.dim(n), parts)
+            offsets += [len(split)] * (n // 2 + 1 - len(offsets))
+            whole = _direct_sum(self.algebra.dim(n), parts)
+            data = replace(whole, split=tuple(split), offsets=tuple(offsets))
             self._data[n] = data
-            self._class_split[n] = tuple(split)
-            offsets += [len(split)] * (powers - len(offsets))
-            self._class_offsets[n] = tuple(offsets)
         return data
 
     def _block(self, n: int) -> _DegreeData:
@@ -273,8 +269,8 @@ class CohomologyRing:
         """The h^j coefficient of a class, a class of ``block_ring`` in
         degree ``cls.degree - 2j``."""
         n = cls.degree
-        dim = self.class_dim(n)  # fills the class tables read below
-        bounds = self._class_offsets[n] + (dim,)
+        data = self._degree(n)
+        bounds = data.offsets + (len(data.class_pivots),)
         lo, hi = bounds[j], bounds[j + 1]
         terms = {k - lo: v for k, v in cls.terms.items() if lo <= k < hi}
         return CohomologyClass._trusted(self.block_ring, n - 2 * j, terms)
@@ -284,21 +280,16 @@ class CohomologyRing:
         basis classes e_i of H^p and e_j of H^q.
 
         The block ring's product of their base classes, shifted into the
-        class block of the sum of their h powers, and cached.
+        class block of the sum of their h powers.
         """
-        key = (p, i, q, j)
-        entry = self._products.get(key)
-        if entry is None:
-            n = p + q
-            for m in (p, q, n):
-                self._degree(m)  # fills the class tables read below
-            a, bp, bi = self._class_split[p][i]
-            b, bq, bj = self._class_split[q][j]
-            entry = self.block_ring._base_product(bp, bi, bq, bj)
-            offset = self._class_offsets[n][a + b]
-            if offset:
-                entry = tuple((offset + k, v) for k, v in entry)
-            self._products[key] = entry
+        if self._block_ring is None:
+            return self._base_product(p, i, q, j)
+        a, bp, bi = self._degree(p).split[i]
+        b, bq, bj = self._degree(q).split[j]
+        entry = self._block_ring._base_product(bp, bi, bq, bj)
+        offset = self._degree(p + q).offsets[a + b]
+        if offset:
+            entry = tuple((offset + k, v) for k, v in entry)
         return entry
 
     def _base_product(self, p: int, i: int, q: int, j: int) -> Terms:
@@ -586,30 +577,12 @@ def triple_massey(
     )
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
-    """One coset-containment check with its witnesses: the image of a
-    product under a map, and the product it must lie in."""
-
-    holds: bool
-    scaled: AffineCoset
-    target: AffineCoset
-
-    @classmethod
-    def of(
-        cls, fmap: "InducedMap", source: MasseyResult, target: MasseyResult
-    ) -> "ContainmentReport":
-        """Whether ``fmap`` maps the coset of ``source`` into that of ``target``."""
-        image = fmap.apply_coset(source.coset, source.degree)
-        return cls(image.contained_in(target.coset), image, target.coset)
-
-
 def check_scaling_law(
     xi: CohomologyClass,
     base: MasseyResult,
     slot: int,
     product: Optional[Callable[..., MasseyResult]] = None,
-) -> tuple[ContainmentReport, MasseyResult, MasseyResult]:
+) -> tuple[bool, MasseyResult]:
     """Verify xi * <a1,a2,a3> lies inside the product with xi in one slot.
 
     ``base`` is the already computed product <a1,a2,a3>; its inputs are
@@ -617,8 +590,8 @@ def check_scaling_law(
     that absorbs xi.  The class xi must have even degree so that the
     scaled product is again defined.  ``product`` computes the scaled
     product, ``triple_massey`` by default; a caller passes a table's
-    lookup to share it.  Returns the containment report together with
-    both product results.
+    lookup to share it.  Returns whether the containment holds, and the
+    scaled product.
     """
     if slot not in (1, 2, 3):
         raise ValueError("slot must be 1, 2 or 3")
@@ -638,8 +611,7 @@ def check_scaling_law(
             "scaled triple product must be defined when the base product is; "
             f"got: {scaled.reason}"
         )
-    report = ContainmentReport.of(InducedMap.multiplication(xi), base, scaled)
-    return report, base, scaled
+    return InducedMap.multiplication(xi).maps_into(base, scaled), scaled
 
 
 class InducedMap:
@@ -756,3 +728,8 @@ class InducedMap:
         images = [apply_columns(columns, row) for row in coset.direction.rows]
         direction = Subspace.span_rows(dim, images)
         return AffineCoset(apply_columns(columns, coset.point), direction)
+
+    def maps_into(self, source: MasseyResult, target: MasseyResult) -> bool:
+        """Whether the coset of ``source`` maps into that of ``target``."""
+        image = self.apply_coset(source.coset, source.degree)
+        return image.contained_in(target.coset)

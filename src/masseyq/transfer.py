@@ -36,7 +36,6 @@ from .cdga import (
 from .cohomology import (
     CohomologyClass,
     CohomologyRing,
-    ContainmentReport,
     InducedMap,
     MasseyResult,
     certify_ideal_membership,
@@ -472,7 +471,11 @@ def h_comparison_check(
 
 @dataclass(eq=False)
 class EulerScaledReport:
-    """Full audit trail of the Euler-scaled triple product check."""
+    """Results of the Euler-scaled triple product check.
+
+    Every containment the check verifies holds here: a failed one raises
+    ConsistencyError instead of making a report.
+    """
 
     ring: CohomologyRing
     chi: EulerClass
@@ -481,15 +484,9 @@ class EulerScaledReport:
     zero_divisor: ZeroDivisorReport
     base_result: MasseyResult
     embedded_result: MasseyResult
-    h0_containment: ContainmentReport
-    embed_functoriality: ContainmentReport
-    embedded_nonvanishing_direct: bool
-    embedded_nonvanishing_via_base: bool
-    chain: tuple[ContainmentReport, ContainmentReport, ContainmentReport]
+    embedded_nonvanishing: bool
     scaled_result: MasseyResult
     witness: CohomologyClass
-    witness_in_scaled: bool
-    ideal_member: bool
     machinery: HComparisonReport
     verdict: str
 
@@ -565,38 +562,36 @@ def check_euler_scaled_massey(
         raise ConsistencyError(
             "embedded triple product must be defined when the base one is"
         )
-    direct_nonvanish = not embedded_result.vanishes
+    embedded_nonvanishing = not embedded_result.vanishes
 
+    # the base product does not vanish (the premise), so the embedded one
+    # does not exactly when the retraction maps it into the base coset
     retract = InducedMap.leading_block(ring, base_ring)
-    h0_containment = ContainmentReport.of(retract, embedded_result, base_result)
-    via_base = h0_containment.holds and not base_result.vanishes
-    if direct_nonvanish != via_base:
+    if embedded_nonvanishing != retract.maps_into(embedded_result, base_result):
         raise ConsistencyError(
             "direct zero test and base-projection route disagree about the "
             "embedded product"
         )
 
-    embed_functoriality = ContainmentReport.of(embed, base_result, embedded_result)
-    if not embed_functoriality.holds:
+    if not embed.maps_into(base_result, embedded_result):
         raise ConsistencyError(
             "the embedded image of the base product must land inside the "
             "extension's product"
         )
 
-    product = setups.massey
-    chain1, _, scaled1 = check_scaling_law(chi.cls, embedded_result, 1, product)
-    chain2, _, scaled2 = check_scaling_law(chi.cls, scaled1, 2, product)
-    chain3, _, scaled_result = check_scaling_law(chi.cls, scaled2, 3, product)
-    for step, report in enumerate((chain1, chain2, chain3), start=1):
-        if not report.holds:
+    scaled_result = embedded_result
+    for slot in (1, 2, 3):
+        holds, scaled_result = check_scaling_law(
+            chi.cls, scaled_result, slot, setups.massey
+        )
+        if not holds:
             raise ConsistencyError(
-                f"scaling containment fails at step {step} of the chain"
+                f"scaling containment fails at step {slot} of the chain"
             )
 
     x_ext = embed.apply(base_result.rep_class)
     z = cup(chi.cls, cup(chi.cls, cup(chi.cls, x_ext)))
-    witness_in_scaled = scaled_result.coset.contains(z.terms)
-    if not witness_in_scaled:
+    if not scaled_result.coset.contains(z.terms):
         raise ConsistencyError(
             "chi^3 times the base representative must lie in the fully "
             "scaled product"
@@ -617,15 +612,9 @@ def check_euler_scaled_massey(
         zero_divisor=zero_divisor,
         base_result=base_result,
         embedded_result=embedded_result,
-        h0_containment=h0_containment,
-        embed_functoriality=embed_functoriality,
-        embedded_nonvanishing_direct=direct_nonvanish,
-        embedded_nonvanishing_via_base=via_base,
-        chain=(chain1, chain2, chain3),
+        embedded_nonvanishing=embedded_nonvanishing,
         scaled_result=scaled_result,
         witness=z,
-        witness_in_scaled=witness_in_scaled,
-        ideal_member=not machinery.fired,
         machinery=machinery,
         verdict=verdict,
     )
@@ -871,16 +860,12 @@ def tautological_from_parts(
 
 @dataclass(eq=False)
 class GysinReport:
-    """Audit trail of a transfer along a datum."""
+    """Results of a transfer along a datum; a failed check raises
+    ConsistencyError instead of making a report."""
 
     status: str  # "non-vanishing" or "inconclusive"
     fixed_result: MasseyResult
     ambient_result: MasseyResult
-    containment: ContainmentReport
-    uv_restrict_zero: bool
-    uv_direct_zero: bool
-    vw_restrict_zero: bool
-    vw_direct_zero: bool
 
 
 def check_gysin_transfer(
@@ -925,7 +910,6 @@ def check_gysin_transfer(
     W = datum.push(w_cls)
     rmap = datum.restrict_map
 
-    zeros = []  # (restriction zero, direct zero) for U V and for V W
     for a, b, chi_a, chi_b in ((U, V, chi_u, chi_v), (V, W, chi_v, chi_w)):
         pushed, scaled = cup(a, b), cup(chi_a, chi_b)
         if rmap.apply(pushed) != scaled:
@@ -938,8 +922,6 @@ def check_gysin_transfer(
                 "pushed product is nonzero although its restriction vanishes "
                 "and the restriction is injective"
             )
-        zeros.append((scaled.is_zero(), pushed.is_zero()))
-    (uv_restrict_zero, uv_direct_zero), (vw_restrict_zero, vw_direct_zero) = zeros
 
     ambient_result = setups.massey(U, V, W)
     if not ambient_result.defined:
@@ -947,8 +929,7 @@ def check_gysin_transfer(
             "ambient product must be defined once both obstructions vanish"
         )
 
-    containment = ContainmentReport.of(rmap, ambient_result, fixed_result)
-    if not containment.holds:
+    if not rmap.maps_into(ambient_result, fixed_result):
         raise ConsistencyError(
             "restriction does not map the ambient product into the fixed one"
         )
@@ -966,11 +947,6 @@ def check_gysin_transfer(
         status=status,
         fixed_result=fixed_result,
         ambient_result=ambient_result,
-        containment=containment,
-        uv_restrict_zero=uv_restrict_zero,
-        uv_direct_zero=uv_direct_zero,
-        vw_restrict_zero=vw_restrict_zero,
-        vw_direct_zero=vw_direct_zero,
     )
 
 

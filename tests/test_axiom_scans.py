@@ -70,7 +70,6 @@ def _assemble(a, mul, diff):
     products = {key: _merged(terms) for key, terms in mul.items()}
     return CochainAlgebra(
         a.cap,
-        "table",
         a.dims,
         [a.basis_labels(n) for n in range(a.cap + 1)],
         lambda n1, i1, n2, i2: products.get((n1, i1, n2, i2), ()),

@@ -16,6 +16,7 @@ import json
 import os
 import pkgutil
 import re
+import sys
 import tempfile
 
 import pytest
@@ -27,9 +28,11 @@ import masseyq.cli as cli
 import masseyq.report as report
 import masseyq.transfer as transfer
 from masseyq.cli import main
+from masseyq.cohomology import InducedMap
 from masseyq.errors import BudgetError, ConsistencyError, DegreeCapError, ParseError
 from masseyq.fileformat import resolve_datum_spec
-from masseyq.models import builtin_model
+from masseyq.linalg import AffineCoset
+from masseyq.models import builtin_datum, builtin_model
 from masseyq.report import outcome
 from masseyq.transfer import EulerClassError, required_cap
 
@@ -169,6 +172,98 @@ def test_datum_check_lets_an_internal_error_through(monkeypatch):
     code, doc = _structured(["theorem11", "eN", "eS", "eN", "--datum", "builtin:rotation"])
     assert code == 1
     assert (doc["status"], doc["payload"]) == ("internal", {"error": "two routes disagree"})
+
+
+# ---------------------------------------------------------------------------
+# the checks a payload writes as a literal true
+# ---------------------------------------------------------------------------
+
+# Each check fails once, on the nth call of InducedMap.maps_into in a
+# tautological Heisenberg run (1 the retraction, 2 the embedding, 3 to 5
+# the scaling chain, 6 the Gysin containment), or on the witness test in
+# check_euler_scaled_massey; (check, nth, message, whether lemma32 runs it).
+FORCED = [
+    ("maps_into", 1, "direct zero test and base-projection route disagree", True),
+    ("maps_into", 2, "embedded image of the base product must land", True),
+    ("maps_into", 3, "scaling containment fails at step 1 ", True),
+    ("maps_into", 4, "scaling containment fails at step 2 ", True),
+    ("maps_into", 5, "scaling containment fails at step 3 ", True),
+    ("maps_into", 6, "restriction does not map the ambient product", False),
+    ("contains", 1, r"chi\^3 times the base representative must lie", True),
+]
+_FORCED_IDS = [f"{check}-{nth}" for check, nth, _, _ in FORCED]
+_HEISENBERG_FLAGS = ["builtin:heisenberg", "x", "x", "y", "--chi", "h", "--m", "1"]
+
+
+def _fail_once(monkeypatch, check: str, nth: int) -> None:
+    """Make the nth call of one check answer False; the others answer true."""
+    if check == "maps_into":
+        owner, caller = InducedMap, None
+    else:
+        owner, caller = AffineCoset, "check_euler_scaled_massey"
+    real = getattr(owner, check)
+    calls = []
+
+    def failing(self, *args):
+        if caller is None or sys._getframe(1).f_code.co_name == caller:
+            calls.append(None)
+            if len(calls) == nth:
+                return False
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, check, failing)
+
+
+@pytest.mark.parametrize("check, nth, message, euler_stage", FORCED, ids=_FORCED_IDS)
+def test_a_failed_forced_check_raises(monkeypatch, check, nth, message, euler_stage):
+    _fail_once(monkeypatch, check, nth)
+    with pytest.raises(ConsistencyError, match=message):
+        transfer.run_transfer_pipeline(
+            builtin_model("heisenberg"),
+            "x",
+            "x",
+            "y",
+            euler=transfer.EulerData.of(chi="h", m=1),
+            tautological=True,
+        )
+
+
+@pytest.mark.parametrize("check, nth, message, euler_stage", FORCED, ids=_FORCED_IDS)
+def test_a_failed_forced_check_is_internal(monkeypatch, check, nth, message, euler_stage):
+    commands = ["theorem11", "lemma32"] if euler_stage else ["theorem11"]
+    for command in commands:
+        with monkeypatch.context() as patch:
+            _fail_once(patch, check, nth)
+            code, doc = _structured([command, *_HEISENBERG_FLAGS])
+        assert (code, doc["status"]) == (1, "internal")
+        assert re.search(message, doc["payload"]["error"])
+    with monkeypatch.context() as patch:
+        _fail_once(patch, check, nth)
+        code, doc = _scan_one(HEISENBERG + ["datum = tautological"])
+    assert code == 13
+    [row] = doc["payload"]["rows"]
+    assert row["status"] == "internal"
+    assert re.search(message, row["note"])
+    assert doc["payload"]["findings"] == [f"one: ConsistencyError: {row['note']}"]
+
+
+def test_a_pushed_product_the_restriction_kills_raises():
+    # A datum whose push sends eN and eS to H1, so that U V = H2 != 0, and
+    # whose restriction kills degree 4: U V then restricts to
+    # (chi eN)(chi eS) = 0 as it should, although it is nonzero.
+    rotation = builtin_datum("rotation")
+    fring, aring = rotation.fixed_ring, rotation.ambient_ring
+    h1 = aring.class_from_polynomial("H1").terms
+    restrict = [rotation.restrict_map.columns(n) for n in range(4)]
+    restrict.append([{}] * aring.class_dim(4))
+    datum = transfer.HamiltonianTransferDatum(
+        "kills-degree-4",
+        InducedMap.stored(aring, fring, 0, restrict),
+        InducedMap.stored(fring, aring, 2, [[h1, h1]]),
+        rotation.euler,
+    )
+    with pytest.raises(ConsistencyError, match="pushed product is nonzero"):
+        transfer.check_gysin_transfer(datum, "eN", "eS", "eN")
 
 
 # ---------------------------------------------------------------------------
