@@ -289,6 +289,12 @@ CASES = [
         ["transfer", "rotation-fixed-cap-negative.datum", "eN", "eS", "eN"],
         2,
     ),
+    # A fixed base that already names h.
+    (
+        "transfer-rotation-fixed-base-names-h",
+        ["transfer", "rotation-fixed-base-names-h.datum", "eN", "eS", "eN"],
+        2,
+    ),
 ]
 
 
