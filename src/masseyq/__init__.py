@@ -57,7 +57,6 @@ from .transfer import (
     euler_class,
     euler_class_from_polynomial,
     formal_degree,
-    h_comparison_check,
     required_cap,
     run_transfer_pipeline,
     scan_families,
@@ -121,7 +120,6 @@ __all__ = [
     "euler_class",
     "euler_class_from_polynomial",
     "formal_degree",
-    "h_comparison_check",
     "ideal_degree_piece",
     "load_algebra_document",
     "load_datum",

@@ -133,6 +133,7 @@ def _massey_payload(res: MasseyResult) -> dict:
 # check_euler_scaled_massey raises for embedded-image-contained, each
 # scaling-chain step and witness-in-scaled-product; check_gysin_transfer
 # for containment-holds and both *-restriction-zero-implies-zero keys.
+# witness-in-ideal and machinery-fired read the witness's certificate.
 
 
 def _euler_scaled_payload(rep: EulerScaledReport) -> dict:
@@ -159,16 +160,14 @@ def _euler_scaled_payload(rep: EulerScaledReport) -> dict:
             str(j): str(cls) for j, cls in sorted(h_table.items())
         },
         "witness-in-scaled-product": True,
-        "witness-in-ideal": not rep.machinery.fired,
-        "machinery-fired": rep.machinery.fired,
+        "witness-in-ideal": rep.machinery.member,
+        "machinery-fired": not rep.machinery.member,
     }
     if rep.chi.weights is not None:
         payload["weights"] = list(rep.chi.weights)
-    if not rep.machinery.fired:
-        payload["ideal-solution"] = {
-            "a": str(rep.machinery.solution_a),
-            "b": str(rep.machinery.solution_b),
-        }
+    if rep.machinery.member:
+        a, b = rep.machinery.coefficients
+        payload["ideal-solution"] = {"a": str(a), "b": str(b)}
     return payload
 
 

@@ -430,7 +430,7 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
     except DegreeCapError as exc:
         raise ParseError(str(exc), line=ext_cap_line)
     except AlgebraError as exc:
-        raise ParseError(str(exc), line=first)
+        raise ParseError(str(exc), line=sections["fixed-base"].line)
 
     shared = min(ambient.cap, fixed.cap)
     for deg, (lineno, _) in sorted(restrict_given.items()):

@@ -7,15 +7,17 @@ class polynomial with m) and the Euler class it builds, and a transfer
 datum tying an ambient equivariant model to the fixed one through
 restriction and pushforward maps.
 
-A verdict on ideal membership is whether the ideal's degree piece, the
-indeterminacy a triple product has eliminated, holds the class.  Its
-certificate is verified by a check of a different kind: a non-member's
-separating functional, read off that echelon form, by dot products; a
-member's coefficients, solved once, by recomputing them through the cup
+The scaled product's verdict is one ideal-membership certificate on the
+witness chi^3 x (``certify_ideal_membership``): whether the degree piece
+of the ideal of the scaled outer classes, the indeterminacy that product
+has eliminated, holds the witness.  The certificate is verified by a
+check of a different kind: a non-member's separating functional by dot
+products, a member's coefficients by recomputing them through the cup
 product.  Where a conclusion also has a genuinely independent route,
 such as non-vanishing of the embedded product through the retraction to
 the base, both are computed and must agree.  A failed certificate or a
-disagreement raises ConsistencyError.
+disagreement raises ConsistencyError; a fact a function has just fixed
+by construction is not checked again.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .cohomology import (
     CohomologyClass,
     CohomologyRing,
     InducedMap,
+    IdealCertificate,
     MasseyResult,
     certify_ideal_membership,
     check_scaling_law,
@@ -278,7 +281,6 @@ def euler_class(
     ext = ring.algebra
     h_el = ext.named_element(H_NAME)
     chi = ext.unit()
-    weights = []
     for i, b in enumerate(bundles):
         if isinstance(b.weight, bool) or not isinstance(b.weight, int) or not b.weight:
             raise AlgebraValidationError(
@@ -297,20 +299,8 @@ def euler_class(
                 "(no h terms)"
             )
         chi = chi * (c1 + h_el.scale(b.weight))
-        weights.append(b.weight)
-    m = len(bundles)
-    lead = 1
-    for k in weights:
-        lead *= k
-    # each h-part of a cocycle is a cocycle, and one of degree 0 is zero
-    # exactly when its class is: the class blocks are the coefficients
-    cls = ring.project(chi)
-    if ring.h_block(cls, m) != ring.block_ring.unit_class().scale(lead):
-        raise ConsistencyError(
-            "top h coefficient of the Euler class is not the product of "
-            "the weights"
-        )
-    return EulerClass(cls=cls, element=chi, m=m, weights=tuple(weights))
+    weights = tuple(b.weight for b in bundles)
+    return EulerClass(cls=ring.project(chi), element=chi, m=len(weights), weights=weights)
 
 
 def euler_class_from_polynomial(
@@ -394,77 +384,6 @@ _KILLED_KERNEL = (
 
 
 # --------------------------------------------------------------------------
-# The h-comparison membership certificate
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class HComparisonReport:
-    """Outcome of testing the witness against the scaled-generator ideal.
-
-    ``fired`` means a checked certificate shows that the witness avoids
-    the ideal.  When the witness is a member the report carries the
-    certified coefficients a and b of z = (chi u) a + (chi w) b.
-    """
-
-    fired: bool
-    solution_a: Optional[CohomologyClass] = None
-    solution_b: Optional[CohomologyClass] = None
-
-
-def h_comparison_check(
-    chi: EulerClass,
-    z: CohomologyClass,
-    scaled: MasseyResult,
-    u: CohomologyClass,
-    w: CohomologyClass,
-    x: CohomologyClass,
-) -> HComparisonReport:
-    """Decide membership of z = chi^3 x in the ideal of chi u and chi w.
-
-    ``scaled`` is the defined product <chi u, chi v, chi w> in the degree
-    of z, whose ideal columns and indeterminacy span that ideal's degree
-    piece.  Certifies z = (chi u) a + (chi w) b over the extension ring,
-    or a functional separating z from the ideal; the latter fires.  A
-    member is checked by a second route: t = chi^2 x - u a - w b is
-    killed by chi, so it vanishes, chi being no zero divisor there.
-
-    Nothing more is read off a member.  With chi = c h^m + (lower powers
-    of h), the h^(2m) coefficient of chi^2 x = u a + w b is
-    c^2 x = u a_2m + w b_2m.  Were c a unit of H^0 of the base, x would
-    lie in the base ideal (u, w) and the base product would vanish, which
-    the premise excludes.  So a member is found only when c is no unit
-    (say, one of two idempotents of H^0), and then c^2 x in (u, w) says
-    nothing about x.
-    """
-    ring = chi.cls.ring
-    chi_u, _, chi_w = scaled.inputs
-    certificate = certify_ideal_membership(
-        chi_u, chi_w, z, scaled.ideal_columns, scaled.indeterminacy
-    )
-    if not certificate.member:
-        return HComparisonReport(fired=True)
-    a_cls, b_cls = certificate.coefficients
-
-    embed = InducedMap.leading_block(ring.block_ring, ring)
-    x_ext = embed.apply(x)
-    u_ext = embed.apply(u)
-    w_ext = embed.apply(w)
-    chi2 = cup(chi.cls, chi.cls)
-    t = cup(chi2, x_ext) - cup(u_ext, a_cls) - cup(w_ext, b_cls)
-    if not cup(chi.cls, t).is_zero():
-        raise ConsistencyError(
-            "chi * (chi^2 x - u a - w b) should reproduce z - z = 0"
-        )
-    if not t.is_zero():
-        raise ConsistencyError(
-            "found a class killed by the Euler class although the "
-            "zero-divisor check passed"
-        )
-    return HComparisonReport(fired=False, solution_a=a_cls, solution_b=b_cls)
-
-
-# --------------------------------------------------------------------------
 # The Euler-scaled product check
 # --------------------------------------------------------------------------
 
@@ -474,7 +393,8 @@ class EulerScaledReport:
     """Results of the Euler-scaled triple product check.
 
     Every containment the check verifies holds here: a failed one raises
-    ConsistencyError instead of making a report.
+    ConsistencyError instead of making a report.  ``verdict`` is
+    "vanishes" exactly when ``machinery`` certifies the witness a member.
     """
 
     ring: CohomologyRing
@@ -487,7 +407,7 @@ class EulerScaledReport:
     embedded_nonvanishing: bool
     scaled_result: MasseyResult
     witness: CohomologyClass
-    machinery: HComparisonReport
+    machinery: IdealCertificate
     verdict: str
 
 
@@ -557,11 +477,8 @@ def check_euler_scaled_massey(
     U = embed.apply(u_cls)
     V = embed.apply(v_cls)
     W = embed.apply(w_cls)
+    # its two cups are the base product's, so it is defined as well
     embedded_result = setups.massey(U, V, W)
-    if not embedded_result.defined:
-        raise ConsistencyError(
-            "embedded triple product must be defined when the base one is"
-        )
     embedded_nonvanishing = not embedded_result.vanishes
 
     # the base product does not vanish (the premise), so the embedded one
@@ -598,12 +515,15 @@ def check_euler_scaled_massey(
         )
 
     # z lies in the coset, so it avoids the indeterminacy exactly when the
-    # product does not vanish: the certificate decides both at once
-    machinery = h_comparison_check(
-        chi, z, scaled_result, u_cls, w_cls, base_result.rep_class
+    # product does not vanish: the certificate decides both at once.  A
+    # member gives c^2 x in the base ideal (u, w), c the top h coefficient
+    # of chi, and the premise keeps every unit multiple of x out of it.
+    chi_u, _, chi_w = scaled_result.inputs
+    machinery = certify_ideal_membership(
+        chi_u, chi_w, z, scaled_result.ideal_columns, scaled_result.indeterminacy
     )
 
-    verdict = "non-vanishing" if machinery.fired else "vanishes"
+    verdict = "vanishes" if machinery.member else "non-vanishing"
     return EulerScaledReport(
         ring=ring,
         chi=chi,
@@ -923,28 +843,18 @@ def check_gysin_transfer(
                 "and the restriction is injective"
             )
 
+    # the fixed product is defined, so both scaled cups are zero and, by
+    # the loop, both pushed ones: the ambient product is defined
     ambient_result = setups.massey(U, V, W)
-    if not ambient_result.defined:
-        raise ConsistencyError(
-            "ambient product must be defined once both obstructions vanish"
-        )
-
     if not rmap.maps_into(ambient_result, fixed_result):
         raise ConsistencyError(
             "restriction does not map the ambient product into the fixed one"
         )
 
-    if fixed_result.vanishes:
-        status = "inconclusive"
-    else:
-        if ambient_result.vanishes:
-            raise ConsistencyError(
-                "ambient product vanishes although its restriction coset "
-                "avoids zero"
-            )
-        status = "non-vanishing"
+    # the restriction maps zero to zero, so the ambient product avoids zero
+    # wherever the fixed one does
     return GysinReport(
-        status=status,
+        status="inconclusive" if fixed_result.vanishes else "non-vanishing",
         fixed_result=fixed_result,
         ambient_result=ambient_result,
     )

@@ -167,14 +167,14 @@ def test_criterion_03_scaled_products_at_cap_12(capsys):
         _record(rep.base_result)
         _record(rep.embedded_result)
         _record(rep.scaled_result)
-        fired_iff_outside_ideal = rep.machinery.fired == (not rep.base_result.in_ideal)
+        fired_iff_outside_ideal = rep.machinery.member == rep.base_result.in_ideal
         good = (
             rep.verdict == "non-vanishing"
             and rep.ext_cap == expected_cap
             and rep.ext_cap >= 12
             and rep.scaled_result.coset.contains(rep.witness.terms)
             and fired_iff_outside_ideal
-            and rep.machinery.fired
+            and not rep.machinery.member
             and elapsed < 10.0
         )
         ok = ok and good

@@ -289,7 +289,8 @@ CASES = [
         ["transfer", "rotation-fixed-cap-negative.datum", "eN", "eS", "eN"],
         2,
     ),
-    # A fixed base that already names h.
+    # A fixed base that already names h is refused at its [fixed-base]
+    # header, line 58 (it used to be reported at the [datum] header, 66).
     (
         "transfer-rotation-fixed-base-names-h",
         ["transfer", "rotation-fixed-base-names-h.datum", "eN", "eS", "eN"],

@@ -4,11 +4,14 @@
 payload extras.  ``cli.main`` reports a failed request through it, and
 ``scan_families`` gives a failed config's row the same status, so a
 one-config scan row reads what its config reports when run alone.
-README's exit-code table documents every pair the table emits.
+README's exit-code table documents every pair the table emits.  Every
+site that raises ConsistencyError, the `internal` outcome, is listed
+here with the reason it stays.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib
 import io
@@ -264,6 +267,86 @@ def test_a_pushed_product_the_restriction_kills_raises():
     )
     with pytest.raises(ConsistencyError, match="pushed product is nonzero"):
         transfer.check_gysin_transfer(datum, "eN", "eS", "eN")
+
+
+# ---------------------------------------------------------------------------
+# why each ConsistencyError site stays
+# ---------------------------------------------------------------------------
+
+_CERTIFIED = "an elimination whose result another computation certifies"
+_INDEPENDENT = "a genuinely independent route to the same conclusion"
+_LITERAL_TRUE = "the check behind a payload key written as a literal true"
+_CALLER_DATA = "data that a library caller supplies unvalidated"
+
+# Every `raise ConsistencyError` under src/masseyq, by "module.qualname"
+# and the start of its message (an interpolation reads "{}"), with the
+# reason it stays.  A check that re-derives what its own function has
+# just fixed by construction does not belong here; it goes.
+CONSISTENCY_SITES: dict[tuple[str, str], str] = {
+    ("cohomology.certify_ideal_membership", "ideal membership in degree {}: the"): _CERTIFIED,
+    ("cohomology.certify_ideal_membership", "ideal membership in degree {}: solve"): _CERTIFIED,
+    ("cohomology._primitive", "product of representatives is not exact"): _CERTIFIED,
+    ("cohomology.triple_massey", "assembled representative is not a cocycle"): _CERTIFIED,
+    ("transfer._top_is_unit", "top h coefficient of the Euler class: solve"): _CERTIFIED,
+    ("transfer.check_euler_scaled_massey", "direct zero test and base-projection"): _INDEPENDENT,
+    ("transfer.check_euler_scaled_massey", "the embedded image of the base product"): _LITERAL_TRUE,
+    ("transfer.check_euler_scaled_massey", "scaling containment fails at step {}"): _LITERAL_TRUE,
+    ("transfer.check_euler_scaled_massey", "chi^3 times the base representative"): _LITERAL_TRUE,
+    ("transfer.check_gysin_transfer", "pushed product is nonzero"): _LITERAL_TRUE,
+    ("transfer.check_gysin_transfer", "restriction does not map the ambient"): _LITERAL_TRUE,
+    ("transfer.check_gysin_transfer", "restriction of the pushed product"): _CALLER_DATA,
+    ("cohomology.check_scaling_law", "scaled triple product must be defined"): _CALLER_DATA,
+}
+
+
+def _message(call: ast.Call) -> str:
+    """The message a raise passes, each interpolation read as "{}"."""
+    arg = call.args[0] if call.args else ast.Constant("")
+    parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+    return "".join(str(v.value) if isinstance(v, ast.Constant) else "{}" for v in parts)
+
+
+def consistency_sites() -> list[tuple[str, str, str]]:
+    """(file:line, module.qualname, message) of each raise of ConsistencyError."""
+    src = os.path.dirname(os.path.abspath(masseyq.__file__))
+    out = []
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, f"{prefix}{child.name}.")
+                    continue
+                call = child.exc if isinstance(child, ast.Raise) else None
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "ConsistencyError":
+                    where = f"{fname}:{child.lineno}"
+                    out.append((where, f"{fname[:-3]}.{prefix[:-1]}", _message(call)))
+                visit(child, prefix)
+
+        visit(tree, "")
+    return out
+
+
+def test_every_consistency_site_has_a_reason():
+    problems, matched = [], set()
+    for where, function, message in consistency_sites():
+        keys = [
+            key for key in CONSISTENCY_SITES
+            if key[0] == function and message.startswith(key[1])
+        ]
+        if len(keys) != 1:
+            problems.append(
+                f"{where}: {function} raises ConsistencyError({message[:40]!r}...) "
+                f"and matches {len(keys)} entries of CONSISTENCY_SITES"
+            )
+        matched.update(keys)
+    for key in CONSISTENCY_SITES.keys() - matched:
+        problems.append(f"CONSISTENCY_SITES names {key}, which no raise matches")
+    assert not problems, "\n".join(problems)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ function a case now reaches, fails as well, so the list stays true.
 unreached function with its ``file:line`` and line count.  With
 ``--statements`` it runs the same cases under ``sys.settrace`` instead
 and prints every statement inside a function body that no case runs,
-with its ``file:line``, then the counts of ``raise`` and other
-statements.  That pass takes a few seconds and is no test.
+with its ``file:line``, then the unreached ``raise`` count of each
+module and the counts of ``raise`` and other statements.  That pass
+takes a few seconds and is no test.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import json
 import os
 import subprocess
@@ -85,6 +87,7 @@ ALLOWED: dict[str, str] = {
     "linalg.AffineCoset.__setattr__": _FROZEN,
     "linalg.GradedVector.__neg__": _ARITHMETIC,
     "linalg.GradedVector.__rmul__": _ARITHMETIC,
+    "linalg.GradedVector.__sub__": _ARITHMETIC,
 }
 
 
@@ -277,6 +280,11 @@ elif __name__ == "__main__" and sys.argv[1:] == ["--statements"]:
         kind = "raise" if is_raise else "statement"
         print(f"{os.path.relpath(path)}:{line}: {kind} in {function}")
     raises = sum(is_raise for *_, is_raise in missed)
+    per_module = collections.Counter(
+        os.path.basename(path) for path, *_, is_raise in missed if is_raise
+    )
+    for module, count in sorted(per_module.items()):
+        print(f"{module}: {count} raise unreached")
     print(
         f"{len(missed)} of {len(statements)} function-body statements "
         f"unreached: {raises} raise, {len(missed) - raises} other"

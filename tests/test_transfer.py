@@ -15,6 +15,7 @@ from masseyq.cohomology import (
     CohomologyClass,
     CohomologyRing,
     InducedMap,
+    certify_ideal_membership,
     check_scaling_law,
     cup,
     triple_massey,
@@ -45,7 +46,6 @@ from masseyq.transfer import (
     euler_class,
     euler_class_from_polynomial,
     formal_degree,
-    h_comparison_check,
     required_cap,
     run_transfer_pipeline,
     scan_families,
@@ -444,13 +444,14 @@ def test_zero_divisor_euler_class_is_invalid_input():
 
 
 # ---------------------------------------------------------------------------
-# the h-coefficient membership certificate
+# the witness's membership certificate
 # ---------------------------------------------------------------------------
 
 
-def _h_comparison_inputs(base, cap, x_poly):
+def _witness_membership_inputs(base, cap, x_poly):
     # <chi u, 0, chi w> is defined, and its ideal columns and indeterminacy
-    # span the ideal of chi u and chi w in the degree of z = chi^3 x
+    # span the ideal of chi u and chi w in the degree of z = chi^3 x: the
+    # arguments check_euler_scaled_massey certifies its witness with
     ring = build_setup(base, cap=cap)
     base_ring = ring.block_ring
     embed = InducedMap.leading_block(base_ring, ring)
@@ -463,25 +464,25 @@ def _h_comparison_inputs(base, cap, x_poly):
     chi_w = cup(chi.cls, embed.apply(w))
     scaled = triple_massey(chi_u, ring.zero_class(3), chi_w)
     assert scaled.defined and scaled.degree == z.degree
-    return chi, z, scaled, u, w, x
+    return chi_u, chi_w, z, scaled.ideal_columns, scaled.indeterminacy
 
 
 def test_membership_solver_finds_ideal_witness():
     # Control case: [xy] lies in the ideal of [x] and [y], so the solver
     # must find coefficients that write z in that ideal.
-    inputs = _h_comparison_inputs(builtin_model("torus"), 10, "x*y")
-    _, z, scaled, *_ = inputs
-    rep = h_comparison_check(*inputs)
-    assert not rep.fired
-    assert rep.solution_a is not None and rep.solution_b is not None
-    chi_u, _, chi_w = scaled.inputs
-    assert cup(chi_u, rep.solution_a) + cup(chi_w, rep.solution_b) == z
+    inputs = _witness_membership_inputs(builtin_model("torus"), 10, "x*y")
+    chi_u, chi_w, z, *_ = inputs
+    rep = certify_ideal_membership(*inputs)
+    assert rep.member
+    a, b = rep.coefficients
+    assert cup(chi_u, a) + cup(chi_w, b) == z
 
 
 def test_membership_solver_fires_outside_the_ideal():
-    rep = h_comparison_check(*_h_comparison_inputs(builtin_model("heisenberg"), 9, "x*z"))
-    assert rep.fired
-    assert rep.solution_a is None
+    inputs = _witness_membership_inputs(builtin_model("heisenberg"), 9, "x*z")
+    rep = certify_ideal_membership(*inputs)
+    assert not rep.member
+    assert rep.coefficients is None and rep.functional
 
 
 @pytest.mark.parametrize(
@@ -495,11 +496,11 @@ def test_membership_solver_fires_outside_the_ideal():
 def test_corrupted_membership_certificate_raises(corrupt_certificate, route, base, x_poly):
     # [x*z] lies in the ideal of [x] and [y] over the exterior algebra, not
     # over Heisenberg
-    inputs = _h_comparison_inputs(base, 10 if x_poly == "x*y" else 9, x_poly)
+    inputs = _witness_membership_inputs(base, 10 if x_poly == "x*y" else 9, x_poly)
     corrupt_certificate(route)
     message = "solve gives no" if route == "solve" else "the functional read off"
     with pytest.raises(ConsistencyError, match=rf"ideal membership in degree \d+: {message}"):
-        h_comparison_check(*inputs)
+        certify_ideal_membership(*inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +522,7 @@ def test_scaled_chain_heisenberg_with_h():
     assert embed.maps_into(report.base_result, report.embedded_result)
     assert report.witness.degree == 6 + 3 - 1
     assert report.scaled_result.coset.contains(report.witness.terms)
-    assert report.machinery.fired
+    assert not report.machinery.member
     assert not report.scaled_result.vanishes
     assert not report.scaled_result.in_ideal
 
@@ -533,7 +534,7 @@ def test_scaled_chain_with_twisted_line_bundle():
     )
     assert report.verdict == "non-vanishing"
     assert report.ext_cap == 12
-    assert report.machinery.fired
+    assert not report.machinery.member
 
 
 def test_scaled_chain_with_two_line_bundles_raises_the_cap():
@@ -548,7 +549,7 @@ def test_scaled_chain_with_two_line_bundles_raises_the_cap():
     assert report.verdict == "non-vanishing"
     assert report.ext_cap == 15  # 6m + |u|+|v|+|w| with m = 2
     assert report.witness.degree == 12 + 3 - 1
-    assert report.machinery.fired
+    assert not report.machinery.member
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -557,8 +558,8 @@ def test_scaled_chain_with_two_line_bundles_raises_the_cap():
 def test_a_unit_top_coefficient_keeps_every_product_nonvanishing(rng, k, heisenberg_base):
     # A free base is connected, so the top coefficient k of chi is a unit,
     # and the witness could lie in the ideal of chi u and chi w only if x
-    # lay in (u, w) (see h_comparison_check): every non-vanishing base
-    # product stays non-vanishing, whatever degree-2 class chi adds.
+    # lay in (u, w) (see check_euler_scaled_massey): every non-vanishing
+    # base product stays non-vanishing, whatever degree-2 class chi adds.
     gens, diffs, cap = _HEISENBERG if heisenberg_base else random_free_cdga(rng)
     base, table = build_free_cdga(gens, diffs, cap), SetupTable()
     ring = table.setup(base, cap + 2)
@@ -914,7 +915,7 @@ def test_pipeline_full_run_with_tautological_datum():
     result = run_transfer_pipeline(None, "x", "x", "y", datum=datum)
     assert result.status == "ok"
     assert result.verdict == "non-vanishing"
-    assert result.euler is not None and result.euler.machinery.fired
+    assert result.euler is not None and not result.euler.machinery.member
     assert result.gysin is not None and result.gysin.status == "non-vanishing"
 
 
