@@ -133,7 +133,8 @@ def _massey_payload(res: MasseyResult) -> dict:
 # check_euler_scaled_massey raises for embedded-image-contained, each
 # scaling-chain step and witness-in-scaled-product; check_gysin_transfer
 # for containment-holds and both *-restriction-zero-implies-zero keys.
-# witness-in-ideal and machinery-fired read the witness's certificate.
+# machinery-fired is the name the payload keeps for a witness outside
+# the ideal, the negation of the certificate's member.
 
 
 def _euler_scaled_payload(rep: EulerScaledReport) -> dict:
