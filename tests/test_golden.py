@@ -296,6 +296,13 @@ CASES = [
         ["transfer", "rotation-fixed-base-names-h.datum", "eN", "eS", "eN"],
         2,
     ),
+    # A valid datum whose ambient cap is too small for the pushed product
+    # names the cap it needs.
+    (
+        "transfer-rotation-ambient-cap-4",
+        ["transfer", "rotation-ambient-cap-4.datum", "eN", "eS", "eN"],
+        4,
+    ),
 ]
 
 
@@ -310,6 +317,7 @@ HUMAN = {
     "lemma32-two-factor-member",
     "theorem11-rotation-gysin-error",
     "scan-one-finding-budget",
+    "transfer-rotation-ambient-cap-4",
 }
 
 def _run(argv: list[str], fmt: str) -> tuple[int, str]:
