@@ -128,31 +128,32 @@ def _massey_payload(res: MasseyResult) -> dict:
     return payload
 
 
-# Some keys below are always true: each names a check that raises
-# ConsistencyError when it fails, so no report reaches a payload then.
-# check_euler_scaled_massey raises for embedded-image-contained, each
-# scaling-chain step and witness-in-scaled-product; check_gysin_transfer
-# for containment-holds and both *-restriction-zero-implies-zero keys.
-# machinery-fired is the name the payload keeps for a witness outside
-# the ideal, the negation of the certificate's member.
+# Some keys below are always true, since no report is made when their
+# check fails.  check_euler_scaled_massey raises for zero-divisor-ok,
+# embedded-image-contained, each scaling-chain step and
+# witness-in-scaled-product, check_gysin_transfer for containment-holds;
+# the datum validation it requires fixes both *-restriction-zero-implies-
+# zero keys.  machinery-fired is the name the payload keeps for a witness
+# outside the ideal, the negation of the certificate's member.
 
 
 def _euler_scaled_payload(rep: EulerScaledReport) -> dict:
     h_table = class_h_components(rep.witness)
+    embedded_nonvanishing = not rep.embedded_result.vanishes
     payload: dict = {
         "verdict": rep.verdict,
-        "degrees": list(rep.degrees),
-        "extension-cap": rep.ext_cap,
+        "degrees": [c.degree for c in rep.base_result.inputs],
+        "extension-cap": rep.ring.algebra.cap,
         "m": rep.chi.m,
         "chi": str(rep.chi.cls),
         "chi-cochain": str(rep.chi.element),
-        "zero-divisor-ok": rep.zero_divisor.ok,
-        "zero-divisor-degrees-checked": len(rep.zero_divisor.degrees_checked),
+        "zero-divisor-ok": True,
+        "zero-divisor-degrees-checked": rep.ring.top - 2 * rep.chi.m + 1,
         "base-product": _massey_payload(rep.base_result),
         "embedded-product": _massey_payload(rep.embedded_result),
         # the two routes agree, or check_euler_scaled_massey raises
-        "embedded-nonvanishing-direct": rep.embedded_nonvanishing,
-        "embedded-nonvanishing-via-base": rep.embedded_nonvanishing,
+        "embedded-nonvanishing-direct": embedded_nonvanishing,
+        "embedded-nonvanishing-via-base": embedded_nonvanishing,
         "embedded-image-contained": True,
         "scaling-chain": [{"scaled-slots": i, "holds": True} for i in (1, 2, 3)],
         "scaled-product": _massey_payload(rep.scaled_result),

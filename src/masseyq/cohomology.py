@@ -698,7 +698,17 @@ class InducedMap:
         columns: Sequence[Sequence[SparseVector]],
     ) -> "InducedMap":
         """A map given as the sparse class columns of degrees 0..len - 1,
-        such as a datum's pushforward; nothing is checked here."""
+        such as a datum's pushforward; ValueError unless degree n + shift is
+        at most the target's top and each degree n's columns make a
+        dim H^(n + shift)(target) x dim H^n(source) matrix."""
+        for n, degree_columns in enumerate(columns):
+            if n + shift > target.top:
+                raise ValueError(f"matrix in degree {n} lands above the target top")
+            rows, cols = target.class_dim(n + shift), source.class_dim(n)
+            if len(degree_columns) != cols or any(
+                k >= rows for column in degree_columns for k in column
+            ):
+                raise ValueError(f"matrix in degree {n} must be {rows}x{cols}")
         return cls._of(source, target, shift, len(columns) - 1, lambda n: columns[n])
 
     def columns(self, n: int) -> tuple[SparseVector, ...]:

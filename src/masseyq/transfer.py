@@ -17,7 +17,10 @@ product.  Where a conclusion also has a genuinely independent route,
 such as non-vanishing of the embedded product through the retraction to
 the base, both are computed and must agree.  A failed certificate or a
 disagreement raises ConsistencyError; a fact a function has just fixed
-by construction is not checked again.
+by construction is not checked again.  Nor is a fact of a transfer
+datum: its pushforward's shapes are checked as it is built, the rest
+once per datum (``validate_transfer_datum``), and the transfer stage
+refuses a datum with findings and trusts one without.
 """
 
 from __future__ import annotations
@@ -209,9 +212,10 @@ class EulerClass:
         return self.cls.ring.h_block(self.cls, self.m)
 
     @cached_property
-    def zero_divisor(self) -> ZeroDivisorReport:
-        """``verify_not_zero_divisor`` in the class's ring, run once."""
-        return verify_not_zero_divisor(self.cls.ring, self)
+    def zero_divisor(self) -> Optional[int]:
+        """``verify_not_zero_divisor(self)``, run once: the first degree
+        multiplication by the class fails to be injective out of, or None."""
+        return verify_not_zero_divisor(self)
 
 
 class EulerClassError(AlgebraValidationError):
@@ -324,21 +328,12 @@ def euler_class_from_polynomial(
     return EulerClass(cls=cls, element=el, m=m, weights=None)
 
 
-@dataclass(frozen=True)
-class ZeroDivisorReport:
-    """Result of checking that cup product with a class is injective."""
+def verify_not_zero_divisor(chi: EulerClass) -> Optional[int]:
+    """The first degree out of which multiplication by the Euler class
+    fails to be injective, or None when it is injective.
 
-    ok: bool
-    degrees_checked: tuple[int, ...]
-    failed_degree: Optional[int] = None
-
-
-def verify_not_zero_divisor(
-    ring: CohomologyRing, chi: EulerClass
-) -> ZeroDivisorReport:
-    """Check that multiplication by the Euler class is injective.
-
-    Covers every degree whose product still fits under the cap.  With
+    Covers every degree n up to the top of its ring minus 2m, where the
+    product still fits under the cap.  With
     chi = c h^m + (lower h powers), the top h block of chi x is c times
     that of x, so chi is injective when c is a unit of H^0 of the base
     (Allday and Puppe, Cohomological Methods in Transformation Groups,
@@ -347,19 +342,20 @@ def verify_not_zero_divisor(
     injective.  For a genuine Euler class c is the product of the
     weights, so a failure flags corrupted input data.
     """
-    degrees = range(ring.top - 2 * chi.m + 1)
-    if not _top_is_unit(ring, chi):
-        for n in degrees:
-            image = ideal_degree_piece(ring, [chi.cls], n + 2 * chi.m)
-            if image.dim != ring.class_dim(n):
-                return ZeroDivisorReport(False, tuple(range(n + 1)), failed_degree=n)
-    return ZeroDivisorReport(ok=True, degrees_checked=tuple(degrees))
+    ring = chi.cls.ring
+    if _top_is_unit(chi):
+        return None
+    for n in range(ring.top - 2 * chi.m + 1):
+        image = ideal_degree_piece(ring, [chi.cls], n + 2 * chi.m)
+        if image.dim != ring.class_dim(n):
+            return n
+    return None
 
 
-def _top_is_unit(ring: CohomologyRing, chi: EulerClass) -> bool:
+def _top_is_unit(chi: EulerClass) -> bool:
     """Whether the top coefficient c of chi has an inverse u in H^0 of the
     base: one solve of c u = 1, checked by ``cup``."""
-    base = ring.block_ring
+    base = chi.cls.ring.block_ring
     c = chi.top_coefficient
     one = base.unit_class()
     dim = base.class_dim(0)
@@ -393,18 +389,16 @@ class EulerScaledReport:
     """Results of the Euler-scaled triple product check.
 
     Every containment the check verifies holds here: a failed one raises
-    ConsistencyError instead of making a report.  ``verdict`` is
-    "vanishes" exactly when ``machinery`` certifies the witness a member.
+    ConsistencyError instead of making a report, as does a disagreement
+    about the embedded product, and a zero divisor chi raises
+    AlgebraValidationError.  ``verdict`` is "vanishes" exactly when
+    ``machinery`` certifies the witness a member.
     """
 
     ring: CohomologyRing
     chi: EulerClass
-    degrees: tuple[int, int, int]
-    ext_cap: int
-    zero_divisor: ZeroDivisorReport
     base_result: MasseyResult
     embedded_result: MasseyResult
-    embedded_nonvanishing: bool
     scaled_result: MasseyResult
     witness: CohomologyClass
     machinery: IdealCertificate
@@ -452,9 +446,8 @@ def check_euler_scaled_massey(
     base_ring = ring.block_ring
     chi = setups.euler_class(ring, euler)
 
-    zero_divisor = chi.zero_divisor
-    if not zero_divisor.ok:
-        raise AlgebraValidationError(_ZERO_DIVISOR.format(zero_divisor.failed_degree))
+    if chi.zero_divisor is not None:
+        raise AlgebraValidationError(_ZERO_DIVISOR.format(chi.zero_divisor))
 
     u_cls = base_ring.class_from_polynomial(u)
     v_cls = base_ring.class_from_polynomial(v)
@@ -479,12 +472,11 @@ def check_euler_scaled_massey(
     W = embed.apply(w_cls)
     # its two cups are the base product's, so it is defined as well
     embedded_result = setups.massey(U, V, W)
-    embedded_nonvanishing = not embedded_result.vanishes
 
     # the base product does not vanish (the premise), so the embedded one
     # does not exactly when the retraction maps it into the base coset
     retract = InducedMap.leading_block(ring, base_ring)
-    if embedded_nonvanishing != retract.maps_into(embedded_result, base_result):
+    if embedded_result.vanishes == retract.maps_into(embedded_result, base_result):
         raise ConsistencyError(
             "direct zero test and base-projection route disagree about the "
             "embedded product"
@@ -527,12 +519,8 @@ def check_euler_scaled_massey(
     return EulerScaledReport(
         ring=ring,
         chi=chi,
-        degrees=(u_cls.degree, v_cls.degree, w_cls.degree),
-        ext_cap=cap,
-        zero_divisor=zero_divisor,
         base_result=base_result,
         embedded_result=embedded_result,
-        embedded_nonvanishing=embedded_nonvanishing,
         scaled_result=scaled_result,
         witness=z,
         machinery=machinery,
@@ -596,8 +584,6 @@ class HamiltonianTransferDatum:
         return tuple(validate_transfer_datum(self))
 
     def push(self, cls: CohomologyClass) -> CohomologyClass:
-        if cls.ring is not self.fixed_ring:
-            raise ValueError("pushforward input must live in the fixed ring")
         n = cls.degree
         if n > self.push_map.top:
             raise DegreeCapError(
@@ -619,15 +605,16 @@ class TautologicalDatum(HamiltonianTransferDatum):
 def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     """All structural findings against a transfer datum, empty when valid.
 
-    Checks, in order: the fixed model is a polynomial-generator extension and
-    the Euler data gives an Euler class; the restriction is a ring map
-    commuting with the differentials and injective on cohomology degree by
-    degree; the projection formula restrict(push(e)) = chi * e holds on a
-    class basis; the Euler class is not a zero divisor; the pushforward has
-    full column rank, any kernel being traced back to the zero-divisor
-    property through the projection formula.  The Euler class and the
-    restriction are checked independently, and a finding against either
-    ends the checks after both.
+    Checks, in order: the fixed model is a polynomial-generator extension
+    and the Euler data gives an Euler class; the restriction is induced
+    by an algebra morphism, a ring map commuting with the differentials,
+    and is injective on cohomology degree by degree; the projection
+    formula restrict(push(e)) = chi * e holds on a class basis; the Euler
+    class is not a zero divisor; the pushforward has full column rank,
+    any kernel being traced back to the zero-divisor property through the
+    projection formula.  The Euler class and the restriction are checked
+    independently, and a finding against either ends the checks after
+    both.  ``InducedMap.stored`` has checked the pushforward's shapes.
 
     On a ``TautologicalDatum`` (identity restriction, push =
     multiplication by chi), past the checks on m and the fixed model,
@@ -642,10 +629,10 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
         findings.append("fixed model must be a polynomial-generator extension")
         return findings
     if isinstance(datum, TautologicalDatum):
-        zd = datum.chi.zero_divisor
-        if zd.ok:
+        failed = datum.chi.zero_divisor
+        if failed is None:
             return []
-        return [f.format(zd.failed_degree) for f in (_ZERO_DIVISOR, _KILLED_KERNEL)]
+        return [f.format(failed) for f in (_ZERO_DIVISOR, _KILLED_KERNEL)]
     try:
         chi = datum.chi
     except EulerClassError as exc:
@@ -657,8 +644,11 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
         findings.append(f"Euler class polynomial is invalid: {exc}")
 
     rmap, push = datum.restrict_map, datum.push_map
-    for msg in validate_morphism(rmap.morphism):
-        findings.append(f"restriction: {msg}")
+    if rmap.morphism is None:
+        findings.append("restriction must be induced by an algebra morphism")
+    else:
+        for msg in validate_morphism(rmap.morphism):
+            findings.append(f"restriction: {msg}")
     if findings:
         return findings
 
@@ -670,30 +660,6 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
                 f"restriction is not injective on cohomology in degree {n}"
             )
             break
-
-    for n in range(push.top + 1):
-        columns = push.columns(n)
-        if len(columns) != fring.class_dim(n):
-            findings.append(
-                f"pushforward matrix in degree {n} has {len(columns)} columns, "
-                f"want {fring.class_dim(n)}"
-            )
-            return findings
-        target_degree = n + 2 * datum.m
-        if target_degree > aring.top:
-            findings.append(
-                f"pushforward matrix in degree {n} lands in degree "
-                f"{target_degree}, above the ambient top {aring.top}"
-            )
-            return findings
-        height = aring.class_dim(target_degree)
-        row = max((k for column in columns for k in column), default=-1)
-        if row >= height:
-            findings.append(
-                f"pushforward matrix in degree {n} has an entry in row {row}, "
-                f"want {height} rows"
-            )
-            return findings
 
     formula_top = min(push.top, min(fring.top, rmap.top) - 2 * datum.m)
     for n in range(formula_top + 1):
@@ -707,13 +673,12 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
             )
             break
 
-    zd = chi.zero_divisor
-    if not zd.ok:
-        findings.append(_ZERO_DIVISOR.format(zd.failed_degree))
+    if chi.zero_divisor is not None:
+        findings.append(_ZERO_DIVISOR.format(chi.zero_divisor))
 
     for n in range(push.top + 1):
         columns = push.columns(n)
-        height = aring.class_dim(n + 2 * datum.m)
+        height = aring.class_dim(n + push.shift)
         kern = kernel_rows(transpose(columns, height), len(columns))
         if not kern.dim:
             continue
@@ -797,56 +762,38 @@ def check_gysin_transfer(
 ) -> GysinReport:
     """Transfer a non-vanishing scaled product from the fixed locus upstairs.
 
+    A datum with findings raises AlgebraValidationError naming the first.
     u, v and w are polynomials in the fixed model's names.  The product
     <chi u, chi v, chi w> must be defined there (UndefinedProductError
-    otherwise).  The ambient inputs are the pushforwards; their
-    consecutive products vanish both by restriction and by direct
-    computation, the restriction maps the ambient product coset into the
-    fixed one, and non-vanishing downstairs therefore transfers upstairs.
+    otherwise).  The ambient inputs are the pushforwards; the validated
+    restriction takes their consecutive products to the vanishing scaled
+    ones, the restriction maps the ambient product coset into the fixed
+    one, and non-vanishing downstairs therefore transfers upstairs.
     A vanishing fixed product is reported as inconclusive.  The two
     products come from ``setups``, or from a table of this call, so over a
     tautological datum, where the pushforward is multiplication by chi in
     the fixed ring, the ambient product is the fixed one.
     """
+    if datum.findings:
+        raise AlgebraValidationError(f"transfer datum is invalid: {datum.findings[0]}")
     setups = setups or SetupTable()
-    fring = datum.fixed_ring
-    chi_cls = datum.chi.cls
-    u_cls = fring.class_from_polynomial(u)
-    v_cls = fring.class_from_polynomial(v)
-    w_cls = fring.class_from_polynomial(w)
-
-    chi_u = cup(chi_cls, u_cls)
-    chi_v = cup(chi_cls, v_cls)
-    chi_w = cup(chi_cls, w_cls)
-    fixed_result = setups.massey(chi_u, chi_v, chi_w)
+    classes = [datum.fixed_ring.class_from_polynomial(x) for x in (u, v, w)]
+    fixed_result = setups.massey(*(cup(datum.chi.cls, x) for x in classes))
     if not fixed_result.defined:
         raise UndefinedProductError(
             "the scaled product over the fixed locus is not defined: "
             f"{fixed_result.reason}"
         )
 
-    U = datum.push(u_cls)
-    V = datum.push(v_cls)
-    W = datum.push(w_cls)
-    rmap = datum.restrict_map
-
-    for a, b, chi_a, chi_b in ((U, V, chi_u, chi_v), (V, W, chi_v, chi_w)):
-        pushed, scaled = cup(a, b), cup(chi_a, chi_b)
-        if rmap.apply(pushed) != scaled:
-            raise ConsistencyError(
-                "restriction of the pushed product disagrees with the product "
-                "of the scaled classes"
-            )
-        if scaled.is_zero() and not pushed.is_zero():
-            raise ConsistencyError(
-                "pushed product is nonzero although its restriction vanishes "
-                "and the restriction is injective"
-            )
-
-    # the fixed product is defined, so both scaled cups are zero and, by
-    # the loop, both pushed ones: the ambient product is defined
+    U, V, W = (datum.push(x) for x in classes)
+    # r maps the ambient product below (DegreeCapError otherwise), so
+    # rmap.top reaches its degree, above |u| + 2m and |UV| (and so for v,
+    # w and VW); u, v and w were pushed and scaled, so push.top and
+    # fring.top reach them too.  There the validation made r an injective
+    # ring map with r(push x) = chi x: r(UV) = (chi u)(chi v) = 0 gives
+    # UV = 0, and VW = 0 likewise, so the ambient product is defined.
     ambient_result = setups.massey(U, V, W)
-    if not rmap.maps_into(ambient_result, fixed_result):
+    if not datum.restrict_map.maps_into(ambient_result, fixed_result):
         raise ConsistencyError(
             "restriction does not map the ambient product into the fixed one"
         )

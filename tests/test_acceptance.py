@@ -170,8 +170,8 @@ def test_criterion_03_scaled_products_at_cap_12(capsys):
         fired_iff_outside_ideal = rep.machinery.member == rep.base_result.in_ideal
         good = (
             rep.verdict == "non-vanishing"
-            and rep.ext_cap == expected_cap
-            and rep.ext_cap >= 12
+            and rep.ring.algebra.cap == expected_cap
+            and rep.ring.algebra.cap >= 12
             and rep.scaled_result.coset.contains(rep.witness.terms)
             and fired_iff_outside_ideal
             and not rep.machinery.member

@@ -400,9 +400,9 @@ def _count_euler_work(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    def counting_verify(ring, chi):
+    def counting_verify(chi):
         checks.append(chi)
-        return verify(ring, chi)
+        return verify(chi)
 
     def counting_from_polynomial(self, poly, expected_degree=None):
         evaluated.append((self, poly, expected_degree))

@@ -297,7 +297,8 @@ CASES = [
         2,
     ),
     # A valid datum whose ambient cap is too small for the pushed product
-    # names the cap it needs.
+    # names the cap that suffices, 6 (it used to name 5, the cap of the
+    # pushed cup in degree 4, and at cap 5 then asked for 6).
     (
         "transfer-rotation-ambient-cap-4",
         ["transfer", "rotation-ambient-cap-4.datum", "eN", "eS", "eN"],

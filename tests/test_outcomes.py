@@ -32,7 +32,13 @@ import masseyq.report as report
 import masseyq.transfer as transfer
 from masseyq.cli import main
 from masseyq.cohomology import InducedMap
-from masseyq.errors import BudgetError, ConsistencyError, DegreeCapError, ParseError
+from masseyq.errors import (
+    AlgebraValidationError,
+    BudgetError,
+    ConsistencyError,
+    DegreeCapError,
+    ParseError,
+)
 from masseyq.fileformat import resolve_datum_spec
 from masseyq.linalg import AffineCoset
 from masseyq.models import builtin_datum, builtin_model
@@ -253,7 +259,9 @@ def test_a_failed_forced_check_is_internal(monkeypatch, check, nth, message, eul
 def test_a_pushed_product_the_restriction_kills_raises():
     # A datum whose push sends eN and eS to H1, so that U V = H2 != 0, and
     # whose restriction kills degree 4: U V then restricts to
-    # (chi eN)(chi eS) = 0 as it should, although it is nonzero.
+    # (chi eN)(chi eS) = 0 as it should, although it is nonzero.  Its
+    # restriction is stored columns, not a validated ring map, so the
+    # datum has a finding and the transfer stage refuses it.
     rotation = builtin_datum("rotation")
     fring, aring = rotation.fixed_ring, rotation.ambient_ring
     h1 = aring.class_from_polynomial("H1").terms
@@ -265,7 +273,18 @@ def test_a_pushed_product_the_restriction_kills_raises():
         InducedMap.stored(fring, aring, 2, [[h1, h1]]),
         rotation.euler,
     )
-    with pytest.raises(ConsistencyError, match="pushed product is nonzero"):
+    finding = "restriction must be induced by an algebra morphism"
+    assert datum.findings == (finding,)
+    with pytest.raises(AlgebraValidationError, match=f"^transfer datum is invalid: {finding}$"):
+        transfer.check_gysin_transfer(datum, "eN", "eS", "eN")
+
+
+def test_the_transfer_stage_refuses_a_datum_with_findings():
+    datum = builtin_datum("rotation-broken-push")
+    with pytest.raises(
+        AlgebraValidationError,
+        match=r"^transfer datum is invalid: projection formula fails in degree 2:",
+    ):
         transfer.check_gysin_transfer(datum, "eN", "eS", "eN")
 
 
@@ -292,9 +311,7 @@ CONSISTENCY_SITES: dict[tuple[str, str], str] = {
     ("transfer.check_euler_scaled_massey", "the embedded image of the base product"): _LITERAL_TRUE,
     ("transfer.check_euler_scaled_massey", "scaling containment fails at step {}"): _LITERAL_TRUE,
     ("transfer.check_euler_scaled_massey", "chi^3 times the base representative"): _LITERAL_TRUE,
-    ("transfer.check_gysin_transfer", "pushed product is nonzero"): _LITERAL_TRUE,
     ("transfer.check_gysin_transfer", "restriction does not map the ambient"): _LITERAL_TRUE,
-    ("transfer.check_gysin_transfer", "restriction of the pushed product"): _CALLER_DATA,
     ("cohomology.check_scaling_law", "scaled triple product must be defined"): _CALLER_DATA,
 }
 

@@ -201,19 +201,14 @@ def test_euler_polynomial_requires_top_h_term():
 def test_h_multiplication_is_injective_below_the_cap():
     ring = build_setup(builtin_model("heisenberg"), cap=9)
     chi = euler_class_from_polynomial(ring, "h", 1)
-    report = verify_not_zero_divisor(ring, chi)
-    assert report.ok
-    assert report.failed_degree is None
-    assert list(report.degrees_checked) == list(range(ring.top - 1))
+    assert verify_not_zero_divisor(chi) is None
 
 
 def test_pure_base_class_is_flagged_as_zero_divisor():
     ring = build_setup(builtin_model("heisenberg"), cap=9)
     cls = ring.class_from_polynomial("x*z")
     fake = EulerClass(cls=cls, element=ring.lift(cls), m=1, weights=None)
-    report = verify_not_zero_divisor(ring, fake)
-    assert not report.ok
-    assert report.failed_degree == 1  # [x*z] kills [x] already
+    assert verify_not_zero_divisor(fake) == 1  # [x*z] kills [x] already
 
 
 _HEISENBERG = ([("x", 1), ("y", 1), ("z", 1)], {"z": [(1, ("x", "y"))]}, 4)
@@ -339,12 +334,9 @@ def test_unit_certificate_agrees_with_the_rank_scan(drawn):
     base, cap, chi_poly, m = drawn
     ring = build_setup(base, cap)
     chi = euler_class_from_polynomial(ring, chi_poly, m)
-    report = verify_not_zero_divisor(ring, chi)
     ok, failed = zero_divisor_rank_scan(ring, chi.cls, m)
-    assert (report.ok, report.failed_degree) == (ok, failed)
-    last = ring.top - 2 * m if ok else failed
-    assert report.degrees_checked == tuple(range(last + 1))
-    if transfer._top_is_unit(ring, chi):
+    assert verify_not_zero_divisor(chi) == failed
+    if transfer._top_is_unit(chi):
         assert ok
 
 
@@ -352,7 +344,7 @@ def test_unit_certificate_agrees_with_the_rank_scan(drawn):
 def test_a_corrupted_top_inverse_trips_the_cup_check(monkeypatch, model, chi):
     ring = build_setup(builtin_model(model), cap=7)
     euler = euler_class_from_polynomial(ring, chi, 1)
-    assert verify_not_zero_divisor(ring, euler).ok
+    assert verify_not_zero_divisor(euler) is None
     real = transfer.solve_rows
 
     def corrupted(rows, cols, b):
@@ -360,7 +352,7 @@ def test_a_corrupted_top_inverse_trips_the_cup_check(monkeypatch, model, chi):
 
     monkeypatch.setattr(transfer, "solve_rows", corrupted)
     with pytest.raises(ConsistencyError):
-        verify_not_zero_divisor(ring, euler)
+        verify_not_zero_divisor(euler)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -372,7 +364,7 @@ def test_trusted_tautological_datum_matches_the_full_route(drawn):
     datum = tautological_datum(base, euler=EulerData.of(chi=chi_poly, m=m), cap=cap)
     findings = validate_transfer_datum(datum)
     assert findings == full_datum_findings(datum)
-    if transfer._top_is_unit(datum.fixed_ring, datum.chi):
+    if transfer._top_is_unit(datum.chi):
         assert findings == []
 
 
@@ -513,11 +505,11 @@ def test_scaled_chain_heisenberg_with_h():
         builtin_model("heisenberg"), "x", "x", "y", euler=EulerData.of(chi="h", m=1), min_cap=12
     )
     assert report.verdict == "non-vanishing"
-    assert report.ext_cap == 12
-    assert report.degrees == (1, 1, 1)
+    assert report.ring.algebra.cap == 12
+    assert [c.degree for c in report.base_result.inputs] == [1, 1, 1]
     assert not report.base_result.vanishes
     assert not report.base_result.in_ideal
-    assert report.embedded_nonvanishing
+    assert not report.embedded_result.vanishes
     embed = InducedMap.leading_block(report.ring.block_ring, report.ring)
     assert embed.maps_into(report.base_result, report.embedded_result)
     assert report.witness.degree == 6 + 3 - 1
@@ -533,7 +525,7 @@ def test_scaled_chain_with_twisted_line_bundle():
         EulerData.of([WeightedLineBundle("x*z", 2)]), min_cap=12,
     )
     assert report.verdict == "non-vanishing"
-    assert report.ext_cap == 12
+    assert report.ring.algebra.cap == 12
     assert not report.machinery.member
 
 
@@ -547,7 +539,7 @@ def test_scaled_chain_with_two_line_bundles_raises_the_cap():
         min_cap=12,
     )
     assert report.verdict == "non-vanishing"
-    assert report.ext_cap == 15  # 6m + |u|+|v|+|w| with m = 2
+    assert report.ring.algebra.cap == 15  # 6m + |u|+|v|+|w| with m = 2
     assert report.witness.degree == 12 + 3 - 1
     assert not report.machinery.member
 
@@ -748,24 +740,36 @@ def test_non_identity_endomorphism_restriction_is_scanned():
 
 
 def test_wrong_push_shape_is_rejected():
-    # Degree 2 runs from a 2-dimensional H^2 to a 2-dimensional H^4.
+    # Degree 2 runs from a 2-dimensional H^2 to a 2-dimensional H^4; the
+    # fixed H^7 is zero, but its image would lie in degree 9, above the
+    # ambient top 8.
     good = builtin_datum("rotation")
     one = Fraction(1)
-    for columns, finding in (
-        ([{0: one}, {1: one}, {}], "has 3 columns, want 2"),
-        ([{0: one}, {2: one}], "has an entry in row 2, want 2 rows"),
+    good_push = [good.push_map.columns(n) for n in range(good.push_map.top + 1)]
+    for n, columns, message in (
+        (2, [{0: one}, {1: one}, {}], "must be 2x2"),
+        (2, [{0: one}, {2: one}], "must be 2x2"),
+        (7, [], "lands above the target top"),
     ):
-        push = [good.push_map.columns(n) for n in range(good.push_map.top + 1)]
-        push[2] = columns
-        bad = HamiltonianTransferDatum(
-            name="misshapen",
-            restrict_map=good.restrict_map,
-            push_map=InducedMap.stored(good.fixed_ring, good.ambient_ring, 2, push),
-            euler=good.euler,
-        )
-        assert validate_transfer_datum(bad) == [
-            f"pushforward matrix in degree 2 {finding}"
-        ]
+        push = good_push + [[] for _ in range(len(good_push), n + 1)]
+        push[n] = columns
+        with pytest.raises(ValueError, match=rf"^matrix in degree {n} {message}$"):
+            InducedMap.stored(good.fixed_ring, good.ambient_ring, 2, push)
+
+
+def test_a_restriction_without_a_morphism_is_a_finding():
+    # Stored columns give no cochain map whose ring-map axioms could be
+    # checked, even when they are the rotation restriction's own.
+    good = builtin_datum("rotation")
+    rmap = good.restrict_map
+    columns = [rmap.columns(n) for n in range(rmap.top + 1)]
+    bad = HamiltonianTransferDatum(
+        "stored-restriction",
+        InducedMap.stored(good.ambient_ring, good.fixed_ring, 0, columns),
+        good.push_map,
+        good.euler,
+    )
+    assert bad.findings == ("restriction must be induced by an algebra morphism",)
 
 
 def test_nonpositive_m_is_rejected():
