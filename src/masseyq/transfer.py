@@ -786,12 +786,12 @@ def check_gysin_transfer(
         )
 
     U, V, W = (datum.push(x) for x in classes)
-    # r maps the ambient product below (DegreeCapError otherwise), so
-    # rmap.top reaches its degree, above |u| + 2m and |UV| (and so for v,
-    # w and VW); u, v and w were pushed and scaled, so push.top and
-    # fring.top reach them too.  There the validation made r an injective
-    # ring map with r(push x) = chi x: r(UV) = (chi u)(chi v) = 0 gives
-    # UV = 0, and VW = 0 likewise, so the ambient product is defined.
+    # The restriction r maps the ambient product below (DegreeCapError
+    # otherwise), so its top reaches that degree, above |u| + 2m and |UV|
+    # (and so for v, w and VW); u, v and w were pushed and scaled, so the
+    # tops of push and of the fixed ring reach them too.  There validation
+    # made r an injective ring map with r(push x) = chi x: r(UV) =
+    # (chi u)(chi v) = 0 gives UV = 0, VW = 0 likewise: the product is defined.
     ambient_result = setups.massey(U, V, W)
     if not datum.restrict_map.maps_into(ambient_result, fixed_result):
         raise ConsistencyError(
