@@ -333,9 +333,9 @@ def verify_not_zero_divisor(chi: EulerClass) -> Optional[int]:
     fails to be injective, or None when it is injective.
 
     Covers every degree n up to the top of its ring minus 2m, where the
-    product still fits under the cap.  With
-    chi = c h^m + (lower h powers), the top h block of chi x is c times
-    that of x, so chi is injective when c is a unit of H^0 of the base
+    product still fits under the cap.  With chi = c h^m + (lower h
+    powers), the top h block of chi x is c times that of x, so chi is
+    injective when c is a unit of H^0 of the base
     (Allday and Puppe, Cohomological Methods in Transformation Groups,
     ch. 3).  Otherwise, in each degree n, the span of chi times the basis
     classes of H^n is ranked, since the lower terms can still make chi
