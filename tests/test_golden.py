@@ -304,6 +304,23 @@ CASES = [
         ["transfer", "rotation-ambient-cap-4.datum", "eN", "eS", "eN"],
         4,
     ),
+    # A class above the datum's last push line, a singular push whose
+    # kernel chi lifts above the fixed top, and an omitted push line.
+    (
+        "transfer-rotation-ambient-cap-4-eN-h",
+        ["transfer", "rotation-ambient-cap-4.datum", "eN*h", "eS", "eN"],
+        4,
+    ),
+    (
+        "transfer-rotation-push-6-singular",
+        ["transfer", "rotation-push-6-singular.datum", "eN", "eS", "eN"],
+        4,
+    ),
+    (
+        "transfer-rotation-no-push-6",
+        ["transfer", "rotation-no-push-6.datum", "eN", "eS", "eN"],
+        12,
+    ),
 ]
 
 
@@ -319,6 +336,7 @@ HUMAN = {
     "theorem11-rotation-gysin-error",
     "scan-one-finding-budget",
     "transfer-rotation-ambient-cap-4",
+    "transfer-rotation-ambient-cap-4-eN-h",
 }
 
 def _run(argv: list[str], fmt: str) -> tuple[int, str]:
