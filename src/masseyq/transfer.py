@@ -683,7 +683,12 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
         if not kern.dim:
             continue
         x = CohomologyClass._trusted(fring, n, kern.rows[0])
-        if cup(chi.cls, x).is_zero():
+        if n + 2 * datum.m > fring.top:
+            findings.append(
+                f"pushforward has a kernel in degree {n}, where chi * x lies "
+                f"above the fixed top {fring.top}"
+            )
+        elif cup(chi.cls, x).is_zero():
             findings.append(_KILLED_KERNEL.format(n))
         else:
             findings.append(

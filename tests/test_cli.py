@@ -488,6 +488,26 @@ def test_transfer_broken_datum_rejected(capsys):
     assert any("projection formula" in f for f in doc["payload"]["findings"])
 
 
+def test_a_push_kernel_above_the_fixed_top_is_a_finding(capsys, tmp_path):
+    # push[6] = 0 kills H^6 of the fixed model; chi * x lies in degree 8,
+    # above the fixed top 7, so no cup decides it and the datum is invalid
+    datum = os.path.join(GOLDEN, "rotation-push-6-singular.datum")
+    finding = "pushforward has a kernel in degree 6, where chi * x lies above"
+    code, doc = run_json(capsys, "transfer", datum, "eN", "eS", "eN")
+    assert code == 3
+    assert doc["payload"]["findings"][0].startswith(finding)
+    code, doc = run_json(capsys, "theorem11", "eN", "eS", "eN", "--datum", datum)
+    assert code == 3
+    assert doc["payload"]["findings"][0].startswith(finding)
+    family = tmp_path / "singular.family"
+    family.write_text(f"[config]\nname = singular\ndatum = {datum}\ntriple = eN | eS | eN\n")
+    code, doc = run_json(capsys, "scan", str(family))
+    assert code == 0
+    row = doc["payload"]["rows"][0]
+    assert row["status"] == "invalid-datum"
+    assert row["note"].startswith(finding)
+
+
 def test_transfer_undefined_triple(capsys):
     code, doc = run_json(capsys, "transfer", "builtin:rotation", "eN", "eN", "eN")
     assert code == 11
