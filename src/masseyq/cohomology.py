@@ -731,6 +731,16 @@ class InducedMap:
         terms = apply_columns(self.columns(cls.degree), cls.terms)
         return CohomologyClass._trusted(self.target, n, terms)
 
+    def kernel_class(self, n: int) -> Optional[CohomologyClass]:
+        """The first class of the reduced-echelon basis of the kernel on
+        H^n, or None when the map is injective there."""
+        columns = self.columns(n)
+        height = self.target.class_dim(n + self.shift)
+        kernel = kernel_rows(transpose(columns, height), len(columns))
+        if not kernel.dim:
+            return None
+        return CohomologyClass._trusted(self.source, n, kernel.rows[0])
+
     def apply_coset(self, coset: AffineCoset, n: int) -> AffineCoset:
         """The image of a coset of H^n, a coset of H^(n + shift)."""
         columns = self.columns(n)

@@ -17,9 +17,10 @@ A transfer-datum document has [ambient] and [fixed-base] algebra
 sections plus a [datum] section carrying `m`, `chi`, the extension cap
 of the fixed model and per-degree `restrict[n]` / `push[n]` matrices
 with rational entries, rows separated by `;`.  Degrees whose matrices
-are omitted get zero matrices of the forced shape, which is only
-correct when one side is zero-dimensional; the datum validator flags
-everything else.  A `restrict[n]` above the cap the two models share,
+are omitted, `push[n]` up to min(fixed top, ambient top - 2m), the last
+degree push reaches, get zero matrices of the forced shape, which is
+only correct when one side is zero-dimensional; the datum validator
+flags everything else.  A `restrict[n]` above the cap the two models share,
 or a `push[n]` above the top degree of the fixed cohomology, is refused
 at its line before any matrix is built.  Once its shape is checked,
 each matrix is read into sparse columns: the restriction's into an
@@ -452,8 +453,9 @@ def parse_datum_document(text: str, name: str = "file") -> HamiltonianTransferDa
     ]
     fixed_ring = CohomologyRing(fixed)
     ambient_ring = CohomologyRing(ambient)
+    reach = min(fixed_top, ambient_ring.top - 2 * m)
     push = []
-    for n in range(max(push_given, default=-1) + 1):
+    for n in range(max(reach, max(push_given, default=-1)) + 1):
         want_cols = fixed_ring.class_dim(n)
         target = n + 2 * m
         want_rows = ambient_ring.class_dim(target) if target <= ambient_ring.top else 0

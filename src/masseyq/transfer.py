@@ -59,7 +59,6 @@ from .errors import (
     PremiseError,
     UndefinedProductError,
 )
-from .linalg import Subspace, kernel_rows, solve_rows, transpose
 from .report import STATUS_INTERNAL, STATUS_INVALID, outcome
 
 
@@ -337,36 +336,34 @@ def verify_not_zero_divisor(chi: EulerClass) -> Optional[int]:
     powers), the top h block of chi x is c times that of x, so chi is
     injective when c is a unit of H^0 of the base
     (Allday and Puppe, Cohomological Methods in Transformation Groups,
-    ch. 3).  Otherwise, in each degree n, the span of chi times the basis
-    classes of H^n is ranked, since the lower terms can still make chi
+    ch. 3).  Otherwise multiplication by chi is asked for a kernel class
+    degree by degree, since the lower terms can still make chi
     injective.  For a genuine Euler class c is the product of the
     weights, so a failure flags corrupted input data.
     """
-    ring = chi.cls.ring
     if _top_is_unit(chi):
         return None
-    for n in range(ring.top - 2 * chi.m + 1):
-        image = ideal_degree_piece(ring, [chi.cls], n + 2 * chi.m)
-        if image.dim != ring.class_dim(n):
-            return n
-    return None
+    x = _first_kernel(InducedMap.multiplication(chi.cls))
+    return None if x is None else x.degree
 
 
 def _top_is_unit(chi: EulerClass) -> bool:
-    """Whether the top coefficient c of chi has an inverse u in H^0 of the
-    base: one solve of c u = 1, checked by ``cup``."""
+    """Whether the top coefficient c of chi is a unit of H^0 of the base:
+    whether the ideal (c) = (c, c) holds 1, certified as every ideal
+    membership is."""
     base = chi.cls.ring.block_ring
     c = chi.top_coefficient
-    one = base.unit_class()
-    dim = base.class_dim(0)
-    sol = solve_rows(transpose(ideal_products(base, [c], 0), dim), dim, one.terms)
-    inverse = None if sol is None else CohomologyClass._trusted(base, 0, sol)
-    if inverse is not None and cup(c, inverse) != one:
-        raise ConsistencyError(
-            "top h coefficient of the Euler class: solve gives an inverse "
-            "but recomputing it through cup does not reproduce the unit"
-        )
-    return sol is not None
+    columns, span = ideal_products(base, [c, c], 0), ideal_degree_piece(base, [c], 0)
+    return certify_ideal_membership(c, c, base.unit_class(), columns, span).member
+
+
+def _first_kernel(fmap: InducedMap) -> Optional[CohomologyClass]:
+    """``fmap.kernel_class`` in the lowest degree that has one, or None."""
+    for n in range(fmap.top + 1):
+        x = fmap.kernel_class(n)
+        if x is not None:
+            return x
+    return None
 
 
 _ZERO_DIVISOR = (
@@ -583,14 +580,6 @@ class HamiltonianTransferDatum:
         """``validate_transfer_datum(self)``, run once per datum."""
         return tuple(validate_transfer_datum(self))
 
-    def push(self, cls: CohomologyClass) -> CohomologyClass:
-        n = cls.degree
-        if n > self.push_map.top:
-            raise DegreeCapError(
-                f"no pushforward matrix in degree {n}", required_cap=n
-            )
-        return self.push_map.apply(cls)
-
     def __repr__(self):
         return f"HamiltonianTransferDatum({self.name!r}, m={self.m})"
 
@@ -610,11 +599,12 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     by an algebra morphism, a ring map commuting with the differentials,
     and is injective on cohomology degree by degree; the projection
     formula restrict(push(e)) = chi * e holds on a class basis; the Euler
-    class is not a zero divisor; the pushforward has full column rank,
-    any kernel being traced back to the zero-divisor property through the
-    projection formula.  The Euler class and the restriction are checked
-    independently, and a finding against either ends the checks after
-    both.  ``InducedMap.stored`` has checked the pushforward's shapes.
+    class is not a zero divisor; the pushforward is injective, a kernel
+    class being traced back to the zero-divisor property through the
+    projection formula where chi times it is known.  The Euler class and
+    the restriction are checked independently, and a finding against
+    either ends the checks after both.  ``InducedMap.stored`` has checked
+    the pushforward's shapes.
 
     On a ``TautologicalDatum`` (identity restriction, push =
     multiplication by chi), past the checks on m and the fixed model,
@@ -652,19 +642,17 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     if findings:
         return findings
 
-    fring, aring = datum.fixed_ring, datum.ambient_ring
-    for n in range(rmap.top + 1):
-        image = Subspace.span_rows(fring.class_dim(n), rmap.columns(n))
-        if image.dim != aring.class_dim(n):
-            findings.append(
-                f"restriction is not injective on cohomology in degree {n}"
-            )
-            break
+    fring = datum.fixed_ring
+    x = _first_kernel(rmap)
+    if x is not None:
+        findings.append(
+            f"restriction is not injective on cohomology in degree {x.degree}"
+        )
 
     formula_top = min(push.top, min(fring.top, rmap.top) - 2 * datum.m)
     for n in range(formula_top + 1):
         if any(
-            rmap.apply(datum.push(e)) != cup(chi.cls, e)
+            rmap.apply(push.apply(e)) != cup(chi.cls, e)
             for e in fring.basis_classes(n)
         ):
             findings.append(
@@ -676,27 +664,21 @@ def validate_transfer_datum(datum: HamiltonianTransferDatum) -> list[str]:
     if chi.zero_divisor is not None:
         findings.append(_ZERO_DIVISOR.format(chi.zero_divisor))
 
-    for n in range(push.top + 1):
-        columns = push.columns(n)
-        height = aring.class_dim(n + push.shift)
-        kern = kernel_rows(transpose(columns, height), len(columns))
-        if not kern.dim:
-            continue
-        x = CohomologyClass._trusted(fring, n, kern.rows[0])
-        if n + 2 * datum.m > fring.top:
+    x = _first_kernel(push)
+    if x is not None:
+        if x.degree + 2 * datum.m > fring.top:
             findings.append(
-                f"pushforward has a kernel in degree {n}, where chi * x lies "
-                f"above the fixed top {fring.top}"
+                f"pushforward has a kernel in degree {x.degree}, where chi * x "
+                f"lies above the fixed top {fring.top}"
             )
         elif cup(chi.cls, x).is_zero():
-            findings.append(_KILLED_KERNEL.format(n))
+            findings.append(_KILLED_KERNEL.format(x.degree))
         else:
             findings.append(
-                f"pushforward has a kernel in degree {n} although the "
+                f"pushforward has a kernel in degree {x.degree} although the "
                 "projection formula forces chi * x = 0 for kernel classes; "
                 "the formula itself must be broken"
             )
-        break
 
     return findings
 
@@ -790,7 +772,7 @@ def check_gysin_transfer(
             f"{fixed_result.reason}"
         )
 
-    U, V, W = (datum.push(x) for x in classes)
+    U, V, W = (datum.push_map.apply(x) for x in classes)
     # The restriction r maps the ambient product below (DegreeCapError
     # otherwise), so its top reaches that degree, above |u| + 2m and |UV|
     # (and so for v, w and VW); u, v and w were pushed and scaled, so the

@@ -305,9 +305,12 @@ CASES = [
         4,
     ),
     # A class above the datum's last push line, a singular push whose
-    # kernel chi lifts above the fixed top, and an omitted push line.  The
+    # kernel chi lifts above the fixed top, and an omitted push line.  A
+    # class above the last push line asks for the ambient cap its image
+    # needs (it used to ask for its own degree, a cap the datum has).  The
     # singular push is a finding (it used to exit 4, asking for cap 9 to
-    # cup chi with the kernel class).
+    # cup chi with the kernel class).  An omitted push line is a zero
+    # matrix, so the same finding (it used to pass validation, exit 12).
     (
         "transfer-rotation-ambient-cap-4-eN-h",
         ["transfer", "rotation-ambient-cap-4.datum", "eN*h", "eS", "eN"],
@@ -321,7 +324,7 @@ CASES = [
     (
         "transfer-rotation-no-push-6",
         ["transfer", "rotation-no-push-6.datum", "eN", "eS", "eN"],
-        12,
+        3,
     ),
 ]
 

@@ -300,13 +300,14 @@ _CALLER_DATA = "data that a library caller supplies unvalidated"
 # Every `raise ConsistencyError` under src/masseyq, by "module.qualname"
 # and the start of its message (an interpolation reads "{}"), with the
 # reason it stays.  A check that re-derives what its own function has
-# just fixed by construction does not belong here; it goes.
+# just fixed by construction does not belong here; it goes.  The unit
+# certificate of chi's top h coefficient raises none of its own: it is an
+# ideal membership, certified and checked by ``certify_ideal_membership``.
 CONSISTENCY_SITES: dict[tuple[str, str], str] = {
     ("cohomology.certify_ideal_membership", "ideal membership in degree {}: the"): _CERTIFIED,
     ("cohomology.certify_ideal_membership", "ideal membership in degree {}: solve"): _CERTIFIED,
     ("cohomology._primitive", "product of representatives is not exact"): _CERTIFIED,
     ("cohomology.triple_massey", "assembled representative is not a cocycle"): _CERTIFIED,
-    ("transfer._top_is_unit", "top h coefficient of the Euler class: solve"): _CERTIFIED,
     ("transfer.check_euler_scaled_massey", "direct zero test and base-projection"): _INDEPENDENT,
     ("transfer.check_euler_scaled_massey", "the embedded image of the base product"): _LITERAL_TRUE,
     ("transfer.check_euler_scaled_massey", "scaling containment fails at step {}"): _LITERAL_TRUE,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import masseyq.cohomology as cohomology
 import masseyq.transfer as transfer
 from masseyq.cdga import AlgebraMorphism, build_free_cdga
 from masseyq.cohomology import (
@@ -345,12 +346,14 @@ def test_a_corrupted_top_inverse_trips_the_cup_check(monkeypatch, model, chi):
     ring = build_setup(builtin_model(model), cap=7)
     euler = euler_class_from_polynomial(ring, chi, 1)
     assert verify_not_zero_divisor(euler) is None
-    real = transfer.solve_rows
+    # the unit is certified a member of (c, c) like any ideal membership,
+    # so a corrupted solve of the certifier fails its check through cup
+    real = cohomology.solve_rows
 
     def corrupted(rows, cols, b):
         return sparse_sum([*real(rows, cols, b).items(), (0, 1)])
 
-    monkeypatch.setattr(transfer, "solve_rows", corrupted)
+    monkeypatch.setattr(cohomology, "solve_rows", corrupted)
     with pytest.raises(ConsistencyError):
         verify_not_zero_divisor(euler)
 
@@ -816,7 +819,7 @@ def test_rotation_pushforward_is_forced_by_the_projection_formula():
             rows = transpose(datum.restrict_map.morphism.columns(n), fixed.dim(n))
             col = solve_rows(rows, datum.ambient.dim(n), target.terms)
             assert col is not None
-            pushed = datum.push(fring.project(e))
+            pushed = datum.push_map.apply(fring.project(e))
             assert pushed.coords == densify(col, datum.ambient.dim(n))
 
 
@@ -840,7 +843,7 @@ def test_rotation_push_matches_the_dense_matvec(coords, from_file):
         if n % 2 == 0:
             classes.append(CohomologyClass(fring, n, coords))
         for e in classes:
-            assert datum.push(e).coords == matvec_reference(rows, e.coords)
+            assert datum.push_map.apply(e).coords == matvec_reference(rows, e.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +861,7 @@ def test_gysin_on_the_rotation_datum_is_inconclusive():
     u, v = (datum.fixed_ring.class_from_polynomial(p) for p in ("eN", "eS"))
     chi = datum.chi.cls
     assert cup(cup(chi, u), cup(chi, v)).is_zero()
-    assert cup(datum.push(u), datum.push(v)).is_zero()
+    assert cup(datum.push_map.apply(u), datum.push_map.apply(v)).is_zero()
 
 
 def test_gysin_on_the_tautological_heisenberg_datum_transfers():
