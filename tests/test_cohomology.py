@@ -36,6 +36,7 @@ from masseyq.fileformat import resolve_model_spec
 from masseyq.models import builtin_model
 from oracles import (
     FreeCdgaOracle,
+    _null_space,
     betti_oracle,
     dense_add,
     dense_cup,
@@ -1058,6 +1059,41 @@ def test_block_assembly_matches_the_dense_oracle(ext):
                     assert densify(terms, ring.class_dim(p + q)) == (
                         projected_product_reference(ring, p, i, q, j)
                     )
+
+
+@st.composite
+def _maps_with_kernels(draw):
+    """Multiplication by a drawn class of an extension ring from
+    ``_extensions``, the zero class included, and the embedding and the
+    retraction between the ring and its block ring."""
+    ring = CohomologyRing(draw(_extensions()))
+    p = draw(st.integers(0, ring.top))
+    dim = ring.class_dim(p)
+    coords = draw(st.lists(st.sampled_from(_COEFFS), min_size=dim, max_size=dim))
+    base = ring.block_ring
+    return [
+        InducedMap.multiplication(CohomologyClass(ring, p, coords)),
+        InducedMap.leading_block(base, ring),
+        InducedMap.leading_block(ring, base),
+    ]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_maps_with_kernels())
+def test_kernel_class_matches_the_fraction_free_rank_and_kernel(maps):
+    # None exactly when the dense rank is the source dimension; otherwise
+    # the first row of the reduced-echelon kernel basis, which maps to 0.
+    for fmap in maps:
+        for n in range(fmap.top + 1):
+            cols = fmap.source.class_dim(n)
+            height = fmap.target.class_dim(n + fmap.shift)
+            dense = [densify(col, height) for col in fmap.columns(n)]
+            rows = [[col[k] for col in dense] for k in range(height)]
+            x = fmap.kernel_class(n)
+            assert (x is None) == (len(ff_rref(rows, cols)[1]) == cols)
+            if x is not None:
+                assert fmap.apply(x).is_zero()
+                assert x.coords == ff_rref(_null_space(rows, cols), cols)[0][0]
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -14,7 +14,8 @@ vector helper: vectors cross module boundaries sparse.  And it reports
 every cache that would outlive one ``cli.main`` call: a ``functools``
 cache on a module-level function or a method, or bound to a module-level
 name, but for the argument parser, and a module-level dict, list or set
-that its module writes to.
+that its module writes to.  And it reports every import of ``linalg``
+into ``transfer.py``, which asks ``cohomology`` its linear algebra.
 
 Two properties show that the choice between an int and an integral
 Fraction cannot be seen: ``_div`` agrees with Fraction division and
@@ -201,6 +202,62 @@ def test_dense_guard_sees_coords_and_each_helper_import():
         "line 2: import of vector",
         "line 2: import of zero_vector",
         "line 3: .coords",
+    ]
+
+
+# -- the transfer layer asks cohomology ------------------------------------------
+
+
+def _linalg_imports(tree: ast.AST) -> list[str]:
+    """Every import of the package's ``linalg`` module or of a name from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module in ("linalg", f"{PACKAGE}.linalg"):
+                found += [f"line {node.lineno}: {alias.name}" for alias in node.names]
+            elif module in ("", PACKAGE):
+                found += [
+                    f"line {node.lineno}: linalg"
+                    for alias in node.names
+                    if alias.name == "linalg"
+                ]
+        elif isinstance(node, ast.Import):
+            found += [
+                f"line {node.lineno}: {alias.name}"
+                for alias in node.names
+                if alias.name == f"{PACKAGE}.linalg"
+            ]
+    return found
+
+
+def test_transfer_does_no_linear_algebra_of_its_own():
+    # Every injectivity, membership and degree-bound question of the Euler
+    # and datum checks goes to cohomology (InducedMap.kernel_class,
+    # certify_ideal_membership, InducedMap.apply), which owns the
+    # eliminations behind them.
+    with open(os.path.join(SOURCE, "transfer.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="transfer.py")
+    assert _linalg_imports(tree) == []
+
+
+def test_linalg_import_guard_sees_each_form_of_import():
+    source = (
+        "from .linalg import Subspace, kernel_rows\n"
+        "from masseyq.linalg import transpose as t\n"
+        "from . import linalg\n"
+        "import masseyq.linalg\n"
+        "from masseyq import cohomology, linalg as la\n"
+        "from .cohomology import InducedMap\n"
+        "from .errors import linalg_free\n"
+    )
+    assert _linalg_imports(ast.parse(source)) == [
+        "line 1: Subspace",
+        "line 1: kernel_rows",
+        "line 2: transpose",
+        "line 3: linalg",
+        "line 4: masseyq.linalg",
+        "line 5: linalg",
     ]
 
 
