@@ -40,8 +40,9 @@ def test_build_py_ships_every_module_and_data_file(tmp_path):
         tmp_path / "src",
         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"),
     )
+    setup = "import setuptools; setuptools.setup()"
     subprocess.run(
-        [sys.executable, "-c", "import setuptools; setuptools.setup()", "build_py", "-d", "lib"],
+        [sys.executable, "-c", setup, "build_py", "-d", "lib"],
         cwd=tmp_path,
         check=True,
         capture_output=True,
